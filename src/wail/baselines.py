@@ -9,7 +9,6 @@ interaction.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
@@ -17,7 +16,8 @@ import numpy as np
 
 from . import rewards
 from .config import RunConfig
-from .mdp import SoftmaxPolicy, TabularMdp, state_action_embeddings
+from .mdp import (SoftmaxPolicy, TabularMdp, occupancy_from_policy, save_policy,
+                  state_action_embeddings)
 from .training import (ExpertData, RunLog, WailState, _expert_batch,
                        _maybe_checkpoint, _maybe_eval, _policy_batch,
                        _should_stop, TrainingDiverged)
@@ -126,7 +126,8 @@ def train_gail(mdp: TabularMdp, expert_data, config: RunConfig, eval_ctx=None):
                        "n_states": S, "n_actions": A})
     for _ in range(config.k_max):
         rng = np.random.default_rng([config.seed, state.k, 0x6A11])
-        src_idx, src_w = _policy_batch(state, mdp, config, rng)
+        occupancy = occupancy_from_policy(mdp, state.policy)
+        src_idx, src_w = _policy_batch(state, mdp, config, rng, occupancy)
         tgt_idx, tgt_w = _expert_batch(expert, mdp, config, rng)
         policy_batch = SampleBatch.from_flat(src_idx, src_w, embed_table)
         expert_batch = SampleBatch.from_flat(tgt_idx, tgt_w, embed_table)
@@ -141,14 +142,16 @@ def train_gail(mdp: TabularMdp, expert_data, config: RunConfig, eval_ctx=None):
         surrogate = gail_reward_matrix(disc, mdp)
         report = entropy_reg_policy_gradient(mdp, state.policy, surrogate,
                                              lam=config.lambda_entropy, mode=config.pg_mode,
-                                             seed=int(rng.integers(0, 2 ** 63 - 1)))
+                                             seed=int(rng.integers(0, 2 ** 63 - 1)),
+                                             occupancy=occupancy)
         delta = schedule_delta(schedule, state.k + 1)
         new_policy = kl_constrained_step(mdp, state.policy, report, delta,
                                          damping=config.cg_damping)
         state = WailState(k=state.k + 1, model=disc.logit, policy=new_policy,
                           trace=state.trace + [objective], schedule=schedule,
                           l1=config.l1, l2=config.l2,
-                          last_kl=weighted_kl(mdp, state.policy, new_policy),
+                          last_kl=weighted_kl(mdp, state.policy, new_policy,
+                                              occupancy=occupancy),
                           last_surrogate=report.surrogate_value,
                           last_entropy=report.entropy)
         log.append(iteration=state.k, objective=objective,
@@ -163,8 +166,7 @@ def train_gail(mdp: TabularMdp, expert_data, config: RunConfig, eval_ctx=None):
     if config.out_dir:
         log.save(config.out_dir)
         rewards.save_model(os.path.join(config.out_dir, "discriminator_final.json"), disc.logit)
-        with open(os.path.join(config.out_dir, "policy_final.json"), "w") as fh:
-            json.dump({"logits": state.policy.logits.tolist()}, fh)
+        save_policy(os.path.join(config.out_dir, "policy_final.json"), state.policy)
     return state.policy, disc, log
 
 

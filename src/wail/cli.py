@@ -80,26 +80,21 @@ def cmd_train(args) -> int:
         demos = load_trajectories(args.demos)
         out = config.out_dir or "."
         os.makedirs(out, exist_ok=True)
+        # the wail and gail trainers write their final policy and reward to out_dir
+        config = dataclasses.replace(config, out_dir=out)
         if config.algorithm == "wail":
-            policy, model, _ = training.train_wail(mdp, demos, config)
-            rewards.save_model(os.path.join(out, "reward_final.json"), model)
+            training.train_wail(mdp, demos, config)
         elif config.algorithm == "gail":
-            policy, disc, _ = baselines.train_gail(mdp, demos, config)
-            rewards.save_model(os.path.join(out, "discriminator_final.json"), disc.logit)
+            baselines.train_gail(mdp, demos, config)
         else:
-            policy = baselines.train_bc(demos, config, mdp=mdp)
-        save_policy(os.path.join(out, "policy_final.json"), policy)
+            save_policy(os.path.join(out, "policy_final.json"),
+                        baselines.train_bc(demos, config, mdp=mdp))
         print(f"trained {config.algorithm}; wrote policy_final.json to {out}")
         return 0
     row, artifacts = run_single(config)
-    if config.out_dir:
+    if config.out_dir and config.algorithm == "bc":
+        # the wail and gail trainers write their final policy and reward themselves
         save_policy(os.path.join(config.out_dir, "policy_final.json"), artifacts["policy"])
-        if artifacts["model"] is not None:
-            obj = artifacts["model"]
-            model = obj.logit if isinstance(obj, baselines.Discriminator) else obj
-            name = ("discriminator_final.json" if isinstance(obj, baselines.Discriminator)
-                    else "reward_final.json")
-            rewards.save_model(os.path.join(config.out_dir, name), model)
     print(json.dumps(row))
     return 0
 

@@ -242,9 +242,11 @@ def policy_from_occupancy(rho: OccupancyMeasure) -> SoftmaxPolicy:
     return SoftmaxPolicy(logits)
 
 
-def causal_entropy(mdp: TabularMdp, policy: SoftmaxPolicy) -> float:
-    """Discounted causal entropy E_rho[-log pi(a|s)] / (1 - gamma)."""
-    rho = occupancy_from_policy(mdp, policy).rho
+def causal_entropy(mdp: TabularMdp, policy: SoftmaxPolicy,
+                   occupancy: OccupancyMeasure | None = None) -> float:
+    """Discounted causal entropy E_rho[-log pi(a|s)] / (1 - gamma), with rho
+    the policy's occupancy (`occupancy`, solved here when None)."""
+    rho = (occupancy if occupancy is not None else occupancy_from_policy(mdp, policy)).rho
     return float((rho * (-policy.log_probs)).sum() / (1.0 - mdp.gamma))
 
 

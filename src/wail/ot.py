@@ -99,10 +99,15 @@ class GroundMetric:
 
     def restrict(self, src_sel, tgt_sel) -> "GroundMetric":
         """Sub-metric over positional selections of the current supports
-        (duplicates allowed, for with-replacement batches)."""
+        (duplicates allowed, for with-replacement batches).  Selecting every
+        source point in order, as exact mode does, takes whole columns."""
         src_sel = np.asarray(src_sel, dtype=np.int64)
         tgt_sel = np.asarray(tgt_sel, dtype=np.int64)
-        return GroundMetric(self.dist[np.ix_(src_sel, tgt_sel)],
+        every_src = src_sel.size == self.n_src and np.array_equal(src_sel, np.arange(self.n_src))
+        # take() keeps the C order that np.ix_ gives; dist[:, tgt_sel] would not
+        dist = (self.dist.take(tgt_sel, axis=1) if every_src
+                else self.dist[np.ix_(src_sel, tgt_sel)])
+        return GroundMetric(dist,
                             self.src_index[src_sel], self.tgt_index[tgt_sel],
                             self.embed)
 

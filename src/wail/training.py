@@ -20,7 +20,7 @@ import numpy as np
 from . import ot, rewards
 from .config import RunConfig
 from .mdp import (OccupancyMeasure, SoftmaxPolicy, TabularMdp, Trajectory,
-                  occupancy_from_policy, sample_trajectories)
+                  occupancy_from_policy, sample_trajectories, save_policy)
 from .trust_region import (StepSchedule, entropy_reg_policy_gradient,
                            kl_constrained_step, schedule_delta, weighted_kl)
 
@@ -142,11 +142,11 @@ class WailState:
 
 
 def _policy_batch(state: WailState, mdp: TabularMdp, config: RunConfig,
-                  rng: np.random.Generator):
-    """Policy-side support indices and weights: exact occupancy or l1
-    sampled pairs from the restart chain."""
+                  rng: np.random.Generator, occupancy: OccupancyMeasure):
+    """Policy-side support indices and weights: the exact occupancy of
+    state.policy (`occupancy`) or l1 sampled pairs from the restart chain."""
     if config.sampling == "exact":
-        w = occupancy_from_policy(mdp, state.policy).flat()
+        w = occupancy.flat()
         return np.arange(w.size), w / w.sum()
     seed = int(rng.integers(0, 2 ** 63 - 1))
     flat = []
@@ -182,10 +182,13 @@ def wail_iteration(state: WailState, mdp: TabularMdp, expert_data,
                    config: RunConfig) -> WailState:
     """One adversarial round: sample both sides, ascend the regularized OT
     dual through the reward parameters, then take the KL-constrained policy
-    step against the frozen updated reward."""
+    step against the frozen updated reward.  The current policy's occupancy
+    is solved once and serves the batch, the gradient, the step and the
+    logged KL."""
     expert = ExpertData.from_any(expert_data, mdp)
     rng = np.random.default_rng([config.seed, state.k, 0x57A1])
-    src_idx, src_w = _policy_batch(state, mdp, config, rng)
+    occupancy = occupancy_from_policy(mdp, state.policy)
+    src_idx, src_w = _policy_batch(state, mdp, config, rng, occupancy)
     tgt_idx, tgt_w = _expert_batch(expert, mdp, config, rng)
     sub = metric.restrict(src_idx, tgt_idx)
     pair = ot.DiscreteMeasurePair(src_w, tgt_w)
@@ -199,7 +202,8 @@ def wail_iteration(state: WailState, mdp: TabularMdp, expert_data,
     frozen = rewards.clone_frozen(model)
     report = entropy_reg_policy_gradient(mdp, state.policy, frozen,
                                          lam=config.lambda_entropy, mode=config.pg_mode,
-                                         seed=int(rng.integers(0, 2 ** 63 - 1)))
+                                         seed=int(rng.integers(0, 2 ** 63 - 1)),
+                                         occupancy=occupancy)
     delta = schedule_delta(state.schedule, state.k + 1)
     new_policy = kl_constrained_step(mdp, state.policy, report, delta,
                                      damping=config.cg_damping)
@@ -207,7 +211,7 @@ def wail_iteration(state: WailState, mdp: TabularMdp, expert_data,
         k=state.k + 1, model=model, policy=new_policy,
         trace=state.trace + [objective], schedule=state.schedule,
         l1=state.l1, l2=state.l2,
-        last_kl=weighted_kl(mdp, state.policy, new_policy),
+        last_kl=weighted_kl(mdp, state.policy, new_policy, occupancy=occupancy),
         last_surrogate=report.surrogate_value,
         last_entropy=report.entropy,
     )
@@ -226,7 +230,8 @@ def _final_fit(state: WailState, mdp: TabularMdp, expert: ExpertData,
     steps = min(FINAL_FIT_STEPS, state.k * config.ot_inner_steps)
     if config.sampling != "exact" or steps == 0:
         return state.model, 0, None
-    src_idx, src_w = _policy_batch(state, mdp, config, None)   # exact batches draw nothing
+    occupancy = occupancy_from_policy(mdp, state.policy)
+    src_idx, src_w = _policy_batch(state, mdp, config, None, occupancy)   # exact draws nothing
     tgt_idx, tgt_w = _expert_batch(expert, mdp, config, None)
     sub = metric.restrict(src_idx, tgt_idx)
     pair = ot.DiscreteMeasurePair(src_w, tgt_w)
@@ -258,8 +263,7 @@ def _maybe_checkpoint(state: WailState, config: RunConfig) -> None:
         return
     ck = os.path.join(config.out_dir, "checkpoints")
     os.makedirs(ck, exist_ok=True)
-    with open(os.path.join(ck, f"iter_{state.k:06d}_policy.json"), "w") as fh:
-        json.dump({"logits": state.policy.logits.tolist()}, fh)
+    save_policy(os.path.join(ck, f"iter_{state.k:06d}_policy.json"), state.policy)
     rewards.save_model(os.path.join(ck, f"iter_{state.k:06d}_reward.json"), state.model)
 
 
@@ -283,6 +287,7 @@ def train_wail(mdp: TabularMdp, expert_data, config: RunConfig, eval_ctx=None):
     reg = ot.DualRegularization(config.reg_kind, config.epsilon)
     log = RunLog(meta={"algorithm": "wail", "config": config.to_dict(),
                        "n_states": S, "n_actions": A})
+    clamps_before = ot.entropic_clamp_events()
     try:
         for _ in range(config.k_max):
             state = wail_iteration(state, mdp, expert, metric, reg, config)
@@ -303,12 +308,11 @@ def train_wail(mdp: TabularMdp, expert_data, config: RunConfig, eval_ctx=None):
     log.meta["iterations_run"] = state.k
     log.meta["final_fit_steps"] = fit_steps
     log.meta["final_fit_objective"] = fit_objective
-    log.meta["entropic_clamp_events"] = ot.entropic_clamp_events()
+    log.meta["entropic_clamp_events"] = ot.entropic_clamp_events() - clamps_before
     if config.out_dir:
         log.save(config.out_dir)
         rewards.save_model(os.path.join(config.out_dir, "reward_final.json"), model)
-        with open(os.path.join(config.out_dir, "policy_final.json"), "w") as fh:
-            json.dump({"logits": state.policy.logits.tolist()}, fh)
+        save_policy(os.path.join(config.out_dir, "policy_final.json"), state.policy)
     return state.policy, model, log
 
 

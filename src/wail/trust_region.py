@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rewards
-from .mdp import (SoftmaxPolicy, TabularMdp, causal_entropy,
+from .mdp import (OccupancyMeasure, SoftmaxPolicy, TabularMdp, causal_entropy,
                   occupancy_from_policy, sample_trajectories,
                   transition_under_policy)
 
@@ -67,6 +67,7 @@ class PolicyGradientReport:
     kl_to_old: float
     entropy: float
     cost: np.ndarray            # frozen per-step payoff c = r_hat - lam*log pi_old
+    occupancy: OccupancyMeasure  # the current policy's, shared with kl_constrained_step
 
     def __post_init__(self):
         if self.kl_to_old < 0:
@@ -87,10 +88,12 @@ def surrogate_value(mdp: TabularMdp, policy: SoftmaxPolicy, cost: np.ndarray) ->
     return float((occupancy_from_policy(mdp, policy).rho * cost).sum())
 
 
-def weighted_kl(mdp: TabularMdp, old: SoftmaxPolicy, new: SoftmaxPolicy) -> float:
+def weighted_kl(mdp: TabularMdp, old: SoftmaxPolicy, new: SoftmaxPolicy,
+                occupancy: OccupancyMeasure | None = None) -> float:
     """KL(pi_new || pi_old) per state, weighted by the old policy's state
-    occupancy."""
-    d = occupancy_from_policy(mdp, old).state_marginal()
+    occupancy (`occupancy`, solved here when None)."""
+    rho = occupancy if occupancy is not None else occupancy_from_policy(mdp, old)
+    d = rho.state_marginal()
     per_state = (new.probs * (new.log_probs - old.log_probs)).sum(axis=1)
     return float(d @ per_state)
 
@@ -98,22 +101,25 @@ def weighted_kl(mdp: TabularMdp, old: SoftmaxPolicy, new: SoftmaxPolicy) -> floa
 def entropy_reg_policy_gradient(mdp: TabularMdp, policy: SoftmaxPolicy, reward,
                                 lam: float = 0.0, mode: str = "exact",
                                 n_traj: int = 256, max_len: int | None = None,
-                                seed: int = 0) -> PolicyGradientReport:
+                                seed: int = 0,
+                                occupancy: OccupancyMeasure | None = None) -> PolicyGradientReport:
     """Gradient of <r_hat - lam*log pi_old, rho_theta> at theta = current.
 
     `reward` is an (S, A) matrix or a PotentialModel treated as fixed.  Exact
     mode evaluates the policy-gradient identity
         grad[s, a] = d(s) pi(a|s) (Q_c(s, a) - V_c(s))
     with Q_c/V_c from policy-evaluation linear solves; sampled mode uses
-    restart-chain rollouts with score-function weighting.
+    restart-chain rollouts with score-function weighting.  `occupancy` is
+    the policy's own (solved here when None); the report carries it on to
+    kl_constrained_step.
     """
     if lam < 0:
         raise ValueError("lam must be >= 0")
     R = _as_reward_matrix(reward, mdp)
     cost = R - lam * policy.log_probs
     pi = policy.probs
+    rho = occupancy if occupancy is not None else occupancy_from_policy(mdp, policy)
     if mode == "exact":
-        rho = occupancy_from_policy(mdp, policy)
         d = rho.state_marginal()
         P_pi = transition_under_policy(mdp, policy)
         c_pi = (pi * cost).sum(axis=1)
@@ -137,8 +143,8 @@ def entropy_reg_policy_gradient(mdp: TabularMdp, policy: SoftmaxPolicy, reward,
     else:
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
     return PolicyGradientReport(gradient=grad.ravel(), surrogate_value=value,
-                                kl_to_old=0.0, entropy=causal_entropy(mdp, policy),
-                                cost=cost)
+                                kl_to_old=0.0, entropy=causal_entropy(mdp, policy, occupancy=rho),
+                                cost=cost, occupancy=rho)
 
 
 def _fisher_matvec(d: np.ndarray, pi: np.ndarray, v: np.ndarray, damping: float) -> np.ndarray:
@@ -174,14 +180,17 @@ def kl_constrained_step(mdp: TabularMdp, policy: SoftmaxPolicy,
     budget, then backtracking until the measured occupancy-weighted
     KL(new || old) is within delta and the surrogate has not decreased.
     Returns the old policy unchanged when no candidate qualifies, when
-    delta = 0, or when the gradient is negligible."""
+    delta = 0, or when the gradient is negligible.  The old policy's
+    occupancy comes from report.occupancy and serves the Fisher weights and
+    every candidate's KL check."""
     if delta < 0:
         raise ValueError("delta must be >= 0")
     g = report.gradient
     if delta == 0.0 or np.linalg.norm(g) < GRAD_NORM_FLOOR:
         return policy
     pi = policy.probs
-    d = occupancy_from_policy(mdp, policy).state_marginal()
+    occupancy = report.occupancy
+    d = occupancy.state_marginal()
     v = _conjugate_gradient(lambda u: _fisher_matvec(d, pi, u, damping), g, cg_iters)
     quad = v @ _fisher_matvec(d, pi, v, damping)
     if not np.isfinite(quad) or quad <= 0.0 or not np.all(np.isfinite(v)):
@@ -195,7 +204,7 @@ def kl_constrained_step(mdp: TabularMdp, policy: SoftmaxPolicy,
     step = v.reshape(pi.shape)
     for t in range(max_backtracks + 1):
         candidate = SoftmaxPolicy(policy.logits + (beta * backtrack_coef ** t) * step)
-        kl = weighted_kl(mdp, policy, candidate)
+        kl = weighted_kl(mdp, policy, candidate, occupancy=occupancy)
         if kl > delta:
             continue
         if surrogate_value(mdp, candidate, report.cost) >= old_value:

@@ -46,6 +46,40 @@ class TestTrain:
         assert (out / "policy_final.json").exists()
         assert (out / "reward_final.json").exists()
 
+    @pytest.mark.parametrize("algo,model_file", [("wail", "reward_final.json"),
+                                                 ("gail", "discriminator_final.json")])
+    def test_trainer_writes_final_artifacts(self, config_file, tmp_path, capsys, algo, model_file):
+        out = tmp_path / algo
+        rc = main(["train", "--config", config_file, "--algo", algo, "--out", str(out)])
+        assert rc == 0
+        policy = wail.load_policy(out / "policy_final.json")
+        assert policy.logits.shape == (9, 4)
+        assert wail.load_model(out / model_file).params.size > 0
+
+    @pytest.mark.parametrize("algo,model_file", [("wail", "reward_final.json"),
+                                                 ("gail", "discriminator_final.json"),
+                                                 ("bc", None)])
+    def test_demos_path_matches_trainer_artifacts(self, config_file, tmp_path, capsys,
+                                                  algo, model_file):
+        # with --demos the trainer's own out_dir writes are the only ones
+        expert_out = tmp_path / "e"
+        main(["make-expert", "--config", config_file, "--out", str(expert_out)])
+        out = tmp_path / algo
+        rc = main(["train", "--config", config_file, "--algo", algo,
+                   "--demos", str(expert_out / "demos.jsonl"), "--out", str(out)])
+        assert rc == 0
+        mdp = wail.build_environment({"name": "gridworld", "n": 3})
+        demos = wail.load_trajectories(expert_out / "demos.jsonl")
+        config = wail.load_config(config_file)
+        if algo == "bc":
+            policy = wail.train_bc(demos, config, mdp=mdp)
+        else:
+            train = wail.train_wail if algo == "wail" else wail.train_gail
+            policy, _, _ = train(mdp, demos, config)
+            assert (out / model_file).exists()
+            assert (out / "run_meta.json").exists()
+        assert wail.load_policy(out / "policy_final.json").logits.tobytes() == policy.logits.tobytes()
+
     def test_divergence_exit_code(self, config_file, tmp_path, capsys):
         rc = main(["train", "--config", config_file, "--algo", "wail",
                    "--out", str(tmp_path / "d"),

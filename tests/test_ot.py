@@ -57,6 +57,23 @@ class TestGroundMetric:
         assert sub.dist[1, 2] == m.dist[2, 3]
         assert np.array_equal(sub.tgt_index, [1, 1, 3])
 
+    @pytest.mark.parametrize("src_sel", [np.arange(9), [0, 1, 2, 3, 4, 5, 6, 7, 7],
+                                         [1, 0, 2, 3, 4, 5, 6, 7, 8], [0, 1, 2]],
+                             ids=["every", "duplicated", "permuted", "prefix"])
+    def test_restrict_matches_fancy_indexing(self, rng, src_sel):
+        # selecting every source point in order takes whole columns; any
+        # other selection, even one of the same length, must not
+        m = GroundMetric.from_embeddings(rng.normal(size=(9, 3)), src_index=np.arange(9),
+                                         tgt_index=[2, 4, 4, 8])
+        tgt_sel = [3, 0, 0, 2]
+        sub = m.restrict(src_sel, tgt_sel)
+        sel = np.asarray(src_sel)
+        assert sub.dist.tobytes() == m.dist[np.ix_(sel, tgt_sel)].tobytes()
+        assert sub.dist.flags.c_contiguous
+        assert np.array_equal(sub.src_index, m.src_index[sel])
+        assert np.array_equal(sub.tgt_index, m.tgt_index[tgt_sel])
+        assert not np.shares_memory(sub.dist, m.dist)
+
 
 class TestRegularizationType:
     def test_epsilon_positive(self):

@@ -132,6 +132,16 @@ class TestTrainWail:
         assert log.rows[0]["iteration"] == 1
 
 
+    def test_clamp_events_counted_per_run(self):
+        mdp = wail.make_gridworld(3)
+        demos = wail.rollout_fixed(mdp, SoftmaxPolicy.uniform(9, 4), 2, 10, seed=0)
+        config = RunConfig(k_max=30, seed=1, reg_kind="entropic", epsilon=1e-3)
+        counts = [train_wail(mdp, demos, config)[2].meta["entropic_clamp_events"]
+                  for _ in range(2)]
+        assert counts[0] > 0
+        assert counts[0] == counts[1]
+
+
 class TestRunLog:
     def test_csv_round_trip_with_missing_eval(self, tmp_path):
         log = RunLog(meta={"algorithm": "wail"})
