@@ -11,8 +11,9 @@ from .analysis import (PcaPlane, SurfaceGrid, default_bounds, disc_surface_fn,
                        load_surface, model_surface_fn, pca_fit, pca_inverse,
                        pca_project, relative_lipschitz, reward_surface,
                        save_surface, surface_total_variation)
-from .baselines import (Discriminator, SampleBatch, create_discriminator,
-                        disc_values, gail_discriminator_step, gail_objective,
+from .baselines import (Discriminator, DiscriminatorStep, SampleBatch,
+                        create_discriminator, disc_values,
+                        gail_discriminator_step, gail_objective,
                         gail_reward_matrix, gail_surrogate_reward, train_bc,
                         train_gail)
 from .config import RunConfig, load_config, save_config
@@ -20,7 +21,7 @@ from .envs import (EvalResult, build_environment, episode_returns, evaluate,
                    make_chain, make_cliff, make_expert, make_gridworld,
                    make_mountain_car, reference_returns, rollout_fixed)
 from .experiments import (load_summary, run_experiment_grid, run_single,
-                          save_summary)
+                          save_summary, train_algorithm)
 from .mdp import (LOGIT_GAP, OccupancyMeasure, SoftmaxPolicy, TabularMdp,
                   Trajectory, bellman_flow_residual, causal_entropy,
                   default_max_len, expected_reward, load_mdp, load_policy,
@@ -35,9 +36,9 @@ from .ot import (DiscreteMeasurePair, DivergenceError, DualRegularization,
 from .rewards import (PotentialModel, apply, clone_frozen, create_model,
                       grad_params, load_model, model_from_json, model_to_json,
                       reward_matrix, save_model, support_values)
-from .training import (ConvergenceReport, ExpertData, RunLog, TrainingDiverged,
-                       WailState, convergence_monitor, train_wail,
-                       wail_iteration)
+from .training import (ConvergenceReport, ExpertData, OtDualStep, RunLog,
+                       TrainingDiverged, WailState, adversarial_train,
+                       convergence_monitor, train_wail, wail_iteration)
 from .trust_region import (PolicyGradientReport, StepSchedule,
                            entropy_reg_policy_gradient, kl_constrained_step,
                            schedule_delta, surrogate_value, weighted_kl)

@@ -16,13 +16,8 @@ import numpy as np
 
 from . import rewards
 from .config import RunConfig
-from .mdp import (SoftmaxPolicy, TabularMdp, occupancy_from_policy, save_policy,
-                  state_action_embeddings)
-from .training import (ExpertData, RunLog, WailState, _expert_batch,
-                       _maybe_checkpoint, _maybe_eval, _policy_batch,
-                       _should_stop, TrainingDiverged)
-from .trust_region import (StepSchedule, entropy_reg_policy_gradient,
-                           kl_constrained_step, schedule_delta, weighted_kl)
+from .mdp import SoftmaxPolicy, TabularMdp, save_policy, state_action_embeddings
+from .training import ExpertData, adversarial_train
 
 PROB_CLAMP = 1e-6
 
@@ -107,74 +102,48 @@ def gail_reward_matrix(disc: Discriminator, mdp: TabularMdp) -> np.ndarray:
     return (-np.log(d)).reshape(S, A)
 
 
+class DiscriminatorStep:
+    """GAIL's reward step: disc_inner_steps ascent steps of the discriminator
+    objective on the round's batches; the policy step uses -log D.  The
+    reward model carried by the loop is the discriminator's logit."""
+
+    algorithm = "gail"
+    salt = 0x6A11
+    artifact = "discriminator_final.json"
+
+    def __init__(self, mdp: TabularMdp, config: RunConfig):
+        self.mdp, self.config = mdp, config
+        self.embed_table = state_action_embeddings(mdp)
+
+    def __call__(self, model, policy_batch, expert_batch, rng):
+        policy_batch = SampleBatch.from_flat(*policy_batch, self.embed_table)
+        expert_batch = SampleBatch.from_flat(*expert_batch, self.embed_table)
+        disc = Discriminator(model)
+        for _ in range(self.config.disc_inner_steps):
+            disc = gail_discriminator_step(disc, expert_batch, policy_batch, self.config.disc_lr)
+        return (disc.logit, gail_objective(disc, expert_batch, policy_batch),
+                gail_reward_matrix(disc, self.mdp))
+
+    def finish(self, state, mdp):
+        return state.model, {}
+
+
 def train_gail(mdp: TabularMdp, expert_data, config: RunConfig, eval_ctx=None):
-    """Adversarial loop with the discriminator step in place of the OT
-    reward ascent; the policy maximizes -log D under the same KL-constrained
-    natural-gradient updates.  Returns (policy, discriminator, log)."""
-    config.validate()
-    expert = ExpertData.from_any(expert_data, mdp)
-    schedule = StepSchedule(config.delta0, config.delta_decay)
-    S, A = mdp.n_states, mdp.n_actions
-    embed_table = state_action_embeddings(mdp)
-    dims = ((S * A,) if config.model_form == "tabular"
-            else (embed_table.shape[1],) if config.model_form == "linear"
-            else (embed_table.shape[1], *config.mlp_hidden))
-    disc = create_discriminator(config.model_form, dims, config.seed)
-    state = WailState(k=0, model=disc.logit, policy=SoftmaxPolicy.uniform(S, A),
-                      trace=[], schedule=schedule, l1=config.l1, l2=config.l2)
-    log = RunLog(meta={"algorithm": "gail", "config": config.to_dict(),
-                       "n_states": S, "n_actions": A})
-    for _ in range(config.k_max):
-        rng = np.random.default_rng([config.seed, state.k, 0x6A11])
-        occupancy = occupancy_from_policy(mdp, state.policy)
-        src_idx, src_w = _policy_batch(state, mdp, config, rng, occupancy)
-        tgt_idx, tgt_w = _expert_batch(expert, mdp, config, rng)
-        policy_batch = SampleBatch.from_flat(src_idx, src_w, embed_table)
-        expert_batch = SampleBatch.from_flat(tgt_idx, tgt_w, embed_table)
-        for _ in range(config.disc_inner_steps):
-            disc = gail_discriminator_step(disc, expert_batch, policy_batch, config.disc_lr)
-        objective = gail_objective(disc, expert_batch, policy_batch)
-        if not np.isfinite(objective):
-            log.meta["diverged"] = f"discriminator objective diverged at round {state.k}"
-            if config.out_dir:
-                log.save(config.out_dir)
-            raise TrainingDiverged(log.meta["diverged"], log)
-        surrogate = gail_reward_matrix(disc, mdp)
-        report = entropy_reg_policy_gradient(mdp, state.policy, surrogate,
-                                             lam=config.lambda_entropy, mode=config.pg_mode,
-                                             seed=int(rng.integers(0, 2 ** 63 - 1)),
-                                             occupancy=occupancy)
-        delta = schedule_delta(schedule, state.k + 1)
-        new_policy = kl_constrained_step(mdp, state.policy, report, delta,
-                                         damping=config.cg_damping)
-        state = WailState(k=state.k + 1, model=disc.logit, policy=new_policy,
-                          trace=state.trace + [objective], schedule=schedule,
-                          l1=config.l1, l2=config.l2,
-                          last_kl=weighted_kl(mdp, state.policy, new_policy,
-                                              occupancy=occupancy),
-                          last_surrogate=report.surrogate_value,
-                          last_entropy=report.entropy)
-        log.append(iteration=state.k, objective=objective,
-                   policy_surrogate=state.last_surrogate, kl_step=state.last_kl,
-                   entropy=state.last_entropy,
-                   scaled_perf_eval=_maybe_eval(mdp, state.policy, config, eval_ctx, state.k - 1))
-        _maybe_checkpoint(state, config)
-        if _should_stop(state.trace, config.early_stop_window, config.early_stop_tol):
-            log.meta["early_stop_iteration"] = state.k
-            break
-    log.meta["iterations_run"] = state.k
-    if config.out_dir:
-        log.save(config.out_dir)
-        rewards.save_model(os.path.join(config.out_dir, "discriminator_final.json"), disc.logit)
-        save_policy(os.path.join(config.out_dir, "policy_final.json"), state.policy)
-    return state.policy, disc, log
+    """GAIL: the adversarial loop with the discriminator step in place of the
+    OT reward ascent; the policy maximizes -log D under the same
+    KL-constrained natural-gradient updates.  Returns (policy, discriminator,
+    log)."""
+    policy, logit, log = adversarial_train(mdp, expert_data, config,
+                                           DiscriminatorStep(mdp, config), eval_ctx)
+    return policy, Discriminator(logit), log
 
 
 def train_bc(expert_data, config: RunConfig, n_states: int | None = None,
              n_actions: int | None = None, mdp: TabularMdp | None = None) -> SoftmaxPolicy:
     """Behavior cloning: full-batch gradient ascent on the demonstration
     log-likelihood (per-state averaged), from zero logits so unvisited
-    states keep the uniform policy."""
+    states keep the uniform policy.  With config.out_dir set, writes
+    policy_final.json there."""
     if mdp is not None:
         n_states, n_actions = mdp.n_states, mdp.n_actions
         expert = ExpertData.from_any(expert_data, mdp)
@@ -197,4 +166,8 @@ def train_bc(expert_data, config: RunConfig, n_states: int | None = None,
         pi = e / e.sum(axis=1, keepdims=True)
         block = block + config.bc_lr * (freq - pi)
     theta[visited] = block - block.max(axis=1, keepdims=True)
-    return SoftmaxPolicy(theta)
+    policy = SoftmaxPolicy(theta)
+    if config.out_dir:
+        os.makedirs(config.out_dir, exist_ok=True)
+        save_policy(os.path.join(config.out_dir, "policy_final.json"), policy)
+    return policy

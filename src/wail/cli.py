@@ -19,7 +19,7 @@ import numpy as np
 from . import analysis, baselines, rewards
 from .config import RunConfig, load_config
 from .envs import build_environment, evaluate, make_expert, reference_returns
-from .experiments import run_experiment_grid, run_single
+from .experiments import run_experiment_grid, run_single, train_algorithm
 from .mdp import (load_policy, load_trajectories, save_mdp, save_policy,
                   save_trajectories, state_action_embeddings)
 from .ot import DivergenceError
@@ -75,26 +75,12 @@ def cmd_train(args) -> int:
         config = dataclasses.replace(config, algorithm=args.algo)
         config.validate()
     if args.demos:
-        from . import training
-        mdp = build_environment(config.env)
-        demos = load_trajectories(args.demos)
-        out = config.out_dir or "."
-        os.makedirs(out, exist_ok=True)
-        # the wail and gail trainers write their final policy and reward to out_dir
-        config = dataclasses.replace(config, out_dir=out)
-        if config.algorithm == "wail":
-            training.train_wail(mdp, demos, config)
-        elif config.algorithm == "gail":
-            baselines.train_gail(mdp, demos, config)
-        else:
-            save_policy(os.path.join(out, "policy_final.json"),
-                        baselines.train_bc(demos, config, mdp=mdp))
-        print(f"trained {config.algorithm}; wrote policy_final.json to {out}")
+        # the trainer writes its final policy (and reward) to out_dir
+        config = dataclasses.replace(config, out_dir=config.out_dir or ".")
+        train_algorithm(build_environment(config.env), load_trajectories(args.demos), config)
+        print(f"trained {config.algorithm}; wrote policy_final.json to {config.out_dir}")
         return 0
-    row, artifacts = run_single(config)
-    if config.out_dir and config.algorithm == "bc":
-        # the wail and gail trainers write their final policy and reward themselves
-        save_policy(os.path.join(config.out_dir, "policy_final.json"), artifacts["policy"])
+    row, _ = run_single(config)
     print(json.dumps(row))
     return 0
 

@@ -24,6 +24,19 @@ def _derived_seeds(seed: int) -> dict:
     return {n: int(c.generate_state(1)[0]) for n, c in zip(names, children)}
 
 
+def train_algorithm(mdp, demos, config: RunConfig, eval_ctx=None):
+    """Train config.algorithm on the demonstrations.  Each trainer writes
+    its own artifacts to config.out_dir.  Returns (policy, reward model or
+    discriminator, log); the last two are None for bc."""
+    if config.algorithm == "wail":
+        return training.train_wail(mdp, demos, config, eval_ctx=eval_ctx)
+    if config.algorithm == "gail":
+        return baselines.train_gail(mdp, demos, config, eval_ctx=eval_ctx)
+    if config.algorithm == "bc":
+        return baselines.train_bc(demos, config, mdp=mdp), None, None
+    raise ValueError(f"unknown algorithm {config.algorithm!r}")
+
+
 def run_single(config: RunConfig):
     """One imitation run: build the environment, draw demonstrations, train
     the configured algorithm, evaluate against expert/random references.
@@ -41,16 +54,7 @@ def run_single(config: RunConfig):
                                                n_ref=config.n_ref, seed=seeds["refs"])
     eval_ctx = {"expert_ref": expert_ref, "random_ref": random_ref, "seed": seeds["eval"]}
     train_cfg = dataclasses.replace(config, seed=seeds["train"])
-    log = None
-    aux = None
-    if config.algorithm == "wail":
-        policy, aux, log = training.train_wail(mdp, demos, train_cfg, eval_ctx=eval_ctx)
-    elif config.algorithm == "gail":
-        policy, aux, log = baselines.train_gail(mdp, demos, train_cfg, eval_ctx=eval_ctx)
-    elif config.algorithm == "bc":
-        policy = baselines.train_bc(demos, train_cfg, mdp=mdp)
-    else:
-        raise ValueError(f"unknown algorithm {config.algorithm!r}")
+    policy, aux, log = train_algorithm(mdp, demos, train_cfg, eval_ctx=eval_ctx)
     result = evaluate(mdp, policy, config.n_eval, seed=seeds["eval"],
                       expert_ref=expert_ref, random_ref=random_ref)
     row = {"algorithm": config.algorithm, "dataset_size": config.dataset_size,

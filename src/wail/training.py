@@ -1,11 +1,13 @@
-"""Adversarial imitation training loop.
+"""Adversarial imitation training loop, shared by WAIL and GAIL.
 
-Each round ascends the regularized OT dual through the reward parameters on
-fresh policy/expert samples (or exact measures), freezes the updated reward,
-and takes one KL-constrained natural-gradient policy step.  After the last
-round, exact mode continues the same ascent against the returned policy, so
-the returned reward is the potential fitted to that policy.  The objective
-trace is monitored for the Cauchy behavior the step schedule guarantees.
+Each round draws policy/expert batches (or exact measures), updates the
+reward with the algorithm's reward step, freezes it, and takes one
+KL-constrained natural-gradient policy step.  WAIL's step ascends the
+regularized OT dual through the reward parameters; after the last round,
+exact mode continues the same ascent against the returned policy, so the
+returned reward is the potential fitted to that policy.  GAIL's
+discriminator step lives in `baselines`.  The objective trace is monitored
+for the Cauchy behavior the step schedule guarantees.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 
 from . import ot, rewards
 from .config import RunConfig
+from .envs import evaluate
 from .mdp import (OccupancyMeasure, SoftmaxPolicy, TabularMdp, Trajectory,
                   occupancy_from_policy, sample_trajectories, save_policy)
 from .trust_region import (StepSchedule, entropy_reg_policy_gradient,
@@ -127,24 +130,21 @@ class ExpertData:
 @dataclass
 class WailState:
     """Mutable loop state: round counter, reward model, policy, objective
-    trace and the step schedule."""
+    trace and the last policy step's diagnostics."""
 
     k: int
     model: rewards.PotentialModel
     policy: SoftmaxPolicy
     trace: list
-    schedule: StepSchedule
-    l1: int
-    l2: int
     last_kl: float = 0.0
     last_surrogate: float = 0.0
     last_entropy: float = 0.0
 
 
-def _policy_batch(state: WailState, mdp: TabularMdp, config: RunConfig,
+def _policy_batch(policy: SoftmaxPolicy, mdp: TabularMdp, config: RunConfig,
                   rng: np.random.Generator, occupancy: OccupancyMeasure):
     """Policy-side support indices and weights: the exact occupancy of
-    state.policy (`occupancy`) or l1 sampled pairs from the restart chain."""
+    `policy` (`occupancy`) or l1 sampled pairs from the restart chain."""
     if config.sampling == "exact":
         w = occupancy.flat()
         return np.arange(w.size), w / w.sum()
@@ -152,7 +152,7 @@ def _policy_batch(state: WailState, mdp: TabularMdp, config: RunConfig,
     flat = []
     need = config.l1
     while need > 0:
-        trajs = sample_trajectories(mdp, state.policy, max(1, need // 8), seed=seed)
+        trajs = sample_trajectories(mdp, policy, max(1, need // 8), seed=seed)
         seed += 1
         for t in trajs:
             flat.append(t.steps[:, 0] * mdp.n_actions + t.steps[:, 1])
@@ -170,76 +170,98 @@ def _expert_batch(expert: ExpertData, mdp: TabularMdp, config: RunConfig,
     return flat, np.full(config.l2, 1.0 / config.l2)
 
 
-def _dual_value(model: rewards.PotentialModel, pair: ot.DiscreteMeasurePair,
-                sub: ot.GroundMetric, reg: ot.DualRegularization) -> float:
-    r_src = rewards.support_values(model, sub.src_index, sub.src_embed)
-    r_tgt = rewards.support_values(model, sub.tgt_index, sub.tgt_embed)
-    return ot.reg_dual_objective(r_src, r_tgt, pair, sub, reg)
+class OtDualStep:
+    """WAIL's reward step: ascend the regularized OT dual through the reward
+    parameters on the round's batches; the policy step uses the frozen
+    ascended potential.  `finish` fits the reward to the final policy.
+
+    Exact-mode batches always pair every state-action point with the expert
+    support, so the restricted ground metric is built in the first round and
+    serves every round and the final fit.  One instance serves one run."""
+
+    algorithm = "wail"
+    salt = 0x57A1
+    artifact = "reward_final.json"
+
+    def __init__(self, metric: ot.GroundMetric, reg: ot.DualRegularization, config: RunConfig):
+        self.metric, self.reg, self.config = metric, reg, config
+        self.sub = None        # the last round's restricted metric
+        self.target = None     # the last round's expert-side weights
+        self.clamps_before = ot.entropic_clamp_events()
+
+    def __call__(self, model, policy_batch, expert_batch, rng):
+        (src_idx, src_w), (tgt_idx, tgt_w) = policy_batch, expert_batch
+        if self.sub is None or self.config.sampling != "exact":
+            self.sub = self.metric.restrict(src_idx, tgt_idx)
+        pair = ot.DiscreteMeasurePair(src_w, tgt_w)
+        self.target = pair.target
+        model, _ = ot.reg_ot_fit(pair, self.sub, self.reg, model,
+                                 steps=self.config.ot_inner_steps, lr=self.config.ot_lr,
+                                 seed=int(rng.integers(0, 2 ** 63 - 1)))
+        return model, self._dual_value(model, pair), rewards.clone_frozen(model)
+
+    def _dual_value(self, model: rewards.PotentialModel, pair: ot.DiscreteMeasurePair) -> float:
+        sub = self.sub
+        r_src = rewards.support_values(model, sub.src_index, sub.src_embed)
+        r_tgt = rewards.support_values(model, sub.tgt_index, sub.tgt_embed)
+        return ot.reg_dual_objective(r_src, r_tgt, pair, sub, self.reg)
+
+    def finish(self, state: WailState, mdp: TabularMdp):
+        """Continue the reward ascent against the exact occupancy of
+        state.policy, with the loop's epsilon, learning rate and metric, so the
+        reward fits the policy it is returned with instead of sitting one step
+        past the previous round's.  Runs FINAL_FIT_STEPS full-batch steps,
+        capped at the loop's own k * ot_inner_steps: the fit at most doubles the
+        ascent's cost, and k = 0 returns the initial model.  Sampled mode keeps
+        the loop's model.  Returns (model, run_meta entries): the steps run,
+        the objective after the fit (None when no step ran) and the entropic
+        clamp events of the run."""
+        steps = (min(FINAL_FIT_STEPS, state.k * self.config.ot_inner_steps)
+                 if self.config.sampling == "exact" else 0)
+        model, objective = state.model, None
+        if steps:
+            w = occupancy_from_policy(mdp, state.policy).flat()
+            pair = ot.DiscreteMeasurePair(w / w.sum(), self.target)
+            model, _ = ot.reg_ot_fit(pair, self.sub, self.reg, model, steps=steps,
+                                     lr=self.config.ot_lr)
+            objective = self._dual_value(model, pair)
+            if not np.isfinite(objective):
+                raise ot.DivergenceError("objective diverged in the final reward fit", state.trace)
+        return model, {"final_fit_steps": steps, "final_fit_objective": objective,
+                       "entropic_clamp_events": ot.entropic_clamp_events() - self.clamps_before}
 
 
-def wail_iteration(state: WailState, mdp: TabularMdp, expert_data,
-                   metric: ot.GroundMetric, reg: ot.DualRegularization,
-                   config: RunConfig) -> WailState:
-    """One adversarial round: sample both sides, ascend the regularized OT
-    dual through the reward parameters, then take the KL-constrained policy
-    step against the frozen updated reward.  The current policy's occupancy
-    is solved once and serves the batch, the gradient, the step and the
-    logged KL."""
+def wail_iteration(state: WailState, mdp: TabularMdp, expert_data, config: RunConfig,
+                   reward_step) -> WailState:
+    """One adversarial round: draw both batches, update the reward with
+    `reward_step`, then take the KL-constrained policy step against the
+    reward it returns.  The current policy's occupancy is solved once and
+    serves the batch, the gradient, the step and the logged KL.  The round's
+    generator is seeded by (config.seed, round, reward_step.salt); the
+    reward step draws from it between the batches and the gradient seed."""
     expert = ExpertData.from_any(expert_data, mdp)
-    rng = np.random.default_rng([config.seed, state.k, 0x57A1])
+    rng = np.random.default_rng([config.seed, state.k, reward_step.salt])
     occupancy = occupancy_from_policy(mdp, state.policy)
-    src_idx, src_w = _policy_batch(state, mdp, config, rng, occupancy)
-    tgt_idx, tgt_w = _expert_batch(expert, mdp, config, rng)
-    sub = metric.restrict(src_idx, tgt_idx)
-    pair = ot.DiscreteMeasurePair(src_w, tgt_w)
-    model, _ = ot.reg_ot_fit(pair, sub, reg, state.model,
-                             steps=config.ot_inner_steps, lr=config.ot_lr,
-                             seed=int(rng.integers(0, 2 ** 63 - 1)))
-    objective = _dual_value(model, pair, sub, reg)
+    policy_batch = _policy_batch(state.policy, mdp, config, rng, occupancy)
+    expert_batch = _expert_batch(expert, mdp, config, rng)
+    model, objective, reward = reward_step(state.model, policy_batch, expert_batch, rng)
     if not np.isfinite(objective):
         raise ot.DivergenceError(f"objective diverged at round {state.k}", state.trace)
 
-    frozen = rewards.clone_frozen(model)
-    report = entropy_reg_policy_gradient(mdp, state.policy, frozen,
+    report = entropy_reg_policy_gradient(mdp, state.policy, reward,
                                          lam=config.lambda_entropy, mode=config.pg_mode,
                                          seed=int(rng.integers(0, 2 ** 63 - 1)),
                                          occupancy=occupancy)
-    delta = schedule_delta(state.schedule, state.k + 1)
+    delta = schedule_delta(StepSchedule(config.delta0, config.delta_decay), state.k + 1)
     new_policy = kl_constrained_step(mdp, state.policy, report, delta,
                                      damping=config.cg_damping)
     return WailState(
         k=state.k + 1, model=model, policy=new_policy,
-        trace=state.trace + [objective], schedule=state.schedule,
-        l1=state.l1, l2=state.l2,
+        trace=state.trace + [objective],
         last_kl=weighted_kl(mdp, state.policy, new_policy, occupancy=occupancy),
         last_surrogate=report.surrogate_value,
         last_entropy=report.entropy,
     )
-
-
-def _final_fit(state: WailState, mdp: TabularMdp, expert: ExpertData,
-               metric: ot.GroundMetric, reg: ot.DualRegularization, config: RunConfig):
-    """Continue the reward ascent against the exact occupancy of
-    state.policy, with the loop's epsilon, learning rate and metric, so the
-    reward fits the policy it is returned with instead of sitting one step
-    past the previous round's.  Runs FINAL_FIT_STEPS full-batch steps,
-    capped at the loop's own k * ot_inner_steps: the fit at most doubles the
-    ascent's cost, and k = 0 returns the initial model.  Sampled mode keeps
-    the loop's model.  Returns (model, steps run, objective after the fit or
-    None when no step ran)."""
-    steps = min(FINAL_FIT_STEPS, state.k * config.ot_inner_steps)
-    if config.sampling != "exact" or steps == 0:
-        return state.model, 0, None
-    occupancy = occupancy_from_policy(mdp, state.policy)
-    src_idx, src_w = _policy_batch(state, mdp, config, None, occupancy)   # exact draws nothing
-    tgt_idx, tgt_w = _expert_batch(expert, mdp, config, None)
-    sub = metric.restrict(src_idx, tgt_idx)
-    pair = ot.DiscreteMeasurePair(src_w, tgt_w)
-    model, _ = ot.reg_ot_fit(pair, sub, reg, state.model, steps=steps, lr=config.ot_lr)
-    objective = _dual_value(model, pair, sub, reg)
-    if not np.isfinite(objective):
-        raise ot.DivergenceError("objective diverged in the final reward fit", state.trace)
-    return model, steps, objective
 
 
 def _should_stop(trace: list, window: int, tol: float) -> bool:
@@ -252,7 +274,6 @@ def _should_stop(trace: list, window: int, tol: float) -> bool:
 def _maybe_eval(mdp, policy, config, eval_ctx, k):
     if eval_ctx is None or config.eval_every <= 0 or (k + 1) % config.eval_every != 0:
         return None
-    from .envs import evaluate
     res = evaluate(mdp, policy, config.n_eval, seed=eval_ctx["seed"],
                    expert_ref=eval_ctx["expert_ref"], random_ref=eval_ctx["random_ref"])
     return res.scaled
@@ -267,30 +288,36 @@ def _maybe_checkpoint(state: WailState, config: RunConfig) -> None:
     rewards.save_model(os.path.join(ck, f"iter_{state.k:06d}_reward.json"), state.model)
 
 
-def train_wail(mdp: TabularMdp, expert_data, config: RunConfig, eval_ctx=None):
-    """Run the full loop for k_max rounds (stopping early once the trailing
-    objective window is flat), fit the reward to the final policy
-    (`_final_fit`) and return (policy, reward model, log).  Deterministic
-    given config.seed."""
+def adversarial_train(mdp: TabularMdp, expert_data, config: RunConfig, reward_step,
+                      eval_ctx=None):
+    """The adversarial loop shared by WAIL and GAIL.  Runs `wail_iteration`
+    with `reward_step` for k_max rounds (stopping early once the trailing
+    objective window is flat), then the step's end-of-run hook
+    `reward_step.finish(state, mdp)`, which returns the final reward model
+    and its run_meta entries.  A non-finite objective aborts the run with
+    TrainingDiverged carrying the partial log.
+
+    A reward step is called as step(model, policy_batch, expert_batch, rng),
+    each batch an (indices, weights) pair over the flat state-action set,
+    and returns (model, objective, reward for the policy step); it names its
+    `algorithm`, its round-generator `salt` and its final `artifact` file.
+
+    With config.out_dir set, writes metrics.csv, run_meta.json, checkpoints,
+    policy_final.json and the step's artifact.  Returns (policy, reward
+    model, log).  Deterministic given config.seed."""
     config.validate()
     expert = ExpertData.from_any(expert_data, mdp)
-    schedule = StepSchedule(config.delta0, config.delta_decay)
     S, A = mdp.n_states, mdp.n_actions
-    dims = ((S * A,) if config.model_form == "tabular"
-            else (mdp.state_embed.shape[1] + mdp.action_embed.shape[1],)
-            if config.model_form == "linear"
-            else (mdp.state_embed.shape[1] + mdp.action_embed.shape[1], *config.mlp_hidden))
+    width = mdp.state_embed.shape[1] + mdp.action_embed.shape[1]
+    dims = {"tabular": (S * A,), "linear": (width,),
+            "mlp": (width, *config.mlp_hidden)}[config.model_form]
     state = WailState(k=0, model=rewards.create_model(config.model_form, dims, config.seed),
-                      policy=SoftmaxPolicy.uniform(S, A), trace=[],
-                      schedule=schedule, l1=config.l1, l2=config.l2)
-    metric = ot.build_ground_metric(mdp, config.metric_scale)
-    reg = ot.DualRegularization(config.reg_kind, config.epsilon)
-    log = RunLog(meta={"algorithm": "wail", "config": config.to_dict(),
+                      policy=SoftmaxPolicy.uniform(S, A), trace=[])
+    log = RunLog(meta={"algorithm": reward_step.algorithm, "config": config.to_dict(),
                        "n_states": S, "n_actions": A})
-    clamps_before = ot.entropic_clamp_events()
     try:
         for _ in range(config.k_max):
-            state = wail_iteration(state, mdp, expert, metric, reg, config)
+            state = wail_iteration(state, mdp, expert, config, reward_step)
             log.append(iteration=state.k, objective=state.trace[-1],
                        policy_surrogate=state.last_surrogate, kl_step=state.last_kl,
                        entropy=state.last_entropy,
@@ -299,21 +326,28 @@ def train_wail(mdp: TabularMdp, expert_data, config: RunConfig, eval_ctx=None):
             if _should_stop(state.trace, config.early_stop_window, config.early_stop_tol):
                 log.meta["early_stop_iteration"] = state.k
                 break
-        model, fit_steps, fit_objective = _final_fit(state, mdp, expert, metric, reg, config)
+        model, final_meta = reward_step.finish(state, mdp)
     except ot.DivergenceError as err:
         log.meta["diverged"] = str(err)
         if config.out_dir:
             log.save(config.out_dir)
         raise TrainingDiverged(str(err), log) from err
     log.meta["iterations_run"] = state.k
-    log.meta["final_fit_steps"] = fit_steps
-    log.meta["final_fit_objective"] = fit_objective
-    log.meta["entropic_clamp_events"] = ot.entropic_clamp_events() - clamps_before
+    log.meta.update(final_meta)
     if config.out_dir:
         log.save(config.out_dir)
-        rewards.save_model(os.path.join(config.out_dir, "reward_final.json"), model)
+        rewards.save_model(os.path.join(config.out_dir, reward_step.artifact), model)
         save_policy(os.path.join(config.out_dir, "policy_final.json"), state.policy)
     return state.policy, model, log
+
+
+def train_wail(mdp: TabularMdp, expert_data, config: RunConfig, eval_ctx=None):
+    """WAIL: the adversarial loop with the OT-dual reward step, whose
+    returned reward is the potential fitted to the final policy
+    (`OtDualStep.finish`).  Returns (policy, reward model, log)."""
+    step = OtDualStep(ot.build_ground_metric(mdp, config.metric_scale),
+                      ot.DualRegularization(config.reg_kind, config.epsilon), config)
+    return adversarial_train(mdp, expert_data, config, step, eval_ctx)
 
 
 @dataclass

@@ -88,3 +88,22 @@ def test_rejected_step_returns_the_same_policy_object():
     report = dataclasses.replace(report, gradient=np.ones_like(report.gradient),
                                  surrogate_value=np.inf)
     assert kl_constrained_step(mdp, policy, report, 0.01) is policy
+
+
+def test_exact_wail_run_restricts_the_metric_once(monkeypatch):
+    # exact-mode batches pair every state-action point with the fixed expert
+    # support, so one restricted metric serves every round and the final fit
+    calls = []
+    restrict = wail.ot.GroundMetric.restrict
+
+    def counting(metric, src_sel, tgt_sel):
+        calls.append(len(tgt_sel))
+        return restrict(metric, src_sel, tgt_sel)
+
+    monkeypatch.setattr(wail.ot.GroundMetric, "restrict", counting)
+    mdp = wail.make_gridworld(5)
+    _, demos = wail.make_expert(mdp, 0.01, n_traj=1, traj_len=50, seed=3)
+    _, _, log = wail.train_wail(mdp, demos, RunConfig(k_max=20, seed=7))
+    assert log.meta["iterations_run"] == 20
+    assert log.meta["final_fit_steps"] > 0
+    assert len(calls) <= 1, f"{len(calls)} restrict calls"

@@ -6,9 +6,17 @@ from wail import (DualRegularization, RunConfig,
                   SoftmaxPolicy, StepSchedule, build_ground_metric,
                   convergence_monitor, occupancy_from_policy, train_wail,
                   wail_iteration)
-from wail.training import ExpertData, RunLog, WailState
+from wail.training import ExpertData, OtDualStep, RunLog, WailState
 
 from conftest import random_mdp
+
+
+TRAINERS = {"wail": train_wail, "gail": wail.train_gail}
+
+
+def model_params(model):
+    """Parameters of a WAIL reward model or a GAIL discriminator."""
+    return getattr(model, "logit", model).params
 
 
 def small_mdp_two_actions(seed=0):
@@ -58,8 +66,8 @@ class TestWailIteration:
         metric = build_ground_metric(mdp, 1.0)
         reg = DualRegularization("l2", 0.01)
         state = WailState(k=0, model=wail.create_model("tabular", (4,), 0),
-                          policy=pol, trace=[], schedule=StepSchedule(0.01), l1=8, l2=8)
-        new = wail_iteration(state, mdp, rho, metric, reg, config)
+                          policy=pol, trace=[])
+        new = wail_iteration(state, mdp, rho, config, OtDualStep(metric, reg, config))
         assert abs(new.trace[-1]) <= 1e-6
 
     def test_zero_delta_decouples_policy(self):
@@ -69,10 +77,10 @@ class TestWailIteration:
         metric = build_ground_metric(mdp, 1.0)
         reg = DualRegularization("l2", 0.01)
         state = WailState(k=0, model=wail.create_model("tabular", (4,), 0),
-                          policy=SoftmaxPolicy.uniform(2, 2), trace=[],
-                          schedule=StepSchedule(0.0), l1=8, l2=8)
+                          policy=SoftmaxPolicy.uniform(2, 2), trace=[])
+        step = OtDualStep(metric, reg, config)
         for _ in range(5):
-            state = wail_iteration(state, mdp, expert, metric, reg, config)
+            state = wail_iteration(state, mdp, expert, config, step)
         assert np.array_equal(state.policy.logits, np.zeros((2, 2)))
         assert np.abs(state.model.params).max() > 0.0   # reward still ascended
 
@@ -87,15 +95,18 @@ class TestTrainWail:
         assert np.all(model.params == 0.0)
         assert log.rows == []
 
-    def test_deterministic_logs(self):
+    @pytest.mark.parametrize("algorithm", ["wail", "gail"])
+    def test_deterministic_logs(self, algorithm):
         mdp = small_mdp_two_actions()
         expert = wail.sample_trajectories(mdp, SoftmaxPolicy.deterministic([0, 0], 2), 5, seed=1)
         config = RunConfig(k_max=25, seed=3)
-        p1, m1, log1 = train_wail(mdp, expert, config)
-        p2, m2, log2 = train_wail(mdp, expert, config)
+        train = TRAINERS[algorithm]
+        p1, m1, log1 = train(mdp, expert, config)
+        p2, m2, log2 = train(mdp, expert, config)
         assert np.array_equal(p1.logits, p2.logits)
-        assert np.array_equal(m1.params, m2.params)
+        assert np.array_equal(model_params(m1), model_params(m2))
         assert log1.rows == log2.rows
+        assert log1.meta == log2.meta
 
     def test_expert_always_action_zero_is_imitated(self):
         mdp = small_mdp_two_actions()
@@ -116,20 +127,27 @@ class TestTrainWail:
         assert np.array_equal(p1.logits, p2.logits)
         assert log1.rows == log2.rows
 
-    def test_artifacts_written(self, tmp_path):
+    @pytest.mark.parametrize("algorithm,model_file", [("wail", "reward_final.json"),
+                                                      ("gail", "discriminator_final.json")])
+    def test_artifacts_written(self, tmp_path, algorithm, model_file):
         mdp = small_mdp_two_actions()
         demos = wail.rollout_fixed(mdp, SoftmaxPolicy.uniform(2, 2), 2, 10, seed=0)
         config = RunConfig(k_max=6, seed=0, out_dir=str(tmp_path), checkpoint_every=3)
-        train_wail(mdp, demos, config)
+        policy, model, log = TRAINERS[algorithm](mdp, demos, config)
         assert (tmp_path / "metrics.csv").exists()
         assert (tmp_path / "run_meta.json").exists()
-        assert (tmp_path / "reward_final.json").exists()
-        assert (tmp_path / "policy_final.json").exists()
         assert (tmp_path / "checkpoints" / "iter_000003_policy.json").exists()
         assert (tmp_path / "checkpoints" / "iter_000003_reward.json").exists()
-        log = RunLog.load(str(tmp_path))
-        assert len(log.rows) == 6
-        assert log.rows[0]["iteration"] == 1
+        assert wail.load_policy(tmp_path / "policy_final.json").logits.tobytes() \
+            == policy.logits.tobytes()
+        assert wail.load_model(tmp_path / model_file).params.tobytes() \
+            == model_params(model).tobytes()
+        back = RunLog.load(str(tmp_path))
+        assert back.rows == log.rows
+        assert back.meta == log.meta
+        assert back.meta["algorithm"] == algorithm
+        assert len(back.rows) == 6
+        assert back.rows[0]["iteration"] == 1
 
 
     def test_clamp_events_counted_per_run(self):
@@ -206,11 +224,10 @@ def test_objective_trend_downward_when_initialized_far():
     warm, _ = wail.reg_ot_fit(pair, metric.restrict(np.arange(100), sup), reg,
                               wail.create_model("tabular", (100,), 0),
                               steps=4000, lr=0.3)
-    state = WailState(k=0, model=warm, policy=pol, trace=[],
-                      schedule=StepSchedule(config.delta0, config.delta_decay),
-                      l1=128, l2=128)
+    state = WailState(k=0, model=warm, policy=pol, trace=[])
+    step = OtDualStep(metric, reg, config)
     for _ in range(config.k_max):
-        state = wail_iteration(state, mdp, expert_data, metric, reg, config)
+        state = wail_iteration(state, mdp, expert_data, config, step)
     trace = np.asarray(state.trace)
     q = len(trace) // 4
     assert np.median(trace[-q:]) < np.median(trace[:q])
