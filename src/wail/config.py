@@ -89,6 +89,8 @@ class RunConfig:
             raise ValueError("lambda_entropy must be >= 0")
         if self.delta0 < 0 or self.delta_decay < 0:
             raise ValueError("delta0 must be >= 0 and delta_decay >= 0")
+        if self.cg_damping <= 0:
+            raise ValueError("cg_damping must be > 0")
         if self.k_max < 0:
             raise ValueError("k_max must be >= 0")
         if self.sampling not in SAMPLING_MODES or self.pg_mode not in SAMPLING_MODES:

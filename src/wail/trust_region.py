@@ -4,8 +4,8 @@ gradient steps for softmax policies on tabular MDPs.
 The surrogate being ascended at each round is <c, rho_theta> with the frozen
 per-step payoff c = r_hat - lam * log pi_old; its gradient is computed
 exactly from the occupancy linear solves (default) or estimated from
-restart-chain rollouts.  Steps are natural-gradient directions from a
-conjugate-gradient solve of the occupancy-weighted softmax Fisher, with a
+restart-chain rollouts.  Steps are natural-gradient directions, the
+closed-form solve of the damped occupancy-weighted softmax Fisher, with a
 backtracking line search that enforces the KL bound and surrogate
 non-decrease.
 """
@@ -13,7 +13,6 @@ non-decrease.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,34 +146,27 @@ def entropy_reg_policy_gradient(mdp: TabularMdp, policy: SoftmaxPolicy, reward,
                                 cost=cost, occupancy=rho)
 
 
-def _fisher_matvec(d: np.ndarray, pi: np.ndarray, v: np.ndarray, damping: float) -> np.ndarray:
-    """Occupancy-weighted block-diagonal softmax Fisher times a flat vector."""
-    V = v.reshape(pi.shape)
-    FV = d[:, None] * (pi * V - pi * (pi * V).sum(axis=1, keepdims=True))
-    return FV.ravel() + damping * v
+def _natural_direction(d: np.ndarray, pi: np.ndarray, g: np.ndarray,
+                       damping: float) -> np.ndarray:
+    """Solve F v = g exactly for the damped occupancy-weighted softmax Fisher.
 
-
-def _conjugate_gradient(matvec, b: np.ndarray, iters: int, tol: float = 1e-12) -> np.ndarray:
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rs = r @ r
-    for _ in range(iters):
-        if rs <= tol:
-            break
-        Ap = matvec(p)
-        alpha = rs / (p @ Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        rs_new = r @ r
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return x
+    F is block-diagonal over states, F_s = d_s (diag pi_s - pi_s pi_s^T)
+    + damping I, a rank-one update of the diagonal D_s = diag(d_s pi_s +
+    damping), so Sherman-Morrison inverts each block:
+        v_s = D_s^-1 g_s + d_s w_s (w_s . g_s) / (1 - d_s w_s . pi_s),
+    with w_s = D_s^-1 pi_s.  Because sum_a pi_s = 1 the denominator equals
+    damping * sum_a w_s, positive whenever damping > 0; written that way it
+    does not cancel as damping -> 0."""
+    G = g.reshape(pi.shape)
+    diag = d[:, None] * pi + damping
+    w = pi / diag
+    coef = d * (w * G).sum(axis=1) / (damping * w.sum(axis=1))
+    return (G / diag + coef[:, None] * w).ravel()
 
 
 def kl_constrained_step(mdp: TabularMdp, policy: SoftmaxPolicy,
                         report: PolicyGradientReport, delta: float,
-                        cg_iters: int = 50, damping: float = 1e-3,
+                        damping: float = 1e-3,
                         backtrack_coef: float = 0.5, max_backtracks: int = 10) -> SoftmaxPolicy:
     """One trust-region update: natural-gradient direction scaled to the KL
     budget, then backtracking until the measured occupancy-weighted
@@ -182,23 +174,20 @@ def kl_constrained_step(mdp: TabularMdp, policy: SoftmaxPolicy,
     Returns the old policy unchanged when no candidate qualifies, when
     delta = 0, or when the gradient is negligible.  The old policy's
     occupancy comes from report.occupancy and serves the Fisher weights and
-    every candidate's KL check."""
+    every candidate's KL check.  The damping must be positive: it makes the
+    Fisher invertible along each state's constant direction."""
     if delta < 0:
         raise ValueError("delta must be >= 0")
+    if damping <= 0:
+        raise ValueError("damping must be > 0")
     g = report.gradient
     if delta == 0.0 or np.linalg.norm(g) < GRAD_NORM_FLOOR:
         return policy
     pi = policy.probs
     occupancy = report.occupancy
     d = occupancy.state_marginal()
-    v = _conjugate_gradient(lambda u: _fisher_matvec(d, pi, u, damping), g, cg_iters)
-    quad = v @ _fisher_matvec(d, pi, v, damping)
-    if not np.isfinite(quad) or quad <= 0.0 or not np.all(np.isfinite(v)):
-        warnings.warn("Fisher system ill-conditioned; falling back to scaled plain gradient")
-        v = g
-        quad = v @ _fisher_matvec(d, pi, v, damping)
-        if quad <= 0.0:
-            return policy
+    v = _natural_direction(d, pi, g, damping)
+    quad = v @ g
     beta = math.sqrt(2.0 * delta / quad)
     old_value = report.surrogate_value
     step = v.reshape(pi.shape)

@@ -8,7 +8,6 @@ wall time is attributed to the criterion that owns them.
 import dataclasses
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -25,8 +24,6 @@ from wail.trust_region import (entropy_reg_policy_gradient, kl_constrained_step,
                                surrogate_value, weighted_kl)
 
 from conftest import random_mdp
-
-warnings.filterwarnings("ignore", message="Fisher system")
 
 GRID_ENV = {"name": "gridworld", "n": 5}
 

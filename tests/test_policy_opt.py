@@ -9,6 +9,8 @@ from wail import (SoftmaxPolicy, StepSchedule, causal_entropy,
                   kl_constrained_step, occupancy_from_policy, schedule_delta,
                   soft_value_iteration, surrogate_value, weighted_kl)
 
+from wail.trust_region import _natural_direction
+
 from conftest import random_mdp
 
 
@@ -163,6 +165,58 @@ class TestKlConstrainedStep:
             rep = entropy_reg_policy_gradient(mdp, pol, R, lam=lam)
             pol = kl_constrained_step(mdp, pol, rep, 0.5 / k)
         assert value(star) - value(pol) < 1e-3
+
+
+class TestNaturalDirection:
+    """The closed-form direction is the exact solve of the damped
+    occupancy-weighted softmax Fisher system."""
+
+    @staticmethod
+    def dense_fisher(d, pi, damping):
+        S, A = pi.shape
+        F = damping * np.eye(S * A)
+        for s in range(S):
+            block = d[s] * (np.diag(pi[s]) - np.outer(pi[s], pi[s]))
+            F[s * A:(s + 1) * A, s * A:(s + 1) * A] += block
+        return F
+
+    @pytest.mark.parametrize("damping", [1e-1, 1e-2, 1e-3])
+    def test_matches_dense_solve(self, rng, damping):
+        for t in range(20):
+            S, A = int(rng.integers(2, 9)), int(rng.integers(2, 6))
+            mdp = random_mdp(S, A, float(rng.uniform(0.5, 0.95)), seed=900 + t)
+            pol = SoftmaxPolicy(rng.normal(scale=2.0, size=(S, A)))
+            d = occupancy_from_policy(mdp, pol).state_marginal()
+            g = rng.normal(size=S * A)
+            v = _natural_direction(d, pol.probs, g, damping)
+            ref = np.linalg.solve(self.dense_fisher(d, pol.probs, damping), g)
+            assert np.abs(v - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_tends_to_centred_advantage(self, rng):
+        # (Q - V) - mean_a (Q - V): the natural gradient of a tabular
+        # softmax policy, up to each state's constant direction
+        mdp = random_mdp(6, 4, 0.9, seed=31)
+        pol = SoftmaxPolicy(rng.normal(size=(6, 4)))
+        rep = entropy_reg_policy_gradient(mdp, pol, rng.normal(size=(6, 4)), lam=0.1)
+        d = rep.occupancy.state_marginal()
+        adv = rep.gradient.reshape(6, 4) / (d[:, None] * pol.probs)
+        centred = (adv - adv.mean(axis=1, keepdims=True)).ravel()
+        gaps = []
+        for damping in (1e-3, 1e-6, 1e-9):
+            v = _natural_direction(d, pol.probs, rep.gradient, damping)
+            gaps.append(np.abs(v - centred).max() / np.abs(centred).max())
+        assert gaps[0] > gaps[1] > gaps[2]
+        assert gaps[2] <= 1e-5
+
+    def test_damping_must_be_positive(self, rng):
+        mdp = random_mdp(3, 2, 0.9, seed=32)
+        pol = SoftmaxPolicy(rng.normal(size=(3, 2)))
+        rep = entropy_reg_policy_gradient(mdp, pol, rng.normal(size=(3, 2)))
+        with pytest.raises(ValueError):
+            kl_constrained_step(mdp, pol, rep, 0.01, damping=0.0)
+        for bad in (0.0, -1e-3):
+            with pytest.raises(ValueError):
+                wail.RunConfig(cg_damping=bad).validate()
 
 
 def test_weighted_kl_nonnegative_and_zero_on_self(rng):
