@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import (SoftmaxPolicy, TabularMdp, Trajectory, default_max_len,
-                  soft_value_iteration, _row_categorical)
+                  next_states, soft_value_iteration, _row_categorical)
 
 _GRID_MOVES = np.array([(-1, 0), (1, 0), (0, -1), (0, 1)])   # up, down, left, right
 
@@ -254,7 +254,6 @@ def episode_returns(mdp: TabularMdp, policy: SoftmaxPolicy, n: int,
     horizon = default_max_len(mdp.gamma)
     rng = np.random.default_rng(seed)
     pi_cum = policy.probs.cumsum(axis=1)
-    P_cum = mdp.transition.cumsum(axis=2)
     s = np.searchsorted(mdp.start.cumsum(), rng.random(n))
     returns = np.zeros(n)
     disc = 1.0
@@ -263,8 +262,7 @@ def episode_returns(mdp: TabularMdp, policy: SoftmaxPolicy, n: int,
         a = np.minimum(a, mdp.n_actions - 1)
         returns += disc * mdp.true_reward[s, a]
         disc *= mdp.gamma
-        s = np.minimum((P_cum[s, a] < rng.random(n)[:, None]).sum(axis=1),
-                       mdp.n_states - 1)
+        s = next_states(mdp, s, a, rng.random(n))
     return returns
 
 

@@ -1,9 +1,11 @@
 """Exact machinery for discounted tabular MDPs.
 
-Occupancy measures are solved from the Bellman flow linear system, policies
-and occupancies convert back and forth (a bijection on their supports),
-causal entropy and expected rewards are exact inner products, trajectories
-come from the geometric-restart chain, and soft value iteration provides the
+Every exact oracle reads the transition model's stored nonzero rows (see
+TabularMdp).  Occupancy measures are solved from the Bellman flow linear
+system and policy values from its transpose, policies and occupancies
+convert back and forth (a bijection on their supports), causal entropy and
+expected rewards are exact inner products, trajectories come from the
+geometric-restart chain, and soft value iteration provides the
 entropy-regularized RL oracle.
 """
 
@@ -14,6 +16,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu
 
 # Finite stand-in for -inf logits.  exp(-35) ~ 6.3e-16 keeps every action
 # probability strictly positive in float64 while being negligible mass.
@@ -25,6 +29,11 @@ FLOW_TOL = 1e-8
 
 _SAMPLE_CHUNK = 8192
 
+# Flow systems with at most this many states are solved dense by LAPACK,
+# larger ones by a sparse LU.  The crossover was measured on gridworlds
+# (1 BLAS thread): dense wins up to S ~ 150, splu beyond it.
+DENSE_SOLVE_MAX_STATES = 150
+
 
 def _freeze(arr):
     arr = np.ascontiguousarray(arr, dtype=np.float64)
@@ -33,10 +42,50 @@ def _freeze(arr):
 
 
 @dataclass(frozen=True)
+class _TransitionRows:
+    """The nonzeros of P viewed as S*A rows (flat index s * A + a), in row
+    order, plus each row's padded inverse-CDF table for next-state draws."""
+
+    row: np.ndarray         # (nnz,) flat row of each nonzero
+    col: np.ndarray         # (nnz,) its next state
+    prob: np.ndarray        # (nnz,) its probability
+    draw_cum: np.ndarray    # (S*A, K+2) [0, cumulative sums..., inf padding]
+    draw_col: np.ndarray    # (S*A, K+2) [0, next states..., S-1 padding]
+
+    @classmethod
+    def from_dense(cls, P: np.ndarray) -> "_TransitionRows":
+        S, A, _ = P.shape
+        flat = P.reshape(S * A, S)
+        row, col = np.nonzero(flat)
+        counts = np.bincount(row, minlength=S * A)
+        pos = 1 + np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        # Sequential running sums, bit-equal to a dense cumsum over s' at the
+        # nonzero columns (adding the zeros between them changes no bit).
+        # The leading 0 is the mass before the first nonzero column, so a
+        # draw u = 0 maps to state 0; a draw past the row's total lands on
+        # the S-1 padding, as under the dense inverse CDF.
+        draw_cum = np.full((S * A, int(counts.max()) + 2), np.inf)
+        draw_cum[:, 0] = 0.0
+        draw_cum[row, pos] = flat[row, col]
+        draw_col = np.full(draw_cum.shape, S - 1, dtype=np.int64)
+        draw_col[:, 0] = 0
+        draw_col[row, pos] = col
+        return cls(row=row, col=col, prob=flat[row, col],
+                   draw_cum=draw_cum.cumsum(axis=1), draw_col=draw_col)
+
+
+@dataclass(frozen=True)
 class TabularMdp:
     """Finite MDP with transition tensor P[s, a, s'], start distribution,
     discount in (0, 1), state/action embeddings and an optional true reward
-    used only for evaluation."""
+    used only for evaluation.
+
+    Construction also stores P's nonzeros once, as flat arrays over the S*A
+    rows with per-row cumulative sums; every exact oracle in this module
+    reads those rows, never the dense tensor.  The two flow systems
+    (occupancy and policy evaluation) are assembled from the rows and solved
+    by dense LAPACK when n_states <= DENSE_SOLVE_MAX_STATES, otherwise by a
+    sparse LU."""
 
     transition: np.ndarray          # (S, A, S)
     start: np.ndarray               # (S,)
@@ -44,6 +93,7 @@ class TabularMdp:
     state_embed: np.ndarray         # (S, d_s)
     action_embed: np.ndarray        # (A, d_a)
     true_reward: np.ndarray | None = None   # (S, A)
+    _rows: _TransitionRows = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         P = np.asarray(self.transition, dtype=np.float64)
@@ -71,6 +121,7 @@ class TabularMdp:
         if ae.ndim != 2 or ae.shape[0] != A:
             raise ValueError(f"action_embed must be (A, d_a), got {ae.shape}")
         object.__setattr__(self, "transition", _freeze(P))
+        object.__setattr__(self, "_rows", _TransitionRows.from_dense(P))
         object.__setattr__(self, "start", _freeze(mu0))
         object.__setattr__(self, "state_embed", _freeze(se))
         object.__setattr__(self, "action_embed", _freeze(ae))
@@ -190,9 +241,30 @@ class Trajectory:
         return self.steps.shape[0]
 
 
-def transition_under_policy(mdp: TabularMdp, policy: SoftmaxPolicy) -> np.ndarray:
-    """State-to-state transition matrix P_pi[s, s'] = sum_a pi(a|s) P[s, a, s']."""
-    return np.einsum("sa,sap->sp", policy.probs, mdp.transition)
+def _solve_flow(mdp: TabularMdp, policy: SoftmaxPolicy, rhs: np.ndarray,
+                transpose: bool) -> np.ndarray:
+    """Solve (I - gamma P_pi) x = rhs, or the transposed system, with
+    P_pi[s, s'] = sum_a pi(a|s) P[s, a, s'] assembled from the stored rows.
+    Dense LAPACK up to DENSE_SOLVE_MAX_STATES states, a sparse LU above."""
+    rows, S = mdp._rows, mdp.n_states
+    state = rows.row // mdp.n_actions
+    weights = policy.probs.ravel()[rows.row] * rows.prob
+    if S <= DENSE_SOLVE_MAX_STATES:
+        P_pi = np.bincount(state * S + rows.col, weights=weights,
+                           minlength=S * S).reshape(S, S)
+        system = np.eye(S) - mdp.gamma * P_pi
+        return np.linalg.solve(system.T if transpose else system, rhs)
+    diag = np.arange(S)
+    system = csc_matrix((np.concatenate([np.ones(S), -mdp.gamma * weights]),
+                         (np.concatenate([diag, state]), np.concatenate([diag, rows.col]))),
+                        shape=(S, S))
+    return splu(system).solve(rhs, trans="T" if transpose else "N")
+
+
+def _next_expectation(mdp: TabularMdp, V: np.ndarray) -> np.ndarray:
+    """(S, A) matrix of sum_s' P[s, a, s'] V[s'] over the stored rows."""
+    rows, S, A = mdp._rows, mdp.n_states, mdp.n_actions
+    return np.bincount(rows.row, weights=rows.prob * V[rows.col], minlength=S * A).reshape(S, A)
 
 
 def occupancy_from_policy(mdp: TabularMdp, policy: SoftmaxPolicy) -> OccupancyMeasure:
@@ -205,9 +277,7 @@ def occupancy_from_policy(mdp: TabularMdp, policy: SoftmaxPolicy) -> OccupancyMe
     """
     if policy.n_states != mdp.n_states or policy.n_actions != mdp.n_actions:
         raise ValueError("policy shape does not match MDP")
-    P_pi = transition_under_policy(mdp, policy)
-    S = mdp.n_states
-    d = np.linalg.solve(np.eye(S) - mdp.gamma * P_pi.T, (1.0 - mdp.gamma) * mdp.start)
+    d = _solve_flow(mdp, policy, (1.0 - mdp.gamma) * mdp.start, transpose=True)
     if d.min() < -1e-12:
         raise ArithmeticError(f"flow solve produced negative visitation {d.min():.3e}")
     d = np.maximum(d, 0.0)
@@ -219,12 +289,35 @@ def occupancy_from_policy(mdp: TabularMdp, policy: SoftmaxPolicy) -> OccupancyMe
     return OccupancyMeasure(rho)
 
 
+def action_values(mdp: TabularMdp, policy: SoftmaxPolicy,
+                  cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact policy evaluation of a per-step payoff: V solves
+    (I - gamma P_pi) V = sum_a pi(a|.) cost(., a), and
+    Q(s, a) = cost(s, a) + gamma sum_s' P[s, a, s'] V(s').  Returns (Q, V)."""
+    if policy.n_states != mdp.n_states or policy.n_actions != mdp.n_actions:
+        raise ValueError("policy shape does not match MDP")
+    V = _solve_flow(mdp, policy, (policy.probs * cost).sum(axis=1), transpose=False)
+    return cost + mdp.gamma * _next_expectation(mdp, V), V
+
+
 def bellman_flow_residual(mdp: TabularMdp, rho: np.ndarray | OccupancyMeasure) -> float:
     """Max-norm residual of the Bellman flow equation for a candidate measure."""
     r = rho.rho if isinstance(rho, OccupancyMeasure) else np.asarray(rho, dtype=np.float64)
-    lhs = r.sum(axis=1)
-    rhs = (1.0 - mdp.gamma) * mdp.start + mdp.gamma * np.einsum("sap,sa->p", mdp.transition, r)
-    return float(np.abs(lhs - rhs).max())
+    rows = mdp._rows
+    inflow = np.bincount(rows.col, weights=rows.prob * r.ravel()[rows.row],
+                         minlength=mdp.n_states)
+    rhs = (1.0 - mdp.gamma) * mdp.start + mdp.gamma * inflow
+    return float(np.abs(r.sum(axis=1) - rhs).max())
+
+
+def next_states(mdp: TabularMdp, states: np.ndarray, actions: np.ndarray,
+                u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF next-state draws for uniforms u in [0, 1): the first s'
+    whose cumulative P[s, a, :s'+1] reaches u, and S-1 when rounding leaves
+    the row's total below u.  Reads only each row's nonzeros."""
+    rows = mdp._rows
+    r = states * mdp.n_actions + actions
+    return rows.draw_col[r, (rows.draw_cum[r] < u[:, None]).sum(axis=1)]
 
 
 def policy_from_occupancy(rho: OccupancyMeasure) -> SoftmaxPolicy:
@@ -330,7 +423,7 @@ def soft_value_iteration(mdp: TabularMdp, reward: np.ndarray, lam: float,
     V = np.zeros(mdp.n_states)
     resid = np.inf
     for _ in range(max_iter):
-        Q = R + mdp.gamma * np.einsum("sap,p->sa", mdp.transition, V)
+        Q = R + mdp.gamma * _next_expectation(mdp, V)
         m = Q.max(axis=1)
         V_new = m + lam * np.log(np.exp((Q - m[:, None]) / lam).sum(axis=1))
         resid = float(np.abs(V_new - V).max())
@@ -339,7 +432,7 @@ def soft_value_iteration(mdp: TabularMdp, reward: np.ndarray, lam: float,
             break
     else:
         raise RuntimeError(f"soft value iteration did not converge: residual {resid:.3e} > {tol}")
-    Q = R + mdp.gamma * np.einsum("sap,p->sa", mdp.transition, V)
+    Q = R + mdp.gamma * _next_expectation(mdp, V)
     logits = (Q - Q.max(axis=1, keepdims=True)) / lam
     return SoftmaxPolicy(np.maximum(logits, -LOGIT_GAP))
 

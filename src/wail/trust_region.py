@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rewards
-from .mdp import (OccupancyMeasure, SoftmaxPolicy, TabularMdp, causal_entropy,
-                  occupancy_from_policy, sample_trajectories,
-                  transition_under_policy)
+from .mdp import (OccupancyMeasure, SoftmaxPolicy, TabularMdp, action_values,
+                  causal_entropy, occupancy_from_policy, sample_trajectories)
 
 GRAD_NORM_FLOOR = 1e-10
 
@@ -119,12 +118,8 @@ def entropy_reg_policy_gradient(mdp: TabularMdp, policy: SoftmaxPolicy, reward,
     pi = policy.probs
     rho = occupancy if occupancy is not None else occupancy_from_policy(mdp, policy)
     if mode == "exact":
-        d = rho.state_marginal()
-        P_pi = transition_under_policy(mdp, policy)
-        c_pi = (pi * cost).sum(axis=1)
-        V = np.linalg.solve(np.eye(mdp.n_states) - mdp.gamma * P_pi, c_pi)
-        Q = cost + mdp.gamma * np.einsum("sap,p->sa", mdp.transition, V)
-        grad = d[:, None] * pi * (Q - V[:, None])
+        Q, V = action_values(mdp, policy, cost)
+        grad = rho.state_marginal()[:, None] * pi * (Q - V[:, None])
         value = float((rho.rho * cost).sum())
     elif mode == "sampled":
         trajs = sample_trajectories(mdp, policy, n_traj, max_len=max_len, seed=seed)

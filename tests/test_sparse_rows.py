@@ -1,0 +1,195 @@
+"""The exact oracles read P's stored nonzero rows; these tests hold them to
+the dense S*A*S formulas they replaced.
+
+The reference below (einsum passes and np.linalg.solve on the dense
+transition tensor) lives only here.  On random policies the occupancy, the
+value solve, the exact gradient, the flow residual and the soft-VI policy
+agree with it to 1e-12 (relative), on both sides of
+DENSE_SOLVE_MAX_STATES, and the evaluation sampler's next-state draws are
+bit-identical to the dense inverse CDF.
+"""
+
+import numpy as np
+import pytest
+
+import wail
+from wail import SoftmaxPolicy, TabularMdp, entropy_reg_policy_gradient
+from wail import mdp as mdp_mod
+
+from conftest import random_mdp
+
+REL_TOL = 1e-12
+
+CASES = {
+    "grid5": lambda: wail.make_gridworld(5),
+    "grid14-slip": lambda: wail.make_gridworld(14, slip=0.2),   # 4 nonzeros a row
+    "grid20": lambda: wail.make_gridworld(20),
+    "cliff": lambda: wail.make_cliff(),
+    "chain": lambda: wail.make_chain(),
+    "mountain-car": lambda: wail.make_mountain_car(),
+    "random-dense": lambda: random_mdp(30, 3, 0.9, seed=77, with_reward=True),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(CASES))
+def env(request):
+    return CASES[request.param]()
+
+
+@pytest.fixture(params=["selected", "dense", "sparse"])
+def solver(request, monkeypatch):
+    """Run each case with the size selection as is, and forced to each side."""
+    limit = {"dense": 10 ** 9, "sparse": 0}.get(request.param)
+    if limit is not None:
+        monkeypatch.setattr(mdp_mod, "DENSE_SOLVE_MAX_STATES", limit)
+    return request.param
+
+
+# ---------------------------------------------------------------------------
+# dense reference
+
+
+def ref_policy_transition(mdp, policy):
+    return np.einsum("sa,sap->sp", policy.probs, mdp.transition)
+
+
+def ref_occupancy(mdp, policy):
+    S = mdp.n_states
+    d = np.linalg.solve(np.eye(S) - mdp.gamma * ref_policy_transition(mdp, policy).T,
+                        (1.0 - mdp.gamma) * mdp.start)
+    rho = np.maximum(d, 0.0)[:, None] * policy.probs
+    return rho / rho.sum()
+
+
+def ref_action_values(mdp, policy, cost):
+    S = mdp.n_states
+    V = np.linalg.solve(np.eye(S) - mdp.gamma * ref_policy_transition(mdp, policy),
+                        (policy.probs * cost).sum(axis=1))
+    return cost + mdp.gamma * np.einsum("sap,p->sa", mdp.transition, V), V
+
+
+def ref_flow_residual(mdp, rho):
+    rhs = (1.0 - mdp.gamma) * mdp.start + mdp.gamma * np.einsum("sap,sa->p", mdp.transition, rho)
+    return float(np.abs(rho.sum(axis=1) - rhs).max())
+
+
+def ref_soft_vi(mdp, reward, lam, tol=1e-10):
+    V = np.zeros(mdp.n_states)
+    while True:
+        Q = reward + mdp.gamma * np.einsum("sap,p->sa", mdp.transition, V)
+        m = Q.max(axis=1)
+        V_new = m + lam * np.log(np.exp((Q - m[:, None]) / lam).sum(axis=1))
+        done = np.abs(V_new - V).max() <= tol
+        V = V_new
+        if done:
+            break
+    Q = reward + mdp.gamma * np.einsum("sap,p->sa", mdp.transition, V)
+    return SoftmaxPolicy(np.maximum((Q - Q.max(axis=1, keepdims=True)) / lam, -wail.LOGIT_GAP))
+
+
+def ref_next_states(mdp, s, a, u):
+    P_cum = mdp.transition.cumsum(axis=2)
+    return np.minimum((P_cum[s, a] < u[:, None]).sum(axis=1), mdp.n_states - 1)
+
+
+def ref_episode_returns(mdp, policy, n, seed):
+    """episode_returns as it was written over the dense P_cum."""
+    rng = np.random.default_rng(seed)
+    pi_cum = policy.probs.cumsum(axis=1)
+    s = np.searchsorted(mdp.start.cumsum(), rng.random(n))
+    returns = np.zeros(n)
+    disc = 1.0
+    for _ in range(wail.default_max_len(mdp.gamma)):
+        a = np.minimum((pi_cum[s] < rng.random(n)[:, None]).sum(axis=1), mdp.n_actions - 1)
+        returns += disc * mdp.true_reward[s, a]
+        disc *= mdp.gamma
+        s = ref_next_states(mdp, s, a, rng.random(n))
+    return returns
+
+
+def rel_err(x, ref):
+    return np.abs(x - ref).max() / np.abs(ref).max()
+
+
+def random_policies(mdp, seed, n=3):
+    rng = np.random.default_rng(seed)
+    return [SoftmaxPolicy(rng.normal(scale=2.0, size=(mdp.n_states, mdp.n_actions)))
+            for _ in range(n)]
+
+
+# ---------------------------------------------------------------------------
+
+
+def test_size_selection_straddles_the_cases():
+    sizes = {name: make().n_states for name, make in CASES.items()}
+    limit = mdp_mod.DENSE_SOLVE_MAX_STATES
+    assert any(S <= limit for S in sizes.values())
+    assert sizes["grid14-slip"] > limit and sizes["grid20"] > limit
+    # the desk gridworld and the 30x30 benchmark cell sit on either side
+    assert 25 <= limit < 900
+
+
+def test_occupancy_and_flow_residual(env, solver):
+    rng = np.random.default_rng(1)
+    for policy in random_policies(env, 2):
+        rho = wail.occupancy_from_policy(env, policy).rho
+        assert rel_err(rho, ref_occupancy(env, policy)) <= REL_TOL
+        # a measure off the flow manifold, so the residual is O(1)
+        other = rng.dirichlet(np.ones(rho.size)).reshape(rho.shape)
+        assert (abs(wail.bellman_flow_residual(env, other) - ref_flow_residual(env, other))
+                <= REL_TOL * ref_flow_residual(env, other))
+
+
+def test_value_solve_and_exact_gradient(env, solver):
+    rng = np.random.default_rng(3)
+    for policy in random_policies(env, 4):
+        cost = rng.normal(size=(env.n_states, env.n_actions))
+        Q, V = mdp_mod.action_values(env, policy, cost)
+        Q_ref, V_ref = ref_action_values(env, policy, cost)
+        assert rel_err(V, V_ref) <= REL_TOL
+        assert rel_err(Q, Q_ref) <= REL_TOL
+        report = entropy_reg_policy_gradient(env, policy, cost, lam=0.1)
+        pi = policy.probs
+        Q_ref, V_ref = ref_action_values(env, policy, cost - 0.1 * policy.log_probs)
+        grad_ref = ref_occupancy(env, policy).sum(axis=1)[:, None] * pi * (Q_ref - V_ref[:, None])
+        assert rel_err(report.gradient, grad_ref.ravel()) <= REL_TOL
+
+
+def test_soft_value_iteration(env):
+    rng = np.random.default_rng(5)
+    reward = rng.normal(size=(env.n_states, env.n_actions))
+    for lam in (0.01, 0.5):
+        got = wail.soft_value_iteration(env, reward, lam)
+        ref = ref_soft_vi(env, reward, lam)
+        assert rel_err(got.probs, ref.probs) <= REL_TOL
+
+
+def test_episode_returns_bit_identical(env):
+    if env.true_reward is None:
+        pytest.skip("no true reward")
+    for seed, policy in enumerate(random_policies(env, 6, n=2)):
+        got = wail.episode_returns(env, policy, 64, seed=seed)
+        assert got.tobytes() == ref_episode_returns(env, policy, 64, seed).tobytes()
+
+
+def test_next_state_draws_at_the_edges():
+    # rows whose total falls short of 1 by rounding: a draw past the total
+    # maps to S - 1, a draw of exactly 0 to state 0, and draws equal to a
+    # cumulative sum to that sum's state, as under the dense inverse CDF
+    rng = np.random.default_rng(8)
+    S, A = 7, 2
+    P = np.zeros((S, A, S))
+    for s in range(S):
+        for a in range(A):
+            cols = rng.choice(S, size=int(rng.integers(1, 4)), replace=False)
+            P[s, a, cols] = rng.dirichlet(np.ones(cols.size)) * (1.0 - 5e-11)
+    env = TabularMdp(P, np.full(S, 1.0 / S), 0.9, np.zeros((S, 1)), np.eye(A))
+    s = np.repeat(np.arange(S), A)
+    a = np.tile(np.arange(A), S)
+    cum = env.transition.cumsum(axis=2)[s, a]
+    for u in (np.zeros(s.size), np.full(s.size, 1.0 - 1e-12), cum[:, 0], cum[:, S // 2],
+              cum.max(axis=1), rng.random(s.size)):
+        got = mdp_mod.next_states(env, s, a, u)
+        assert np.array_equal(got, ref_next_states(env, s, a, u))
+    past_total = mdp_mod.next_states(env, s, a, np.full(s.size, 1.0 - 1e-12))
+    assert np.all(past_total == S - 1)
