@@ -30,8 +30,11 @@ FLOW_TOL = 1e-8
 _SAMPLE_CHUNK = 8192
 
 # Flow systems with at most this many states are solved dense by LAPACK,
-# larger ones by a sparse LU.  The crossover was measured on gridworlds
-# (1 BLAS thread): dense wins up to S ~ 150, splu beyond it.
+# larger ones by a sparse LU.  Measured per assembled gridworld solve with
+# 1 BLAS thread, the crossover moves between S ~ 150 and 250 with machine
+# load.  The low end is kept: between S = 150 and 250 splu costs at most
+# 1.3x dense, while above it dense falls behind fast (2x at S = 400, 11x
+# at 900).
 DENSE_SOLVE_MAX_STATES = 150
 
 
@@ -57,6 +60,7 @@ class _TransitionRows:
         S, A, _ = P.shape
         flat = P.reshape(S * A, S)
         row, col = np.nonzero(flat)
+        prob = flat[row, col]
         counts = np.bincount(row, minlength=S * A)
         pos = 1 + np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
         # Sequential running sums, bit-equal to a dense cumsum over s' at the
@@ -66,12 +70,12 @@ class _TransitionRows:
         # the S-1 padding, as under the dense inverse CDF.
         draw_cum = np.full((S * A, int(counts.max()) + 2), np.inf)
         draw_cum[:, 0] = 0.0
-        draw_cum[row, pos] = flat[row, col]
+        draw_cum[row, pos] = prob
         draw_col = np.full(draw_cum.shape, S - 1, dtype=np.int64)
         draw_col[:, 0] = 0
         draw_col[row, pos] = col
-        return cls(row=row, col=col, prob=flat[row, col],
-                   draw_cum=draw_cum.cumsum(axis=1), draw_col=draw_col)
+        return cls(row=row, col=col, prob=prob, draw_cum=draw_cum.cumsum(axis=1),
+                   draw_col=draw_col)
 
 
 @dataclass(frozen=True)
