@@ -33,13 +33,11 @@ recovered = wail.policy_from_occupancy(rho)
 print(f"round-trip max error : {np.abs(recovered.probs - policy.probs).max():.2e}")
 
 # Monte-Carlo sanity check: pooled restart-chain frequencies converge to rho.
-trajs = wail.sample_trajectories(mdp, policy, 50_000, seed=1)
-counts = np.zeros((S, A))
-for t in trajs:
-    np.add.at(counts, (t.steps[:, 0], t.steps[:, 1]), 1.0)
+batch = wail.sample_trajectories(mdp, policy, 50_000, seed=1)
+counts = np.bincount(batch.states * A + batch.actions, minlength=S * A).reshape(S, A)
 freq = counts / counts.sum()
 print(f"empirical vs exact   : max |diff| = {np.abs(freq - rho.rho).max():.4f} "
-      f"over {sum(len(t) for t in trajs)} sampled steps")
+      f"over {batch.states.size} sampled steps")
 
 # Expected reward is an inner product; cumulative value divides by 1 - gamma.
 R = rng.normal(size=(S, A))

@@ -37,8 +37,8 @@ print(f"penalized objective at the exact potential: {at_potential:.8f}")
 print("\nregularized ascent, table potential:")
 for eps, lr, steps in ((1.0, 1.0, 1500), (0.1, 0.4, 2500), (0.01, 0.05, 6000)):
     model = wail.create_model("tabular", (n,), seed=0)
-    fit, _ = wail.reg_ot_fit(pair, metric, wail.DualRegularization("l2", eps),
-                             model, steps=steps, lr=lr)
+    fit, _, _ = wail.reg_ot_fit(pair, metric, wail.DualRegularization("l2", eps),
+                                model, steps=steps, lr=lr)
     value = wail.reg_dual_objective(fit.params, fit.params, pair, metric,
                                     wail.DualRegularization("l2", eps))
     print(f"  eps={eps:<5}: value {value:.6f}  |value - W1| = {abs(value - primal):.6f}")

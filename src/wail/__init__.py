@@ -22,7 +22,7 @@ from .envs import (EvalResult, build_environment, episode_returns, evaluate,
                    make_mountain_car, reference_returns, rollout_fixed)
 from .experiments import (load_summary, run_experiment_grid, run_single,
                           save_summary, train_algorithm)
-from .mdp import (LOGIT_GAP, OccupancyMeasure, SoftmaxPolicy, TabularMdp,
+from .mdp import (LOGIT_GAP, OccupancyMeasure, Rollouts, SoftmaxPolicy, TabularMdp,
                   Trajectory, bellman_flow_residual, causal_entropy,
                   default_max_len, expected_reward, load_mdp, load_policy,
                   load_trajectories, mdp_from_json, mdp_to_json,
@@ -30,7 +30,7 @@ from .mdp import (LOGIT_GAP, OccupancyMeasure, SoftmaxPolicy, TabularMdp,
                   save_policy, save_trajectories, sample_trajectories,
                   soft_value_iteration, state_action_embeddings)
 from .ot import (DiscreteMeasurePair, DivergenceError, DualRegularization,
-                 GroundMetric, build_ground_metric, entropic_clamp_events,
+                 GroundMetric, build_ground_metric, model_dual_objective,
                  reg_dual_gradient, reg_dual_objective, reg_ot_fit,
                  w1_dual_lp, w1_primal_lp)
 from .rewards import (PotentialModel, apply, clone_frozen, create_model,

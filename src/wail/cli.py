@@ -14,8 +14,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import analysis, baselines, rewards
 from .config import RunConfig, load_config
 from .envs import build_environment, evaluate, make_expert, reference_returns
@@ -113,8 +111,7 @@ def cmd_surface(args) -> int:
     else:
         _, demos = make_expert(mdp, config.expert_lambda, n_traj=config.dataset_size,
                                traj_len=config.traj_len, seed=config.seed)
-    pairs = np.concatenate([t.steps for t in demos], axis=0)
-    flat = pairs[:, 0] * mdp.n_actions + pairs[:, 1]
+    flat = demos.states * mdp.n_actions + demos.actions
     data = state_action_embeddings(mdp)[flat]
     plane = analysis.pca_fit(data)
     model = rewards.load_model(args.reward)

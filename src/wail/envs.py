@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import (SoftmaxPolicy, TabularMdp, Trajectory, default_max_len,
-                  next_states, soft_value_iteration, _row_categorical)
+from .mdp import (Rollouts, SoftmaxPolicy, TabularMdp, default_max_len,
+                  next_states, soft_value_iteration)
 
 _GRID_MOVES = np.array([(-1, 0), (1, 0), (0, -1), (0, 1)])   # up, down, left, right
 
@@ -203,21 +203,22 @@ def build_environment(spec: dict) -> TabularMdp:
 
 
 def rollout_fixed(mdp: TabularMdp, policy: SoftmaxPolicy, n: int, length: int,
-                  seed: int = 0) -> list[Trajectory]:
+                  seed: int = 0) -> Rollouts:
     """Plain chain rollouts of exactly `length` steps (no geometric restart),
-    the way demonstrations are collected."""
-    rng = np.random.default_rng(seed)
-    pi = policy.probs
-    out = []
-    for _ in range(n):
-        steps = np.zeros((length, 2), dtype=np.int64)
-        s = int(_row_categorical(mdp.start[None, :], rng)[0])
-        for t in range(length):
-            a = int(_row_categorical(pi[s][None, :], rng)[0])
-            steps[t] = (s, a)
-            s = int(_row_categorical(mdp.transition[s, a][None, :], rng)[0])
-        out.append(Trajectory(steps, terminated_by_restart=False))
-    return out
+    the way demonstrations are collected, as one Rollouts batch.  Row i of
+    one (n, 1 + 2 * length) uniform block drives rollout i: its start, then
+    per step its action and its next state (the last of which goes unused)."""
+    u = np.random.default_rng(seed).random((n, 1 + 2 * length))
+    pi_cdf = policy.action_cdf()
+    states = np.empty((n, length), dtype=np.int64)
+    actions = np.empty((n, length), dtype=np.int64)
+    s = np.minimum(np.searchsorted(mdp.start.cumsum(), u[:, 0]), mdp.n_states - 1)
+    for t in range(length):
+        a = (pi_cdf[s] < u[:, 1 + 2 * t, None]).sum(axis=1)
+        states[:, t], actions[:, t] = s, a
+        s = next_states(mdp, s, a, u[:, 2 + 2 * t])
+    return Rollouts(lengths=np.full(n, length), restarted=np.zeros(n, dtype=bool),
+                    states=states.ravel(), actions=actions.ravel())
 
 
 def make_expert(mdp: TabularMdp, lambda_expert: float = 0.01, n_traj: int = 1,
@@ -253,13 +254,12 @@ def episode_returns(mdp: TabularMdp, policy: SoftmaxPolicy, n: int,
         raise ValueError("evaluation needs an MDP with a true reward")
     horizon = default_max_len(mdp.gamma)
     rng = np.random.default_rng(seed)
-    pi_cum = policy.probs.cumsum(axis=1)
+    pi_cdf = policy.action_cdf()
     s = np.searchsorted(mdp.start.cumsum(), rng.random(n))
     returns = np.zeros(n)
     disc = 1.0
     for _ in range(horizon):
-        a = (pi_cum[s] < rng.random(n)[:, None]).sum(axis=1)
-        a = np.minimum(a, mdp.n_actions - 1)
+        a = (pi_cdf[s] < rng.random(n)[:, None]).sum(axis=1)
         returns += disc * mdp.true_reward[s, a]
         disc *= mdp.gamma
         s = next_states(mdp, s, a, rng.random(n))

@@ -1,11 +1,12 @@
 """Exact machinery for discounted tabular MDPs.
 
-Every exact oracle reads the transition model's stored nonzero rows (see
-TabularMdp).  Occupancy measures are solved from the Bellman flow linear
-system and policy values from its transpose, policies and occupancies
-convert back and forth (a bijection on their supports), causal entropy and
-expected rewards are exact inner products, trajectories come from the
-geometric-restart chain, and soft value iteration provides the
+Every exact oracle and every sampler reads the transition model's stored
+nonzero rows (see TabularMdp); the dense tensor serves validation and I/O.
+Occupancy measures are solved from the Bellman flow linear system and
+policy values from its transpose, policies and occupancies convert back and
+forth (a bijection on their supports), causal entropy and expected rewards
+are exact inner products, trajectories come from the geometric-restart
+chain as one flat Rollouts batch, and soft value iteration provides the
 entropy-regularized RL oracle.
 """
 
@@ -85,8 +86,8 @@ class TabularMdp:
     used only for evaluation.
 
     Construction also stores P's nonzeros once, as flat arrays over the S*A
-    rows with per-row cumulative sums; every exact oracle in this module
-    reads those rows, never the dense tensor.  The two flow systems
+    rows with per-row cumulative sums; every exact oracle and sampler reads
+    those rows, never the dense tensor.  The two flow systems
     (occupancy and policy evaluation) are assembled from the rows and solved
     by dense LAPACK when n_states <= DENSE_SOLVE_MAX_STATES, otherwise by a
     sparse LU."""
@@ -184,6 +185,14 @@ class SoftmaxPolicy:
     def n_actions(self) -> int:
         return self.logits.shape[1]
 
+    def action_cdf(self) -> np.ndarray:
+        """Per-state running sums of pi(.|s), last column set to inf: the
+        inverse-CDF draw for a uniform u at state s is (cdf[s] < u).sum(),
+        which is A-1 when rounding leaves the row's total below u."""
+        cdf = self.probs.cumsum(axis=1)
+        cdf[:, -1] = np.inf
+        return cdf
+
     @classmethod
     def uniform(cls, n_states: int, n_actions: int) -> "SoftmaxPolicy":
         return cls(np.zeros((n_states, n_actions)))
@@ -227,7 +236,8 @@ class OccupancyMeasure:
 @dataclass(frozen=True)
 class Trajectory:
     """State-action rollout; ends either by a geometric restart or by
-    hitting the sampler's length cap."""
+    hitting the sampler's length cap.  Built only at I/O and in tests:
+    samplers and training read the flat Rollouts batch."""
 
     steps: np.ndarray               # (T, 2) int
     terminated_by_restart: bool
@@ -243,6 +253,61 @@ class Trajectory:
 
     def __len__(self) -> int:
         return self.steps.shape[0]
+
+
+@dataclass(frozen=True)
+class Rollouts:
+    """A batch of episodes stored flat and episode-major: episode i holds
+    lengths[i] consecutive entries of `states` and `actions`, and ended by a
+    geometric restart when restarted[i] (otherwise by a length cap).
+    len() counts episodes; iterating yields one Trajectory per episode."""
+
+    lengths: np.ndarray             # (n,) int, each >= 1
+    restarted: np.ndarray           # (n,) bool
+    states: np.ndarray              # (lengths.sum(),) int
+    actions: np.ndarray             # (lengths.sum(),) int
+
+    def __post_init__(self):
+        lengths = np.asarray(self.lengths, dtype=np.int64)
+        restarted = np.asarray(self.restarted, dtype=bool)
+        states = np.asarray(self.states, dtype=np.int64)
+        actions = np.asarray(self.actions, dtype=np.int64)
+        if lengths.ndim != 1 or lengths.size == 0 or restarted.shape != lengths.shape:
+            raise ValueError("need at least one episode, with one restart flag each")
+        if lengths.min() < 1:
+            raise ValueError("every episode must be non-empty")
+        if states.shape != (lengths.sum(),) or actions.shape != states.shape:
+            raise ValueError("states and actions must hold lengths.sum() entries each")
+        if min(states.min(), actions.min()) < 0:
+            raise ValueError("state/action indices must be non-negative")
+        for name, arr in (("lengths", lengths), ("restarted", restarted),
+                          ("states", states), ("actions", actions)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def __len__(self) -> int:
+        return self.lengths.size
+
+    @property
+    def starts(self) -> np.ndarray:
+        """Index of each episode's first entry."""
+        return np.cumsum(self.lengths) - self.lengths
+
+    def pairs(self) -> np.ndarray:
+        """(k, 2) array of every (state, action) entry, episode-major."""
+        return np.stack([self.states, self.actions], axis=1)
+
+    def __iter__(self):
+        pairs = self.pairs()
+        for lo, n, restarted in zip(self.starts, self.lengths, self.restarted):
+            yield Trajectory(pairs[lo:lo + n], bool(restarted))
+
+    def __getitem__(self, i: int) -> Trajectory:
+        i = range(len(self))[i]
+        lo = self.lengths[:i].sum()
+        hi = lo + self.lengths[i]
+        return Trajectory(np.stack([self.states[lo:hi], self.actions[lo:hi]], axis=1),
+                          bool(self.restarted[i]))
 
 
 def _solve_flow(mdp: TabularMdp, policy: SoftmaxPolicy, rhs: np.ndarray,
@@ -319,9 +384,11 @@ def next_states(mdp: TabularMdp, states: np.ndarray, actions: np.ndarray,
     """Inverse-CDF next-state draws for uniforms u in [0, 1): the first s'
     whose cumulative P[s, a, :s'+1] reaches u, and S-1 when rounding leaves
     the row's total below u.  Reads only each row's nonzeros."""
-    rows = mdp._rows
-    r = states * mdp.n_actions + actions
-    return rows.draw_col[r, (rows.draw_cum[r] < u[:, None]).sum(axis=1)]
+    return _draw_next(mdp._rows, states * mdp.n_actions + actions, u)
+
+
+def _draw_next(rows: _TransitionRows, flat_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    return rows.draw_col[flat_rows, (rows.draw_cum[flat_rows] < u[:, None]).sum(axis=1)]
 
 
 def policy_from_occupancy(rho: OccupancyMeasure) -> SoftmaxPolicy:
@@ -360,52 +427,84 @@ def default_max_len(gamma: float) -> int:
     return max(1, math.ceil(math.log(1e-6) / math.log(gamma)))
 
 
-def _row_categorical(prob_rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    cs = np.cumsum(prob_rows, axis=1)
-    u = rng.random(prob_rows.shape[0])
-    idx = (cs < u[:, None]).sum(axis=1)
-    return np.minimum(idx, prob_rows.shape[1] - 1)
+class _Uniforms:
+    """Consecutive slices of one generator's uniform stream, drawn in blocks.
+    Each default_rng double takes one generator output, so the slices equal
+    what drawing each slice by its own rng.random call would give."""
+
+    def __init__(self, rng: np.random.Generator, block: int):
+        self.rng, self.block = rng, block
+        self.buf, self.pos = rng.random(block), 0
+
+    def take(self, k: int) -> np.ndarray:
+        if self.pos + k > self.buf.size:
+            self.buf = np.concatenate([self.buf[self.pos:], self.rng.random(max(k, self.block))])
+            self.pos = 0
+        self.pos += k
+        return self.buf[self.pos - k:self.pos]
 
 
 def sample_trajectories(mdp: TabularMdp, policy: SoftmaxPolicy, n: int,
-                        max_len: int | None = None, seed: int = 0) -> list[Trajectory]:
-    """Sample n trajectories of the restart chain: after each recorded (s, a)
+                        max_len: int | None = None, seed: int = 0) -> Rollouts:
+    """Sample n episodes of the restart chain: after each recorded (s, a)
     the chain restarts with probability 1-gamma, otherwise transitions.
-    Episodes also truncate at max_len.  Deterministic given the seed."""
+    Episodes also truncate at max_len.  Deterministic given the seed.
+
+    Episodes run in lockstep, in chunks of at most _SAMPLE_CHUNK.  A chunk
+    draws one start uniform per episode, then per step one action uniform
+    per live episode, one stop uniform per live episode and one next-state
+    uniform per continuing episode, in that order.  Draws read the policy's
+    action_cdf, the start distribution's running sums and the stored
+    transition rows (as next_states does), never a dense P row."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if max_len is None:
         max_len = default_max_len(mdp.gamma)
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    rng = np.random.default_rng(seed)
-    pi = policy.probs
-    out: list[Trajectory] = []
+    S, A = mdp.n_states, mdp.n_actions
+    rows = mdp._rows
+    pi_cdf = policy.action_cdf()
+    start_cdf = mdp.start.cumsum()
+    keep_from = 1.0 - mdp.gamma         # a stop uniform below this restarts
+    # about 3 uniforms per recorded step plus one per episode
+    mean_len = (1.0 - mdp.gamma ** max_len) / (1.0 - mdp.gamma)
+    draws = _Uniforms(np.random.default_rng(seed),
+                      int(min(n, _SAMPLE_CHUNK) * (1.0 + 3.0 * mean_len)) + 64)
+    chunks = []
     for lo in range(0, n, _SAMPLE_CHUNK):
         m = min(_SAMPLE_CHUNK, n - lo)
-        states_buf = np.zeros((max_len, m), dtype=np.int64)
-        actions_buf = np.zeros((max_len, m), dtype=np.int64)
-        lengths = np.zeros(m, dtype=np.int64)
-        restarted = np.zeros(m, dtype=bool)
         alive = np.arange(m)
-        cur = _row_categorical(np.broadcast_to(mdp.start, (m, mdp.n_states)), rng)
+        cur = np.minimum(np.searchsorted(start_cdf, draws.take(m)), S - 1)
+        ids, flat = [], []      # per step: live episodes and their s * A + a
+        truncated = alive[:0]
         for t in range(max_len):
-            acts = _row_categorical(pi[cur], rng)
-            states_buf[t, alive] = cur
-            actions_buf[t, alive] = acts
-            lengths[alive] = t + 1
-            stop = rng.random(alive.size) < (1.0 - mdp.gamma)
-            restarted[alive[stop]] = True
-            keep = ~stop
-            if t + 1 == max_len or not keep.any():
+            k = alive.size
+            u = draws.take(2 * k)
+            r = cur * A + (pi_cdf[cur] < u[:k, None]).sum(axis=1)
+            ids.append(alive)
+            flat.append(r)
+            keep = u[k:] >= keep_from
+            if t + 1 == max_len:
+                truncated = alive[keep]
                 break
-            cur = _row_categorical(mdp.transition[cur[keep], acts[keep]], rng)
             alive = alive[keep]
-        for i in range(m):
-            T = lengths[i]
-            steps = np.stack([states_buf[:T, i], actions_buf[:T, i]], axis=1)
-            out.append(Trajectory(steps, bool(restarted[i])))
-    return out
+            if not alive.size:
+                break
+            cur = _draw_next(rows, r[keep], draws.take(alive.size))
+        # step-major records to episode-major: entry t of episode i goes to
+        # starts[i] + t
+        ids = np.concatenate(ids)
+        lengths = np.bincount(ids, minlength=m)
+        step = np.repeat(np.arange(len(flat)), [f.size for f in flat])
+        order = np.empty(ids.size, dtype=np.int64)
+        order[(np.cumsum(lengths) - lengths)[ids] + step] = np.arange(ids.size)
+        restarted = np.ones(m, dtype=bool)
+        restarted[truncated] = False
+        chunks.append((lengths, restarted, np.concatenate(flat)[order]))
+    lengths, restarted, flat = (np.concatenate(c) for c in zip(*chunks))
+    return Rollouts(lengths=lengths, restarted=restarted,
+                    states=flat // A, actions=flat % A)
 
 
 def soft_value_iteration(mdp: TabularMdp, reward: np.ndarray, lam: float,
@@ -503,22 +602,21 @@ def load_policy(path) -> SoftmaxPolicy:
         return SoftmaxPolicy(np.asarray(json.load(fh)["logits"], dtype=np.float64))
 
 
-def save_trajectories(path, trajectories: list[Trajectory]) -> None:
-    """JSON-lines, one {"steps": [[s, a], ...], "truncated": bool} per line."""
+def save_trajectories(path, batch: Rollouts) -> None:
+    """JSON-lines, one {"steps": [[s, a], ...], "truncated": bool} per
+    episode of the batch."""
+    pairs = batch.pairs()
     with open(path, "w") as fh:
-        for tr in trajectories:
-            fh.write(json.dumps({"steps": tr.steps.tolist(),
-                                 "truncated": not tr.terminated_by_restart}) + "\n")
+        for lo, n, restarted in zip(batch.starts, batch.lengths, batch.restarted):
+            fh.write(json.dumps({"steps": pairs[lo:lo + n].tolist(),
+                                 "truncated": not restarted}) + "\n")
 
 
-def load_trajectories(path) -> list[Trajectory]:
-    out = []
+def load_trajectories(path) -> Rollouts:
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            doc = json.loads(line)
-            out.append(Trajectory(np.asarray(doc["steps"], dtype=np.int64),
-                                  terminated_by_restart=not doc["truncated"]))
-    return out
+        docs = [json.loads(line) for line in fh if line.strip()]
+    steps = [np.asarray(doc["steps"], dtype=np.int64).reshape(-1, 2) for doc in docs]
+    pairs = np.concatenate(steps or [np.zeros((0, 2), dtype=np.int64)])
+    return Rollouts(lengths=[len(st) for st in steps],
+                    restarted=[not doc["truncated"] for doc in docs],
+                    states=pairs[:, 0], actions=pairs[:, 1])

@@ -26,14 +26,6 @@ PAIR_SUM_TOL = 1e-10
 _LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
                "dual_feasibility_tolerance": 1e-10}
 
-_clamp_events = 0
-
-
-def entropic_clamp_events() -> int:
-    """Running count of clamped entropic exponents (diagnostic)."""
-    return _clamp_events
-
-
 class DivergenceError(RuntimeError):
     """Raised when an ascent produces a non-finite objective."""
 
@@ -231,15 +223,13 @@ def w1_dual_lp(pair: DiscreteMeasurePair, metric: GroundMetric):
 
 
 def _penalty(z: np.ndarray, reg: DualRegularization, want_slope: bool):
-    """Penalty Omega(z) on constraint slack z = r(y) - r(x) - d(x, y), and
-    optionally its derivative.  The entropic slope keeps the (clipped)
-    exponential so ascent is pulled back even past the overflow clamp."""
-    global _clamp_events
+    """Penalty Omega(z) on constraint slack z = r(y) - r(x) - d(x, y),
+    optionally its derivative, and the number of entropic exponents clamped
+    at ENT_EXP_CLAMP.  The entropic slope keeps the (clipped) exponential so
+    ascent is pulled back even past the overflow clamp."""
     if reg.kind == "entropic":
         u = z / reg.epsilon
-        over = u > ENT_EXP_CLAMP
-        if over.any():
-            _clamp_events += int(over.sum())
+        clamps = int(np.count_nonzero(u > ENT_EXP_CLAMP))
         w = np.exp(np.minimum(u, ENT_EXP_CLAMP))
         omega = -reg.epsilon * w
         slope = -w if want_slope else None
@@ -247,7 +237,8 @@ def _penalty(z: np.ndarray, reg: DualRegularization, want_slope: bool):
         zp = np.maximum(z, 0.0)
         omega = -(zp ** 2) / (4.0 * reg.epsilon)
         slope = -zp / (2.0 * reg.epsilon) if want_slope else None
-    return omega, slope
+        clamps = 0
+    return omega, slope, clamps
 
 
 def _objective_and_gradient(r_src, r_tgt, pair, metric, reg, want_grad):
@@ -257,29 +248,38 @@ def _objective_and_gradient(r_src, r_tgt, pair, metric, reg, want_grad):
     if r_src.shape != pair.source.shape or r_tgt.shape != pair.target.shape:
         raise ValueError("potential value vectors must match support sizes")
     z = r_tgt[None, :] - r_src[:, None] - metric.dist
-    omega, slope = _penalty(z, reg, want_grad)
+    omega, slope, clamps = _penalty(z, reg, want_grad)
     value = float(r_tgt @ pair.target - r_src @ pair.source
                   + pair.source @ omega @ pair.target)
     if not want_grad:
-        return value, None, None
+        return value, None, None, clamps
     g_src = pair.source * (-1.0 - slope @ pair.target)
     g_tgt = pair.target * (1.0 + pair.source @ slope)
-    return value, g_src, g_tgt
+    return value, g_src, g_tgt, clamps
 
 
 def reg_dual_objective(r_src, r_tgt, pair: DiscreteMeasurePair,
                        metric: GroundMetric, reg: DualRegularization) -> float:
     """<r, target> - <r, source> plus the product-measure expectation of the
     penalty on constraint violations r(y) - r(x) > d(x, y)."""
-    value, _, _ = _objective_and_gradient(r_src, r_tgt, pair, metric, reg, False)
-    return value
+    return _objective_and_gradient(r_src, r_tgt, pair, metric, reg, False)[0]
+
+
+def model_dual_objective(model: rewards.PotentialModel, pair: DiscreteMeasurePair,
+                         metric: GroundMetric, reg: DualRegularization) -> tuple[float, int]:
+    """reg_dual_objective of the model's potential on the metric's supports,
+    and the number of entropic exponents that evaluation clamped."""
+    r_src = rewards.support_values(model, metric.src_index, metric.src_embed)
+    r_tgt = rewards.support_values(model, metric.tgt_index, metric.tgt_embed)
+    value, _, _, clamps = _objective_and_gradient(r_src, r_tgt, pair, metric, reg, False)
+    return value, clamps
 
 
 def reg_dual_gradient(r_src, r_tgt, pair: DiscreteMeasurePair,
                       metric: GroundMetric, reg: DualRegularization):
     """Analytic gradient of reg_dual_objective with respect to the potential
     values on the source and target supports."""
-    _, g_src, g_tgt = _objective_and_gradient(r_src, r_tgt, pair, metric, reg, True)
+    _, g_src, g_tgt, _ = _objective_and_gradient(r_src, r_tgt, pair, metric, reg, True)
     return g_src, g_tgt
 
 
@@ -292,7 +292,8 @@ def reg_ot_fit(pair: DiscreteMeasurePair, metric: GroundMetric, reg: DualRegular
     With batch=None every step uses the full supports with their exact
     weights; otherwise each step draws `batch` points per side with
     replacement (uniform weights within the batch).  Returns the trained
-    copy and the per-step objective trace (value at each step's start).
+    copy, the per-step objective trace (value at each step's start) and the
+    number of entropic exponents clamped over the steps.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -301,7 +302,7 @@ def reg_ot_fit(pair: DiscreteMeasurePair, metric: GroundMetric, reg: DualRegular
     _check_sizes(pair, metric)
     work = model.copy()
     rng = np.random.default_rng(seed)
-    trace = []
+    trace, clamps = [], 0
     for k in range(steps):
         if batch is None:
             sub, w_src, w_tgt = metric, pair.source, pair.target
@@ -314,11 +315,13 @@ def reg_ot_fit(pair: DiscreteMeasurePair, metric: GroundMetric, reg: DualRegular
         sub_pair = DiscreteMeasurePair(w_src, w_tgt)
         r_src = rewards.support_values(work, sub.src_index, sub.src_embed)
         r_tgt = rewards.support_values(work, sub.tgt_index, sub.tgt_embed)
-        value, g_src, g_tgt = _objective_and_gradient(r_src, r_tgt, sub_pair, sub, reg, True)
+        value, g_src, g_tgt, step_clamps = _objective_and_gradient(r_src, r_tgt, sub_pair, sub,
+                                                                   reg, True)
+        clamps += step_clamps
         if not np.isfinite(value):
             raise DivergenceError(f"regularized dual objective diverged at step {k}", trace)
         trace.append(value)
         grad = (rewards.accumulate_param_grad(work, sub.src_index, sub.src_embed, g_src)
                 + rewards.accumulate_param_grad(work, sub.tgt_index, sub.tgt_embed, g_tgt))
         work.params = work.params + lr * grad
-    return work, np.asarray(trace)
+    return work, np.asarray(trace), clamps

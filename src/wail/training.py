@@ -22,7 +22,7 @@ import numpy as np
 from . import ot, rewards
 from .config import RunConfig
 from .envs import evaluate
-from .mdp import (OccupancyMeasure, SoftmaxPolicy, TabularMdp, Trajectory,
+from .mdp import (OccupancyMeasure, Rollouts, SoftmaxPolicy, TabularMdp,
                   occupancy_from_policy, sample_trajectories, save_policy)
 from .trust_region import (StepSchedule, entropy_reg_policy_gradient,
                            kl_constrained_step, schedule_delta, weighted_kl)
@@ -83,8 +83,9 @@ class RunLog:
 
 @dataclass
 class ExpertData:
-    """Expert demonstrations in either form: raw state-action pairs from
-    trajectories (sampled mode) or an exact occupancy measure (oracle mode).
+    """Expert demonstrations in either form: raw state-action pairs from a
+    Rollouts batch or a (k, 2) array (sampled mode), or an exact occupancy
+    measure (oracle mode).
     Both reduce to weights over the flat state-action index set."""
 
     weights: np.ndarray                 # (S*A,), sums to 1
@@ -100,15 +101,12 @@ class ExpertData:
                 raise ValueError("expert occupancy shape does not match MDP")
             w = expert_data.flat().copy()
             return cls(weights=w / w.sum())
-        if isinstance(expert_data, np.ndarray) and expert_data.ndim == 2 and expert_data.shape[1] == 2:
+        if isinstance(expert_data, Rollouts):
+            pairs = expert_data.pairs()
+        elif isinstance(expert_data, np.ndarray) and expert_data.ndim == 2 and expert_data.shape[1] == 2:
             pairs = expert_data.astype(np.int64)
         else:
-            trajs = list(expert_data)
-            if not trajs:
-                raise ValueError("expert data must be non-empty")
-            if not all(isinstance(t, Trajectory) for t in trajs):
-                raise ValueError("expert data must be an occupancy, trajectories, or an (k, 2) array")
-            pairs = np.concatenate([t.steps for t in trajs], axis=0)
+            raise ValueError("expert data must be an occupancy, a Rollouts batch or a (k, 2) array")
         if pairs.shape[0] == 0:
             raise ValueError("expert data must be non-empty")
         if pairs[:, 0].max() >= S or pairs[:, 1].max() >= A:
@@ -152,11 +150,10 @@ def _policy_batch(policy: SoftmaxPolicy, mdp: TabularMdp, config: RunConfig,
     flat = []
     need = config.l1
     while need > 0:
-        trajs = sample_trajectories(mdp, policy, max(1, need // 8), seed=seed)
+        batch = sample_trajectories(mdp, policy, max(1, need // 8), seed=seed)
         seed += 1
-        for t in trajs:
-            flat.append(t.steps[:, 0] * mdp.n_actions + t.steps[:, 1])
-        need = config.l1 - sum(f.size for f in flat)
+        flat.append(batch.states * mdp.n_actions + batch.actions)
+        need -= flat[-1].size
     flat = np.concatenate(flat)[:config.l1]
     return flat, np.full(config.l1, 1.0 / config.l1)
 
@@ -187,7 +184,7 @@ class OtDualStep:
         self.metric, self.reg, self.config = metric, reg, config
         self.sub = None        # the last round's restricted metric
         self.target = None     # the last round's expert-side weights
-        self.clamps_before = ot.entropic_clamp_events()
+        self.clamps = 0        # entropic exponents clamped so far in the run
 
     def __call__(self, model, policy_batch, expert_batch, rng):
         (src_idx, src_w), (tgt_idx, tgt_w) = policy_batch, expert_batch
@@ -195,16 +192,16 @@ class OtDualStep:
             self.sub = self.metric.restrict(src_idx, tgt_idx)
         pair = ot.DiscreteMeasurePair(src_w, tgt_w)
         self.target = pair.target
-        model, _ = ot.reg_ot_fit(pair, self.sub, self.reg, model,
-                                 steps=self.config.ot_inner_steps, lr=self.config.ot_lr,
-                                 seed=int(rng.integers(0, 2 ** 63 - 1)))
+        model, _, clamps = ot.reg_ot_fit(pair, self.sub, self.reg, model,
+                                         steps=self.config.ot_inner_steps, lr=self.config.ot_lr,
+                                         seed=int(rng.integers(0, 2 ** 63 - 1)))
+        self.clamps += clamps
         return model, self._dual_value(model, pair), rewards.clone_frozen(model)
 
     def _dual_value(self, model: rewards.PotentialModel, pair: ot.DiscreteMeasurePair) -> float:
-        sub = self.sub
-        r_src = rewards.support_values(model, sub.src_index, sub.src_embed)
-        r_tgt = rewards.support_values(model, sub.tgt_index, sub.tgt_embed)
-        return ot.reg_dual_objective(r_src, r_tgt, pair, sub, self.reg)
+        value, clamps = ot.model_dual_objective(model, pair, self.sub, self.reg)
+        self.clamps += clamps
+        return value
 
     def finish(self, state: WailState, mdp: TabularMdp):
         """Continue the reward ascent against the exact occupancy of
@@ -222,13 +219,14 @@ class OtDualStep:
         if steps:
             w = occupancy_from_policy(mdp, state.policy).flat()
             pair = ot.DiscreteMeasurePair(w / w.sum(), self.target)
-            model, _ = ot.reg_ot_fit(pair, self.sub, self.reg, model, steps=steps,
-                                     lr=self.config.ot_lr)
+            model, _, clamps = ot.reg_ot_fit(pair, self.sub, self.reg, model, steps=steps,
+                                             lr=self.config.ot_lr)
+            self.clamps += clamps
             objective = self._dual_value(model, pair)
             if not np.isfinite(objective):
                 raise ot.DivergenceError("objective diverged in the final reward fit", state.trace)
         return model, {"final_fit_steps": steps, "final_fit_objective": objective,
-                       "entropic_clamp_events": ot.entropic_clamp_events() - self.clamps_before}
+                       "entropic_clamp_events": self.clamps}
 
 
 def wail_iteration(state: WailState, mdp: TabularMdp, expert_data, config: RunConfig,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rewards
-from .mdp import (OccupancyMeasure, SoftmaxPolicy, TabularMdp, action_values,
+from .mdp import (OccupancyMeasure, Rollouts, SoftmaxPolicy, TabularMdp, action_values,
                   causal_entropy, occupancy_from_policy, sample_trajectories)
 
 GRAD_NORM_FLOOR = 1e-10
@@ -122,23 +122,46 @@ def entropy_reg_policy_gradient(mdp: TabularMdp, policy: SoftmaxPolicy, reward,
         grad = rho.state_marginal()[:, None] * pi * (Q - V[:, None])
         value = float((rho.rho * cost).sum())
     elif mode == "sampled":
-        trajs = sample_trajectories(mdp, policy, n_traj, max_len=max_len, seed=seed)
-        grad = np.zeros_like(pi)
-        total = 0.0
-        for tr in trajs:
-            s, a = tr.steps[:, 0], tr.steps[:, 1]
-            togo = np.cumsum(cost[s, a][::-1])[::-1]
-            total += togo[0]
-            # score function of the softmax: e_{s,a} - pi(.|s)
-            np.add.at(grad, (s, a), togo)
-            np.subtract.at(grad, s, togo[:, None] * pi[s])
-        grad *= (1.0 - mdp.gamma) / len(trajs)
-        value = (1.0 - mdp.gamma) * total / len(trajs)
+        batch = sample_trajectories(mdp, policy, n_traj, max_len=max_len, seed=seed)
+        grad, total = _score_function_sums(batch, cost, pi)
+        grad *= (1.0 - mdp.gamma) / len(batch)
+        value = (1.0 - mdp.gamma) * total / len(batch)
     else:
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
     return PolicyGradientReport(gradient=grad.ravel(), surrogate_value=value,
                                 kl_to_old=0.0, entropy=causal_entropy(mdp, policy, occupancy=rho),
                                 cost=cost, occupancy=rho)
+
+
+def _score_function_sums(batch: Rollouts, cost: np.ndarray, pi: np.ndarray):
+    """Sum over episodes of sum_t togo_t * (e_{s_t, a_t} - pi(.|s_t)), the
+    softmax score function weighted by the payoff-to-go, and the sum of the
+    episodes' full payoffs.
+
+    Reward-to-go is one cumsum down the reversed (T, n) step-by-episode
+    buffer, zero past each episode's end.  The gradient is one bincount over
+    entries laid out episode by episode, each episode's adds at (s_t, a_t)
+    before its pi-weighted subtracts at (s_t, .): every gradient entry then
+    sums its terms in the order of a per-episode add-then-subtract loop, so
+    the rounding is that loop's."""
+    S, A = pi.shape
+    s, a, lengths = batch.states, batch.actions, batch.lengths
+    episode = np.repeat(np.arange(len(batch)), lengths)
+    starts = np.repeat(batch.starts, lengths)
+    step = np.arange(s.size) - starts
+    buf = np.zeros((lengths.max(), len(batch)))
+    buf[step, episode] = cost[s, a]
+    togo = np.cumsum(buf[::-1], axis=0)[::-1][step, episode]
+    block = (1 + A) * starts            # episode's first entry in the layout
+    add_pos = block + step
+    sub_pos = (block + np.repeat(lengths, lengths) + A * step)[:, None] + np.arange(A)
+    index = np.empty((1 + A) * s.size, dtype=np.int64)
+    value = np.empty(index.size)
+    index[add_pos], value[add_pos] = s * A + a, togo
+    index[sub_pos], value[sub_pos] = (s * A)[:, None] + np.arange(A), -(togo[:, None] * pi[s])
+    grad = np.bincount(index, weights=value, minlength=S * A).reshape(S, A)
+    # a sequential sum; starting it from 0.0, as a running total does, keeps a zero total +0.0
+    return grad, 0.0 + np.cumsum(togo[batch.starts])[-1]
 
 
 def _natural_direction(d: np.ndarray, pi: np.ndarray, g: np.ndarray,

@@ -108,8 +108,8 @@ def test_criterion_2_regularized_consistency():
         gaps = []
         for eps, lr, steps in ((1.0, 1.0, 1500), (0.1, 0.4, 2500), (0.01, 0.05, 6000)):
             reg = DualRegularization("l2", eps)
-            fit, _ = reg_ot_fit(pair, metric, reg, create_model("tabular", (n,), seed=t),
-                                steps=steps, lr=lr)
+            fit, _, _ = reg_ot_fit(pair, metric, reg, create_model("tabular", (n,), seed=t),
+                                   steps=steps, lr=lr)
             gaps.append(abs(reg_dual_objective(fit.params, fit.params, pair, metric, reg) - w1))
         ok_mono &= gaps[0] >= gaps[1] >= gaps[2]
         worst_rel = max(worst_rel, gaps[2] / max(w1, 1e-12))

@@ -6,9 +6,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "wail"
 
-# (importing module, imported module, name).  The sampler shared by envs and
-# mdp is planned to become one (ROADMAP item 5), which removes this entry.
-ALLOWED = {("envs", "mdp", "_row_categorical")}
+# (importing module, imported module, name) pairs exempt from the rule.
+ALLOWED = set()
 
 
 def _private(name: str) -> bool:

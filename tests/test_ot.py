@@ -278,8 +278,8 @@ class TestRegOtFit:
     def test_zero_steps_unchanged(self, rng):
         pair, metric = random_instance(rng, 4)
         model = wail.create_model("tabular", (4,), seed=0)
-        fit, trace = reg_ot_fit(pair, metric, DualRegularization("l2", 0.1),
-                                model, steps=0, lr=0.1)
+        fit, trace, _ = reg_ot_fit(pair, metric, DualRegularization("l2", 0.1),
+                                   model, steps=0, lr=0.1)
         assert np.array_equal(fit.params, model.params)
         assert trace.size == 0
 
@@ -290,7 +290,7 @@ class TestRegOtFit:
         w1, _ = w1_primal_lp(pair, metric)
         reg = DualRegularization("l2", 0.01)
         model = wail.create_model("tabular", (3,), seed=0)
-        fit, _ = reg_ot_fit(pair, metric, reg, model, steps=5000, lr=0.05)
+        fit, _, _ = reg_ot_fit(pair, metric, reg, model, steps=5000, lr=0.05)
         final = reg_dual_objective(fit.params, fit.params, pair, metric, reg)
         assert abs(final - w1) / w1 < 0.05
 
@@ -303,8 +303,8 @@ class TestRegOtFit:
         gaps = []
         for eps, lr, steps in ((1.0, 1.0, 2000), (0.1, 0.4, 3000), (0.01, 0.05, 6000)):
             model = wail.create_model("tabular", (n,), seed=1)
-            fit, _ = reg_ot_fit(pair, metric, DualRegularization("l2", eps),
-                                model, steps=steps, lr=lr)
+            fit, _, _ = reg_ot_fit(pair, metric, DualRegularization("l2", eps),
+                                   model, steps=steps, lr=lr)
             val = reg_dual_objective(fit.params, fit.params, pair, metric,
                                      DualRegularization("l2", eps))
             gaps.append(abs(val - w1))
@@ -315,8 +315,8 @@ class TestRegOtFit:
         pair, metric = random_instance(rng, 12)
         model = wail.create_model("linear", (3,), seed=2)
         reg = DualRegularization("l2", 0.1)
-        f1, t1 = reg_ot_fit(pair, metric, reg, model, steps=50, lr=0.05, batch=6, seed=9)
-        f2, t2 = reg_ot_fit(pair, metric, reg, model, steps=50, lr=0.05, batch=6, seed=9)
+        f1, t1, _ = reg_ot_fit(pair, metric, reg, model, steps=50, lr=0.05, batch=6, seed=9)
+        f2, t2, _ = reg_ot_fit(pair, metric, reg, model, steps=50, lr=0.05, batch=6, seed=9)
         assert np.array_equal(f1.params, f2.params)
         assert np.array_equal(t1, t2)
 
@@ -329,8 +329,14 @@ class TestRegOtFit:
 
 
 def test_entropic_clamp_counter_increments():
-    before = wail.entropic_clamp_events()
-    m = GroundMetric.from_embeddings(np.zeros((1, 1)))
+    # one source and one target point at distance 0 with slack 1000 / 0.1
+    # far past the clamp: every objective evaluation clamps one exponent
+    m = GroundMetric.from_embeddings(np.zeros((2, 1)), src_index=[0], tgt_index=[1])
     pair = DiscreteMeasurePair([1.0], [1.0])
-    reg_dual_objective([0.0], [1000.0], pair, m, DualRegularization("entropic", 0.1))
-    assert wail.entropic_clamp_events() > before
+    model = wail.create_model("tabular", (2,), seed=0)
+    model.params = np.array([0.0, 1000.0])
+    for kind, expected in (("entropic", 3), ("l2", 0)):
+        reg = DualRegularization(kind, 0.1)
+        _, _, clamps = reg_ot_fit(pair, m, reg, model, steps=3, lr=1e-12)
+        assert clamps == expected
+        assert wail.model_dual_objective(model, pair, m, reg)[1] == expected // 3

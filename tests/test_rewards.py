@@ -144,8 +144,8 @@ class TestTabularRepresentsDualPotential:
         pair = DiscreteMeasurePair(rng.dirichlet(np.ones(5)), rng.dirichlet(np.ones(5)))
         value, plan = w1_primal_lp(pair, metric)
         model = create_model("tabular", (5,), seed=0)
-        fit, _ = reg_ot_fit(pair, metric, DualRegularization("l2", 0.005),
-                            model, steps=20000, lr=0.02)
+        fit, _, _ = reg_ot_fit(pair, metric, DualRegularization("l2", 0.005),
+                               model, steps=20000, lr=0.02)
         r = fit.params - fit.params.mean()
 
         n = 5

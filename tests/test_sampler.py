@@ -1,0 +1,258 @@
+"""The restart-chain sampler, the demonstration rollouts and the sampled
+policy gradient work on flat Rollouts arrays; these tests hold them to the
+per-episode code they replaced, byte for byte.
+
+The references below live only here: the lockstep sampler that drew each
+categorical through a cumsum of dense probability rows, demonstrations drawn
+one uniform per call, and the per-episode np.add.at / np.subtract.at
+score-function gradient.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+import wail
+from wail import (Rollouts, SoftmaxPolicy, TabularMdp, Trajectory,
+                  entropy_reg_policy_gradient, rollout_fixed, sample_trajectories)
+from wail import mdp as mdp_mod
+from wail.training import ExpertData
+
+from conftest import random_mdp, two_state_chain
+
+CASES = {
+    "grid5": lambda: wail.make_gridworld(5),
+    "grid14-slip": lambda: wail.make_gridworld(14, slip=0.2),
+    "cliff": lambda: wail.make_cliff(),
+    "chain": lambda: wail.make_chain(),
+    "mountain-car": lambda: wail.make_mountain_car(),
+    "random-dense": lambda: random_mdp(30, 3, 0.9, seed=77, with_reward=True),
+}
+SEEDS = (0, 1, 2)
+
+
+def _row_categorical(prob_rows, rng):
+    cs = np.cumsum(prob_rows, axis=1)
+    u = rng.random(prob_rows.shape[0])
+    idx = (cs < u[:, None]).sum(axis=1)
+    return np.minimum(idx, prob_rows.shape[1] - 1)
+
+
+def ref_sample(mdp, policy, n, max_len=None, seed=0, chunk=mdp_mod._SAMPLE_CHUNK):
+    if max_len is None:
+        max_len = wail.default_max_len(mdp.gamma)
+    rng = np.random.default_rng(seed)
+    pi = policy.probs
+    out = []
+    for lo in range(0, n, chunk):
+        m = min(chunk, n - lo)
+        states_buf = np.zeros((max_len, m), dtype=np.int64)
+        actions_buf = np.zeros((max_len, m), dtype=np.int64)
+        lengths = np.zeros(m, dtype=np.int64)
+        restarted = np.zeros(m, dtype=bool)
+        alive = np.arange(m)
+        cur = _row_categorical(np.broadcast_to(mdp.start, (m, mdp.n_states)), rng)
+        for t in range(max_len):
+            acts = _row_categorical(pi[cur], rng)
+            states_buf[t, alive] = cur
+            actions_buf[t, alive] = acts
+            lengths[alive] = t + 1
+            stop = rng.random(alive.size) < (1.0 - mdp.gamma)
+            restarted[alive[stop]] = True
+            keep = ~stop
+            if t + 1 == max_len or not keep.any():
+                break
+            cur = _row_categorical(mdp.transition[cur[keep], acts[keep]], rng)
+            alive = alive[keep]
+        for i in range(m):
+            T = lengths[i]
+            steps = np.stack([states_buf[:T, i], actions_buf[:T, i]], axis=1)
+            out.append(Trajectory(steps, bool(restarted[i])))
+    return out
+
+
+def ref_rollout_fixed(mdp, policy, n, length, seed=0):
+    rng = np.random.default_rng(seed)
+    pi = policy.probs
+    out = []
+    for _ in range(n):
+        steps = np.zeros((length, 2), dtype=np.int64)
+        s = int(_row_categorical(mdp.start[None, :], rng)[0])
+        for t in range(length):
+            a = int(_row_categorical(pi[s][None, :], rng)[0])
+            steps[t] = (s, a)
+            s = int(_row_categorical(mdp.transition[s, a][None, :], rng)[0])
+        out.append(Trajectory(steps, terminated_by_restart=False))
+    return out
+
+
+def ref_gradient(mdp, policy, cost, trajs):
+    pi = policy.probs
+    grad = np.zeros_like(pi)
+    total = 0.0
+    for tr in trajs:
+        s, a = tr.steps[:, 0], tr.steps[:, 1]
+        togo = np.cumsum(cost[s, a][::-1])[::-1]
+        total += togo[0]
+        np.add.at(grad, (s, a), togo)
+        np.subtract.at(grad, s, togo[:, None] * pi[s])
+    grad *= (1.0 - mdp.gamma) / len(trajs)
+    return grad.ravel(), (1.0 - mdp.gamma) * total / len(trajs)
+
+
+def assert_same_batch(batch, trajs):
+    assert isinstance(batch, Rollouts)
+    assert len(batch) == len(trajs)
+    steps = np.concatenate([t.steps for t in trajs])
+    assert batch.lengths.tobytes() == np.array([len(t) for t in trajs], dtype=np.int64).tobytes()
+    assert batch.restarted.tobytes() == np.array([t.terminated_by_restart for t in trajs]).tobytes()
+    assert batch.states.tobytes() == np.ascontiguousarray(steps[:, 0]).tobytes()
+    assert batch.actions.tobytes() == np.ascontiguousarray(steps[:, 1]).tobytes()
+
+
+def random_policy(mdp, seed):
+    rng = np.random.default_rng(seed)
+    return SoftmaxPolicy(2.0 * rng.normal(size=(mdp.n_states, mdp.n_actions)))
+
+
+@pytest.fixture(scope="module", params=sorted(CASES))
+def env(request):
+    return CASES[request.param]()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sampler_matches_lockstep_reference(env, seed):
+    policy = random_policy(env, seed)
+    assert_same_batch(sample_trajectories(env, policy, 64, seed=seed),
+                      ref_sample(env, policy, 64, seed=seed))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_gradient_and_value_match_per_episode_loop(env, seed):
+    policy = random_policy(env, seed)
+    reward = np.random.default_rng(100 + seed).normal(size=(env.n_states, env.n_actions))
+    lam = 0.1
+    report = entropy_reg_policy_gradient(env, policy, reward, lam=lam, mode="sampled",
+                                         n_traj=64, seed=seed)
+    grad, value = ref_gradient(env, policy, reward - lam * policy.log_probs,
+                               ref_sample(env, policy, 64, seed=seed))
+    assert report.gradient.tobytes() == grad.tobytes()
+    assert np.float64(report.surrogate_value).tobytes() == np.float64(value).tobytes()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rollout_fixed_matches_per_call_draws(env, seed):
+    policy = random_policy(env, seed)
+    assert_same_batch(rollout_fixed(env, policy, 5, 30, seed=seed),
+                      ref_rollout_fixed(env, policy, 5, 30, seed=seed))
+
+
+def test_chunk_boundary():
+    mdp = wail.make_gridworld(3)
+    policy = random_policy(mdp, 3)
+    n = mdp_mod._SAMPLE_CHUNK + 1
+    batch = sample_trajectories(mdp, policy, n, seed=4)
+    assert len(batch) == n
+    assert_same_batch(batch, ref_sample(mdp, policy, n, seed=4))
+
+
+def test_max_len_truncation():
+    mdp = random_mdp(3, 2, 0.99, seed=22)
+    policy = random_policy(mdp, 0)
+    batch = sample_trajectories(mdp, policy, 50, max_len=4, seed=1)
+    assert batch.lengths.max() == 4 and not batch.restarted.all()
+    assert_same_batch(batch, ref_sample(mdp, policy, 50, max_len=4, seed=1))
+
+
+def test_gamma_to_zero_gives_length_one_episodes():
+    mdp = random_mdp(3, 2, 1e-9, seed=20)
+    policy = random_policy(mdp, 0)
+    batch = sample_trajectories(mdp, policy, 200, seed=0)
+    assert np.all(batch.lengths == 1) and batch.restarted.all()
+    assert_same_batch(batch, ref_sample(mdp, policy, 200, seed=0))
+
+
+class CountingUniforms(mdp_mod._Uniforms):
+    """The sampler's uniform stream, counting refills; block=None keeps the
+    sampler's block size."""
+
+    block_override = None
+    refills = 0
+
+    def __init__(self, rng, block):
+        super().__init__(rng, self.block_override or block)
+
+    def take(self, k):
+        if self.pos + k > self.buf.size:
+            type(self).refills += 1
+        return super().take(k)
+
+
+@pytest.mark.parametrize("block", [None, 1, 5])
+def test_uniform_block_refilled_mid_call(monkeypatch, block):
+    counter = type("Counter", (CountingUniforms,), {"block_override": block})
+    monkeypatch.setattr(mdp_mod, "_Uniforms", counter)
+    mdp = two_state_chain(gamma=0.99)
+    policy = SoftmaxPolicy.uniform(2, 1)
+    for seed in range(20):
+        assert_same_batch(sample_trajectories(mdp, policy, 2, seed=seed),
+                          ref_sample(mdp, policy, 2, seed=seed))
+    assert counter.refills > 0
+
+
+class TestRollouts:
+    def test_validation(self):
+        ok = dict(lengths=[2, 1], restarted=[True, False], states=[0, 1, 2], actions=[1, 0, 0])
+        Rollouts(**ok)
+        for bad in (dict(lengths=[3, 0], states=[0, 1, 2]),
+                    dict(states=[0, -1, 2]),
+                    dict(actions=[0, 0]),
+                    dict(restarted=[True]),
+                    dict(lengths=[], restarted=[], states=[], actions=[])):
+            with pytest.raises(ValueError):
+                Rollouts(**(ok | bad))
+
+    def test_views_agree(self):
+        mdp = wail.make_gridworld(4)
+        batch = sample_trajectories(mdp, random_policy(mdp, 1), 30, max_len=12, seed=2)
+        trajs = list(batch)
+        assert len(trajs) == 30
+        for i, t in enumerate(trajs):
+            assert np.array_equal(t.steps, batch[i].steps)
+            assert t.terminated_by_restart == batch[i].terminated_by_restart
+        assert np.array_equal(batch[-1].steps, trajs[-1].steps)
+        assert np.array_equal(batch.pairs(), np.concatenate([t.steps for t in trajs]))
+        assert np.array_equal(ExpertData.from_any(batch, mdp).weights,
+                              ExpertData.from_any(batch.pairs(), mdp).weights)
+
+    def test_jsonl_matches_per_trajectory_writer(self, tmp_path):
+        mdp = wail.make_gridworld(4)
+        batch = sample_trajectories(mdp, random_policy(mdp, 1), 30, max_len=12, seed=2)
+        wail.save_trajectories(tmp_path / "batch.jsonl", batch)
+        expected = "".join(json.dumps({"steps": t.steps.tolist(),
+                                       "truncated": not t.terminated_by_restart}) + "\n"
+                           for t in batch)
+        assert (tmp_path / "batch.jsonl").read_text() == expected
+        assert_same_batch(wail.load_trajectories(tmp_path / "batch.jsonl"), list(batch))
+        for text in ("", '{"steps": [], "truncated": false}\n'):
+            (tmp_path / "bad.jsonl").write_text(text)
+            with pytest.raises(ValueError):
+                wail.load_trajectories(tmp_path / "bad.jsonl")
+
+
+def test_sampler_reads_no_dense_row():
+    # Filling the dense tensor with NaN leaves the samplers' draws unchanged.
+    mdp = wail.make_gridworld(4, slip=0.1)
+    policy = random_policy(mdp, 5)
+
+    def draws(m):
+        return sample_trajectories(m, policy, 40, seed=3), rollout_fixed(m, policy, 3, 20, seed=3)
+
+    before = draws(mdp)
+    blind = TabularMdp.__new__(TabularMdp)
+    for name in ("start", "gamma", "state_embed", "action_embed", "true_reward", "_rows"):
+        object.__setattr__(blind, name, getattr(mdp, name))
+    object.__setattr__(blind, "transition", np.full(mdp.transition.shape, np.nan))
+    for b, a in zip(before, draws(blind)):
+        assert_same_batch(a, list(b))

@@ -221,9 +221,9 @@ def test_objective_trend_downward_when_initialized_far():
     sup = expert_data.support()
     pair = wail.DiscreteMeasurePair(occupancy_from_policy(mdp, pol).flat(),
                                     expert_data.weights[sup] / expert_data.weights[sup].sum())
-    warm, _ = wail.reg_ot_fit(pair, metric.restrict(np.arange(100), sup), reg,
-                              wail.create_model("tabular", (100,), 0),
-                              steps=4000, lr=0.3)
+    warm, _, _ = wail.reg_ot_fit(pair, metric.restrict(np.arange(100), sup), reg,
+                                 wail.create_model("tabular", (100,), 0),
+                                 steps=4000, lr=0.3)
     state = WailState(k=0, model=warm, policy=pol, trace=[])
     step = OtDualStep(metric, reg, config)
     for _ in range(config.k_max):
@@ -258,7 +258,7 @@ def test_returned_reward_is_near_stationary(monkeypatch):
                                            wail.support_values(m, sub.tgt_index, None),
                                            pair, sub, reg)
 
-        further, _ = wail.reg_ot_fit(pair, sub, reg, model, steps=200, lr=config.ot_lr)
+        further, _, _ = wail.reg_ot_fit(pair, sub, reg, model, steps=200, lr=config.ot_lr)
         gains[final_steps] = objective(further) - objective(model)
         assert log.meta["final_fit_steps"] == final_steps
         if final_steps:
