@@ -13,7 +13,7 @@ mdp = wail.build_environment({"name": "gridworld", "n": 5, "slip": 0.05})
 print(f"gridworld: {mdp.n_states} states, {mdp.n_actions} actions, gamma={mdp.gamma}")
 
 expert, demos = wail.make_expert(mdp, lambda_expert=0.01, n_traj=5, traj_len=50, seed=0)
-reached = sum(24 in t.steps[:, 0] for t in demos)
+reached = np.logical_or.reduceat(demos.states == 24, demos.starts).sum()
 print(f"expert demos reaching the goal: {reached}/{len(demos)}")
 
 # Greedy-action map of the expert (0=up 1=down 2=left 3=right, G=goal).

@@ -30,7 +30,7 @@ R = wail.reward_matrix(art_w["model"], mdp).max(axis=1).reshape(5, 5)
 for r in R:
     print("  " + " ".join(f"{v:+.2f}" for v in r))
 
-pairs = np.concatenate([t.steps for t in art_w["demos"]], axis=0)
+pairs = art_w["demos"].pairs()
 data = wail.state_action_embeddings(mdp)[pairs[:, 0] * mdp.n_actions + pairs[:, 1]]
 plane = wail.pca_fit(data)
 bounds = wail.default_bounds(plane, data)

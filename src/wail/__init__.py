@@ -23,12 +23,11 @@ from .envs import (EvalResult, build_environment, episode_returns, evaluate,
 from .experiments import (load_summary, run_experiment_grid, run_single,
                           save_summary, train_algorithm)
 from .mdp import (LOGIT_GAP, OccupancyMeasure, Rollouts, SoftmaxPolicy, TabularMdp,
-                  Trajectory, bellman_flow_residual, causal_entropy,
-                  default_max_len, expected_reward, load_mdp, load_policy,
-                  load_trajectories, mdp_from_json, mdp_to_json,
-                  occupancy_from_policy, policy_from_occupancy, save_mdp,
-                  save_policy, save_trajectories, sample_trajectories,
-                  soft_value_iteration, state_action_embeddings)
+                  bellman_flow_residual, causal_entropy, default_max_len,
+                  expected_reward, load_mdp, load_policy, load_trajectories,
+                  mdp_from_json, mdp_to_json, occupancy_from_policy,
+                  policy_from_occupancy, save_mdp, save_policy, save_trajectories,
+                  sample_trajectories, soft_value_iteration, state_action_embeddings)
 from .ot import (DiscreteMeasurePair, DivergenceError, DualRegularization,
                  GroundMetric, build_ground_metric, model_dual_objective,
                  reg_dual_gradient, reg_dual_objective, reg_ot_fit,

@@ -138,27 +138,16 @@ def train_gail(mdp: TabularMdp, expert_data, config: RunConfig, eval_ctx=None):
     return policy, Discriminator(logit), log
 
 
-def train_bc(expert_data, config: RunConfig, n_states: int | None = None,
-             n_actions: int | None = None, mdp: TabularMdp | None = None) -> SoftmaxPolicy:
+def train_bc(mdp: TabularMdp, expert_data, config: RunConfig) -> SoftmaxPolicy:
     """Behavior cloning: full-batch gradient ascent on the demonstration
     log-likelihood (per-state averaged), from zero logits so unvisited
-    states keep the uniform policy.  With config.out_dir set, writes
+    states keep the uniform policy.  `expert_data` is anything
+    ExpertData.from_any accepts.  With config.out_dir set, writes
     policy_final.json there."""
-    if mdp is not None:
-        n_states, n_actions = mdp.n_states, mdp.n_actions
-        expert = ExpertData.from_any(expert_data, mdp)
-        counts = expert.weights.reshape(n_states, n_actions)
-    else:
-        if n_states is None or n_actions is None:
-            raise ValueError("need an MDP or explicit n_states/n_actions")
-        pairs = np.asarray(expert_data, dtype=np.int64)
-        if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] == 0:
-            raise ValueError("expert data must be a non-empty (k, 2) array")
-        counts = np.zeros((n_states, n_actions))
-        np.add.at(counts, (pairs[:, 0], pairs[:, 1]), 1.0)
+    counts = ExpertData.from_any(expert_data, mdp).weights.reshape(mdp.n_states, mdp.n_actions)
     visited = counts.sum(axis=1) > 0
     freq = counts[visited] / counts[visited].sum(axis=1, keepdims=True)
-    theta = np.zeros((n_states, n_actions))
+    theta = np.zeros(counts.shape)
     block = theta[visited]
     for _ in range(config.bc_steps):
         z = block - block.max(axis=1, keepdims=True)

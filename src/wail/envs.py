@@ -255,7 +255,7 @@ def episode_returns(mdp: TabularMdp, policy: SoftmaxPolicy, n: int,
     horizon = default_max_len(mdp.gamma)
     rng = np.random.default_rng(seed)
     pi_cdf = policy.action_cdf()
-    s = np.searchsorted(mdp.start.cumsum(), rng.random(n))
+    s = np.minimum(np.searchsorted(mdp.start.cumsum(), rng.random(n)), mdp.n_states - 1)
     returns = np.zeros(n)
     disc = 1.0
     for _ in range(horizon):

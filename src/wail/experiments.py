@@ -33,7 +33,7 @@ def train_algorithm(mdp, demos, config: RunConfig, eval_ctx=None):
     if config.algorithm == "gail":
         return baselines.train_gail(mdp, demos, config, eval_ctx=eval_ctx)
     if config.algorithm == "bc":
-        return baselines.train_bc(demos, config, mdp=mdp), None, None
+        return baselines.train_bc(mdp, demos, config), None, None
     raise ValueError(f"unknown algorithm {config.algorithm!r}")
 
 

@@ -234,33 +234,11 @@ class OccupancyMeasure:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """State-action rollout; ends either by a geometric restart or by
-    hitting the sampler's length cap.  Built only at I/O and in tests:
-    samplers and training read the flat Rollouts batch."""
-
-    steps: np.ndarray               # (T, 2) int
-    terminated_by_restart: bool
-
-    def __post_init__(self):
-        steps = np.asarray(self.steps, dtype=np.int64)
-        if steps.ndim != 2 or steps.shape[1] != 2 or steps.shape[0] == 0:
-            raise ValueError("steps must be a non-empty (T, 2) array")
-        if np.any(steps < 0):
-            raise ValueError("state/action indices must be non-negative")
-        steps.setflags(write=False)
-        object.__setattr__(self, "steps", steps)
-
-    def __len__(self) -> int:
-        return self.steps.shape[0]
-
-
-@dataclass(frozen=True)
 class Rollouts:
     """A batch of episodes stored flat and episode-major: episode i holds
     lengths[i] consecutive entries of `states` and `actions`, and ended by a
     geometric restart when restarted[i] (otherwise by a length cap).
-    len() counts episodes; iterating yields one Trajectory per episode."""
+    len() counts episodes."""
 
     lengths: np.ndarray             # (n,) int, each >= 1
     restarted: np.ndarray           # (n,) bool
@@ -296,18 +274,6 @@ class Rollouts:
     def pairs(self) -> np.ndarray:
         """(k, 2) array of every (state, action) entry, episode-major."""
         return np.stack([self.states, self.actions], axis=1)
-
-    def __iter__(self):
-        pairs = self.pairs()
-        for lo, n, restarted in zip(self.starts, self.lengths, self.restarted):
-            yield Trajectory(pairs[lo:lo + n], bool(restarted))
-
-    def __getitem__(self, i: int) -> Trajectory:
-        i = range(len(self))[i]
-        lo = self.lengths[:i].sum()
-        hi = lo + self.lengths[i]
-        return Trajectory(np.stack([self.states[lo:hi], self.actions[lo:hi]], axis=1),
-                          bool(self.restarted[i]))
 
 
 def _solve_flow(mdp: TabularMdp, policy: SoftmaxPolicy, rhs: np.ndarray,

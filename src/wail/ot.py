@@ -91,15 +91,10 @@ class GroundMetric:
 
     def restrict(self, src_sel, tgt_sel) -> "GroundMetric":
         """Sub-metric over positional selections of the current supports
-        (duplicates allowed, for with-replacement batches).  Selecting every
-        source point in order, as exact mode does, takes whole columns."""
+        (duplicates allowed, for with-replacement batches)."""
         src_sel = np.asarray(src_sel, dtype=np.int64)
         tgt_sel = np.asarray(tgt_sel, dtype=np.int64)
-        every_src = src_sel.size == self.n_src and np.array_equal(src_sel, np.arange(self.n_src))
-        # take() keeps the C order that np.ix_ gives; dist[:, tgt_sel] would not
-        dist = (self.dist.take(tgt_sel, axis=1) if every_src
-                else self.dist[np.ix_(src_sel, tgt_sel)])
-        return GroundMetric(dist,
+        return GroundMetric(self.dist[np.ix_(src_sel, tgt_sel)],
                             self.src_index[src_sel], self.tgt_index[tgt_sel],
                             self.embed)
 
@@ -284,16 +279,12 @@ def reg_dual_gradient(r_src, r_tgt, pair: DiscreteMeasurePair,
 
 
 def reg_ot_fit(pair: DiscreteMeasurePair, metric: GroundMetric, reg: DualRegularization,
-               model: rewards.PotentialModel, steps: int, lr: float,
-               batch: int | None = None, seed: int = 0):
-    """Stochastic ascent of the regularized dual through the reward model's
-    parameters.
-
-    With batch=None every step uses the full supports with their exact
-    weights; otherwise each step draws `batch` points per side with
-    replacement (uniform weights within the batch).  Returns the trained
-    copy, the per-step objective trace (value at each step's start) and the
-    number of entropic exponents clamped over the steps.
+               model: rewards.PotentialModel, steps: int, lr: float):
+    """Full-batch ascent of the regularized dual through the reward
+    model's parameters, on the metric's supports with the pair's weights.
+    Returns the trained copy, the per-step objective trace (value at each
+    step's start) and the number of entropic exponents clamped over the
+    steps.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -301,27 +292,17 @@ def reg_ot_fit(pair: DiscreteMeasurePair, metric: GroundMetric, reg: DualRegular
         raise ValueError("lr must be > 0")
     _check_sizes(pair, metric)
     work = model.copy()
-    rng = np.random.default_rng(seed)
     trace, clamps = [], 0
     for k in range(steps):
-        if batch is None:
-            sub, w_src, w_tgt = metric, pair.source, pair.target
-        else:
-            sel_s = rng.choice(metric.n_src, size=batch, p=pair.source)
-            sel_t = rng.choice(metric.n_tgt, size=batch, p=pair.target)
-            sub = metric.restrict(sel_s, sel_t)
-            w_src = np.full(batch, 1.0 / batch)
-            w_tgt = np.full(batch, 1.0 / batch)
-        sub_pair = DiscreteMeasurePair(w_src, w_tgt)
-        r_src = rewards.support_values(work, sub.src_index, sub.src_embed)
-        r_tgt = rewards.support_values(work, sub.tgt_index, sub.tgt_embed)
-        value, g_src, g_tgt, step_clamps = _objective_and_gradient(r_src, r_tgt, sub_pair, sub,
+        r_src = rewards.support_values(work, metric.src_index, metric.src_embed)
+        r_tgt = rewards.support_values(work, metric.tgt_index, metric.tgt_embed)
+        value, g_src, g_tgt, step_clamps = _objective_and_gradient(r_src, r_tgt, pair, metric,
                                                                    reg, True)
         clamps += step_clamps
         if not np.isfinite(value):
             raise DivergenceError(f"regularized dual objective diverged at step {k}", trace)
         trace.append(value)
-        grad = (rewards.accumulate_param_grad(work, sub.src_index, sub.src_embed, g_src)
-                + rewards.accumulate_param_grad(work, sub.tgt_index, sub.tgt_embed, g_tgt))
+        grad = (rewards.accumulate_param_grad(work, metric.src_index, metric.src_embed, g_src)
+                + rewards.accumulate_param_grad(work, metric.tgt_index, metric.tgt_embed, g_tgt))
         work.params = work.params + lr * grad
     return work, np.asarray(trace), clamps

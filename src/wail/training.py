@@ -109,7 +109,7 @@ class ExpertData:
             raise ValueError("expert data must be an occupancy, a Rollouts batch or a (k, 2) array")
         if pairs.shape[0] == 0:
             raise ValueError("expert data must be non-empty")
-        if pairs[:, 0].max() >= S or pairs[:, 1].max() >= A:
+        if pairs.min() < 0 or pairs[:, 0].max() >= S or pairs[:, 1].max() >= A:
             raise ValueError("expert pairs out of MDP bounds")
         flat = pairs[:, 0] * A + pairs[:, 1]
         w = np.bincount(flat, minlength=S * A).astype(np.float64)
@@ -192,9 +192,9 @@ class OtDualStep:
             self.sub = self.metric.restrict(src_idx, tgt_idx)
         pair = ot.DiscreteMeasurePair(src_w, tgt_w)
         self.target = pair.target
+        rng.integers(0, 2 ** 63 - 1)   # discarded; fixed-seed runs rely on the draws after it
         model, _, clamps = ot.reg_ot_fit(pair, self.sub, self.reg, model,
-                                         steps=self.config.ot_inner_steps, lr=self.config.ot_lr,
-                                         seed=int(rng.integers(0, 2 ** 63 - 1)))
+                                         steps=self.config.ot_inner_steps, lr=self.config.ot_lr)
         self.clamps += clamps
         return model, self._dual_value(model, pair), rewards.clone_frozen(model)
 

@@ -62,14 +62,9 @@ class PolicyGradientReport:
 
     gradient: np.ndarray        # flat over logits, length S*A
     surrogate_value: float
-    kl_to_old: float
     entropy: float
     cost: np.ndarray            # frozen per-step payoff c = r_hat - lam*log pi_old
     occupancy: OccupancyMeasure  # the current policy's, shared with kl_constrained_step
-
-    def __post_init__(self):
-        if self.kl_to_old < 0:
-            raise ValueError("kl_to_old must be >= 0")
 
 
 def _as_reward_matrix(reward, mdp: TabularMdp) -> np.ndarray:
@@ -129,7 +124,7 @@ def entropy_reg_policy_gradient(mdp: TabularMdp, policy: SoftmaxPolicy, reward,
     else:
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
     return PolicyGradientReport(gradient=grad.ravel(), surrogate_value=value,
-                                kl_to_old=0.0, entropy=causal_entropy(mdp, policy, occupancy=rho),
+                                entropy=causal_entropy(mdp, policy, occupancy=rho),
                                 cost=cost, occupancy=rho)
 
 

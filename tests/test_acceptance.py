@@ -367,7 +367,7 @@ def test_criterion_8_surface_smoothness(grid_runs):
         art_w = artifacts[("wail", seed)]
         art_g = artifacts[("gail", seed)]
         mdp = art_w["mdp"]
-        pairs = np.concatenate([t.steps for t in art_w["demos"]], axis=0)
+        pairs = art_w["demos"].pairs()
         points = wail.state_action_embeddings(mdp)[pairs[:, 0] * mdp.n_actions + pairs[:, 1]]
         gail_mod = wail.relative_lipschitz(wail.disc_surface_fn(art_g["model"], mdp), points)
         ratios.append(wail.relative_lipschitz(wail.model_surface_fn(art_w["model"], mdp),

@@ -163,16 +163,16 @@ class TestTrainGail:
 
 class TestTrainBc:
     def test_single_pair_mle(self):
-        pol = train_bc(np.array([[0, 1]]), RunConfig(), n_states=2, n_actions=3)
+        pol = train_bc(random_mdp(2, 3, 0.9, seed=0), np.array([[0, 1]]), RunConfig())
         assert pol.probs[0, 1] >= 0.99
 
     def test_empirical_conditionals_recovered(self):
         pairs = np.array([[0, 0]] * 3 + [[0, 1]] * 1)
-        pol = train_bc(pairs, RunConfig(), n_states=1, n_actions=2)
+        pol = train_bc(random_mdp(1, 2, 0.9, seed=0), pairs, RunConfig())
         assert np.abs(pol.probs[0] - [0.75, 0.25]).sum() / 2 < 1e-3
 
     def test_unvisited_states_stay_uniform(self):
-        pol = train_bc(np.array([[0, 0]]), RunConfig(), n_states=3, n_actions=4)
+        pol = train_bc(random_mdp(3, 4, 0.9, seed=0), np.array([[0, 0]]), RunConfig())
         assert np.allclose(pol.probs[1], 0.25)
         assert np.allclose(pol.probs[2], 0.25)
 
@@ -180,7 +180,7 @@ class TestTrainBc:
         counts = rng.integers(1, 20, size=(4, 3))
         pairs = np.concatenate([np.full((counts[s, a], 2), (s, a))
                                 for s in range(4) for a in range(3)])
-        pol = train_bc(pairs, RunConfig(), n_states=4, n_actions=3)
+        pol = train_bc(random_mdp(4, 3, 0.9, seed=0), pairs, RunConfig())
         freq = counts / counts.sum(axis=1, keepdims=True)
         tv = np.abs(pol.probs - freq).sum(axis=1).max() / 2
         assert tv < 1e-3
@@ -188,6 +188,6 @@ class TestTrainBc:
     def test_accepts_trajectories_with_mdp(self):
         mdp = random_mdp(3, 2, 0.9, seed=9)
         demos = wail.rollout_fixed(mdp, SoftmaxPolicy.deterministic([1, 1, 1], 2), 3, 10, seed=0)
-        pol = train_bc(demos, RunConfig(), mdp=mdp)
-        visited = np.unique(np.concatenate([t.steps[:, 0] for t in demos]))
+        pol = train_bc(mdp, demos, RunConfig())
+        visited = np.unique(demos.states)
         assert all(pol.probs[s, 1] > 0.99 for s in visited)

@@ -72,7 +72,7 @@ class TestTrain:
         demos = wail.load_trajectories(expert_out / "demos.jsonl")
         config = wail.load_config(config_file)
         if algo == "bc":
-            policy = wail.train_bc(demos, config, mdp=mdp)
+            policy = wail.train_bc(mdp, demos, config)
         else:
             train = wail.train_wail if algo == "wail" else wail.train_gail
             policy, _, _ = train(mdp, demos, config)

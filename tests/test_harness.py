@@ -51,21 +51,21 @@ class TestMakeExpert:
         mdp = build_environment({"name": "gridworld", "n": 5})
         expert, demos = make_expert(mdp, lambda_expert=0.01, n_traj=40, traj_len=50, seed=0)
         goal = 24
-        reached = sum(goal in t.steps[:, 0] for t in demos)
+        reached = np.logical_or.reduceat(demos.states == goal, demos.starts).sum()
         assert reached / len(demos) >= 0.95
 
     def test_single_trajectory_contract(self):
         mdp = build_environment({"name": "gridworld", "n": 4})
         _, demos = make_expert(mdp, 0.01, n_traj=1, traj_len=50, seed=0)
         assert len(demos) == 1
-        assert len(demos[0]) <= 50
+        assert demos.lengths[0] <= 50
 
     def test_seed_determinism(self):
         mdp = build_environment({"name": "gridworld", "n": 4})
         _, d1 = make_expert(mdp, 0.01, n_traj=3, traj_len=20, seed=5)
         _, d2 = make_expert(mdp, 0.01, n_traj=3, traj_len=20, seed=5)
-        for a, b in zip(d1, d2):
-            assert np.array_equal(a.steps, b.steps)
+        assert np.array_equal(d1.lengths, d2.lengths)
+        assert np.array_equal(d1.pairs(), d2.pairs())
 
     def test_requires_true_reward(self):
         mdp = build_environment({"name": "gridworld", "n": 3})
@@ -107,6 +107,27 @@ class TestEvaluate:
         b = evaluate(mdp, SoftmaxPolicy.uniform(16, 4), 200, seed=5,
                      expert_ref=e_ref, random_ref=r_ref)
         assert np.sign(a.scaled - b.scaled) == np.sign(a.mean - b.mean)
+
+    def test_start_draw_past_running_sum_takes_last_state(self, monkeypatch):
+        # seven equal start masses have a running sum that ends below
+        # 1 - 2**-53, so that uniform falls past the last entry
+        S, A, gamma = 7, 2, 0.9
+        mdp = wail.TabularMdp(np.full((S, A, S), 1.0 / S), np.full(S, 1.0 / S), gamma,
+                              np.eye(S), np.eye(A),
+                              true_reward=np.arange(S * A, dtype=float).reshape(S, A))
+        top = 1.0 - 2.0 ** -53
+        assert mdp.start.cumsum()[-1] < top
+
+        class TopUniforms:
+            def random(self, n):
+                return np.full(n, top)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: TopUniforms())
+        returns = wail.episode_returns(mdp, SoftmaxPolicy.uniform(S, A), 3)
+        # every draw takes the last state and the last action
+        horizon = wail.default_max_len(gamma)
+        expected = mdp.true_reward[-1, -1] * (1 - gamma ** horizon) / (1 - gamma)
+        assert np.allclose(returns, expected, rtol=1e-12, atol=0)
 
     def test_degenerate_references_rejected(self, grid_setup):
         mdp, expert, _, _ = grid_setup

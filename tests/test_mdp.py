@@ -15,8 +15,7 @@ from conftest import random_mdp, two_state_chain
 
 def pooled_frequencies(trajs, n_states, n_actions):
     counts = np.zeros((n_states, n_actions))
-    for t in trajs:
-        np.add.at(counts, (t.steps[:, 0], t.steps[:, 1]), 1.0)
+    np.add.at(counts, (trajs.states, trajs.actions), 1.0)
     return counts / counts.sum()
 
 
@@ -203,8 +202,8 @@ class TestSampling:
     def test_gamma_to_zero_gives_length_one(self):
         mdp = random_mdp(3, 2, 1e-9, seed=20)
         trajs = sample_trajectories(mdp, SoftmaxPolicy.uniform(3, 2), 200, seed=0)
-        assert all(len(t) == 1 for t in trajs)
-        assert all(t.terminated_by_restart for t in trajs)
+        assert np.all(trajs.lengths == 1)
+        assert trajs.restarted.all()
 
     def test_deterministic_given_seed(self):
         mdp = random_mdp(4, 2, 0.8, seed=21)
@@ -212,9 +211,9 @@ class TestSampling:
         a = sample_trajectories(mdp, pol, 50, seed=7)
         b = sample_trajectories(mdp, pol, 50, seed=7)
         assert len(a) == len(b)
-        for ta, tb in zip(a, b):
-            assert np.array_equal(ta.steps, tb.steps)
-            assert ta.terminated_by_restart == tb.terminated_by_restart
+        assert np.array_equal(a.lengths, b.lengths)
+        assert np.array_equal(a.pairs(), b.pairs())
+        assert np.array_equal(a.restarted, b.restarted)
 
     def test_two_state_chain_frequencies(self):
         mdp = two_state_chain(gamma=0.5)
@@ -225,8 +224,8 @@ class TestSampling:
     def test_max_len_truncates(self):
         mdp = random_mdp(3, 2, 0.99, seed=22)
         trajs = sample_trajectories(mdp, SoftmaxPolicy.uniform(3, 2), 50, max_len=4, seed=1)
-        assert all(len(t) <= 4 for t in trajs)
-        assert any(not t.terminated_by_restart for t in trajs)
+        assert np.all(trajs.lengths <= 4)
+        assert not trajs.restarted.all()
 
 
 class TestSoftValueIteration:
@@ -290,9 +289,9 @@ class TestSerialization:
         wail.save_trajectories(path, trajs)
         back = wail.load_trajectories(path)
         assert len(back) == len(trajs)
-        for ta, tb in zip(trajs, back):
-            assert np.array_equal(ta.steps, tb.steps)
-            assert ta.terminated_by_restart == tb.terminated_by_restart
+        assert np.array_equal(trajs.lengths, back.lengths)
+        assert np.array_equal(trajs.pairs(), back.pairs())
+        assert np.array_equal(trajs.restarted, back.restarted)
         with open(path) as fh:
             doc = json.loads(fh.readline())
         assert set(doc) == {"steps", "truncated"}

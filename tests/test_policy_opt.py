@@ -103,7 +103,6 @@ class TestPolicyGradient:
         mdp = random_mdp(3, 2, 0.9, seed=4)
         pol = SoftmaxPolicy.uniform(3, 2)
         rep = entropy_reg_policy_gradient(mdp, pol, np.zeros((3, 2)), lam=0.2)
-        assert rep.kl_to_old == 0.0
         assert abs(rep.entropy - causal_entropy(mdp, pol)) < 1e-12
 
 

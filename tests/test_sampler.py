@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import wail
-from wail import (Rollouts, SoftmaxPolicy, TabularMdp, Trajectory,
-                  entropy_reg_policy_gradient, rollout_fixed, sample_trajectories)
+from wail import (Rollouts, SoftmaxPolicy, TabularMdp, entropy_reg_policy_gradient,
+                  rollout_fixed, sample_trajectories)
 from wail import mdp as mdp_mod
 from wail.training import ExpertData
 
@@ -39,12 +39,25 @@ def _row_categorical(prob_rows, rng):
     return np.minimum(idx, prob_rows.shape[1] - 1)
 
 
+def from_episodes(steps, restarted):
+    """One Rollouts batch from per-episode (T, 2) step arrays."""
+    pairs = np.concatenate(steps)
+    return Rollouts(lengths=[len(st) for st in steps], restarted=restarted,
+                    states=pairs[:, 0], actions=pairs[:, 1])
+
+
+def episodes(batch):
+    """Per-episode (T, 2) step arrays of a batch."""
+    pairs = batch.pairs()
+    return [pairs[lo:lo + n] for lo, n in zip(batch.starts, batch.lengths)]
+
+
 def ref_sample(mdp, policy, n, max_len=None, seed=0, chunk=mdp_mod._SAMPLE_CHUNK):
     if max_len is None:
         max_len = wail.default_max_len(mdp.gamma)
     rng = np.random.default_rng(seed)
     pi = policy.probs
-    out = []
+    out, flags = [], []
     for lo in range(0, n, chunk):
         m = min(chunk, n - lo)
         states_buf = np.zeros((max_len, m), dtype=np.int64)
@@ -67,9 +80,9 @@ def ref_sample(mdp, policy, n, max_len=None, seed=0, chunk=mdp_mod._SAMPLE_CHUNK
             alive = alive[keep]
         for i in range(m):
             T = lengths[i]
-            steps = np.stack([states_buf[:T, i], actions_buf[:T, i]], axis=1)
-            out.append(Trajectory(steps, bool(restarted[i])))
-    return out
+            out.append(np.stack([states_buf[:T, i], actions_buf[:T, i]], axis=1))
+            flags.append(bool(restarted[i]))
+    return from_episodes(out, flags)
 
 
 def ref_rollout_fixed(mdp, policy, n, length, seed=0):
@@ -83,16 +96,16 @@ def ref_rollout_fixed(mdp, policy, n, length, seed=0):
             a = int(_row_categorical(pi[s][None, :], rng)[0])
             steps[t] = (s, a)
             s = int(_row_categorical(mdp.transition[s, a][None, :], rng)[0])
-        out.append(Trajectory(steps, terminated_by_restart=False))
-    return out
+        out.append(steps)
+    return from_episodes(out, [False] * n)
 
 
 def ref_gradient(mdp, policy, cost, trajs):
     pi = policy.probs
     grad = np.zeros_like(pi)
     total = 0.0
-    for tr in trajs:
-        s, a = tr.steps[:, 0], tr.steps[:, 1]
+    for steps in episodes(trajs):
+        s, a = steps[:, 0], steps[:, 1]
         togo = np.cumsum(cost[s, a][::-1])[::-1]
         total += togo[0]
         np.add.at(grad, (s, a), togo)
@@ -101,14 +114,13 @@ def ref_gradient(mdp, policy, cost, trajs):
     return grad.ravel(), (1.0 - mdp.gamma) * total / len(trajs)
 
 
-def assert_same_batch(batch, trajs):
+def assert_same_batch(batch, ref):
     assert isinstance(batch, Rollouts)
-    assert len(batch) == len(trajs)
-    steps = np.concatenate([t.steps for t in trajs])
-    assert batch.lengths.tobytes() == np.array([len(t) for t in trajs], dtype=np.int64).tobytes()
-    assert batch.restarted.tobytes() == np.array([t.terminated_by_restart for t in trajs]).tobytes()
-    assert batch.states.tobytes() == np.ascontiguousarray(steps[:, 0]).tobytes()
-    assert batch.actions.tobytes() == np.ascontiguousarray(steps[:, 1]).tobytes()
+    assert len(batch) == len(ref)
+    assert batch.lengths.tobytes() == ref.lengths.tobytes()
+    assert batch.restarted.tobytes() == ref.restarted.tobytes()
+    assert batch.states.tobytes() == ref.states.tobytes()
+    assert batch.actions.tobytes() == ref.actions.tobytes()
 
 
 def random_policy(mdp, seed):
@@ -216,13 +228,10 @@ class TestRollouts:
     def test_views_agree(self):
         mdp = wail.make_gridworld(4)
         batch = sample_trajectories(mdp, random_policy(mdp, 1), 30, max_len=12, seed=2)
-        trajs = list(batch)
-        assert len(trajs) == 30
-        for i, t in enumerate(trajs):
-            assert np.array_equal(t.steps, batch[i].steps)
-            assert t.terminated_by_restart == batch[i].terminated_by_restart
-        assert np.array_equal(batch[-1].steps, trajs[-1].steps)
-        assert np.array_equal(batch.pairs(), np.concatenate([t.steps for t in trajs]))
+        assert len(batch) == 30
+        per_episode = [np.stack([batch.states[lo:lo + n], batch.actions[lo:lo + n]], axis=1)
+                       for lo, n in zip(batch.starts, batch.lengths)]
+        assert np.array_equal(batch.pairs(), np.concatenate(per_episode))
         assert np.array_equal(ExpertData.from_any(batch, mdp).weights,
                               ExpertData.from_any(batch.pairs(), mdp).weights)
 
@@ -230,11 +239,10 @@ class TestRollouts:
         mdp = wail.make_gridworld(4)
         batch = sample_trajectories(mdp, random_policy(mdp, 1), 30, max_len=12, seed=2)
         wail.save_trajectories(tmp_path / "batch.jsonl", batch)
-        expected = "".join(json.dumps({"steps": t.steps.tolist(),
-                                       "truncated": not t.terminated_by_restart}) + "\n"
-                           for t in batch)
+        expected = "".join(json.dumps({"steps": steps.tolist(), "truncated": not restarted}) + "\n"
+                           for steps, restarted in zip(episodes(batch), batch.restarted))
         assert (tmp_path / "batch.jsonl").read_text() == expected
-        assert_same_batch(wail.load_trajectories(tmp_path / "batch.jsonl"), list(batch))
+        assert_same_batch(wail.load_trajectories(tmp_path / "batch.jsonl"), batch)
         for text in ("", '{"steps": [], "truncated": false}\n'):
             (tmp_path / "bad.jsonl").write_text(text)
             with pytest.raises(ValueError):
@@ -255,4 +263,4 @@ def test_sampler_reads_no_dense_row():
         object.__setattr__(blind, name, getattr(mdp, name))
     object.__setattr__(blind, "transition", np.full(mdp.transition.shape, np.nan))
     for b, a in zip(before, draws(blind)):
-        assert_same_batch(a, list(b))
+        assert_same_batch(a, b)

@@ -53,6 +53,15 @@ class TestExpertData:
         with pytest.raises(ValueError):
             ExpertData.from_any(np.array([[5, 0]]), mdp)
 
+    def test_negative_index_rejected(self):
+        # flat index 1 * 4 - 1 would wrap to (state 0, action 3)
+        mdp = wail.build_environment({"name": "gridworld", "n": 3})
+        for pairs in ([[1, -1]], [[-1, 0]]):
+            with pytest.raises(ValueError, match="out of MDP bounds"):
+                ExpertData.from_any(np.array(pairs), mdp)
+            with pytest.raises(ValueError, match="out of MDP bounds"):
+                wail.train_bc(mdp, np.array(pairs), wail.RunConfig())
+
 
 class TestWailIteration:
     def test_matched_measures_floor(self):
