@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -5,6 +6,9 @@ import pytest
 
 import wail
 from wail.cli import main
+
+
+SURFACE_AS_DISCRIMINATOR_SHA256 = "5e3c7d04afa148129b3e71936dafd9a10221d4638bb70174a93cb395c8afb416"
 
 
 @pytest.fixture
@@ -115,6 +119,24 @@ class TestEvalAndSurface:
         assert rc == 0
         surf = wail.load_surface(tmp_path / "surf" / "surface.csv")
         assert surf.scores.shape == (9, 9)
+
+    def test_surface_as_discriminator(self, config_file, tmp_path, capsys):
+        # The digest was recorded with numpy 2.4.6 and scipy 1.17.1
+        # (OpenBLAS); another build may round differently, and a mismatch
+        # there says nothing about the change under test.
+        out = tmp_path / "g"
+        assert main(["train", "--config", config_file, "--algo", "gail", "--out", str(out)]) == 0
+        csvs = {}
+        for flag in ([], ["--as-discriminator"]):
+            surf_out = tmp_path / ("disc" if flag else "plain")
+            rc = main(["surface", "--config", config_file, *flag,
+                       "--reward", str(out / "discriminator_final.json"),
+                       "--demos", str(out / "demos.jsonl"),
+                       "--out", str(surf_out), "--grid-n", "9"])
+            assert rc == 0
+            csvs[bool(flag)] = (surf_out / "surface.csv").read_bytes()
+        assert hashlib.sha256(csvs[True]).hexdigest() == SURFACE_AS_DISCRIMINATOR_SHA256
+        assert csvs[True] != csvs[False]
 
 
 class TestGrid:
