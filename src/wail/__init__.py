@@ -11,11 +11,8 @@ from .analysis import (PcaPlane, SurfaceGrid, default_bounds, disc_surface_fn,
                        load_surface, model_surface_fn, pca_fit, pca_inverse,
                        pca_project, relative_lipschitz, reward_surface,
                        save_surface, surface_total_variation)
-from .baselines import (Discriminator, DiscriminatorStep, SampleBatch,
-                        create_discriminator, disc_values,
-                        gail_discriminator_step, gail_objective,
-                        gail_reward_matrix, gail_surrogate_reward, train_bc,
-                        train_gail)
+from .baselines import (DiscriminatorStep, disc_probs, gail_discriminator_step,
+                        gail_objective, gail_reward_matrix, train_bc, train_gail)
 from .config import RunConfig, load_config, save_config
 from .envs import (EvalResult, build_environment, episode_returns, evaluate,
                    make_chain, make_cliff, make_expert, make_gridworld,
@@ -32,9 +29,9 @@ from .ot import (DiscreteMeasurePair, DivergenceError, DualRegularization,
                  GroundMetric, build_ground_metric, model_dual_objective,
                  reg_dual_gradient, reg_dual_objective, reg_ot_fit,
                  w1_dual_lp, w1_primal_lp)
-from .rewards import (PotentialModel, apply, clone_frozen, create_model,
-                      grad_params, load_model, model_from_json, model_to_json,
-                      reward_matrix, save_model, support_values)
+from .rewards import (PotentialModel, clone_frozen, create_model, load_model,
+                      model_from_json, model_to_json, reward_matrix, save_model,
+                      support_values)
 from .training import (ConvergenceReport, ExpertData, OtDualStep, RunLog,
                        TrainingDiverged, WailState, adversarial_train,
                        convergence_monitor, train_wail, wail_iteration)

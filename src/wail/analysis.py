@@ -11,7 +11,7 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
 from . import rewards
-from .baselines import Discriminator, disc_values
+from .baselines import disc_probs
 from .mdp import TabularMdp, state_action_embeddings
 
 
@@ -83,17 +83,11 @@ def model_surface_fn(model: rewards.PotentialModel, mdp: TabularMdp):
     return lambda points: rewards.support_values(model, None, np.atleast_2d(points))
 
 
-def disc_surface_fn(disc: Discriminator, mdp: TabularMdp):
-    """-log D score for arbitrary embedding points, mirroring
-    model_surface_fn."""
-    if disc.logit.form == "tabular":
-        table_embed = state_action_embeddings(mdp)
-
-        def fn(points):
-            idx = cdist(np.atleast_2d(points), table_embed).argmin(axis=1)
-            return -np.log(disc_values(disc, idx, None))
-        return fn
-    return lambda points: -np.log(disc_values(disc, None, np.atleast_2d(points)))
+def disc_surface_fn(logit: rewards.PotentialModel, mdp: TabularMdp):
+    """-log D score of a discriminator logit model for arbitrary embedding
+    points: model_surface_fn's score mapped through -log sigmoid."""
+    fn = model_surface_fn(logit, mdp)
+    return lambda points: -np.log(disc_probs(fn(points)))
 
 
 @dataclass(frozen=True)

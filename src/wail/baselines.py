@@ -10,7 +10,6 @@ interaction.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,84 +21,45 @@ from .training import ExpertData, adversarial_train
 PROB_CLAMP = 1e-6
 
 
-@dataclass
-class Discriminator:
-    """Classifier D(s, a) = sigmoid(f(s, a)) with the same parametric forms
-    as the reward models; outputs are clamped to [1e-6, 1 - 1e-6]."""
-
-    logit: rewards.PotentialModel
+def disc_probs(logits) -> np.ndarray:
+    """D = sigmoid(logits), clamped to [1e-6, 1 - 1e-6]."""
+    return np.clip(1.0 / (1.0 + np.exp(-logits)), PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
-def create_discriminator(form: str, dims: tuple, seed: int = 0) -> Discriminator:
-    return Discriminator(rewards.create_model(form, dims, seed))
+def _batch_probs(logit: rewards.PotentialModel, indices, embed_table) -> np.ndarray:
+    return disc_probs(rewards.support_values(logit, indices, embed_table[indices]))
 
 
-def disc_values(disc: Discriminator, indices, embeds) -> np.ndarray:
-    f = rewards.support_values(disc.logit, indices, embeds)
-    return np.clip(1.0 / (1.0 + np.exp(-f)), PROB_CLAMP, 1.0 - PROB_CLAMP)
+def gail_objective(logit: rewards.PotentialModel, expert_batch, policy_batch,
+                   embed_table: np.ndarray) -> float:
+    """E_expert[log(1 - D)] + E_policy[log D] at the current parameters.
+    Each batch is an (indices, weights) pair over the flat state-action
+    set; `embed_table` holds the embeddings of that set."""
+    (e_idx, e_w), (p_idx, p_w) = expert_batch, policy_batch
+    return float(e_w @ np.log(1.0 - _batch_probs(logit, e_idx, embed_table))
+                 + p_w @ np.log(_batch_probs(logit, p_idx, embed_table)))
 
 
-@dataclass(frozen=True)
-class SampleBatch:
-    """Weighted support points of one side of the discriminator objective."""
-
-    indices: np.ndarray
-    embeds: np.ndarray
-    weights: np.ndarray
-
-    @classmethod
-    def from_flat(cls, flat_indices, weights, embed_table) -> "SampleBatch":
-        idx = np.asarray(flat_indices, dtype=np.int64)
-        w = np.asarray(weights, dtype=np.float64)
-        if idx.size == 0:
-            raise ValueError("batch must be non-empty")
-        return cls(idx, embed_table[idx], w / w.sum())
-
-
-def gail_objective(disc: Discriminator, expert_batch: SampleBatch,
-                   policy_batch: SampleBatch) -> float:
-    """E_expert[log(1 - D)] + E_policy[log D] at the current parameters."""
-    d_e = disc_values(disc, expert_batch.indices, expert_batch.embeds)
-    d_p = disc_values(disc, policy_batch.indices, policy_batch.embeds)
-    return float(expert_batch.weights @ np.log(1.0 - d_e)
-                 + policy_batch.weights @ np.log(d_p))
-
-
-def gail_discriminator_step(disc: Discriminator, expert_batch: SampleBatch,
-                            policy_batch: SampleBatch, lr: float) -> Discriminator:
-    """One ascent step of the discriminator objective.  The gradient uses
-    the exact sigmoid derivatives (d/df log D = 1 - D on the policy side,
-    d/df log(1 - D) = -D on the expert side)."""
+def gail_discriminator_step(logit: rewards.PotentialModel, expert_batch, policy_batch,
+                            embed_table: np.ndarray, lr: float) -> rewards.PotentialModel:
+    """One ascent step of the discriminator objective on its logit model.
+    The gradient uses the exact sigmoid derivatives (d/df log D = 1 - D on
+    the policy side, d/df log(1 - D) = -D on the expert side)."""
     if lr <= 0:
         raise ValueError("lr must be > 0")
-    d_e = disc_values(disc, expert_batch.indices, expert_batch.embeds)
-    d_p = disc_values(disc, policy_batch.indices, policy_batch.embeds)
-    grad = (rewards.accumulate_param_grad(disc.logit, expert_batch.indices,
-                                          expert_batch.embeds, -expert_batch.weights * d_e)
-            + rewards.accumulate_param_grad(disc.logit, policy_batch.indices,
-                                            policy_batch.embeds, policy_batch.weights * (1.0 - d_p)))
-    new = disc.logit.copy()
+    (e_idx, e_w), (p_idx, p_w) = expert_batch, policy_batch
+    d_e = _batch_probs(logit, e_idx, embed_table)
+    d_p = _batch_probs(logit, p_idx, embed_table)
+    grad = (rewards.accumulate_param_grad(logit, e_idx, embed_table[e_idx], -e_w * d_e)
+            + rewards.accumulate_param_grad(logit, p_idx, embed_table[p_idx], p_w * (1.0 - d_p)))
+    new = logit.copy()
     new.params = new.params + lr * grad
-    return Discriminator(new)
+    return new
 
 
-def gail_surrogate_reward(disc: Discriminator, x) -> float:
-    """-log D for one input (index for tabular, embedding otherwise)."""
-    if disc.logit.form == "tabular":
-        d = disc_values(disc, np.asarray([int(x)]), None)
-    else:
-        d = disc_values(disc, None, np.asarray(x, dtype=np.float64)[None, :])
-    return float(-np.log(d[0]))
-
-
-def gail_reward_matrix(disc: Discriminator, mdp: TabularMdp) -> np.ndarray:
+def gail_reward_matrix(logit: rewards.PotentialModel, mdp: TabularMdp) -> np.ndarray:
     """-log D over the full S x A index set."""
-    S, A = mdp.n_states, mdp.n_actions
-    if disc.logit.form == "tabular":
-        d = disc_values(disc, np.arange(S * A), None)
-    else:
-        d = disc_values(disc, None, state_action_embeddings(mdp))
-    return (-np.log(d)).reshape(S, A)
+    return -np.log(disc_probs(rewards.reward_matrix(logit, mdp)))
 
 
 class DiscriminatorStep:
@@ -116,13 +76,13 @@ class DiscriminatorStep:
         self.embed_table = state_action_embeddings(mdp)
 
     def __call__(self, model, policy_batch, expert_batch, rng):
-        policy_batch = SampleBatch.from_flat(*policy_batch, self.embed_table)
-        expert_batch = SampleBatch.from_flat(*expert_batch, self.embed_table)
-        disc = Discriminator(model)
+        # the objective's expectations take each batch's weights normalized
+        policy_batch, expert_batch = [(idx, w / w.sum()) for idx, w in (policy_batch, expert_batch)]
         for _ in range(self.config.disc_inner_steps):
-            disc = gail_discriminator_step(disc, expert_batch, policy_batch, self.config.disc_lr)
-        return (disc.logit, gail_objective(disc, expert_batch, policy_batch),
-                gail_reward_matrix(disc, self.mdp))
+            model = gail_discriminator_step(model, expert_batch, policy_batch,
+                                            self.embed_table, self.config.disc_lr)
+        return (model, gail_objective(model, expert_batch, policy_batch, self.embed_table),
+                gail_reward_matrix(model, self.mdp))
 
     def finish(self, state, mdp):
         return state.model, {}
@@ -131,11 +91,9 @@ class DiscriminatorStep:
 def train_gail(mdp: TabularMdp, expert_data, config: RunConfig, eval_ctx=None):
     """GAIL: the adversarial loop with the discriminator step in place of the
     OT reward ascent; the policy maximizes -log D under the same
-    KL-constrained natural-gradient updates.  Returns (policy, discriminator,
-    log)."""
-    policy, logit, log = adversarial_train(mdp, expert_data, config,
-                                           DiscriminatorStep(mdp, config), eval_ctx)
-    return policy, Discriminator(logit), log
+    KL-constrained natural-gradient updates.  The discriminator is its logit
+    model, D = sigmoid(logit).  Returns (policy, logit model, log)."""
+    return adversarial_train(mdp, expert_data, config, DiscriminatorStep(mdp, config), eval_ctx)
 
 
 def train_bc(mdp: TabularMdp, expert_data, config: RunConfig) -> SoftmaxPolicy:

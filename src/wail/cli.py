@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from . import analysis, baselines, rewards
+from . import analysis, rewards
 from .config import RunConfig, load_config
 from .envs import build_environment, evaluate, make_expert, reference_returns
 from .experiments import run_experiment_grid, run_single, train_algorithm
@@ -115,10 +115,8 @@ def cmd_surface(args) -> int:
     data = state_action_embeddings(mdp)[flat]
     plane = analysis.pca_fit(data)
     model = rewards.load_model(args.reward)
-    if args.as_discriminator:
-        fn = analysis.disc_surface_fn(baselines.Discriminator(model), mdp)
-    else:
-        fn = analysis.model_surface_fn(model, mdp)
+    surface_fn = analysis.disc_surface_fn if args.as_discriminator else analysis.model_surface_fn
+    fn = surface_fn(model, mdp)
     surface = analysis.reward_surface(mdp, fn, plane, grid_n=args.grid_n, data=data)
     out = config.out_dir or "."
     os.makedirs(out, exist_ok=True)

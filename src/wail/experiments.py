@@ -26,8 +26,9 @@ def _derived_seeds(seed: int) -> dict:
 
 def train_algorithm(mdp, demos, config: RunConfig, eval_ctx=None):
     """Train config.algorithm on the demonstrations.  Each trainer writes
-    its own artifacts to config.out_dir.  Returns (policy, reward model or
-    discriminator, log); the last two are None for bc."""
+    its own artifacts to config.out_dir.  Returns (policy, reward model,
+    log): WAIL's potential or GAIL's discriminator logit; the last two are
+    None for bc."""
     if config.algorithm == "wail":
         return training.train_wail(mdp, demos, config, eval_ctx=eval_ctx)
     if config.algorithm == "gail":
@@ -42,8 +43,8 @@ def run_single(config: RunConfig):
     the configured algorithm, evaluate against expert/random references.
 
     Returns (summary_row, artifacts) where artifacts holds the trained
-    policy, the reward model or discriminator (None for bc), the log (None
-    for bc) and the expert context."""
+    policy, the reward model (WAIL's potential or GAIL's discriminator
+    logit; None for bc), the log (None for bc) and the expert context."""
     config.validate()
     seeds = _derived_seeds(config.seed)
     mdp = build_environment(config.env)

@@ -118,14 +118,6 @@ def support_values(model: PotentialModel, indices: np.ndarray,
     return out
 
 
-def apply(model: PotentialModel, x) -> float:
-    """Evaluate on a single input: a flat state-action index for tabular
-    models, an embedding vector otherwise."""
-    if model.form == "tabular":
-        return float(model.params[int(x)])
-    return float(support_values(model, None, np.asarray(x, dtype=np.float64)[None, :])[0])
-
-
 def accumulate_param_grad(model: PotentialModel, indices: np.ndarray,
                           embeds: np.ndarray | None, coeffs: np.ndarray) -> np.ndarray:
     """Return sum_k coeffs[k] * d r_w(x_k) / d w as one flat vector."""
@@ -148,14 +140,6 @@ def accumulate_param_grad(model: PotentialModel, indices: np.ndarray,
         (dZ2.T @ A1).ravel(), dZ2.sum(axis=0),
         coeffs @ A2, [coeffs.sum()],
     ])
-
-
-def grad_params(model: PotentialModel, x) -> np.ndarray:
-    """Exact analytic gradient of r_w(x) with respect to the flat parameters."""
-    if model.form == "tabular":
-        return accumulate_param_grad(model, np.asarray([int(x)]), None, np.ones(1))
-    return accumulate_param_grad(model, None, np.asarray(x, dtype=np.float64)[None, :],
-                                 np.ones(1))
 
 
 def clone_frozen(model: PotentialModel) -> PotentialModel:

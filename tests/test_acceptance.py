@@ -17,9 +17,8 @@ from wail import (DiscreteMeasurePair, DualRegularization, GroundMetric,
                   RunConfig, SoftmaxPolicy, StepSchedule, occupancy_from_policy,
                   reg_dual_gradient, reg_dual_objective, reg_ot_fit,
                   w1_dual_lp, w1_primal_lp)
-from wail.baselines import (Discriminator, SampleBatch, create_discriminator,
-                            disc_values, gail_objective)
-from wail.rewards import accumulate_param_grad, apply, create_model, grad_params
+from wail.baselines import disc_probs, gail_objective
+from wail.rewards import accumulate_param_grad, create_model, support_values
 from wail.trust_region import (entropy_reg_policy_gradient, kl_constrained_step,
                                surrogate_value, weighted_kl)
 
@@ -161,30 +160,32 @@ def test_criterion_3_gradient_correctness(rng):
         model = create_model(form, dims, seed=t)
         model.params = rng.normal(size=model.params.size) * 0.6
         x = int(rng.integers(0, 6)) if form == "tabular" else rng.normal(size=dims[0])
-        g = grad_params(model, x)
+        point = (np.array([x]), None) if form == "tabular" else (None, x[None, :])
+        g = accumulate_param_grad(model, *point, np.ones(1))
         num = np.zeros_like(g)
         for i in range(g.size):
             up = model.copy(); up.params[i] += h
             dn = model.copy(); dn.params[i] -= h
-            num[i] = (apply(up, x) - apply(dn, x)) / (2 * h)
+            num[i] = (support_values(up, *point)[0] - support_values(dn, *point)[0]) / (2 * h)
         worst["potential"] = max(worst["potential"], _fd_rel(g, num))
 
     table = rng.normal(size=(8, 3))
     for t in range(100):   # discriminator gradients
         form, dims = (("tabular", (8,)) if t % 2 else ("mlp", (3, 5, 4)))
-        disc = create_discriminator(form, dims, seed=t)
-        disc.logit.params = rng.normal(size=disc.logit.params.size) * 0.5
-        eb = SampleBatch.from_flat(rng.integers(0, 8, size=4), np.full(4, 0.25), table)
-        pb = SampleBatch.from_flat(rng.integers(0, 8, size=5), np.full(5, 0.2), table)
-        d_e = disc_values(disc, eb.indices, eb.embeds)
-        d_p = disc_values(disc, pb.indices, pb.embeds)
-        g = (accumulate_param_grad(disc.logit, eb.indices, eb.embeds, -eb.weights * d_e)
-             + accumulate_param_grad(disc.logit, pb.indices, pb.embeds, pb.weights * (1 - d_p)))
+        logit = create_model(form, dims, seed=t)
+        logit.params = rng.normal(size=logit.params.size) * 0.5
+        eb = (rng.integers(0, 8, size=4), np.full(4, 0.25))
+        pb = (rng.integers(0, 8, size=5), np.full(5, 0.2))
+        (e_idx, e_w), (p_idx, p_w) = eb, pb
+        d_e = disc_probs(support_values(logit, e_idx, table[e_idx]))
+        d_p = disc_probs(support_values(logit, p_idx, table[p_idx]))
+        g = (accumulate_param_grad(logit, e_idx, table[e_idx], -e_w * d_e)
+             + accumulate_param_grad(logit, p_idx, table[p_idx], p_w * (1 - d_p)))
         num = np.zeros_like(g)
         for i in range(g.size):
-            up = Discriminator(disc.logit.copy()); up.logit.params[i] += h
-            dn = Discriminator(disc.logit.copy()); dn.logit.params[i] -= h
-            num[i] = (gail_objective(up, eb, pb) - gail_objective(dn, eb, pb)) / (2 * h)
+            up = logit.copy(); up.params[i] += h
+            dn = logit.copy(); dn.params[i] -= h
+            num[i] = (gail_objective(up, eb, pb, table) - gail_objective(dn, eb, pb, table)) / (2 * h)
         worst["discriminator"] = max(worst["discriminator"], _fd_rel(g, num))
 
     for t in range(100):   # exact-mode policy gradient

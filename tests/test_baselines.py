@@ -4,11 +4,9 @@ import numpy as np
 
 import wail
 from wail import RunConfig, SoftmaxPolicy
-from wail.baselines import (Discriminator, SampleBatch, create_discriminator,
-                            disc_values, gail_discriminator_step,
-                            gail_objective, gail_reward_matrix,
-                            gail_surrogate_reward, train_bc, train_gail)
-from wail.rewards import accumulate_param_grad
+from wail.baselines import (disc_probs, gail_discriminator_step, gail_objective,
+                            gail_reward_matrix, train_bc, train_gail)
+from wail.rewards import accumulate_param_grad, create_model, support_values
 
 from conftest import random_mdp
 
@@ -17,92 +15,101 @@ def embed_table(n, dim, seed=0):
     return np.random.default_rng(seed).normal(size=(n, dim))
 
 
-def batch_of(indices, table, weights=None):
+def batch_of(indices, weights=None):
     idx = np.asarray(indices)
     w = np.full(idx.size, 1.0 / idx.size) if weights is None else np.asarray(weights)
-    return SampleBatch(idx, table[idx], w)
+    return idx, w
+
+
+def probs(logit, batch, table):
+    return disc_probs(support_values(logit, batch[0], table[batch[0]]))
+
+
+def objective_gradient(logit, eb, pb, table):
+    d_e, d_p = probs(logit, eb, table), probs(logit, pb, table)
+    return (accumulate_param_grad(logit, eb[0], table[eb[0]], -eb[1] * d_e)
+            + accumulate_param_grad(logit, pb[0], table[pb[0]], pb[1] * (1 - d_p)))
 
 
 class TestDiscriminatorObjective:
     def test_constant_half_discriminator(self):
-        disc = create_discriminator("tabular", (4,), seed=0)   # zero logits -> D = 0.5
+        logit = create_model("tabular", (4,), seed=0)   # zero logits -> D = 0.5
         table = embed_table(4, 2)
-        eb = batch_of([0, 1], table)
-        pb = batch_of([2, 3], table)
-        assert abs(gail_objective(disc, eb, pb) - 2 * math.log(0.5)) < 1e-12
+        eb = batch_of([0, 1])
+        pb = batch_of([2, 3])
+        assert abs(gail_objective(logit, eb, pb, table) - 2 * math.log(0.5)) < 1e-12
 
     def test_identical_batches_stationary_at_half(self):
-        disc = create_discriminator("tabular", (4,), seed=0)
+        logit = create_model("tabular", (4,), seed=0)
         table = embed_table(4, 2)
-        b = batch_of([0, 1, 2], table)
-        d = disc_values(disc, b.indices, b.embeds)
-        grad = (accumulate_param_grad(disc.logit, b.indices, b.embeds, -b.weights * d)
-                + accumulate_param_grad(disc.logit, b.indices, b.embeds, b.weights * (1 - d)))
+        b = batch_of([0, 1, 2])
+        grad = objective_gradient(logit, b, b, table)
         assert np.abs(grad).max() < 1e-15
 
     def test_separable_batches_saturate(self):
-        disc = create_discriminator("tabular", (6,), seed=0)
+        logit = create_model("tabular", (6,), seed=0)
         table = embed_table(6, 2)
-        eb = batch_of([0, 1, 2], table)
-        pb = batch_of([3, 4, 5], table)
+        eb = batch_of([0, 1, 2])
+        pb = batch_of([3, 4, 5])
         for _ in range(10_000):
-            disc = gail_discriminator_step(disc, eb, pb, lr=1.0)
-        d_policy = disc_values(disc, pb.indices, pb.embeds)
-        d_expert = disc_values(disc, eb.indices, eb.embeds)
+            logit = gail_discriminator_step(logit, eb, pb, table, lr=1.0)
+        d_policy = probs(logit, pb, table)
+        d_expert = probs(logit, eb, table)
         assert np.all(d_policy >= 0.99)
         assert np.all(d_expert <= 0.01)
 
     def test_loss_increases_under_ascent(self):
-        disc = create_discriminator("mlp", (3, 6, 5), seed=1)
+        logit = create_model("mlp", (3, 6, 5), seed=1)
         table = embed_table(8, 3, seed=2)
-        eb = batch_of([0, 1, 2, 3], table)
-        pb = batch_of([4, 5, 6, 7], table)
-        before = gail_objective(disc, eb, pb)
+        eb = batch_of([0, 1, 2, 3])
+        pb = batch_of([4, 5, 6, 7])
+        before = gail_objective(logit, eb, pb, table)
         for _ in range(200):
-            disc = gail_discriminator_step(disc, eb, pb, lr=0.05)
-        assert gail_objective(disc, eb, pb) > before
+            logit = gail_discriminator_step(logit, eb, pb, table, lr=0.05)
+        assert gail_objective(logit, eb, pb, table) > before
 
     def test_gradient_matches_finite_differences(self, rng):
         h = 1e-5
         for t in range(30):
             form, dims = (("tabular", (6,)) if t % 2 else ("mlp", (3, 5, 4)))
-            disc = create_discriminator(form, dims, seed=t)
-            disc.logit.params = rng.normal(size=disc.logit.params.size) * 0.5
+            logit = create_model(form, dims, seed=t)
+            logit.params = rng.normal(size=logit.params.size) * 0.5
             table = embed_table(6, 3, seed=t)
-            eb = batch_of(rng.integers(0, 6, size=4), table)
-            pb = batch_of(rng.integers(0, 6, size=5), table)
-            d_e = disc_values(disc, eb.indices, eb.embeds)
-            d_p = disc_values(disc, pb.indices, pb.embeds)
-            g = (accumulate_param_grad(disc.logit, eb.indices, eb.embeds, -eb.weights * d_e)
-                 + accumulate_param_grad(disc.logit, pb.indices, pb.embeds, pb.weights * (1 - d_p)))
+            eb = batch_of(rng.integers(0, 6, size=4))
+            pb = batch_of(rng.integers(0, 6, size=5))
+            g = objective_gradient(logit, eb, pb, table)
             num = np.zeros_like(g)
             for i in range(g.size):
-                up = Discriminator(disc.logit.copy()); up.logit.params[i] += h
-                dn = Discriminator(disc.logit.copy()); dn.logit.params[i] -= h
-                num[i] = (gail_objective(up, eb, pb) - gail_objective(dn, eb, pb)) / (2 * h)
+                up = logit.copy(); up.params[i] += h
+                dn = logit.copy(); dn.params[i] -= h
+                num[i] = (gail_objective(up, eb, pb, table)
+                          - gail_objective(dn, eb, pb, table)) / (2 * h)
             rel = np.abs(g - num).max() / (np.abs(num).max() + 1e-12)
             assert rel <= 1e-4
 
 
 class TestSurrogateReward:
+    # -log D at one state-action point: a 1-state, 2-action MDP's (0, 0) entry
+    mdp = random_mdp(1, 2, 0.9, seed=0)
+
     def test_half(self):
-        disc = create_discriminator("tabular", (2,), seed=0)
-        assert abs(gail_surrogate_reward(disc, 0) - math.log(2)) < 1e-12
+        logit = create_model("tabular", (2,), seed=0)
+        assert abs(gail_reward_matrix(logit, self.mdp)[0, 0] - math.log(2)) < 1e-12
 
     def test_clamped_high(self):
-        disc = create_discriminator("tabular", (2,), seed=0)
-        disc.logit.params[:] = 200.0
-        assert abs(gail_surrogate_reward(disc, 0) + math.log(1 - 1e-6)) < 1e-9
+        logit = create_model("tabular", (2,), seed=0)
+        logit.params[:] = 200.0
+        assert abs(gail_reward_matrix(logit, self.mdp)[0, 0] + math.log(1 - 1e-6)) < 1e-9
 
     def test_clamped_low(self):
-        disc = create_discriminator("tabular", (2,), seed=0)
-        disc.logit.params[:] = -200.0
-        assert abs(gail_surrogate_reward(disc, 0) - math.log(1e6)) < 1e-9
+        logit = create_model("tabular", (2,), seed=0)
+        logit.params[:] = -200.0
+        assert abs(gail_reward_matrix(logit, self.mdp)[0, 0] - math.log(1e6)) < 1e-9
 
     def test_outputs_strictly_inside_unit_interval(self, rng):
-        disc = create_discriminator("tabular", (5,), seed=0)
-        disc.logit.params = rng.normal(size=5) * 500
-        d = disc_values(disc, np.arange(5), None)
+        logit = create_model("tabular", (5,), seed=0)
+        logit.params = rng.normal(size=5) * 500
+        d = disc_probs(support_values(logit, np.arange(5), None))
         assert np.all(d > 0) and np.all(d < 1)
 
 
@@ -112,13 +119,13 @@ class TestEquilibriumDegeneracy:
         # discriminator trained to its optimum: -log D collapses to -log 0.5.
         table = embed_table(8, 3, seed=5)
         w = rng.dirichlet(np.ones(8))
-        eb = batch_of(np.arange(8), table, w)
-        pb = batch_of(np.arange(8), table, w)
-        disc = create_discriminator("tabular", (8,), seed=0)
-        disc.logit.params = rng.normal(size=8)   # start away from 0.5
+        eb = batch_of(np.arange(8), w)
+        pb = batch_of(np.arange(8), w)
+        logit = create_model("tabular", (8,), seed=0)
+        logit.params = rng.normal(size=8)   # start away from 0.5
         for _ in range(5000):
-            disc = gail_discriminator_step(disc, eb, pb, lr=0.5)
-        surr = -np.log(disc_values(disc, np.arange(8), None))
+            logit = gail_discriminator_step(logit, eb, pb, table, lr=0.5)
+        surr = -np.log(probs(logit, batch_of(np.arange(8)), table))
         mean = w @ surr
         std = math.sqrt(w @ (surr - mean) ** 2)
         assert std <= 0.1
@@ -129,7 +136,7 @@ class TestTrainGail:
     def test_zero_iterations(self):
         mdp = random_mdp(3, 2, 0.9, seed=6)
         demos = wail.rollout_fixed(mdp, SoftmaxPolicy.uniform(3, 2), 2, 10, seed=0)
-        policy, disc, log = train_gail(mdp, demos, RunConfig(k_max=0))
+        policy, logit, log = train_gail(mdp, demos, RunConfig(k_max=0))
         assert np.array_equal(policy.logits, np.zeros((3, 2)))
         assert log.rows == []
 
@@ -140,7 +147,7 @@ class TestTrainGail:
         p1, d1, log1 = train_gail(mdp, demos, cfg)
         p2, d2, log2 = train_gail(mdp, demos, cfg)
         assert np.array_equal(p1.logits, p2.logits)
-        assert np.array_equal(d1.logit.params, d2.logit.params)
+        assert np.array_equal(d1.params, d2.params)
         assert log1.rows == log2.rows
 
     def test_imitates_single_action_expert(self):
@@ -155,8 +162,8 @@ class TestTrainGail:
 
     def test_reward_matrix_shape_and_range(self):
         mdp = random_mdp(3, 2, 0.9, seed=8)
-        disc = create_discriminator("tabular", (6,), seed=0)
-        R = gail_reward_matrix(disc, mdp)
+        logit = create_model("tabular", (6,), seed=0)
+        R = gail_reward_matrix(logit, mdp)
         assert R.shape == (3, 2)
         assert np.all(R > 0) and np.all(R <= -math.log(1e-6) + 1e-12)
 

@@ -3,9 +3,8 @@ import pytest
 
 import wail
 from wail import rewards
-from wail.rewards import (PotentialModel, accumulate_param_grad, apply,
-                          clone_frozen, create_model, grad_params,
-                          reward_matrix, support_values)
+from wail.rewards import (PotentialModel, accumulate_param_grad, clone_frozen,
+                          create_model, reward_matrix, support_values)
 
 from conftest import random_mdp
 
@@ -27,20 +26,33 @@ def mlp_reference_forward(dims, params, x):
     return float(w3 @ a + b3)
 
 
+def one_point(x):
+    """(indices, embeds) of a one-point batch at an embedding vector x."""
+    return None, np.asarray(x, dtype=np.float64)[None, :]
+
+
+def value_at(model, x):
+    return float(support_values(model, *one_point(x))[0])
+
+
+def grad_at(model, x):
+    return accumulate_param_grad(model, *one_point(x), np.ones(1))
+
+
 class TestApply:
     def test_linear_zero_weights(self):
         model = PotentialModel("linear", (4,), np.zeros(4))
-        assert apply(model, np.array([1.0, 2.0, 3.0, 4.0])) == 0.0
+        assert value_at(model, np.array([1.0, 2.0, 3.0, 4.0])) == 0.0
 
     def test_tabular_lookup(self):
         model = PotentialModel("tabular", (5,), np.array([1., 2., 3., 4., 5.]))
-        assert apply(model, 3) == 4.0
+        assert support_values(model, np.array([3]), None)[0] == 4.0
 
     def test_mlp_matches_reference_evaluation(self, rng):
         model = create_model("mlp", (3, 7, 5), seed=0)
         for _ in range(20):
             x = rng.normal(size=3)
-            got = apply(model, x)
+            got = value_at(model, x)
             want = mlp_reference_forward(model.dims, model.params, x)
             assert abs(got - want) < 1e-12
 
@@ -54,11 +66,11 @@ class TestGradParams:
     def test_linear_gradient_is_input(self, rng):
         model = create_model("linear", (6,), seed=1)
         x = rng.normal(size=6)
-        assert np.allclose(grad_params(model, x), x)
+        assert np.allclose(grad_at(model, x), x)
 
     def test_tabular_gradient_one_hot(self):
         model = create_model("tabular", (4,), seed=0)
-        g = grad_params(model, 2)
+        g = accumulate_param_grad(model, np.array([2]), None, np.ones(1))
         assert np.array_equal(g, [0., 0., 1., 0.])
 
     def test_mlp_finite_differences(self, rng):
@@ -71,12 +83,12 @@ class TestGradParams:
             model = create_model("mlp", dims, seed=checked)
             model.params = rng.normal(size=model.params.size) * 0.6
             x = rng.normal(size=dims[0])
-            g = grad_params(model, x)
+            g = grad_at(model, x)
             num = np.zeros_like(g)
             for i in range(g.size):
                 up = model.copy(); up.params[i] += h
                 dn = model.copy(); dn.params[i] -= h
-                num[i] = (apply(up, x) - apply(dn, x)) / (2 * h)
+                num[i] = (value_at(up, x) - value_at(dn, x)) / (2 * h)
             rel = np.abs(g - num).max() / (np.abs(num).max() + 1e-12)
             assert rel <= 1e-4
             checked += 1
@@ -86,7 +98,7 @@ class TestGradParams:
         X = rng.normal(size=(6, 3))
         c = rng.normal(size=6)
         acc = accumulate_param_grad(model, None, X, c)
-        manual = sum(ci * grad_params(model, xi) for ci, xi in zip(c, X))
+        manual = sum(ci * grad_at(model, xi) for ci, xi in zip(c, X))
         assert np.abs(acc - manual).max() < 1e-12
 
 
