@@ -85,6 +85,10 @@ class RunConfig:
             raise ValueError("metric_scale must be > 0")
         if self.model_form not in ("tabular", "linear", "mlp"):
             raise ValueError("model_form must be tabular, linear or mlp")
+        hidden = self.mlp_hidden
+        if (not isinstance(hidden, (tuple, list)) or len(hidden) != 2
+                or not all(isinstance(h, int) and h >= 1 for h in hidden)):
+            raise ValueError("mlp_hidden must be two ints >= 1")
         if self.lambda_entropy < 0:
             raise ValueError("lambda_entropy must be >= 0")
         if self.delta0 < 0 or self.delta_decay < 0:
@@ -97,6 +101,8 @@ class RunConfig:
             raise ValueError(f"sampling/pg_mode must be one of {SAMPLING_MODES}")
         if self.l1 < 1 or self.l2 < 1:
             raise ValueError("batch sizes l1, l2 must be >= 1")
+        if self.early_stop_window < 1 or self.early_stop_tol < 0:
+            raise ValueError("early_stop_window must be >= 1 and early_stop_tol >= 0")
         if self.bc_steps < 1:
             raise ValueError("bc_steps must be >= 1")
         if self.expert_lambda <= 0:

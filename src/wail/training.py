@@ -104,6 +104,8 @@ class ExpertData:
         if isinstance(expert_data, Rollouts):
             pairs = expert_data.pairs()
         elif isinstance(expert_data, np.ndarray) and expert_data.ndim == 2 and expert_data.shape[1] == 2:
+            if not np.issubdtype(expert_data.dtype, np.integer):
+                raise ValueError("expert pairs must be an integer array")
             pairs = expert_data.astype(np.int64)
         else:
             raise ValueError("expert data must be an occupancy, a Rollouts batch or a (k, 2) array")

@@ -14,11 +14,6 @@ from conftest import random_mdp
 TRAINERS = {"wail": train_wail, "gail": wail.train_gail}
 
 
-def model_params(model):
-    """Parameters of a WAIL reward model or a GAIL discriminator."""
-    return getattr(model, "logit", model).params
-
-
 def small_mdp_two_actions(seed=0):
     rng = np.random.default_rng(seed)
     P = np.zeros((2, 2, 2))
@@ -61,6 +56,16 @@ class TestExpertData:
                 ExpertData.from_any(np.array(pairs), mdp)
             with pytest.raises(ValueError, match="out of MDP bounds"):
                 wail.train_bc(mdp, np.array(pairs), wail.RunConfig())
+
+    def test_non_integer_pairs_rejected(self):
+        # a float array used to be truncated: [[0.9, 1.7]] read as (0, 1)
+        mdp = wail.build_environment({"name": "gridworld", "n": 3})
+        for pairs in ([[0.9, 1.7]], [[1.0, 2.0]]):
+            with pytest.raises(ValueError, match="integer"):
+                ExpertData.from_any(np.array(pairs), mdp)
+            with pytest.raises(ValueError, match="integer"):
+                wail.train_bc(mdp, np.array(pairs), wail.RunConfig())
+        assert ExpertData.from_any(np.array([[0, 1]], dtype=np.int32), mdp).pairs.tolist() == [[0, 1]]
 
 
 class TestWailIteration:
@@ -113,7 +118,7 @@ class TestTrainWail:
         p1, m1, log1 = train(mdp, expert, config)
         p2, m2, log2 = train(mdp, expert, config)
         assert np.array_equal(p1.logits, p2.logits)
-        assert np.array_equal(model_params(m1), model_params(m2))
+        assert np.array_equal(m1.params, m2.params)
         assert log1.rows == log2.rows
         assert log1.meta == log2.meta
 
@@ -150,7 +155,7 @@ class TestTrainWail:
         assert wail.load_policy(tmp_path / "policy_final.json").logits.tobytes() \
             == policy.logits.tobytes()
         assert wail.load_model(tmp_path / model_file).params.tobytes() \
-            == model_params(model).tobytes()
+            == model.params.tobytes()
         back = RunLog.load(str(tmp_path))
         assert back.rows == log.rows
         assert back.meta == log.meta
@@ -299,6 +304,25 @@ def test_early_stop_on_flat_objective():
     policy, model, log = train_wail(mdp, rho, config)
     assert log.meta["early_stop_iteration"] == 50
     assert len(log.rows) == 50
+
+
+@pytest.mark.parametrize("updates", [
+    {"early_stop_window": 0}, {"early_stop_window": -3}, {"early_stop_tol": -1e-4},
+    {"mlp_hidden": (8,)}, {"mlp_hidden": (8, 8, 8)}, {"mlp_hidden": (8, 0)},
+    {"mlp_hidden": (8, 2.5)}, {"mlp_hidden": 8},
+])
+def test_config_rejects_bad_loop_and_network_fields(updates):
+    # each of these used to pass validate and then stop WAIL after one
+    # round, fail in a zero-size reduction or fail unpacking the layer sizes
+    with pytest.raises(ValueError):
+        RunConfig(**updates).validate()
+    with pytest.raises(ValueError):
+        train_wail(small_mdp_two_actions(), np.array([[0, 0]]),
+                   RunConfig(k_max=3, model_form="mlp", **updates))
+
+
+def test_config_accepts_zero_tolerance_and_list_layers():
+    RunConfig(early_stop_tol=0.0, early_stop_window=1, mlp_hidden=[8, 1]).validate()
 
 
 def test_divergence_aborts_with_partial_log():
