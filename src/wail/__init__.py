@@ -17,7 +17,7 @@ from .config import RunConfig, load_config, save_config
 from .envs import (EvalResult, build_environment, episode_returns, evaluate,
                    make_chain, make_cliff, make_expert, make_gridworld,
                    make_mountain_car, reference_returns, rollout_fixed)
-from .experiments import (load_summary, run_experiment_grid, run_single,
+from .experiments import (derived_seeds, load_summary, run_experiment_grid, run_single,
                           save_summary, train_algorithm)
 from .mdp import (LOGIT_GAP, OccupancyMeasure, Rollouts, SoftmaxPolicy, TabularMdp,
                   bellman_flow_residual, causal_entropy, default_max_len,

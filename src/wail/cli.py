@@ -2,7 +2,9 @@
 
 Subcommands: make-expert, train, eval, surface, grid.  Each reads a JSON
 config (all RunConfig fields) and accepts --seed/--out plus generic
---set key=value overrides.  Exit codes: 0 success, 1 validation error,
+--set key=value overrides.  Demonstrations, references and evaluation are
+seeded from config.seed through experiments.derived_seeds, as in
+run_single.  Exit codes: 0 success, 1 validation error,
 2 runtime divergence, 3 partial grid failure.
 """
 
@@ -17,7 +19,7 @@ import sys
 from . import analysis, rewards
 from .config import RunConfig, load_config
 from .envs import build_environment, evaluate, make_expert, reference_returns
-from .experiments import run_experiment_grid, run_single, train_algorithm
+from .experiments import derived_seeds, run_experiment_grid, run_single, train_algorithm
 from .mdp import (load_policy, load_trajectories, save_mdp, save_policy,
                   save_trajectories, state_action_embeddings)
 from .ot import DivergenceError
@@ -57,7 +59,8 @@ def cmd_make_expert(args) -> int:
     config = _load(args)
     mdp = build_environment(config.env)
     expert, demos = make_expert(mdp, config.expert_lambda, n_traj=config.dataset_size,
-                                traj_len=config.traj_len, seed=config.seed)
+                                traj_len=config.traj_len,
+                                seed=derived_seeds(config.seed)["expert"])
     out = config.out_dir or "."
     os.makedirs(out, exist_ok=True)
     save_mdp(os.path.join(out, "mdp.json"), mdp)
@@ -87,11 +90,12 @@ def cmd_eval(args) -> int:
     config = _load(args)
     mdp = build_environment(config.env)
     policy = load_policy(args.policy)
+    seeds = derived_seeds(config.seed)
     expert, _ = make_expert(mdp, config.expert_lambda, n_traj=1,
-                            traj_len=config.traj_len, seed=config.seed)
+                            traj_len=config.traj_len, seed=seeds["expert"])
     expert_ref, random_ref = reference_returns(mdp, expert, n_ref=config.n_ref,
-                                               seed=config.seed)
-    result = evaluate(mdp, policy, config.n_eval, seed=config.seed,
+                                               seed=seeds["refs"])
+    result = evaluate(mdp, policy, config.n_eval, seed=seeds["eval"],
                       expert_ref=expert_ref, random_ref=random_ref)
     doc = {"mean": result.mean, "std": result.std, "scaled": result.scaled,
            "expert_ref": expert_ref, "random_ref": random_ref}
@@ -110,7 +114,8 @@ def cmd_surface(args) -> int:
         demos = load_trajectories(args.demos)
     else:
         _, demos = make_expert(mdp, config.expert_lambda, n_traj=config.dataset_size,
-                               traj_len=config.traj_len, seed=config.seed)
+                               traj_len=config.traj_len,
+                               seed=derived_seeds(config.seed)["expert"])
     flat = demos.states * mdp.n_actions + demos.actions
     data = state_action_embeddings(mdp)[flat]
     plane = analysis.pca_fit(data)

@@ -17,8 +17,11 @@ from .envs import build_environment, evaluate, make_expert, reference_returns
 from .mdp import save_trajectories
 
 
-def _derived_seeds(seed: int) -> dict:
-    """Independent integer seeds for the run's sampling stages."""
+def derived_seeds(seed: int) -> dict:
+    """Independent integer seeds for a run's sampling stages: the expert
+    demonstrations, the expert/random references, training and evaluation.
+    run_single and the CLI derive every stage's seed from config.seed this
+    way."""
     children = np.random.SeedSequence(seed).spawn(4)
     names = ("expert", "refs", "train", "eval")
     return {n: int(c.generate_state(1)[0]) for n, c in zip(names, children)}
@@ -46,7 +49,7 @@ def run_single(config: RunConfig):
     policy, the reward model (WAIL's potential or GAIL's discriminator
     logit; None for bc), the log (None for bc) and the expert context."""
     config.validate()
-    seeds = _derived_seeds(config.seed)
+    seeds = derived_seeds(config.seed)
     mdp = build_environment(config.env)
     expert_policy, demos = make_expert(mdp, config.expert_lambda,
                                        n_traj=config.dataset_size,

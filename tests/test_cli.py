@@ -30,6 +30,13 @@ class TestMakeExpert:
         demos = wail.load_trajectories(out / "demos.jsonl")
         assert len(demos) == 2
 
+    def test_demos_match_run_single(self, config_file, tmp_path, capsys):
+        # make-expert seeds the demonstrations the way run_single does
+        main(["make-expert", "--config", config_file, "--out", str(tmp_path / "e")])
+        main(["train", "--config", config_file, "--algo", "bc", "--out", str(tmp_path / "bc")])
+        assert ((tmp_path / "e" / "demos.jsonl").read_bytes()
+                == (tmp_path / "bc" / "demos.jsonl").read_bytes())
+
 
 class TestTrain:
     def test_bc_end_to_end(self, config_file, tmp_path, capsys):
@@ -109,6 +116,17 @@ class TestEvalAndSurface:
         assert rc == 0
         doc = json.loads((tmp_path / "ev" / "eval.json").read_text())
         assert {"mean", "std", "scaled", "expert_ref", "random_ref"} <= set(doc)
+
+    def test_eval_reproduces_train_result(self, config_file, tmp_path, capsys):
+        # eval seeds references and evaluation the way run_single does
+        out = tmp_path / "w"
+        main(["train", "--config", config_file, "--algo", "wail", "--out", str(out)])
+        main(["eval", "--config", config_file, "--policy", str(out / "policy_final.json"),
+              "--out", str(tmp_path / "ev")])
+        doc = json.loads((tmp_path / "ev" / "eval.json").read_text())
+        result = json.loads((out / "result.json").read_text())
+        for key in ("mean", "std", "scaled", "expert_ref", "random_ref"):
+            assert doc[key] == result[key]
 
     def test_surface_csv(self, config_file, tmp_path, capsys):
         out = tmp_path / "w"
