@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from wail import (RunConfig, SoftmaxPolicy, build_environment, evaluate,
                   relative_lipschitz, reward_surface, run_experiment_grid,
                   run_single, surface_total_variation)
 from wail.analysis import PcaPlane, default_bounds, load_surface, save_surface
-from wail.experiments import load_summary, save_summary
+from wail.experiments import derived_seeds, load_summary, save_summary
 
 
 class TestEnvironments:
@@ -272,6 +274,28 @@ class TestRunSingleAndGrid:
         assert row["algorithm"] == "bc"
         assert (tmp_path / "demos.jsonl").exists()
         assert (tmp_path / "result.json").exists()
+
+    @pytest.mark.parametrize("algorithm", ["wail", "gail"])
+    def test_learning_curve_column(self, tmp_path, algorithm):
+        # scaled_perf_eval is filled every eval_every rounds with the
+        # evaluation of that round's policy, and evaluating leaves training
+        # untouched
+        base = RunConfig(env={"name": "gridworld", "n": 3}, algorithm=algorithm,
+                         k_max=10, dataset_size=2, n_eval=50, n_ref=50)
+        _, art = run_single(dataclasses.replace(base, eval_every=3, checkpoint_every=1,
+                                                out_dir=str(tmp_path)))
+        rows = art["log"].rows
+        assert len(rows) == 10
+        assert [r["iteration"] for r in rows if r["scaled_perf_eval"] is not None] == [3, 6, 9]
+        for k in (3, 6, 9):
+            policy = wail.load_policy(tmp_path / "checkpoints" / f"iter_{k:06d}_policy.json")
+            res = evaluate(art["mdp"], policy, base.n_eval, seed=derived_seeds(base.seed)["eval"],
+                           expert_ref=art["expert_ref"], random_ref=art["random_ref"])
+            assert rows[k - 1]["scaled_perf_eval"] == res.scaled
+        _, plain = run_single(base)
+        assert all(r["scaled_perf_eval"] is None for r in plain["log"].rows)
+        assert plain["policy"].logits.tobytes() == art["policy"].logits.tobytes()
+        assert plain["model"].params.tobytes() == art["model"].params.tobytes()
 
     def test_empty_grid_writes_header_only(self, tmp_path):
         cfg = RunConfig(env={"name": "gridworld", "n": 3})
