@@ -22,6 +22,10 @@ import pytest
 import wail
 
 GRID = {"name": "gridworld", "n": 5}
+# S = 900: past mdp.DENSE_SOLVE_MAX_STATES, so the flow solves take the
+# sparse-LU side, and WAIL's cost block is 3600 x the expert support
+GRID30 = {"name": "gridworld", "n": 30}
+AT_SCALE = dict(env=GRID30, dataset_size=10, delta0=0.1, k_max=5)
 CLIFF = {"name": "cliff"}
 BASE = wail.RunConfig(dataset_size=2, n_eval=100, n_ref=100)
 
@@ -36,6 +40,10 @@ CASES = {
                           "3bf3592fe37b361ca880e3dc36464c8292fc2b7f4be8d114f6654c34364f4c85"),
     "grid-wail-sampled-batch-exact-gradient": (dict(env=GRID, sampling="sampled", k_max=30),
                                                "1e3b70256950951c0377c6da85155afc52614bf5ec7196bd99f5f14ce890ff62"),
+    "grid30-wail-exact": (AT_SCALE,
+                          "5623bbe9ae9600ebe6a69063a0141ccad62ac3e5008304cd08a42cf5506b035a"),
+    "grid30-gail-exact": (dict(AT_SCALE, algorithm="gail"),
+                          "f6a7ac79cdcaf4e211a8f9c3478021a6b0d16aa00cdc29436dd8a7974fa29381"),
     "cliff-wail-exact": (dict(env=CLIFF, k_max=50),
                          "74c841c9b0bab26b56308a120d9b7112142550817a073f18cbef55cfb1a4faf2"),
     "cliff-gail-exact": (dict(env=CLIFF, algorithm="gail", k_max=50),
