@@ -113,13 +113,13 @@ class GroundMetric:
                 raise ValueError("ground cost violates the triangle inequality")
 
 
-def build_ground_metric(mdp: TabularMdp, scale: float = 1.0, support=None) -> GroundMetric:
-    """Scaled Euclidean distances between state-action embeddings, over the
-    full S x A index set or a given support subset (both sides)."""
+def build_ground_metric(mdp: TabularMdp, scale: float = 1.0, src_index=None,
+                        tgt_index=None) -> GroundMetric:
+    """Scaled Euclidean distances between state-action embeddings, from source
+    to target flat indices (duplicates allowed; None is the full S x A set)."""
     if scale <= 0:
         raise ValueError("scale must be > 0")
-    embed = state_action_embeddings(mdp)
-    return GroundMetric.from_embeddings(embed, scale, support, support)
+    return GroundMetric.from_embeddings(state_action_embeddings(mdp), scale, src_index, tgt_index)
 
 
 @dataclass(frozen=True)

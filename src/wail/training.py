@@ -174,40 +174,42 @@ class OtDualStep:
     parameters on the round's batches; the policy step uses the frozen
     ascended potential.  `finish` fits the reward to the final policy.
 
+    The cost block covers only the round's batch points, never S*A x S*A.
     Exact-mode batches always pair every state-action point with the expert
-    support, so the restricted ground metric is built in the first round and
-    serves every round and the final fit.  One instance serves one run."""
+    support, so the block is built in the first round and serves every round
+    and the final fit.  One instance serves one run."""
 
     algorithm = "wail"
     salt = 0x57A1
     artifact = "reward_final.json"
 
-    def __init__(self, metric: ot.GroundMetric, reg: ot.DualRegularization, config: RunConfig):
-        self.metric, self.reg, self.config = metric, reg, config
-        self.sub = None        # the last round's restricted metric
+    def __init__(self, mdp: TabularMdp, config: RunConfig):
+        self.mdp, self.config = mdp, config
+        self.reg = ot.DualRegularization(config.reg_kind, config.epsilon)
+        self.block = None      # the last round's cost block
         self.target = None     # the last round's expert-side weights
         self.clamps = 0        # entropic exponents clamped so far in the run
 
     def __call__(self, model, policy_batch, expert_batch, rng):
         (src_idx, src_w), (tgt_idx, tgt_w) = policy_batch, expert_batch
-        if self.sub is None or self.config.sampling != "exact":
-            self.sub = self.metric.restrict(src_idx, tgt_idx)
+        if self.block is None or self.config.sampling != "exact":
+            self.block = ot.build_ground_metric(self.mdp, self.config.metric_scale, src_idx, tgt_idx)
         pair = ot.DiscreteMeasurePair(src_w, tgt_w)
         self.target = pair.target
         rng.integers(0, 2 ** 63 - 1)   # discarded; fixed-seed runs rely on the draws after it
-        model, _, clamps = ot.reg_ot_fit(pair, self.sub, self.reg, model,
+        model, _, clamps = ot.reg_ot_fit(pair, self.block, self.reg, model,
                                          steps=self.config.ot_inner_steps, lr=self.config.ot_lr)
         self.clamps += clamps
         return model, self._dual_value(model, pair), rewards.clone_frozen(model)
 
     def _dual_value(self, model: rewards.PotentialModel, pair: ot.DiscreteMeasurePair) -> float:
-        value, clamps = ot.model_dual_objective(model, pair, self.sub, self.reg)
+        value, clamps = ot.model_dual_objective(model, pair, self.block, self.reg)
         self.clamps += clamps
         return value
 
     def finish(self, state: WailState, mdp: TabularMdp):
         """Continue the reward ascent against the exact occupancy of
-        state.policy, with the loop's epsilon, learning rate and metric, so the
+        state.policy, with the loop's epsilon, learning rate and cost block, so the
         reward fits the policy it is returned with instead of sitting one step
         past the previous round's.  Runs FINAL_FIT_STEPS full-batch steps,
         capped at the loop's own k * ot_inner_steps: the fit at most doubles the
@@ -221,7 +223,7 @@ class OtDualStep:
         if steps:
             w = occupancy_from_policy(mdp, state.policy).flat()
             pair = ot.DiscreteMeasurePair(w / w.sum(), self.target)
-            model, _, clamps = ot.reg_ot_fit(pair, self.sub, self.reg, model, steps=steps,
+            model, _, clamps = ot.reg_ot_fit(pair, self.block, self.reg, model, steps=steps,
                                              lr=self.config.ot_lr)
             self.clamps += clamps
             objective = self._dual_value(model, pair)
@@ -345,9 +347,7 @@ def train_wail(mdp: TabularMdp, expert_data, config: RunConfig, eval_ctx=None):
     """WAIL: the adversarial loop with the OT-dual reward step, whose
     returned reward is the potential fitted to the final policy
     (`OtDualStep.finish`).  Returns (policy, reward model, log)."""
-    step = OtDualStep(ot.build_ground_metric(mdp, config.metric_scale),
-                      ot.DualRegularization(config.reg_kind, config.epsilon), config)
-    return adversarial_train(mdp, expert_data, config, step, eval_ctx)
+    return adversarial_train(mdp, expert_data, config, OtDualStep(mdp, config), eval_ctx)
 
 
 @dataclass

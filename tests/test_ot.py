@@ -75,6 +75,30 @@ class TestGroundMetric:
         assert not np.shares_memory(sub.dist, m.dist)
 
 
+    @pytest.mark.parametrize("scale", [1.0, 0.37, 2.5])
+    @pytest.mark.parametrize("env", [{"name": "gridworld", "n": 5}, {"name": "gridworld", "n": 30},
+                                     {"name": "cliff"}, {"name": "chain"},
+                                     {"name": "mountain_car"}],
+                             ids=["grid5", "grid30", "cliff", "chain", "mountain_car"])
+    def test_block_equals_the_restricted_full_metric(self, env, scale):
+        # training builds only the cost block it reads; it must hold the same
+        # bytes as that block cut out of the full (S*A)^2 metric
+        mdp = wail.build_environment(env)
+        full = build_ground_metric(mdp, scale)
+        n = full.n_src
+        rng = np.random.default_rng(n)
+        support = np.unique(rng.integers(0, n, size=max(2, n // 15)))
+        batches = rng.integers(0, n, size=(2, 128))    # with duplicates, as sampled
+        for src, tgt in [(np.arange(n), support), (batches[0], batches[1])]:
+            block = build_ground_metric(mdp, scale, src, tgt)
+            cut = full.restrict(src, tgt)
+            assert block.dist.tobytes() == cut.dist.tobytes()
+            assert block.dist.flags.c_contiguous and cut.dist.flags.c_contiguous
+            assert block.src_index.tobytes() == cut.src_index.tobytes()
+            assert block.tgt_index.tobytes() == cut.tgt_index.tobytes()
+            assert block.embed.tobytes() == full.embed.tobytes()
+
+
 class TestRegularizationType:
     def test_epsilon_positive(self):
         with pytest.raises(ValueError):

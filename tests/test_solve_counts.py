@@ -90,20 +90,29 @@ def test_rejected_step_returns_the_same_policy_object():
     assert kl_constrained_step(mdp, policy, report, 0.01) is policy
 
 
-def test_exact_wail_run_restricts_the_metric_once(monkeypatch):
-    # exact-mode batches pair every state-action point with the fixed expert
-    # support, so one restricted metric serves every round and the final fit
-    calls = []
-    restrict = wail.ot.GroundMetric.restrict
+@pytest.mark.parametrize("sampling", ["exact", "sampled"])
+def test_wail_run_builds_only_its_cost_blocks(monkeypatch, sampling):
+    # the reward step builds the cost block it reads and never the full
+    # (S*A)^2 metric: exact-mode batches pair every state-action point with
+    # the fixed expert support, so one (S*A, |support|) block serves every
+    # round and the final fit; a sampled round builds its own (l1, l2) block
+    shapes = []
+    build = wail.ot.build_ground_metric
 
-    def counting(metric, src_sel, tgt_sel):
-        calls.append(len(tgt_sel))
-        return restrict(metric, src_sel, tgt_sel)
+    def counting(*args, **kwargs):
+        metric = build(*args, **kwargs)
+        shapes.append(metric.dist.shape)
+        return metric
 
-    monkeypatch.setattr(wail.ot.GroundMetric, "restrict", counting)
+    monkeypatch.setattr(wail.ot, "build_ground_metric", counting)
     mdp = wail.make_gridworld(5)
     _, demos = wail.make_expert(mdp, 0.01, n_traj=1, traj_len=50, seed=3)
-    _, _, log = wail.train_wail(mdp, demos, RunConfig(k_max=20, seed=7))
+    config = RunConfig(k_max=20, seed=7, sampling=sampling, l1=32, l2=16)
+    _, _, log = wail.train_wail(mdp, demos, config)
     assert log.meta["iterations_run"] == 20
-    assert log.meta["final_fit_steps"] > 0
-    assert len(calls) <= 1, f"{len(calls)} restrict calls"
+    if sampling == "exact":
+        assert log.meta["final_fit_steps"] > 0
+        support = wail.ExpertData.from_any(demos, mdp).support()
+        assert shapes == [(100, support.size)]
+    else:
+        assert shapes == [(32, 16)] * 20

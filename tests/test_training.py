@@ -76,23 +76,21 @@ class TestWailIteration:
         mdp = small_mdp_two_actions()
         pol = SoftmaxPolicy.uniform(2, 2)
         rho = occupancy_from_policy(mdp, pol)
-        config = RunConfig(k_max=1, delta0=0.01, model_form="tabular")
-        metric = build_ground_metric(mdp, 1.0)
-        reg = DualRegularization("l2", 0.01)
+        config = RunConfig(k_max=1, delta0=0.01, model_form="tabular", metric_scale=1.0,
+                           reg_kind="l2", epsilon=0.01)
         state = WailState(k=0, model=wail.create_model("tabular", (4,), 0),
                           policy=pol, trace=[])
-        new = wail_iteration(state, mdp, rho, config, OtDualStep(metric, reg, config))
+        new = wail_iteration(state, mdp, rho, config, OtDualStep(mdp, config))
         assert abs(new.trace[-1]) <= 1e-6
 
     def test_zero_delta_decouples_policy(self):
         mdp = small_mdp_two_actions()
         expert = wail.sample_trajectories(mdp, SoftmaxPolicy.deterministic([1, 1], 2), 5, seed=0)
-        config = RunConfig(k_max=5, delta0=0.0, model_form="tabular")
-        metric = build_ground_metric(mdp, 1.0)
-        reg = DualRegularization("l2", 0.01)
+        config = RunConfig(k_max=5, delta0=0.0, model_form="tabular", metric_scale=1.0,
+                           reg_kind="l2", epsilon=0.01)
         state = WailState(k=0, model=wail.create_model("tabular", (4,), 0),
                           policy=SoftmaxPolicy.uniform(2, 2), trace=[])
-        step = OtDualStep(metric, reg, config)
+        step = OtDualStep(mdp, config)
         for _ in range(5):
             state = wail_iteration(state, mdp, expert, config, step)
         assert np.array_equal(state.policy.logits, np.zeros((2, 2)))
@@ -239,7 +237,7 @@ def test_objective_trend_downward_when_initialized_far():
                                  wail.create_model("tabular", (100,), 0),
                                  steps=4000, lr=0.3)
     state = WailState(k=0, model=warm, policy=pol, trace=[])
-    step = OtDualStep(metric, reg, config)
+    step = OtDualStep(mdp, config)   # the same scale 1.0 and l2 epsilon 0.01 as above
     for _ in range(config.k_max):
         state = wail_iteration(state, mdp, expert_data, config, step)
     trace = np.asarray(state.trace)
