@@ -125,6 +125,11 @@ class TabularMdp:
             raise ValueError(f"state_embed must be (S, d_s), got {se.shape}")
         if ae.ndim != 2 or ae.shape[0] != A:
             raise ValueError(f"action_embed must be (A, d_a), got {ae.shape}")
+        # NaN fails every comparison above without raising
+        for name, arr in (("transition", P), ("start", mu0), ("state_embed", se),
+                          ("action_embed", ae)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
         object.__setattr__(self, "transition", _freeze(P))
         object.__setattr__(self, "_rows", _TransitionRows.from_dense(P))
         object.__setattr__(self, "start", _freeze(mu0))
@@ -134,6 +139,8 @@ class TabularMdp:
             R = np.asarray(self.true_reward, dtype=np.float64)
             if R.shape != (S, A):
                 raise ValueError(f"true_reward must be (S, A), got {R.shape}")
+            if not np.all(np.isfinite(R)):
+                raise ValueError("true_reward must be finite")
             object.__setattr__(self, "true_reward", _freeze(R))
 
     @property
@@ -220,6 +227,8 @@ class OccupancyMeasure:
         rho = np.asarray(self.rho, dtype=np.float64)
         if rho.ndim != 2:
             raise ValueError(f"rho must be (S, A), got {rho.shape}")
+        if not np.all(np.isfinite(rho)):
+            raise ValueError("occupancy entries must be finite")
         if np.any(rho < 0):
             raise ValueError("occupancy entries must be non-negative")
         if abs(rho.sum() - 1.0) > MASS_TOL:

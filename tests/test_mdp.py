@@ -45,6 +45,28 @@ class TestValidation:
         with pytest.raises(ValueError):
             OccupancyMeasure(np.array([[0.5, -0.1], [0.3, 0.3]]))
 
+    @pytest.mark.parametrize("field", ["transition", "start", "state_embed", "action_embed",
+                                       "true_reward"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, field, bad):
+        # NaN fails every < and > check, so a NaN transition or start used to
+        # give an all-NaN occupancy instead of an error
+        P = np.zeros((2, 1, 2))
+        P[:, 0, 1] = 1.0
+        args = {"transition": P, "start": np.array([0.5, 0.5]), "gamma": 0.9,
+                "state_embed": np.array([[0.0], [1.0]]), "action_embed": np.array([[1.0]]),
+                "true_reward": np.zeros((2, 1))}
+        TabularMdp(**args)
+        args[field] = args[field].copy()
+        args[field].flat[-1] = bad
+        with pytest.raises(ValueError, match="must be finite|must sum to 1"):
+            TabularMdp(**args)
+
+    def test_non_finite_occupancy_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                OccupancyMeasure(np.array([[0.5, bad], [0.25, 0.25]]))
+
     def test_policy_rows_strictly_positive(self):
         with pytest.raises(ValueError):
             SoftmaxPolicy(np.array([[0.0, -800.0]]))   # underflows to exact 0
