@@ -2,10 +2,10 @@
 
 Subcommands: make-expert, train, eval, surface, grid.  Each reads a JSON
 config (all RunConfig fields) and accepts --seed/--out plus generic
---set key=value overrides.  Demonstrations, references and evaluation are
-seeded from config.seed through experiments.derived_seeds, as in
-run_single.  Exit codes: 0 success, 1 validation error,
-2 runtime divergence, 3 partial grid failure.
+--set key=value overrides.  Demonstrations, references, evaluation and
+training (with --demos too) are seeded from config.seed through
+experiments.derived_seeds, as in run_single.  Exit codes: 0 success,
+1 validation error, 2 runtime divergence, 3 partial grid failure.
 """
 
 from __future__ import annotations
@@ -76,8 +76,10 @@ def cmd_train(args) -> int:
         config = dataclasses.replace(config, algorithm=args.algo)
         config.validate()
     if args.demos:
-        # the trainer writes its final policy (and reward) to out_dir
-        config = dataclasses.replace(config, out_dir=config.out_dir or ".")
+        # the trainer writes its final policy (and reward) to out_dir; with
+        # run_single's training seed, make-expert + train --demos reproduces train
+        config = dataclasses.replace(config, out_dir=config.out_dir or ".",
+                                     seed=derived_seeds(config.seed)["train"])
         train_algorithm(build_environment(config.env), load_trajectories(args.demos), config)
         print(f"trained {config.algorithm}; wrote policy_final.json to {config.out_dir}")
         return 0

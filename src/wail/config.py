@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, field
 
 ALGORITHMS = ("wail", "gail", "bc")
@@ -67,6 +68,12 @@ class RunConfig:
     def validate(self) -> None:
         """Cross-check every field against its owning module's constraints
         before any work starts."""
+        for name in ("seed", "dataset_size", "k_max", "l1", "l2", "ot_inner_steps",
+                     "disc_inner_steps", "early_stop_window", "bc_steps", "traj_len", "n_eval",
+                     "n_ref", "eval_every", "checkpoint_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not isinstance(self.env, dict) or "name" not in self.env:
             raise ValueError("env must be a dict with a 'name' key")
         if self.algorithm not in ALGORITHMS:

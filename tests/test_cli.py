@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -6,6 +7,7 @@ import pytest
 
 import wail
 from wail.cli import main
+from wail.experiments import derived_seeds
 
 
 SURFACE_AS_DISCRIMINATOR_SHA256 = "5e3c7d04afa148129b3e71936dafd9a10221d4638bb70174a93cb395c8afb416"
@@ -81,7 +83,9 @@ class TestTrain:
         assert rc == 0
         mdp = wail.build_environment({"name": "gridworld", "n": 3})
         demos = wail.load_trajectories(expert_out / "demos.jsonl")
+        # the --demos path trains with run_single's derived seed
         config = wail.load_config(config_file)
+        config = dataclasses.replace(config, seed=derived_seeds(config.seed)["train"])
         if algo == "bc":
             policy = wail.train_bc(mdp, demos, config)
         else:
@@ -90,6 +94,24 @@ class TestTrain:
             assert (out / model_file).exists()
             assert (out / "run_meta.json").exists()
         assert wail.load_policy(out / "policy_final.json").logits.tobytes() == policy.logits.tobytes()
+
+    @pytest.mark.parametrize("overrides", [["sampling=sampled", "pg_mode=sampled"],
+                                           ["model_form=linear"]],
+                             ids=["sampled-tabular", "exact-linear"])
+    def test_demos_path_reproduces_train(self, config_file, tmp_path, capsys, overrides):
+        # make-expert writes train's demonstrations, and train --demos trains
+        # with train's seed, so both write the same policy and reward
+        sets = [arg for kv in overrides for arg in ("--set", kv)]
+        main(["make-expert", "--config", config_file, "--out", str(tmp_path / "e"), *sets])
+        assert main(["train", "--config", config_file, "--algo", "wail",
+                     "--out", str(tmp_path / "run"), *sets]) == 0
+        assert main(["train", "--config", config_file, "--algo", "wail",
+                     "--demos", str(tmp_path / "e" / "demos.jsonl"),
+                     "--out", str(tmp_path / "demos"), *sets]) == 0
+        run, demos = tmp_path / "run", tmp_path / "demos"
+        assert (tmp_path / "e" / "demos.jsonl").read_bytes() == (run / "demos.jsonl").read_bytes()
+        for name in ("policy_final.json", "reward_final.json"):
+            assert (demos / name).read_bytes() == (run / name).read_bytes()
 
     def test_divergence_exit_code(self, config_file, tmp_path, capsys):
         rc = main(["train", "--config", config_file, "--algo", "wail",
@@ -101,6 +123,16 @@ class TestTrain:
     def test_validation_exit_code(self, config_file, capsys):
         rc = main(["train", "--config", config_file, "--set", "epsilon=-1"])
         assert rc == 1
+
+    @pytest.mark.parametrize("override", ["k_max=2.5", "k_max=true", "l1=3.5", "dataset_size=1.5",
+                                          "traj_len=2.5", "n_eval=3.5", "seed=0.5"])
+    def test_fractional_or_boolean_count_is_a_validation_error(self, config_file, tmp_path,
+                                                              capsys, override):
+        # these used to raise TypeError after set-up, or (true) run as 1
+        rc = main(["train", "--config", config_file, "--out", str(tmp_path / "v"),
+                   "--set", override])
+        assert rc == 1
+        assert "must be an integer" in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, config_file, capsys):
         rc = main(["train", "--config", config_file, "--set", "nonsense=1"])

@@ -319,6 +319,21 @@ def test_config_rejects_bad_loop_and_network_fields(updates):
                    RunConfig(k_max=3, model_form="mlp", **updates))
 
 
+COUNT_FIELDS = ("seed", "dataset_size", "k_max", "l1", "l2", "ot_inner_steps",
+                "disc_inner_steps", "early_stop_window", "bc_steps", "traj_len", "n_eval",
+                "n_ref", "eval_every", "checkpoint_every")
+
+
+@pytest.mark.parametrize("name", COUNT_FIELDS)
+def test_config_requires_integral_counts(name):
+    # a fraction used to pass validate and fail in range() or an array size
+    # after set-up, and True read as 1
+    for bad in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            RunConfig(**{name: bad}).validate()
+    RunConfig(**{name: np.int64(2)}).validate()
+
+
 def test_config_accepts_zero_tolerance_and_list_layers():
     RunConfig(early_stop_tol=0.0, early_stop_window=1, mlp_hidden=[8, 1]).validate()
 
