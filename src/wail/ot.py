@@ -253,6 +253,14 @@ def _objective_and_gradient(r_src, r_tgt, pair, metric, reg, want_grad):
     return value, g_src, g_tgt, clamps
 
 
+def _support_embeds(model: rewards.PotentialModel, metric: GroundMetric):
+    """The metric's source and target embedding rows, gathered once; the
+    tabular form reads only the indices, so it gets none."""
+    if model.form == "tabular":
+        return None, None
+    return metric.src_embed, metric.tgt_embed
+
+
 def reg_dual_objective(r_src, r_tgt, pair: DiscreteMeasurePair,
                        metric: GroundMetric, reg: DualRegularization) -> float:
     """<r, target> - <r, source> plus the product-measure expectation of the
@@ -264,8 +272,9 @@ def model_dual_objective(model: rewards.PotentialModel, pair: DiscreteMeasurePai
                          metric: GroundMetric, reg: DualRegularization) -> tuple[float, int]:
     """reg_dual_objective of the model's potential on the metric's supports,
     and the number of entropic exponents that evaluation clamped."""
-    r_src = rewards.support_values(model, metric.src_index, metric.src_embed)
-    r_tgt = rewards.support_values(model, metric.tgt_index, metric.tgt_embed)
+    src_embed, tgt_embed = _support_embeds(model, metric)
+    r_src = rewards.support_values(model, metric.src_index, src_embed)
+    r_tgt = rewards.support_values(model, metric.tgt_index, tgt_embed)
     value, _, _, clamps = _objective_and_gradient(r_src, r_tgt, pair, metric, reg, False)
     return value, clamps
 
@@ -292,17 +301,18 @@ def reg_ot_fit(pair: DiscreteMeasurePair, metric: GroundMetric, reg: DualRegular
         raise ValueError("lr must be > 0")
     _check_sizes(pair, metric)
     work = model.copy()
+    src_embed, tgt_embed = _support_embeds(work, metric)
     trace, clamps = [], 0
     for k in range(steps):
-        r_src = rewards.support_values(work, metric.src_index, metric.src_embed)
-        r_tgt = rewards.support_values(work, metric.tgt_index, metric.tgt_embed)
+        r_src = rewards.support_values(work, metric.src_index, src_embed)
+        r_tgt = rewards.support_values(work, metric.tgt_index, tgt_embed)
         value, g_src, g_tgt, step_clamps = _objective_and_gradient(r_src, r_tgt, pair, metric,
                                                                    reg, True)
         clamps += step_clamps
         if not np.isfinite(value):
             raise DivergenceError(f"regularized dual objective diverged at step {k}", trace)
         trace.append(value)
-        grad = (rewards.accumulate_param_grad(work, metric.src_index, metric.src_embed, g_src)
-                + rewards.accumulate_param_grad(work, metric.tgt_index, metric.tgt_embed, g_tgt))
+        grad = (rewards.accumulate_param_grad(work, metric.src_index, src_embed, g_src)
+                + rewards.accumulate_param_grad(work, metric.tgt_index, tgt_embed, g_tgt))
         work.params = work.params + lr * grad
     return work, np.asarray(trace), clamps
