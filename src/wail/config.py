@@ -3,11 +3,21 @@
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass, field
 
 ALGORITHMS = ("wail", "gail", "bc")
 SAMPLING_MODES = ("exact", "sampled")
+COUNT_FIELDS = ("seed", "dataset_size", "k_max", "l1", "l2", "ot_inner_steps",
+                "disc_inner_steps", "early_stop_window", "bc_steps", "traj_len", "n_eval",
+                "n_ref", "eval_every", "checkpoint_every")
+FLOAT_FIELDS = ("epsilon", "ot_lr", "metric_scale", "lambda_entropy", "delta0", "delta_decay",
+                "cg_damping", "early_stop_tol", "disc_lr", "bc_lr", "expert_lambda")
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -68,12 +78,15 @@ class RunConfig:
     def validate(self) -> None:
         """Cross-check every field against its owning module's constraints
         before any work starts."""
-        for name in ("seed", "dataset_size", "k_max", "l1", "l2", "ot_inner_steps",
-                     "disc_inner_steps", "early_stop_window", "bc_steps", "traj_len", "n_eval",
-                     "n_ref", "eval_every", "checkpoint_every"):
+        for name in COUNT_FIELDS:
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in FLOAT_FIELDS:
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not isinstance(self.env, dict) or "name" not in self.env:
             raise ValueError("env must be a dict with a 'name' key")
         if self.algorithm not in ALGORITHMS:
@@ -94,7 +107,7 @@ class RunConfig:
             raise ValueError("model_form must be tabular, linear or mlp")
         hidden = self.mlp_hidden
         if (not isinstance(hidden, (tuple, list)) or len(hidden) != 2
-                or not all(isinstance(h, int) and h >= 1 for h in hidden)):
+                or not all(_is_integer(h) and h >= 1 for h in hidden)):
             raise ValueError("mlp_hidden must be two ints >= 1")
         if self.lambda_entropy < 0:
             raise ValueError("lambda_entropy must be >= 0")

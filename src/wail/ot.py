@@ -53,6 +53,8 @@ class GroundMetric:
         D = np.asarray(self.dist, dtype=np.float64)
         if D.ndim != 2:
             raise ValueError(f"dist must be 2-D, got {D.shape}")
+        if not np.all(np.isfinite(D)):
+            raise ValueError("ground costs must be finite")
         if np.any(D < 0):
             raise ValueError("ground costs must be non-negative")
         si = np.asarray(self.src_index, dtype=np.int64)
@@ -133,8 +135,8 @@ class DualRegularization:
     def __post_init__(self):
         if self.kind not in ("entropic", "l2"):
             raise ValueError(f"kind must be 'entropic' or 'l2', got {self.kind!r}")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be strictly positive")
+        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError("epsilon must be finite and strictly positive")
 
 
 @dataclass(frozen=True)
@@ -150,6 +152,8 @@ class DiscreteMeasurePair:
             w = np.asarray(getattr(self, name), dtype=np.float64)
             if w.ndim != 1:
                 raise ValueError(f"{name} weights must be a vector")
+            if not np.all(np.isfinite(w)):
+                raise ValueError(f"{name} weights must be finite")
             if np.any(w < 0):
                 raise ValueError(f"{name} weights must be non-negative")
             if abs(w.sum() - 1.0) > PAIR_SUM_TOL:
@@ -297,8 +301,8 @@ def reg_ot_fit(pair: DiscreteMeasurePair, metric: GroundMetric, reg: DualRegular
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    if lr <= 0:
-        raise ValueError("lr must be > 0")
+    if not (np.isfinite(lr) and lr > 0):
+        raise ValueError("lr must be finite and > 0")
     _check_sizes(pair, metric)
     work = model.copy()
     src_embed, tgt_embed = _support_embeds(work, metric)

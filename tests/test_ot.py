@@ -113,6 +113,24 @@ class TestRegularizationType:
             DiscreteMeasurePair([1.1, -0.1], [0.5, 0.5])
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_inputs_rejected(self, bad, rng):
+        # every range check is a comparison, which NaN passes
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteMeasurePair([bad, 1.0], [0.5, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteMeasurePair([0.5, 0.5], [1.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            GroundMetric(np.array([[0.0, bad]]), [0], [0, 1], np.zeros((2, 1)))
+        for kind in ("l2", "entropic"):
+            with pytest.raises(ValueError, match="finite"):
+                DualRegularization(kind, bad)
+        pair, metric = random_instance(rng, 3)
+        model = wail.create_model("tabular", (3,), seed=0)
+        with pytest.raises(ValueError, match="finite"):
+            reg_ot_fit(pair, metric, DualRegularization("l2", 0.1), model, steps=1, lr=bad)
+
+
 class TestPrimalLp:
     def test_identical_measures_zero(self, rng):
         pair, metric = random_instance(rng, 8)

@@ -307,7 +307,7 @@ def test_early_stop_on_flat_objective():
 @pytest.mark.parametrize("updates", [
     {"early_stop_window": 0}, {"early_stop_window": -3}, {"early_stop_tol": -1e-4},
     {"mlp_hidden": (8,)}, {"mlp_hidden": (8, 8, 8)}, {"mlp_hidden": (8, 0)},
-    {"mlp_hidden": (8, 2.5)}, {"mlp_hidden": 8},
+    {"mlp_hidden": (8, 2.5)}, {"mlp_hidden": 8}, {"mlp_hidden": (True, 8)},
 ])
 def test_config_rejects_bad_loop_and_network_fields(updates):
     # each of these used to pass validate and then stop WAIL after one
@@ -332,6 +332,28 @@ def test_config_requires_integral_counts(name):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             RunConfig(**{name: bad}).validate()
     RunConfig(**{name: np.int64(2)}).validate()
+
+
+FLOAT_FIELDS = ("epsilon", "ot_lr", "metric_scale", "lambda_entropy", "delta0", "delta_decay",
+                "cg_damping", "early_stop_tol", "disc_lr", "bc_lr", "expert_lambda")
+
+
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_config_requires_finite_real_floats(name):
+    # every range check is a comparison, which NaN passes: a NaN or inf used
+    # to pass validate and fail rounds later (or, for early_stop_tol, turn
+    # early stopping silently off), and True read as 1.0
+    for bad in (float("nan"), float("inf"), float("-inf"), True, "0.5"):
+        with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+            RunConfig(**{name: bad}).validate()
+    RunConfig(**{name: 1}).validate()
+    RunConfig(**{name: np.float64(1.0)}).validate()
+
+
+def test_nan_early_stop_tol_no_longer_disables_early_stopping():
+    with pytest.raises(ValueError, match="early_stop_tol"):
+        train_wail(small_mdp_two_actions(), np.array([[0, 0]]),
+                   RunConfig(k_max=3, early_stop_tol=float("nan")))
 
 
 def test_config_accepts_zero_tolerance_and_list_layers():
