@@ -22,6 +22,7 @@ from .mdp import TabularMdp, state_action_embeddings
 SUPPORT_CAP = 300          # exact LP oracles reject larger supports
 ENT_EXP_CLAMP = 30.0       # clamp on the entropic exponent before exp()
 PAIR_SUM_TOL = 1e-10
+CHUNK_BYTES = 512 * 1024   # cost-block rows the dual pass holds at once
 
 _LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
                "dual_feasibility_tolerance": 1e-10}
@@ -221,39 +222,64 @@ def w1_dual_lp(pair: DiscreteMeasurePair, metric: GroundMetric):
     return value, f
 
 
-def _penalty(z: np.ndarray, reg: DualRegularization, want_slope: bool):
-    """Penalty Omega(z) on constraint slack z = r(y) - r(x) - d(x, y),
-    optionally its derivative, and the number of entropic exponents clamped
-    at ENT_EXP_CLAMP.  The entropic slope keeps the (clipped) exponential so
-    ascent is pulled back even past the overflow clamp."""
-    if reg.kind == "entropic":
-        u = z / reg.epsilon
-        clamps = int(np.count_nonzero(u > ENT_EXP_CLAMP))
-        w = np.exp(np.minimum(u, ENT_EXP_CLAMP))
-        omega = -reg.epsilon * w
-        slope = -w if want_slope else None
-    else:
-        zp = np.maximum(z, 0.0)
-        omega = -(zp ** 2) / (4.0 * reg.epsilon)
-        slope = -zp / (2.0 * reg.epsilon) if want_slope else None
-        clamps = 0
-    return omega, slope, clamps
-
-
 def _objective_and_gradient(r_src, r_tgt, pair, metric, reg, want_grad):
+    """The regularized dual's value, optionally its gradients with respect
+    to r_src and r_tgt, and the number of entropic exponents clamped at
+    ENT_EXP_CLAMP, from one pass over the cost block.
+
+    The penalty on the slack z = r(y) - r(x) - d(x, y) is -z+^2 / (4 eps)
+    with slope -z+ / (2 eps) for l2, and -eps exp(z / eps) with slope
+    -exp(z / eps) for entropic; the entropic slope keeps the (clipped)
+    exponential so ascent is pulled back even past the overflow clamp.
+    The pass walks the block in row chunks of about CHUNK_BYTES through one
+    buffer, forming each chunk's slack in place and keeping only the
+    penalty mass and the row and column sums the gradients read, so it
+    makes no block-sized temporary."""
     r_src = np.asarray(r_src, dtype=np.float64)
     r_tgt = np.asarray(r_tgt, dtype=np.float64)
     _check_sizes(pair, metric)
     if r_src.shape != pair.source.shape or r_tgt.shape != pair.target.shape:
         raise ValueError("potential value vectors must match support sizes")
-    z = r_tgt[None, :] - r_src[:, None] - metric.dist
-    omega, slope, clamps = _penalty(z, reg, want_grad)
-    value = float(r_tgt @ pair.target - r_src @ pair.source
-                  + pair.source @ omega @ pair.target)
+    src, tgt, dist = pair.source, pair.target, metric.dist
+    n, m = dist.shape
+    rows = max(1, CHUNK_BYTES // (8 * m))
+    buf = np.empty((min(rows, n), m))
+    row_sums = np.empty(n) if want_grad else None    # slope rows . target, unscaled
+    col_sums = np.zeros(m) if want_grad else None    # source . slope columns, unscaled
+    mass, clamps = 0.0, 0
+    entropic = reg.kind == "entropic"
+    for i in range(0, n, rows):
+        j = min(i + rows, n)
+        z = buf[:j - i]
+        z[...] = r_tgt            # faster than one broadcast subtract, same bits
+        z -= r_src[i:j, None]
+        z -= dist[i:j]
+        if entropic:
+            z /= reg.epsilon
+            clamps += int(np.count_nonzero(z > ENT_EXP_CLAMP))
+            np.minimum(z, ENT_EXP_CLAMP, out=z)
+            np.exp(z, out=z)
+            row = z @ tgt
+            mass += src[i:j] @ row
+            if want_grad:
+                row_sums[i:j] = row
+                col_sums += src[i:j] @ z
+        else:
+            np.maximum(z, 0.0, out=z)
+            if want_grad:
+                row_sums[i:j] = z @ tgt
+                col_sums += src[i:j] @ z
+            z *= z
+            mass += src[i:j] @ (z @ tgt)
+    if entropic:
+        penalty, slope_scale = reg.epsilon * mass, 1.0
+    else:
+        penalty, slope_scale = mass / (4.0 * reg.epsilon), 1.0 / (2.0 * reg.epsilon)
+    value = float(r_tgt @ tgt - r_src @ src - penalty)
     if not want_grad:
         return value, None, None, clamps
-    g_src = pair.source * (-1.0 - slope @ pair.target)
-    g_tgt = pair.target * (1.0 + pair.source @ slope)
+    g_src = src * (slope_scale * row_sums - 1.0)
+    g_tgt = tgt * (1.0 - slope_scale * col_sums)
     return value, g_src, g_tgt, clamps
 
 

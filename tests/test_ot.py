@@ -5,7 +5,7 @@ import wail
 from wail import (DiscreteMeasurePair, DualRegularization, GroundMetric,
                   build_ground_metric, reg_dual_gradient, reg_dual_objective,
                   reg_ot_fit, w1_dual_lp, w1_primal_lp)
-from wail.ot import DivergenceError
+from wail.ot import CHUNK_BYTES, ENT_EXP_CLAMP, DivergenceError
 
 from conftest import random_mdp
 
@@ -314,6 +314,76 @@ class TestRegularizedGradient:
             scale = max(np.abs(num_s).max(), np.abs(num_t).max(), 1e-12)
             assert np.abs(g_src - num_s).max() / scale <= 1e-4
             assert np.abs(g_tgt - num_t).max() / scale <= 1e-4
+
+
+def unfused_dual(r_src, r_tgt, pair, metric, reg):
+    """Reference: the dual's value, gradients and clamp count from the
+    whole-block expressions the chunked pass replaced."""
+    z = r_tgt[None, :] - r_src[:, None] - metric.dist
+    if reg.kind == "entropic":
+        u = z / reg.epsilon
+        clamps = int(np.count_nonzero(u > ENT_EXP_CLAMP))
+        w = np.exp(np.minimum(u, ENT_EXP_CLAMP))
+        omega, slope = -reg.epsilon * w, -w
+    else:
+        zp = np.maximum(z, 0.0)
+        omega, slope, clamps = -(zp ** 2) / (4.0 * reg.epsilon), -zp / (2.0 * reg.epsilon), 0
+    s, t = pair.source, pair.target
+    value = float(r_tgt @ t - r_src @ s + s @ omega @ t)
+    return value, s * (-1.0 - slope @ t), t * (1.0 + s @ slope), clamps
+
+
+class TestChunkedDualPass:
+    # (n, m): n not a multiple of the chunk rows, n under one chunk, m = 1
+    # over several chunks, and a row wider than CHUNK_BYTES (one row a chunk)
+    SHAPES = [(1000, 201), (50, 201), (CHUNK_BYTES // 8 + 4500, 1), (3, CHUNK_BYTES // 8 + 77)]
+
+    def instance(self, n, m, r_scale, seed):
+        rng = np.random.default_rng(seed)
+        metric = GroundMetric.from_embeddings(rng.normal(size=(n + m, 2)), 1.0,
+                                              np.arange(n), n + np.arange(m))
+        pair = DiscreteMeasurePair(rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m)))
+        return rng.normal(size=n + m) * r_scale, pair, metric
+
+    @pytest.mark.parametrize("n, m", SHAPES, ids=["ragged", "one-chunk", "m1", "wide-row"])
+    @pytest.mark.parametrize("kind, eps, r_scale", [("l2", 0.05, 1.5), ("entropic", 0.3, 0.5),
+                                                    ("entropic", 0.02, 1.5)],
+                             ids=["l2", "entropic", "entropic-clamped"])
+    def test_matches_unfused_reference(self, n, m, kind, eps, r_scale):
+        r, pair, metric = self.instance(n, m, r_scale, seed=n + m)
+        reg = DualRegularization(kind, eps)
+        r_src, r_tgt = r[:n], r[n:]
+        value, g_src, g_tgt, clamps = unfused_dual(r_src, r_tgt, pair, metric, reg)
+        assert kind == "l2" or (clamps > 0) == (eps == 0.02)
+        if kind == "l2":
+            assert np.any(g_tgt != pair.target)   # some pairs are active
+        model = wail.create_model("tabular", (n + m,), seed=0)
+        model.params = r
+        got_value, got_clamps = wail.model_dual_objective(model, pair, metric, reg)
+        assert abs(got_value - value) <= 1e-12 * abs(value)
+        assert abs(reg_dual_objective(r_src, r_tgt, pair, metric, reg) - value) <= 1e-12 * abs(value)
+        assert got_clamps == clamps
+        got_src, got_tgt = reg_dual_gradient(r_src, r_tgt, pair, metric, reg)
+        assert np.abs(got_src - g_src).max() <= 1e-12 * np.abs(g_src).max()
+        assert np.abs(got_tgt - g_tgt).max() <= 1e-12 * np.abs(g_tgt).max()
+        _, _, fit_clamps = reg_ot_fit(pair, metric, reg, model, steps=1, lr=1e-12)
+        assert fit_clamps == clamps
+
+    def test_gradient_peak_memory_is_one_chunk(self):
+        import tracemalloc
+        r, pair, metric = self.instance(3600, 201, 1.5, seed=0)
+        reg = DualRegularization("l2", 0.01)
+        r_src, r_tgt = r[:3600], r[3600:]
+        reg_dual_gradient(r_src, r_tgt, pair, metric, reg)   # warm any lazy set-up
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            reg_dual_gradient(r_src, r_tgt, pair, metric, reg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 3600 x 201 block is 5.5 MiB; whole-block temporaries peaked at 22 MiB
+        assert peak - base <= 2 ** 20
 
 
 class TestRegOtFit:
