@@ -31,29 +31,29 @@ BASE = wail.RunConfig(dataset_size=2, n_eval=100, n_ref=100)
 
 CASES = {
     "grid-wail-exact": (dict(env=GRID, k_max=50),
-                        "dec6ecc4772ef8ead6416755e5a08a9b69e86644d9fec4757cecbe33d14364f8"),
+                        "e9f8e9191ce2c006f8a3584d4b1396fadeea11f9605805c6c7ef4b62939be8ed"),
     "grid-gail-exact": (dict(env=GRID, algorithm="gail", k_max=50),
                         "a85c53996e6ca6baa9f22a84b0b4eae21876762b3531e5316433e7dcda185f4c"),
     "grid-bc": (dict(env=GRID, algorithm="bc"),
                 "bddcf2c6775e9c579c9349cceaaacc906cf0c96d90e47100dfd564d3fda7a00a"),
     "grid-wail-sampled": (dict(env=GRID, sampling="sampled", pg_mode="sampled", k_max=20),
-                          "3bf3592fe37b361ca880e3dc36464c8292fc2b7f4be8d114f6654c34364f4c85"),
+                          "28cbd76a33e574d7aeff4c58c864e1ec198d1633876e9718a6af521ed240ce8f"),
     "grid-wail-sampled-batch-exact-gradient": (dict(env=GRID, sampling="sampled", k_max=30),
-                                               "1e3b70256950951c0377c6da85155afc52614bf5ec7196bd99f5f14ce890ff62"),
+                                               "a5d820602eb9ecea77a68b2735f69c3c8d20820dc1d30439bff60c7b334d3581"),
     "grid30-wail-exact": (AT_SCALE,
-                          "5623bbe9ae9600ebe6a69063a0141ccad62ac3e5008304cd08a42cf5506b035a"),
+                          "877be4f8bcaa4356bcc04f7faa127a4c3b5af0d125a6f5d45ea66ae1b01c94bd"),
     "grid30-gail-exact": (dict(AT_SCALE, algorithm="gail"),
                           "f6a7ac79cdcaf4e211a8f9c3478021a6b0d16aa00cdc29436dd8a7974fa29381"),
     "cliff-wail-exact": (dict(env=CLIFF, k_max=50),
-                         "74c841c9b0bab26b56308a120d9b7112142550817a073f18cbef55cfb1a4faf2"),
+                         "623fbc36c547e3d56d95b140bb5d29b87b864fcd8db7ec0fda3e774e86916762"),
     "cliff-gail-exact": (dict(env=CLIFF, algorithm="gail", k_max=50),
                          "0798e7a4413b1e0bea2a69b80c9160a4b8a10b47b78c7190a8c3fc98e3c4de4b"),
     "cliff-bc": (dict(env=CLIFF, algorithm="bc"),
                  "666b64e52d36ffc8a9452e4fa43842304c52818595db1da7559daf091aa5b5e7"),
     "cliff-wail-sampled": (dict(env=CLIFF, sampling="sampled", pg_mode="sampled", k_max=20),
-                           "6c70b58eeb2c9584520924afd85e69fc3cbc4040b637cf93133d2198b2e91b90"),
+                           "e3d0c1c5645ce92fdd5ff8becf319c772665858d2dafec9ebd4aba6777ad29e6"),
     "cliff-wail-sampled-batch-exact-gradient": (dict(env=CLIFF, sampling="sampled", k_max=30),
-                                                "ae67b2f189546f6f831efae81d9fc71d1198b924a050cb9b06280e6f44026f1d"),
+                                                "75a8a6b475739f84b6c39134fc1bda37d462ee650981f6380d8df8e62f4cae78"),
 }
 
 ARTIFACT = {"wail": "reward_final.json", "gail": "discriminator_final.json"}
