@@ -9,15 +9,6 @@ from dataclasses import asdict, dataclass, field
 
 ALGORITHMS = ("wail", "gail", "bc")
 SAMPLING_MODES = ("exact", "sampled")
-COUNT_FIELDS = ("seed", "dataset_size", "k_max", "l1", "l2", "ot_inner_steps",
-                "disc_inner_steps", "early_stop_window", "bc_steps", "traj_len", "n_eval",
-                "n_ref", "eval_every", "checkpoint_every")
-FLOAT_FIELDS = ("epsilon", "ot_lr", "metric_scale", "lambda_entropy", "delta0", "delta_decay",
-                "cg_damping", "early_stop_tol", "disc_lr", "bc_lr", "expert_lambda")
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -78,11 +69,14 @@ class RunConfig:
     def validate(self) -> None:
         """Cross-check every field against its owning module's constraints
         before any work starts."""
-        for name in COUNT_FIELDS:
+        for name in ("seed", "dataset_size", "k_max", "l1", "l2", "ot_inner_steps",
+                     "disc_inner_steps", "early_stop_window", "bc_steps", "traj_len", "n_eval",
+                     "n_ref", "eval_every", "checkpoint_every"):
             value = getattr(self, name)
-            if not _is_integer(value):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in FLOAT_FIELDS:
+        for name in ("epsilon", "ot_lr", "metric_scale", "lambda_entropy", "delta0", "delta_decay",
+                     "cg_damping", "early_stop_tol", "disc_lr", "bc_lr", "expert_lambda"):
             value = getattr(self, name)
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
                     or not math.isfinite(value)):
@@ -107,7 +101,8 @@ class RunConfig:
             raise ValueError("model_form must be tabular, linear or mlp")
         hidden = self.mlp_hidden
         if (not isinstance(hidden, (tuple, list)) or len(hidden) != 2
-                or not all(_is_integer(h) and h >= 1 for h in hidden)):
+                or not all(isinstance(h, int) and not isinstance(h, bool) and h >= 1
+                           for h in hidden)):
             raise ValueError("mlp_hidden must be two ints >= 1")
         if self.lambda_entropy < 0:
             raise ValueError("lambda_entropy must be >= 0")

@@ -37,27 +37,20 @@ import numpy as np
 TESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests")
 
 
-def record_case(base, overrides: dict, rounds: int, out_dir: str) -> np.ndarray:
-    import wail
-
-    config = dataclasses.replace(base, **{
-        **overrides, "k_max": rounds, "checkpoint_every": 1, "out_dir": out_dir})
-    _, art = wail.run_single(config)
-    paths = sorted(glob.glob(os.path.join(out_dir, "checkpoints", "iter_*_policy.json")))
-    if not paths:
-        return art["policy"].logits[None]
-    return np.stack([wail.load_policy(p).logits for p in paths])
-
-
 def cmd_record(args) -> int:
     sys.path.insert(0, TESTS)
     import test_fingerprint
+    import wail
 
     logits = {}
-    for name in sorted(test_fingerprint.CASES):
-        overrides, _ = test_fingerprint.CASES[name]
+    for name, (overrides, _) in sorted(test_fingerprint.CASES.items()):
         with tempfile.TemporaryDirectory() as tmp:
-            logits[name] = record_case(test_fingerprint.BASE, overrides, args.rounds, tmp)
+            config = dataclasses.replace(test_fingerprint.BASE, **{
+                **overrides, "k_max": args.rounds, "checkpoint_every": 1, "out_dir": tmp})
+            _, art = wail.run_single(config)
+            paths = sorted(glob.glob(os.path.join(tmp, "checkpoints", "iter_*_policy.json")))
+            logits[name] = (np.stack([wail.load_policy(p).logits for p in paths]) if paths
+                            else art["policy"].logits[None])
         print(f"{name}: {logits[name].shape[0]} rounds", flush=True)
     np.savez(args.out, **logits)
     return 0
