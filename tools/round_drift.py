@@ -5,16 +5,16 @@ digests; ROADMAP's equivalence contract instead asks that its per-round
 policy logits stay within 1e-8 of the parent's over the first 50 rounds of
 every case in tests/test_fingerprint.py.  This tool measures that.
 
-    record --out X.npz [--rounds 50]
-        Run every fingerprint case for the given number of rounds with a
-        checkpoint each round, in a temporary directory, and store the
-        per-round policy logits (shape rounds x S x A) under the case's name.
+    record --out X.npz
+        Run every fingerprint case for 50 rounds with a checkpoint each
+        round, in a temporary directory, and store the per-round policy
+        logits (shape rounds x S x A) under the case's name.
         Cases without rounds (behaviour cloning) store their final logits as
         one row.
-    compare A.npz B.npz [--rounds 50] [--tol 1e-8]
+    compare A.npz B.npz
         Print, per case, the largest |logit difference| over all rounds and
-        then the per-round values.  Exit 1 if any of the first `--rounds`
-        rounds exceeds `--tol`, 2 if the files hold different cases or shapes.
+        then the per-round values.  Exit 1 if any of the first 50 rounds
+        exceeds 1e-8, 2 if the files hold different cases or shapes.
 
 Record each side with its own source tree first on the path, e.g.
 
@@ -35,6 +35,8 @@ import tempfile
 import numpy as np
 
 TESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests")
+ROUNDS = 50  # the contract's window, recorded and compared
+TOL = 1e-8   # the contract's largest per-round |logit difference|
 
 
 def cmd_record(args) -> int:
@@ -46,7 +48,7 @@ def cmd_record(args) -> int:
     for name, (overrides, _) in sorted(test_fingerprint.CASES.items()):
         with tempfile.TemporaryDirectory() as tmp:
             config = dataclasses.replace(test_fingerprint.BASE, **{
-                **overrides, "k_max": args.rounds, "checkpoint_every": 1, "out_dir": tmp})
+                **overrides, "k_max": ROUNDS, "checkpoint_every": 1, "out_dir": tmp})
             _, art = wail.run_single(config)
             paths = sorted(glob.glob(os.path.join(tmp, "checkpoints", "iter_*_policy.json")))
             logits[name] = (np.stack([wail.load_policy(p).logits for p in paths]) if paths
@@ -70,10 +72,10 @@ def cmd_compare(args) -> int:
         top = int(per_round.argmax())
         print(f"{name}: max |dlogit| {per_round[top]:.3e} at round {top + 1}")
         print("   " + " ".join(f"{v:.1e}" for v in per_round))
-        worst = max(worst, float(per_round[:args.rounds].max()))
-    verdict = "within" if worst <= args.tol else "exceeds"
-    print(f"largest over the first {args.rounds} rounds: {worst:.3e} ({verdict} {args.tol:g})")
-    return 0 if worst <= args.tol else 1
+        worst = max(worst, float(per_round[:ROUNDS].max()))
+    verdict = "within" if worst <= TOL else "exceeds"
+    print(f"largest over the first {ROUNDS} rounds: {worst:.3e} ({verdict} {TOL:g})")
+    return 0 if worst <= TOL else 1
 
 
 def main(argv=None) -> int:
@@ -81,12 +83,9 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     rec = sub.add_parser("record", help="run the fingerprint cases and store per-round logits")
     rec.add_argument("--out", required=True)
-    rec.add_argument("--rounds", type=int, default=50)
     cmp_ = sub.add_parser("compare", help="largest per-round logit difference of two records")
     cmp_.add_argument("a")
     cmp_.add_argument("b")
-    cmp_.add_argument("--rounds", type=int, default=50)
-    cmp_.add_argument("--tol", type=float, default=1e-8)
     args = parser.parse_args(argv)
     return cmd_record(args) if args.command == "record" else cmd_compare(args)
 
