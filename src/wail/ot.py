@@ -75,14 +75,6 @@ class GroundMetric:
     def n_tgt(self) -> int:
         return self.dist.shape[1]
 
-    @property
-    def src_embed(self) -> np.ndarray:
-        return self.embed[self.src_index]
-
-    @property
-    def tgt_embed(self) -> np.ndarray:
-        return self.embed[self.tgt_index]
-
     @classmethod
     def from_embeddings(cls, embed: np.ndarray, scale: float = 1.0,
                         src_index=None, tgt_index=None) -> "GroundMetric":
@@ -283,14 +275,6 @@ def _objective_and_gradient(r_src, r_tgt, pair, metric, reg, want_grad):
     return value, g_src, g_tgt, clamps
 
 
-def _support_embeds(model: rewards.PotentialModel, metric: GroundMetric):
-    """The metric's source and target embedding rows, gathered once; the
-    tabular form reads only the indices, so it gets none."""
-    if model.form == "tabular":
-        return None, None
-    return metric.src_embed, metric.tgt_embed
-
-
 def reg_dual_objective(r_src, r_tgt, pair: DiscreteMeasurePair,
                        metric: GroundMetric, reg: DualRegularization) -> float:
     """<r, target> - <r, source> plus the product-measure expectation of the
@@ -302,7 +286,8 @@ def model_dual_objective(model: rewards.PotentialModel, pair: DiscreteMeasurePai
                          metric: GroundMetric, reg: DualRegularization) -> tuple[float, int]:
     """reg_dual_objective of the model's potential on the metric's supports,
     and the number of entropic exponents that evaluation clamped."""
-    src_embed, tgt_embed = _support_embeds(model, metric)
+    src_embed = rewards.support_embeds(model, metric.embed, metric.src_index)
+    tgt_embed = rewards.support_embeds(model, metric.embed, metric.tgt_index)
     r_src = rewards.support_values(model, metric.src_index, src_embed)
     r_tgt = rewards.support_values(model, metric.tgt_index, tgt_embed)
     value, _, _, clamps = _objective_and_gradient(r_src, r_tgt, pair, metric, reg, False)
@@ -331,7 +316,8 @@ def reg_ot_fit(pair: DiscreteMeasurePair, metric: GroundMetric, reg: DualRegular
         raise ValueError("lr must be finite and > 0")
     _check_sizes(pair, metric)
     work = model.copy()
-    src_embed, tgt_embed = _support_embeds(work, metric)
+    src_embed = rewards.support_embeds(work, metric.embed, metric.src_index)
+    tgt_embed = rewards.support_embeds(work, metric.embed, metric.tgt_index)
     trace, clamps = [], 0
     for k in range(steps):
         r_src = rewards.support_values(work, metric.src_index, src_embed)

@@ -99,6 +99,16 @@ def _mlp_forward(model: PotentialModel, X: np.ndarray):
     return A2 @ w3 + b3, A1, A2
 
 
+def support_embeds(model: PotentialModel, table: np.ndarray,
+                   indices: np.ndarray) -> np.ndarray | None:
+    """The rows of `table` at `indices` that support_values and
+    accumulate_param_grad read for this model; None for the tabular form,
+    which reads only the indices, so callers can skip the gather."""
+    if model.form == "tabular":
+        return None
+    return table[indices]
+
+
 def support_values(model: PotentialModel, indices: np.ndarray,
                    embeds: np.ndarray | None) -> np.ndarray:
     """Evaluate the model on a batch of support points.
