@@ -22,6 +22,8 @@ from .mdp import (OccupancyMeasure, Rollouts, SoftmaxPolicy, TabularMdp, action_
                   causal_entropy, occupancy_from_policy, sample_trajectories)
 
 GRAD_NORM_FLOOR = 1e-10
+BACKTRACK_COEF = 0.5    # the line search scales the step by this per backtrack,
+MAX_BACKTRACKS = 10     # at most this many times
 
 
 @dataclass(frozen=True)
@@ -93,8 +95,7 @@ def weighted_kl(mdp: TabularMdp, old: SoftmaxPolicy, new: SoftmaxPolicy,
 
 def entropy_reg_policy_gradient(mdp: TabularMdp, policy: SoftmaxPolicy, reward,
                                 lam: float = 0.0, mode: str = "exact",
-                                n_traj: int = 256, max_len: int | None = None,
-                                seed: int = 0,
+                                n_traj: int = 256, seed: int = 0,
                                 occupancy: OccupancyMeasure | None = None) -> PolicyGradientReport:
     """Gradient of <r_hat - lam*log pi_old, rho_theta> at theta = current.
 
@@ -117,7 +118,7 @@ def entropy_reg_policy_gradient(mdp: TabularMdp, policy: SoftmaxPolicy, reward,
         grad = rho.state_marginal()[:, None] * pi * (Q - V[:, None])
         value = float((rho.rho * cost).sum())
     elif mode == "sampled":
-        batch = sample_trajectories(mdp, policy, n_traj, max_len=max_len, seed=seed)
+        batch = sample_trajectories(mdp, policy, n_traj, seed=seed)
         grad, total = _score_function_sums(batch, cost, pi)
         grad *= (1.0 - mdp.gamma) / len(batch)
         value = (1.0 - mdp.gamma) * total / len(batch)
@@ -179,8 +180,7 @@ def _natural_direction(d: np.ndarray, pi: np.ndarray, g: np.ndarray,
 
 def kl_constrained_step(mdp: TabularMdp, policy: SoftmaxPolicy,
                         report: PolicyGradientReport, delta: float,
-                        damping: float = 1e-3,
-                        backtrack_coef: float = 0.5, max_backtracks: int = 10) -> SoftmaxPolicy:
+                        damping: float = 1e-3) -> SoftmaxPolicy:
     """One trust-region update: natural-gradient direction scaled to the KL
     budget, then backtracking until the measured occupancy-weighted
     KL(new || old) is within delta and the surrogate has not decreased.
@@ -204,8 +204,8 @@ def kl_constrained_step(mdp: TabularMdp, policy: SoftmaxPolicy,
     beta = math.sqrt(2.0 * delta / quad)
     old_value = report.surrogate_value
     step = v.reshape(pi.shape)
-    for t in range(max_backtracks + 1):
-        candidate = SoftmaxPolicy(policy.logits + (beta * backtrack_coef ** t) * step)
+    for t in range(MAX_BACKTRACKS + 1):
+        candidate = SoftmaxPolicy(policy.logits + (beta * BACKTRACK_COEF ** t) * step)
         kl = weighted_kl(mdp, policy, candidate, occupancy=occupancy)
         if kl > delta:
             continue
