@@ -13,12 +13,14 @@ import wail
 rng = np.random.default_rng(0)
 
 # A random 6-state, 3-action MDP with a strictly positive start distribution.
+# TabularMdp keeps P only as its nonzero (row s * A + a, next state, prob)
+# entries; entries_from_dense reads them off a dense P[s, a, s'].
 S, A, gamma = 6, 3, 0.9
 P = rng.dirichlet(np.ones(S), size=(S, A))
 mu0 = rng.dirichlet(np.ones(S)) + 0.05
 mu0 /= mu0.sum()
-mdp = wail.TabularMdp(P, mu0, gamma, state_embed=rng.normal(size=(S, 2)),
-                      action_embed=np.eye(A))
+mdp = wail.TabularMdp(wail.entries_from_dense(P), mu0, gamma,
+                      state_embed=rng.normal(size=(S, 2)), action_embed=np.eye(A))
 
 policy = wail.SoftmaxPolicy(rng.normal(size=(S, A)))
 rho = wail.occupancy_from_policy(mdp, policy)

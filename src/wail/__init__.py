@@ -21,7 +21,7 @@ from .experiments import (derived_seeds, load_summary, run_experiment_grid, run_
                           save_summary, train_algorithm)
 from .mdp import (LOGIT_GAP, OccupancyMeasure, Rollouts, SoftmaxPolicy, TabularMdp,
                   bellman_flow_residual, causal_entropy, default_max_len,
-                  expected_reward, load_mdp, load_policy, load_trajectories,
+                  entries_from_dense, expected_reward, load_mdp, load_policy, load_trajectories,
                   mdp_from_json, mdp_to_json, occupancy_from_policy,
                   policy_from_occupancy, save_mdp, save_policy, save_trajectories,
                   sample_trajectories, soft_value_iteration, state_action_embeddings)

@@ -20,20 +20,23 @@ from .mdp import (Rollouts, SoftmaxPolicy, TabularMdp, default_max_len,
 _GRID_MOVES = np.array([(-1, 0), (1, 0), (0, -1), (0, 1)])   # up, down, left, right
 
 
-def _one_hot(n: int) -> np.ndarray:
-    return np.eye(n)
-
-
 def _grid_coords(n_rows: int, n_cols: int) -> np.ndarray:
     rr, cc = np.divmod(np.arange(n_rows * n_cols), n_cols)
     return np.stack([rr / max(n_rows - 1, 1), cc / max(n_cols - 1, 1)], axis=1)
 
 
-def _grid_step(r, c, move, n_rows, n_cols):
-    nr, nc = r + move[0], c + move[1]
-    if 0 <= nr < n_rows and 0 <= nc < n_cols:
-        return nr, nc
-    return r, c
+def _grid_targets(n_rows: int, n_cols: int) -> np.ndarray:
+    """(cells, 4) cell each move reaches from each cell; walls bounce back."""
+    cell = np.arange(n_rows * n_cols)
+    r, c = np.divmod(cell, n_cols)
+    nr, nc = r[:, None] + _GRID_MOVES[:, 0], c[:, None] + _GRID_MOVES[:, 1]
+    inside = (0 <= nr) & (nr < n_rows) & (0 <= nc) & (nc < n_cols)
+    return np.where(inside, nr * n_cols + nc, cell[:, None])
+
+
+def _deterministic(target: np.ndarray) -> tuple:
+    """Transition entries moving each state-action row to target[s, a]."""
+    return np.arange(target.size), target.ravel(), np.ones(target.size)
 
 
 def make_gridworld(n: int = 5, goal: int | None = None, step_cost: float = 0.0,
@@ -51,23 +54,16 @@ def make_gridworld(n: int = 5, goal: int | None = None, step_cost: float = 0.0,
     goal = S - 1 if goal is None else int(goal)
     if not 0 <= goal < S:
         raise ValueError(f"goal must be a state index < {S}")
-    P = np.zeros((S, A, S))
-    for s in range(S):
-        r, c = divmod(s, n)
-        for a in range(A):
-            if s == goal:
-                P[s, a, s] = 1.0
-                continue
-            for b in range(A):
-                p = (1.0 - slip) if b == a else slip / 3.0
-                if p == 0.0:
-                    continue
-                nr, nc = _grid_step(r, c, _GRID_MOVES[b], n, n)
-                P[s, a, nr * n + nc] += p
+    # one entry per (s, a, move b), in that order: the constructor sums the
+    # moves that land on the same cell in order of b, zeros included
+    target = np.repeat(_grid_targets(n, n)[:, None, :], A, axis=1)
+    prob = np.tile(np.where(np.eye(A, dtype=bool), 1.0 - slip, slip / 3.0), (S, 1, 1))
+    target[goal], prob[goal] = goal, [1.0, 0.0, 0.0, 0.0]
     R = np.full((S, A), step_cost)
     R[goal, :] = goal_reward
-    return TabularMdp(transition=P, start=np.full(S, 1.0 / S), gamma=gamma,
-                      state_embed=_grid_coords(n, n), action_embed=_one_hot(A),
+    return TabularMdp(transition=(np.repeat(np.arange(S * A), A), target.ravel(), prob.ravel()),
+                      start=np.full(S, 1.0 / S), gamma=gamma,
+                      state_embed=_grid_coords(n, n), action_embed=np.eye(A),
                       true_reward=R)
 
 
@@ -77,19 +73,16 @@ def make_chain(n: int = 8, gamma: float = 0.9) -> TabularMdp:
     if n < 2:
         raise ValueError("n must be >= 2")
     S, A = n, 2
-    P = np.zeros((S, A, S))
-    for s in range(S - 1):
-        P[s, 0, max(s - 1, 0)] = 1.0
-        P[s, 1, s + 1] = 1.0
-    P[S - 1, :, S - 1] = 1.0
+    target = np.stack([np.maximum(np.arange(S) - 1, 0), np.arange(S) + 1], axis=1)
+    target[S - 1] = S - 1
     R = np.zeros((S, A))
     R[S - 1, :] = 1.0
     eps = 1e-6
     mu0 = np.full(S, eps)
     mu0[0] = 1.0 - eps * (S - 1)
     pos = (np.arange(S) / (S - 1))[:, None]
-    return TabularMdp(transition=P, start=mu0, gamma=gamma,
-                      state_embed=pos, action_embed=_one_hot(A), true_reward=R)
+    return TabularMdp(transition=_deterministic(target), start=mu0, gamma=gamma,
+                      state_embed=pos, action_embed=np.eye(A), true_reward=R)
 
 
 def make_cliff(n_x: int = 6, n_y: int = 3, gamma: float = 0.95) -> TabularMdp:
@@ -100,35 +93,24 @@ def make_cliff(n_x: int = 6, n_y: int = 3, gamma: float = 0.95) -> TabularMdp:
     goal pays +1 once, then the episode ends in the terminal state."""
     if n_x < 3 or n_y < 2:
         raise ValueError("need n_x >= 3 and n_y >= 2")
-    S = n_x * n_y + 1
-    A = 4
+    S, A = n_x * n_y + 1, 4
     term = S - 1
     start_cell = (n_y - 1) * n_x
     goal_cell = n_y * n_x - 1
-    cliff = set(range(start_cell + 1, goal_cell))
-    P = np.zeros((S, A, S))
+    cliff = np.arange(start_cell + 1, goal_cell)
+    target = np.vstack([_grid_targets(n_y, n_x), np.full((1, A), term)])
+    target[goal_cell] = term
+    target[cliff] = start_cell
     R = np.full((S, A), -0.01)
-    for s in range(n_x * n_y):
-        r, c = divmod(s, n_x)
-        for a in range(A):
-            if s == goal_cell:
-                P[s, a, term] = 1.0
-                R[s, a] = 1.0
-                continue
-            if s in cliff:
-                P[s, a, start_cell] = 1.0
-                R[s, a] = -1.0
-                continue
-            nr, nc = _grid_step(r, c, _GRID_MOVES[a], n_y, n_x)
-            P[s, a, nr * n_x + nc] = 1.0
-    P[term, :, term] = 1.0
-    R[term, :] = 0.0
+    R[goal_cell] = 1.0
+    R[cliff] = -1.0
+    R[term] = 0.0
     eps = 1e-6
     mu0 = np.full(S, eps)
     mu0[start_cell] = 1.0 - eps * (S - 1)
     coords = np.vstack([_grid_coords(n_y, n_x), [[1.25, 1.25]]])   # terminal sits off-grid
-    return TabularMdp(transition=P, start=mu0, gamma=gamma,
-                      state_embed=coords, action_embed=_one_hot(A), true_reward=R)
+    return TabularMdp(transition=_deterministic(target), start=mu0, gamma=gamma,
+                      state_embed=coords, action_embed=np.eye(A), true_reward=R)
 
 
 def make_mountain_car(n_pos: int = 12, n_vel: int = 9, gamma: float = 0.99,
@@ -142,32 +124,24 @@ def make_mountain_car(n_pos: int = 12, n_vel: int = 9, gamma: float = 0.99,
         raise ValueError("need n_pos >= 2 and n_vel >= 2")
     pos = np.linspace(-1.2, 0.6, n_pos)
     vel = np.linspace(-0.07, 0.07, n_vel)
-    S = n_pos * n_vel + 1
-    A = 3
+    S, A = n_pos * n_vel + 1, 3
     term = S - 1
-    P = np.zeros((S, A, S))
+    target = np.full((S, A), term)
     R = np.full((S, A), -0.01)
     for i in range(n_pos):
         for j in range(n_vel):
             s = i * n_vel + j
             for a in range(A):
                 p, v = pos[i], vel[j]
-                done = False
                 for _ in range(substeps):
                     v = np.clip(v + 0.001 * (a - 1) - 0.0025 * np.cos(3 * p), -0.07, 0.07)
                     p = np.clip(p + v, -1.2, 0.6)
                     if p <= -1.2:
                         v = 0.0   # left wall stops the car
                     if p >= 0.5:
-                        done = True
-                        break
-                if done:
-                    P[s, a, term] = 1.0
-                    continue
-                i2 = int(np.abs(pos - p).argmin())
-                j2 = int(np.abs(vel - v).argmin())
-                P[s, a, i2 * n_vel + j2] = 1.0
-    P[term, :, term] = 1.0
+                        break     # crossed the goal: the target stays term
+                else:
+                    target[s, a] = np.abs(pos - p).argmin() * n_vel + np.abs(vel - v).argmin()
     R[term, :] = 0.0
     start_cell = int(np.abs(pos + 0.5).argmin()) * n_vel + int(np.abs(vel).argmin())
     eps = 1e-7
@@ -177,8 +151,8 @@ def make_mountain_car(n_pos: int = 12, n_vel: int = 9, gamma: float = 0.99,
     vn = (vel - vel.min()) / (vel.max() - vel.min())
     coords = np.array([[pn[i], vn[j]] for i in range(n_pos) for j in range(n_vel)]
                       + [[1.2, 0.5]])   # terminal sits just past the goal edge
-    return TabularMdp(transition=P, start=mu0, gamma=gamma,
-                      state_embed=coords, action_embed=_one_hot(A), true_reward=R)
+    return TabularMdp(transition=_deterministic(target), start=mu0, gamma=gamma,
+                      state_embed=coords, action_embed=np.eye(A), true_reward=R)
 
 
 _BUILDERS = {
@@ -208,6 +182,7 @@ def rollout_fixed(mdp: TabularMdp, policy: SoftmaxPolicy, n: int, length: int,
     the way demonstrations are collected, as one Rollouts batch.  Row i of
     one (n, 1 + 2 * length) uniform block drives rollout i: its start, then
     per step its action and its next state (the last of which goes unused)."""
+    mdp.check_policy(policy)
     u = np.random.default_rng(seed).random((n, 1 + 2 * length))
     pi_cdf = policy.action_cdf()
     states = np.empty((n, length), dtype=np.int64)
@@ -252,6 +227,7 @@ def episode_returns(mdp: TabularMdp, policy: SoftmaxPolicy, n: int,
     the variance far below that of geometric-restart episodes."""
     if mdp.true_reward is None:
         raise ValueError("evaluation needs an MDP with a true reward")
+    mdp.check_policy(policy)
     horizon = default_max_len(mdp.gamma)
     rng = np.random.default_rng(seed)
     pi_cdf = policy.action_cdf()

@@ -1,7 +1,8 @@
 """Exact machinery for discounted tabular MDPs.
 
-Every exact oracle and every sampler reads the transition model's stored
-nonzero rows (see TabularMdp); the dense tensor serves validation and I/O.
+The transition model P exists only as its nonzero entries, validated and
+stored as rows over the S*A state-action pairs (see TabularMdp); every
+exact oracle, every sampler and the JSON format read those entries.
 Occupancy measures are solved from the Bellman flow linear system and
 policy values from its transpose, policies and occupancies convert back and
 forth (a bijection on their supports), causal entropy and expected rewards
@@ -57,12 +58,32 @@ class _TransitionRows:
     draw_col: np.ndarray    # (S*A, K+2) [0, next states..., S-1 padding]
 
     @classmethod
-    def from_dense(cls, P: np.ndarray) -> "_TransitionRows":
-        S, A, _ = P.shape
-        flat = P.reshape(S * A, S)
-        row, col = np.nonzero(flat)
-        prob = flat[row, col]
+    def from_entries(cls, entries, S: int, A: int) -> "_TransitionRows":
+        """Validate (row, col, prob) entries of P over the S*A flat rows and
+        keep them merged and sorted: repeated (row, col) pairs summed in input
+        order and zero sums dropped, as np.nonzero reads a dense tensor."""
+        if isinstance(entries, np.ndarray) or len(entries) != 3:
+            raise ValueError("transition must be (row, col, prob) entries, not a dense "
+                             "(S, A, S) array; entries_from_dense converts one")
+        row, col, prob = (np.asarray(x) for x in entries)
+        if row.ndim != 1 or not row.shape == col.shape == prob.shape:
+            raise ValueError("transition entries must be three 1-D arrays of one length")
+        if not (np.issubdtype(row.dtype, np.integer) and np.issubdtype(col.dtype, np.integer)):
+            raise ValueError("transition rows and next states must be integers")
+        if not np.all(np.isfinite(prob) & (prob >= 0)):
+            raise ValueError("transition probabilities must be finite and non-negative")
+        if np.any((row < 0) | (row >= S * A) | (col < 0) | (col >= S)):
+            raise ValueError(f"transition rows must lie in [0, {S * A}), next states in [0, {S})")
+        key, inverse = np.unique(row.astype(np.int64) * S + col, return_inverse=True)
+        prob = np.bincount(inverse, weights=prob, minlength=key.size)
+        row, col = np.divmod(key[prob != 0.0], S)
+        prob = prob[prob != 0.0]
         counts = np.bincount(row, minlength=S * A)
+        if counts.min() == 0:
+            raise ValueError(f"state-action row {counts.argmin()} has no transition entries")
+        row_err = np.abs(np.bincount(row, weights=prob, minlength=S * A) - 1.0).max()
+        if row_err > ROW_SUM_TOL:
+            raise ValueError(f"transition rows must sum to 1 (max error {row_err:.3e})")
         pos = 1 + np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
         # Sequential running sums, bit-equal to a dense cumsum over s' at the
         # nonzero columns (adding the zeros between them changes no bit).
@@ -75,24 +96,34 @@ class _TransitionRows:
         draw_col = np.full(draw_cum.shape, S - 1, dtype=np.int64)
         draw_col[:, 0] = 0
         draw_col[row, pos] = col
+        for arr in (row, col, prob):
+            arr.setflags(write=False)
         return cls(row=row, col=col, prob=prob, draw_cum=draw_cum.cumsum(axis=1),
                    draw_col=draw_col)
 
 
+def entries_from_dense(P) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, col, prob) entries of the nonzeros of a dense P[s, a, s'], with
+    flat row s * A + a: the form TabularMdp's transition takes."""
+    flat = np.asarray(P, dtype=np.float64).reshape(-1, np.shape(P)[-1])
+    row, col = np.nonzero(flat)
+    return row, col, flat[row, col]
+
+
 @dataclass(frozen=True)
 class TabularMdp:
-    """Finite MDP with transition tensor P[s, a, s'], start distribution,
-    discount in (0, 1), state/action embeddings and an optional true reward
-    used only for evaluation.
+    """Finite MDP with transition model P, start distribution, discount in
+    (0, 1), state/action embeddings and an optional true reward used only for
+    evaluation.  S comes from `start` and A from `action_embed`.
 
-    Construction also stores P's nonzeros once, as flat arrays over the S*A
-    rows with per-row cumulative sums; every exact oracle and sampler reads
-    those rows, never the dense tensor.  The two flow systems
-    (occupancy and policy evaluation) are assembled from the rows and solved
-    by dense LAPACK when n_states <= DENSE_SOLVE_MAX_STATES, otherwise by a
-    sparse LU."""
+    P is given and kept only as its nonzero entries: `transition` is
+    (row, col, prob) with flat row s * A + a and prob = P[s, a, col], checked
+    and stored merged and sorted (see _TransitionRows.from_entries).  Every
+    exact oracle and sampler reads these rows; the flow systems built from
+    them are solved by dense LAPACK up to DENSE_SOLVE_MAX_STATES states,
+    above that by a sparse LU."""
 
-    transition: np.ndarray          # (S, A, S)
+    transition: tuple               # (row, col, prob), each (nnz,)
     start: np.ndarray               # (S,)
     gamma: float
     state_embed: np.ndarray         # (S, d_s)
@@ -101,43 +132,34 @@ class TabularMdp:
     _rows: _TransitionRows = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        P = np.asarray(self.transition, dtype=np.float64)
-        if P.ndim != 3 or P.shape[0] != P.shape[2]:
-            raise ValueError(f"transition must be (S, A, S), got {P.shape}")
-        S, A, _ = P.shape
-        if np.any(P < 0):
-            raise ValueError("transition probabilities must be non-negative")
-        row_err = np.abs(P.sum(axis=2) - 1.0).max()
-        if row_err > ROW_SUM_TOL:
-            raise ValueError(f"transition rows must sum to 1 (max error {row_err:.3e})")
-        mu0 = np.asarray(self.start, dtype=np.float64)
-        if mu0.shape != (S,):
-            raise ValueError(f"start must have shape ({S},), got {mu0.shape}")
+        mu0, se, ae = (np.asarray(x, dtype=np.float64)
+                       for x in (self.start, self.state_embed, self.action_embed))
+        # NaN fails every comparison below without raising
+        for name, arr in (("start", mu0), ("state_embed", se), ("action_embed", ae)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
+        if mu0.ndim != 1:
+            raise ValueError(f"start must be (S,), got {mu0.shape}")
         if np.any(mu0 <= 0):
             raise ValueError("start distribution must be strictly positive everywhere")
         if abs(mu0.sum() - 1.0) > ROW_SUM_TOL:
             raise ValueError("start distribution must sum to 1")
         if not (0.0 < self.gamma < 1.0):
             raise ValueError(f"gamma must lie strictly inside (0, 1), got {self.gamma}")
-        se = np.asarray(self.state_embed, dtype=np.float64)
-        ae = np.asarray(self.action_embed, dtype=np.float64)
+        S = mu0.size
         if se.ndim != 2 or se.shape[0] != S:
             raise ValueError(f"state_embed must be (S, d_s), got {se.shape}")
-        if ae.ndim != 2 or ae.shape[0] != A:
+        if ae.ndim != 2 or ae.shape[0] < 1:
             raise ValueError(f"action_embed must be (A, d_a), got {ae.shape}")
-        # NaN fails every comparison above without raising
-        for name, arr in (("transition", P), ("start", mu0), ("state_embed", se),
-                          ("action_embed", ae)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
-        object.__setattr__(self, "transition", _freeze(P))
-        object.__setattr__(self, "_rows", _TransitionRows.from_dense(P))
+        rows = _TransitionRows.from_entries(self.transition, S, ae.shape[0])
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "transition", (rows.row, rows.col, rows.prob))
         object.__setattr__(self, "start", _freeze(mu0))
         object.__setattr__(self, "state_embed", _freeze(se))
         object.__setattr__(self, "action_embed", _freeze(ae))
         if self.true_reward is not None:
             R = np.asarray(self.true_reward, dtype=np.float64)
-            if R.shape != (S, A):
+            if R.shape != (S, ae.shape[0]):
                 raise ValueError(f"true_reward must be (S, A), got {R.shape}")
             if not np.all(np.isfinite(R)):
                 raise ValueError("true_reward must be finite")
@@ -145,11 +167,16 @@ class TabularMdp:
 
     @property
     def n_states(self) -> int:
-        return self.transition.shape[0]
+        return self.start.shape[0]
 
     @property
     def n_actions(self) -> int:
-        return self.transition.shape[1]
+        return self.action_embed.shape[0]
+
+    def check_policy(self, policy: "SoftmaxPolicy") -> None:
+        if policy.n_states != self.n_states or policy.n_actions != self.n_actions:
+            raise ValueError(f"policy shape ({policy.n_states}, {policy.n_actions}) does not "
+                             f"match MDP ({self.n_states}, {self.n_actions})")
 
 
 @dataclass(frozen=True)
@@ -319,8 +346,7 @@ def occupancy_from_policy(mdp: TabularMdp, policy: SoftmaxPolicy) -> OccupancyMe
     so d = (I - gamma P_pi^T)^{-1} (1-gamma) mu0, which is nonsingular for
     gamma < 1.
     """
-    if policy.n_states != mdp.n_states or policy.n_actions != mdp.n_actions:
-        raise ValueError("policy shape does not match MDP")
+    mdp.check_policy(policy)
     d = _solve_flow(mdp, policy, (1.0 - mdp.gamma) * mdp.start, transpose=True)
     if d.min() < -1e-12:
         raise ArithmeticError(f"flow solve produced negative visitation {d.min():.3e}")
@@ -338,8 +364,7 @@ def action_values(mdp: TabularMdp, policy: SoftmaxPolicy,
     """Exact policy evaluation of a per-step payoff: V solves
     (I - gamma P_pi) V = sum_a pi(a|.) cost(., a), and
     Q(s, a) = cost(s, a) + gamma sum_s' P[s, a, s'] V(s').  Returns (Q, V)."""
-    if policy.n_states != mdp.n_states or policy.n_actions != mdp.n_actions:
-        raise ValueError("policy shape does not match MDP")
+    mdp.check_policy(policy)
     V = _solve_flow(mdp, policy, (policy.probs * cost).sum(axis=1), transpose=False)
     return cost + mdp.gamma * _next_expectation(mdp, V), V
 
@@ -430,9 +455,10 @@ def sample_trajectories(mdp: TabularMdp, policy: SoftmaxPolicy, n: int,
     per live episode, one stop uniform per live episode and one next-state
     uniform per continuing episode, in that order.  Draws read the policy's
     action_cdf, the start distribution's running sums and the stored
-    transition rows (as next_states does), never a dense P row."""
+    transition rows, as next_states does."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    mdp.check_policy(policy)
     if max_len is None:
         max_len = default_max_len(mdp.gamma)
     if max_len < 1:
@@ -528,10 +554,9 @@ def state_action_embeddings(mdp: TabularMdp) -> np.ndarray:
 # Serialization
 
 def mdp_to_json(mdp: TabularMdp) -> dict:
+    row, col, prob = mdp.transition
     doc = {
-        "n_states": mdp.n_states,
-        "n_actions": mdp.n_actions,
-        "transition": mdp.transition.tolist(),
+        "transition": {"row": row.tolist(), "col": col.tolist(), "prob": prob.tolist()},
         "start": mdp.start.tolist(),
         "gamma": mdp.gamma,
         "state_embed": mdp.state_embed.tolist(),
@@ -543,11 +568,11 @@ def mdp_to_json(mdp: TabularMdp) -> dict:
 
 
 def mdp_from_json(doc: dict) -> TabularMdp:
-    P = np.asarray(doc["transition"], dtype=np.float64)
-    if P.shape[0] != doc["n_states"] or P.shape[1] != doc["n_actions"]:
-        raise ValueError("n_states/n_actions disagree with transition shape")
+    entries = doc["transition"]
+    if not isinstance(entries, dict):
+        raise ValueError("transition must be {row, col, prob} entries, not a dense array")
     return TabularMdp(
-        transition=P,
+        transition=(entries["row"], entries["col"], entries["prob"]),
         start=np.asarray(doc["start"], dtype=np.float64),
         gamma=float(doc["gamma"]),
         state_embed=np.asarray(doc["state_embed"], dtype=np.float64),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wail import TabularMdp
+from wail import TabularMdp, entries_from_dense
 
 
 def random_mdp(n_states, n_actions, gamma, seed, with_reward=False):
@@ -10,7 +10,7 @@ def random_mdp(n_states, n_actions, gamma, seed, with_reward=False):
     mu0 = rng.dirichlet(np.ones(n_states)) + 0.05
     mu0 /= mu0.sum()
     return TabularMdp(
-        transition=P, start=mu0, gamma=gamma,
+        transition=entries_from_dense(P), start=mu0, gamma=gamma,
         state_embed=rng.normal(size=(n_states, 2)),
         action_embed=np.eye(n_actions),
         true_reward=rng.normal(size=(n_states, n_actions)) if with_reward else None,
@@ -19,12 +19,19 @@ def random_mdp(n_states, n_actions, gamma, seed, with_reward=False):
 
 def two_state_chain(gamma=0.5):
     """Deterministic 0 -> 1 -> 1 with start mass (almost) all on state 0."""
-    P = np.zeros((2, 1, 2))
-    P[0, 0, 1] = 1.0
-    P[1, 0, 1] = 1.0
     eps = 1e-12
-    return TabularMdp(transition=P, start=[1.0 - eps, eps], gamma=gamma,
-                      state_embed=[[0.0], [1.0]], action_embed=[[1.0]])
+    return TabularMdp(transition=([0, 1], [1, 1], [1.0, 1.0]), start=[1.0 - eps, eps],
+                      gamma=gamma, state_embed=[[0.0], [1.0]], action_embed=[[1.0]])
+
+
+def dense_transition(mdp):
+    """The (S, A, S) tensor P[s, a, s'] of an MDP's stored transition entries,
+    for tests that hold the oracles to dense reference formulas."""
+    S, A = mdp.n_states, mdp.n_actions
+    row, col, prob = mdp.transition
+    P = np.zeros((S * A, S))
+    P[row, col] = prob
+    return P.reshape(S, A, S)
 
 
 @pytest.fixture

@@ -22,7 +22,7 @@ from wail.rewards import accumulate_param_grad, create_model, support_values
 from wail.trust_region import (entropy_reg_policy_gradient, kl_constrained_step,
                                surrogate_value, weighted_kl)
 
-from conftest import random_mdp
+from conftest import dense_transition, random_mdp
 
 GRID_ENV = {"name": "gridworld", "n": 5}
 
@@ -234,7 +234,7 @@ def test_criterion_4_bellman_flow_and_bijection(rng):
         n_chains, steps = 40, 25_000
         counts = np.zeros((n_chains, S, A))
         pi_cum = pol.probs.cumsum(axis=1)
-        P_cum = mdp.transition.cumsum(axis=2)
+        P_cum = dense_transition(mdp).cumsum(axis=2)
         mu_cum = mdp.start.cumsum()
         s = np.searchsorted(mu_cum, sim_rng.random(n_chains))
         for _ in range(steps):

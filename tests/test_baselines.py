@@ -152,10 +152,8 @@ class TestTrainGail:
 
     def test_imitates_single_action_expert(self):
         rng = np.random.default_rng(0)
-        P = np.zeros((2, 2, 2))
-        P[0, 0, 0] = P[0, 1, 1] = 1.0
-        P[1, 0, 0] = P[1, 1, 1] = 1.0
-        mdp = wail.TabularMdp(P, [0.6, 0.4], 0.9, rng.normal(size=(2, 2)), np.eye(2))
+        to_action = ([0, 1, 2, 3], [0, 1, 0, 1], np.ones(4))   # action a moves to state a
+        mdp = wail.TabularMdp(to_action, [0.6, 0.4], 0.9, rng.normal(size=(2, 2)), np.eye(2))
         demos = wail.rollout_fixed(mdp, SoftmaxPolicy.deterministic([0, 0], 2), 5, 20, seed=2)
         policy, _, _ = train_gail(mdp, demos, RunConfig(k_max=300, seed=0))
         assert policy.probs[0, 0] >= 0.9 and policy.probs[1, 0] >= 0.9

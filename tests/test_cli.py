@@ -149,6 +149,16 @@ class TestEvalAndSurface:
         doc = json.loads((tmp_path / "ev" / "eval.json").read_text())
         assert {"mean", "std", "scaled", "expert_ref", "random_ref"} <= set(doc)
 
+    @pytest.mark.parametrize("shape", [(4, 4), (16, 4), (9, 3)])
+    def test_eval_rejects_policy_of_another_shape(self, config_file, tmp_path, capsys, shape):
+        # on the 9-state, 4-action grid a smaller policy used to crash with
+        # IndexError and a larger or 3-action one was silently scored
+        path = tmp_path / "policy.json"
+        wail.save_policy(path, wail.SoftmaxPolicy.uniform(*shape))
+        rc = main(["eval", "--config", config_file, "--policy", str(path)])
+        assert rc == 1
+        assert "validation error" in capsys.readouterr().err
+
     def test_eval_reproduces_train_result(self, config_file, tmp_path, capsys):
         # eval seeds references and evaluation the way run_single does
         out = tmp_path / "w"

@@ -11,33 +11,35 @@ from wail import (RunConfig, SoftmaxPolicy, build_environment, evaluate,
 from wail.analysis import PcaPlane, default_bounds, load_surface, save_surface
 from wail.experiments import derived_seeds, load_summary, save_summary
 
+from conftest import dense_transition
+
 
 class TestEnvironments:
     def test_degenerate_one_by_one_gridworld(self):
         mdp = build_environment({"name": "gridworld", "n": 1})
         assert mdp.n_states == 1
-        assert np.abs(mdp.transition.sum(axis=2) - 1).max() < 1e-12
+        assert np.abs(dense_transition(mdp).sum(axis=2) - 1).max() < 1e-12
 
     def test_slip_zero_deterministic_rows(self):
         mdp = build_environment({"name": "gridworld", "n": 5, "slip": 0.0})
-        one_hot_rows = (mdp.transition == 1.0).sum(axis=2)
+        one_hot_rows = (dense_transition(mdp) == 1.0).sum(axis=2)
         assert np.all(one_hot_rows == 1)
 
     def test_slip_rows_normalized(self):
         mdp = build_environment({"name": "gridworld", "n": 5, "slip": 0.1})
-        assert np.abs(mdp.transition.sum(axis=2) - 1).max() < 1e-12
+        assert np.abs(dense_transition(mdp).sum(axis=2) - 1).max() < 1e-12
 
     def test_goal_absorbing(self):
         mdp = build_environment({"name": "gridworld", "n": 4})
         goal = 15
-        assert np.all(mdp.transition[goal, :, goal] == 1.0)
+        assert np.all(dense_transition(mdp)[goal, :, goal] == 1.0)
         assert np.all(mdp.true_reward[goal] == 1.0)
 
     def test_chain_cliff_mountain_car_valid(self):
         for spec in ({"name": "chain", "n": 6}, {"name": "cliff"},
                      {"name": "mountain_car", "n_pos": 8, "n_vel": 7}):
             mdp = build_environment(spec)
-            assert np.abs(mdp.transition.sum(axis=2) - 1).max() < 1e-10
+            assert np.abs(dense_transition(mdp).sum(axis=2) - 1).max() < 1e-10
             assert np.all(mdp.start > 0)
             assert mdp.true_reward is not None
 
@@ -114,7 +116,8 @@ class TestEvaluate:
         # seven equal start masses have a running sum that ends below
         # 1 - 2**-53, so that uniform falls past the last entry
         S, A, gamma = 7, 2, 0.9
-        mdp = wail.TabularMdp(np.full((S, A, S), 1.0 / S), np.full(S, 1.0 / S), gamma,
+        mdp = wail.TabularMdp(wail.entries_from_dense(np.full((S, A, S), 1.0 / S)),
+                              np.full(S, 1.0 / S), gamma,
                               np.eye(S), np.eye(A),
                               true_reward=np.arange(S * A, dtype=float).reshape(S, A))
         top = 1.0 - 2.0 ** -53

@@ -10,7 +10,7 @@ from wail import (OccupancyMeasure, SoftmaxPolicy, TabularMdp,
                   occupancy_from_policy, policy_from_occupancy,
                   sample_trajectories, soft_value_iteration)
 
-from conftest import random_mdp, two_state_chain
+from conftest import dense_transition, random_mdp, two_state_chain
 
 
 def pooled_frequencies(trajs, n_states, n_actions):
@@ -19,25 +19,59 @@ def pooled_frequencies(trajs, n_states, n_actions):
     return counts / counts.sum()
 
 
+# 0 -> 1 -> 1 over two states and one action, as (row, col, prob) entries
+TO_ONE = ([0, 1], [1, 1], [1.0, 1.0])
+
+
+def two_state(transition=TO_ONE, start=(0.5, 0.5), gamma=0.9):
+    return TabularMdp(transition, start, gamma, [[0.0], [1.0]], [[1.0]])
+
+
 class TestValidation:
     def test_bad_transition_rows_rejected(self):
-        P = np.zeros((2, 1, 2))
-        P[0, 0, 0] = 0.5   # row sums to 0.5
-        P[1, 0, 1] = 1.0
-        with pytest.raises(ValueError):
-            TabularMdp(P, [0.5, 0.5], 0.9, [[0.0], [1.0]], [[1.0]])
+        with pytest.raises(ValueError, match="sum to 1"):
+            two_state(([0, 1], [0, 1], [0.5, 1.0]))   # row 0 sums to 0.5
 
-    def test_start_must_be_strictly_positive(self):
+    @pytest.mark.parametrize("entries,message", [
+        (([0, 2], [1, 1], [1.0, 1.0]), "must lie in"),          # row past S * A
+        (([0, 1], [1, 2], [1.0, 1.0]), "must lie in"),          # next state past S
+        (([0, -1], [1, 1], [1.0, 1.0]), "must lie in"),
+        (([0, 1], [1, -1], [1.0, 1.0]), "must lie in"),
+        (([0, 0], [0, 1], [0.5, 0.5]), "row 1 has no"),         # row 1 missing
+        (([0, 1, 1], [1, 0, 1], [1.0, 0.0, 0.0]), "row 1 has no"),   # only zeros
+        (([0, 1, 1], [1, 0, 1], [1.0, -0.5, 1.5]), "non-negative"),
+        (([0, 1], [1, 1], [1.0]), "1-D arrays of one length"),
+        (([0.0, 1.0], [1, 1], [1.0, 1.0]), "integers"),
+        ((np.array([0, 1]), np.array([1, 1])), "not a dense"),
+    ])
+    def test_bad_entries_rejected(self, entries, message):
+        with pytest.raises(ValueError, match=message):
+            two_state(entries)
+
+    def test_dense_array_rejected(self):
         P = np.zeros((2, 1, 2))
         P[:, 0, 1] = 1.0
+        with pytest.raises(ValueError, match="not a dense"):
+            two_state(P)
+        assert two_state(wail.entries_from_dense(P)).transition[1].tolist() == [1, 1]
+
+    def test_repeated_entries_summed_in_order_and_sorted(self):
+        # 0.1 + 0.2 + 0.7 in input order; the other order rounds differently
+        mdp = two_state(([1, 0, 0, 1, 0], [1, 1, 1, 0, 1], [0.5, 0.1, 0.2, 0.5, 0.7]))
+        row, col, prob = mdp.transition
+        assert row.tolist() == [0, 1, 1] and col.tolist() == [1, 0, 1]
+        assert prob.tolist() == [0.1 + 0.2 + 0.7, 0.5, 0.5]
+        assert 0.1 + 0.2 + 0.7 != 0.7 + 0.2 + 0.1
+        assert not prob.flags.writeable
+
+    def test_start_must_be_strictly_positive(self):
         with pytest.raises(ValueError):
-            TabularMdp(P, [1.0, 0.0], 0.9, [[0.0], [1.0]], [[1.0]])
+            two_state(start=[1.0, 0.0])
 
     def test_gamma_open_interval(self):
-        P = np.ones((1, 1, 1))
         for g in (0.0, 1.0, 1.5):
             with pytest.raises(ValueError):
-                TabularMdp(P, [1.0], g, [[0.0]], [[1.0]])
+                TabularMdp(([0], [0], [1.0]), [1.0], g, [[0.0]], [[1.0]])
 
     def test_occupancy_mass_checked(self):
         with pytest.raises(ValueError):
@@ -51,14 +85,15 @@ class TestValidation:
     def test_non_finite_input_rejected(self, field, bad):
         # NaN fails every < and > check, so a NaN transition or start used to
         # give an all-NaN occupancy instead of an error
-        P = np.zeros((2, 1, 2))
-        P[:, 0, 1] = 1.0
-        args = {"transition": P, "start": np.array([0.5, 0.5]), "gamma": 0.9,
+        args = {"transition": TO_ONE, "start": np.array([0.5, 0.5]), "gamma": 0.9,
                 "state_embed": np.array([[0.0], [1.0]]), "action_embed": np.array([[1.0]]),
                 "true_reward": np.zeros((2, 1))}
         TabularMdp(**args)
-        args[field] = args[field].copy()
-        args[field].flat[-1] = bad
+        if field == "transition":
+            args[field] = (*TO_ONE[:2], [1.0, bad])
+        else:
+            args[field] = args[field].copy()
+            args[field].flat[-1] = bad
         with pytest.raises(ValueError, match="must be finite|must sum to 1"):
             TabularMdp(**args)
 
@@ -74,7 +109,7 @@ class TestValidation:
 
 class TestOccupancy:
     def test_singleton_mdp(self):
-        mdp = TabularMdp(np.ones((1, 1, 1)), [1.0], 0.9, [[0.0]], [[1.0]])
+        mdp = TabularMdp(([0], [0], [1.0]), [1.0], 0.9, [[0.0]], [[1.0]])
         rho = occupancy_from_policy(mdp, SoftmaxPolicy.uniform(1, 1))
         assert np.allclose(rho.rho, [[1.0]])
 
@@ -102,7 +137,7 @@ class TestOccupancy:
         n_chains, steps = 20, 50_000
         counts = np.zeros((n_chains, 5, 3))
         pi_cum = pol.probs.cumsum(axis=1)
-        P_cum = mdp.transition.cumsum(axis=2)
+        P_cum = dense_transition(mdp).cumsum(axis=2)
         mu_cum = mdp.start.cumsum()
         s = np.searchsorted(mu_cum, rng.random(n_chains))
         for _ in range(steps):
@@ -177,7 +212,8 @@ class TestCausalEntropy:
         mdp = random_mdp(4, 3, 0.9, seed=8)
         logits = rng.normal(size=(4, 3))
         perm = np.array([2, 0, 1])
-        mdp_p = TabularMdp(mdp.transition[:, perm, :], mdp.start, mdp.gamma,
+        mdp_p = TabularMdp(wail.entries_from_dense(dense_transition(mdp)[:, perm, :]),
+                           mdp.start, mdp.gamma,
                            mdp.state_embed, mdp.action_embed[perm])
         H1 = causal_entropy(mdp, SoftmaxPolicy(logits))
         H2 = causal_entropy(mdp_p, SoftmaxPolicy(logits[:, perm]))
@@ -206,7 +242,7 @@ class TestExpectedReward:
         exact = expected_reward(occupancy_from_policy(mdp, pol), R)
         n, horizon = 100_000, 90   # gamma^90 ~ 4.5e-7
         pi_cum = pol.probs.cumsum(axis=1)
-        P_cum = mdp.transition.cumsum(axis=2)
+        P_cum = dense_transition(mdp).cumsum(axis=2)
         s = np.searchsorted(mdp.start.cumsum(), rng.random(n))
         returns = np.zeros(n)
         disc = 1.0
@@ -258,7 +294,7 @@ class TestSoftValueIteration:
 
     def test_small_gamma_closed_form(self):
         # gamma -> 0 reduces to a softmax of the immediate rewards.
-        mdp = TabularMdp(np.ones((1, 2, 1)), [1.0], 1e-9, [[0.0]], np.eye(2))
+        mdp = TabularMdp(([0, 1], [0, 0], [1.0, 1.0]), [1.0], 1e-9, [[0.0]], np.eye(2))
         pol = soft_value_iteration(mdp, np.array([[1.0, 0.0]]), lam=1.0)
         expect = np.exp([1.0, 0.0]) / np.exp([1.0, 0.0]).sum()
         assert np.abs(pol.probs[0] - expect).max() < 1e-6
@@ -298,11 +334,20 @@ class TestSerialization:
         path = tmp_path / "mdp.json"
         wail.save_mdp(path, mdp)
         back = wail.load_mdp(path)
-        assert np.array_equal(back.transition, mdp.transition)
+        for got, want in zip(back.transition, mdp.transition):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        doc = json.loads(path.read_text())
+        assert set(doc["transition"]) == {"row", "col", "prob"}
         assert np.array_equal(back.start, mdp.start)
         assert back.gamma == mdp.gamma
         assert np.array_equal(back.true_reward, mdp.true_reward)
         assert np.array_equal(back.state_embed, mdp.state_embed)
+
+    def test_mdp_json_rejects_the_dense_format(self):
+        mdp = random_mdp(3, 2, 0.9, seed=42)
+        doc = wail.mdp_to_json(mdp) | {"transition": dense_transition(mdp).tolist()}
+        with pytest.raises(ValueError, match="not a dense array"):
+            wail.mdp_from_json(doc)
 
     def test_trajectory_jsonl_round_trip(self, tmp_path):
         mdp = random_mdp(3, 2, 0.8, seed=41)

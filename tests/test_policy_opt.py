@@ -56,7 +56,7 @@ class TestSchedule:
 
 class TestPolicyGradient:
     def test_single_state_closed_form(self):
-        mdp = wail.TabularMdp(np.ones((1, 2, 1)), [1.0], 1e-9, [[0.0]], np.eye(2))
+        mdp = wail.TabularMdp(([0, 1], [0, 0], [1.0, 1.0]), [1.0], 1e-9, [[0.0]], np.eye(2))
         rep = entropy_reg_policy_gradient(mdp, SoftmaxPolicy.uniform(1, 2),
                                           np.array([[1.0, 0.0]]), lam=0.0)
         assert np.abs(rep.gradient - np.array([0.25, -0.25])).max() < 1e-9

@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 
 import wail
-from wail import (Rollouts, SoftmaxPolicy, TabularMdp, entropy_reg_policy_gradient,
+from wail import (Rollouts, SoftmaxPolicy, entropy_reg_policy_gradient,
                   rollout_fixed, sample_trajectories)
 from wail import mdp as mdp_mod
 from wail.training import ExpertData
 
-from conftest import random_mdp, two_state_chain
+from conftest import dense_transition, random_mdp, two_state_chain
 
 CASES = {
     "grid5": lambda: wail.make_gridworld(5),
@@ -57,6 +57,7 @@ def ref_sample(mdp, policy, n, max_len=None, seed=0, chunk=mdp_mod._SAMPLE_CHUNK
         max_len = wail.default_max_len(mdp.gamma)
     rng = np.random.default_rng(seed)
     pi = policy.probs
+    P = dense_transition(mdp)
     out, flags = [], []
     for lo in range(0, n, chunk):
         m = min(chunk, n - lo)
@@ -76,7 +77,7 @@ def ref_sample(mdp, policy, n, max_len=None, seed=0, chunk=mdp_mod._SAMPLE_CHUNK
             keep = ~stop
             if t + 1 == max_len or not keep.any():
                 break
-            cur = _row_categorical(mdp.transition[cur[keep], acts[keep]], rng)
+            cur = _row_categorical(P[cur[keep], acts[keep]], rng)
             alive = alive[keep]
         for i in range(m):
             T = lengths[i]
@@ -88,6 +89,7 @@ def ref_sample(mdp, policy, n, max_len=None, seed=0, chunk=mdp_mod._SAMPLE_CHUNK
 def ref_rollout_fixed(mdp, policy, n, length, seed=0):
     rng = np.random.default_rng(seed)
     pi = policy.probs
+    P = dense_transition(mdp)
     out = []
     for _ in range(n):
         steps = np.zeros((length, 2), dtype=np.int64)
@@ -95,7 +97,7 @@ def ref_rollout_fixed(mdp, policy, n, length, seed=0):
         for t in range(length):
             a = int(_row_categorical(pi[s][None, :], rng)[0])
             steps[t] = (s, a)
-            s = int(_row_categorical(mdp.transition[s, a][None, :], rng)[0])
+            s = int(_row_categorical(P[s, a][None, :], rng)[0])
         out.append(steps)
     return from_episodes(out, [False] * n)
 
@@ -249,18 +251,13 @@ class TestRollouts:
                 wail.load_trajectories(tmp_path / "bad.jsonl")
 
 
-def test_sampler_reads_no_dense_row():
-    # Filling the dense tensor with NaN leaves the samplers' draws unchanged.
-    mdp = wail.make_gridworld(4, slip=0.1)
-    policy = random_policy(mdp, 5)
-
-    def draws(m):
-        return sample_trajectories(m, policy, 40, seed=3), rollout_fixed(m, policy, 3, 20, seed=3)
-
-    before = draws(mdp)
-    blind = TabularMdp.__new__(TabularMdp)
-    for name in ("start", "gamma", "state_embed", "action_embed", "true_reward", "_rows"):
-        object.__setattr__(blind, name, getattr(mdp, name))
-    object.__setattr__(blind, "transition", np.full(mdp.transition.shape, np.nan))
-    for b, a in zip(before, draws(blind)):
-        assert_same_batch(a, b)
+@pytest.mark.parametrize("shape", [(9, 4), (25, 3), (36, 4)])
+def test_policy_shape_mismatch_rejected(shape):
+    # a smaller policy used to raise IndexError mid-draw, a larger one ran silently
+    mdp = wail.make_gridworld(5)
+    policy = SoftmaxPolicy(np.zeros(shape))
+    for draw in (lambda: sample_trajectories(mdp, policy, 4),
+                 lambda: rollout_fixed(mdp, policy, 2, 5),
+                 lambda: wail.episode_returns(mdp, policy, 4)):
+        with pytest.raises(ValueError, match="policy shape"):
+            draw()

@@ -2,7 +2,8 @@
 the dense S*A*S formulas they replaced.
 
 The reference below (einsum passes and np.linalg.solve on the dense
-transition tensor) lives only here.  On random policies the occupancy, the
+transition tensor, built from the stored entries by conftest's
+dense_transition) lives only here.  On random policies the occupancy, the
 value solve, the exact gradient, the flow residual and the soft-VI policy
 agree with it to 1e-12 (relative), on both sides of
 DENSE_SOLVE_MAX_STATES, and the evaluation sampler's next-state draws are
@@ -16,7 +17,7 @@ import wail
 from wail import SoftmaxPolicy, TabularMdp, entropy_reg_policy_gradient
 from wail import mdp as mdp_mod
 
-from conftest import random_mdp
+from conftest import dense_transition, random_mdp
 
 REL_TOL = 1e-12
 
@@ -50,7 +51,7 @@ def solver(request, monkeypatch):
 
 
 def ref_policy_transition(mdp, policy):
-    return np.einsum("sa,sap->sp", policy.probs, mdp.transition)
+    return np.einsum("sa,sap->sp", policy.probs, dense_transition(mdp))
 
 
 def ref_occupancy(mdp, policy):
@@ -65,30 +66,32 @@ def ref_action_values(mdp, policy, cost):
     S = mdp.n_states
     V = np.linalg.solve(np.eye(S) - mdp.gamma * ref_policy_transition(mdp, policy),
                         (policy.probs * cost).sum(axis=1))
-    return cost + mdp.gamma * np.einsum("sap,p->sa", mdp.transition, V), V
+    return cost + mdp.gamma * np.einsum("sap,p->sa", dense_transition(mdp), V), V
 
 
 def ref_flow_residual(mdp, rho):
-    rhs = (1.0 - mdp.gamma) * mdp.start + mdp.gamma * np.einsum("sap,sa->p", mdp.transition, rho)
+    inflow = np.einsum("sap,sa->p", dense_transition(mdp), rho)
+    rhs = (1.0 - mdp.gamma) * mdp.start + mdp.gamma * inflow
     return float(np.abs(rho.sum(axis=1) - rhs).max())
 
 
 def ref_soft_vi(mdp, reward, lam, tol=1e-10):
+    P = dense_transition(mdp)
     V = np.zeros(mdp.n_states)
     while True:
-        Q = reward + mdp.gamma * np.einsum("sap,p->sa", mdp.transition, V)
+        Q = reward + mdp.gamma * np.einsum("sap,p->sa", P, V)
         m = Q.max(axis=1)
         V_new = m + lam * np.log(np.exp((Q - m[:, None]) / lam).sum(axis=1))
         done = np.abs(V_new - V).max() <= tol
         V = V_new
         if done:
             break
-    Q = reward + mdp.gamma * np.einsum("sap,p->sa", mdp.transition, V)
+    Q = reward + mdp.gamma * np.einsum("sap,p->sa", P, V)
     return SoftmaxPolicy(np.maximum((Q - Q.max(axis=1, keepdims=True)) / lam, -wail.LOGIT_GAP))
 
 
 def ref_next_states(mdp, s, a, u):
-    P_cum = mdp.transition.cumsum(axis=2)
+    P_cum = dense_transition(mdp).cumsum(axis=2)
     return np.minimum((P_cum[s, a] < u[:, None]).sum(axis=1), mdp.n_states - 1)
 
 
@@ -183,10 +186,11 @@ def test_next_state_draws_at_the_edges():
         for a in range(A):
             cols = rng.choice(S, size=int(rng.integers(1, 4)), replace=False)
             P[s, a, cols] = rng.dirichlet(np.ones(cols.size)) * (1.0 - 5e-11)
-    env = TabularMdp(P, np.full(S, 1.0 / S), 0.9, np.zeros((S, 1)), np.eye(A))
+    env = TabularMdp(wail.entries_from_dense(P), np.full(S, 1.0 / S), 0.9, np.zeros((S, 1)),
+                     np.eye(A))
     s = np.repeat(np.arange(S), A)
     a = np.tile(np.arange(A), S)
-    cum = env.transition.cumsum(axis=2)[s, a]
+    cum = P.cumsum(axis=2)[s, a]
     for u in (np.zeros(s.size), np.full(s.size, 1.0 - 1e-12), cum[:, 0], cum[:, S // 2],
               cum.max(axis=1), rng.random(s.size)):
         got = mdp_mod.next_states(env, s, a, u)

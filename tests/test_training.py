@@ -16,11 +16,9 @@ TRAINERS = {"wail": train_wail, "gail": wail.train_gail}
 
 def small_mdp_two_actions(seed=0):
     rng = np.random.default_rng(seed)
-    P = np.zeros((2, 2, 2))
-    P[0, 0, 0] = P[0, 1, 1] = 1.0
-    P[1, 0, 0] = P[1, 1, 1] = 1.0
+    to_action = ([0, 1, 2, 3], [0, 1, 0, 1], np.ones(4))   # action a moves to state a
     mu = np.array([0.6, 0.4])
-    return wail.TabularMdp(P, mu, 0.9, rng.normal(size=(2, 2)), np.eye(2))
+    return wail.TabularMdp(to_action, mu, 0.9, rng.normal(size=(2, 2)), np.eye(2))
 
 
 class TestExpertData:
