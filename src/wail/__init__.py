@@ -26,15 +26,14 @@ from .mdp import (LOGIT_GAP, OccupancyMeasure, Rollouts, SoftmaxPolicy, TabularM
                   policy_from_occupancy, save_mdp, save_policy, save_trajectories,
                   sample_trajectories, soft_value_iteration, state_action_embeddings)
 from .ot import (DiscreteMeasurePair, DivergenceError, DualRegularization,
-                 GroundMetric, build_ground_metric, model_dual_objective,
-                 reg_dual_gradient, reg_dual_objective, reg_ot_fit,
-                 w1_dual_lp, w1_primal_lp)
+                 GroundMetric, build_ground_metric, reg_dual_gradient,
+                 reg_dual_objective, reg_ot_fit, w1_dual_lp, w1_primal_lp)
 from .rewards import (PotentialModel, clone_frozen, create_model, load_model,
                       model_from_json, model_to_json, reward_matrix, save_model,
                       support_values)
-from .training import (ConvergenceReport, ExpertData, OtDualStep, RunLog,
-                       TrainingDiverged, WailState, adversarial_train,
-                       convergence_monitor, train_wail, wail_iteration)
+from .training import (ConvergenceReport, ExpertData, OtDualStep, RunLog, WailState,
+                       adversarial_train, convergence_monitor, train_wail,
+                       wail_iteration)
 from .trust_region import (PolicyGradientReport, StepSchedule,
                            entropy_reg_policy_gradient, kl_constrained_step,
                            schedule_delta, surrogate_value, weighted_kl)

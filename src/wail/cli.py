@@ -23,7 +23,6 @@ from .experiments import derived_seeds, run_experiment_grid, run_single, train_a
 from .mdp import (load_policy, load_trajectories, save_mdp, save_policy,
                   save_trajectories, state_action_embeddings)
 from .ot import DivergenceError
-from .training import TrainingDiverged
 
 
 def _apply_overrides(config: RunConfig, args) -> RunConfig:
@@ -202,7 +201,7 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"validation error: {err}", file=sys.stderr)
         return 1
-    except (DivergenceError, TrainingDiverged) as err:
+    except DivergenceError as err:
         print(f"runtime divergence: {err}", file=sys.stderr)
         return 2
 

@@ -28,11 +28,10 @@ _LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
                "dual_feasibility_tolerance": 1e-10}
 
 class DivergenceError(RuntimeError):
-    """Raised when an ascent produces a non-finite objective."""
+    """Raised when an ascent produces a non-finite objective.  The training
+    loop attaches its partial log as `log` before passing it on."""
 
-    def __init__(self, message: str, trace=None):
-        super().__init__(message)
-        self.trace = np.asarray(trace if trace is not None else [])
+    log = None
 
 
 @dataclass(frozen=True)
@@ -282,18 +281,6 @@ def reg_dual_objective(r_src, r_tgt, pair: DiscreteMeasurePair,
     return _objective_and_gradient(r_src, r_tgt, pair, metric, reg, False)[0]
 
 
-def model_dual_objective(model: rewards.PotentialModel, pair: DiscreteMeasurePair,
-                         metric: GroundMetric, reg: DualRegularization) -> tuple[float, int]:
-    """reg_dual_objective of the model's potential on the metric's supports,
-    and the number of entropic exponents that evaluation clamped."""
-    src_embed = rewards.support_embeds(model, metric.embed, metric.src_index)
-    tgt_embed = rewards.support_embeds(model, metric.embed, metric.tgt_index)
-    r_src = rewards.support_values(model, metric.src_index, src_embed)
-    r_tgt = rewards.support_values(model, metric.tgt_index, tgt_embed)
-    value, _, _, clamps = _objective_and_gradient(r_src, r_tgt, pair, metric, reg, False)
-    return value, clamps
-
-
 def reg_dual_gradient(r_src, r_tgt, pair: DiscreteMeasurePair,
                       metric: GroundMetric, reg: DualRegularization):
     """Analytic gradient of reg_dual_objective with respect to the potential
@@ -306,9 +293,11 @@ def reg_ot_fit(pair: DiscreteMeasurePair, metric: GroundMetric, reg: DualRegular
                model: rewards.PotentialModel, steps: int, lr: float):
     """Full-batch ascent of the regularized dual through the reward
     model's parameters, on the metric's supports with the pair's weights.
-    Returns the trained copy, the per-step objective trace (value at each
-    step's start) and the number of entropic exponents clamped over the
-    steps.
+    Returns the trained copy, the objective at it and the number of
+    entropic exponents clamped over all steps + 1 evaluations; the last
+    evaluation computes the value only.  Raises DivergenceError when a
+    step's starting objective is non-finite; the returned one is the
+    caller's to check.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -318,17 +307,17 @@ def reg_ot_fit(pair: DiscreteMeasurePair, metric: GroundMetric, reg: DualRegular
     work = model.copy()
     src_embed = rewards.support_embeds(work, metric.embed, metric.src_index)
     tgt_embed = rewards.support_embeds(work, metric.embed, metric.tgt_index)
-    trace, clamps = [], 0
-    for k in range(steps):
+    clamps = 0
+    for k in range(steps + 1):
         r_src = rewards.support_values(work, metric.src_index, src_embed)
         r_tgt = rewards.support_values(work, metric.tgt_index, tgt_embed)
         value, g_src, g_tgt, step_clamps = _objective_and_gradient(r_src, r_tgt, pair, metric,
-                                                                   reg, True)
+                                                                   reg, k < steps)
         clamps += step_clamps
+        if k == steps:
+            return work, value, clamps
         if not np.isfinite(value):
-            raise DivergenceError(f"regularized dual objective diverged at step {k}", trace)
-        trace.append(value)
+            raise DivergenceError(f"regularized dual objective diverged at step {k}")
         grad = (rewards.accumulate_param_grad(work, metric.src_index, src_embed, g_src)
                 + rewards.accumulate_param_grad(work, metric.tgt_index, tgt_embed, g_tgt))
         work.params = work.params + lr * grad
-    return work, np.asarray(trace), clamps

@@ -6,8 +6,9 @@ KL-constrained natural-gradient policy step.  WAIL's step ascends the
 regularized OT dual through the reward parameters; after the last round,
 exact mode continues the same ascent against the returned policy, so the
 returned reward is the potential fitted to that policy.  GAIL's
-discriminator step lives in `baselines`.  The objective trace is monitored
-for the Cauchy behavior the step schedule guarantees.
+discriminator step lives in `baselines`.  Each round returns its log row,
+the run's only per-round record; the objective column is monitored for the
+Cauchy behavior the step schedule guarantees.
 """
 
 from __future__ import annotations
@@ -31,14 +32,6 @@ FINAL_FIT_STEPS = 200      # reward ascent steps against the returned policy
 
 LOG_COLUMNS = ("iteration", "objective", "policy_surrogate", "kl_step",
                "entropy", "scaled_perf_eval")
-
-
-class TrainingDiverged(RuntimeError):
-    """Raised when a run aborts; carries the partial log."""
-
-    def __init__(self, message: str, log: "RunLog"):
-        super().__init__(message)
-        self.log = log
 
 
 @dataclass
@@ -129,16 +122,11 @@ class ExpertData:
 
 @dataclass
 class WailState:
-    """Mutable loop state: round counter, reward model, policy, objective
-    trace and the last policy step's diagnostics."""
+    """Loop state: round counter, reward model and policy."""
 
     k: int
     model: rewards.PotentialModel
     policy: SoftmaxPolicy
-    trace: list
-    last_kl: float = 0.0
-    last_surrogate: float = 0.0
-    last_entropy: float = 0.0
 
 
 def _policy_batch(policy: SoftmaxPolicy, mdp: TabularMdp, config: RunConfig,
@@ -197,15 +185,11 @@ class OtDualStep:
         pair = ot.DiscreteMeasurePair(src_w, tgt_w)
         self.target = pair.target
         rng.integers(0, 2 ** 63 - 1)   # discarded; fixed-seed runs rely on the draws after it
-        model, _, clamps = ot.reg_ot_fit(pair, self.block, self.reg, model,
-                                         steps=self.config.ot_inner_steps, lr=self.config.ot_lr)
+        model, objective, clamps = ot.reg_ot_fit(pair, self.block, self.reg, model,
+                                                 steps=self.config.ot_inner_steps,
+                                                 lr=self.config.ot_lr)
         self.clamps += clamps
-        return model, self._dual_value(model, pair), rewards.clone_frozen(model)
-
-    def _dual_value(self, model: rewards.PotentialModel, pair: ot.DiscreteMeasurePair) -> float:
-        value, clamps = ot.model_dual_objective(model, pair, self.block, self.reg)
-        self.clamps += clamps
-        return value
+        return model, objective, rewards.clone_frozen(model)
 
     def finish(self, state: WailState, mdp: TabularMdp):
         """Continue the reward ascent against the exact occupancy of
@@ -223,24 +207,25 @@ class OtDualStep:
         if steps:
             w = occupancy_from_policy(mdp, state.policy).flat()
             pair = ot.DiscreteMeasurePair(w / w.sum(), self.target)
-            model, _, clamps = ot.reg_ot_fit(pair, self.block, self.reg, model, steps=steps,
-                                             lr=self.config.ot_lr)
+            model, objective, clamps = ot.reg_ot_fit(pair, self.block, self.reg, model,
+                                                     steps=steps, lr=self.config.ot_lr)
             self.clamps += clamps
-            objective = self._dual_value(model, pair)
             if not np.isfinite(objective):
-                raise ot.DivergenceError("objective diverged in the final reward fit", state.trace)
+                raise ot.DivergenceError("objective diverged in the final reward fit")
         return model, {"final_fit_steps": steps, "final_fit_objective": objective,
                        "entropic_clamp_events": self.clamps}
 
 
 def wail_iteration(state: WailState, mdp: TabularMdp, expert_data, config: RunConfig,
-                   reward_step) -> WailState:
+                   reward_step) -> tuple[WailState, dict]:
     """One adversarial round: draw both batches, update the reward with
     `reward_step`, then take the KL-constrained policy step against the
     reward it returns.  The current policy's occupancy is solved once and
     serves the batch, the gradient, the step and the logged KL.  The round's
     generator is seeded by (config.seed, round, reward_step.salt); the
-    reward step draws from it between the batches and the gradient seed."""
+    reward step draws from it between the batches and the gradient seed.
+    Returns the next state and the round's log row (every LOG_COLUMNS
+    entry but scaled_perf_eval)."""
     expert = ExpertData.from_any(expert_data, mdp)
     rng = np.random.default_rng([config.seed, state.k, reward_step.salt])
     occupancy = occupancy_from_policy(mdp, state.policy)
@@ -248,7 +233,7 @@ def wail_iteration(state: WailState, mdp: TabularMdp, expert_data, config: RunCo
     expert_batch = _expert_batch(expert, mdp, config, rng)
     model, objective, reward = reward_step(state.model, policy_batch, expert_batch, rng)
     if not np.isfinite(objective):
-        raise ot.DivergenceError(f"objective diverged at round {state.k}", state.trace)
+        raise ot.DivergenceError(f"objective diverged at round {state.k}")
 
     report = entropy_reg_policy_gradient(mdp, state.policy, reward,
                                          lam=config.lambda_entropy, mode=config.pg_mode,
@@ -257,20 +242,19 @@ def wail_iteration(state: WailState, mdp: TabularMdp, expert_data, config: RunCo
     delta = schedule_delta(StepSchedule(config.delta0, config.delta_decay), state.k + 1)
     new_policy = kl_constrained_step(mdp, state.policy, report, delta,
                                      damping=config.cg_damping)
-    return WailState(
-        k=state.k + 1, model=model, policy=new_policy,
-        trace=state.trace + [objective],
-        last_kl=weighted_kl(mdp, state.policy, new_policy, occupancy=occupancy),
-        last_surrogate=report.surrogate_value,
-        last_entropy=report.entropy,
-    )
+    row = {"iteration": state.k + 1, "objective": objective,
+           "policy_surrogate": report.surrogate_value,
+           "kl_step": weighted_kl(mdp, state.policy, new_policy, occupancy=occupancy),
+           "entropy": report.entropy}
+    return WailState(state.k + 1, model, new_policy), row
 
 
-def _should_stop(trace: list, window: int, tol: float) -> bool:
-    if len(trace) < window:
+def _should_stop(rows: list, window: int, tol: float) -> bool:
+    """Whether the objective over the last `window` log rows is flat."""
+    if len(rows) < window:
         return False
-    tail = np.asarray(trace[-window:])
-    return float(tail.max() - tail.min()) <= tol * (1.0 + abs(trace[-1]))
+    tail = np.asarray([r["objective"] for r in rows[-window:]])
+    return float(tail.max() - tail.min()) <= tol * (1.0 + abs(tail[-1]))
 
 
 def _maybe_eval(mdp, policy, config, eval_ctx, k):
@@ -297,7 +281,7 @@ def adversarial_train(mdp: TabularMdp, expert_data, config: RunConfig, reward_st
     objective window is flat), then the step's end-of-run hook
     `reward_step.finish(state, mdp)`, which returns the final reward model
     and its run_meta entries.  A non-finite objective aborts the run with
-    TrainingDiverged carrying the partial log.
+    ot.DivergenceError carrying the partial log as `log`.
 
     A reward step is called as step(model, policy_batch, expert_batch, rng),
     each batch an (indices, weights) pair over the flat state-action set,
@@ -314,18 +298,16 @@ def adversarial_train(mdp: TabularMdp, expert_data, config: RunConfig, reward_st
     dims = {"tabular": (S * A,), "linear": (width,),
             "mlp": (width, *config.mlp_hidden)}[config.model_form]
     state = WailState(k=0, model=rewards.create_model(config.model_form, dims, config.seed),
-                      policy=SoftmaxPolicy.uniform(S, A), trace=[])
+                      policy=SoftmaxPolicy.uniform(S, A))
     log = RunLog(meta={"algorithm": reward_step.algorithm, "config": config.to_dict(),
                        "n_states": S, "n_actions": A})
     try:
         for _ in range(config.k_max):
-            state = wail_iteration(state, mdp, expert, config, reward_step)
-            log.append(iteration=state.k, objective=state.trace[-1],
-                       policy_surrogate=state.last_surrogate, kl_step=state.last_kl,
-                       entropy=state.last_entropy,
-                       scaled_perf_eval=_maybe_eval(mdp, state.policy, config, eval_ctx, state.k - 1))
+            state, row = wail_iteration(state, mdp, expert, config, reward_step)
+            log.append(**row, scaled_perf_eval=_maybe_eval(mdp, state.policy, config, eval_ctx,
+                                                           state.k - 1))
             _maybe_checkpoint(state, config)
-            if _should_stop(state.trace, config.early_stop_window, config.early_stop_tol):
+            if _should_stop(log.rows, config.early_stop_window, config.early_stop_tol):
                 log.meta["early_stop_iteration"] = state.k
                 break
         model, final_meta = reward_step.finish(state, mdp)
@@ -333,7 +315,8 @@ def adversarial_train(mdp: TabularMdp, expert_data, config: RunConfig, reward_st
         log.meta["diverged"] = str(err)
         if config.out_dir:
             log.save(config.out_dir)
-        raise TrainingDiverged(str(err), log) from err
+        err.log = log
+        raise
     log.meta["iterations_run"] = state.k
     log.meta.update(final_meta)
     if config.out_dir:

@@ -359,15 +359,19 @@ class TestChunkedDualPass:
             assert np.any(g_tgt != pair.target)   # some pairs are active
         model = wail.create_model("tabular", (n + m,), seed=0)
         model.params = r
-        got_value, got_clamps = wail.model_dual_objective(model, pair, metric, reg)
+        fit, got_value, got_clamps = reg_ot_fit(pair, metric, reg, model, steps=0, lr=1.0)
+        assert fit.params.tobytes() == model.params.tobytes()
         assert abs(got_value - value) <= 1e-12 * abs(value)
         assert abs(reg_dual_objective(r_src, r_tgt, pair, metric, reg) - value) <= 1e-12 * abs(value)
         assert got_clamps == clamps
         got_src, got_tgt = reg_dual_gradient(r_src, r_tgt, pair, metric, reg)
         assert np.abs(got_src - g_src).max() <= 1e-12 * np.abs(g_src).max()
         assert np.abs(got_tgt - g_tgt).max() <= 1e-12 * np.abs(g_tgt).max()
-        _, _, fit_clamps = reg_ot_fit(pair, metric, reg, model, steps=1, lr=1e-12)
-        assert fit_clamps == clamps
+        # one gradient evaluation, then the value after a step too small
+        # to move any parameter
+        fit, _, fit_clamps = reg_ot_fit(pair, metric, reg, model, steps=1, lr=1e-300)
+        assert fit.params.tobytes() == model.params.tobytes()
+        assert fit_clamps == 2 * clamps
 
     def test_gradient_peak_memory_is_one_chunk(self):
         import tracemalloc
@@ -390,10 +394,11 @@ class TestRegOtFit:
     def test_zero_steps_unchanged(self, rng):
         pair, metric = random_instance(rng, 4)
         model = wail.create_model("tabular", (4,), seed=0)
-        fit, trace, _ = reg_ot_fit(pair, metric, DualRegularization("l2", 0.1),
-                                   model, steps=0, lr=0.1)
+        reg = DualRegularization("l2", 0.1)
+        fit, value, clamps = reg_ot_fit(pair, metric, reg, model, steps=0, lr=0.1)
         assert np.array_equal(fit.params, model.params)
-        assert trace.size == 0
+        assert value == reg_dual_objective(model.params, model.params, pair, metric, reg)
+        assert clamps == 0
 
     def test_tiny_instance_reaches_lp_value(self):
         E = np.array([[0., 0.], [1., 0.], [0., 1.5]])
@@ -433,13 +438,16 @@ class TestRegOtFit:
 
 def test_entropic_clamp_counter_increments():
     # one source and one target point at distance 0 with slack 1000 / 0.1
-    # far past the clamp: every objective evaluation clamps one exponent
+    # far past the clamp: every objective evaluation clamps one exponent,
+    # and an n-step fit makes n + 1 evaluations
     m = GroundMetric.from_embeddings(np.zeros((2, 1)), src_index=[0], tgt_index=[1])
     pair = DiscreteMeasurePair([1.0], [1.0])
     model = wail.create_model("tabular", (2,), seed=0)
     model.params = np.array([0.0, 1000.0])
-    for kind, expected in (("entropic", 3), ("l2", 0)):
+    for kind, per_evaluation in (("entropic", 1), ("l2", 0)):
         reg = DualRegularization(kind, 0.1)
         _, _, clamps = reg_ot_fit(pair, m, reg, model, steps=3, lr=1e-12)
-        assert clamps == expected
-        assert wail.model_dual_objective(model, pair, m, reg)[1] == expected // 3
+        assert clamps == 4 * per_evaluation
+        _, value, clamps = reg_ot_fit(pair, m, reg, model, steps=0, lr=1e-12)
+        assert clamps == per_evaluation
+        assert value == reg_dual_objective(model.params[:1], model.params[1:], pair, m, reg)

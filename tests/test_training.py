@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -76,10 +78,9 @@ class TestWailIteration:
         rho = occupancy_from_policy(mdp, pol)
         config = RunConfig(k_max=1, delta0=0.01, model_form="tabular", metric_scale=1.0,
                            reg_kind="l2", epsilon=0.01)
-        state = WailState(k=0, model=wail.create_model("tabular", (4,), 0),
-                          policy=pol, trace=[])
-        new = wail_iteration(state, mdp, rho, config, OtDualStep(mdp, config))
-        assert abs(new.trace[-1]) <= 1e-6
+        state = WailState(k=0, model=wail.create_model("tabular", (4,), 0), policy=pol)
+        _, row = wail_iteration(state, mdp, rho, config, OtDualStep(mdp, config))
+        assert abs(row["objective"]) <= 1e-6
 
     def test_zero_delta_decouples_policy(self):
         mdp = small_mdp_two_actions()
@@ -87,10 +88,10 @@ class TestWailIteration:
         config = RunConfig(k_max=5, delta0=0.0, model_form="tabular", metric_scale=1.0,
                            reg_kind="l2", epsilon=0.01)
         state = WailState(k=0, model=wail.create_model("tabular", (4,), 0),
-                          policy=SoftmaxPolicy.uniform(2, 2), trace=[])
+                          policy=SoftmaxPolicy.uniform(2, 2))
         step = OtDualStep(mdp, config)
         for _ in range(5):
-            state = wail_iteration(state, mdp, expert, config, step)
+            state, _ = wail_iteration(state, mdp, expert, config, step)
         assert np.array_equal(state.policy.logits, np.zeros((2, 2)))
         assert np.abs(state.model.params).max() > 0.0   # reward still ascended
 
@@ -234,11 +235,13 @@ def test_objective_trend_downward_when_initialized_far():
     warm, _, _ = wail.reg_ot_fit(pair, metric.restrict(np.arange(100), sup), reg,
                                  wail.create_model("tabular", (100,), 0),
                                  steps=4000, lr=0.3)
-    state = WailState(k=0, model=warm, policy=pol, trace=[])
+    state = WailState(k=0, model=warm, policy=pol)
     step = OtDualStep(mdp, config)   # the same scale 1.0 and l2 epsilon 0.01 as above
+    trace = []
     for _ in range(config.k_max):
-        state = wail_iteration(state, mdp, expert_data, config, step)
-    trace = np.asarray(state.trace)
+        state, row = wail_iteration(state, mdp, expert_data, config, step)
+        trace.append(row["objective"])
+    trace = np.asarray(trace)
     q = len(trace) // 4
     assert np.median(trace[-q:]) < np.median(trace[:q])
 
@@ -353,11 +356,35 @@ def test_config_accepts_zero_tolerance_and_list_layers():
     RunConfig(early_stop_tol=0.0, early_stop_window=1, mlp_hidden=[8, 1]).validate()
 
 
-def test_divergence_aborts_with_partial_log():
+def test_divergence_aborts_with_partial_log(tmp_path):
     mdp = small_mdp_two_actions()
     demos = wail.rollout_fixed(mdp, SoftmaxPolicy.uniform(2, 2), 2, 10, seed=0)
     # absurd learning rate makes the quadratic hinge blow up geometrically
     config = RunConfig(k_max=50, seed=0, reg_kind="l2", epsilon=1e-6, ot_lr=1e6)
-    with pytest.raises(wail.TrainingDiverged) as exc:
-        train_wail(mdp, demos, config)
-    assert "diverged" in exc.value.log.meta
+    for out_dir in (None, str(tmp_path)):
+        with pytest.raises(wail.DivergenceError) as exc:
+            train_wail(mdp, demos, dataclasses.replace(config, out_dir=out_dir))
+        log = exc.value.log
+        assert log.meta["diverged"] == str(exc.value)
+        assert len(log.rows) < config.k_max
+    assert RunLog.load(str(tmp_path)).meta == log.meta
+
+
+def test_metrics_rows_are_the_rows_each_round_returned(tmp_path, monkeypatch):
+    # the log row wail_iteration returns is the round's only record: the
+    # saved metrics.csv holds exactly those rows, plus scaled_perf_eval
+    returned = []
+
+    def recording(*args):
+        state, row = wail_iteration(*args)
+        returned.append(dict(row))
+        return state, row
+
+    monkeypatch.setattr(wail.training, "wail_iteration", recording)
+    mdp = wail.make_gridworld(3)
+    demos = wail.rollout_fixed(mdp, SoftmaxPolicy.uniform(9, 4), 2, 10, seed=0)
+    train_wail(mdp, demos, RunConfig(k_max=7, seed=2, out_dir=str(tmp_path)))
+    assert len(returned) == 7
+    assert all(list(row) == list(wail.training.LOG_COLUMNS[:-1]) for row in returned)
+    assert RunLog.load(str(tmp_path)).rows == [row | {"scaled_perf_eval": None}
+                                               for row in returned]
