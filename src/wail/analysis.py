@@ -14,6 +14,8 @@ from . import rewards
 from .baselines import disc_probs
 from .mdp import TabularMdp, state_action_embeddings
 
+BOUNDS_EXPAND = 0.25       # share of the data's extent default_bounds adds per side
+
 
 @dataclass(frozen=True)
 class PcaPlane:
@@ -60,11 +62,12 @@ def pca_inverse(plane: PcaPlane, uv: np.ndarray) -> np.ndarray:
     return plane.mean + np.atleast_2d(uv) @ plane.axes
 
 
-def default_bounds(plane: PcaPlane, data: np.ndarray, expand: float = 0.25):
-    """Bounding box of the data's projections, expanded by `expand` per side."""
+def default_bounds(plane: PcaPlane, data: np.ndarray):
+    """Bounding box of the data's projections, expanded by BOUNDS_EXPAND of
+    its extent per side."""
     uv = pca_project(plane, data)
     lo, hi = uv.min(axis=0), uv.max(axis=0)
-    pad = (hi - lo) * expand
+    pad = (hi - lo) * BOUNDS_EXPAND
     pad = np.where(pad > 0, pad, 1.0)
     return (lo[0] - pad[0], hi[0] + pad[0], lo[1] - pad[1], hi[1] + pad[1])
 

@@ -5,7 +5,8 @@ config (all RunConfig fields) and accepts --seed/--out plus generic
 --set key=value overrides.  Demonstrations, references, evaluation and
 training (with --demos too) are seeded from config.seed through
 experiments.derived_seeds, as in run_single.  Exit codes: 0 success,
-1 validation error, 2 runtime divergence, 3 partial grid failure.
+1 validation error (a bad config, environment spec or input file),
+2 runtime divergence, 3 partial grid failure.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        if key == "mlp_hidden":
+        if key == "mlp_hidden" and isinstance(value, list):
             value = tuple(value)
         updates[key] = value
     return dataclasses.replace(config, **updates)
@@ -198,7 +199,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as err:
+    except (ValueError, FileNotFoundError) as err:
         print(f"validation error: {err}", file=sys.stderr)
         return 1
     except DivergenceError as err:

@@ -141,7 +141,7 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         doc = dict(doc)
-        if "mlp_hidden" in doc:
+        if isinstance(doc.get("mlp_hidden"), list):
             doc["mlp_hidden"] = tuple(doc["mlp_hidden"])
         return cls(**doc)
 

@@ -10,6 +10,8 @@ random policy 0.0.
 
 from __future__ import annotations
 
+import inspect
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,7 +166,9 @@ _BUILDERS = {
 
 
 def build_environment(spec: dict) -> TabularMdp:
-    """Build a TabularMdp from {"name": ..., **params}."""
+    """Build a TabularMdp from {"name": ..., **params}.  Raises ValueError
+    for an unknown name, a parameter the builder does not take, or a size
+    (a parameter whose default is an int) that is not an integer."""
     if not isinstance(spec, dict) or "name" not in spec:
         raise ValueError("environment spec must be a dict with a 'name' key")
     params = {k: v for k, v in spec.items() if k != "name"}
@@ -173,6 +177,14 @@ def build_environment(spec: dict) -> TabularMdp:
     except KeyError:
         raise ValueError(f"unknown environment {spec['name']!r}; "
                          f"available: {sorted(_BUILDERS)}") from None
+    taken = inspect.signature(builder).parameters
+    for key, value in params.items():
+        if key not in taken:
+            raise ValueError(f"environment {spec['name']!r} takes no parameter {key!r}; "
+                             f"it takes {sorted(taken)}")
+        if type(taken[key].default) is int and (isinstance(value, bool)
+                                                or not isinstance(value, numbers.Integral)):
+            raise ValueError(f"environment size {key} must be an integer, got {value!r}")
     return builder(**params)
 
 

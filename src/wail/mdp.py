@@ -232,10 +232,11 @@ class SoftmaxPolicy:
         return cls(np.zeros((n_states, n_actions)))
 
     @classmethod
-    def deterministic(cls, actions, n_actions: int, gap: float = LOGIT_GAP) -> "SoftmaxPolicy":
-        """Near-deterministic policy picking `actions[s]` with a finite logit gap."""
+    def deterministic(cls, actions, n_actions: int) -> "SoftmaxPolicy":
+        """Near-deterministic policy picking `actions[s]`, every other action
+        LOGIT_GAP below it."""
         actions = np.asarray(actions, dtype=int)
-        logits = np.full((actions.size, n_actions), -gap)
+        logits = np.full((actions.size, n_actions), -LOGIT_GAP)
         logits[np.arange(actions.size), actions] = 0.0
         return cls(logits)
 

@@ -29,6 +29,7 @@ from .trust_region import (StepSchedule, entropy_reg_policy_gradient,
                            kl_constrained_step, schedule_delta, weighted_kl)
 
 FINAL_FIT_STEPS = 200      # reward ascent steps against the returned policy
+ENVELOPE_SLACK = 0.5       # convergence_monitor holds up to ratio 1 + this
 
 LOG_COLUMNS = ("iteration", "objective", "policy_surrogate", "kl_step",
                "entropy", "scaled_perf_eval")
@@ -351,8 +352,7 @@ class ConvergenceReport:
         return self.opening_diff / max(self.trailing_diff, 1e-300)
 
 
-def convergence_monitor(trace, schedule: StepSchedule, m_bound: float,
-                        tolerance: float = 0.5) -> ConvergenceReport:
+def convergence_monitor(trace, schedule: StepSchedule, m_bound: float) -> ConvergenceReport:
     """Check |L_k - L_{k+m}| <= M * sum_{i=k..k+m} sqrt(2 delta_i) over all
     windows, reporting the worst ratio, plus the mean successive-difference
     magnitude over the opening and trailing 10% of the trace."""
@@ -372,5 +372,5 @@ def convergence_monitor(trace, schedule: StepSchedule, m_bound: float,
     opening = float(np.abs(np.diff(L[:seg])).mean())
     trailing = float(np.abs(np.diff(L[-seg:])).mean())
     max_ratio = float(ratios.max())
-    return ConvergenceReport(max_ratio=max_ratio, holds=max_ratio <= 1.0 + tolerance,
+    return ConvergenceReport(max_ratio=max_ratio, holds=max_ratio <= 1.0 + ENVELOPE_SLACK,
                              opening_diff=opening, trailing_diff=trailing)

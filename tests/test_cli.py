@@ -138,6 +138,42 @@ class TestTrain:
         rc = main(["train", "--config", config_file, "--set", "nonsense=1"])
         assert rc == 1
 
+    @pytest.mark.parametrize("env", ['{"name":"gridworld","m":3}', '{"name":"gridworld","n":"3"}',
+                                     '{"name":"gridworld","n":2.5}'],
+                             ids=["unknown-key", "string-size", "fractional-size"])
+    def test_bad_environment_spec_is_a_validation_error(self, config_file, tmp_path, capsys, env):
+        # these used to stop with a TypeError traceback
+        rc = main(["train", "--config", config_file, "--out", str(tmp_path / "v"),
+                   "--set", f"env={env}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: environment") and err.count("\n") == 1
+
+    def test_scalar_layer_sizes_are_a_validation_error(self, config_file, tmp_path, capsys):
+        # tuple(5) used to raise TypeError, from --set or from the config file
+        rc = main(["train", "--config", config_file, "--set", "mlp_hidden=5"])
+        assert rc == 1
+        assert "mlp_hidden must be two ints" in capsys.readouterr().err
+        path = tmp_path / "scalar_layers.json"
+        path.write_text(json.dumps({"mlp_hidden": 5}))
+        assert main(["train", "--config", str(path)]) == 1
+        assert "mlp_hidden must be two ints" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["train", "--config", "{missing}"],
+                                         ["eval", "--policy", "{missing}"],
+                                         ["train", "--algo", "bc", "--demos", "{missing}"]],
+                             ids=["config", "policy", "demos"])
+    def test_missing_input_file_is_a_validation_error(self, config_file, tmp_path, capsys,
+                                                      command):
+        missing = str(tmp_path / "no_such_file.json")
+        argv = [arg.format(missing=missing) for arg in command]
+        if "--config" not in argv:
+            argv += ["--config", config_file]
+        rc = main(argv + ["--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and missing in err and err.count("\n") == 1
+
 
 class TestEvalAndSurface:
     def test_eval_roundtrip(self, config_file, tmp_path, capsys):

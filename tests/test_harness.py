@@ -49,6 +49,23 @@ class TestEnvironments:
         with pytest.raises(ValueError):
             build_environment({"n": 5})
 
+    @pytest.mark.parametrize("spec,match", [
+        ({"name": "gridworld", "m": 3}, "takes no parameter 'm'"),
+        ({"name": "cliff", "n": 3}, "takes no parameter 'n'"),
+        ({"name": "gridworld", "n": "3"}, "n must be an integer"),
+        ({"name": "gridworld", "n": 2.5}, "n must be an integer"),
+        ({"name": "gridworld", "n": 3.0}, "n must be an integer"),
+        ({"name": "chain", "n": True}, "n must be an integer"),
+        ({"name": "mountain_car", "n_vel": 7.5}, "n_vel must be an integer"),
+    ])
+    def test_bad_builder_parameters_rejected(self, spec, match):
+        # each of these used to stop with a TypeError from inside the builder
+        with pytest.raises(ValueError, match=match):
+            build_environment(spec)
+
+    def test_sizes_accept_numpy_integers(self):
+        assert build_environment({"name": "gridworld", "n": np.int64(3)}).n_states == 9
+
 
 class TestMakeExpert:
     def test_expert_reaches_goal(self):
@@ -262,7 +279,7 @@ class TestRewardSurface:
     def test_default_bounds_expand(self, rng):
         data = rng.normal(size=(40, 6))
         plane = pca_fit(data)
-        lo_u, hi_u, lo_v, hi_v = default_bounds(plane, data, expand=0.25)
+        lo_u, hi_u, lo_v, hi_v = default_bounds(plane, data)
         uv = pca_project(plane, data)
         assert lo_u < uv[:, 0].min() and hi_u > uv[:, 0].max()
         assert lo_v < uv[:, 1].min() and hi_v > uv[:, 1].max()
@@ -327,6 +344,12 @@ class TestRunSingleAndGrid:
         assert len(failures) == 1 and failures[0]["algorithm"] == "wail"
         assert len(rows) == 1 and rows[0]["algorithm"] == "bc"
         assert (tmp_path / "failures.json").exists()
+
+    def test_bad_environment_spec_fails_its_cells(self):
+        cfg = RunConfig(env={"name": "gridworld", "n": 2.5}, n_eval=50, n_ref=50)
+        rows, failures = run_experiment_grid(cfg, algorithms=["bc"], seeds=[0, 1])
+        assert rows == [] and len(failures) == 2
+        assert all(f["error"].startswith("ValueError: environment size n") for f in failures)
 
     def test_summary_round_trip(self, tmp_path):
         rows = [{"algorithm": "wail", "dataset_size": 1, "seed": 0,
