@@ -18,7 +18,7 @@ from .envs import (EvalResult, build_environment, episode_returns, evaluate,
                    make_chain, make_cliff, make_expert, make_gridworld,
                    make_mountain_car, reference_returns, rollout_fixed)
 from .experiments import (derived_seeds, load_summary, run_experiment_grid, run_single,
-                          save_summary, train_algorithm)
+                          save_summary)
 from .mdp import (LOGIT_GAP, OccupancyMeasure, Rollouts, SoftmaxPolicy, TabularMdp,
                   bellman_flow_residual, causal_entropy, default_max_len,
                   entries_from_dense, expected_reward, load_mdp, load_policy, load_trajectories,

@@ -88,12 +88,12 @@ class DiscriminatorStep:
         return state.model, {}
 
 
-def train_gail(mdp: TabularMdp, expert_data, config: RunConfig, eval_ctx=None):
+def train_gail(mdp: TabularMdp, expert_data, config: RunConfig, score=None):
     """GAIL: the adversarial loop with the discriminator step in place of the
     OT reward ascent; the policy maximizes -log D under the same
     KL-constrained natural-gradient updates.  The discriminator is its logit
     model, D = sigmoid(logit).  Returns (policy, logit model, log)."""
-    return adversarial_train(mdp, expert_data, config, DiscriminatorStep(mdp, config), eval_ctx)
+    return adversarial_train(mdp, expert_data, config, DiscriminatorStep(mdp, config), score)
 
 
 def train_bc(mdp: TabularMdp, expert_data, config: RunConfig) -> SoftmaxPolicy:

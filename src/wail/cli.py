@@ -2,9 +2,9 @@
 
 Subcommands: make-expert, train, eval, surface, grid.  Each reads a JSON
 config (all RunConfig fields) and accepts --seed/--out plus generic
---set key=value overrides.  Demonstrations, references, evaluation and
-training (with --demos too) are seeded from config.seed through
-experiments.derived_seeds, as in run_single.  Exit codes: 0 success,
+--set key=value overrides.  Runs are set up and scored only through
+experiments.setup and experiments.scorer, seeded from config.seed as in
+run_single; train, with --demos too, is run_single.  Exit codes: 0 success,
 1 validation error (a bad config, environment spec or input file),
 2 runtime divergence, 3 partial grid failure.
 """
@@ -19,8 +19,7 @@ import sys
 
 from . import analysis, rewards
 from .config import RunConfig, load_config
-from .envs import build_environment, evaluate, make_expert, reference_returns
-from .experiments import derived_seeds, run_experiment_grid, run_single, train_algorithm
+from .experiments import run_experiment_grid, run_single, scorer, setup
 from .mdp import (load_policy, load_trajectories, save_mdp, save_policy,
                   save_trajectories, state_action_embeddings)
 from .ot import DivergenceError
@@ -55,12 +54,9 @@ def _load(args) -> RunConfig:
     return config
 
 
-def cmd_make_expert(args) -> int:
+def cmd_expert(args) -> int:
     config = _load(args)
-    mdp = build_environment(config.env)
-    expert, demos = make_expert(mdp, config.expert_lambda, n_traj=config.dataset_size,
-                                traj_len=config.traj_len,
-                                seed=derived_seeds(config.seed)["expert"])
+    mdp, expert, demos = setup(config)
     out = config.out_dir or "."
     os.makedirs(out, exist_ok=True)
     save_mdp(os.path.join(out, "mdp.json"), mdp)
@@ -75,30 +71,17 @@ def cmd_train(args) -> int:
     if args.algo:
         config = dataclasses.replace(config, algorithm=args.algo)
         config.validate()
-    if args.demos:
-        # the trainer writes its final policy (and reward) to out_dir; with
-        # run_single's training seed, make-expert + train --demos reproduces train
-        config = dataclasses.replace(config, out_dir=config.out_dir or ".",
-                                     seed=derived_seeds(config.seed)["train"])
-        train_algorithm(build_environment(config.env), load_trajectories(args.demos), config)
-        print(f"trained {config.algorithm}; wrote policy_final.json to {config.out_dir}")
-        return 0
-    row, _ = run_single(config)
+    row, _ = run_single(config, load_trajectories(args.demos) if args.demos else None)
     print(json.dumps(row))
     return 0
 
 
 def cmd_eval(args) -> int:
     config = _load(args)
-    mdp = build_environment(config.env)
     policy = load_policy(args.policy)
-    seeds = derived_seeds(config.seed)
-    expert, _ = make_expert(mdp, config.expert_lambda, n_traj=1,
-                            traj_len=config.traj_len, seed=seeds["expert"])
-    expert_ref, random_ref = reference_returns(mdp, expert, n_ref=config.n_ref,
-                                               seed=seeds["refs"])
-    result = evaluate(mdp, policy, config.n_eval, seed=seeds["eval"],
-                      expert_ref=expert_ref, random_ref=random_ref)
+    mdp, expert, _ = setup(config)
+    score, expert_ref, random_ref = scorer(config, mdp, expert)
+    result = score(policy)
     doc = {"mean": result.mean, "std": result.std, "scaled": result.scaled,
            "expert_ref": expert_ref, "random_ref": random_ref}
     if config.out_dir:
@@ -111,13 +94,7 @@ def cmd_eval(args) -> int:
 
 def cmd_surface(args) -> int:
     config = _load(args)
-    mdp = build_environment(config.env)
-    if args.demos:
-        demos = load_trajectories(args.demos)
-    else:
-        _, demos = make_expert(mdp, config.expert_lambda, n_traj=config.dataset_size,
-                               traj_len=config.traj_len,
-                               seed=derived_seeds(config.seed)["expert"])
+    mdp, _, demos = setup(config, load_trajectories(args.demos) if args.demos else None)
     flat = demos.states * mdp.n_actions + demos.actions
     data = state_action_embeddings(mdp)[flat]
     plane = analysis.pca_fit(data)
@@ -164,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("make-expert", help="build env, train the expert, dump demos")
     _add_common(p)
-    p.set_defaults(fn=cmd_make_expert)
+    p.set_defaults(fn=cmd_expert)
 
     p = sub.add_parser("train", help="run one imitation training")
     _add_common(p)

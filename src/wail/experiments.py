@@ -20,47 +20,60 @@ from .mdp import save_trajectories
 def derived_seeds(seed: int) -> dict:
     """Independent integer seeds for a run's sampling stages: the expert
     demonstrations, the expert/random references, training and evaluation.
-    run_single and the CLI derive every stage's seed from config.seed this
-    way."""
+    setup, scorer and run_single are the only callers: every stage's seed
+    comes from config.seed this way."""
     children = np.random.SeedSequence(seed).spawn(4)
     names = ("expert", "refs", "train", "eval")
     return {n: int(c.generate_state(1)[0]) for n, c in zip(names, children)}
 
 
-def train_algorithm(mdp, demos, config: RunConfig, eval_ctx=None):
-    """Train config.algorithm on the demonstrations.  Each trainer writes
-    its own artifacts to config.out_dir.  Returns (policy, reward model,
-    log): WAIL's potential or GAIL's discriminator logit; the last two are
-    None for bc."""
-    if config.algorithm == "wail":
-        return training.train_wail(mdp, demos, config, eval_ctx=eval_ctx)
-    if config.algorithm == "gail":
-        return baselines.train_gail(mdp, demos, config, eval_ctx=eval_ctx)
-    if config.algorithm == "bc":
-        return baselines.train_bc(mdp, demos, config), None, None
-    raise ValueError(f"unknown algorithm {config.algorithm!r}")
+def setup(config: RunConfig, demos=None):
+    """Build a run's environment and soft-VI expert.  Draws dataset_size
+    demonstrations with the expert seed, unless `demos` are given; those are
+    checked against the MDP instead.  Returns (mdp, expert_policy, demos)."""
+    mdp = build_environment(config.env)
+    expert_policy, drawn = make_expert(mdp, config.expert_lambda, n_traj=config.dataset_size,
+                                       traj_len=config.traj_len,
+                                       seed=derived_seeds(config.seed)["expert"])
+    if demos is None:
+        return mdp, expert_policy, drawn
+    training.ExpertData.from_any(demos, mdp)
+    return mdp, expert_policy, demos
 
 
-def run_single(config: RunConfig):
-    """One imitation run: build the environment, draw demonstrations, train
-    the configured algorithm, evaluate against expert/random references.
+def scorer(config: RunConfig, mdp, expert_policy):
+    """A run's scoring: expert and random references drawn with the refs
+    seed, and score(policy), the EvalResult of n_eval episodes drawn with
+    the eval seed.  Returns (score, expert_ref, random_ref)."""
+    seeds = derived_seeds(config.seed)
+    expert_ref, random_ref = reference_returns(mdp, expert_policy,
+                                               n_ref=config.n_ref, seed=seeds["refs"])
+
+    def score(policy):
+        return evaluate(mdp, policy, config.n_eval, seed=seeds["eval"],
+                        expert_ref=expert_ref, random_ref=random_ref)
+
+    return score, expert_ref, random_ref
+
+
+def run_single(config: RunConfig, demos=None):
+    """One imitation run: set up the environment and demonstrations (drawn,
+    or the given `demos`), train the configured algorithm with the train
+    seed, score it against the expert/random references.
 
     Returns (summary_row, artifacts) where artifacts holds the trained
     policy, the reward model (WAIL's potential or GAIL's discriminator
     logit; None for bc), the log (None for bc) and the expert context."""
     config.validate()
-    seeds = derived_seeds(config.seed)
-    mdp = build_environment(config.env)
-    expert_policy, demos = make_expert(mdp, config.expert_lambda,
-                                       n_traj=config.dataset_size,
-                                       traj_len=config.traj_len, seed=seeds["expert"])
-    expert_ref, random_ref = reference_returns(mdp, expert_policy,
-                                               n_ref=config.n_ref, seed=seeds["refs"])
-    eval_ctx = {"expert_ref": expert_ref, "random_ref": random_ref, "seed": seeds["eval"]}
-    train_cfg = dataclasses.replace(config, seed=seeds["train"])
-    policy, aux, log = train_algorithm(mdp, demos, train_cfg, eval_ctx=eval_ctx)
-    result = evaluate(mdp, policy, config.n_eval, seed=seeds["eval"],
-                      expert_ref=expert_ref, random_ref=random_ref)
+    mdp, expert_policy, demos = setup(config, demos)
+    score, expert_ref, random_ref = scorer(config, mdp, expert_policy)
+    train_cfg = dataclasses.replace(config, seed=derived_seeds(config.seed)["train"])
+    if config.algorithm == "bc":
+        policy, aux, log = baselines.train_bc(mdp, demos, train_cfg), None, None
+    else:
+        train = training.train_wail if config.algorithm == "wail" else baselines.train_gail
+        policy, aux, log = train(mdp, demos, train_cfg, score=score)
+    result = score(policy)
     row = {"algorithm": config.algorithm, "dataset_size": config.dataset_size,
            "seed": config.seed, "mean": result.mean, "std": result.std,
            "scaled": result.scaled}

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import ot, rewards
 from .config import RunConfig
-from .envs import evaluate
 from .mdp import (OccupancyMeasure, Rollouts, SoftmaxPolicy, TabularMdp,
                   occupancy_from_policy, sample_trajectories, save_policy)
 from .trust_region import (StepSchedule, entropy_reg_policy_gradient,
@@ -258,14 +257,6 @@ def _should_stop(rows: list, window: int, tol: float) -> bool:
     return float(tail.max() - tail.min()) <= tol * (1.0 + abs(tail[-1]))
 
 
-def _maybe_eval(mdp, policy, config, eval_ctx, k):
-    if eval_ctx is None or config.eval_every <= 0 or (k + 1) % config.eval_every != 0:
-        return None
-    res = evaluate(mdp, policy, config.n_eval, seed=eval_ctx["seed"],
-                   expert_ref=eval_ctx["expert_ref"], random_ref=eval_ctx["random_ref"])
-    return res.scaled
-
-
 def _maybe_checkpoint(state: WailState, config: RunConfig) -> None:
     if not config.out_dir or config.checkpoint_every <= 0 or state.k % config.checkpoint_every != 0:
         return
@@ -276,7 +267,7 @@ def _maybe_checkpoint(state: WailState, config: RunConfig) -> None:
 
 
 def adversarial_train(mdp: TabularMdp, expert_data, config: RunConfig, reward_step,
-                      eval_ctx=None):
+                      score=None):
     """The adversarial loop shared by WAIL and GAIL.  Runs `wail_iteration`
     with `reward_step` for k_max rounds (stopping early once the trailing
     objective window is flat), then the step's end-of-run hook
@@ -288,6 +279,8 @@ def adversarial_train(mdp: TabularMdp, expert_data, config: RunConfig, reward_st
     each batch an (indices, weights) pair over the flat state-action set,
     and returns (model, objective, reward for the policy step); it names its
     `algorithm`, its round-generator `salt` and its final `artifact` file.
+    With `score` given and eval_every > 0, every eval_every-th round's
+    policy is scored, score(policy).scaled, into scaled_perf_eval.
 
     With config.out_dir set, writes metrics.csv, run_meta.json, checkpoints,
     policy_final.json and the step's artifact.  Returns (policy, reward
@@ -305,8 +298,8 @@ def adversarial_train(mdp: TabularMdp, expert_data, config: RunConfig, reward_st
     try:
         for _ in range(config.k_max):
             state, row = wail_iteration(state, mdp, expert, config, reward_step)
-            log.append(**row, scaled_perf_eval=_maybe_eval(mdp, state.policy, config, eval_ctx,
-                                                           state.k - 1))
+            evaluated = score is not None and config.eval_every > 0 and state.k % config.eval_every == 0
+            log.append(**row, scaled_perf_eval=score(state.policy).scaled if evaluated else None)
             _maybe_checkpoint(state, config)
             if _should_stop(log.rows, config.early_stop_window, config.early_stop_tol):
                 log.meta["early_stop_iteration"] = state.k
@@ -327,11 +320,11 @@ def adversarial_train(mdp: TabularMdp, expert_data, config: RunConfig, reward_st
     return state.policy, model, log
 
 
-def train_wail(mdp: TabularMdp, expert_data, config: RunConfig, eval_ctx=None):
+def train_wail(mdp: TabularMdp, expert_data, config: RunConfig, score=None):
     """WAIL: the adversarial loop with the OT-dual reward step, whose
     returned reward is the potential fitted to the final policy
     (`OtDualStep.finish`).  Returns (policy, reward model, log)."""
-    return adversarial_train(mdp, expert_data, config, OtDualStep(mdp, config), eval_ctx)
+    return adversarial_train(mdp, expert_data, config, OtDualStep(mdp, config), score)
 
 
 @dataclass
