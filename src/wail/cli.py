@@ -35,16 +35,13 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
         key, _, raw = item.partition("=")
         if not _:
             raise ValueError(f"--set expects key=value, got {item!r}")
-        if key not in RunConfig.__dataclass_fields__:
-            raise ValueError(f"unknown config key {key!r}")
         try:
-            value = json.loads(raw)
+            updates[key] = json.loads(raw)
         except json.JSONDecodeError:
-            value = raw
-        if key == "mlp_hidden" and isinstance(value, list):
-            value = tuple(value)
-        updates[key] = value
-    return dataclasses.replace(config, **updates)
+            updates[key] = raw
+    if getattr(args, "algo", None):
+        updates["algorithm"] = args.algo
+    return RunConfig.from_dict(dataclasses.asdict(config) | updates)
 
 
 def _load(args) -> RunConfig:
@@ -67,11 +64,7 @@ def cmd_expert(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _load(args)
-    if args.algo:
-        config = dataclasses.replace(config, algorithm=args.algo)
-        config.validate()
-    row, _ = run_single(config, load_trajectories(args.demos) if args.demos else None)
+    row, _ = run_single(_load(args), load_trajectories(args.demos) if args.demos else None)
     print(json.dumps(row))
     return 0
 

@@ -11,6 +11,7 @@ random policy 0.0.
 from __future__ import annotations
 
 import inspect
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -167,8 +168,11 @@ _BUILDERS = {
 
 def build_environment(spec: dict) -> TabularMdp:
     """Build a TabularMdp from {"name": ..., **params}.  Raises ValueError
-    for an unknown name, a parameter the builder does not take, or a size
-    (a parameter whose default is an int) that is not an integer."""
+    for an unknown name, a parameter the builder does not take, a size (a
+    parameter whose default is an int) that is not an integer, a parameter
+    whose default is None that is not an integer or None, and a parameter
+    whose default is a float that is not a finite real.  Booleans are none
+    of these."""
     if not isinstance(spec, dict) or "name" not in spec:
         raise ValueError("environment spec must be a dict with a 'name' key")
     params = {k: v for k, v in spec.items() if k != "name"}
@@ -182,9 +186,16 @@ def build_environment(spec: dict) -> TabularMdp:
         if key not in taken:
             raise ValueError(f"environment {spec['name']!r} takes no parameter {key!r}; "
                              f"it takes {sorted(taken)}")
-        if type(taken[key].default) is int and (isinstance(value, bool)
-                                                or not isinstance(value, numbers.Integral)):
+        default = taken[key].default
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        integral = real and isinstance(value, numbers.Integral)
+        if type(default) is int and not integral:
             raise ValueError(f"environment size {key} must be an integer, got {value!r}")
+        if default is None and not (integral or value is None):
+            raise ValueError(f"environment parameter {key} must be an integer or null, "
+                             f"got {value!r}")
+        if type(default) is float and not (real and math.isfinite(value)):
+            raise ValueError(f"environment parameter {key} must be a finite real, got {value!r}")
     return builder(**params)
 
 

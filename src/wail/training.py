@@ -7,8 +7,9 @@ regularized OT dual through the reward parameters; after the last round,
 exact mode continues the same ascent against the returned policy, so the
 returned reward is the potential fitted to that policy.  GAIL's
 discriminator step lives in `baselines`.  Each round returns its log row,
-the run's only per-round record; the objective column is monitored for the
-Cauchy behavior the step schedule guarantees.
+the run's only per-round record.  `convergence_monitor` checks a recorded
+objective trace against the step schedule's Cauchy envelope offline; no run
+calls it.
 """
 
 from __future__ import annotations

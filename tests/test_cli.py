@@ -96,11 +96,11 @@ class TestTrain:
         assert wail.load_policy(out / "policy_final.json").logits.tobytes() == policy.logits.tobytes()
 
     @pytest.mark.parametrize("overrides", [["sampling=sampled", "pg_mode=sampled"],
-                                           ["model_form=linear"]],
-                             ids=["sampled-tabular", "exact-linear"])
+                                           ["model_form=linear"], ["eval_every=3"]],
+                             ids=["sampled-tabular", "exact-linear", "eval-every"])
     def test_demos_path_reproduces_train(self, config_file, tmp_path, capsys, overrides):
-        # make-expert writes train's demonstrations, and train --demos trains
-        # with train's seed, so both write the same policy and reward
+        # make-expert writes train's demonstrations, and train --demos is
+        # run_single on them, so both runs write the same files
         sets = [arg for kv in overrides for arg in ("--set", kv)]
         main(["make-expert", "--config", config_file, "--out", str(tmp_path / "e"), *sets])
         assert main(["train", "--config", config_file, "--algo", "wail",
@@ -108,10 +108,41 @@ class TestTrain:
         assert main(["train", "--config", config_file, "--algo", "wail",
                      "--demos", str(tmp_path / "e" / "demos.jsonl"),
                      "--out", str(tmp_path / "demos"), *sets]) == 0
+        printed = capsys.readouterr().out.strip().splitlines()
+        assert printed[-1] == printed[-2]
         run, demos = tmp_path / "run", tmp_path / "demos"
         assert (tmp_path / "e" / "demos.jsonl").read_bytes() == (run / "demos.jsonl").read_bytes()
-        for name in ("policy_final.json", "reward_final.json"):
+        for name in ("policy_final.json", "reward_final.json", "metrics.csv", "result.json",
+                     "demos.jsonl"):
             assert (demos / name).read_bytes() == (run / name).read_bytes()
+        metas = [json.loads((d / "run_meta.json").read_text()) for d in (run, demos)]
+        for meta in metas:
+            del meta["config"]["out_dir"]
+        assert metas[0] == metas[1]
+        if "eval_every=3" in overrides:
+            # the old --demos fork left this column empty
+            evaluated = wail.RunLog.load(demos).column("scaled_perf_eval")
+            assert evaluated.size == 3
+
+    @pytest.mark.parametrize("command", [["surface", "--reward", "{reward}"], ["train"]],
+                             ids=["surface", "train"])
+    @pytest.mark.parametrize("step", [[2, 5], [40, 1]], ids=["action-past-A", "state-past-S"])
+    def test_out_of_range_demo_step_is_a_validation_error(self, config_file, tmp_path, capsys,
+                                                          command, step):
+        # on the 9-state, 4-action grid, surface --demos used to accept
+        # [2, 5] (flat index 2 * 4 + 5 is state 3, action 1) and to die with
+        # an IndexError traceback on [40, 1]
+        demos = tmp_path / "demos.jsonl"
+        demos.write_text(json.dumps({"steps": [[0, 1], step], "truncated": True}) + "\n")
+        reward = tmp_path / "reward.json"
+        wail.save_model(reward, wail.create_model("tabular", (36,), 0))
+        argv = [arg.format(reward=reward) for arg in command]
+        rc = main([*argv, "--config", config_file, "--demos", str(demos),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "validation error: expert pairs out of MDP bounds\n"
+        assert not (tmp_path / "out").exists()
 
     def test_divergence_exit_code(self, config_file, tmp_path, capsys):
         rc = main(["train", "--config", config_file, "--algo", "wail",
@@ -139,10 +170,15 @@ class TestTrain:
         assert rc == 1
 
     @pytest.mark.parametrize("env", ['{"name":"gridworld","m":3}', '{"name":"gridworld","n":"3"}',
-                                     '{"name":"gridworld","n":2.5}'],
-                             ids=["unknown-key", "string-size", "fractional-size"])
+                                     '{"name":"gridworld","n":2.5}',
+                                     '{"name":"gridworld","n":3,"goal":2.5}',
+                                     '{"name":"gridworld","n":3,"gamma":"0.9"}',
+                                     '{"name":"gridworld","n":3,"slip":"0.1"}'],
+                             ids=["unknown-key", "string-size", "fractional-size",
+                                  "fractional-goal", "string-gamma", "string-slip"])
     def test_bad_environment_spec_is_a_validation_error(self, config_file, tmp_path, capsys, env):
-        # these used to stop with a TypeError traceback
+        # these used to stop with a TypeError traceback, or (goal 2.5) ran
+        # with the goal truncated to a cell
         rc = main(["train", "--config", config_file, "--out", str(tmp_path / "v"),
                    "--set", f"env={env}"])
         assert rc == 1

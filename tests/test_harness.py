@@ -57,9 +57,13 @@ class TestEnvironments:
         ({"name": "gridworld", "n": 3.0}, "n must be an integer"),
         ({"name": "chain", "n": True}, "n must be an integer"),
         ({"name": "mountain_car", "n_vel": 7.5}, "n_vel must be an integer"),
+        ({"name": "gridworld", "n": 3, "goal": 2.5}, "goal must be an integer or null"),
+        ({"name": "gridworld", "n": 3, "gamma": "0.9"}, "gamma must be a finite real"),
+        ({"name": "gridworld", "n": 3, "slip": "0.1"}, "slip must be a finite real"),
     ])
     def test_bad_builder_parameters_rejected(self, spec, match):
-        # each of these used to stop with a TypeError from inside the builder
+        # each of these used to stop with a TypeError from inside the builder,
+        # or (goal 2.5) was truncated to a cell
         with pytest.raises(ValueError, match=match):
             build_environment(spec)
 

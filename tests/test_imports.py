@@ -1,5 +1,6 @@
 """No module of the package reaches into another module's private names,
-by `from .mod import _name` or by `mod._name` on an imported module."""
+by `from .mod import _name` or by `mod._name` on an imported module; and
+only `experiments` decides which seed feeds which stage of a run."""
 
 import ast
 from pathlib import Path
@@ -45,3 +46,22 @@ def test_no_module_imports_a_private_name():
              for module, name in private_imports(path.read_text())}
     assert found - ALLOWED == set()
     assert ALLOWED <= found, "an allowed import is gone; remove it from ALLOWED"
+
+
+def derived_seeds_calls(source: str) -> int:
+    """Calls of derived_seeds in the source, by name or as an attribute."""
+    return sum(isinstance(node, ast.Call) and "derived_seeds" in (getattr(node.func, "id", None),
+                                                                   getattr(node.func, "attr", None))
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_seed_scanner_finds_both_forms():
+    source = ("seeds = derived_seeds(1)\ntrain = experiments.derived_seeds(2)['train']\n"
+              "f = derived_seeds\n")
+    assert derived_seeds_calls(source) == 2
+
+
+def test_only_experiments_derives_stage_seeds():
+    callers = {path.stem for path in sorted(SRC.glob("*.py"))
+               if derived_seeds_calls(path.read_text())}
+    assert callers == {"experiments"}
