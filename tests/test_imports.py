@@ -50,9 +50,12 @@ def test_no_module_imports_a_private_name():
 
 def derived_seeds_calls(source: str) -> int:
     """Calls of derived_seeds in the source, by name or as an attribute."""
-    return sum(isinstance(node, ast.Call) and "derived_seeds" in (getattr(node.func, "id", None),
-                                                                   getattr(node.func, "attr", None))
-               for node in ast.walk(ast.parse(source)))
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            count += name == "derived_seeds"
+    return count
 
 
 def test_seed_scanner_finds_both_forms():
