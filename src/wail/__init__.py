@@ -19,8 +19,8 @@ from .envs import (EvalResult, build_environment, episode_returns, evaluate,
                    make_mountain_car, reference_returns, rollout_fixed)
 from .experiments import (derived_seeds, load_summary, run_experiment_grid, run_single,
                           save_summary)
-from .mdp import (LOGIT_GAP, OccupancyMeasure, Rollouts, SoftmaxPolicy, TabularMdp,
-                  bellman_flow_residual, causal_entropy, default_max_len,
+from .mdp import (LOGIT_GAP, FlowSystem, OccupancyMeasure, Rollouts, SoftmaxPolicy,
+                  TabularMdp, bellman_flow_residual, causal_entropy, default_max_len,
                   entries_from_dense, expected_reward, load_mdp, load_policy, load_trajectories,
                   mdp_from_json, mdp_to_json, occupancy_from_policy,
                   policy_from_occupancy, save_mdp, save_policy, save_trajectories,

@@ -61,6 +61,8 @@ def run_single(config: RunConfig, demos=None):
     or the given `demos`), train the configured algorithm with the train
     seed, score it against the expert/random references.
 
+    The row's dataset_size is the number of demonstrations trained on,
+    len(demos), which given demonstrations set rather than the config.
     Returns (summary_row, artifacts) where artifacts holds the trained
     policy, the reward model (WAIL's potential or GAIL's discriminator
     logit; None for bc), the log (None for bc) and the expert context."""
@@ -74,7 +76,7 @@ def run_single(config: RunConfig, demos=None):
         train = training.train_wail if config.algorithm == "wail" else baselines.train_gail
         policy, aux, log = train(mdp, demos, train_cfg, score=score)
     result = score(policy)
-    row = {"algorithm": config.algorithm, "dataset_size": config.dataset_size,
+    row = {"algorithm": config.algorithm, "dataset_size": len(demos),
            "seed": config.seed, "mean": result.mean, "std": result.std,
            "scaled": result.scaled}
     artifacts = {"mdp": mdp, "policy": policy, "model": aux, "log": log,

@@ -4,11 +4,14 @@ The transition model P exists only as its nonzero entries, validated and
 stored as rows over the S*A state-action pairs (see TabularMdp); every
 exact oracle, every sampler and the JSON format read those entries.
 Occupancy measures are solved from the Bellman flow linear system and
-policy values from its transpose, policies and occupancies convert back and
-forth (a bijection on their supports), causal entropy and expected rewards
-are exact inner products, trajectories come from the geometric-restart
-chain as one flat Rollouts batch, and soft value iteration provides the
-entropy-regularized RL oracle.
+policy values from its transpose, both through one FlowSystem record per
+policy that assembles (above DENSE_SOLVE_MAX_STATES states, factors) the
+system once; the training loop carries a policy's record from the line
+search that accepted it into the next round.  Policies and occupancies
+convert back and forth (a bijection on their supports), causal entropy and
+expected rewards are exact inner products, trajectories come from the
+geometric-restart chain as one flat Rollouts batch, and soft value
+iteration provides the entropy-regularized RL oracle.
 """
 
 from __future__ import annotations
@@ -313,24 +316,54 @@ class Rollouts:
         return np.stack([self.states, self.actions], axis=1)
 
 
-def _solve_flow(mdp: TabularMdp, policy: SoftmaxPolicy, rhs: np.ndarray,
-                transpose: bool) -> np.ndarray:
-    """Solve (I - gamma P_pi) x = rhs, or the transposed system, with
-    P_pi[s, s'] = sum_a pi(a|s) P[s, a, s'] assembled from the stored rows.
-    Dense LAPACK up to DENSE_SOLVE_MAX_STATES states, a sparse LU above."""
-    rows, S = mdp._rows, mdp.n_states
-    state = rows.row // mdp.n_actions
-    weights = policy.probs.ravel()[rows.row] * rows.prob
-    if S <= DENSE_SOLVE_MAX_STATES:
-        P_pi = np.bincount(state * S + rows.col, weights=weights,
-                           minlength=S * S).reshape(S, S)
-        system = np.eye(S) - mdp.gamma * P_pi
-        return np.linalg.solve(system.T if transpose else system, rhs)
-    diag = np.arange(S)
-    system = csc_matrix((np.concatenate([np.ones(S), -mdp.gamma * weights]),
-                         (np.concatenate([diag, state]), np.concatenate([diag, rows.col]))),
-                        shape=(S, S))
-    return splu(system).solve(rhs, trans="T" if transpose else "N")
+@dataclass(frozen=True, eq=False)
+class FlowSystem:
+    """The Bellman flow system I - gamma P_pi of one policy, assembled once,
+    with P_pi[s, s'] = sum_a pi(a|s) P[s, a, s'] built from the stored rows.
+
+    Up to DENSE_SOLVE_MAX_STATES states it keeps the dense matrix and every
+    solve is a dense LAPACK solve; above that it keeps the matrix's sparse
+    LU factor, so every solve with it reuses one factorization.  The same
+    record serves the occupancy solve (transposed) and the value solve of
+    its policy: occupancy_from_policy and action_values take it as `flow`
+    and reject a record built for another MDP or policy."""
+
+    mdp: TabularMdp = field(repr=False)
+    policy: SoftmaxPolicy = field(repr=False)
+    _system: object = field(init=False, repr=False)
+
+    def __post_init__(self):
+        mdp = self.mdp
+        mdp.check_policy(self.policy)
+        rows, S = mdp._rows, mdp.n_states
+        state = rows.row // mdp.n_actions
+        weights = self.policy.probs.ravel()[rows.row] * rows.prob
+        if S <= DENSE_SOLVE_MAX_STATES:
+            P_pi = np.bincount(state * S + rows.col, weights=weights,
+                               minlength=S * S).reshape(S, S)
+            system = np.eye(S) - mdp.gamma * P_pi
+        else:
+            diag = np.arange(S)
+            system = splu(csc_matrix(
+                (np.concatenate([np.ones(S), -mdp.gamma * weights]),
+                 (np.concatenate([diag, state]), np.concatenate([diag, rows.col]))),
+                shape=(S, S)))
+        object.__setattr__(self, "_system", system)
+
+    def solve(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """x with (I - gamma P_pi) x = rhs, or the transposed system."""
+        if isinstance(self._system, np.ndarray):
+            return np.linalg.solve(self._system.T if transpose else self._system, rhs)
+        return self._system.solve(rhs, trans="T" if transpose else "N")
+
+
+def _flow_for(mdp: TabularMdp, policy: SoftmaxPolicy, flow: FlowSystem | None) -> FlowSystem:
+    """`flow` checked against (mdp, policy), or a new record when None."""
+    if flow is None:
+        return FlowSystem(mdp, policy)
+    if flow.mdp is not mdp or flow.policy is not policy:
+        raise ValueError("flow record was built for another MDP or policy")
+    return flow
 
 
 def _next_expectation(mdp: TabularMdp, V: np.ndarray) -> np.ndarray:
@@ -339,16 +372,17 @@ def _next_expectation(mdp: TabularMdp, V: np.ndarray) -> np.ndarray:
     return np.bincount(rows.row, weights=rows.prob * V[rows.col], minlength=S * A).reshape(S, A)
 
 
-def occupancy_from_policy(mdp: TabularMdp, policy: SoftmaxPolicy) -> OccupancyMeasure:
+def occupancy_from_policy(mdp: TabularMdp, policy: SoftmaxPolicy,
+                          flow: FlowSystem | None = None) -> OccupancyMeasure:
     """Solve the Bellman flow system exactly and return rho(s,a) = d(s) pi(a|s).
 
     The state marginal d solves the linear recurrence
         d = (1-gamma) mu0 + gamma P_pi^T d
     so d = (I - gamma P_pi^T)^{-1} (1-gamma) mu0, which is nonsingular for
-    gamma < 1.
+    gamma < 1.  `flow` is the policy's FlowSystem (assembled here when None).
     """
     mdp.check_policy(policy)
-    d = _solve_flow(mdp, policy, (1.0 - mdp.gamma) * mdp.start, transpose=True)
+    d = _flow_for(mdp, policy, flow).solve((1.0 - mdp.gamma) * mdp.start, transpose=True)
     if d.min() < -1e-12:
         raise ArithmeticError(f"flow solve produced negative visitation {d.min():.3e}")
     d = np.maximum(d, 0.0)
@@ -360,13 +394,14 @@ def occupancy_from_policy(mdp: TabularMdp, policy: SoftmaxPolicy) -> OccupancyMe
     return OccupancyMeasure(rho)
 
 
-def action_values(mdp: TabularMdp, policy: SoftmaxPolicy,
-                  cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def action_values(mdp: TabularMdp, policy: SoftmaxPolicy, cost: np.ndarray,
+                  flow: FlowSystem | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Exact policy evaluation of a per-step payoff: V solves
     (I - gamma P_pi) V = sum_a pi(a|.) cost(., a), and
-    Q(s, a) = cost(s, a) + gamma sum_s' P[s, a, s'] V(s').  Returns (Q, V)."""
+    Q(s, a) = cost(s, a) + gamma sum_s' P[s, a, s'] V(s').  `flow` is the
+    policy's FlowSystem (assembled here when None).  Returns (Q, V)."""
     mdp.check_policy(policy)
-    V = _solve_flow(mdp, policy, (policy.probs * cost).sum(axis=1), transpose=False)
+    V = _flow_for(mdp, policy, flow).solve((policy.probs * cost).sum(axis=1))
     return cost + mdp.gamma * _next_expectation(mdp, V), V
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import ot, rewards
 from .config import RunConfig
-from .mdp import (OccupancyMeasure, Rollouts, SoftmaxPolicy, TabularMdp,
+from .mdp import (FlowSystem, OccupancyMeasure, Rollouts, SoftmaxPolicy, TabularMdp,
                   occupancy_from_policy, sample_trajectories, save_policy)
 from .trust_region import (StepSchedule, entropy_reg_policy_gradient,
                            kl_constrained_step, schedule_delta, weighted_kl)
@@ -123,11 +123,14 @@ class ExpertData:
 
 @dataclass
 class WailState:
-    """Loop state: round counter, reward model and policy."""
+    """Loop state: round counter, reward model, policy and the policy's
+    FlowSystem, carried from the last round's line search into the next
+    round's solves (None: the next round assembles it)."""
 
     k: int
     model: rewards.PotentialModel
     policy: SoftmaxPolicy
+    flow: FlowSystem | None = None
 
 
 def _policy_batch(policy: SoftmaxPolicy, mdp: TabularMdp, config: RunConfig,
@@ -194,19 +197,20 @@ class OtDualStep:
 
     def finish(self, state: WailState, mdp: TabularMdp):
         """Continue the reward ascent against the exact occupancy of
-        state.policy, with the loop's epsilon, learning rate and cost block, so the
-        reward fits the policy it is returned with instead of sitting one step
-        past the previous round's.  Runs FINAL_FIT_STEPS full-batch steps,
-        capped at the loop's own k * ot_inner_steps: the fit at most doubles the
-        ascent's cost, and k = 0 returns the initial model.  Sampled mode keeps
-        the loop's model.  Returns (model, run_meta entries): the steps run,
-        the objective after the fit (None when no step ran) and the entropic
-        clamp events of the run."""
+        state.policy (solved with state.flow, the record the last line
+        search returned), with the loop's epsilon, learning rate and cost
+        block, so the reward fits the policy it is returned with instead of
+        sitting one step past the previous round's.  Runs FINAL_FIT_STEPS
+        full-batch steps, capped at the loop's own k * ot_inner_steps: the
+        fit at most doubles the ascent's cost, and k = 0 returns the initial
+        model.  Sampled mode keeps the loop's model.  Returns (model,
+        run_meta entries): the steps run, the objective after the fit (None
+        when no step ran) and the entropic clamp events of the run."""
         steps = (min(FINAL_FIT_STEPS, state.k * self.config.ot_inner_steps)
                  if self.config.sampling == "exact" else 0)
         model, objective = state.model, None
         if steps:
-            w = occupancy_from_policy(mdp, state.policy).flat()
+            w = occupancy_from_policy(mdp, state.policy, flow=state.flow).flat()
             pair = ot.DiscreteMeasurePair(w / w.sum(), self.target)
             model, objective, clamps = ot.reg_ot_fit(pair, self.block, self.reg, model,
                                                      steps=steps, lr=self.config.ot_lr)
@@ -222,14 +226,18 @@ def wail_iteration(state: WailState, mdp: TabularMdp, expert_data, config: RunCo
     """One adversarial round: draw both batches, update the reward with
     `reward_step`, then take the KL-constrained policy step against the
     reward it returns.  The current policy's occupancy is solved once and
-    serves the batch, the gradient, the step and the logged KL.  The round's
-    generator is seeded by (config.seed, round, reward_step.salt); the
-    reward step draws from it between the batches and the gradient seed.
+    serves the batch, the gradient, the step and the logged KL; that solve
+    and the value solve use the state's FlowSystem, and the line search
+    returns the next policy's, so each policy's system is factored once.
+    The round's generator is seeded by (config.seed, round,
+    reward_step.salt); the reward step draws from it between the batches
+    and the gradient seed.
     Returns the next state and the round's log row (every LOG_COLUMNS
     entry but scaled_perf_eval)."""
     expert = ExpertData.from_any(expert_data, mdp)
     rng = np.random.default_rng([config.seed, state.k, reward_step.salt])
-    occupancy = occupancy_from_policy(mdp, state.policy)
+    flow = state.flow if state.flow is not None else FlowSystem(mdp, state.policy)
+    occupancy = occupancy_from_policy(mdp, state.policy, flow=flow)
     policy_batch = _policy_batch(state.policy, mdp, config, rng, occupancy)
     expert_batch = _expert_batch(expert, mdp, config, rng)
     model, objective, reward = reward_step(state.model, policy_batch, expert_batch, rng)
@@ -239,15 +247,14 @@ def wail_iteration(state: WailState, mdp: TabularMdp, expert_data, config: RunCo
     report = entropy_reg_policy_gradient(mdp, state.policy, reward,
                                          lam=config.lambda_entropy, mode=config.pg_mode,
                                          seed=int(rng.integers(0, 2 ** 63 - 1)),
-                                         occupancy=occupancy)
+                                         occupancy=occupancy, flow=flow)
     delta = schedule_delta(StepSchedule(config.delta0, config.delta_decay), state.k + 1)
-    new_policy = kl_constrained_step(mdp, state.policy, report, delta,
-                                     damping=config.cg_damping)
+    step = kl_constrained_step(mdp, flow, report, delta, damping=config.cg_damping)
     row = {"iteration": state.k + 1, "objective": objective,
            "policy_surrogate": report.surrogate_value,
-           "kl_step": weighted_kl(mdp, state.policy, new_policy, occupancy=occupancy),
+           "kl_step": weighted_kl(mdp, state.policy, step.policy, occupancy=occupancy),
            "entropy": report.entropy}
-    return WailState(state.k + 1, model, new_policy), row
+    return WailState(state.k + 1, model, step.policy, step), row
 
 
 def _should_stop(rows: list, window: int, tol: float) -> bool:

@@ -8,6 +8,12 @@ restart-chain rollouts.  Steps are natural-gradient directions, the
 closed-form solve of the damped occupancy-weighted softmax Fisher, with a
 backtracking line search that enforces the KL bound and surrogate
 non-decrease.
+
+Every exact solve goes through a policy's FlowSystem: the line search
+assembles (above DENSE_SOLVE_MAX_STATES states, factors) each candidate
+that passes the KL check once and returns the accepted candidate's record,
+which the training loop carries into the next round's occupancy and value
+solves, so each policy's system is factored once.
 """
 
 from __future__ import annotations
@@ -18,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rewards
-from .mdp import (OccupancyMeasure, Rollouts, SoftmaxPolicy, TabularMdp, action_values,
-                  causal_entropy, occupancy_from_policy, sample_trajectories)
+from .mdp import (FlowSystem, OccupancyMeasure, Rollouts, SoftmaxPolicy, TabularMdp,
+                  action_values, causal_entropy, occupancy_from_policy, sample_trajectories)
 
 GRAD_NORM_FLOOR = 1e-10
 BACKTRACK_COEF = 0.5    # the line search scales the step by this per backtrack,
@@ -78,9 +84,11 @@ def _as_reward_matrix(reward, mdp: TabularMdp) -> np.ndarray:
     return R
 
 
-def surrogate_value(mdp: TabularMdp, policy: SoftmaxPolicy, cost: np.ndarray) -> float:
-    """<c, rho_pi> for a frozen payoff matrix c."""
-    return float((occupancy_from_policy(mdp, policy).rho * cost).sum())
+def surrogate_value(mdp: TabularMdp, policy: SoftmaxPolicy, cost: np.ndarray,
+                    flow: FlowSystem | None = None) -> float:
+    """<c, rho_pi> for a frozen payoff matrix c; `flow` is the policy's
+    FlowSystem (assembled by the solve when None)."""
+    return float((occupancy_from_policy(mdp, policy, flow=flow).rho * cost).sum())
 
 
 def weighted_kl(mdp: TabularMdp, old: SoftmaxPolicy, new: SoftmaxPolicy,
@@ -96,7 +104,8 @@ def weighted_kl(mdp: TabularMdp, old: SoftmaxPolicy, new: SoftmaxPolicy,
 def entropy_reg_policy_gradient(mdp: TabularMdp, policy: SoftmaxPolicy, reward,
                                 lam: float = 0.0, mode: str = "exact",
                                 n_traj: int = 256, seed: int = 0,
-                                occupancy: OccupancyMeasure | None = None) -> PolicyGradientReport:
+                                occupancy: OccupancyMeasure | None = None,
+                                flow: FlowSystem | None = None) -> PolicyGradientReport:
     """Gradient of <r_hat - lam*log pi_old, rho_theta> at theta = current.
 
     `reward` is an (S, A) matrix or a PotentialModel treated as fixed.  Exact
@@ -105,16 +114,17 @@ def entropy_reg_policy_gradient(mdp: TabularMdp, policy: SoftmaxPolicy, reward,
     with Q_c/V_c from policy-evaluation linear solves; sampled mode uses
     restart-chain rollouts with score-function weighting.  `occupancy` is
     the policy's own (solved here when None); the report carries it on to
-    kl_constrained_step.
+    kl_constrained_step.  `flow` is the policy's FlowSystem, serving the
+    occupancy and value solves (each solve assembles its own when None).
     """
     if lam < 0:
         raise ValueError("lam must be >= 0")
     R = _as_reward_matrix(reward, mdp)
     cost = R - lam * policy.log_probs
     pi = policy.probs
-    rho = occupancy if occupancy is not None else occupancy_from_policy(mdp, policy)
+    rho = occupancy if occupancy is not None else occupancy_from_policy(mdp, policy, flow=flow)
     if mode == "exact":
-        Q, V = action_values(mdp, policy, cost)
+        Q, V = action_values(mdp, policy, cost, flow=flow)
         grad = rho.state_marginal()[:, None] * pi * (Q - V[:, None])
         value = float((rho.rho * cost).sum())
     elif mode == "sampled":
@@ -178,24 +188,28 @@ def _natural_direction(d: np.ndarray, pi: np.ndarray, g: np.ndarray,
     return (G / diag + coef[:, None] * w).ravel()
 
 
-def kl_constrained_step(mdp: TabularMdp, policy: SoftmaxPolicy,
+def kl_constrained_step(mdp: TabularMdp, flow: FlowSystem,
                         report: PolicyGradientReport, delta: float,
-                        damping: float = 1e-3) -> SoftmaxPolicy:
-    """One trust-region update: natural-gradient direction scaled to the KL
-    budget, then backtracking until the measured occupancy-weighted
-    KL(new || old) is within delta and the surrogate has not decreased.
-    Returns the old policy unchanged when no candidate qualifies, when
-    delta = 0, or when the gradient is negligible.  The old policy's
-    occupancy comes from report.occupancy and serves the Fisher weights and
-    every candidate's KL check.  The damping must be positive: it makes the
-    Fisher invertible along each state's constant direction."""
+                        damping: float = 1e-3) -> FlowSystem:
+    """One trust-region update of the policy of `flow`, its FlowSystem:
+    natural-gradient direction scaled to the KL budget, then backtracking
+    until the measured occupancy-weighted KL(new || old) is within delta and
+    the surrogate has not decreased.  Each candidate that passes the KL
+    check gets its own FlowSystem, which serves its surrogate solve.
+    Returns the accepted candidate's record, or `flow` itself when no
+    candidate qualifies, when delta = 0, or when the gradient is negligible.
+    The old policy's occupancy comes from report.occupancy and serves the
+    Fisher weights and every candidate's KL check.  The damping must be
+    positive: it makes the Fisher invertible along each state's constant
+    direction."""
     if delta < 0:
         raise ValueError("delta must be >= 0")
     if damping <= 0:
         raise ValueError("damping must be > 0")
     g = report.gradient
     if delta == 0.0 or np.linalg.norm(g) < GRAD_NORM_FLOOR:
-        return policy
+        return flow
+    policy = flow.policy
     pi = policy.probs
     occupancy = report.occupancy
     d = occupancy.state_marginal()
@@ -209,6 +223,7 @@ def kl_constrained_step(mdp: TabularMdp, policy: SoftmaxPolicy,
         kl = weighted_kl(mdp, policy, candidate, occupancy=occupancy)
         if kl > delta:
             continue
-        if surrogate_value(mdp, candidate, report.cost) >= old_value:
-            return candidate
-    return policy
+        candidate_flow = FlowSystem(mdp, candidate)
+        if surrogate_value(mdp, candidate, report.cost, flow=candidate_flow) >= old_value:
+            return candidate_flow
+    return flow

@@ -124,6 +124,19 @@ class TestTrain:
             evaluated = wail.RunLog.load(demos).column("scaled_perf_eval")
             assert evaluated.size == 3
 
+    def test_demos_path_reports_the_demonstrations_trained_on(self, config_file, tmp_path,
+                                                             capsys):
+        main(["make-expert", "--config", config_file, "--out", str(tmp_path / "e"),
+              "--set", "dataset_size=2"])
+        out = tmp_path / "bc"
+        assert main(["train", "--config", config_file, "--algo", "bc",
+                     "--demos", str(tmp_path / "e" / "demos.jsonl"), "--out", str(out),
+                     "--set", "dataset_size=7"]) == 0
+        row = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert row["dataset_size"] == 2
+        assert json.loads((out / "result.json").read_text())["dataset_size"] == 2
+        assert len(wail.load_trajectories(out / "demos.jsonl")) == 2
+
     @pytest.mark.parametrize("command", [["surface", "--reward", "{reward}"], ["train"]],
                              ids=["surface", "train"])
     @pytest.mark.parametrize("step", [[2, 5], [40, 1]], ids=["action-past-A", "state-past-S"])

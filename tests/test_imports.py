@@ -1,6 +1,8 @@
 """No module of the package reaches into another module's private names,
-by `from .mod import _name` or by `mod._name` on an imported module; and
-only `experiments` decides which seed feeds which stage of a run."""
+by `from .mod import _name` or by `mod._name` on an imported module; only
+`experiments` decides which seed feeds which stage of a run; and only `mdp`
+solves or factors a linear system, so every flow solve goes through its
+FlowSystem."""
 
 import ast
 from pathlib import Path
@@ -68,3 +70,45 @@ def test_only_experiments_derives_stage_seeds():
     callers = {path.stem for path in sorted(SRC.glob("*.py"))
                if derived_seeds_calls(path.read_text())}
     assert callers == {"experiments"}
+
+
+# Linear-algebra modules and the solver and factorization names in them.
+LINALG_MODULES = ("scipy.sparse.linalg", "scipy.linalg", "numpy.linalg")
+SOLVER_NAMES = {"solve", "inv", "lu_factor", "lu_solve", "cho_factor", "cho_solve",
+                "splu", "spilu", "spsolve", "factorized"}
+
+
+def linear_solvers(source: str) -> set:
+    """Linear-solver uses in the source: any import of a linear-algebra
+    module or of a name from one, and any `<...>.linalg.<solver>` access
+    such as np.linalg.solve."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {a.name for a in node.names if a.name.startswith(LINALG_MODULES)}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names = {a.name for a in node.names}
+            if node.module.startswith(LINALG_MODULES):
+                found.add(node.module)
+            elif "linalg" in names:
+                found.add(f"{node.module}.linalg")
+        elif (isinstance(node, ast.Attribute) and node.attr in SOLVER_NAMES
+              and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+            found.add(f"linalg.{node.attr}")
+    return found
+
+
+def test_solver_scanner_finds_every_form():
+    source = ("import scipy.sparse.linalg\nfrom scipy.sparse.linalg import splu\n"
+              "from scipy import linalg\nx = np.linalg.solve(a, b)\n"
+              "n = np.linalg.norm(x) + np.linalg.eigh(c)[0]\nfrom scipy.sparse import csc_matrix\n")
+    assert linear_solvers(source) == {"scipy.sparse.linalg", "scipy.linalg", "linalg.solve"}
+
+
+def test_only_mdp_solves_flow_systems():
+    # assembling I - gamma P_pi needs the transition rows (mdp._rows, kept
+    # inside mdp by the private-name rule) and solving it a linear solver,
+    # kept inside mdp here: another module that starts factoring fails
+    solvers = {path.stem for path in sorted(SRC.glob("*.py"))
+               if linear_solvers(path.read_text())}
+    assert solvers == {"mdp"}

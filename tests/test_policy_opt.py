@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import wail
-from wail import (SoftmaxPolicy, StepSchedule, causal_entropy,
+from wail import (FlowSystem, SoftmaxPolicy, StepSchedule, causal_entropy,
                   entropy_reg_policy_gradient, expected_reward,
                   kl_constrained_step, occupancy_from_policy, schedule_delta,
                   soft_value_iteration, surrogate_value, weighted_kl)
@@ -111,15 +111,17 @@ class TestKlConstrainedStep:
         mdp = random_mdp(4, 3, 0.9, seed=10)
         pol = SoftmaxPolicy(rng.normal(size=(4, 3)))
         rep = entropy_reg_policy_gradient(mdp, pol, rng.normal(size=(4, 3)))
-        out = kl_constrained_step(mdp, pol, rep, 0.0)
-        assert out is pol
+        flow = FlowSystem(mdp, pol)
+        out = kl_constrained_step(mdp, flow, rep, 0.0)
+        assert out is flow and out.policy is pol
 
     def test_zero_gradient_unchanged(self, rng):
         mdp = random_mdp(4, 3, 0.9, seed=11)
         pol = SoftmaxPolicy(rng.normal(size=(4, 3)))
         rep = entropy_reg_policy_gradient(mdp, pol, np.zeros((4, 3)))
-        out = kl_constrained_step(mdp, pol, rep, 0.05)
-        assert out is pol
+        flow = FlowSystem(mdp, pol)
+        out = kl_constrained_step(mdp, flow, rep, 0.05)
+        assert out is flow and out.policy is pol
 
     def test_kl_bound_and_surrogate_nondecrease_100_trials(self, rng):
         for t in range(100):
@@ -128,7 +130,7 @@ class TestKlConstrainedStep:
             pol = SoftmaxPolicy(rng.normal(size=(S, A)))
             R = rng.normal(size=(S, A))
             rep = entropy_reg_policy_gradient(mdp, pol, R, lam=float(rng.uniform(0, 0.3)))
-            new = kl_constrained_step(mdp, pol, rep, 0.01)
+            new = kl_constrained_step(mdp, FlowSystem(mdp, pol), rep, 0.01).policy
             kl = weighted_kl(mdp, pol, new)
             assert 0.0 <= kl <= 0.01 * 1.001
             assert surrogate_value(mdp, new, rep.cost) >= rep.surrogate_value - 1e-12
@@ -142,8 +144,8 @@ class TestKlConstrainedStep:
         p2 = SoftmaxPolicy(logits + shift)
         r1 = entropy_reg_policy_gradient(mdp, p1, R)
         r2 = entropy_reg_policy_gradient(mdp, p2, R)
-        n1 = kl_constrained_step(mdp, p1, r1, 0.01)
-        n2 = kl_constrained_step(mdp, p2, r2, 0.01)
+        n1 = kl_constrained_step(mdp, FlowSystem(mdp, p1), r1, 0.01).policy
+        n2 = kl_constrained_step(mdp, FlowSystem(mdp, p2), r2, 0.01).policy
         d1 = n1.logits - p1.logits
         d2 = n2.logits - p2.logits
         assert np.abs(d1 - d2).max() <= 1e-6 * (np.abs(d1).max() + 1e-12)
@@ -162,7 +164,7 @@ class TestKlConstrainedStep:
         pol = SoftmaxPolicy.uniform(4, 3)
         for k in range(1, 1501):
             rep = entropy_reg_policy_gradient(mdp, pol, R, lam=lam)
-            pol = kl_constrained_step(mdp, pol, rep, 0.5 / k)
+            pol = kl_constrained_step(mdp, FlowSystem(mdp, pol), rep, 0.5 / k).policy
         assert value(star) - value(pol) < 1e-3
 
 
@@ -212,7 +214,7 @@ class TestNaturalDirection:
         pol = SoftmaxPolicy(rng.normal(size=(3, 2)))
         rep = entropy_reg_policy_gradient(mdp, pol, rng.normal(size=(3, 2)))
         with pytest.raises(ValueError):
-            kl_constrained_step(mdp, pol, rep, 0.01, damping=0.0)
+            kl_constrained_step(mdp, FlowSystem(mdp, pol), rep, 0.01, damping=0.0)
         for bad in (0.0, -1e-3):
             with pytest.raises(ValueError):
                 wail.RunConfig(cg_damping=bad).validate()

@@ -1,10 +1,14 @@
-"""One occupancy solve per policy per round.
+"""One occupancy solve and one flow factorization per policy per round.
 
 The adversarial round solves the current policy's occupancy once and hands
 it to the batch, the gradient, the causal entropy, the Fisher weights and
-every KL check.  The count test bounds the solves per round, so a consumer
-that starts solving again fails here instead of silently slowing the loop;
-the equivalence tests show that handing the occupancy down changes no bit.
+every KL check.  Each policy's flow system is assembled (factored, above
+DENSE_SOLVE_MAX_STATES states) once, in a FlowSystem that serves its
+occupancy and value solves and that the line search hands to the next
+round.  The count tests bound the solves per round and the factorizations
+per run, so a consumer that starts solving or factoring again fails here
+instead of silently slowing the loop; the equivalence tests show that
+handing the occupancy and the record down changes no bit.
 """
 
 import dataclasses
@@ -13,8 +17,9 @@ import numpy as np
 import pytest
 
 import wail
-from wail import (RunConfig, SoftmaxPolicy, entropy_reg_policy_gradient,
+from wail import (FlowSystem, RunConfig, SoftmaxPolicy, entropy_reg_policy_gradient,
                   kl_constrained_step, occupancy_from_policy, weighted_kl)
+from wail.mdp import action_values
 
 SOLVING_MODULES = (wail.mdp, wail.training, wail.trust_region, wail.baselines)
 
@@ -23,9 +28,9 @@ SOLVING_MODULES = (wail.mdp, wail.training, wail.trust_region, wail.baselines)
 def solve_counter(monkeypatch):
     calls = []
 
-    def counting(mdp, policy):
+    def counting(mdp, policy, flow=None):
         calls.append(policy)
-        return occupancy_from_policy(mdp, policy)
+        return occupancy_from_policy(mdp, policy, flow=flow)
 
     for module in SOLVING_MODULES:
         monkeypatch.setattr(module, "occupancy_from_policy", counting, raising=False)
@@ -76,9 +81,9 @@ def test_passed_occupancy_is_bit_identical(env, mode):
         assert (weighted_kl(env, policy, other)
                 == weighted_kl(env, policy, other, occupancy=occupancy))
         for delta in (0.01, 0.5):
-            carried = kl_constrained_step(env, policy, given, delta)
-            solved = kl_constrained_step(env, policy, bare, delta)
-            assert carried.logits.tobytes() == solved.logits.tobytes()
+            carried = kl_constrained_step(env, FlowSystem(env, policy), given, delta)
+            solved = kl_constrained_step(env, FlowSystem(env, policy), bare, delta)
+            assert carried.policy.logits.tobytes() == solved.policy.logits.tobytes()
 
 
 def test_rejected_step_returns_the_same_policy_object():
@@ -87,7 +92,92 @@ def test_rejected_step_returns_the_same_policy_object():
     report = entropy_reg_policy_gradient(mdp, policy, np.zeros((mdp.n_states, mdp.n_actions)))
     report = dataclasses.replace(report, gradient=np.ones_like(report.gradient),
                                  surrogate_value=np.inf)
-    assert kl_constrained_step(mdp, policy, report, 0.01) is policy
+    flow = FlowSystem(mdp, policy)
+    step = kl_constrained_step(mdp, flow, report, 0.01)
+    # the old policy's own record comes back, so the next round re-solves
+    # with the factor it already has
+    assert step is flow
+    assert step.policy is policy
+
+
+@pytest.fixture
+def factor_counter(monkeypatch):
+    factors = []
+    splu = wail.mdp.splu
+
+    def counting(system):
+        factors.append(system.shape)
+        return splu(system)
+
+    monkeypatch.setattr(wail.mdp, "splu", counting)
+    return factors
+
+
+def test_sparse_run_factors_once_per_policy(factor_counter, solve_counter, monkeypatch):
+    # the scale-exact settings: 30x30 gridworld (S = 900, the splu side),
+    # ten demonstrations, a 0.1 KL budget, 20 rounds
+    surrogates = []
+    surrogate_value = wail.trust_region.surrogate_value
+
+    def counting_surrogate(mdp, policy, cost, flow=None):
+        surrogates.append(policy)
+        return surrogate_value(mdp, policy, cost, flow=flow)
+
+    monkeypatch.setattr(wail.trust_region, "surrogate_value", counting_surrogate)
+    mdp = wail.build_environment({"name": "gridworld", "n": 30})
+    config = RunConfig(k_max=20, dataset_size=10, delta0=0.1, seed=7)
+    _, demos = wail.make_expert(mdp, config.expert_lambda, n_traj=config.dataset_size,
+                                traj_len=config.traj_len, seed=3)
+    factor_counter.clear()
+    solve_counter.clear()
+    _, _, log = wail.train_wail(mdp, demos, config)
+    rounds = log.meta["iterations_run"]
+    assert rounds == 20 and log.meta["final_fit_steps"] > 0
+    # the uniform start policy, then each candidate passing the KL check
+    # once: the accepted one's factor serves the next round's occupancy and
+    # value solves, and the last one's the final reward fit
+    assert factor_counter == [(900, 900)] * (1 + len(surrogates))
+    # the occupancy solves themselves are as many as before the records:
+    # one per round, one per candidate passing the KL check, one final fit
+    assert len(solve_counter) == rounds + len(surrogates) + 1
+
+
+@pytest.mark.parametrize("n", [30, 5], ids=["splu-S900", "dense-S25"])
+def test_one_record_serves_both_solves_bit_identically(n):
+    mdp = wail.make_gridworld(n)
+    rng = np.random.default_rng(23)
+    for _ in range(3):
+        policy = random_policy(rng, mdp)
+        cost = rng.normal(size=(mdp.n_states, mdp.n_actions))
+        flow = FlowSystem(mdp, policy)
+        shared_rho = occupancy_from_policy(mdp, policy, flow=flow).rho
+        shared_Q, shared_V = action_values(mdp, policy, cost, flow=flow)
+        assert shared_rho.tobytes() == occupancy_from_policy(mdp, policy).rho.tobytes()
+        Q, V = action_values(mdp, policy, cost)
+        assert shared_Q.tobytes() == Q.tobytes()
+        assert shared_V.tobytes() == V.tobytes()
+        # and a second solve with the same record repeats the first
+        assert occupancy_from_policy(mdp, policy, flow=flow).rho.tobytes() == shared_rho.tobytes()
+
+
+@pytest.mark.parametrize("n", [30, 4], ids=["splu", "dense"])
+def test_record_of_another_policy_is_rejected(n):
+    mdp = wail.make_gridworld(n)
+    rng = np.random.default_rng(29)
+    policy = random_policy(rng, mdp)
+    cost = np.zeros((mdp.n_states, mdp.n_actions))
+    other = FlowSystem(mdp, random_policy(rng, mdp))
+    # equal logits are still another policy object: the record is checked
+    # by identity, never by comparing arrays
+    twin = FlowSystem(mdp, SoftmaxPolicy(policy.logits))
+    elsewhere = FlowSystem(wail.make_gridworld(n), policy)
+    for flow in (other, twin, elsewhere):
+        with pytest.raises(ValueError, match="another MDP or policy"):
+            occupancy_from_policy(mdp, policy, flow=flow)
+        with pytest.raises(ValueError, match="another MDP or policy"):
+            action_values(mdp, policy, cost, flow=flow)
+    with pytest.raises(ValueError, match="does not match MDP"):
+        FlowSystem(mdp, SoftmaxPolicy.uniform(mdp.n_states + 1, mdp.n_actions))
 
 
 @pytest.mark.parametrize("sampling", ["exact", "sampled"])
