@@ -31,9 +31,8 @@ from .ot import (DiscreteMeasurePair, DivergenceError, DualRegularization,
 from .rewards import (PotentialModel, clone_frozen, create_model, load_model,
                       model_from_json, model_to_json, reward_matrix, save_model,
                       support_values)
-from .training import (ConvergenceReport, ExpertData, OtDualStep, RunLog, WailState,
-                       adversarial_train, convergence_monitor, train_wail,
-                       wail_iteration)
+from .training import (ExpertData, OtDualStep, RunLog, WailState, adversarial_train,
+                       train_wail, wail_iteration)
 from .trust_region import (PolicyGradientReport, StepSchedule,
                            entropy_reg_policy_gradient, kl_constrained_step,
                            schedule_delta, surrogate_value, weighted_kl)

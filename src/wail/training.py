@@ -6,10 +6,9 @@ KL-constrained natural-gradient policy step.  WAIL's step ascends the
 regularized OT dual through the reward parameters; after the last round,
 exact mode continues the same ascent against the returned policy, so the
 returned reward is the potential fitted to that policy.  GAIL's
-discriminator step lives in `baselines`.  Each round returns its log row,
-the run's only per-round record.  `convergence_monitor` checks a recorded
-objective trace against the step schedule's Cauchy envelope offline; no run
-calls it.
+discriminator step lives in `baselines`.  Both reward steps hand the
+policy step an (S, A) reward matrix.  Each round returns its log row, the
+run's only per-round record.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .trust_region import (StepSchedule, entropy_reg_policy_gradient,
                            kl_constrained_step, schedule_delta, weighted_kl)
 
 FINAL_FIT_STEPS = 200      # reward ascent steps against the returned policy
-ENVELOPE_SLACK = 0.5       # convergence_monitor holds up to ratio 1 + this
 
 LOG_COLUMNS = ("iteration", "objective", "policy_surrogate", "kl_step",
                "entropy", "scaled_perf_eval")
@@ -123,14 +121,17 @@ class ExpertData:
 
 @dataclass
 class WailState:
-    """Loop state: round counter, reward model, policy and the policy's
-    FlowSystem, carried from the last round's line search into the next
-    round's solves (None: the next round assembles it)."""
+    """Loop state: round counter, reward model and the policy's FlowSystem,
+    carried from the last round's line search into the next round's
+    solves."""
 
     k: int
     model: rewards.PotentialModel
-    policy: SoftmaxPolicy
-    flow: FlowSystem | None = None
+    flow: FlowSystem
+
+    @property
+    def policy(self) -> SoftmaxPolicy:
+        return self.flow.policy
 
 
 def _policy_batch(policy: SoftmaxPolicy, mdp: TabularMdp, config: RunConfig,
@@ -193,7 +194,7 @@ class OtDualStep:
                                                  steps=self.config.ot_inner_steps,
                                                  lr=self.config.ot_lr)
         self.clamps += clamps
-        return model, objective, rewards.clone_frozen(model)
+        return model, objective, rewards.reward_matrix(model, self.mdp)
 
     def finish(self, state: WailState, mdp: TabularMdp):
         """Continue the reward ascent against the exact occupancy of
@@ -236,8 +237,7 @@ def wail_iteration(state: WailState, mdp: TabularMdp, expert_data, config: RunCo
     entry but scaled_perf_eval)."""
     expert = ExpertData.from_any(expert_data, mdp)
     rng = np.random.default_rng([config.seed, state.k, reward_step.salt])
-    flow = state.flow if state.flow is not None else FlowSystem(mdp, state.policy)
-    occupancy = occupancy_from_policy(mdp, state.policy, flow=flow)
+    occupancy = occupancy_from_policy(mdp, state.policy, flow=state.flow)
     policy_batch = _policy_batch(state.policy, mdp, config, rng, occupancy)
     expert_batch = _expert_batch(expert, mdp, config, rng)
     model, objective, reward = reward_step(state.model, policy_batch, expert_batch, rng)
@@ -247,14 +247,14 @@ def wail_iteration(state: WailState, mdp: TabularMdp, expert_data, config: RunCo
     report = entropy_reg_policy_gradient(mdp, state.policy, reward,
                                          lam=config.lambda_entropy, mode=config.pg_mode,
                                          seed=int(rng.integers(0, 2 ** 63 - 1)),
-                                         occupancy=occupancy, flow=flow)
+                                         occupancy=occupancy, flow=state.flow)
     delta = schedule_delta(StepSchedule(config.delta0, config.delta_decay), state.k + 1)
-    step = kl_constrained_step(mdp, flow, report, delta, damping=config.cg_damping)
+    step = kl_constrained_step(mdp, state.flow, report, delta, damping=config.cg_damping)
     row = {"iteration": state.k + 1, "objective": objective,
            "policy_surrogate": report.surrogate_value,
            "kl_step": weighted_kl(mdp, state.policy, step.policy, occupancy=occupancy),
            "entropy": report.entropy}
-    return WailState(state.k + 1, model, step.policy, step), row
+    return WailState(state.k + 1, model, step), row
 
 
 def _should_stop(rows: list, window: int, tol: float) -> bool:
@@ -285,7 +285,7 @@ def adversarial_train(mdp: TabularMdp, expert_data, config: RunConfig, reward_st
 
     A reward step is called as step(model, policy_batch, expert_batch, rng),
     each batch an (indices, weights) pair over the flat state-action set,
-    and returns (model, objective, reward for the policy step); it names its
+    and returns (model, objective, (S, A) reward matrix); it names its
     `algorithm`, its round-generator `salt` and its final `artifact` file.
     With `score` given and eval_every > 0, every eval_every-th round's
     policy is scored, score(policy).scaled, into scaled_perf_eval.
@@ -300,7 +300,7 @@ def adversarial_train(mdp: TabularMdp, expert_data, config: RunConfig, reward_st
     dims = {"tabular": (S * A,), "linear": (width,),
             "mlp": (width, *config.mlp_hidden)}[config.model_form]
     state = WailState(k=0, model=rewards.create_model(config.model_form, dims, config.seed),
-                      policy=SoftmaxPolicy.uniform(S, A))
+                      flow=FlowSystem(mdp, SoftmaxPolicy.uniform(S, A)))
     log = RunLog(meta={"algorithm": reward_step.algorithm, "config": config.to_dict(),
                        "n_states": S, "n_actions": A})
     try:
@@ -334,44 +334,3 @@ def train_wail(mdp: TabularMdp, expert_data, config: RunConfig, score=None):
     (`OtDualStep.finish`).  Returns (policy, reward model, log)."""
     return adversarial_train(mdp, expert_data, config, OtDualStep(mdp, config), score)
 
-
-@dataclass
-class ConvergenceReport:
-    """Cauchy-envelope diagnostics of an objective trace against the step
-    schedule's sqrt-KL budget (advisory: the envelope constant is
-    estimated)."""
-
-    max_ratio: float
-    holds: bool
-    opening_diff: float
-    trailing_diff: float
-
-    @property
-    def shrink_factor(self) -> float:
-        if self.opening_diff == 0.0:
-            return np.inf if self.trailing_diff == 0.0 else 0.0
-        return self.opening_diff / max(self.trailing_diff, 1e-300)
-
-
-def convergence_monitor(trace, schedule: StepSchedule, m_bound: float) -> ConvergenceReport:
-    """Check |L_k - L_{k+m}| <= M * sum_{i=k..k+m} sqrt(2 delta_i) over all
-    windows, reporting the worst ratio, plus the mean successive-difference
-    magnitude over the opening and trailing 10% of the trace."""
-    L = np.asarray(trace, dtype=np.float64)
-    if L.size < 2:
-        raise ValueError("trace must have at least 2 entries")
-    if m_bound <= 0:
-        raise ValueError("m_bound must be > 0")
-    sq = np.sqrt(2.0 * np.array([schedule_delta(schedule, k) for k in range(1, L.size + 1)]))
-    prefix = np.concatenate([[0.0], np.cumsum(sq)])
-    # window (i, j) with i < j covers rounds i+1 .. j+1 (1-based), i.e. sq[i..j]
-    diffs = np.abs(L[None, :] - L[:, None])
-    spans = prefix[None, 1:] - prefix[:-1, None]   # spans[i, j] = sum of sq[i..j]
-    iu = np.triu_indices(L.size, k=1)
-    ratios = diffs[iu] / (m_bound * spans[iu[0], iu[1]])
-    seg = max(2, L.size // 10)
-    opening = float(np.abs(np.diff(L[:seg])).mean())
-    trailing = float(np.abs(np.diff(L[-seg:])).mean())
-    max_ratio = float(ratios.max())
-    return ConvergenceReport(max_ratio=max_ratio, holds=max_ratio <= 1.0 + ENVELOPE_SLACK,
-                             opening_diff=opening, trailing_diff=trailing)

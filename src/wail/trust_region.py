@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rewards
 from .mdp import (FlowSystem, OccupancyMeasure, Rollouts, SoftmaxPolicy, TabularMdp,
                   action_values, causal_entropy, occupancy_from_policy, sample_trajectories)
 
@@ -75,15 +74,6 @@ class PolicyGradientReport:
     occupancy: OccupancyMeasure  # the current policy's, shared with kl_constrained_step
 
 
-def _as_reward_matrix(reward, mdp: TabularMdp) -> np.ndarray:
-    if isinstance(reward, rewards.PotentialModel):
-        return rewards.reward_matrix(reward, mdp)
-    R = np.asarray(reward, dtype=np.float64)
-    if R.shape != (mdp.n_states, mdp.n_actions):
-        raise ValueError(f"reward must be (S, A), got {R.shape}")
-    return R
-
-
 def surrogate_value(mdp: TabularMdp, policy: SoftmaxPolicy, cost: np.ndarray,
                     flow: FlowSystem | None = None) -> float:
     """<c, rho_pi> for a frozen payoff matrix c; `flow` is the policy's
@@ -101,15 +91,15 @@ def weighted_kl(mdp: TabularMdp, old: SoftmaxPolicy, new: SoftmaxPolicy,
     return float(d @ per_state)
 
 
-def entropy_reg_policy_gradient(mdp: TabularMdp, policy: SoftmaxPolicy, reward,
+def entropy_reg_policy_gradient(mdp: TabularMdp, policy: SoftmaxPolicy, reward: np.ndarray,
                                 lam: float = 0.0, mode: str = "exact",
                                 n_traj: int = 256, seed: int = 0,
                                 occupancy: OccupancyMeasure | None = None,
                                 flow: FlowSystem | None = None) -> PolicyGradientReport:
     """Gradient of <r_hat - lam*log pi_old, rho_theta> at theta = current.
 
-    `reward` is an (S, A) matrix or a PotentialModel treated as fixed.  Exact
-    mode evaluates the policy-gradient identity
+    `reward` is an (S, A) matrix treated as fixed.  Exact mode evaluates
+    the policy-gradient identity
         grad[s, a] = d(s) pi(a|s) (Q_c(s, a) - V_c(s))
     with Q_c/V_c from policy-evaluation linear solves; sampled mode uses
     restart-chain rollouts with score-function weighting.  `occupancy` is
@@ -119,8 +109,9 @@ def entropy_reg_policy_gradient(mdp: TabularMdp, policy: SoftmaxPolicy, reward,
     """
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    R = _as_reward_matrix(reward, mdp)
-    cost = R - lam * policy.log_probs
+    if np.shape(reward) != (mdp.n_states, mdp.n_actions):
+        raise ValueError(f"reward must be an (S, A) matrix, got shape {np.shape(reward)}")
+    cost = np.asarray(reward, dtype=np.float64) - lam * policy.log_probs
     pi = policy.probs
     rho = occupancy if occupancy is not None else occupancy_from_policy(mdp, policy, flow=flow)
     if mode == "exact":

@@ -78,14 +78,14 @@ class TestPolicyGradient:
             rel = np.abs(rep.gradient - num).max() / (np.abs(num).max() + 1e-12)
             assert rel <= 1e-4
 
-    def test_accepts_potential_model(self, rng):
+    @pytest.mark.parametrize("reward", [wail.create_model("tabular", (6,), seed=0),
+                                        np.zeros((2, 3)), np.zeros(6)],
+                             ids=["potential-model", "transposed", "flat"])
+    def test_rejects_anything_but_an_sa_matrix(self, reward):
+        # the policy step reads only the (S, A) matrix the reward step returns
         mdp = random_mdp(3, 2, 0.9, seed=2)
-        model = wail.create_model("tabular", (6,), seed=0)
-        model.params = rng.normal(size=6)
-        pol = SoftmaxPolicy.uniform(3, 2)
-        rep_model = entropy_reg_policy_gradient(mdp, pol, model, lam=0.0)
-        rep_matrix = entropy_reg_policy_gradient(mdp, pol, model.params.reshape(3, 2), lam=0.0)
-        assert np.array_equal(rep_model.gradient, rep_matrix.gradient)
+        with pytest.raises(ValueError, match="reward must be an"):
+            entropy_reg_policy_gradient(mdp, SoftmaxPolicy.uniform(3, 2), reward)
 
     def test_sampled_mode_approximates_exact(self, rng):
         mdp = random_mdp(3, 2, 0.7, seed=3)

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 import wail
-from wail import (DualRegularization, RunConfig,
-                  SoftmaxPolicy, StepSchedule, build_ground_metric,
-                  convergence_monitor, occupancy_from_policy, train_wail,
-                  wail_iteration)
+from wail import (DualRegularization, FlowSystem, RunConfig, SoftmaxPolicy,
+                  build_ground_metric, occupancy_from_policy, train_wail, wail_iteration)
 from wail.training import ExpertData, OtDualStep, RunLog, WailState
 
 from conftest import random_mdp
@@ -78,7 +76,8 @@ class TestWailIteration:
         rho = occupancy_from_policy(mdp, pol)
         config = RunConfig(k_max=1, delta0=0.01, model_form="tabular", metric_scale=1.0,
                            reg_kind="l2", epsilon=0.01)
-        state = WailState(k=0, model=wail.create_model("tabular", (4,), 0), policy=pol)
+        state = WailState(k=0, model=wail.create_model("tabular", (4,), 0),
+                          flow=FlowSystem(mdp, pol))
         _, row = wail_iteration(state, mdp, rho, config, OtDualStep(mdp, config))
         assert abs(row["objective"]) <= 1e-6
 
@@ -88,7 +87,7 @@ class TestWailIteration:
         config = RunConfig(k_max=5, delta0=0.0, model_form="tabular", metric_scale=1.0,
                            reg_kind="l2", epsilon=0.01)
         state = WailState(k=0, model=wail.create_model("tabular", (4,), 0),
-                          policy=SoftmaxPolicy.uniform(2, 2))
+                          flow=FlowSystem(mdp, SoftmaxPolicy.uniform(2, 2)))
         step = OtDualStep(mdp, config)
         for _ in range(5):
             state, _ = wail_iteration(state, mdp, expert, config, step)
@@ -193,29 +192,6 @@ class TestRunLog:
         assert np.array_equal(log.column("scaled_perf_eval"), [0.5])
 
 
-class TestConvergenceMonitor:
-    def test_constant_trace_ratio_zero(self):
-        report = convergence_monitor([1.0, 1.0, 1.0, 1.0], StepSchedule(0.01), m_bound=1.0)
-        assert report.max_ratio == 0.0
-        assert report.holds
-
-    def test_single_large_jump_flagged(self):
-        trace = [0.0, 0.0, 0.0, 100.0, 100.0]
-        report = convergence_monitor(trace, StepSchedule(1e-4), m_bound=1.0)
-        assert not report.holds
-        assert report.max_ratio > 1.5
-
-    def test_shrinking_diffs_reported(self):
-        trace = list(np.concatenate([np.linspace(0, 1, 30), np.full(30, 1.0)]))
-        report = convergence_monitor(trace, StepSchedule(0.01), m_bound=10.0)
-        assert report.trailing_diff < report.opening_diff
-        assert report.shrink_factor > 10
-
-    def test_short_trace_rejected(self):
-        with pytest.raises(ValueError):
-            convergence_monitor([1.0], StepSchedule(0.01), m_bound=1.0)
-
-
 def test_objective_trend_downward_when_initialized_far():
     # With the potential warm-started to the dual optimum against the
     # initial policy, the trace starts near the true transport distance and
@@ -235,7 +211,7 @@ def test_objective_trend_downward_when_initialized_far():
     warm, _, _ = wail.reg_ot_fit(pair, metric.restrict(np.arange(100), sup), reg,
                                  wail.create_model("tabular", (100,), 0),
                                  steps=4000, lr=0.3)
-    state = WailState(k=0, model=warm, policy=pol)
+    state = WailState(k=0, model=warm, flow=FlowSystem(mdp, pol))
     step = OtDualStep(mdp, config)   # the same scale 1.0 and l2 epsilon 0.01 as above
     trace = []
     for _ in range(config.k_max):
