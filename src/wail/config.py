@@ -83,6 +83,10 @@ class RunConfig:
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not isinstance(self.env, dict) or "name" not in self.env:
             raise ValueError("env must be a dict with a 'name' key")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a string or null, got {self.out_dir!r}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
         if self.dataset_size < 1:
@@ -136,6 +140,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
+        if not isinstance(doc, dict):
+            raise ValueError(f"a config must be a JSON object, got {type(doc).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(doc) - known
         if unknown:

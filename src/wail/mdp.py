@@ -633,9 +633,21 @@ def save_policy(path, policy: SoftmaxPolicy) -> None:
         json.dump({"logits": policy.logits.tolist()}, fh)
 
 
+def _json_fields(doc, keys: tuple, what: str) -> list:
+    """doc[key] for each of `keys`, where `doc` is the JSON object `what`
+    holds; a ValueError names a wrong JSON type or the first missing key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must hold a JSON object, got {type(doc).__name__}")
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise ValueError(f"{what} lacks the key {missing[0]!r}")
+    return [doc[k] for k in keys]
+
+
 def load_policy(path) -> SoftmaxPolicy:
     with open(path) as fh:
-        return SoftmaxPolicy(np.asarray(json.load(fh)["logits"], dtype=np.float64))
+        logits, = _json_fields(json.load(fh), ("logits",), f"policy file {path}")
+    return SoftmaxPolicy(np.asarray(logits, dtype=np.float64))
 
 
 def save_trajectories(path, batch: Rollouts) -> None:
@@ -650,9 +662,10 @@ def save_trajectories(path, batch: Rollouts) -> None:
 
 def load_trajectories(path) -> Rollouts:
     with open(path) as fh:
-        docs = [json.loads(line) for line in fh if line.strip()]
-    steps = [np.asarray(doc["steps"], dtype=np.int64).reshape(-1, 2) for doc in docs]
+        docs = [_json_fields(json.loads(line), ("steps", "truncated"), f"{path} line {i}")
+                for i, line in enumerate(fh, 1) if line.strip()]
+    steps = [np.asarray(st, dtype=np.int64).reshape(-1, 2) for st, _ in docs]
     pairs = np.concatenate(steps or [np.zeros((0, 2), dtype=np.int64)])
     return Rollouts(lengths=[len(st) for st in steps],
-                    restarted=[not doc["truncated"] for doc in docs],
+                    restarted=[not truncated for _, truncated in docs],
                     states=pairs[:, 0], actions=pairs[:, 1])

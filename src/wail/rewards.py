@@ -180,6 +180,11 @@ def model_to_json(model: PotentialModel) -> dict:
 
 
 def model_from_json(doc: dict) -> PotentialModel:
+    if not isinstance(doc, dict):
+        raise ValueError(f"a reward model must be a JSON object, got {type(doc).__name__}")
+    missing = [k for k in ("form", "dims", "params", "seed") if k not in doc]
+    if missing:
+        raise ValueError(f"reward model lacks the key {missing[0]!r}")
     return PotentialModel(doc["form"], tuple(doc["dims"]),
                           np.asarray(doc["params"], dtype=np.float64), int(doc["seed"]))
 

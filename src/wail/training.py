@@ -164,8 +164,9 @@ def _expert_batch(expert: ExpertData, mdp: TabularMdp, config: RunConfig,
 
 class OtDualStep:
     """WAIL's reward step: ascend the regularized OT dual through the reward
-    parameters on the round's batches; the policy step uses the frozen
-    ascended potential.  `finish` fits the reward to the final policy.
+    parameters on the round's batches; the policy step reads the ascended
+    potential's (S, A) reward matrix.  `finish` fits the reward to the
+    final policy.
 
     The cost block covers only the round's batch points, never S*A x S*A.
     Exact-mode batches always pair every state-action point with the expert
@@ -333,4 +334,3 @@ def train_wail(mdp: TabularMdp, expert_data, config: RunConfig, score=None):
     returned reward is the potential fitted to the final policy
     (`OtDualStep.finish`).  Returns (policy, reward model, log)."""
     return adversarial_train(mdp, expert_data, config, OtDualStep(mdp, config), score)
-

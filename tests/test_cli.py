@@ -223,6 +223,35 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("validation error:") and missing in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command,files,named", [
+        (["eval", "--policy", "{f}"], {"f": "{}"}, "'logits'"),
+        (["train", "--algo", "bc", "--demos", "{f}"], {"f": '{"steps": [[0, 1]]}\n'},
+         "'truncated'"),
+        (["surface", "--reward", "{f}"], {"f": '{"form": "tabular"}'}, "'dims'"),
+        (["train", "--config", "{f}"], {"f": "null"}, "JSON object"),
+        (["train", "--config", "{f}"], {"f": "[]"}, "JSON object"),
+        (["train", "--set", "out_dir=5"], {}, "out_dir"),
+        (["train", "--set", "seed=-1"], {}, "seed"),
+    ], ids=["policy-without-logits", "demo-without-truncated", "reward-without-dims",
+            "null-config", "array-config", "numeric-out-dir", "negative-seed"])
+    def test_malformed_input_is_a_validation_error(self, config_file, tmp_path, capsys,
+                                                   command, files, named):
+        # each used to stop with a KeyError or TypeError traceback, or (an
+        # array config) to run the default config, or (seed -1) to fail
+        # without naming the field
+        paths = {}
+        for key, text in files.items():
+            paths[key] = tmp_path / f"{key}.json"
+            paths[key].write_text(text)
+        argv = [arg.format(**paths) for arg in command]
+        if "--config" not in argv:
+            argv += ["--config", config_file]
+        rc = main(argv + ["--out", str(tmp_path / "out")])   # --set overrides --out
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and err.count("\n") == 1
+        assert named in err and "Traceback" not in err
+
 
 class TestEvalAndSurface:
     def test_eval_roundtrip(self, config_file, tmp_path, capsys):

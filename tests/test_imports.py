@@ -1,8 +1,9 @@
 """No module of the package reaches into another module's private names,
 by `from .mod import _name` or by `mod._name` on an imported module; only
-`experiments` decides which seed feeds which stage of a run; and only `mdp`
+`experiments` decides which seed feeds which stage of a run; only `mdp`
 solves or factors a linear system, so every flow solve goes through its
-FlowSystem."""
+FlowSystem; and `trust_region` imports nothing from `rewards`, so the policy
+step reads only the reward matrix the reward step hands it."""
 
 import ast
 from pathlib import Path
@@ -112,3 +113,24 @@ def test_only_mdp_solves_flow_systems():
     solvers = {path.stem for path in sorted(SRC.glob("*.py"))
                if linear_solvers(path.read_text())}
     assert solvers == {"mdp"}
+
+
+def sibling_imports(source: str) -> set:
+    """The sibling modules the source imports from, by `from . import mod`
+    or by `from .mod import name`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= ({node.module} if node.module else {a.name for a in node.names})
+    return found
+
+
+def test_sibling_scanner_finds_both_forms():
+    source = "from . import rewards, ot\nfrom .mdp import FlowSystem\nimport numpy as np\n"
+    assert sibling_imports(source) == {"rewards", "ot", "mdp"}
+
+
+def test_policy_step_does_not_import_rewards():
+    # a reward model reaching the policy step would need rewards to turn it
+    # into the (S, A) matrix the step reads
+    assert "rewards" not in sibling_imports((SRC / "trust_region.py").read_text())
