@@ -41,10 +41,12 @@ def gail_objective(logit: rewards.PotentialModel, expert_batch, policy_batch,
 
 
 def gail_discriminator_step(logit: rewards.PotentialModel, expert_batch, policy_batch,
-                            embed_table: np.ndarray, lr: float) -> rewards.PotentialModel:
+                            embed_table: np.ndarray, lr: float):
     """One ascent step of the discriminator objective on its logit model.
     The gradient uses the exact sigmoid derivatives (d/df log D = 1 - D on
-    the policy side, d/df log(1 - D) = -D on the expert side)."""
+    the policy side, d/df log(1 - D) = -D on the expert side).  Returns the
+    stepped copy and gail_objective at `logit`, read off the same
+    probabilities."""
     if lr <= 0:
         raise ValueError("lr must be > 0")
     (e_idx, e_w), (p_idx, p_w) = expert_batch, policy_batch
@@ -54,7 +56,7 @@ def gail_discriminator_step(logit: rewards.PotentialModel, expert_batch, policy_
             + rewards.accumulate_param_grad(logit, p_idx, embed_table[p_idx], p_w * (1.0 - d_p)))
     new = logit.copy()
     new.params = new.params + lr * grad
-    return new
+    return new, float(e_w @ np.log(1.0 - d_e) + p_w @ np.log(d_p))
 
 
 def gail_reward_matrix(logit: rewards.PotentialModel, mdp: TabularMdp) -> np.ndarray:
@@ -65,7 +67,9 @@ def gail_reward_matrix(logit: rewards.PotentialModel, mdp: TabularMdp) -> np.nda
 class DiscriminatorStep:
     """GAIL's reward step: disc_inner_steps ascent steps of the discriminator
     objective on the round's batches; the policy step uses -log D.  The
-    reward model carried by the loop is the discriminator's logit."""
+    reward model carried by the loop is the discriminator's logit, and the
+    logged objective is the one at the round's starting logit, which the
+    first step computes anyway (as WAIL logs its dual's)."""
 
     algorithm = "gail"
     salt = 0x6A11
@@ -78,11 +82,12 @@ class DiscriminatorStep:
     def __call__(self, model, policy_batch, expert_batch, rng):
         # the objective's expectations take each batch's weights normalized
         policy_batch, expert_batch = [(idx, w / w.sum()) for idx, w in (policy_batch, expert_batch)]
-        for _ in range(self.config.disc_inner_steps):
-            model = gail_discriminator_step(model, expert_batch, policy_batch,
-                                            self.embed_table, self.config.disc_lr)
-        return (model, gail_objective(model, expert_batch, policy_batch, self.embed_table),
-                gail_reward_matrix(model, self.mdp))
+        model, objective = gail_discriminator_step(model, expert_batch, policy_batch,
+                                                   self.embed_table, self.config.disc_lr)
+        for _ in range(self.config.disc_inner_steps - 1):
+            model, _ = gail_discriminator_step(model, expert_batch, policy_batch,
+                                               self.embed_table, self.config.disc_lr)
+        return model, objective, gail_reward_matrix(model, self.mdp)
 
     def finish(self, state, mdp):
         return state.model, {}

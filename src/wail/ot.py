@@ -23,6 +23,13 @@ SUPPORT_CAP = 300          # exact LP oracles reject larger supports
 ENT_EXP_CLAMP = 30.0       # clamp on the entropic exponent before exp()
 PAIR_SUM_TOL = 1e-10
 CHUNK_BYTES = 512 * 1024   # cost-block rows the dual pass holds at once
+SCREEN_TAU = 0.1           # l2 pairs with slack above -SCREEN_TAU join a DualScreen
+SCREEN_MARGIN = 1e-9       # rounding headroom in the screen's validity bound
+# A screened pass costs ~40 us plus ~30 ns a pair against ~2.7 ns a pair
+# for the full pass: blocks under one chunk and screens over this share of
+# their block would be slower through a screen, so neither keeps one
+SCREEN_MIN_PAIRS = CHUNK_BYTES // 8
+SCREEN_MAX_SHARE = 0.05
 
 _LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
                "dual_feasibility_tolerance": 1e-10}
@@ -213,39 +220,119 @@ def w1_dual_lp(pair: DiscreteMeasurePair, metric: GroundMetric):
     return value, f
 
 
-def _objective_and_gradient(r_src, r_tgt, pair, metric, reg, want_grad):
+class DualScreen:
+    """The l2 screen of the regularized-dual pass over one cost block, and
+    counts of the passes made through it.
+
+    A full l2 pass keeps every pair whose computed slack
+    z = r(y) - r(x) - d(x, y) is above -SCREEN_TAU, with the potential
+    values r0_src, r0_tgt it was built at.  A later pass over the same
+    block may read only those pairs while
+
+        b = max(r_tgt - r0_tgt) + max(r0_src - r_src) < SCREEN_TAU - SCREEN_MARGIN:
+
+    each pair outside then has slack below -SCREEN_MARGIN, far below any
+    rounding of z, so its l2 penalty and slope are exactly 0.  The bound
+    reads the potential values at the support points, so it holds for
+    every model form.  Once it fails, or on another block, the pass walks
+    the whole block again and rebuilds the screen.  Every entropic pass is
+    a full one, since that penalty is never exactly 0, and so is every pass
+    over a block of fewer than SCREEN_MIN_PAIRS pairs or whose screen
+    would hold more than SCREEN_MAX_SHARE of them.  One instance serves one
+    caller's passes."""
+
+    def __init__(self):
+        self.metric = None     # the block the pairs below index; None when there is no screen
+        self.rows = self.cols = self.dist = None
+        self.r0_src = self.r0_tgt = None
+        self.passes = 0        # passes made through this screen
+        self.rebuilds = 0      # of them, passes that walked the whole block
+
+    def _rebuild(self, metric, r_src, r_tgt, flat) -> None:
+        """Keep the pairs at flat indices `flat` of metric.dist, found at
+        these potential values; None leaves no screen."""
+        self.metric = None if flat is None else metric
+        if flat is None:
+            self.rows = self.cols = self.dist = self.r0_src = self.r0_tgt = None
+            return
+        self.rows, self.cols = np.divmod(flat, metric.n_tgt)
+        self.dist = metric.dist[self.rows, self.cols]
+        self.r0_src, self.r0_tgt = r_src.copy(), r_tgt.copy()
+
+    def holds(self, metric: "GroundMetric", r_src, r_tgt) -> bool:
+        """Whether the screen covers every pair the l2 penalty can reach at
+        these potential values on `metric`."""
+        if self.metric is not metric:
+            return False
+        b = (r_tgt - self.r0_tgt).max() + (self.r0_src - r_src).max()
+        return bool(b < SCREEN_TAU - SCREEN_MARGIN)   # False for a NaN b
+
+
+def _objective_and_gradient(r_src, r_tgt, pair, metric, reg, want_grad, screen=None):
     """The regularized dual's value, optionally its gradients with respect
     to r_src and r_tgt, and the number of entropic exponents clamped at
-    ENT_EXP_CLAMP, from one pass over the cost block.
+    ENT_EXP_CLAMP, from one pass over the cost block, or over `screen`'s
+    pairs while it holds (see DualScreen).
 
     The penalty on the slack z = r(y) - r(x) - d(x, y) is -z+^2 / (4 eps)
     with slope -z+ / (2 eps) for l2, and -eps exp(z / eps) with slope
     -exp(z / eps) for entropic; the entropic slope keeps the (clipped)
     exponential so ascent is pulled back even past the overflow clamp.
-    The pass walks the block in row chunks of about CHUNK_BYTES through one
-    buffer, forming each chunk's slack in place and keeping only the
-    penalty mass and the row and column sums the gradients read, so it
-    makes no block-sized temporary."""
+    The full pass walks the block in row chunks of about CHUNK_BYTES
+    through one buffer, forming each chunk's slack in place and keeping
+    only the penalty mass and the row and column sums the gradients read,
+    so it makes no block-sized temporary.  Given a screen, an l2 full pass
+    also rebuilds it."""
     r_src = np.asarray(r_src, dtype=np.float64)
     r_tgt = np.asarray(r_tgt, dtype=np.float64)
     _check_sizes(pair, metric)
     if r_src.shape != pair.source.shape or r_tgt.shape != pair.target.shape:
         raise ValueError("potential value vectors must match support sizes")
-    src, tgt, dist = pair.source, pair.target, metric.dist
+    src, tgt = pair.source, pair.target
+    if screen is not None:
+        screen.passes += 1
+    screening = (screen is not None and reg.kind == "l2"
+                 and metric.dist.size >= SCREEN_MIN_PAIRS)
+    if screening and screen.holds(metric, r_src, r_tgt):
+        mass, row_sums, col_sums, clamps = _screened_sums(r_src, r_tgt, src, tgt, screen, want_grad)
+    else:
+        if screen is not None:
+            screen.rebuilds += 1
+        mass, row_sums, col_sums, clamps = _block_sums(r_src, r_tgt, src, tgt, metric, reg,
+                                                       want_grad, screen if screening else None)
+    if reg.kind == "entropic":
+        penalty, slope_scale = reg.epsilon * mass, 1.0
+    else:
+        penalty, slope_scale = mass / (4.0 * reg.epsilon), 1.0 / (2.0 * reg.epsilon)
+    value = float(r_tgt @ tgt - r_src @ src - penalty)
+    if not want_grad:
+        return value, None, None, clamps
+    g_src = src * (slope_scale * row_sums - 1.0)
+    g_tgt = tgt * (1.0 - slope_scale * col_sums)
+    return value, g_src, g_tgt, clamps
+
+
+def _block_sums(r_src, r_tgt, src, tgt, metric, reg, want_grad, screen):
+    """The penalty mass, the unscaled slope row sums (slope rows . target)
+    and column sums (source . slope columns) and the clamp count, from one
+    chunked pass over the whole block; with `screen` (l2 only) the pass
+    also rebuilds it at these potential values."""
+    dist = metric.dist
     n, m = dist.shape
     rows = max(1, CHUNK_BYTES // (8 * m))
     buf = np.empty((min(rows, n), m))
-    row_sums = np.empty(n) if want_grad else None    # slope rows . target, unscaled
-    col_sums = np.zeros(m) if want_grad else None    # source . slope columns, unscaled
+    row_sums = np.empty(n) if want_grad else None
+    col_sums = np.zeros(m) if want_grad else None
     mass, clamps = 0.0, 0
-    entropic = reg.kind == "entropic"
+    found, cap = [], SCREEN_MAX_SHARE * n * m    # flat indices of the screen's pairs
+    kept = 0 if screen is not None else cap + 1
     for i in range(0, n, rows):
         j = min(i + rows, n)
         z = buf[:j - i]
         z[...] = r_tgt            # faster than one broadcast subtract, same bits
         z -= r_src[i:j, None]
         z -= dist[i:j]
-        if entropic:
+        if reg.kind == "entropic":
             z /= reg.epsilon
             clamps += int(np.count_nonzero(z > ENT_EXP_CLAMP))
             np.minimum(z, ENT_EXP_CLAMP, out=z)
@@ -256,22 +343,34 @@ def _objective_and_gradient(r_src, r_tgt, pair, metric, reg, want_grad):
                 row_sums[i:j] = row
                 col_sums += src[i:j] @ z
         else:
+            if kept <= cap:
+                # flat over 2-D indices: np.nonzero on a chunk costs ~8x more
+                found.append(np.flatnonzero(z > -SCREEN_TAU) + i * m)
+                kept += found[-1].size
             np.maximum(z, 0.0, out=z)
             if want_grad:
                 row_sums[i:j] = z @ tgt
                 col_sums += src[i:j] @ z
             z *= z
             mass += src[i:j] @ (z @ tgt)
-    if entropic:
-        penalty, slope_scale = reg.epsilon * mass, 1.0
-    else:
-        penalty, slope_scale = mass / (4.0 * reg.epsilon), 1.0 / (2.0 * reg.epsilon)
-    value = float(r_tgt @ tgt - r_src @ src - penalty)
+    if screen is not None:
+        screen._rebuild(metric, r_src, r_tgt, np.concatenate(found) if kept <= cap else None)
+    return mass, row_sums, col_sums, clamps
+
+
+def _screened_sums(r_src, r_tgt, src, tgt, screen, want_grad):
+    """_block_sums for l2 from the screen's pairs alone: the same slack
+    bits per pair, summed in another order."""
+    z = r_tgt[screen.cols] - r_src[screen.rows]
+    z -= screen.dist
+    np.maximum(z, 0.0, out=z)
+    zt = z * tgt[screen.cols]
+    zs = src[screen.rows] * z
+    mass = float(zs @ zt)
     if not want_grad:
-        return value, None, None, clamps
-    g_src = src * (slope_scale * row_sums - 1.0)
-    g_tgt = tgt * (1.0 - slope_scale * col_sums)
-    return value, g_src, g_tgt, clamps
+        return mass, None, None, 0
+    return (mass, np.bincount(screen.rows, weights=zt, minlength=src.size),
+            np.bincount(screen.cols, weights=zs, minlength=tgt.size), 0)
 
 
 def reg_dual_objective(r_src, r_tgt, pair: DiscreteMeasurePair,
@@ -290,34 +389,45 @@ def reg_dual_gradient(r_src, r_tgt, pair: DiscreteMeasurePair,
 
 
 def reg_ot_fit(pair: DiscreteMeasurePair, metric: GroundMetric, reg: DualRegularization,
-               model: rewards.PotentialModel, steps: int, lr: float):
+               model: rewards.PotentialModel, steps: int, lr: float,
+               screen: DualScreen | None = None):
     """Full-batch ascent of the regularized dual through the reward
     model's parameters, on the metric's supports with the pair's weights.
-    Returns the trained copy, the objective at it and the number of
-    entropic exponents clamped over all steps + 1 evaluations; the last
-    evaluation computes the value only.  Raises DivergenceError when a
-    step's starting objective is non-finite; the returned one is the
-    caller's to check.
+    Makes one pass per step (one value pass when steps = 0), through
+    `screen` when given, which the caller keeps for its later passes over
+    the same block, else through a screen of this call's own.  Returns the
+    trained copy, the objective at the model it started from (the value
+    its first step ascends from) and the number of entropic exponents
+    clamped over all passes.  Raises DivergenceError when a step's
+    starting objective is non-finite or a step leaves a non-finite
+    parameter; with steps = 0 the returned objective is the caller's to
+    check.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if not (np.isfinite(lr) and lr > 0):
         raise ValueError("lr must be finite and > 0")
     _check_sizes(pair, metric)
+    screen = DualScreen() if screen is None else screen
     work = model.copy()
     src_embed = rewards.support_embeds(work, metric.embed, metric.src_index)
     tgt_embed = rewards.support_embeds(work, metric.embed, metric.tgt_index)
-    clamps = 0
-    for k in range(steps + 1):
+    clamps, start = 0, None
+    for k in range(max(steps, 1)):
         r_src = rewards.support_values(work, metric.src_index, src_embed)
         r_tgt = rewards.support_values(work, metric.tgt_index, tgt_embed)
         value, g_src, g_tgt, step_clamps = _objective_and_gradient(r_src, r_tgt, pair, metric,
-                                                                   reg, k < steps)
+                                                                   reg, steps > 0, screen)
         clamps += step_clamps
-        if k == steps:
-            return work, value, clamps
+        if k == 0:
+            start = value
+        if steps == 0:
+            break
         if not np.isfinite(value):
             raise DivergenceError(f"regularized dual objective diverged at step {k}")
         grad = (rewards.accumulate_param_grad(work, metric.src_index, src_embed, g_src)
                 + rewards.accumulate_param_grad(work, metric.tgt_index, tgt_embed, g_tgt))
         work.params = work.params + lr * grad
+        if not np.all(np.isfinite(work.params)):
+            raise DivergenceError(f"regularized dual ascent left non-finite parameters at step {k}")
+    return work, start, clamps

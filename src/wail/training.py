@@ -171,7 +171,10 @@ class OtDualStep:
     The cost block covers only the round's batch points, never S*A x S*A.
     Exact-mode batches always pair every state-action point with the expert
     support, so the block is built in the first round and serves every round
-    and the final fit.  One instance serves one run."""
+    and the final fit, and so does its l2 screen (`ot.DualScreen`), which
+    also counts the run's passes over the block.  Sampled mode builds a new
+    block every round, and the screen's first pass over it rebuilds the
+    screen.  One instance serves one run."""
 
     algorithm = "wail"
     salt = 0x57A1
@@ -181,6 +184,7 @@ class OtDualStep:
         self.mdp, self.config = mdp, config
         self.reg = ot.DualRegularization(config.reg_kind, config.epsilon)
         self.block = None      # the last round's cost block
+        self.screen = ot.DualScreen()   # the block's screen and the run's pass counts
         self.target = None     # the last round's expert-side weights
         self.clamps = 0        # entropic exponents clamped so far in the run
 
@@ -193,7 +197,7 @@ class OtDualStep:
         rng.integers(0, 2 ** 63 - 1)   # discarded; fixed-seed runs rely on the draws after it
         model, objective, clamps = ot.reg_ot_fit(pair, self.block, self.reg, model,
                                                  steps=self.config.ot_inner_steps,
-                                                 lr=self.config.ot_lr)
+                                                 lr=self.config.ot_lr, screen=self.screen)
         self.clamps += clamps
         return model, objective, rewards.reward_matrix(model, self.mdp)
 
@@ -207,20 +211,25 @@ class OtDualStep:
         fit at most doubles the ascent's cost, and k = 0 returns the initial
         model.  Sampled mode keeps the loop's model.  Returns (model,
         run_meta entries): the steps run, the objective after the fit (None
-        when no step ran) and the entropic clamp events of the run."""
+        when no step ran; one more pass computes it), the entropic clamp
+        events and the passes over the cost block of the run, and how many
+        of those walked the whole block."""
         steps = (min(FINAL_FIT_STEPS, state.k * self.config.ot_inner_steps)
                  if self.config.sampling == "exact" else 0)
         model, objective = state.model, None
         if steps:
             w = occupancy_from_policy(mdp, state.policy, flow=state.flow).flat()
             pair = ot.DiscreteMeasurePair(w / w.sum(), self.target)
-            model, objective, clamps = ot.reg_ot_fit(pair, self.block, self.reg, model,
-                                                     steps=steps, lr=self.config.ot_lr)
-            self.clamps += clamps
+            model, _, fit_clamps = ot.reg_ot_fit(pair, self.block, self.reg, model, steps=steps,
+                                                 lr=self.config.ot_lr, screen=self.screen)
+            _, objective, value_clamps = ot.reg_ot_fit(pair, self.block, self.reg, model, steps=0,
+                                                       lr=self.config.ot_lr, screen=self.screen)
+            self.clamps += fit_clamps + value_clamps
             if not np.isfinite(objective):
                 raise ot.DivergenceError("objective diverged in the final reward fit")
         return model, {"final_fit_steps": steps, "final_fit_objective": objective,
-                       "entropic_clamp_events": self.clamps}
+                       "entropic_clamp_events": self.clamps, "ot_passes": self.screen.passes,
+                       "ot_screen_rebuilds": self.screen.rebuilds}
 
 
 def wail_iteration(state: WailState, mdp: TabularMdp, expert_data, config: RunConfig,
@@ -281,12 +290,15 @@ def adversarial_train(mdp: TabularMdp, expert_data, config: RunConfig, reward_st
     with `reward_step` for k_max rounds (stopping early once the trailing
     objective window is flat), then the step's end-of-run hook
     `reward_step.finish(state, mdp)`, which returns the final reward model
-    and its run_meta entries.  A non-finite objective aborts the run with
+    and its run_meta entries.  A non-finite objective, or an OT ascent
+    step that leaves a non-finite parameter, aborts the run with
     ot.DivergenceError carrying the partial log as `log`.
 
     A reward step is called as step(model, policy_batch, expert_batch, rng),
     each batch an (indices, weights) pair over the flat state-action set,
-    and returns (model, objective, (S, A) reward matrix); it names its
+    and returns (model, objective, (S, A) reward matrix), the objective
+    being the round's at the model it was given, on the round's batches,
+    the value its first ascent step starts from; it names its
     `algorithm`, its round-generator `salt` and its final `artifact` file.
     With `score` given and eval_every > 0, every eval_every-th round's
     policy is scored, score(policy).scaled, into scaled_perf_eval.

@@ -52,7 +52,7 @@ class TestDiscriminatorObjective:
         eb = batch_of([0, 1, 2])
         pb = batch_of([3, 4, 5])
         for _ in range(10_000):
-            logit = gail_discriminator_step(logit, eb, pb, table, lr=1.0)
+            logit, _ = gail_discriminator_step(logit, eb, pb, table, lr=1.0)
         d_policy = probs(logit, pb, table)
         d_expert = probs(logit, eb, table)
         assert np.all(d_policy >= 0.99)
@@ -65,7 +65,9 @@ class TestDiscriminatorObjective:
         pb = batch_of([4, 5, 6, 7])
         before = gail_objective(logit, eb, pb, table)
         for _ in range(200):
-            logit = gail_discriminator_step(logit, eb, pb, table, lr=0.05)
+            at_start = gail_objective(logit, eb, pb, table)
+            logit, objective = gail_discriminator_step(logit, eb, pb, table, lr=0.05)
+            assert objective == at_start   # the step reports where it started
         assert gail_objective(logit, eb, pb, table) > before
 
     def test_gradient_matches_finite_differences(self, rng):
@@ -124,7 +126,7 @@ class TestEquilibriumDegeneracy:
         logit = create_model("tabular", (8,), seed=0)
         logit.params = rng.normal(size=8)   # start away from 0.5
         for _ in range(5000):
-            logit = gail_discriminator_step(logit, eb, pb, table, lr=0.5)
+            logit, _ = gail_discriminator_step(logit, eb, pb, table, lr=0.5)
         surr = -np.log(probs(logit, batch_of(np.arange(8)), table))
         mean = w @ surr
         std = math.sqrt(w @ (surr - mean) ** 2)

@@ -5,7 +5,9 @@ import wail
 from wail import (DiscreteMeasurePair, DualRegularization, GroundMetric,
                   build_ground_metric, reg_dual_gradient, reg_dual_objective,
                   reg_ot_fit, w1_dual_lp, w1_primal_lp)
-from wail.ot import CHUNK_BYTES, ENT_EXP_CLAMP, DivergenceError
+from wail import ot
+from wail.ot import (CHUNK_BYTES, ENT_EXP_CLAMP, SCREEN_MARGIN, SCREEN_MIN_PAIRS, SCREEN_TAU,
+                     DivergenceError, DualScreen)
 
 from conftest import random_mdp
 
@@ -367,11 +369,11 @@ class TestChunkedDualPass:
         got_src, got_tgt = reg_dual_gradient(r_src, r_tgt, pair, metric, reg)
         assert np.abs(got_src - g_src).max() <= 1e-12 * np.abs(g_src).max()
         assert np.abs(got_tgt - g_tgt).max() <= 1e-12 * np.abs(g_tgt).max()
-        # one gradient evaluation, then the value after a step too small
-        # to move any parameter
+        # one step is one evaluation, with a step too small to move any
+        # parameter
         fit, _, fit_clamps = reg_ot_fit(pair, metric, reg, model, steps=1, lr=1e-300)
         assert fit.params.tobytes() == model.params.tobytes()
-        assert fit_clamps == 2 * clamps
+        assert fit_clamps == clamps
 
     def test_gradient_peak_memory_is_one_chunk(self):
         import tracemalloc
@@ -388,6 +390,102 @@ class TestChunkedDualPass:
             tracemalloc.stop()
         # the 3600 x 201 block is 5.5 MiB; whole-block temporaries peaked at 22 MiB
         assert peak - base <= 2 ** 20
+
+
+class TestDualScreen:
+    # 1500 x 100 = 150000 pairs, past SCREEN_MIN_PAIRS; the potentials the
+    # ascent reaches keep well under SCREEN_MAX_SHARE of them in the screen
+    N, M = 1500, 100
+
+    def instance(self, seed=0):
+        rng = np.random.default_rng(seed)
+        metric = GroundMetric.from_embeddings(rng.normal(size=(self.N + self.M, 2)) * 2.0, 1.0,
+                                              np.arange(self.N), self.N + np.arange(self.M))
+        pair = DiscreteMeasurePair(rng.dirichlet(np.ones(self.N)), rng.dirichlet(np.ones(self.M)))
+        return pair, metric, DualRegularization("l2", 0.05)
+
+    @staticmethod
+    def values(model, metric):
+        return [wail.support_values(model, idx, metric.embed[idx])
+                for idx in (metric.src_index, metric.tgt_index)]
+
+    @staticmethod
+    def assert_same_pass(got, want):
+        assert abs(got[0] - want[0]) <= 1e-12 * abs(want[0])
+        for g, w in zip(got[1:3], want[1:3]):
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+    @pytest.mark.parametrize("form, dims, lr", [("tabular", (N + M,), 0.5), ("linear", (2,), 0.01),
+                                                ("mlp", (2, 8, 8), 0.05)])
+    def test_screened_pass_matches_the_full_pass(self, form, dims, lr):
+        pair, metric, reg = self.instance()
+        model = wail.create_model(form, dims, seed=0)
+        screen = DualScreen()
+        for _ in range(40):
+            r_src, r_tgt = self.values(model, metric)
+            got = ot._objective_and_gradient(r_src, r_tgt, pair, metric, reg, True, screen)
+            self.assert_same_pass(got, reg_dual_gradient_pass(r_src, r_tgt, pair, metric, reg))
+            model, _, _ = reg_ot_fit(pair, metric, reg, model, steps=1, lr=lr, screen=screen)
+        # the ascent both read the screen and outgrew it
+        assert 1 < screen.rebuilds < screen.passes // 2
+
+    @pytest.mark.parametrize("side", ["target-up", "source-down"])
+    def test_rebuilds_at_the_threshold_and_never_drops_an_active_pair(self, side):
+        pair, metric, reg = self.instance()
+        rng = np.random.default_rng(1)
+        r_src, r_tgt = rng.normal(size=self.N) * 0.3, rng.normal(size=self.M) * 0.3
+        slack = r_tgt[None, :] - r_src[:, None] - metric.dist
+        built = DualScreen()
+        ot._objective_and_gradient(r_src, r_tgt, pair, metric, reg, True, built)
+        inside = np.zeros(slack.shape, dtype=bool)
+        inside[built.rows, built.cols] = True
+        assert np.array_equal(inside, slack > -SCREEN_TAU) and 0 < inside.mean() < 0.05
+        # push the outside pair closest to joining: while the push stays
+        # under the bound its slack stays below 0 and the screen is read;
+        # at the bound, and past it into the active set, the pass rebuilds
+        outside = np.where(inside, -np.inf, slack)
+        x, y = np.unravel_index(outside.argmax(), slack.shape)
+        for push, rebuilds in ((SCREEN_TAU - 2 * SCREEN_MARGIN, False),
+                               (SCREEN_TAU - SCREEN_MARGIN, True),
+                               (0.01 - slack[x, y], True)):
+            screen = DualScreen()
+            ot._objective_and_gradient(r_src, r_tgt, pair, metric, reg, True, screen)
+            src, tgt = r_src.copy(), r_tgt.copy()
+            if side == "target-up":
+                tgt[y] += push
+            else:
+                src[x] -= push
+            got = ot._objective_and_gradient(src, tgt, pair, metric, reg, True, screen)
+            assert screen.rebuilds == 1 + rebuilds
+            self.assert_same_pass(got, reg_dual_gradient_pass(src, tgt, pair, metric, reg))
+            active = tgt[None, :] - src[:, None] - metric.dist > 0
+            assert active[x, y] == (push > -slack[x, y])
+            if not rebuilds:
+                assert not np.any(active & ~inside)
+
+    @pytest.mark.parametrize("kind, n, m, r_scale", [
+        ("entropic", N, M, 0.3),                # the entropic penalty is never exactly 0
+        ("l2", 200, SCREEN_MIN_PAIRS // 200 - 1, 0.3),   # under one chunk
+        ("l2", N, M, 3.0),                      # most pairs within SCREEN_TAU of active
+    ], ids=["entropic", "small-block", "wide-screen"])
+    def test_full_pass_every_time(self, kind, n, m, r_scale):
+        rng = np.random.default_rng(2)
+        metric = GroundMetric.from_embeddings(rng.normal(size=(n + m, 2)), 1.0,
+                                              np.arange(n), n + np.arange(m))
+        pair = DiscreteMeasurePair(rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m)))
+        reg = DualRegularization(kind, 0.05)
+        model = wail.create_model("tabular", (n + m,), seed=0)
+        model.params = rng.normal(size=n + m) * r_scale
+        screen = DualScreen()
+        reg_ot_fit(pair, metric, reg, model, steps=5, lr=1e-9, screen=screen)
+        assert screen.passes == screen.rebuilds == 5
+        assert screen.metric is None
+
+
+def reg_dual_gradient_pass(r_src, r_tgt, pair, metric, reg):
+    """The full pass's value and gradients through the public oracles."""
+    return (reg_dual_objective(r_src, r_tgt, pair, metric, reg),
+            *reg_dual_gradient(r_src, r_tgt, pair, metric, reg))
 
 
 class TestRegOtFit:
@@ -439,7 +537,7 @@ class TestRegOtFit:
 def test_entropic_clamp_counter_increments():
     # one source and one target point at distance 0 with slack 1000 / 0.1
     # far past the clamp: every objective evaluation clamps one exponent,
-    # and an n-step fit makes n + 1 evaluations
+    # and an n-step fit makes n evaluations (a 0-step fit makes one)
     m = GroundMetric.from_embeddings(np.zeros((2, 1)), src_index=[0], tgt_index=[1])
     pair = DiscreteMeasurePair([1.0], [1.0])
     model = wail.create_model("tabular", (2,), seed=0)
@@ -447,7 +545,7 @@ def test_entropic_clamp_counter_increments():
     for kind, per_evaluation in (("entropic", 1), ("l2", 0)):
         reg = DualRegularization(kind, 0.1)
         _, _, clamps = reg_ot_fit(pair, m, reg, model, steps=3, lr=1e-12)
-        assert clamps == 4 * per_evaluation
+        assert clamps == 3 * per_evaluation
         _, value, clamps = reg_ot_fit(pair, m, reg, model, steps=0, lr=1e-12)
         assert clamps == per_evaluation
         assert value == reg_dual_objective(model.params[:1], model.params[1:], pair, m, reg)

@@ -364,3 +364,34 @@ def test_metrics_rows_are_the_rows_each_round_returned(tmp_path, monkeypatch):
     assert all(list(row) == list(wail.training.LOG_COLUMNS[:-1]) for row in returned)
     assert RunLog.load(str(tmp_path)).rows == [row | {"scaled_perf_eval": None}
                                                for row in returned]
+
+
+@pytest.mark.parametrize("sampling, inner_steps", [("exact", 1), ("sampled", 1), ("exact", 3)])
+def test_every_wail_round_makes_one_ot_pass_per_inner_step(sampling, inner_steps):
+    # the round's objective comes from the pass its first step makes, so
+    # a round makes ot_inner_steps passes over its cost block and no more
+    mdp = wail.make_gridworld(3)
+    demos = wail.rollout_fixed(mdp, SoftmaxPolicy.uniform(9, 4), 2, 10, seed=0)
+    config = RunConfig(k_max=5, seed=0, sampling=sampling, l1=16, l2=16,
+                       ot_inner_steps=inner_steps)
+    step = OtDualStep(mdp, config)
+    state = WailState(k=0, model=wail.create_model("tabular", (36,), 0),
+                      flow=FlowSystem(mdp, SoftmaxPolicy.uniform(9, 4)))
+    for k in range(1, config.k_max + 1):
+        state, _ = wail_iteration(state, mdp, ExpertData.from_any(demos, mdp), config, step)
+        assert step.screen.passes == k * inner_steps
+
+
+def test_ot_pass_counts_belong_to_the_run_and_repeat():
+    # the counts live on the run's OtDualStep: the same config run twice
+    # records the same counts, and at S = 900 (a 3600 x support cost block)
+    # the screen serves most passes
+    config = RunConfig(env={"name": "gridworld", "n": 30}, dataset_size=10, delta0=0.1,
+                       k_max=20, n_eval=100, n_ref=100)
+    metas = [wail.run_single(config)[1]["log"].meta for _ in range(2)]
+    counts = [(meta["ot_passes"], meta["ot_screen_rebuilds"]) for meta in metas]
+    assert counts[0] == counts[1]
+    passes, rebuilds = counts[0]
+    # one pass a round, one a final-fit step and one for the fit's objective
+    assert passes == config.k_max + metas[0]["final_fit_steps"] + 1
+    assert rebuilds < passes / 2
