@@ -633,7 +633,7 @@ def save_policy(path, policy: SoftmaxPolicy) -> None:
         json.dump({"logits": policy.logits.tolist()}, fh)
 
 
-def _json_fields(doc, keys: tuple, what: str) -> list:
+def json_fields(doc, keys: tuple, what: str) -> list:
     """doc[key] for each of `keys`, where `doc` is the JSON object `what`
     holds; a ValueError names a wrong JSON type or the first missing key."""
     if not isinstance(doc, dict):
@@ -644,10 +644,27 @@ def _json_fields(doc, keys: tuple, what: str) -> list:
     return [doc[k] for k in keys]
 
 
+def json_array(value, what: str, integer: bool = False) -> np.ndarray:
+    """A JSON value read as a float64 array, or an int64 one when
+    `integer`; a ValueError names `what` when the value is not a
+    (possibly nested, possibly empty) list of numbers: an object, a
+    string, null, a boolean, a ragged list or, for `integer`, a
+    fraction."""
+    kinds = "iu" if integer else "iuf"
+    try:
+        arr = np.asarray(value)
+    except ValueError:                       # ragged nesting
+        arr = None
+    if arr is None or (arr.size and arr.dtype.kind not in kinds):   # [] reads as float64
+        kind = "integers" if integer else "numbers"
+        raise ValueError(f"{what} must be a list of {kind}, got {json.dumps(value)[:40]}")
+    return arr.astype(np.int64 if integer else np.float64)
+
+
 def load_policy(path) -> SoftmaxPolicy:
     with open(path) as fh:
-        logits, = _json_fields(json.load(fh), ("logits",), f"policy file {path}")
-    return SoftmaxPolicy(np.asarray(logits, dtype=np.float64))
+        logits, = json_fields(json.load(fh), ("logits",), f"policy file {path}")
+    return SoftmaxPolicy(json_array(logits, f"policy file {path}: 'logits'"))
 
 
 def save_trajectories(path, batch: Rollouts) -> None:
@@ -661,11 +678,22 @@ def save_trajectories(path, batch: Rollouts) -> None:
 
 
 def load_trajectories(path) -> Rollouts:
+    """The episodes save_trajectories wrote; a ValueError names the line
+    and key of a missing or mistyped field."""
+    steps, restarted = [], []
     with open(path) as fh:
-        docs = [_json_fields(json.loads(line), ("steps", "truncated"), f"{path} line {i}")
-                for i, line in enumerate(fh, 1) if line.strip()]
-    steps = [np.asarray(st, dtype=np.int64).reshape(-1, 2) for st, _ in docs]
+        for i, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            what = f"{path} line {i}"
+            st, truncated = json_fields(json.loads(line), ("steps", "truncated"), what)
+            st = json_array(st, f"{what}: 'steps'", integer=True)
+            if st.size and (st.ndim != 2 or st.shape[1] != 2):
+                raise ValueError(f"{what}: 'steps' must be a list of [state, action] pairs")
+            if not isinstance(truncated, bool):
+                raise ValueError(f"{what}: 'truncated' must be true or false")
+            steps.append(st.reshape(-1, 2))
+            restarted.append(not truncated)
     pairs = np.concatenate(steps or [np.zeros((0, 2), dtype=np.int64)])
-    return Rollouts(lengths=[len(st) for st in steps],
-                    restarted=[not truncated for _, truncated in docs],
+    return Rollouts(lengths=[len(st) for st in steps], restarted=restarted,
                     states=pairs[:, 0], actions=pairs[:, 1])

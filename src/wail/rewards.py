@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import TabularMdp, state_action_embeddings
+from .mdp import TabularMdp, json_array, json_fields, state_action_embeddings
 
 FORMS = ("tabular", "linear", "mlp")
 
@@ -180,13 +180,16 @@ def model_to_json(model: PotentialModel) -> dict:
 
 
 def model_from_json(doc: dict) -> PotentialModel:
-    if not isinstance(doc, dict):
-        raise ValueError(f"a reward model must be a JSON object, got {type(doc).__name__}")
-    missing = [k for k in ("form", "dims", "params", "seed") if k not in doc]
-    if missing:
-        raise ValueError(f"reward model lacks the key {missing[0]!r}")
-    return PotentialModel(doc["form"], tuple(doc["dims"]),
-                          np.asarray(doc["params"], dtype=np.float64), int(doc["seed"]))
+    """The model model_to_json wrote; a ValueError names a missing or
+    mistyped key."""
+    form, dims, params, seed = json_fields(doc, ("form", "dims", "params", "seed"), "reward model")
+    dims = json_array(dims, "reward model 'dims'", integer=True)
+    if dims.ndim != 1:
+        raise ValueError(f"reward model 'dims' must be a list of integers, got {dims.tolist()}")
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError(f"reward model 'seed' must be an integer, got {seed!r}")
+    return PotentialModel(form, tuple(dims.tolist()),
+                          json_array(params, "reward model 'params'"), seed)
 
 
 def save_model(path, model: PotentialModel) -> None:

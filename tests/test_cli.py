@@ -232,13 +232,19 @@ class TestTrain:
         (["train", "--config", "{f}"], {"f": "[]"}, "JSON object"),
         (["train", "--set", "out_dir=5"], {}, "out_dir"),
         (["train", "--set", "seed=-1"], {}, "seed"),
+        (["eval", "--policy", "{f}"], {"f": '{"logits": {"a": 1}}'}, "'logits'"),
+        (["surface", "--reward", "{f}"],
+         {"f": '{"form": "tabular", "dims": 36, "params": [], "seed": 0}'}, "'dims'"),
+        (["train", "--algo", "bc", "--demos", "{f}"],
+         {"f": '{"steps": [[0, 1.5]], "truncated": false}\n'}, "'steps'"),
     ], ids=["policy-without-logits", "demo-without-truncated", "reward-without-dims",
-            "null-config", "array-config", "numeric-out-dir", "negative-seed"])
+            "null-config", "array-config", "numeric-out-dir", "negative-seed",
+            "policy-logits-object", "reward-dims-number", "demo-fractional-action"])
     def test_malformed_input_is_a_validation_error(self, config_file, tmp_path, capsys,
                                                    command, files, named):
         # each used to stop with a KeyError or TypeError traceback, or (an
         # array config) to run the default config, or (seed -1) to fail
-        # without naming the field
+        # without naming the field, or (a fractional action) to be truncated
         paths = {}
         for key, text in files.items():
             paths[key] = tmp_path / f"{key}.json"
