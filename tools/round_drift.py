@@ -10,11 +10,14 @@ every case in tests/test_fingerprint.py.  This tool measures that.
         round, in a temporary directory, and store the per-round policy
         logits (shape rounds x S x A) under the case's name.
         Cases without rounds (behaviour cloning) store their final logits as
-        one row.
+        one row.  WAIL and GAIL cases also store the parameters of their
+        final reward or discriminator file under "<case>.final_params".
     compare A.npz B.npz
         Print, per case, the largest |logit difference| over all rounds and
-        then the per-round values.  Exit 1 if any of the first 50 rounds
-        exceeds 1e-8, 2 if the files hold different cases or shapes.
+        then the per-round values, and the largest |final parameter
+        difference| for information; the final fit is not gated.  Exit 1 if
+        any of the first 50 rounds' logits differ by more than 1e-8, 2 if
+        the files hold different cases or shapes.
 
 Record each side with its own source tree first on the path, e.g.
 
@@ -37,6 +40,8 @@ import numpy as np
 TESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests")
 ROUNDS = 50  # the contract's window, recorded and compared
 TOL = 1e-8   # the contract's largest per-round |logit difference|
+FINAL = ".final_params"
+ARTIFACTS = ("reward_final.json", "discriminator_final.json")
 
 
 def cmd_record(args) -> int:
@@ -53,6 +58,9 @@ def cmd_record(args) -> int:
             paths = sorted(glob.glob(os.path.join(tmp, "checkpoints", "iter_*_policy.json")))
             logits[name] = (np.stack([wail.load_policy(p).logits for p in paths]) if paths
                             else art["policy"].logits[None])
+            for artifact in ARTIFACTS:
+                if os.path.exists(os.path.join(tmp, artifact)):
+                    logits[name + FINAL] = wail.load_model(os.path.join(tmp, artifact)).params
         print(f"{name}: {logits[name].shape[0]} rounds", flush=True)
     np.savez(args.out, **logits)
     return 0
@@ -63,15 +71,20 @@ def cmd_compare(args) -> int:
     if sorted(a.files) != sorted(b.files):
         print(f"different cases: {sorted(a.files)} vs {sorted(b.files)}")
         return 2
-    worst = 0.0
-    for name in sorted(a.files):
+    for name in a.files:
         if a[name].shape != b[name].shape:
             print(f"{name}: shapes differ, {a[name].shape} vs {b[name].shape}")
             return 2
+    worst = 0.0
+    for name in sorted(n for n in a.files if not n.endswith(FINAL)):
         per_round = np.abs(a[name] - b[name]).reshape(a[name].shape[0], -1).max(axis=1)
         top = int(per_round.argmax())
         print(f"{name}: max |dlogit| {per_round[top]:.3e} at round {top + 1}")
         print("   " + " ".join(f"{v:.1e}" for v in per_round))
+        if name + FINAL in a.files:
+            drift = float(np.abs(a[name + FINAL] - b[name + FINAL]).max())
+            print(f"   final reward or discriminator parameters: max |dparam| {drift:.3e}"
+                  " (information, not gated)")
         worst = max(worst, float(per_round[:ROUNDS].max()))
     verdict = "within" if worst <= TOL else "exceeds"
     print(f"largest over the first {ROUNDS} rounds: {worst:.3e} ({verdict} {TOL:g})")
