@@ -251,13 +251,12 @@ class DualScreen:
     def _rebuild(self, metric, r_src, r_tgt, flat) -> None:
         """Keep the pairs at flat indices `flat` of metric.dist, found at
         these potential values; None leaves no screen."""
-        self.metric = None if flat is None else metric
-        if flat is None:
-            self.rows = self.cols = self.dist = self.r0_src = self.r0_tgt = None
-            return
-        self.rows, self.cols = np.divmod(flat, metric.n_tgt)
-        self.dist = metric.dist[self.rows, self.cols]
-        self.r0_src, self.r0_tgt = r_src.copy(), r_tgt.copy()
+        self.metric = self.rows = self.cols = self.dist = self.r0_src = self.r0_tgt = None
+        if flat is not None:
+            self.metric = metric
+            self.rows, self.cols = np.divmod(flat, metric.n_tgt)
+            self.dist = metric.dist[self.rows, self.cols]
+            self.r0_src, self.r0_tgt = r_src.copy(), r_tgt.copy()
 
     def holds(self, metric: "GroundMetric", r_src, r_tgt) -> bool:
         """Whether the screen covers every pair the l2 penalty can reach at

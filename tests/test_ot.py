@@ -533,6 +533,15 @@ class TestRegOtFit:
         with pytest.raises(DivergenceError):
             reg_ot_fit(pair, metric, DualRegularization("l2", 0.1), model, steps=5, lr=0.1)
 
+    def test_step_to_non_finite_parameters_detected(self, rng):
+        # the step itself overflows: the fit raises in that step, where it
+        # used to return a NaN objective from one more pass
+        pair, metric = random_instance(rng, 4)
+        model = wail.create_model("tabular", (4,), seed=0)
+        model.params = np.array([0.0, 0.0, 0.0, 50.0])   # steep slopes: gradient entries >> 1
+        with pytest.raises(DivergenceError, match="non-finite parameters at step 0"):
+            reg_ot_fit(pair, metric, DualRegularization("l2", 0.1), model, steps=1, lr=1e308)
+
 
 def test_entropic_clamp_counter_increments():
     # one source and one target point at distance 0 with slack 1000 / 0.1
