@@ -32,29 +32,29 @@ BASE = wail.RunConfig(dataset_size=2, n_eval=100, n_ref=100)
 
 CASES = {
     "grid-wail-exact": (dict(env=GRID, k_max=50),
-                        "e9f8e9191ce2c006f8a3584d4b1396fadeea11f9605805c6c7ef4b62939be8ed"),
+                        "d6596a34deaf0130df5330ff821ed53a61c2b8cea6012a6778a479874514645f"),
     "grid-gail-exact": (dict(env=GRID, algorithm="gail", k_max=50),
-                        "a85c53996e6ca6baa9f22a84b0b4eae21876762b3531e5316433e7dcda185f4c"),
+                        "5c62ad07530ba94bbb2bffcc723a80eb8e1efc9266951b076db6c226e0a672a3"),
     "grid-bc": (dict(env=GRID, algorithm="bc"),
                 "bddcf2c6775e9c579c9349cceaaacc906cf0c96d90e47100dfd564d3fda7a00a"),
     "grid-wail-sampled": (dict(env=GRID, sampling="sampled", pg_mode="sampled", k_max=20),
-                          "28cbd76a33e574d7aeff4c58c864e1ec198d1633876e9718a6af521ed240ce8f"),
+                          "a7a35b13294a49f159f3cfaee13e99e4213e7bdf5a6f8d175141394ce6f421a4"),
     "grid-wail-sampled-batch-exact-gradient": (dict(env=GRID, sampling="sampled", k_max=30),
-                                               "a5d820602eb9ecea77a68b2735f69c3c8d20820dc1d30439bff60c7b334d3581"),
+                                               "0834df1707825e6824b373d705d4e2174d1d50d73bf9c54d150f3b7e8dc141b2"),
     "grid30-wail-exact": (AT_SCALE,
-                          "877be4f8bcaa4356bcc04f7faa127a4c3b5af0d125a6f5d45ea66ae1b01c94bd"),
+                          "a498637003d9a0c66552944f3389dfbef2496823a70011f99ced13453355d214"),
     "grid30-gail-exact": (dict(AT_SCALE, algorithm="gail"),
-                          "f6a7ac79cdcaf4e211a8f9c3478021a6b0d16aa00cdc29436dd8a7974fa29381"),
+                          "ce6aece1cd7588816f9cb34a294955715d596f04b462d21d087eebc9a3b451af"),
     "cliff-wail-exact": (dict(env=CLIFF, k_max=50),
-                         "623fbc36c547e3d56d95b140bb5d29b87b864fcd8db7ec0fda3e774e86916762"),
+                         "42e7381200de81872e1813e51b752935a06dde02136727132a9cae53dc2c2152"),
     "cliff-gail-exact": (dict(env=CLIFF, algorithm="gail", k_max=50),
-                         "0798e7a4413b1e0bea2a69b80c9160a4b8a10b47b78c7190a8c3fc98e3c4de4b"),
+                         "d5b20a70ffb300ecf4d8aeb83585acac807cc6bfe9de561399ce7c30ef2e5b38"),
     "cliff-bc": (dict(env=CLIFF, algorithm="bc"),
                  "666b64e52d36ffc8a9452e4fa43842304c52818595db1da7559daf091aa5b5e7"),
     "cliff-wail-sampled": (dict(env=CLIFF, sampling="sampled", pg_mode="sampled", k_max=20),
-                           "e3d0c1c5645ce92fdd5ff8becf319c772665858d2dafec9ebd4aba6777ad29e6"),
+                           "a6066bc9a654c8b60142c1b224be1cf0695b29028656742adf81c638f629003c"),
     "cliff-wail-sampled-batch-exact-gradient": (dict(env=CLIFF, sampling="sampled", k_max=30),
-                                                "75a8a6b475739f84b6c39134fc1bda37d462ee650981f6380d8df8e62f4cae78"),
+                                                "0f21c38c56ff1150b1b0555aa0c29206a83defad1d40968ade414894fb9225b0"),
 }
 
 ARTIFACT = {"wail": "reward_final.json", "gail": "discriminator_final.json"}
