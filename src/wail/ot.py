@@ -258,7 +258,7 @@ class DualScreen:
             self.dist = metric.dist[self.rows, self.cols]
             self.r0_src, self.r0_tgt = r_src.copy(), r_tgt.copy()
 
-    def holds(self, metric: "GroundMetric", r_src, r_tgt) -> bool:
+    def holds(self, metric: GroundMetric, r_src, r_tgt) -> bool:
         """Whether the screen covers every pair the l2 penalty can reach at
         these potential values on `metric`."""
         if self.metric is not metric:
@@ -323,8 +323,8 @@ def _block_sums(r_src, r_tgt, src, tgt, metric, reg, want_grad, screen):
     row_sums = np.empty(n) if want_grad else None
     col_sums = np.zeros(m) if want_grad else None
     mass, clamps = 0.0, 0
-    found, cap = [], SCREEN_MAX_SHARE * n * m    # flat indices of the screen's pairs
-    kept = 0 if screen is not None else cap + 1
+    found, kept = [], 0          # flat indices of the screen's pairs, and their count
+    collect, cap = screen is not None, SCREEN_MAX_SHARE * n * m
     for i in range(0, n, rows):
         j = min(i + rows, n)
         z = buf[:j - i]
@@ -342,7 +342,7 @@ def _block_sums(r_src, r_tgt, src, tgt, metric, reg, want_grad, screen):
                 row_sums[i:j] = row
                 col_sums += src[i:j] @ z
         else:
-            if kept <= cap:
+            if collect and kept <= cap:
                 # flat over 2-D indices: np.nonzero on a chunk costs ~8x more
                 found.append(np.flatnonzero(z > -SCREEN_TAU) + i * m)
                 kept += found[-1].size
@@ -352,7 +352,7 @@ def _block_sums(r_src, r_tgt, src, tgt, metric, reg, want_grad, screen):
                 col_sums += src[i:j] @ z
             z *= z
             mass += src[i:j] @ (z @ tgt)
-    if screen is not None:
+    if collect:
         screen._rebuild(metric, r_src, r_tgt, np.concatenate(found) if kept <= cap else None)
     return mass, row_sums, col_sums, clamps
 
