@@ -38,6 +38,9 @@ class PotentialModel:
         if self.form not in FORMS:
             raise ValueError(f"unknown form {self.form!r}, expected one of {FORMS}")
         self.dims = tuple(int(d) for d in self.dims)
+        if len(self.dims) != (3 if self.form == "mlp" else 1):
+            raise ValueError(f"{self.form} dims must hold {3 if self.form == 'mlp' else 1} "
+                             f"sizes, got {self.dims}")
         self.params = np.asarray(self.params, dtype=np.float64).ravel()
         if self.params.size != param_count(self.form, self.dims):
             raise ValueError(f"params size {self.params.size} does not match "

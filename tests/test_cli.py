@@ -235,11 +235,14 @@ class TestTrain:
         (["eval", "--policy", "{f}"], {"f": '{"logits": {"a": 1}}'}, "'logits'"),
         (["surface", "--reward", "{f}"],
          {"f": '{"form": "tabular", "dims": 36, "params": [], "seed": 0}'}, "'dims'"),
+        (["surface", "--reward", "{f}"],
+         {"f": '{"form": "tabular", "dims": [], "params": [], "seed": 0}'}, "dims"),
         (["train", "--algo", "bc", "--demos", "{f}"],
          {"f": '{"steps": [[0, 1.5]], "truncated": false}\n'}, "'steps'"),
     ], ids=["policy-without-logits", "demo-without-truncated", "reward-without-dims",
             "null-config", "array-config", "numeric-out-dir", "negative-seed",
-            "policy-logits-object", "reward-dims-number", "demo-fractional-action"])
+            "policy-logits-object", "reward-dims-number", "reward-dims-empty",
+            "demo-fractional-action"])
     def test_malformed_input_is_a_validation_error(self, config_file, tmp_path, capsys,
                                                    command, files, named):
         # each used to stop with a KeyError or TypeError traceback, or (an

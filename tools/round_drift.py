@@ -49,20 +49,20 @@ def cmd_record(args) -> int:
     import test_fingerprint
     import wail
 
-    logits = {}
+    arrays = {}
     for name, (overrides, _) in sorted(test_fingerprint.CASES.items()):
         with tempfile.TemporaryDirectory() as tmp:
             config = dataclasses.replace(test_fingerprint.BASE, **{
                 **overrides, "k_max": ROUNDS, "checkpoint_every": 1, "out_dir": tmp})
             _, art = wail.run_single(config)
             paths = sorted(glob.glob(os.path.join(tmp, "checkpoints", "iter_*_policy.json")))
-            logits[name] = (np.stack([wail.load_policy(p).logits for p in paths]) if paths
+            arrays[name] = (np.stack([wail.load_policy(p).logits for p in paths]) if paths
                             else art["policy"].logits[None])
             for artifact in ARTIFACTS:
                 if os.path.exists(os.path.join(tmp, artifact)):
-                    logits[name + FINAL] = wail.load_model(os.path.join(tmp, artifact)).params
-        print(f"{name}: {logits[name].shape[0]} rounds", flush=True)
-    np.savez(args.out, **logits)
+                    arrays[name + FINAL] = wail.load_model(os.path.join(tmp, artifact)).params
+        print(f"{name}: {arrays[name].shape[0]} rounds", flush=True)
+    np.savez(args.out, **arrays)
     return 0
 
 
