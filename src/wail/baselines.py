@@ -9,13 +9,11 @@ interaction.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from . import rewards
 from .config import RunConfig
-from .mdp import SoftmaxPolicy, TabularMdp, save_policy, state_action_embeddings
+from .mdp import SoftmaxPolicy, TabularMdp, state_action_embeddings
 from .training import ExpertData, adversarial_train
 
 PROB_CLAMP = 1e-6
@@ -73,7 +71,6 @@ class DiscriminatorStep:
 
     algorithm = "gail"
     salt = 0x6A11
-    artifact = "discriminator_final.json"
 
     def __init__(self, mdp: TabularMdp, config: RunConfig):
         self.mdp, self.config = mdp, config
@@ -105,8 +102,7 @@ def train_bc(mdp: TabularMdp, expert_data, config: RunConfig) -> SoftmaxPolicy:
     """Behavior cloning: full-batch gradient ascent on the demonstration
     log-likelihood (per-state averaged), from zero logits so unvisited
     states keep the uniform policy.  `expert_data` is anything
-    ExpertData.from_any accepts.  With config.out_dir set, writes
-    policy_final.json there."""
+    ExpertData.from_any accepts."""
     counts = ExpertData.from_any(expert_data, mdp).weights.reshape(mdp.n_states, mdp.n_actions)
     visited = counts.sum(axis=1) > 0
     freq = counts[visited] / counts[visited].sum(axis=1, keepdims=True)
@@ -118,8 +114,4 @@ def train_bc(mdp: TabularMdp, expert_data, config: RunConfig) -> SoftmaxPolicy:
         pi = e / e.sum(axis=1, keepdims=True)
         block = block + config.bc_lr * (freq - pi)
     theta[visited] = block - block.max(axis=1, keepdims=True)
-    policy = SoftmaxPolicy(theta)
-    if config.out_dir:
-        os.makedirs(config.out_dir, exist_ok=True)
-        save_policy(os.path.join(config.out_dir, "policy_final.json"), policy)
-    return policy
+    return SoftmaxPolicy(theta)

@@ -11,10 +11,13 @@ import traceback
 
 import numpy as np
 
-from . import baselines, training
+from . import baselines, ot, rewards, training
 from .config import RunConfig
 from .envs import build_environment, evaluate, make_expert, reference_returns
-from .mdp import save_trajectories
+from .mdp import save_policy, save_trajectories
+
+# each adversarial algorithm's final reward model file, written by run_single
+MODEL_FILES = {"wail": "reward_final.json", "gail": "discriminator_final.json"}
 
 
 def derived_seeds(seed: int) -> dict:
@@ -65,7 +68,9 @@ def run_single(config: RunConfig, demos=None):
     len(demos), which given demonstrations set rather than the config.
     Returns (summary_row, artifacts) where artifacts holds the trained
     policy, the reward model (WAIL's potential or GAIL's discriminator
-    logit; None for bc), the log (None for bc) and the expert context."""
+    logit; None for bc), the log (None for bc) and the expert context.
+    With config.out_dir set, it alone writes the run's final files (the
+    loop writes checkpoints); a diverged run writes its partial log."""
     config.validate()
     mdp, expert_policy, demos = setup(config, demos)
     score, expert_ref, random_ref = scorer(config, mdp, expert_policy)
@@ -74,7 +79,12 @@ def run_single(config: RunConfig, demos=None):
         policy, aux, log = baselines.train_bc(mdp, demos, train_cfg), None, None
     else:
         train = training.train_wail if config.algorithm == "wail" else baselines.train_gail
-        policy, aux, log = train(mdp, demos, train_cfg, score=score)
+        try:
+            policy, aux, log = train(mdp, demos, train_cfg, score=score)
+        except ot.DivergenceError as err:
+            if config.out_dir:
+                err.log.save(config.out_dir)
+            raise
     result = score(policy)
     row = {"algorithm": config.algorithm, "dataset_size": len(demos),
            "seed": config.seed, "mean": result.mean, "std": result.std,
@@ -85,6 +95,10 @@ def run_single(config: RunConfig, demos=None):
     if config.out_dir:
         os.makedirs(config.out_dir, exist_ok=True)
         save_trajectories(os.path.join(config.out_dir, "demos.jsonl"), demos)
+        save_policy(os.path.join(config.out_dir, "policy_final.json"), policy)
+        if log is not None:
+            log.save(config.out_dir)
+            rewards.save_model(os.path.join(config.out_dir, MODEL_FILES[config.algorithm]), aux)
         with open(os.path.join(config.out_dir, "result.json"), "w") as fh:
             json.dump(row | {"expert_ref": expert_ref, "random_ref": random_ref}, fh, indent=2)
     return row, artifacts

@@ -178,7 +178,6 @@ class OtDualStep:
 
     algorithm = "wail"
     salt = 0x57A1
-    artifact = "reward_final.json"
 
     def __init__(self, mdp: TabularMdp, config: RunConfig):
         self.mdp, self.config = mdp, config
@@ -299,13 +298,13 @@ def adversarial_train(mdp: TabularMdp, expert_data, config: RunConfig, reward_st
     and returns (model, objective, (S, A) reward matrix), the objective
     being the round's at the model it was given, on the round's batches,
     the value its first ascent step starts from; it names its
-    `algorithm`, its round-generator `salt` and its final `artifact` file.
+    `algorithm` and its round-generator `salt`.
     With `score` given and eval_every > 0, every eval_every-th round's
     policy is scored, score(policy).scaled, into scaled_perf_eval.
 
-    With config.out_dir set, writes metrics.csv, run_meta.json, checkpoints,
-    policy_final.json and the step's artifact.  Returns (policy, reward
-    model, log).  Deterministic given config.seed."""
+    With config.out_dir set, writes only the checkpoints; run_single
+    writes the final files.  Returns (policy, reward model, log).
+    Deterministic given config.seed."""
     config.validate()
     expert = ExpertData.from_any(expert_data, mdp)
     S, A = mdp.n_states, mdp.n_actions
@@ -328,16 +327,10 @@ def adversarial_train(mdp: TabularMdp, expert_data, config: RunConfig, reward_st
         model, final_meta = reward_step.finish(state, mdp)
     except ot.DivergenceError as err:
         log.meta["diverged"] = str(err)
-        if config.out_dir:
-            log.save(config.out_dir)
         err.log = log
         raise
     log.meta["iterations_run"] = state.k
     log.meta.update(final_meta)
-    if config.out_dir:
-        log.save(config.out_dir)
-        rewards.save_model(os.path.join(config.out_dir, reward_step.artifact), model)
-        save_policy(os.path.join(config.out_dir, "policy_final.json"), state.policy)
     return state.policy, model, log
 
 

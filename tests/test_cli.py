@@ -74,7 +74,7 @@ class TestTrain:
                                                  ("bc", None)])
     def test_demos_path_matches_trainer_artifacts(self, config_file, tmp_path, capsys,
                                                   algo, model_file):
-        # with --demos the trainer's out_dir writes match a direct trainer call
+        # with --demos, the files run_single writes match a direct trainer call
         expert_out = tmp_path / "e"
         main(["make-expert", "--config", config_file, "--out", str(expert_out)])
         out = tmp_path / algo

@@ -1,6 +1,7 @@
 """No module of the package reaches into another module's private names,
 by `from .mod import _name` or by `mod._name` on an imported module; only
-`experiments` decides which seed feeds which stage of a run; only `mdp`
+`experiments` decides which seed feeds which stage of a run, and only
+`training._maybe_checkpoint` writes files from the trainers; only `mdp`
 solves or factors a linear system, so every flow solve goes through its
 FlowSystem; and `trust_region` imports nothing from `rewards`, so the policy
 step reads only the reward matrix the reward step hands it."""
@@ -51,14 +52,28 @@ def test_no_module_imports_a_private_name():
     assert ALLOWED <= found, "an allowed import is gone; remove it from ALLOWED"
 
 
+def call_sites(source: str, names: set) -> list:
+    """(enclosing function, name) for every call in the source of one of
+    `names`, by name or as an attribute; None for a module-level call."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in names:
+                found.append((function, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
 def derived_seeds_calls(source: str) -> int:
     """Calls of derived_seeds in the source, by name or as an attribute."""
-    count = 0
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call):
-            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-            count += name == "derived_seeds"
-    return count
+    return len(call_sites(source, {"derived_seeds"}))
 
 
 def test_seed_scanner_finds_both_forms():
@@ -71,6 +86,30 @@ def test_only_experiments_derives_stage_seeds():
     callers = {path.stem for path in sorted(SRC.glob("*.py"))
                if derived_seeds_calls(path.read_text())}
     assert callers == {"experiments"}
+
+
+# The writers a trainer could call, and the only (module, function, writer)
+# call sites allowed in the trainers: the per-round checkpoints.
+WRITERS = {"save_policy", "save_model", "save"}
+CHECKPOINT_WRITES = {("training", "_maybe_checkpoint", "save_policy"),
+                     ("training", "_maybe_checkpoint", "save_model")}
+
+
+def test_call_site_scanner_finds_every_form():
+    source = ("save_policy(p, x)\n"
+              "def run(log):\n    log.save(d)\n    f = save_model\n"
+              "    def inner():\n        rewards.save_model(p, m)\n"
+              "class Step:\n    def finish(self):\n        np.save(p, a)\n")
+    assert call_sites(source, WRITERS) == [(None, "save_policy"), ("run", "save"),
+                                           ("inner", "save_model"), ("finish", "save")]
+
+
+def test_trainers_write_only_checkpoints():
+    # a run's final files are experiments.run_single's to write; the loop
+    # sees each round's state, so it alone writes checkpoints/
+    found = {(stem, function, name) for stem in ("training", "baselines")
+             for function, name in call_sites((SRC / f"{stem}.py").read_text(), WRITERS)}
+    assert found == CHECKPOINT_WRITES
 
 
 # Linear-algebra modules and the solver and factorization names in them.

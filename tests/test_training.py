@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -140,25 +141,35 @@ class TestTrainWail:
     @pytest.mark.parametrize("algorithm,model_file", [("wail", "reward_final.json"),
                                                       ("gail", "discriminator_final.json")])
     def test_artifacts_written(self, tmp_path, algorithm, model_file):
-        mdp = small_mdp_two_actions()
-        demos = wail.rollout_fixed(mdp, SoftmaxPolicy.uniform(2, 2), 2, 10, seed=0)
-        config = RunConfig(k_max=6, seed=0, out_dir=str(tmp_path), checkpoint_every=3)
-        policy, model, log = TRAINERS[algorithm](mdp, demos, config)
-        assert (tmp_path / "metrics.csv").exists()
-        assert (tmp_path / "run_meta.json").exists()
-        assert (tmp_path / "checkpoints" / "iter_000003_policy.json").exists()
-        assert (tmp_path / "checkpoints" / "iter_000003_reward.json").exists()
-        assert wail.load_policy(tmp_path / "policy_final.json").logits.tobytes() \
+        # run_single writes the run's final files; a direct trainer call
+        # with out_dir set writes only the loop's checkpoints
+        mdp = wail.make_gridworld(3)
+        demos = wail.rollout_fixed(mdp, SoftmaxPolicy.uniform(9, 4), 2, 10, seed=0)
+        config = RunConfig(env={"name": "gridworld", "n": 3}, algorithm=algorithm, k_max=6,
+                           seed=0, n_eval=50, n_ref=50, checkpoint_every=3)
+        run_dir = tmp_path / "run"
+        _, art = wail.run_single(dataclasses.replace(config, out_dir=str(run_dir)), demos)
+        policy, model, log = art["policy"], art["model"], art["log"]
+        assert sorted(os.listdir(run_dir)) == sorted(
+            ["checkpoints", "demos.jsonl", "metrics.csv", model_file, "policy_final.json",
+             "result.json", "run_meta.json"])
+        assert (run_dir / "checkpoints" / "iter_000003_policy.json").exists()
+        assert (run_dir / "checkpoints" / "iter_000003_reward.json").exists()
+        assert wail.load_policy(run_dir / "policy_final.json").logits.tobytes() \
             == policy.logits.tobytes()
-        assert wail.load_model(tmp_path / model_file).params.tobytes() \
+        assert wail.load_model(run_dir / model_file).params.tobytes() \
             == model.params.tobytes()
-        back = RunLog.load(str(tmp_path))
+        back = RunLog.load(str(run_dir))
         assert back.rows == log.rows
         assert back.meta == log.meta
         assert back.meta["algorithm"] == algorithm
         assert len(back.rows) == 6
         assert back.rows[0]["iteration"] == 1
-
+        direct = tmp_path / "direct"
+        TRAINERS[algorithm](mdp, demos, dataclasses.replace(config, out_dir=str(direct)))
+        assert os.listdir(direct) == ["checkpoints"]
+        wail.train_bc(mdp, demos, dataclasses.replace(config, out_dir=str(tmp_path / "bc")))
+        assert not (tmp_path / "bc").exists()
 
     def test_clamp_events_counted_per_run(self):
         mdp = wail.make_gridworld(3)
@@ -333,17 +344,26 @@ def test_config_accepts_zero_tolerance_and_list_layers():
 
 
 def test_divergence_aborts_with_partial_log(tmp_path):
-    mdp = small_mdp_two_actions()
-    demos = wail.rollout_fixed(mdp, SoftmaxPolicy.uniform(2, 2), 2, 10, seed=0)
+    mdp = wail.make_gridworld(3)
+    demos = wail.rollout_fixed(mdp, SoftmaxPolicy.uniform(9, 4), 2, 10, seed=0)
     # absurd learning rate makes the quadratic hinge blow up geometrically
-    config = RunConfig(k_max=50, seed=0, reg_kind="l2", epsilon=1e-6, ot_lr=1e6)
-    for out_dir in (None, str(tmp_path)):
+    config = RunConfig(env={"name": "gridworld", "n": 3}, k_max=50, seed=0, n_eval=50,
+                       n_ref=50, reg_kind="l2", epsilon=1e-6, ot_lr=1e6)
+    run_dir = tmp_path / "run"
+    for out_dir in (None, str(run_dir)):
         with pytest.raises(wail.DivergenceError) as exc:
-            train_wail(mdp, demos, dataclasses.replace(config, out_dir=out_dir))
+            wail.run_single(dataclasses.replace(config, out_dir=out_dir), demos)
         log = exc.value.log
         assert log.meta["diverged"] == str(exc.value)
         assert len(log.rows) < config.k_max
-    assert RunLog.load(str(tmp_path)).meta == log.meta
+    # only the partial log: no demonstrations, result or final policy
+    assert sorted(os.listdir(run_dir)) == ["metrics.csv", "run_meta.json"]
+    assert RunLog.load(str(run_dir)).meta == log.meta
+    assert RunLog.load(str(run_dir)).rows == log.rows
+    direct = tmp_path / "direct"
+    with pytest.raises(wail.DivergenceError):
+        train_wail(mdp, demos, dataclasses.replace(config, out_dir=str(direct)))
+    assert not direct.exists()
 
 
 def test_metrics_rows_are_the_rows_each_round_returned(tmp_path, monkeypatch):
@@ -359,7 +379,8 @@ def test_metrics_rows_are_the_rows_each_round_returned(tmp_path, monkeypatch):
     monkeypatch.setattr(wail.training, "wail_iteration", recording)
     mdp = wail.make_gridworld(3)
     demos = wail.rollout_fixed(mdp, SoftmaxPolicy.uniform(9, 4), 2, 10, seed=0)
-    train_wail(mdp, demos, RunConfig(k_max=7, seed=2, out_dir=str(tmp_path)))
+    wail.run_single(RunConfig(env={"name": "gridworld", "n": 3}, k_max=7, seed=2, n_eval=50,
+                              n_ref=50, out_dir=str(tmp_path)), demos)
     assert len(returned) == 7
     assert all(list(row) == list(wail.training.LOG_COLUMNS[:-1]) for row in returned)
     assert RunLog.load(str(tmp_path)).rows == [row | {"scaled_perf_eval": None}
