@@ -75,13 +75,14 @@ def default_bounds(plane: PcaPlane, data: np.ndarray):
 def model_surface_fn(model: rewards.PotentialModel, mdp: TabularMdp):
     """Reward score for arbitrary embedding points.  Linear/mlp models
     evaluate directly; tabular models score a point by its nearest
-    state-action embedding."""
+    state-action embedding, so their table must have one entry per
+    state-action point of `mdp` (a ValueError names both sizes)."""
     if model.form == "tabular":
+        table = rewards.reward_matrix(model, mdp).ravel()
         table_embed = state_action_embeddings(mdp)
 
         def fn(points):
-            idx = cdist(np.atleast_2d(points), table_embed).argmin(axis=1)
-            return model.params[idx]
+            return table[cdist(np.atleast_2d(points), table_embed).argmin(axis=1)]
         return fn
     return lambda points: rewards.support_values(model, None, np.atleast_2d(points))
 

@@ -239,15 +239,22 @@ class TestTrain:
          {"f": '{"form": "tabular", "dims": [], "params": [], "seed": 0}'}, "dims"),
         (["train", "--algo", "bc", "--demos", "{f}"],
          {"f": '{"steps": [[0, 1.5]], "truncated": false}\n'}, "'steps'"),
+        (["surface", "--reward", "{f}"],
+         {"f": json.dumps(wail.model_to_json(wail.create_model("tabular", (10,))))}, "10"),
+        (["surface", "--reward", "{f}"],
+         {"f": json.dumps(wail.model_to_json(wail.create_model("tabular", (100,))))}, "100"),
     ], ids=["policy-without-logits", "demo-without-truncated", "reward-without-dims",
             "null-config", "array-config", "numeric-out-dir", "negative-seed",
             "policy-logits-object", "reward-dims-number", "reward-dims-empty",
-            "demo-fractional-action"])
+            "demo-fractional-action", "tabular-reward-too-short", "tabular-reward-too-long"])
     def test_malformed_input_is_a_validation_error(self, config_file, tmp_path, capsys,
                                                    command, files, named):
-        # each used to stop with a KeyError or TypeError traceback, or (an
+        # each used to stop with a KeyError, TypeError or (a tabular reward
+        # for fewer than the grid's 36 points) IndexError traceback, or (an
         # array config) to run the default config, or (seed -1) to fail
-        # without naming the field, or (a fractional action) to be truncated
+        # without naming the field, or (a fractional action) to be
+        # truncated, or (a tabular reward for more points) to be read from
+        # its first 36 entries
         paths = {}
         for key, text in files.items():
             paths[key] = tmp_path / f"{key}.json"
