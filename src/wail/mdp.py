@@ -604,16 +604,24 @@ def mdp_to_json(mdp: TabularMdp) -> dict:
 
 
 def mdp_from_json(doc: dict) -> TabularMdp:
-    entries = doc["transition"]
+    """The MDP mdp_to_json wrote; a ValueError names a missing or mistyped
+    key."""
+    keys = ("transition", "start", "gamma", "state_embed", "action_embed")
+    entries, start, gamma, state_embed, action_embed = json_fields(doc, keys, "MDP")
     if not isinstance(entries, dict):
         raise ValueError("transition must be {row, col, prob} entries, not a dense array")
+    row, col, prob = json_fields(entries, ("row", "col", "prob"), "MDP 'transition'")
+    if isinstance(gamma, bool) or not isinstance(gamma, (int, float)):
+        raise ValueError(f"MDP 'gamma' must be a number, got {json.dumps(gamma)[:40]}")
     return TabularMdp(
-        transition=(entries["row"], entries["col"], entries["prob"]),
-        start=np.asarray(doc["start"], dtype=np.float64),
-        gamma=float(doc["gamma"]),
-        state_embed=np.asarray(doc["state_embed"], dtype=np.float64),
-        action_embed=np.asarray(doc["action_embed"], dtype=np.float64),
-        true_reward=(np.asarray(doc["true_reward"], dtype=np.float64)
+        transition=(json_array(row, "MDP 'transition' 'row'", integer=True),
+                    json_array(col, "MDP 'transition' 'col'", integer=True),
+                    json_array(prob, "MDP 'transition' 'prob'")),
+        start=json_array(start, "MDP 'start'"),
+        gamma=float(gamma),
+        state_embed=json_array(state_embed, "MDP 'state_embed'"),
+        action_embed=json_array(action_embed, "MDP 'action_embed'"),
+        true_reward=(json_array(doc["true_reward"], "MDP 'true_reward'")
                      if "true_reward" in doc else None),
     )
 

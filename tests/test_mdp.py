@@ -349,6 +349,25 @@ class TestSerialization:
         with pytest.raises(ValueError, match="not a dense array"):
             wail.mdp_from_json(doc)
 
+    @pytest.mark.parametrize("change,named", [
+        ({"gamma": "0.9"}, "'gamma'"), ({"gamma": True}, "'gamma'"), ({"start": None}, "'start'"),
+        ({"state_embed": "x"}, "'state_embed'"), ({"transition": {"row": [0], "col": [0]}}, "'prob'"),
+        ({"transition": {"row": [0], "col": [0], "prob": ["1"]}}, "'prob'"),
+    ])
+    def test_mdp_json_names_a_missing_or_mistyped_key(self, change, named):
+        # "gamma": "0.9" used to be read by float(); a missing key raised
+        # KeyError and a list document TypeError
+        doc = wail.mdp_to_json(random_mdp(3, 2, 0.9, seed=43)) | change
+        doc = {k: v for k, v in doc.items() if v is not None}
+        with pytest.raises(ValueError, match=named):
+            wail.mdp_from_json(doc)
+
+    def test_mdp_json_must_be_an_object(self, tmp_path):
+        path = tmp_path / "mdp.json"
+        path.write_text("[]")
+        with pytest.raises(ValueError, match="JSON object"):
+            wail.load_mdp(path)
+
     def test_trajectory_jsonl_round_trip(self, tmp_path):
         mdp = random_mdp(3, 2, 0.8, seed=41)
         trajs = sample_trajectories(mdp, SoftmaxPolicy.uniform(3, 2), 10, seed=3)
