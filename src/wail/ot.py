@@ -238,13 +238,17 @@ class DualScreen:
     the whole block again and rebuilds the screen.  Every entropic pass is
     a full one, since that penalty is never exactly 0, and so is every pass
     over a block of fewer than SCREEN_MIN_PAIRS pairs or whose screen
-    would hold more than SCREEN_MAX_SHARE of them.  One instance serves one
+    would hold more than SCREEN_MAX_SHARE of them.  A full pass collects
+    the screen only when a later pass over its block can read it: not in
+    the last pass of a fit while `kept` is False, which an owner that
+    builds a new block for every fit sets.  One instance serves one
     caller's passes."""
 
     def __init__(self):
         self.metric = None     # the block the pairs below index; None when there is no screen
         self.rows = self.cols = self.dist = None
         self.r0_src = self.r0_tgt = None
+        self.kept = True       # whether its owner passes over a block again after a fit
         self.passes = 0        # passes made through this screen
         self.rebuilds = 0      # of them, passes that walked the whole block
 
@@ -267,7 +271,8 @@ class DualScreen:
         return bool(b < SCREEN_TAU - SCREEN_MARGIN)   # False for a NaN b
 
 
-def _objective_and_gradient(r_src, r_tgt, pair, metric, reg, want_grad, screen=None):
+def _objective_and_gradient(r_src, r_tgt, pair, metric, reg, want_grad, screen=None,
+                            collect=True):
     """The regularized dual's value, optionally its gradients with respect
     to r_src and r_tgt, and the number of entropic exponents clamped at
     ENT_EXP_CLAMP, from one pass over the cost block, or over `screen`'s
@@ -281,7 +286,7 @@ def _objective_and_gradient(r_src, r_tgt, pair, metric, reg, want_grad, screen=N
     through one buffer, forming each chunk's slack in place and keeping
     only the penalty mass and the row and column sums the gradients read,
     so it makes no block-sized temporary.  Given a screen, an l2 full pass
-    also rebuilds it."""
+    also rebuilds it when `collect`."""
     r_src = np.asarray(r_src, dtype=np.float64)
     r_tgt = np.asarray(r_tgt, dtype=np.float64)
     _check_sizes(pair, metric)
@@ -297,8 +302,9 @@ def _objective_and_gradient(r_src, r_tgt, pair, metric, reg, want_grad, screen=N
     else:
         if screen is not None:
             screen.rebuilds += 1
+        collecting = screen if screening and collect else None
         mass, row_sums, col_sums, clamps = _block_sums(r_src, r_tgt, src, tgt, metric, reg,
-                                                       want_grad, screen if screening else None)
+                                                       want_grad, collecting)
     if reg.kind == "entropic":
         penalty, slope_scale = reg.epsilon * mass, 1.0
     else:
@@ -394,8 +400,10 @@ def reg_ot_fit(pair: DiscreteMeasurePair, metric: GroundMetric, reg: DualRegular
     model's parameters, on the metric's supports with the pair's weights.
     Makes one pass per step (one value pass when steps = 0), through
     `screen` when given, which the caller keeps for its later passes over
-    the same block, else through a screen of this call's own.  Returns the
-    trained copy, the objective at the model it started from (the value
+    the same block unless `screen.kept` is False, else through a screen of
+    this call's own, which is not kept; the last pass of a fit through a
+    screen that is not kept collects none, since no pass could read it.
+    Returns the trained copy, the objective at the model it started from (the value
     its first step ascends from) and the number of entropic exponents
     clamped over all passes.  Raises DivergenceError when a step's
     starting objective is non-finite or a step leaves a non-finite
@@ -407,7 +415,9 @@ def reg_ot_fit(pair: DiscreteMeasurePair, metric: GroundMetric, reg: DualRegular
     if not (np.isfinite(lr) and lr > 0):
         raise ValueError("lr must be finite and > 0")
     _check_sizes(pair, metric)
-    screen = DualScreen() if screen is None else screen
+    if screen is None:
+        screen = DualScreen()
+        screen.kept = False
     work = model.copy()
     src_embed = rewards.support_embeds(work, metric.embed, metric.src_index)
     tgt_embed = rewards.support_embeds(work, metric.embed, metric.tgt_index)
@@ -415,8 +425,8 @@ def reg_ot_fit(pair: DiscreteMeasurePair, metric: GroundMetric, reg: DualRegular
     for k in range(max(steps, 1)):
         r_src = rewards.support_values(work, metric.src_index, src_embed)
         r_tgt = rewards.support_values(work, metric.tgt_index, tgt_embed)
-        value, g_src, g_tgt, step_clamps = _objective_and_gradient(r_src, r_tgt, pair, metric,
-                                                                   reg, steps > 0, screen)
+        value, g_src, g_tgt, step_clamps = _objective_and_gradient(
+            r_src, r_tgt, pair, metric, reg, steps > 0, screen, screen.kept or k + 1 < steps)
         clamps += step_clamps
         if k == 0:
             start = value

@@ -174,7 +174,8 @@ class OtDualStep:
     and the final fit, and so does its l2 screen (`ot.DualScreen`), which
     also counts the run's passes over the block.  Sampled mode builds a new
     block every round, and the screen's first pass over it rebuilds the
-    screen.  One instance serves one run."""
+    screen; the screen is not kept across rounds, so a round's last pass
+    collects none.  One instance serves one run."""
 
     algorithm = "wail"
     salt = 0x57A1
@@ -184,6 +185,7 @@ class OtDualStep:
         self.reg = ot.DualRegularization(config.reg_kind, config.epsilon)
         self.block = None      # the last round's cost block
         self.screen = ot.DualScreen()   # the block's screen and the run's pass counts
+        self.screen.kept = config.sampling == "exact"
         self.target = None     # the last round's expert-side weights
         self.clamps = 0        # entropic exponents clamped so far in the run
 
@@ -221,6 +223,7 @@ class OtDualStep:
             pair = ot.DiscreteMeasurePair(w / w.sum(), self.target)
             model, _, fit_clamps = ot.reg_ot_fit(pair, self.block, self.reg, model, steps=steps,
                                                  lr=self.config.ot_lr, screen=self.screen)
+            self.screen.kept = False   # the run's last pass follows
             _, objective, value_clamps = ot.reg_ot_fit(pair, self.block, self.reg, model, steps=0,
                                                        lr=self.config.ot_lr, screen=self.screen)
             self.clamps += fit_clamps + value_clamps

@@ -403,6 +403,47 @@ def test_every_wail_round_makes_one_ot_pass_per_inner_step(sampling, inner_steps
         assert step.screen.passes == k * inner_steps
 
 
+@pytest.mark.parametrize("inner_steps", [1, 3])
+def test_sampled_rounds_collect_only_screens_a_later_pass_reads(monkeypatch, inner_steps):
+    # each sampled round builds a new 256 x 256 block (past SCREEN_MIN_PAIRS),
+    # so a round's last pass collects no screen: with one pass a round the
+    # run collects none.  The logits and pass counts are those of a run
+    # that collects in every full pass.
+    collected = []
+    rebuild = wail.ot.DualScreen._rebuild
+
+    def counting(screen, *args):
+        collected.append(screen.passes)
+        rebuild(screen, *args)
+
+    monkeypatch.setattr(wail.ot.DualScreen, "_rebuild", counting)
+    mdp = wail.make_gridworld(3)
+    demos = ExpertData.from_any(wail.rollout_fixed(mdp, SoftmaxPolicy.uniform(9, 4), 2, 10,
+                                                   seed=0), mdp)
+    config = RunConfig(k_max=10, seed=0, sampling="sampled", l1=256, l2=256,
+                       ot_inner_steps=inner_steps)
+    runs = []
+    for kept in (False, True):
+        step = OtDualStep(mdp, config)
+        assert step.screen.kept is False
+        step.screen.kept = kept     # kept: collect as if a later round read the screen
+        state = WailState(k=0, model=wail.create_model("tabular", (36,), 0),
+                          flow=FlowSystem(mdp, SoftmaxPolicy.uniform(9, 4)))
+        for _ in range(config.k_max):
+            state, _ = wail_iteration(state, mdp, demos, config, step)
+        runs.append((state.policy.logits.tobytes(), step.screen.passes, step.screen.rebuilds,
+                     len(collected)))
+        collected.clear()
+    (logits, passes, rebuilds, n_collected), (kept_logits, *kept_counts) = runs
+    assert (logits, passes, rebuilds) == (kept_logits, *kept_counts[:2])
+    assert passes == config.k_max * inner_steps
+    assert kept_counts[2] == rebuilds    # the kept run collects in every full pass
+    if inner_steps == 1:
+        assert n_collected == 0 and rebuilds == passes
+    else:
+        assert 0 < n_collected < rebuilds
+
+
 def test_ot_pass_counts_belong_to_the_run_and_repeat():
     # the counts live on the run's OtDualStep: the same config run twice
     # records the same counts, and at S = 900 (a 3600 x support cost block)
