@@ -238,17 +238,14 @@ class DualScreen:
     the whole block again and rebuilds the screen.  Every entropic pass is
     a full one, since that penalty is never exactly 0, and so is every pass
     over a block of fewer than SCREEN_MIN_PAIRS pairs or whose screen
-    would hold more than SCREEN_MAX_SHARE of them.  A full pass collects
-    the screen only when a later pass over its block can read it: not in
-    the last pass of a fit while `kept` is False, which an owner that
-    builds a new block for every fit sets.  One instance serves one
+    would hold more than SCREEN_MAX_SHARE of them.  A screen pays only
+    over a block that later fits pass over again; one instance serves one
     caller's passes."""
 
     def __init__(self):
         self.metric = None     # the block the pairs below index; None when there is no screen
         self.rows = self.cols = self.dist = None
         self.r0_src = self.r0_tgt = None
-        self.kept = True       # whether its owner passes over a block again after a fit
         self.passes = 0        # passes made through this screen
         self.rebuilds = 0      # of them, passes that walked the whole block
 
@@ -271,10 +268,9 @@ class DualScreen:
         return bool(b < SCREEN_TAU - SCREEN_MARGIN)   # False for a NaN b
 
 
-def _objective_and_gradient(r_src, r_tgt, pair, metric, reg, want_grad, screen=None,
-                            collect=True):
-    """The regularized dual's value, optionally its gradients with respect
-    to r_src and r_tgt, and the number of entropic exponents clamped at
+def _objective_and_gradient(r_src, r_tgt, pair, metric, reg, screen=None):
+    """The regularized dual's value, its gradients with respect to r_src
+    and r_tgt, and the number of entropic exponents clamped at
     ENT_EXP_CLAMP, from one pass over the cost block, or over `screen`'s
     pairs while it holds (see DualScreen).
 
@@ -286,7 +282,7 @@ def _objective_and_gradient(r_src, r_tgt, pair, metric, reg, want_grad, screen=N
     through one buffer, forming each chunk's slack in place and keeping
     only the penalty mass and the row and column sums the gradients read,
     so it makes no block-sized temporary.  Given a screen, an l2 full pass
-    also rebuilds it when `collect`."""
+    also rebuilds it."""
     r_src = np.asarray(r_src, dtype=np.float64)
     r_tgt = np.asarray(r_tgt, dtype=np.float64)
     _check_sizes(pair, metric)
@@ -298,26 +294,23 @@ def _objective_and_gradient(r_src, r_tgt, pair, metric, reg, want_grad, screen=N
     screening = (screen is not None and reg.kind == "l2"
                  and metric.dist.size >= SCREEN_MIN_PAIRS)
     if screening and screen.holds(metric, r_src, r_tgt):
-        mass, row_sums, col_sums, clamps = _screened_sums(r_src, r_tgt, src, tgt, screen, want_grad)
+        mass, row_sums, col_sums, clamps = _screened_sums(r_src, r_tgt, src, tgt, screen)
     else:
         if screen is not None:
             screen.rebuilds += 1
-        collecting = screen if screening and collect else None
         mass, row_sums, col_sums, clamps = _block_sums(r_src, r_tgt, src, tgt, metric, reg,
-                                                       want_grad, collecting)
+                                                       screen if screening else None)
     if reg.kind == "entropic":
         penalty, slope_scale = reg.epsilon * mass, 1.0
     else:
         penalty, slope_scale = mass / (4.0 * reg.epsilon), 1.0 / (2.0 * reg.epsilon)
     value = float(r_tgt @ tgt - r_src @ src - penalty)
-    if not want_grad:
-        return value, None, None, clamps
     g_src = src * (slope_scale * row_sums - 1.0)
     g_tgt = tgt * (1.0 - slope_scale * col_sums)
     return value, g_src, g_tgt, clamps
 
 
-def _block_sums(r_src, r_tgt, src, tgt, metric, reg, want_grad, screen):
+def _block_sums(r_src, r_tgt, src, tgt, metric, reg, screen):
     """The penalty mass, the unscaled slope row sums (slope rows . target)
     and column sums (source . slope columns) and the clamp count, from one
     chunked pass over the whole block; with `screen` (l2 only) the pass
@@ -326,10 +319,9 @@ def _block_sums(r_src, r_tgt, src, tgt, metric, reg, want_grad, screen):
     n, m = dist.shape
     rows = max(1, CHUNK_BYTES // (8 * m))
     buf = np.empty((min(rows, n), m))
-    row_sums = np.empty(n) if want_grad else None
-    col_sums = np.zeros(m) if want_grad else None
+    row_sums, col_sums = np.empty(n), np.zeros(m)
     mass, clamps = 0.0, 0
-    found, kept = [], 0          # flat indices of the screen's pairs, and their count
+    found, n_found = [], 0       # flat indices of the screen's pairs, and their count
     collect, cap = screen is not None, SCREEN_MAX_SHARE * n * m
     for i in range(0, n, rows):
         j = min(i + rows, n)
@@ -342,28 +334,25 @@ def _block_sums(r_src, r_tgt, src, tgt, metric, reg, want_grad, screen):
             clamps += int(np.count_nonzero(z > ENT_EXP_CLAMP))
             np.minimum(z, ENT_EXP_CLAMP, out=z)
             np.exp(z, out=z)
-            row = z @ tgt
-            mass += src[i:j] @ row
-            if want_grad:
-                row_sums[i:j] = row
-                col_sums += src[i:j] @ z
+            row_sums[i:j] = z @ tgt
+            mass += src[i:j] @ row_sums[i:j]
+            col_sums += src[i:j] @ z
         else:
-            if collect and kept <= cap:
+            if collect and n_found <= cap:
                 # flat over 2-D indices: np.nonzero on a chunk costs ~8x more
                 found.append(np.flatnonzero(z > -SCREEN_TAU) + i * m)
-                kept += found[-1].size
+                n_found += found[-1].size
             np.maximum(z, 0.0, out=z)
-            if want_grad:
-                row_sums[i:j] = z @ tgt
-                col_sums += src[i:j] @ z
+            row_sums[i:j] = z @ tgt
+            col_sums += src[i:j] @ z
             z *= z
             mass += src[i:j] @ (z @ tgt)
     if collect:
-        screen._rebuild(metric, r_src, r_tgt, np.concatenate(found) if kept <= cap else None)
+        screen._rebuild(metric, r_src, r_tgt, np.concatenate(found) if n_found <= cap else None)
     return mass, row_sums, col_sums, clamps
 
 
-def _screened_sums(r_src, r_tgt, src, tgt, screen, want_grad):
+def _screened_sums(r_src, r_tgt, src, tgt, screen):
     """_block_sums for l2 from the screen's pairs alone: the same slack
     bits per pair, summed in another order."""
     z = r_tgt[screen.cols] - r_src[screen.rows]
@@ -371,10 +360,7 @@ def _screened_sums(r_src, r_tgt, src, tgt, screen, want_grad):
     np.maximum(z, 0.0, out=z)
     zt = z * tgt[screen.cols]
     zs = src[screen.rows] * z
-    mass = float(zs @ zt)
-    if not want_grad:
-        return mass, None, None, 0
-    return (mass, np.bincount(screen.rows, weights=zt, minlength=src.size),
+    return (float(zs @ zt), np.bincount(screen.rows, weights=zt, minlength=src.size),
             np.bincount(screen.cols, weights=zs, minlength=tgt.size), 0)
 
 
@@ -382,14 +368,14 @@ def reg_dual_objective(r_src, r_tgt, pair: DiscreteMeasurePair,
                        metric: GroundMetric, reg: DualRegularization) -> float:
     """<r, target> - <r, source> plus the product-measure expectation of the
     penalty on constraint violations r(y) - r(x) > d(x, y)."""
-    return _objective_and_gradient(r_src, r_tgt, pair, metric, reg, False)[0]
+    return _objective_and_gradient(r_src, r_tgt, pair, metric, reg)[0]
 
 
 def reg_dual_gradient(r_src, r_tgt, pair: DiscreteMeasurePair,
                       metric: GroundMetric, reg: DualRegularization):
     """Analytic gradient of reg_dual_objective with respect to the potential
     values on the source and target supports."""
-    _, g_src, g_tgt, _ = _objective_and_gradient(r_src, r_tgt, pair, metric, reg, True)
+    _, g_src, g_tgt, _ = _objective_and_gradient(r_src, r_tgt, pair, metric, reg)
     return g_src, g_tgt
 
 
@@ -398,11 +384,9 @@ def reg_ot_fit(pair: DiscreteMeasurePair, metric: GroundMetric, reg: DualRegular
                screen: DualScreen | None = None):
     """Full-batch ascent of the regularized dual through the reward
     model's parameters, on the metric's supports with the pair's weights.
-    Makes one pass per step (one value pass when steps = 0), through
-    `screen` when given, which the caller keeps for its later passes over
-    the same block unless `screen.kept` is False, else through a screen of
-    this call's own, which is not kept; the last pass of a fit through a
-    screen that is not kept collects none, since no pass could read it.
+    Makes one pass per step (one, for the value, when steps = 0), each
+    over the whole block, or through `screen` when given, which the caller
+    keeps for its later fits over the same block (see DualScreen).
     Returns the trained copy, the objective at the model it started from (the value
     its first step ascends from) and the number of entropic exponents
     clamped over all passes.  Raises DivergenceError when a step's
@@ -415,9 +399,6 @@ def reg_ot_fit(pair: DiscreteMeasurePair, metric: GroundMetric, reg: DualRegular
     if not (np.isfinite(lr) and lr > 0):
         raise ValueError("lr must be finite and > 0")
     _check_sizes(pair, metric)
-    if screen is None:
-        screen = DualScreen()
-        screen.kept = False
     work = model.copy()
     src_embed = rewards.support_embeds(work, metric.embed, metric.src_index)
     tgt_embed = rewards.support_embeds(work, metric.embed, metric.tgt_index)
@@ -425,8 +406,8 @@ def reg_ot_fit(pair: DiscreteMeasurePair, metric: GroundMetric, reg: DualRegular
     for k in range(max(steps, 1)):
         r_src = rewards.support_values(work, metric.src_index, src_embed)
         r_tgt = rewards.support_values(work, metric.tgt_index, tgt_embed)
-        value, g_src, g_tgt, step_clamps = _objective_and_gradient(
-            r_src, r_tgt, pair, metric, reg, steps > 0, screen, screen.kept or k + 1 < steps)
+        value, g_src, g_tgt, step_clamps = _objective_and_gradient(r_src, r_tgt, pair, metric,
+                                                                   reg, screen)
         clamps += step_clamps
         if k == 0:
             start = value

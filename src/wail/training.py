@@ -173,9 +173,9 @@ class OtDualStep:
     support, so the block is built in the first round and serves every round
     and the final fit, and so does its l2 screen (`ot.DualScreen`), which
     also counts the run's passes over the block.  Sampled mode builds a new
-    block every round, and the screen's first pass over it rebuilds the
-    screen; the screen is not kept across rounds, so a round's last pass
-    collects none.  One instance serves one run."""
+    block every round, which no later fit reads, so it keeps no screen and
+    every pass walks its round's whole block.  One instance serves one
+    run."""
 
     algorithm = "wail"
     salt = 0x57A1
@@ -184,8 +184,8 @@ class OtDualStep:
         self.mdp, self.config = mdp, config
         self.reg = ot.DualRegularization(config.reg_kind, config.epsilon)
         self.block = None      # the last round's cost block
-        self.screen = ot.DualScreen()   # the block's screen and the run's pass counts
-        self.screen.kept = config.sampling == "exact"
+        # the exact block's screen and the run's pass counts; None when sampled
+        self.screen = ot.DualScreen() if config.sampling == "exact" else None
         self.target = None     # the last round's expert-side weights
         self.clamps = 0        # entropic exponents clamped so far in the run
 
@@ -213,8 +213,8 @@ class OtDualStep:
         model.  Sampled mode keeps the loop's model.  Returns (model,
         run_meta entries): the steps run, the objective after the fit (None
         when no step ran; one more pass computes it), the entropic clamp
-        events and the passes over the cost block of the run, and how many
-        of those walked the whole block."""
+        events and the passes over the cost blocks of the run, and how many
+        of those walked the whole block (all of them in sampled mode)."""
         steps = (min(FINAL_FIT_STEPS, state.k * self.config.ot_inner_steps)
                  if self.config.sampling == "exact" else 0)
         model, objective = state.model, None
@@ -223,15 +223,18 @@ class OtDualStep:
             pair = ot.DiscreteMeasurePair(w / w.sum(), self.target)
             model, _, fit_clamps = ot.reg_ot_fit(pair, self.block, self.reg, model, steps=steps,
                                                  lr=self.config.ot_lr, screen=self.screen)
-            self.screen.kept = False   # the run's last pass follows
             _, objective, value_clamps = ot.reg_ot_fit(pair, self.block, self.reg, model, steps=0,
                                                        lr=self.config.ot_lr, screen=self.screen)
             self.clamps += fit_clamps + value_clamps
             if not np.isfinite(objective):
                 raise ot.DivergenceError("objective diverged in the final reward fit")
+        if self.screen is None:
+            passes = rebuilds = state.k * self.config.ot_inner_steps
+        else:
+            passes, rebuilds = self.screen.passes, self.screen.rebuilds
         return model, {"final_fit_steps": steps, "final_fit_objective": objective,
-                       "entropic_clamp_events": self.clamps, "ot_passes": self.screen.passes,
-                       "ot_screen_rebuilds": self.screen.rebuilds}
+                       "entropic_clamp_events": self.clamps, "ot_passes": passes,
+                       "ot_screen_rebuilds": rebuilds}
 
 
 def wail_iteration(state: WailState, mdp: TabularMdp, expert_data, config: RunConfig,

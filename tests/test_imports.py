@@ -1,7 +1,8 @@
 """No module of the package reaches into another module's private names,
 by `from .mod import _name` or by `mod._name` on an imported module; only
 `experiments` decides which seed feeds which stage of a run, and only
-`training._maybe_checkpoint` writes files from the trainers; only `mdp`
+`training._maybe_checkpoint` writes files from the trainers; only
+`training.OtDualStep` builds an OT dual screen; only `mdp`
 solves or factors a linear system, so every flow solve goes through its
 FlowSystem; and `trust_region` imports nothing from `rewards`, so the policy
 step reads only the reward matrix the reward step hands it."""
@@ -110,6 +111,30 @@ def test_trainers_write_only_checkpoints():
     found = {(stem, function, name) for stem in ("training", "baselines")
              for function, name in call_sites((SRC / f"{stem}.py").read_text(), WRITERS)}
     assert found == CHECKPOINT_WRITES
+
+
+def owned_call_sites(source: str, names: set) -> list:
+    """call_sites of each top-level statement of the source, as (class or
+    function it defines, None for another statement; enclosing function;
+    name)."""
+    return [(getattr(node, "name", None), function, name) for node in ast.parse(source).body
+            for function, name in call_sites(ast.get_source_segment(source, node), names)]
+
+
+def test_owned_call_site_scanner_finds_every_form():
+    source = ("screen = ot.DualScreen()\n"
+              "class Step:\n    def __init__(self):\n        self.screen = DualScreen()\n"
+              "def fit(screen=None):\n    return screen or DualScreen\n")
+    assert owned_call_sites(source, {"DualScreen"}) == [(None, None, "DualScreen"),
+                                                        ("Step", "__init__", "DualScreen")]
+
+
+def test_only_the_exact_reward_step_builds_a_dual_screen():
+    # a screen pays only over a cost block that later fits pass over again:
+    # exact mode's, which OtDualStep keeps for the run
+    found = {(path.stem, *site) for path in sorted(SRC.glob("*.py"))
+             for site in owned_call_sites(path.read_text(), {"DualScreen"})}
+    assert found == {("training", "OtDualStep", "__init__", "DualScreen")}
 
 
 # Linear-algebra modules and the solver and factorization names in them.

@@ -423,7 +423,7 @@ class TestDualScreen:
         screen = DualScreen()
         for _ in range(40):
             r_src, r_tgt = self.values(model, metric)
-            got = ot._objective_and_gradient(r_src, r_tgt, pair, metric, reg, True, screen)
+            got = ot._objective_and_gradient(r_src, r_tgt, pair, metric, reg, screen)
             self.assert_same_pass(got, reg_dual_gradient_pass(r_src, r_tgt, pair, metric, reg))
             model, _, _ = reg_ot_fit(pair, metric, reg, model, steps=1, lr=lr, screen=screen)
         # the ascent both read the screen and outgrew it
@@ -436,7 +436,7 @@ class TestDualScreen:
         r_src, r_tgt = rng.normal(size=self.N) * 0.3, rng.normal(size=self.M) * 0.3
         slack = r_tgt[None, :] - r_src[:, None] - metric.dist
         built = DualScreen()
-        ot._objective_and_gradient(r_src, r_tgt, pair, metric, reg, True, built)
+        ot._objective_and_gradient(r_src, r_tgt, pair, metric, reg, built)
         inside = np.zeros(slack.shape, dtype=bool)
         inside[built.rows, built.cols] = True
         assert np.array_equal(inside, slack > -SCREEN_TAU) and 0 < inside.mean() < 0.05
@@ -449,13 +449,13 @@ class TestDualScreen:
                                (SCREEN_TAU - SCREEN_MARGIN, True),
                                (0.01 - slack[x, y], True)):
             screen = DualScreen()
-            ot._objective_and_gradient(r_src, r_tgt, pair, metric, reg, True, screen)
+            ot._objective_and_gradient(r_src, r_tgt, pair, metric, reg, screen)
             src, tgt = r_src.copy(), r_tgt.copy()
             if side == "target-up":
                 tgt[y] += push
             else:
                 src[x] -= push
-            got = ot._objective_and_gradient(src, tgt, pair, metric, reg, True, screen)
+            got = ot._objective_and_gradient(src, tgt, pair, metric, reg, screen)
             assert screen.rebuilds == 1 + rebuilds
             self.assert_same_pass(got, reg_dual_gradient_pass(src, tgt, pair, metric, reg))
             active = tgt[None, :] - src[:, None] - metric.dist > 0

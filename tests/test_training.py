@@ -388,9 +388,18 @@ def test_metrics_rows_are_the_rows_each_round_returned(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("sampling, inner_steps", [("exact", 1), ("sampled", 1), ("exact", 3)])
-def test_every_wail_round_makes_one_ot_pass_per_inner_step(sampling, inner_steps):
+def test_every_wail_round_makes_one_ot_pass_per_inner_step(monkeypatch, sampling, inner_steps):
     # the round's objective comes from the pass its first step makes, so
-    # a round makes ot_inner_steps passes over its cost block and no more
+    # a round makes ot_inner_steps passes over its cost block and no more;
+    # the run's count is the exact screen's, or finish's run_meta entry
+    passes = []
+    one_pass = wail.ot._objective_and_gradient
+
+    def counting(*args):
+        passes.append(None)
+        return one_pass(*args)
+
+    monkeypatch.setattr(wail.ot, "_objective_and_gradient", counting)
     mdp = wail.make_gridworld(3)
     demos = wail.rollout_fixed(mdp, SoftmaxPolicy.uniform(9, 4), 2, 10, seed=0)
     config = RunConfig(k_max=5, seed=0, sampling=sampling, l1=16, l2=16,
@@ -400,48 +409,30 @@ def test_every_wail_round_makes_one_ot_pass_per_inner_step(sampling, inner_steps
                       flow=FlowSystem(mdp, SoftmaxPolicy.uniform(9, 4)))
     for k in range(1, config.k_max + 1):
         state, _ = wail_iteration(state, mdp, ExpertData.from_any(demos, mdp), config, step)
-        assert step.screen.passes == k * inner_steps
+        assert len(passes) == k * inner_steps
+        if sampling == "exact":
+            assert step.screen.passes == len(passes)
+        else:
+            meta = step.finish(state, mdp)[1]     # sampled finish makes no pass
+            assert meta["ot_passes"] == meta["ot_screen_rebuilds"] == len(passes)
 
 
 @pytest.mark.parametrize("inner_steps", [1, 3])
-def test_sampled_rounds_collect_only_screens_a_later_pass_reads(monkeypatch, inner_steps):
-    # each sampled round builds a new 256 x 256 block (past SCREEN_MIN_PAIRS),
-    # so a round's last pass collects no screen: with one pass a round the
-    # run collects none.  The logits and pass counts are those of a run
-    # that collects in every full pass.
-    collected = []
-    rebuild = wail.ot.DualScreen._rebuild
-
-    def counting(screen, *args):
-        collected.append(screen.passes)
-        rebuild(screen, *args)
-
-    monkeypatch.setattr(wail.ot.DualScreen, "_rebuild", counting)
+def test_sampled_rounds_build_no_screen(monkeypatch, inner_steps):
+    # each sampled round builds a new 256 x 256 block, past SCREEN_MIN_PAIRS,
+    # that no later fit reads: the run builds no screen, and every pass
+    # walks its round's whole block
+    assert 256 * 256 >= wail.ot.SCREEN_MIN_PAIRS
+    built = []
+    monkeypatch.setattr(wail.ot, "DualScreen", lambda: built.append(None))
     mdp = wail.make_gridworld(3)
-    demos = ExpertData.from_any(wail.rollout_fixed(mdp, SoftmaxPolicy.uniform(9, 4), 2, 10,
-                                                   seed=0), mdp)
-    config = RunConfig(k_max=10, seed=0, sampling="sampled", l1=256, l2=256,
-                       ot_inner_steps=inner_steps)
-    runs = []
-    for kept in (False, True):
-        step = OtDualStep(mdp, config)
-        assert step.screen.kept is False
-        step.screen.kept = kept     # kept: collect as if a later round read the screen
-        state = WailState(k=0, model=wail.create_model("tabular", (36,), 0),
-                          flow=FlowSystem(mdp, SoftmaxPolicy.uniform(9, 4)))
-        for _ in range(config.k_max):
-            state, _ = wail_iteration(state, mdp, demos, config, step)
-        runs.append((state.policy.logits.tobytes(), step.screen.passes, step.screen.rebuilds,
-                     len(collected)))
-        collected.clear()
-    (logits, passes, rebuilds, n_collected), (kept_logits, *kept_counts) = runs
-    assert (logits, passes, rebuilds) == (kept_logits, *kept_counts[:2])
-    assert passes == config.k_max * inner_steps
-    assert kept_counts[2] == rebuilds    # the kept run collects in every full pass
-    if inner_steps == 1:
-        assert n_collected == 0 and rebuilds == passes
-    else:
-        assert 0 < n_collected < rebuilds
+    demos = wail.rollout_fixed(mdp, SoftmaxPolicy.uniform(9, 4), 2, 10, seed=0)
+    config = RunConfig(env={"name": "gridworld", "n": 3}, k_max=10, seed=0, sampling="sampled",
+                       l1=256, l2=256, ot_inner_steps=inner_steps)
+    _, _, log = train_wail(mdp, demos, config)
+    assert built == []
+    assert (log.meta["ot_passes"] == log.meta["ot_screen_rebuilds"]
+            == config.k_max * inner_steps)
 
 
 def test_ot_pass_counts_belong_to_the_run_and_repeat():
