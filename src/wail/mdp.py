@@ -545,33 +545,41 @@ def sample_trajectories(mdp: TabularMdp, policy: SoftmaxPolicy, n: int,
 
 
 def soft_value_iteration(mdp: TabularMdp, reward: np.ndarray, lam: float,
-                         tol: float = 1e-10, max_iter: int = 10_000) -> SoftmaxPolicy:
+                         tol: float = 1e-10) -> SoftmaxPolicy:
     """Entropy-regularized RL oracle at temperature lam.
 
     Iterates V(s) <- lam * logsumexp((r(s,.) + gamma P V)/lam) to its fixed
     point (log-sum-exp with max subtraction) and returns pi propto
     exp(Q_soft/lam), the unique maximizer of the discounted sum of
-    r - lam*log pi.
+    r - lam*log pi.  Each sweep is a gamma-contraction, so from the first
+    residual r1 about log(tol / r1) / log(gamma) more sweeps reach tol;
+    rounding can make a sweep shrink the residual by a little less than
+    gamma, or stall it, so the iteration gives up after twice that many
+    (plus 10), with a RuntimeError.
     """
     if lam <= 0:
         raise ValueError("lam must be > 0")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be > 0")
     R = np.asarray(reward, dtype=np.float64)
     if R.shape != (mdp.n_states, mdp.n_actions):
         raise ValueError(f"reward must be (S, A), got {R.shape}")
     V = np.zeros(mdp.n_states)
-    resid = np.inf
-    for _ in range(max_iter):
+    sweeps, cap = 0, 1
+    while True:
         Q = R + mdp.gamma * _next_expectation(mdp, V)
         m = Q.max(axis=1)
         V_new = m + lam * np.log(np.exp((Q - m[:, None]) / lam).sum(axis=1))
         resid = float(np.abs(V_new - V).max())
         V = V_new
+        sweeps += 1
         if resid <= tol:
             break
-    else:
-        raise RuntimeError(f"soft value iteration did not converge: residual {resid:.3e} > {tol}")
+        if sweeps == 1 and np.isfinite(resid):
+            cap = 1 + 2 * math.ceil(math.log(tol / resid) / math.log(mdp.gamma)) + 10
+        if sweeps >= cap:
+            raise RuntimeError(f"soft value iteration did not converge in {sweeps} sweeps: "
+                               f"residual {resid:.3e} > {tol}")
     Q = R + mdp.gamma * _next_expectation(mdp, V)
     logits = (Q - Q.max(axis=1, keepdims=True)) / lam
     return SoftmaxPolicy(np.maximum(logits, -LOGIT_GAP))

@@ -323,9 +323,19 @@ class TestSoftValueIteration:
         assert np.abs(p1.probs - p2.probs).max() < 1e-8
 
     def test_nonconvergence_reported(self):
-        mdp = random_mdp(3, 2, 0.9, seed=33)
+        # these iterates end in a rounding cycle at residual 4.4e-16, so a
+        # tol below it is never reached: the sweep cap reports it
+        mdp = random_mdp(3, 2, 0.5, seed=5, with_reward=True)
+        soft_value_iteration(mdp, mdp.true_reward, lam=3.0, tol=1e-15)
         with pytest.raises(RuntimeError, match="residual"):
-            soft_value_iteration(mdp, np.ones((3, 2)), lam=1.0, tol=1e-12, max_iter=3)
+            soft_value_iteration(mdp, mdp.true_reward, lam=3.0, tol=1e-16)
+
+    def test_sweep_cap_follows_gamma(self):
+        # at gamma = 0.999 the 5x5 grid needs about 23 000 sweeps to reach
+        # the default tol, past any fixed cap of 10 000
+        mdp = wail.make_gridworld(5, gamma=0.999)
+        pol = soft_value_iteration(mdp, mdp.true_reward, lam=0.01)
+        assert np.all(np.isfinite(pol.logits))
 
 
 class TestSerialization:
