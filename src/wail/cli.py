@@ -169,7 +169,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, FileNotFoundError) as err:
+    except (ValueError, OSError) as err:
         print(f"validation error: {err}", file=sys.stderr)
         return 1
     except DivergenceError as err:

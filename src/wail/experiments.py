@@ -74,6 +74,8 @@ def run_single(config: RunConfig, demos=None):
     config.validate()
     mdp, expert_policy, demos = setup(config, demos)
     score, expert_ref, random_ref = scorer(config, mdp, expert_policy)
+    if config.out_dir:
+        os.makedirs(config.out_dir, exist_ok=True)    # fails on a file before training
     train_cfg = dataclasses.replace(config, seed=derived_seeds(config.seed)["train"])
     if config.algorithm == "bc":
         policy, aux, log = baselines.train_bc(mdp, demos, train_cfg), None, None
@@ -93,7 +95,6 @@ def run_single(config: RunConfig, demos=None):
                  "expert_policy": expert_policy, "demos": demos,
                  "expert_ref": expert_ref, "random_ref": random_ref}
     if config.out_dir:
-        os.makedirs(config.out_dir, exist_ok=True)
         save_trajectories(os.path.join(config.out_dir, "demos.jsonl"), demos)
         save_policy(os.path.join(config.out_dir, "policy_final.json"), policy)
         if log is not None:

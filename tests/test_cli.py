@@ -243,10 +243,15 @@ class TestTrain:
          {"f": json.dumps(wail.model_to_json(wail.create_model("tabular", (10,))))}, "10"),
         (["surface", "--reward", "{f}"],
          {"f": json.dumps(wail.model_to_json(wail.create_model("tabular", (100,))))}, "100"),
+        (["train", "--config", "{d}"], {"d": None}, "Is a directory"),
+        (["eval", "--policy", "{d}"], {"d": None}, "Is a directory"),
+        (["train", "--algo", "bc", "--demos", "{d}"], {"d": None}, "Is a directory"),
+        (["train", "--out", "{f}"], {"f": "{}"}, "File exists"),
     ], ids=["policy-without-logits", "demo-without-truncated", "reward-without-dims",
             "null-config", "array-config", "numeric-out-dir", "negative-seed",
             "policy-logits-object", "reward-dims-number", "reward-dims-empty",
-            "demo-fractional-action", "tabular-reward-too-short", "tabular-reward-too-long"])
+            "demo-fractional-action", "tabular-reward-too-short", "tabular-reward-too-long",
+            "directory-config", "directory-policy", "directory-demos", "out-is-a-file"])
     def test_malformed_input_is_a_validation_error(self, config_file, tmp_path, capsys,
                                                    command, files, named):
         # each used to stop with a KeyError, TypeError or (a tabular reward
@@ -254,15 +259,22 @@ class TestTrain:
         # array config) to run the default config, or (seed -1) to fail
         # without naming the field, or (a fractional action) to be
         # truncated, or (a tabular reward for more points) to be read from
-        # its first 36 entries
+        # its first 36 entries, or (a directory as an input file, an
+        # existing file as --out) to stop with an OSError traceback, the
+        # last only after training; a None file is made a directory
         paths = {}
         for key, text in files.items():
             paths[key] = tmp_path / f"{key}.json"
-            paths[key].write_text(text)
+            if text is None:
+                paths[key].mkdir()
+            else:
+                paths[key].write_text(text)
         argv = [arg.format(**paths) for arg in command]
         if "--config" not in argv:
             argv += ["--config", config_file]
-        rc = main(argv + ["--out", str(tmp_path / "out")])   # --set overrides --out
+        if "--out" not in argv:
+            argv += ["--out", str(tmp_path / "out")]   # --set overrides --out
+        rc = main(argv)
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("validation error:") and err.count("\n") == 1
