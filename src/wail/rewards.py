@@ -121,12 +121,10 @@ def support_values(model: PotentialModel, indices: np.ndarray,
     if model.form == "tabular":
         return model.params[np.asarray(indices, dtype=np.int64)]
     X = np.atleast_2d(np.asarray(embeds, dtype=np.float64))
-    if model.form == "linear":
-        if X.shape[1] != model.dims[0]:
-            raise ValueError(f"embedding dim {X.shape[1]} != model dim {model.dims[0]}")
-        return X @ model.params
     if X.shape[1] != model.dims[0]:
         raise ValueError(f"embedding dim {X.shape[1]} != model dim {model.dims[0]}")
+    if model.form == "linear":
+        return X @ model.params
     out, _, _ = _mlp_forward(model, X)
     return out
 
