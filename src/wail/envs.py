@@ -207,12 +207,11 @@ def rollout_fixed(mdp: TabularMdp, policy: SoftmaxPolicy, n: int, length: int,
     per step its action and its next state (the last of which goes unused)."""
     mdp.check_policy(policy)
     u = np.random.default_rng(seed).random((n, 1 + 2 * length))
-    pi_cdf = policy.action_cdf()
     states = np.empty((n, length), dtype=np.int64)
     actions = np.empty((n, length), dtype=np.int64)
     s = np.minimum(np.searchsorted(mdp.start.cumsum(), u[:, 0]), mdp.n_states - 1)
     for t in range(length):
-        a = (pi_cdf[s] < u[:, 1 + 2 * t, None]).sum(axis=1)
+        a = policy.draw_actions(s, u[:, 1 + 2 * t])
         states[:, t], actions[:, t] = s, a
         s = next_states(mdp, s, a, u[:, 2 + 2 * t])
     return Rollouts(lengths=np.full(n, length), restarted=np.zeros(n, dtype=bool),
@@ -250,16 +249,18 @@ def episode_returns(mdp: TabularMdp, policy: SoftmaxPolicy, n: int,
     the variance far below that of geometric-restart episodes."""
     if mdp.true_reward is None:
         raise ValueError("evaluation needs an MDP with a true reward")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     mdp.check_policy(policy)
     horizon = default_max_len(mdp.gamma)
     rng = np.random.default_rng(seed)
-    pi_cdf = policy.action_cdf()
+    reward = mdp.true_reward.ravel()
     s = np.minimum(np.searchsorted(mdp.start.cumsum(), rng.random(n)), mdp.n_states - 1)
     returns = np.zeros(n)
     disc = 1.0
     for _ in range(horizon):
-        a = (pi_cdf[s] < rng.random(n)[:, None]).sum(axis=1)
-        returns += disc * mdp.true_reward[s, a]
+        a = policy.draw_actions(s, rng.random(n))
+        returns += disc * reward[s * mdp.n_actions + a]
         disc *= mdp.gamma
         s = next_states(mdp, s, a, rng.random(n))
     return returns

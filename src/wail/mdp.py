@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csc_matrix
@@ -49,16 +50,28 @@ def _freeze(arr):
     return arr
 
 
+def _inverse_cdf(table: np.ndarray, index: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws from the action-major running sums `table`, one
+    column per distribution: for each uniform u[i], how many entries of
+    column index[i] lie below it.  One gather and one reduction over the
+    short leading axis; the count is exact, so a draw does not depend on
+    the layout."""
+    return (table.take(index, axis=1) < u).sum(axis=0)
+
+
 @dataclass(frozen=True)
 class _TransitionRows:
     """The nonzeros of P viewed as S*A rows (flat index s * A + a), in row
-    order, plus each row's padded inverse-CDF table for next-state draws."""
+    order, plus each row's padded inverse-CDF table for next-state draws,
+    stored action-major: column s * A + a of draw_cum and draw_col holds
+    row s * A + a, so a batch of draws gathers whole columns (see
+    _inverse_cdf).  K is the most nonzeros in a row."""
 
     row: np.ndarray         # (nnz,) flat row of each nonzero
     col: np.ndarray         # (nnz,) its next state
     prob: np.ndarray        # (nnz,) its probability
-    draw_cum: np.ndarray    # (S*A, K+2) [0, cumulative sums..., inf padding]
-    draw_col: np.ndarray    # (S*A, K+2) [0, next states..., S-1 padding]
+    draw_cum: np.ndarray    # (K+1, S*A) [0, cumulative sums..., inf padding]
+    draw_col: np.ndarray    # (K+2, S*A) [0, next states..., S-1 padding]
 
     @classmethod
     def from_entries(cls, entries, S: int, A: int) -> "_TransitionRows":
@@ -92,16 +105,18 @@ class _TransitionRows:
         # nonzero columns (adding the zeros between them changes no bit).
         # The leading 0 is the mass before the first nonzero column, so a
         # draw u = 0 maps to state 0; a draw past the row's total lands on
-        # the S-1 padding, as under the dense inverse CDF.
-        draw_cum = np.full((S * A, int(counts.max()) + 2), np.inf)
-        draw_cum[:, 0] = 0.0
-        draw_cum[row, pos] = prob
-        draw_col = np.full(draw_cum.shape, S - 1, dtype=np.int64)
-        draw_col[:, 0] = 0
-        draw_col[row, pos] = col
+        # the S-1 padding, as under the dense inverse CDF.  The inf padding
+        # of a full row would never count, so draw_cum stops one short.
+        K = int(counts.max())
+        draw_cum = np.full((K + 1, S * A), np.inf)
+        draw_cum[0] = 0.0
+        draw_cum[pos, row] = prob
+        draw_col = np.full((K + 2, S * A), S - 1, dtype=np.int64)
+        draw_col[0] = 0
+        draw_col[pos, row] = col
         for arr in (row, col, prob):
             arr.setflags(write=False)
-        return cls(row=row, col=col, prob=prob, draw_cum=draw_cum.cumsum(axis=1),
+        return cls(row=row, col=col, prob=prob, draw_cum=draw_cum.cumsum(axis=0),
                    draw_col=draw_col)
 
 
@@ -184,7 +199,8 @@ class TabularMdp:
 
 @dataclass(frozen=True)
 class SoftmaxPolicy:
-    """Stochastic policy pi(a|s) = softmax over per-state logits."""
+    """Stochastic policy pi(a|s) = softmax over per-state logits; every
+    sampler draws its actions with draw_actions."""
 
     logits: np.ndarray              # (S, A)
     _probs: np.ndarray = field(init=False, repr=False, compare=False)
@@ -222,13 +238,17 @@ class SoftmaxPolicy:
     def n_actions(self) -> int:
         return self.logits.shape[1]
 
-    def action_cdf(self) -> np.ndarray:
-        """Per-state running sums of pi(.|s), last column set to inf: the
-        inverse-CDF draw for a uniform u at state s is (cdf[s] < u).sum(),
-        which is A-1 when rounding leaves the row's total below u."""
-        cdf = self.probs.cumsum(axis=1)
-        cdf[:, -1] = np.inf
-        return cdf
+    @cached_property
+    def _action_cum(self) -> np.ndarray:
+        """(A-1, S) running sums of pi(.|s), built on the first draw: a line
+        search builds policies it never samples."""
+        return np.ascontiguousarray(self.probs.T[:-1]).cumsum(axis=0)
+
+    def draw_actions(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Inverse-CDF action draws at `states` for uniforms u in [0, 1):
+        the first a whose running sum of pi(.|s) reaches u, and A-1 when
+        rounding leaves the state's total below u."""
+        return _inverse_cdf(self._action_cum, states, u)
 
     @classmethod
     def uniform(cls, n_states: int, n_actions: int) -> "SoftmaxPolicy":
@@ -366,12 +386,6 @@ def _flow_for(mdp: TabularMdp, policy: SoftmaxPolicy, flow: FlowSystem | None) -
     return flow
 
 
-def _next_expectation(mdp: TabularMdp, V: np.ndarray) -> np.ndarray:
-    """(S, A) matrix of sum_s' P[s, a, s'] V[s'] over the stored rows."""
-    rows, S, A = mdp._rows, mdp.n_states, mdp.n_actions
-    return np.bincount(rows.row, weights=rows.prob * V[rows.col], minlength=S * A).reshape(S, A)
-
-
 def occupancy_from_policy(mdp: TabularMdp, policy: SoftmaxPolicy,
                           flow: FlowSystem | None = None) -> OccupancyMeasure:
     """Solve the Bellman flow system exactly and return rho(s,a) = d(s) pi(a|s).
@@ -402,7 +416,9 @@ def action_values(mdp: TabularMdp, policy: SoftmaxPolicy, cost: np.ndarray,
     policy's FlowSystem (assembled here when None).  Returns (Q, V)."""
     mdp.check_policy(policy)
     V = _flow_for(mdp, policy, flow).solve((policy.probs * cost).sum(axis=1))
-    return cost + mdp.gamma * _next_expectation(mdp, V), V
+    rows, S, A = mdp._rows, mdp.n_states, mdp.n_actions
+    expect = np.bincount(rows.row, weights=rows.prob * V[rows.col], minlength=S * A)
+    return cost + mdp.gamma * expect.reshape(S, A), V
 
 
 def bellman_flow_residual(mdp: TabularMdp, rho: np.ndarray | OccupancyMeasure) -> float:
@@ -419,12 +435,13 @@ def next_states(mdp: TabularMdp, states: np.ndarray, actions: np.ndarray,
                 u: np.ndarray) -> np.ndarray:
     """Inverse-CDF next-state draws for uniforms u in [0, 1): the first s'
     whose cumulative P[s, a, :s'+1] reaches u, and S-1 when rounding leaves
-    the row's total below u.  Reads only each row's nonzeros."""
+    the row's total below u.  Reads only each row's nonzeros, from the
+    action-major draw tables of the stored rows."""
     return _draw_next(mdp._rows, states * mdp.n_actions + actions, u)
 
 
 def _draw_next(rows: _TransitionRows, flat_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return rows.draw_col[flat_rows, (rows.draw_cum[flat_rows] < u[:, None]).sum(axis=1)]
+    return rows.draw_col[_inverse_cdf(rows.draw_cum, flat_rows, u), flat_rows]
 
 
 def policy_from_occupancy(rho: OccupancyMeasure) -> SoftmaxPolicy:
@@ -489,9 +506,10 @@ def sample_trajectories(mdp: TabularMdp, policy: SoftmaxPolicy, n: int,
     Episodes run in lockstep, in chunks of at most _SAMPLE_CHUNK.  A chunk
     draws one start uniform per episode, then per step one action uniform
     per live episode, one stop uniform per live episode and one next-state
-    uniform per continuing episode, in that order.  Draws read the policy's
-    action_cdf, the start distribution's running sums and the stored
-    transition rows, as next_states does."""
+    uniform per continuing episode, in that order.  Action draws go through
+    the policy's draw_actions, next-state draws through the stored rows'
+    action-major tables as in next_states, and starts through the start
+    distribution's running sums."""
     if n < 1:
         raise ValueError("n must be >= 1")
     mdp.check_policy(policy)
@@ -501,7 +519,6 @@ def sample_trajectories(mdp: TabularMdp, policy: SoftmaxPolicy, n: int,
         raise ValueError("max_len must be >= 1")
     S, A = mdp.n_states, mdp.n_actions
     rows = mdp._rows
-    pi_cdf = policy.action_cdf()
     start_cdf = mdp.start.cumsum()
     keep_from = 1.0 - mdp.gamma         # a stop uniform below this restarts
     # about 3 uniforms per recorded step plus one per episode
@@ -518,7 +535,7 @@ def sample_trajectories(mdp: TabularMdp, policy: SoftmaxPolicy, n: int,
         for t in range(max_len):
             k = alive.size
             u = draws.take(2 * k)
-            r = cur * A + (pi_cdf[cur] < u[:k, None]).sum(axis=1)
+            r = cur * A + policy.draw_actions(cur, u[:k])
             ids.append(alive)
             flat.append(r)
             keep = u[k:] >= keep_from
@@ -556,20 +573,36 @@ def soft_value_iteration(mdp: TabularMdp, reward: np.ndarray, lam: float,
     rounding can make a sweep shrink the residual by a little less than
     gamma, or stall it, so the iteration gives up after twice that many
     (plus 10), with a RuntimeError.
+
+    The sweeps work on (A, S) arrays: R is transposed once, the next-state
+    expectation is binned straight into flat index a * S + s, every
+    reduction over actions runs over the leading axis, and the logits are
+    transposed back once.  Each bin sums its entries in row order, and for
+    A < 8 NumPy adds the A terms of either layout's reduction in the same
+    sequence, so every iterate has the bits of the (S, A) sweep.
     """
     if lam <= 0:
         raise ValueError("lam must be > 0")
     if not tol > 0:
         raise ValueError("tol must be > 0")
     R = np.asarray(reward, dtype=np.float64)
-    if R.shape != (mdp.n_states, mdp.n_actions):
+    S, A = mdp.n_states, mdp.n_actions
+    if R.shape != (S, A):
         raise ValueError(f"reward must be (S, A), got {R.shape}")
-    V = np.zeros(mdp.n_states)
+    rows = mdp._rows
+    a_major = rows.row % A * S + rows.row // A
+    R_t = np.ascontiguousarray(R.T)
+
+    def q_values(V):
+        expect = np.bincount(a_major, weights=rows.prob * V[rows.col], minlength=S * A)
+        return R_t + mdp.gamma * expect.reshape(A, S)
+
+    V = np.zeros(S)
     sweeps, cap = 0, 1
     while True:
-        Q = R + mdp.gamma * _next_expectation(mdp, V)
-        m = Q.max(axis=1)
-        V_new = m + lam * np.log(np.exp((Q - m[:, None]) / lam).sum(axis=1))
+        Q = q_values(V)
+        m = np.maximum.reduce(Q, axis=0)
+        V_new = m + lam * np.log(np.add.reduce(np.exp((Q - m) / lam), axis=0))
         resid = float(np.abs(V_new - V).max())
         V = V_new
         sweeps += 1
@@ -580,9 +613,9 @@ def soft_value_iteration(mdp: TabularMdp, reward: np.ndarray, lam: float,
         if sweeps >= cap:
             raise RuntimeError(f"soft value iteration did not converge in {sweeps} sweeps: "
                                f"residual {resid:.3e} > {tol}")
-    Q = R + mdp.gamma * _next_expectation(mdp, V)
-    logits = (Q - Q.max(axis=1, keepdims=True)) / lam
-    return SoftmaxPolicy(np.maximum(logits, -LOGIT_GAP))
+    Q = q_values(V)
+    logits = (Q - np.maximum.reduce(Q, axis=0)) / lam
+    return SoftmaxPolicy(np.maximum(logits, -LOGIT_GAP).T)
 
 
 def state_action_embeddings(mdp: TabularMdp) -> np.ndarray:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 from scipy.spatial.distance import cdist
 
@@ -173,6 +172,7 @@ def w1_primal_lp(pair: DiscreteMeasurePair, metric: GroundMetric):
     n, m = metric.n_src, metric.n_tgt
     if n > SUPPORT_CAP or m > SUPPORT_CAP:
         raise ValueError(f"support too large for exact oracle ({n}x{m} > {SUPPORT_CAP}); subsample first")
+    from scipy.optimize import linprog     # not at import: no training path solves an LP
     rows = np.concatenate([np.repeat(np.arange(n), m), n + np.tile(np.arange(m), n)])
     cols = np.concatenate([np.arange(n * m), np.arange(n * m)])
     A_eq = coo_matrix((np.ones(2 * n * m), (rows, cols)), shape=(n + m, n * m)).tocsr()
@@ -203,6 +203,7 @@ def w1_dual_lp(pair: DiscreteMeasurePair, metric: GroundMetric):
     if n > SUPPORT_CAP:
         raise ValueError(f"support too large for exact oracle ({n} > {SUPPORT_CAP}); subsample first")
     metric.require_metric()
+    from scipy.optimize import linprog
     D = metric.dist
     ii, jj = np.nonzero(~np.eye(n, dtype=bool))
     k = ii.size

@@ -160,6 +160,17 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="degenerate"):
             evaluate(mdp, expert, 10, seed=0, expert_ref=1.0, random_ref=1.0)
 
+    @pytest.mark.parametrize("call", [
+        lambda mdp, policy: evaluate(mdp, policy, 0),
+        lambda mdp, policy: wail.reference_returns(mdp, policy, n_ref=0),
+        lambda mdp, policy: wail.episode_returns(mdp, policy, -3),
+    ], ids=["evaluate-0", "reference-0", "returns-negative"])
+    def test_episode_count_below_one_rejected(self, grid_setup, call):
+        # an empty batch would give a NaN mean, a negative one a NumPy error
+        mdp, expert, _, _ = grid_setup
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            call(mdp, expert)
+
 
 class TestPca:
     def test_axis_aligned_variance(self, rng):

@@ -4,10 +4,14 @@ by `from .mod import _name` or by `mod._name` on an imported module; only
 `training._maybe_checkpoint` writes files from the trainers; only
 `training.OtDualStep` builds an OT dual screen; only `mdp`
 solves or factors a linear system, so every flow solve goes through its
-FlowSystem; and `trust_region` imports nothing from `rewards`, so the policy
-step reads only the reward matrix the reward step hands it."""
+FlowSystem; `trust_region` imports nothing from `rewards`, so the policy
+step reads only the reward matrix the reward step hands it; and importing
+the package leaves `scipy.optimize` unloaded."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "wail"
@@ -198,3 +202,15 @@ def test_policy_step_does_not_import_rewards():
     # a reward model reaching the policy step would need rewards to turn it
     # into the (S, A) matrix the step reads
     assert "rewards" not in sibling_imports((SRC / "trust_region.py").read_text())
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # only the exact W1 LP oracles use linprog; loading scipy.optimize with
+    # the package costs every run its import time and memory
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent)] + ([path] if path else [])))
+    done = subprocess.run([sys.executable, "-c",
+                           "import sys, wail; print('scipy.optimize' in sys.modules)"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -24,6 +24,7 @@ from conftest import dense_transition, random_mdp, two_state_chain
 CASES = {
     "grid5": lambda: wail.make_gridworld(5),
     "grid14-slip": lambda: wail.make_gridworld(14, slip=0.2),
+    "grid30": lambda: wail.make_gridworld(30),
     "cliff": lambda: wail.make_cliff(),
     "chain": lambda: wail.make_chain(),
     "mountain-car": lambda: wail.make_mountain_car(),

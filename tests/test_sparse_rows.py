@@ -8,7 +8,14 @@ value solve, the exact gradient, the flow residual and the soft-VI policy
 agree with it to 1e-12 (relative), on both sides of
 DENSE_SOLVE_MAX_STATES, and the evaluation sampler's next-state draws are
 bit-identical to the dense inverse CDF.
+
+The samplers and soft value iteration read action-major (A, S) tables; the
+row-major forms they replaced live here too, as references the draws and
+every soft-VI iterate must match bit for bit, on every builder up to the
+30x30 grid.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -32,9 +39,17 @@ CASES = {
 }
 
 
+DRAW_CASES = {**CASES, "grid30": lambda: wail.make_gridworld(30)}
+
+
 @pytest.fixture(scope="module", params=sorted(CASES))
 def env(request):
     return CASES[request.param]()
+
+
+@pytest.fixture(scope="module", params=sorted(DRAW_CASES))
+def draw_env(request):
+    return DRAW_CASES[request.param]()
 
 
 @pytest.fixture(params=["selected", "dense", "sparse"])
@@ -90,23 +105,58 @@ def ref_soft_vi(mdp, reward, lam, tol=1e-10):
     return SoftmaxPolicy(np.maximum((Q - Q.max(axis=1, keepdims=True)) / lam, -wail.LOGIT_GAP))
 
 
-def ref_next_states(mdp, s, a, u):
-    P_cum = dense_transition(mdp).cumsum(axis=2)
+def ref_soft_vi_sweeps(mdp, reward, lam, tol=1e-10):
+    """soft_value_iteration's logits as its (S, A) sweeps gave them: the
+    next-state expectation binned by flat row s * A + a and every
+    reduction over the trailing action axis."""
+    row, col, prob = mdp.transition
+    S, A = mdp.n_states, mdp.n_actions
+
+    def q_values(V):
+        return reward + mdp.gamma * np.bincount(row, weights=prob * V[col],
+                                                minlength=S * A).reshape(S, A)
+
+    V = np.zeros(S)
+    while True:
+        Q = q_values(V)
+        m = Q.max(axis=1)
+        V_new = m + lam * np.log(np.exp((Q - m[:, None]) / lam).sum(axis=1))
+        done = np.abs(V_new - V).max() <= tol
+        V = V_new
+        if done:
+            break
+    Q = q_values(V)
+    return np.maximum((Q - Q.max(axis=1, keepdims=True)) / lam, -wail.LOGIT_GAP)
+
+
+def ref_actions(policy, s, u):
+    """The row-major action draw: per-state running sums of pi(.|s) with the
+    last set to inf, so a uniform past the total takes action A-1."""
+    cdf = policy.probs.cumsum(axis=1)
+    cdf[:, -1] = np.inf
+    return (cdf[s] < u[:, None]).sum(axis=1)
+
+
+def ref_next_states(mdp, s, a, u, P_cum=None):
+    """The dense inverse CDF; P_cum is the dense running sums over s', when
+    the caller keeps them."""
+    if P_cum is None:
+        P_cum = dense_transition(mdp).cumsum(axis=2)
     return np.minimum((P_cum[s, a] < u[:, None]).sum(axis=1), mdp.n_states - 1)
 
 
 def ref_episode_returns(mdp, policy, n, seed):
     """episode_returns as it was written over the dense P_cum."""
     rng = np.random.default_rng(seed)
-    pi_cum = policy.probs.cumsum(axis=1)
+    P_cum = dense_transition(mdp).cumsum(axis=2)
     s = np.searchsorted(mdp.start.cumsum(), rng.random(n))
     returns = np.zeros(n)
     disc = 1.0
     for _ in range(wail.default_max_len(mdp.gamma)):
-        a = np.minimum((pi_cum[s] < rng.random(n)[:, None]).sum(axis=1), mdp.n_actions - 1)
+        a = ref_actions(policy, s, rng.random(n))
         returns += disc * mdp.true_reward[s, a]
         disc *= mdp.gamma
-        s = ref_next_states(mdp, s, a, rng.random(n))
+        s = ref_next_states(mdp, s, a, rng.random(n), P_cum)
     return returns
 
 
@@ -167,12 +217,40 @@ def test_soft_value_iteration(env):
         assert rel_err(got.probs, ref.probs) <= REL_TOL
 
 
-def test_episode_returns_bit_identical(env):
-    if env.true_reward is None:
+@pytest.mark.parametrize("gamma", [None, 0.999])
+def test_soft_value_iteration_matches_row_major_sweeps(draw_env, gamma):
+    # the (A, S) sweeps add each state's A < 8 terms in the (S, A) order;
+    # at gamma = 0.999 some 23000 sweeps carry any difference to the logits
+    env = draw_env if gamma is None else dataclasses.replace(draw_env, gamma=gamma)
+    reward = np.random.default_rng(15).normal(size=(env.n_states, env.n_actions))
+    for lam in ((0.01, 0.5) if gamma is None else (0.5,)):
+        got = wail.soft_value_iteration(env, reward, lam)
+        assert got.logits.tobytes() == ref_soft_vi_sweeps(env, reward, lam).tobytes()
+
+
+def test_episode_returns_bit_identical(draw_env):
+    if draw_env.true_reward is None:
         pytest.skip("no true reward")
-    for seed, policy in enumerate(random_policies(env, 6, n=2)):
-        got = wail.episode_returns(env, policy, 64, seed=seed)
-        assert got.tobytes() == ref_episode_returns(env, policy, 64, seed).tobytes()
+    for seed, policy in enumerate(random_policies(draw_env, 6, n=2)):
+        got = wail.episode_returns(draw_env, policy, 64, seed=seed)
+        assert got.tobytes() == ref_episode_returns(draw_env, policy, 64, seed).tobytes()
+
+
+def test_draws_at_the_edges_of_every_row(draw_env):
+    # every state and state-action row at u = 0, just below 1 (past a total
+    # that rounding left short), at its running sums and at random
+    S, A = draw_env.n_states, draw_env.n_actions
+    rng = np.random.default_rng(12)
+    s, a = np.repeat(np.arange(S), A), np.tile(np.arange(A), S)
+    P_cum = dense_transition(draw_env).cumsum(axis=2)
+    for policy in random_policies(draw_env, 11, n=2) + [SoftmaxPolicy.uniform(S, A)]:
+        pi_cum = policy.probs.cumsum(axis=1)[s]
+        for u in (np.zeros(s.size), np.full(s.size, 1.0 - 1e-12),
+                  np.full(s.size, np.nextafter(1.0, 0.0)), pi_cum[:, 0], pi_cum[:, -1],
+                  P_cum[s, a, S // 2], P_cum[s, a].max(axis=1), rng.random(s.size)):
+            assert np.array_equal(policy.draw_actions(s, u), ref_actions(policy, s, u))
+            assert np.array_equal(mdp_mod.next_states(draw_env, s, a, u),
+                                  ref_next_states(draw_env, s, a, u, P_cum))
 
 
 def test_next_state_draws_at_the_edges():
