@@ -83,6 +83,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not isinstance(self.env, dict) or "name" not in self.env:
             raise ValueError("env must be a dict with a 'name' key")
+        if not isinstance(self.env["name"], str):
+            raise ValueError(f"env.name must be a string, got {self.env['name']!r}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.out_dir is not None and not isinstance(self.out_dir, str):

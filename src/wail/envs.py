@@ -168,13 +168,15 @@ _BUILDERS = {
 
 def build_environment(spec: dict) -> TabularMdp:
     """Build a TabularMdp from {"name": ..., **params}.  Raises ValueError
-    for an unknown name, a parameter the builder does not take, a size (a
-    parameter whose default is an int) that is not an integer, a parameter
-    whose default is None that is not an integer or None, and a parameter
-    whose default is a float that is not a finite real.  Booleans are none
-    of these."""
+    for a name that is not a string, an unknown name, a parameter the
+    builder does not take, a size (a parameter whose default is an int) that
+    is not an integer, a parameter whose default is None that is not an
+    integer or None, and a parameter whose default is a float that is not a
+    finite real.  Booleans are none of these."""
     if not isinstance(spec, dict) or "name" not in spec:
         raise ValueError("environment spec must be a dict with a 'name' key")
+    if not isinstance(spec["name"], str):
+        raise ValueError(f"environment name (env.name) must be a string, got {spec['name']!r}")
     params = {k: v for k, v in spec.items() if k != "name"}
     try:
         builder = _BUILDERS[spec["name"]]

@@ -6,12 +6,12 @@ exact oracle, every sampler and the JSON format read those entries.
 Occupancy measures are solved from the Bellman flow linear system and
 policy values from its transpose, both through one FlowSystem record per
 policy that assembles (above DENSE_SOLVE_MAX_STATES states, factors) the
-system once; the training loop carries a policy's record from the line
-search that accepted it into the next round.  Policies and occupancies
-convert back and forth (a bijection on their supports), causal entropy and
-expected rewards are exact inner products, trajectories come from the
-geometric-restart chain as one flat Rollouts batch, and soft value
-iteration provides the entropy-regularized RL oracle.
+system once and keeps the occupancy it solved; the training loop carries
+the record the line search accepted into the next round.  Policies and
+occupancies convert back and forth (a bijection on their supports), causal
+entropy and expected rewards are exact inner products, trajectories come
+from the geometric-restart chain as one flat Rollouts batch, and soft
+value iteration provides the entropy-regularized RL oracle.
 """
 
 from __future__ import annotations
@@ -344,13 +344,14 @@ class FlowSystem:
     Up to DENSE_SOLVE_MAX_STATES states it keeps the dense matrix and every
     solve is a dense LAPACK solve; above that it keeps the matrix's sparse
     LU factor, so every solve with it reuses one factorization.  The same
-    record serves the occupancy solve (transposed) and the value solve of
-    its policy: occupancy_from_policy and action_values take it as `flow`
-    and reject a record built for another MDP or policy."""
+    record serves its policy's value solve and occupancy solve (transposed),
+    whose result it keeps: occupancy_from_policy and action_values take it
+    as `flow` and reject a record built for another MDP or policy."""
 
     mdp: TabularMdp = field(repr=False)
     policy: SoftmaxPolicy = field(repr=False)
     _system: object = field(init=False, repr=False)
+    _occupancy: OccupancyMeasure | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         mdp = self.mdp
@@ -393,19 +394,21 @@ def occupancy_from_policy(mdp: TabularMdp, policy: SoftmaxPolicy,
     The state marginal d solves the linear recurrence
         d = (1-gamma) mu0 + gamma P_pi^T d
     so d = (I - gamma P_pi^T)^{-1} (1-gamma) mu0, which is nonsingular for
-    gamma < 1.  `flow` is the policy's FlowSystem (assembled here when None).
-    """
-    mdp.check_policy(policy)
-    d = _flow_for(mdp, policy, flow).solve((1.0 - mdp.gamma) * mdp.start, transpose=True)
-    if d.min() < -1e-12:
-        raise ArithmeticError(f"flow solve produced negative visitation {d.min():.3e}")
-    d = np.maximum(d, 0.0)
-    rho = d[:, None] * policy.probs
-    rho /= rho.sum()
-    resid = bellman_flow_residual(mdp, rho)
-    if resid > FLOW_TOL:
-        raise ArithmeticError(f"Bellman flow residual {resid:.3e} exceeds {FLOW_TOL}")
-    return OccupancyMeasure(rho)
+    gamma < 1.  `flow` is the policy's FlowSystem (assembled here when None),
+    which keeps its first call's checked measure: later calls return it."""
+    flow = _flow_for(mdp, policy, flow)
+    if flow._occupancy is None:
+        d = flow.solve((1.0 - mdp.gamma) * mdp.start, transpose=True)
+        if d.min() < -1e-12:
+            raise ArithmeticError(f"flow solve produced negative visitation {d.min():.3e}")
+        d = np.maximum(d, 0.0)
+        rho = d[:, None] * policy.probs
+        rho /= rho.sum()
+        resid = bellman_flow_residual(mdp, rho)
+        if resid > FLOW_TOL:
+            raise ArithmeticError(f"Bellman flow residual {resid:.3e} exceeds {FLOW_TOL}")
+        object.__setattr__(flow, "_occupancy", OccupancyMeasure(rho))
+    return flow._occupancy
 
 
 def action_values(mdp: TabularMdp, policy: SoftmaxPolicy, cost: np.ndarray,
@@ -414,7 +417,6 @@ def action_values(mdp: TabularMdp, policy: SoftmaxPolicy, cost: np.ndarray,
     (I - gamma P_pi) V = sum_a pi(a|.) cost(., a), and
     Q(s, a) = cost(s, a) + gamma sum_s' P[s, a, s'] V(s').  `flow` is the
     policy's FlowSystem (assembled here when None).  Returns (Q, V)."""
-    mdp.check_policy(policy)
     V = _flow_for(mdp, policy, flow).solve((policy.probs * cost).sum(axis=1))
     rows, S, A = mdp._rows, mdp.n_states, mdp.n_actions
     expect = np.bincount(rows.row, weights=rows.prob * V[rows.col], minlength=S * A)
@@ -460,10 +462,10 @@ def policy_from_occupancy(rho: OccupancyMeasure) -> SoftmaxPolicy:
 
 
 def causal_entropy(mdp: TabularMdp, policy: SoftmaxPolicy,
-                   occupancy: OccupancyMeasure | None = None) -> float:
+                   flow: FlowSystem | None = None) -> float:
     """Discounted causal entropy E_rho[-log pi(a|s)] / (1 - gamma), with rho
-    the policy's occupancy (`occupancy`, solved here when None)."""
-    rho = (occupancy if occupancy is not None else occupancy_from_policy(mdp, policy)).rho
+    the policy's occupancy, read through its FlowSystem `flow` (or solved)."""
+    rho = occupancy_from_policy(mdp, policy, flow=flow).rho
     return float((rho * (-policy.log_probs)).sum() / (1.0 - mdp.gamma))
 
 

@@ -134,18 +134,18 @@ class WailState:
         return self.flow.policy
 
 
-def _policy_batch(policy: SoftmaxPolicy, mdp: TabularMdp, config: RunConfig,
-                  rng: np.random.Generator, occupancy: OccupancyMeasure):
+def _policy_batch(flow: FlowSystem, mdp: TabularMdp, config: RunConfig,
+                  rng: np.random.Generator):
     """Policy-side support indices and weights: the exact occupancy of
-    `policy` (`occupancy`) or l1 sampled pairs from the restart chain."""
+    flow.policy, read through `flow`, or l1 sampled pairs from the chain."""
     if config.sampling == "exact":
-        w = occupancy.flat()
+        w = occupancy_from_policy(mdp, flow.policy, flow=flow).flat()
         return np.arange(w.size), w / w.sum()
     seed = int(rng.integers(0, 2 ** 63 - 1))
     flat = []
     need = config.l1
     while need > 0:
-        batch = sample_trajectories(mdp, policy, max(1, need // 8), seed=seed)
+        batch = sample_trajectories(mdp, flow.policy, max(1, need // 8), seed=seed)
         seed += 1
         flat.append(batch.states * mdp.n_actions + batch.actions)
         need -= flat[-1].size
@@ -204,9 +204,9 @@ class OtDualStep:
 
     def finish(self, state: WailState, mdp: TabularMdp):
         """Continue the reward ascent against the exact occupancy of
-        state.policy (solved with state.flow, the record the last line
-        search returned), with the loop's epsilon, learning rate and cost
-        block, so the reward fits the policy it is returned with instead of
+        state.policy (kept by state.flow, the record the last line search
+        returned), with the loop's epsilon, learning rate and cost block,
+        so the reward fits the policy it is returned with instead of
         sitting one step past the previous round's.  Runs FINAL_FIT_STEPS
         full-batch steps, capped at the loop's own k * ot_inner_steps: the
         fit at most doubles the ascent's cost, and k = 0 returns the initial
@@ -241,10 +241,10 @@ def wail_iteration(state: WailState, mdp: TabularMdp, expert_data, config: RunCo
                    reward_step) -> tuple[WailState, dict]:
     """One adversarial round: draw both batches, update the reward with
     `reward_step`, then take the KL-constrained policy step against the
-    reward it returns.  The current policy's occupancy is solved once and
-    serves the batch, the gradient, the step and the logged KL; that solve
-    and the value solve use the state's FlowSystem, and the line search
-    returns the next policy's, so each policy's system is factored once.
+    reward it returns.  The batch, the gradient, the step and the logged
+    KL read the current policy's occupancy through the state's FlowSystem,
+    which also serves the value solve; the line search returns the next
+    policy's, whose occupancy it solved, so each policy is solved once.
     The round's generator is seeded by (config.seed, round,
     reward_step.salt); the reward step draws from it between the batches
     and the gradient seed.
@@ -252,8 +252,7 @@ def wail_iteration(state: WailState, mdp: TabularMdp, expert_data, config: RunCo
     entry but scaled_perf_eval)."""
     expert = ExpertData.from_any(expert_data, mdp)
     rng = np.random.default_rng([config.seed, state.k, reward_step.salt])
-    occupancy = occupancy_from_policy(mdp, state.policy, flow=state.flow)
-    policy_batch = _policy_batch(state.policy, mdp, config, rng, occupancy)
+    policy_batch = _policy_batch(state.flow, mdp, config, rng)
     expert_batch = _expert_batch(expert, mdp, config, rng)
     model, objective, reward = reward_step(state.model, policy_batch, expert_batch, rng)
     if not np.isfinite(objective):
@@ -261,13 +260,12 @@ def wail_iteration(state: WailState, mdp: TabularMdp, expert_data, config: RunCo
 
     report = entropy_reg_policy_gradient(mdp, state.policy, reward,
                                          lam=config.lambda_entropy, mode=config.pg_mode,
-                                         seed=int(rng.integers(0, 2 ** 63 - 1)),
-                                         occupancy=occupancy, flow=state.flow)
+                                         seed=int(rng.integers(0, 2 ** 63 - 1)), flow=state.flow)
     delta = schedule_delta(StepSchedule(config.delta0, config.delta_decay), state.k + 1)
     step = kl_constrained_step(mdp, state.flow, report, delta, damping=config.cg_damping)
     row = {"iteration": state.k + 1, "objective": objective,
            "policy_surrogate": report.surrogate_value,
-           "kl_step": weighted_kl(mdp, state.policy, step.policy, occupancy=occupancy),
+           "kl_step": weighted_kl(mdp, state.policy, step.policy, flow=state.flow),
            "entropy": report.entropy}
     return WailState(state.k + 1, model, step), row
 

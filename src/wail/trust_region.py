@@ -9,11 +9,11 @@ closed-form solve of the damped occupancy-weighted softmax Fisher, with a
 backtracking line search that enforces the KL bound and surrogate
 non-decrease.
 
-Every exact solve goes through a policy's FlowSystem: the line search
-assembles (above DENSE_SOLVE_MAX_STATES states, factors) each candidate
-that passes the KL check once and returns the accepted candidate's record,
-which the training loop carries into the next round's occupancy and value
-solves, so each policy's system is factored once.
+Every exact solve goes through a policy's FlowSystem, which keeps the
+occupancy it solved for every later read.  The line search assembles
+(above DENSE_SOLVE_MAX_STATES states, factors) and solves each candidate
+passing the KL check once and returns the accepted candidate's record,
+which the training loop carries on, so each policy is solved once.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import (FlowSystem, OccupancyMeasure, Rollouts, SoftmaxPolicy, TabularMdp,
-                  action_values, causal_entropy, occupancy_from_policy, sample_trajectories)
+from .mdp import (FlowSystem, Rollouts, SoftmaxPolicy, TabularMdp, action_values,
+                  causal_entropy, occupancy_from_policy, sample_trajectories)
 
 GRAD_NORM_FLOOR = 1e-10
 BACKTRACK_COEF = 0.5    # the line search scales the step by this per backtrack,
@@ -71,7 +71,6 @@ class PolicyGradientReport:
     surrogate_value: float
     entropy: float
     cost: np.ndarray            # frozen per-step payoff c = r_hat - lam*log pi_old
-    occupancy: OccupancyMeasure  # the current policy's, shared with kl_constrained_step
 
 
 def surrogate_value(mdp: TabularMdp, policy: SoftmaxPolicy, cost: np.ndarray,
@@ -82,11 +81,10 @@ def surrogate_value(mdp: TabularMdp, policy: SoftmaxPolicy, cost: np.ndarray,
 
 
 def weighted_kl(mdp: TabularMdp, old: SoftmaxPolicy, new: SoftmaxPolicy,
-                occupancy: OccupancyMeasure | None = None) -> float:
+                flow: FlowSystem | None = None) -> float:
     """KL(pi_new || pi_old) per state, weighted by the old policy's state
-    occupancy (`occupancy`, solved here when None)."""
-    rho = occupancy if occupancy is not None else occupancy_from_policy(mdp, old)
-    d = rho.state_marginal()
+    occupancy, read through its FlowSystem `flow` (solved here when None)."""
+    d = occupancy_from_policy(mdp, old, flow=flow).state_marginal()
     per_state = (new.probs * (new.log_probs - old.log_probs)).sum(axis=1)
     return float(d @ per_state)
 
@@ -94,7 +92,6 @@ def weighted_kl(mdp: TabularMdp, old: SoftmaxPolicy, new: SoftmaxPolicy,
 def entropy_reg_policy_gradient(mdp: TabularMdp, policy: SoftmaxPolicy, reward: np.ndarray,
                                 lam: float = 0.0, mode: str = "exact",
                                 n_traj: int = 256, seed: int = 0,
-                                occupancy: OccupancyMeasure | None = None,
                                 flow: FlowSystem | None = None) -> PolicyGradientReport:
     """Gradient of <r_hat - lam*log pi_old, rho_theta> at theta = current.
 
@@ -102,10 +99,10 @@ def entropy_reg_policy_gradient(mdp: TabularMdp, policy: SoftmaxPolicy, reward: 
     the policy-gradient identity
         grad[s, a] = d(s) pi(a|s) (Q_c(s, a) - V_c(s))
     with Q_c/V_c from policy-evaluation linear solves; sampled mode uses
-    restart-chain rollouts with score-function weighting.  `occupancy` is
-    the policy's own (solved here when None); the report carries it on to
-    kl_constrained_step.  `flow` is the policy's FlowSystem, serving the
-    occupancy and value solves (each solve assembles its own when None).
+    restart-chain rollouts with score-function weighting.  `flow` is the
+    policy's FlowSystem (assembled here when None); it serves the value
+    solve, and the occupancy that weights the gradient and the causal
+    entropy is read through it, solved by the first read.
     """
     if lam < 0:
         raise ValueError("lam must be >= 0")
@@ -113,7 +110,8 @@ def entropy_reg_policy_gradient(mdp: TabularMdp, policy: SoftmaxPolicy, reward: 
         raise ValueError(f"reward must be an (S, A) matrix, got shape {np.shape(reward)}")
     cost = np.asarray(reward, dtype=np.float64) - lam * policy.log_probs
     pi = policy.probs
-    rho = occupancy if occupancy is not None else occupancy_from_policy(mdp, policy, flow=flow)
+    flow = flow if flow is not None else FlowSystem(mdp, policy)
+    rho = occupancy_from_policy(mdp, policy, flow=flow)
     if mode == "exact":
         Q, V = action_values(mdp, policy, cost, flow=flow)
         grad = rho.state_marginal()[:, None] * pi * (Q - V[:, None])
@@ -126,8 +124,7 @@ def entropy_reg_policy_gradient(mdp: TabularMdp, policy: SoftmaxPolicy, reward: 
     else:
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
     return PolicyGradientReport(gradient=grad.ravel(), surrogate_value=value,
-                                entropy=causal_entropy(mdp, policy, occupancy=rho),
-                                cost=cost, occupancy=rho)
+                                entropy=causal_entropy(mdp, policy, flow=flow), cost=cost)
 
 
 def _score_function_sums(batch: Rollouts, cost: np.ndarray, pi: np.ndarray):
@@ -186,11 +183,11 @@ def kl_constrained_step(mdp: TabularMdp, flow: FlowSystem,
     natural-gradient direction scaled to the KL budget, then backtracking
     until the measured occupancy-weighted KL(new || old) is within delta and
     the surrogate has not decreased.  Each candidate that passes the KL
-    check gets its own FlowSystem, which serves its surrogate solve.
-    Returns the accepted candidate's record, or `flow` itself when no
-    candidate qualifies, when delta = 0, or when the gradient is negligible.
-    The old policy's occupancy comes from report.occupancy and serves the
-    Fisher weights and every candidate's KL check.  The damping must be
+    check gets its own FlowSystem, which solves and keeps its occupancy for
+    the surrogate check.  Returns the accepted candidate's record, or `flow`
+    itself when no candidate qualifies, when delta = 0, or when the gradient
+    is negligible.  The old policy's occupancy, read through `flow`, serves
+    the Fisher weights and every candidate's KL check.  The damping must be
     positive: it makes the Fisher invertible along each state's constant
     direction."""
     if delta < 0:
@@ -202,8 +199,7 @@ def kl_constrained_step(mdp: TabularMdp, flow: FlowSystem,
         return flow
     policy = flow.policy
     pi = policy.probs
-    occupancy = report.occupancy
-    d = occupancy.state_marginal()
+    d = occupancy_from_policy(mdp, policy, flow=flow).state_marginal()
     v = _natural_direction(d, pi, g, damping)
     quad = v @ g
     beta = math.sqrt(2.0 * delta / quad)
@@ -211,7 +207,7 @@ def kl_constrained_step(mdp: TabularMdp, flow: FlowSystem,
     step = v.reshape(pi.shape)
     for t in range(MAX_BACKTRACKS + 1):
         candidate = SoftmaxPolicy(policy.logits + (beta * BACKTRACK_COEF ** t) * step)
-        kl = weighted_kl(mdp, policy, candidate, occupancy=occupancy)
+        kl = weighted_kl(mdp, policy, candidate, flow=flow)
         if kl > delta:
             continue
         candidate_flow = FlowSystem(mdp, candidate)

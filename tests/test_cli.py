@@ -198,6 +198,18 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("validation error: environment") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("name", ["[]", "{}"], ids=["list", "dict"])
+    def test_non_string_environment_name_is_a_validation_error(self, config_file, tmp_path,
+                                                               capsys, name):
+        # an unhashable name used to stop with a TypeError traceback at the
+        # builder lookup
+        rc = main(["train", "--config", config_file, "--out", str(tmp_path / "v"),
+                   "--set", f'env={{"name":{name},"n":3}}'])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: env.name must be a string")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_scalar_layer_sizes_are_a_validation_error(self, config_file, tmp_path, capsys):
         # tuple(5) used to raise TypeError, from --set or from the config file
         rc = main(["train", "--config", config_file, "--set", "mlp_hidden=5"])

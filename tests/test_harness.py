@@ -49,6 +49,14 @@ class TestEnvironments:
         with pytest.raises(ValueError):
             build_environment({"n": 5})
 
+    @pytest.mark.parametrize("name", [[], {}, 3, None], ids=["list", "dict", "int", "none"])
+    def test_non_string_environment_name(self, name):
+        # an unhashable name used to escape the builder lookup as a TypeError
+        with pytest.raises(ValueError, match=r"env\.name"):
+            build_environment({"name": name, "n": 3})
+        with pytest.raises(ValueError, match=r"env\.name"):
+            RunConfig(env={"name": name, "n": 3}).validate()
+
     @pytest.mark.parametrize("spec,match", [
         ({"name": "gridworld", "m": 3}, "takes no parameter 'm'"),
         ({"name": "cliff", "n": 3}, "takes no parameter 'n'"),

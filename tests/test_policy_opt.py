@@ -198,8 +198,9 @@ class TestNaturalDirection:
         # softmax policy, up to each state's constant direction
         mdp = random_mdp(6, 4, 0.9, seed=31)
         pol = SoftmaxPolicy(rng.normal(size=(6, 4)))
-        rep = entropy_reg_policy_gradient(mdp, pol, rng.normal(size=(6, 4)), lam=0.1)
-        d = rep.occupancy.state_marginal()
+        flow = FlowSystem(mdp, pol)
+        rep = entropy_reg_policy_gradient(mdp, pol, rng.normal(size=(6, 4)), lam=0.1, flow=flow)
+        d = occupancy_from_policy(mdp, pol, flow=flow).state_marginal()
         adv = rep.gradient.reshape(6, 4) / (d[:, None] * pol.probs)
         centred = (adv - adv.mean(axis=1, keepdims=True)).ravel()
         gaps = []

@@ -1,14 +1,16 @@
-"""One occupancy solve and one flow factorization per policy per round.
+"""One occupancy solve and one flow factorization per policy.
 
-The adversarial round solves the current policy's occupancy once and hands
-it to the batch, the gradient, the causal entropy, the Fisher weights and
-every KL check.  Each policy's flow system is assembled (factored, above
-DENSE_SOLVE_MAX_STATES states) once, in a FlowSystem that serves its
-occupancy and value solves and that the line search hands to the next
-round.  The count tests bound the solves per round and the factorizations
-per run, so a consumer that starts solving or factoring again fails here
-instead of silently slowing the loop; the equivalence tests show that
-handing the occupancy and the record down changes no bit.
+Each policy's flow system is assembled (factored, above
+DENSE_SOLVE_MAX_STATES states) once, in a FlowSystem that serves its value
+solve and keeps its occupancy: the first occupancy_from_policy call with
+the record solves it, and the batch, the gradient, the causal entropy, the
+Fisher weights, every KL check and the final reward fit read the kept
+measure through the same call.  The line search hands the accepted
+candidate's record, solved by its surrogate check, to the next round.  The
+count tests count the transposed (occupancy) solves, the reads and the
+factorizations of a run, so a consumer that starts solving or factoring
+again fails here instead of silently slowing the loop; the equivalence
+tests show that reading through a kept record changes no bit.
 """
 
 import dataclasses
@@ -26,6 +28,7 @@ SOLVING_MODULES = (wail.mdp, wail.training, wail.trust_region, wail.baselines)
 
 @pytest.fixture
 def solve_counter(monkeypatch):
+    """Calls of occupancy_from_policy: reads of an occupancy, solved or kept."""
     calls = []
 
     def counting(mdp, policy, flow=None):
@@ -37,21 +40,73 @@ def solve_counter(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def transposed_solves(monkeypatch):
+    """The records that ran a transposed (occupancy) solve, once per solve."""
+    records = []
+    solve = FlowSystem.solve
+
+    def counting(self, rhs, transpose=False):
+        if transpose:
+            records.append(self)
+        return solve(self, rhs, transpose=transpose)
+
+    monkeypatch.setattr(FlowSystem, "solve", counting)
+    return records
+
+
+@pytest.fixture
+def line_search_calls(monkeypatch):
+    """The policies of the line search's surrogate checks, one per candidate
+    passing the KL check, and the weighted_kl calls of the line search and
+    of the loop's logged kl_step."""
+    surrogates, kl_evals = [], []
+    surrogate_value = wail.trust_region.surrogate_value
+
+    def counting_surrogate(mdp, policy, cost, flow=None):
+        surrogates.append(policy)
+        return surrogate_value(mdp, policy, cost, flow=flow)
+
+    def counting_kl(mdp, old, new, flow=None):
+        kl_evals.append(old)
+        return weighted_kl(mdp, old, new, flow=flow)
+
+    monkeypatch.setattr(wail.trust_region, "surrogate_value", counting_surrogate)
+    for module in (wail.trust_region, wail.training):
+        monkeypatch.setattr(module, "weighted_kl", counting_kl)
+    return surrogates, kl_evals
+
+
+def assert_one_solve_per_record(records, surrogates):
+    # the uniform start policy's record, then one per candidate passing the
+    # KL check, solved by its surrogate check; the accepted one's kept
+    # measure serves the next round and the last one's the final reward fit
+    assert len(records) == 1 + len(surrogates)
+    assert len({id(r) for r in records}) == len(records)
+
+
 @pytest.mark.parametrize("algorithm", ["wail", "gail"])
-def test_exact_round_solves_at_most_twice(solve_counter, algorithm):
+def test_exact_round_solves_at_most_twice(solve_counter, transposed_solves, line_search_calls,
+                                          algorithm):
     # the desk settings: 5x5 gridworld, one demonstration, exact mode
     mdp = wail.make_gridworld(5)
     _, demos = wail.make_expert(mdp, 0.01, n_traj=1, traj_len=50, seed=3)
     config = RunConfig(algorithm=algorithm, k_max=20, seed=7)
     train = wail.train_wail if algorithm == "wail" else wail.train_gail
+    surrogates, kl_evals = line_search_calls
     solve_counter.clear()
+    transposed_solves.clear()
     _, _, log = train(mdp, demos, config)
     rounds = log.meta["iterations_run"]
     assert rounds == 20
-    # one solve for the current policy, one per candidate passing the KL
-    # check, and (wail) one for the final reward fit
-    per_round = len(solve_counter) / rounds
+    assert_one_solve_per_record(transposed_solves, surrogates)
+    per_round = len(transposed_solves) / rounds
     assert per_round <= 2.1, f"{per_round:.2f} occupancy solves per round"
+    # reads: the batch, the gradient, the causal entropy and the Fisher
+    # weights each round, one per KL evaluation and per surrogate check,
+    # and (wail) one for the final reward fit
+    final_fit = 1 if algorithm == "wail" else 0
+    assert len(solve_counter) == 4 * rounds + len(kl_evals) + len(surrogates) + final_fit
 
 
 def random_policy(rng, mdp):
@@ -67,21 +122,22 @@ def test_passed_occupancy_is_bit_identical(env, mode):
         policy = random_policy(rng, env)
         other = random_policy(rng, env)
         reward = rng.normal(size=(env.n_states, env.n_actions))
-        occupancy = occupancy_from_policy(env, policy)
+        flow = FlowSystem(env, policy)
+        occupancy = occupancy_from_policy(env, policy, flow=flow)
         bare = entropy_reg_policy_gradient(env, policy, reward, lam=0.1, mode=mode,
                                            n_traj=16, seed=2)
         given = entropy_reg_policy_gradient(env, policy, reward, lam=0.1, mode=mode,
-                                            n_traj=16, seed=2, occupancy=occupancy)
+                                            n_traj=16, seed=2, flow=flow)
         assert bare.gradient.tobytes() == given.gradient.tobytes()
         assert bare.surrogate_value == given.surrogate_value
         assert bare.entropy == given.entropy
         assert bare.entropy == wail.causal_entropy(env, policy)
-        assert bare.occupancy.rho.tobytes() == occupancy.rho.tobytes()
-        assert given.occupancy is occupancy
-        assert (weighted_kl(env, policy, other)
-                == weighted_kl(env, policy, other, occupancy=occupancy))
+        assert given.entropy == wail.causal_entropy(env, policy, flow=flow)
+        assert occupancy_from_policy(env, policy).rho.tobytes() == occupancy.rho.tobytes()
+        assert occupancy_from_policy(env, policy, flow=flow) is occupancy
+        assert weighted_kl(env, policy, other) == weighted_kl(env, policy, other, flow=flow)
         for delta in (0.01, 0.5):
-            carried = kl_constrained_step(env, FlowSystem(env, policy), given, delta)
+            carried = kl_constrained_step(env, flow, given, delta)
             solved = kl_constrained_step(env, FlowSystem(env, policy), bare, delta)
             assert carried.policy.logits.tobytes() == solved.policy.logits.tobytes()
 
@@ -113,33 +169,53 @@ def factor_counter(monkeypatch):
     return factors
 
 
-def test_sparse_run_factors_once_per_policy(factor_counter, solve_counter, monkeypatch):
+def test_sparse_run_factors_once_per_policy(factor_counter, solve_counter, transposed_solves,
+                                            line_search_calls):
     # the scale-exact settings: 30x30 gridworld (S = 900, the splu side),
     # ten demonstrations, a 0.1 KL budget, 20 rounds
-    surrogates = []
-    surrogate_value = wail.trust_region.surrogate_value
-
-    def counting_surrogate(mdp, policy, cost, flow=None):
-        surrogates.append(policy)
-        return surrogate_value(mdp, policy, cost, flow=flow)
-
-    monkeypatch.setattr(wail.trust_region, "surrogate_value", counting_surrogate)
+    surrogates, kl_evals = line_search_calls
     mdp = wail.build_environment({"name": "gridworld", "n": 30})
     config = RunConfig(k_max=20, dataset_size=10, delta0=0.1, seed=7)
     _, demos = wail.make_expert(mdp, config.expert_lambda, n_traj=config.dataset_size,
                                 traj_len=config.traj_len, seed=3)
     factor_counter.clear()
     solve_counter.clear()
+    transposed_solves.clear()
     _, _, log = wail.train_wail(mdp, demos, config)
     rounds = log.meta["iterations_run"]
     assert rounds == 20 and log.meta["final_fit_steps"] > 0
     # the uniform start policy, then each candidate passing the KL check
-    # once: the accepted one's factor serves the next round's occupancy and
-    # value solves, and the last one's the final reward fit
+    # once: the accepted one's factor serves the next round's value solve,
+    # and its kept occupancy the next round's reads and the final reward fit
     assert factor_counter == [(900, 900)] * (1 + len(surrogates))
-    # the occupancy solves themselves are as many as before the records:
-    # one per round, one per candidate passing the KL check, one final fit
-    assert len(solve_counter) == rounds + len(surrogates) + 1
+    assert_one_solve_per_record(transposed_solves, surrogates)
+    # the reads are more than the solves: the batch, the gradient, the
+    # causal entropy and the Fisher weights each round, one per KL
+    # evaluation and per surrogate check, one for the final fit
+    assert len(solve_counter) == 4 * rounds + len(kl_evals) + len(surrogates) + 1
+
+
+@pytest.mark.parametrize("n", [30, 5], ids=["splu-S900", "dense-S25"])
+def test_record_keeps_its_occupancy(transposed_solves, n):
+    mdp = wail.make_gridworld(n)
+    rng = np.random.default_rng(31)
+    policy = random_policy(rng, mdp)
+    flow = FlowSystem(mdp, policy)
+    first = occupancy_from_policy(mdp, policy, flow=flow)
+    assert transposed_solves == [flow]
+    # a second read with the same record returns the kept measure, unsolved
+    assert occupancy_from_policy(mdp, policy, flow=flow) is first
+    assert transposed_solves == [flow]
+    # and its bytes are a fresh record's solve
+    fresh = occupancy_from_policy(mdp, policy)
+    assert fresh is not first and fresh.rho.tobytes() == first.rho.tobytes()
+    assert len(transposed_solves) == 2
+    # a twin record (equal logits, another policy object) solves on its own
+    twin = SoftmaxPolicy(policy.logits)
+    twin_flow = FlowSystem(mdp, twin)
+    kept = occupancy_from_policy(mdp, twin, flow=twin_flow)
+    assert transposed_solves[-1] is twin_flow and len(transposed_solves) == 3
+    assert kept is not first and kept.rho.tobytes() == first.rho.tobytes()
 
 
 @pytest.mark.parametrize("n", [30, 5], ids=["splu-S900", "dense-S25"])
@@ -156,7 +232,7 @@ def test_one_record_serves_both_solves_bit_identically(n):
         Q, V = action_values(mdp, policy, cost)
         assert shared_Q.tobytes() == Q.tobytes()
         assert shared_V.tobytes() == V.tobytes()
-        # and a second solve with the same record repeats the first
+        # and a second read with the same record returns the kept measure
         assert occupancy_from_policy(mdp, policy, flow=flow).rho.tobytes() == shared_rho.tobytes()
 
 

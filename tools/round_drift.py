@@ -16,8 +16,9 @@ every case in tests/test_fingerprint.py.  This tool measures that.
         Print, per case, the largest |logit difference| over all rounds and
         then the per-round values, and the largest |final parameter
         difference| for information; the final fit is not gated.  Exit 1 if
-        any of the first 50 rounds' logits differ by more than 1e-8, 2 if
-        the files hold different cases or shapes.
+        any of the first 50 rounds' logits differ by more than 1e-8 or by a
+        non-finite amount (a NaN on either side), 2 if the files hold
+        different cases or shapes.
 
 Record each side with its own source tree first on the path, e.g.
 
@@ -85,7 +86,8 @@ def cmd_compare(args) -> int:
             drift = float(np.abs(a[name + FINAL] - b[name + FINAL]).max())
             print(f"   final reward or discriminator parameters: max |dparam| {drift:.3e}"
                   " (information, not gated)")
-        worst = max(worst, float(per_round[:ROUNDS].max()))
+        # np.maximum keeps a NaN, which then fails `<= TOL`; Python's max would drop it
+        worst = float(np.maximum(worst, per_round[:ROUNDS].max()))
     verdict = "within" if worst <= TOL else "exceeds"
     print(f"largest over the first {ROUNDS} rounds: {worst:.3e} ({verdict} {TOL:g})")
     return 0 if worst <= TOL else 1
