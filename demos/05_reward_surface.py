@@ -41,7 +41,7 @@ fn_w = wail.model_surface_fn(art_w["model"], mdp)
 fn_g = wail.disc_surface_fn(art_g["model"], mdp)
 lip = {}
 for name, fn in (("reward_surface.csv", fn_w), ("surrogate_surface.csv", fn_g)):
-    surf = wail.reward_surface(mdp, fn, plane, grid_n=25, bounds=bounds)
+    surf = wail.reward_surface(fn, plane, grid_n=25, bounds=bounds)
     path = os.path.join(out_dir, name)
     wail.save_surface(path, surf)
     lip[name] = wail.relative_lipschitz(fn, data)

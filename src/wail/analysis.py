@@ -104,7 +104,7 @@ class SurfaceGrid:
     degenerate: bool = False
 
 
-def reward_surface(mdp: TabularMdp, reward_fn, plane: PcaPlane, grid_n: int = 25,
+def reward_surface(reward_fn, plane: PcaPlane, grid_n: int = 25,
                    bounds=None, data=None) -> SurfaceGrid:
     """Score a grid_n x grid_n grid of plane points mapped back through the
     inverse projection, then rescale to [0, 1].  A constant surface is

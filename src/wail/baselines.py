@@ -86,7 +86,7 @@ class DiscriminatorStep:
                                                self.embed_table, self.config.disc_lr)
         return model, objective, gail_reward_matrix(model, self.mdp)
 
-    def finish(self, state, mdp):
+    def finish(self, state):
         return state.model, {}
 
 

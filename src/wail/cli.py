@@ -94,7 +94,7 @@ def cmd_surface(args) -> int:
     model = rewards.load_model(args.reward)
     surface_fn = analysis.disc_surface_fn if args.as_discriminator else analysis.model_surface_fn
     fn = surface_fn(model, mdp)
-    surface = analysis.reward_surface(mdp, fn, plane, grid_n=args.grid_n, data=data)
+    surface = analysis.reward_surface(fn, plane, grid_n=args.grid_n, data=data)
     out = config.out_dir or "."
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "surface.csv")

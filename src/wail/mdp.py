@@ -6,8 +6,9 @@ exact oracle, every sampler and the JSON format read those entries.
 Occupancy measures are solved from the Bellman flow linear system and
 policy values from its transpose, both through one FlowSystem record per
 policy that assembles (above DENSE_SOLVE_MAX_STATES states, factors) the
-system once and keeps the occupancy it solved; the training loop carries
-the record the line search accepted into the next round.  Policies and
+system once and keeps the occupancy it solved.  The policy keeps its
+record, built by the first exact oracle that reads it, so every later
+read of the same policy on the same MDP reuses it.  Policies and
 occupancies convert back and forth (a bijection on their supports), causal
 entropy and expected rewards are exact inner products, trajectories come
 from the geometric-restart chain as one flat Rollouts batch, and soft
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -200,11 +201,13 @@ class TabularMdp:
 @dataclass(frozen=True)
 class SoftmaxPolicy:
     """Stochastic policy pi(a|s) = softmax over per-state logits; every
-    sampler draws its actions with draw_actions."""
+    sampler draws its actions with draw_actions.  `_flow` is the FlowSystem
+    the exact oracles built for it on their last MDP (see _flow_of)."""
 
     logits: np.ndarray              # (S, A)
     _probs: np.ndarray = field(init=False, repr=False, compare=False)
     _log_probs: np.ndarray = field(init=False, repr=False, compare=False)
+    _flow: FlowSystem | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         theta = np.asarray(self.logits, dtype=np.float64)
@@ -306,12 +309,17 @@ class Rollouts:
     actions: np.ndarray             # (lengths.sum(),) int
 
     def __post_init__(self):
-        lengths = np.asarray(self.lengths, dtype=np.int64)
+        lengths, states, actions = (np.asarray(x) for x in (self.lengths, self.states,
+                                                             self.actions))
         restarted = np.asarray(self.restarted, dtype=bool)
-        states = np.asarray(self.states, dtype=np.int64)
-        actions = np.asarray(self.actions, dtype=np.int64)
         if lengths.ndim != 1 or lengths.size == 0 or restarted.shape != lengths.shape:
             raise ValueError("need at least one episode, with one restart flag each")
+        # an empty list reads as float64
+        for name, arr in (("lengths", lengths), ("states", states), ("actions", actions)):
+            if arr.size and arr.dtype.kind not in "iu":
+                raise ValueError(f"{name} must be integers, got {arr.dtype}")
+        lengths, states, actions = (x.astype(np.int64, copy=False)
+                                    for x in (lengths, states, actions))
         if lengths.min() < 1:
             raise ValueError("every episode must be non-empty")
         if states.shape != (lengths.sum(),) or actions.shape != states.shape:
@@ -345,20 +353,21 @@ class FlowSystem:
     solve is a dense LAPACK solve; above that it keeps the matrix's sparse
     LU factor, so every solve with it reuses one factorization.  The same
     record serves its policy's value solve and occupancy solve (transposed),
-    whose result it keeps: occupancy_from_policy and action_values take it
-    as `flow` and reject a record built for another MDP or policy."""
+    whose result it keeps.  The policy holds the record (see _flow_of) and
+    the record does not hold the policy, so dropping a policy frees both
+    without waiting for the cyclic garbage collector."""
 
     mdp: TabularMdp = field(repr=False)
-    policy: SoftmaxPolicy = field(repr=False)
+    policy: InitVar[SoftmaxPolicy]
     _system: object = field(init=False, repr=False)
     _occupancy: OccupancyMeasure | None = field(init=False, default=None, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, policy: SoftmaxPolicy):
         mdp = self.mdp
-        mdp.check_policy(self.policy)
+        mdp.check_policy(policy)
         rows, S = mdp._rows, mdp.n_states
         state = rows.row // mdp.n_actions
-        weights = self.policy.probs.ravel()[rows.row] * rows.prob
+        weights = policy.probs.ravel()[rows.row] * rows.prob
         if S <= DENSE_SOLVE_MAX_STATES:
             P_pi = np.bincount(state * S + rows.col, weights=weights,
                                minlength=S * S).reshape(S, S)
@@ -378,25 +387,26 @@ class FlowSystem:
         return self._system.solve(rhs, trans="T" if transpose else "N")
 
 
-def _flow_for(mdp: TabularMdp, policy: SoftmaxPolicy, flow: FlowSystem | None) -> FlowSystem:
-    """`flow` checked against (mdp, policy), or a new record when None."""
-    if flow is None:
-        return FlowSystem(mdp, policy)
-    if flow.mdp is not mdp or flow.policy is not policy:
-        raise ValueError("flow record was built for another MDP or policy")
+def _flow_of(mdp: TabularMdp, policy: SoftmaxPolicy) -> FlowSystem:
+    """The FlowSystem `policy` keeps for `mdp` (the MDP object itself, not an
+    equal one), built and kept when it holds none for it."""
+    flow = policy._flow
+    if flow is None or flow.mdp is not mdp:
+        flow = FlowSystem(mdp, policy)
+        object.__setattr__(policy, "_flow", flow)
     return flow
 
 
-def occupancy_from_policy(mdp: TabularMdp, policy: SoftmaxPolicy,
-                          flow: FlowSystem | None = None) -> OccupancyMeasure:
+def occupancy_from_policy(mdp: TabularMdp, policy: SoftmaxPolicy) -> OccupancyMeasure:
     """Solve the Bellman flow system exactly and return rho(s,a) = d(s) pi(a|s).
 
     The state marginal d solves the linear recurrence
         d = (1-gamma) mu0 + gamma P_pi^T d
     so d = (I - gamma P_pi^T)^{-1} (1-gamma) mu0, which is nonsingular for
-    gamma < 1.  `flow` is the policy's FlowSystem (assembled here when None),
-    which keeps its first call's checked measure: later calls return it."""
-    flow = _flow_for(mdp, policy, flow)
+    gamma < 1.  The solve goes through the policy's FlowSystem, which keeps
+    the first call's checked measure: later calls with the same policy and
+    MDP return it."""
+    flow = _flow_of(mdp, policy)
     if flow._occupancy is None:
         d = flow.solve((1.0 - mdp.gamma) * mdp.start, transpose=True)
         if d.min() < -1e-12:
@@ -411,13 +421,13 @@ def occupancy_from_policy(mdp: TabularMdp, policy: SoftmaxPolicy,
     return flow._occupancy
 
 
-def action_values(mdp: TabularMdp, policy: SoftmaxPolicy, cost: np.ndarray,
-                  flow: FlowSystem | None = None) -> tuple[np.ndarray, np.ndarray]:
+def action_values(mdp: TabularMdp, policy: SoftmaxPolicy,
+                  cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact policy evaluation of a per-step payoff: V solves
-    (I - gamma P_pi) V = sum_a pi(a|.) cost(., a), and
-    Q(s, a) = cost(s, a) + gamma sum_s' P[s, a, s'] V(s').  `flow` is the
-    policy's FlowSystem (assembled here when None).  Returns (Q, V)."""
-    V = _flow_for(mdp, policy, flow).solve((policy.probs * cost).sum(axis=1))
+    (I - gamma P_pi) V = sum_a pi(a|.) cost(., a) with the policy's
+    FlowSystem, and Q(s, a) = cost(s, a) + gamma sum_s' P[s, a, s'] V(s').
+    Returns (Q, V)."""
+    V = _flow_of(mdp, policy).solve((policy.probs * cost).sum(axis=1))
     rows, S, A = mdp._rows, mdp.n_states, mdp.n_actions
     expect = np.bincount(rows.row, weights=rows.prob * V[rows.col], minlength=S * A)
     return cost + mdp.gamma * expect.reshape(S, A), V
@@ -461,11 +471,10 @@ def policy_from_occupancy(rho: OccupancyMeasure) -> SoftmaxPolicy:
     return SoftmaxPolicy(logits)
 
 
-def causal_entropy(mdp: TabularMdp, policy: SoftmaxPolicy,
-                   flow: FlowSystem | None = None) -> float:
+def causal_entropy(mdp: TabularMdp, policy: SoftmaxPolicy) -> float:
     """Discounted causal entropy E_rho[-log pi(a|s)] / (1 - gamma), with rho
-    the policy's occupancy, read through its FlowSystem `flow` (or solved)."""
-    rho = occupancy_from_policy(mdp, policy, flow=flow).rho
+    the policy's occupancy."""
+    rho = occupancy_from_policy(mdp, policy).rho
     return float((rho * (-policy.log_probs)).sum() / (1.0 - mdp.gamma))
 
 

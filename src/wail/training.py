@@ -8,7 +8,8 @@ exact mode continues the same ascent against the returned policy, so the
 returned reward is the potential fitted to that policy.  GAIL's
 discriminator step lives in `baselines`.  Both reward steps hand the
 policy step an (S, A) reward matrix.  Each round returns its log row, the
-run's only per-round record.
+run's only per-round record.  The loop state holds the policy, which
+keeps its own flow record and solved occupancy (see mdp).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import ot, rewards
 from .config import RunConfig
-from .mdp import (FlowSystem, OccupancyMeasure, Rollouts, SoftmaxPolicy, TabularMdp,
+from .mdp import (OccupancyMeasure, Rollouts, SoftmaxPolicy, TabularMdp,
                   occupancy_from_policy, sample_trajectories, save_policy)
 from .trust_region import (StepSchedule, entropy_reg_policy_gradient,
                            kl_constrained_step, schedule_delta, weighted_kl)
@@ -121,31 +122,25 @@ class ExpertData:
 
 @dataclass
 class WailState:
-    """Loop state: round counter, reward model and the policy's FlowSystem,
-    carried from the last round's line search into the next round's
-    solves."""
+    """Loop state: round counter, reward model and policy."""
 
     k: int
     model: rewards.PotentialModel
-    flow: FlowSystem
-
-    @property
-    def policy(self) -> SoftmaxPolicy:
-        return self.flow.policy
+    policy: SoftmaxPolicy
 
 
-def _policy_batch(flow: FlowSystem, mdp: TabularMdp, config: RunConfig,
+def _policy_batch(policy: SoftmaxPolicy, mdp: TabularMdp, config: RunConfig,
                   rng: np.random.Generator):
-    """Policy-side support indices and weights: the exact occupancy of
-    flow.policy, read through `flow`, or l1 sampled pairs from the chain."""
+    """Policy-side support indices and weights: the policy's exact
+    occupancy, or l1 sampled pairs from the chain."""
     if config.sampling == "exact":
-        w = occupancy_from_policy(mdp, flow.policy, flow=flow).flat()
+        w = occupancy_from_policy(mdp, policy).flat()
         return np.arange(w.size), w / w.sum()
     seed = int(rng.integers(0, 2 ** 63 - 1))
     flat = []
     need = config.l1
     while need > 0:
-        batch = sample_trajectories(mdp, flow.policy, max(1, need // 8), seed=seed)
+        batch = sample_trajectories(mdp, policy, max(1, need // 8), seed=seed)
         seed += 1
         flat.append(batch.states * mdp.n_actions + batch.actions)
         need -= flat[-1].size
@@ -202,10 +197,10 @@ class OtDualStep:
         self.clamps += clamps
         return model, objective, rewards.reward_matrix(model, self.mdp)
 
-    def finish(self, state: WailState, mdp: TabularMdp):
+    def finish(self, state: WailState):
         """Continue the reward ascent against the exact occupancy of
-        state.policy (kept by state.flow, the record the last line search
-        returned), with the loop's epsilon, learning rate and cost block,
+        state.policy (kept since the line search that accepted it solved
+        it), with the loop's epsilon, learning rate and cost block,
         so the reward fits the policy it is returned with instead of
         sitting one step past the previous round's.  Runs FINAL_FIT_STEPS
         full-batch steps, capped at the loop's own k * ot_inner_steps: the
@@ -219,7 +214,7 @@ class OtDualStep:
                  if self.config.sampling == "exact" else 0)
         model, objective = state.model, None
         if steps:
-            w = occupancy_from_policy(mdp, state.policy, flow=state.flow).flat()
+            w = occupancy_from_policy(self.mdp, state.policy).flat()
             pair = ot.DiscreteMeasurePair(w / w.sum(), self.target)
             model, _, fit_clamps = ot.reg_ot_fit(pair, self.block, self.reg, model, steps=steps,
                                                  lr=self.config.ot_lr, screen=self.screen)
@@ -242,9 +237,9 @@ def wail_iteration(state: WailState, mdp: TabularMdp, expert_data, config: RunCo
     """One adversarial round: draw both batches, update the reward with
     `reward_step`, then take the KL-constrained policy step against the
     reward it returns.  The batch, the gradient, the step and the logged
-    KL read the current policy's occupancy through the state's FlowSystem,
-    which also serves the value solve; the line search returns the next
-    policy's, whose occupancy it solved, so each policy is solved once.
+    KL read the current policy's occupancy, kept on its flow record with
+    the value solve's system; the line search returns the next policy,
+    whose occupancy it solved, so each policy is solved once.
     The round's generator is seeded by (config.seed, round,
     reward_step.salt); the reward step draws from it between the batches
     and the gradient seed.
@@ -252,7 +247,7 @@ def wail_iteration(state: WailState, mdp: TabularMdp, expert_data, config: RunCo
     entry but scaled_perf_eval)."""
     expert = ExpertData.from_any(expert_data, mdp)
     rng = np.random.default_rng([config.seed, state.k, reward_step.salt])
-    policy_batch = _policy_batch(state.flow, mdp, config, rng)
+    policy_batch = _policy_batch(state.policy, mdp, config, rng)
     expert_batch = _expert_batch(expert, mdp, config, rng)
     model, objective, reward = reward_step(state.model, policy_batch, expert_batch, rng)
     if not np.isfinite(objective):
@@ -260,14 +255,14 @@ def wail_iteration(state: WailState, mdp: TabularMdp, expert_data, config: RunCo
 
     report = entropy_reg_policy_gradient(mdp, state.policy, reward,
                                          lam=config.lambda_entropy, mode=config.pg_mode,
-                                         seed=int(rng.integers(0, 2 ** 63 - 1)), flow=state.flow)
+                                         seed=int(rng.integers(0, 2 ** 63 - 1)))
     delta = schedule_delta(StepSchedule(config.delta0, config.delta_decay), state.k + 1)
-    step = kl_constrained_step(mdp, state.flow, report, delta, damping=config.cg_damping)
+    policy = kl_constrained_step(mdp, state.policy, report, delta, damping=config.cg_damping)
     row = {"iteration": state.k + 1, "objective": objective,
            "policy_surrogate": report.surrogate_value,
-           "kl_step": weighted_kl(mdp, state.policy, step.policy, flow=state.flow),
+           "kl_step": weighted_kl(mdp, state.policy, policy),
            "entropy": report.entropy}
-    return WailState(state.k + 1, model, step), row
+    return WailState(state.k + 1, model, policy), row
 
 
 def _should_stop(rows: list, window: int, tol: float) -> bool:
@@ -292,7 +287,7 @@ def adversarial_train(mdp: TabularMdp, expert_data, config: RunConfig, reward_st
     """The adversarial loop shared by WAIL and GAIL.  Runs `wail_iteration`
     with `reward_step` for k_max rounds (stopping early once the trailing
     objective window is flat), then the step's end-of-run hook
-    `reward_step.finish(state, mdp)`, which returns the final reward model
+    `reward_step.finish(state)`, which returns the final reward model
     and its run_meta entries.  A non-finite objective, or an OT ascent
     step that leaves a non-finite parameter, aborts the run with
     ot.DivergenceError carrying the partial log as `log`.
@@ -307,7 +302,9 @@ def adversarial_train(mdp: TabularMdp, expert_data, config: RunConfig, reward_st
     policy is scored, score(policy).scaled, into scaled_perf_eval.
 
     With config.out_dir set, writes only the checkpoints; run_single
-    writes the final files.  Returns (policy, reward model, log).
+    writes the final files.  Returns (policy, reward model, log), the policy
+    a fresh copy: the last flow record (an LU factor on large MDPs) is
+    freed with the loop.
     Deterministic given config.seed."""
     config.validate()
     expert = ExpertData.from_any(expert_data, mdp)
@@ -316,7 +313,7 @@ def adversarial_train(mdp: TabularMdp, expert_data, config: RunConfig, reward_st
     dims = {"tabular": (S * A,), "linear": (width,),
             "mlp": (width, *config.mlp_hidden)}[config.model_form]
     state = WailState(k=0, model=rewards.create_model(config.model_form, dims, config.seed),
-                      flow=FlowSystem(mdp, SoftmaxPolicy.uniform(S, A)))
+                      policy=SoftmaxPolicy.uniform(S, A))
     log = RunLog(meta={"algorithm": reward_step.algorithm, "config": config.to_dict(),
                        "n_states": S, "n_actions": A})
     try:
@@ -328,14 +325,14 @@ def adversarial_train(mdp: TabularMdp, expert_data, config: RunConfig, reward_st
             if _should_stop(log.rows, config.early_stop_window, config.early_stop_tol):
                 log.meta["early_stop_iteration"] = state.k
                 break
-        model, final_meta = reward_step.finish(state, mdp)
+        model, final_meta = reward_step.finish(state)
     except ot.DivergenceError as err:
         log.meta["diverged"] = str(err)
         err.log = log
         raise
     log.meta["iterations_run"] = state.k
     log.meta.update(final_meta)
-    return state.policy, model, log
+    return SoftmaxPolicy(state.policy.logits), model, log
 
 
 def train_wail(mdp: TabularMdp, expert_data, config: RunConfig, score=None):

@@ -9,11 +9,13 @@ closed-form solve of the damped occupancy-weighted softmax Fisher, with a
 backtracking line search that enforces the KL bound and surrogate
 non-decrease.
 
-Every exact solve goes through a policy's FlowSystem, which keeps the
-occupancy it solved for every later read.  The line search assembles
-(above DENSE_SOLVE_MAX_STATES states, factors) and solves each candidate
-passing the KL check once and returns the accepted candidate's record,
-which the training loop carries on, so each policy is solved once.
+Every exact solve goes through the flow record the policy keeps (see
+mdp.occupancy_from_policy), which keeps the occupancy it solved for every
+later read.  The line search reads only the candidates passing the KL
+check, so only those get a record, assembled (above
+DENSE_SOLVE_MAX_STATES states, factored) and solved once; the accepted
+candidate keeps its record into the next round, so each policy is solved
+once.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import (FlowSystem, Rollouts, SoftmaxPolicy, TabularMdp, action_values,
-                  causal_entropy, occupancy_from_policy, sample_trajectories)
+from .mdp import (Rollouts, SoftmaxPolicy, TabularMdp, action_values, causal_entropy,
+                  occupancy_from_policy, sample_trajectories)
 
 GRAD_NORM_FLOOR = 1e-10
 BACKTRACK_COEF = 0.5    # the line search scales the step by this per backtrack,
@@ -73,36 +75,31 @@ class PolicyGradientReport:
     cost: np.ndarray            # frozen per-step payoff c = r_hat - lam*log pi_old
 
 
-def surrogate_value(mdp: TabularMdp, policy: SoftmaxPolicy, cost: np.ndarray,
-                    flow: FlowSystem | None = None) -> float:
-    """<c, rho_pi> for a frozen payoff matrix c; `flow` is the policy's
-    FlowSystem (assembled by the solve when None)."""
-    return float((occupancy_from_policy(mdp, policy, flow=flow).rho * cost).sum())
+def surrogate_value(mdp: TabularMdp, policy: SoftmaxPolicy, cost: np.ndarray) -> float:
+    """<c, rho_pi> for a frozen payoff matrix c."""
+    return float((occupancy_from_policy(mdp, policy).rho * cost).sum())
 
 
-def weighted_kl(mdp: TabularMdp, old: SoftmaxPolicy, new: SoftmaxPolicy,
-                flow: FlowSystem | None = None) -> float:
+def weighted_kl(mdp: TabularMdp, old: SoftmaxPolicy, new: SoftmaxPolicy) -> float:
     """KL(pi_new || pi_old) per state, weighted by the old policy's state
-    occupancy, read through its FlowSystem `flow` (solved here when None)."""
-    d = occupancy_from_policy(mdp, old, flow=flow).state_marginal()
+    occupancy."""
+    d = occupancy_from_policy(mdp, old).state_marginal()
     per_state = (new.probs * (new.log_probs - old.log_probs)).sum(axis=1)
     return float(d @ per_state)
 
 
 def entropy_reg_policy_gradient(mdp: TabularMdp, policy: SoftmaxPolicy, reward: np.ndarray,
                                 lam: float = 0.0, mode: str = "exact",
-                                n_traj: int = 256, seed: int = 0,
-                                flow: FlowSystem | None = None) -> PolicyGradientReport:
+                                n_traj: int = 256, seed: int = 0) -> PolicyGradientReport:
     """Gradient of <r_hat - lam*log pi_old, rho_theta> at theta = current.
 
     `reward` is an (S, A) matrix treated as fixed.  Exact mode evaluates
     the policy-gradient identity
         grad[s, a] = d(s) pi(a|s) (Q_c(s, a) - V_c(s))
     with Q_c/V_c from policy-evaluation linear solves; sampled mode uses
-    restart-chain rollouts with score-function weighting.  `flow` is the
-    policy's FlowSystem (assembled here when None); it serves the value
-    solve, and the occupancy that weights the gradient and the causal
-    entropy is read through it, solved by the first read.
+    restart-chain rollouts with score-function weighting.  The policy's flow
+    record serves the value solve and keeps the occupancy that weights
+    the gradient and the causal entropy, solved by the first read.
     """
     if lam < 0:
         raise ValueError("lam must be >= 0")
@@ -110,10 +107,9 @@ def entropy_reg_policy_gradient(mdp: TabularMdp, policy: SoftmaxPolicy, reward: 
         raise ValueError(f"reward must be an (S, A) matrix, got shape {np.shape(reward)}")
     cost = np.asarray(reward, dtype=np.float64) - lam * policy.log_probs
     pi = policy.probs
-    flow = flow if flow is not None else FlowSystem(mdp, policy)
-    rho = occupancy_from_policy(mdp, policy, flow=flow)
+    rho = occupancy_from_policy(mdp, policy)
     if mode == "exact":
-        Q, V = action_values(mdp, policy, cost, flow=flow)
+        Q, V = action_values(mdp, policy, cost)
         grad = rho.state_marginal()[:, None] * pi * (Q - V[:, None])
         value = float((rho.rho * cost).sum())
     elif mode == "sampled":
@@ -124,7 +120,7 @@ def entropy_reg_policy_gradient(mdp: TabularMdp, policy: SoftmaxPolicy, reward: 
     else:
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
     return PolicyGradientReport(gradient=grad.ravel(), surrogate_value=value,
-                                entropy=causal_entropy(mdp, policy, flow=flow), cost=cost)
+                                entropy=causal_entropy(mdp, policy), cost=cost)
 
 
 def _score_function_sums(batch: Rollouts, cost: np.ndarray, pi: np.ndarray):
@@ -176,17 +172,17 @@ def _natural_direction(d: np.ndarray, pi: np.ndarray, g: np.ndarray,
     return (G / diag + coef[:, None] * w).ravel()
 
 
-def kl_constrained_step(mdp: TabularMdp, flow: FlowSystem,
+def kl_constrained_step(mdp: TabularMdp, policy: SoftmaxPolicy,
                         report: PolicyGradientReport, delta: float,
-                        damping: float = 1e-3) -> FlowSystem:
-    """One trust-region update of the policy of `flow`, its FlowSystem:
-    natural-gradient direction scaled to the KL budget, then backtracking
-    until the measured occupancy-weighted KL(new || old) is within delta and
-    the surrogate has not decreased.  Each candidate that passes the KL
-    check gets its own FlowSystem, which solves and keeps its occupancy for
-    the surrogate check.  Returns the accepted candidate's record, or `flow`
-    itself when no candidate qualifies, when delta = 0, or when the gradient
-    is negligible.  The old policy's occupancy, read through `flow`, serves
+                        damping: float = 1e-3) -> SoftmaxPolicy:
+    """One trust-region update of `policy`: natural-gradient direction
+    scaled to the KL budget, then backtracking until the measured
+    occupancy-weighted KL(new || old) is within delta and the surrogate has
+    not decreased.  Only a candidate that passes the KL check is read, so
+    only it builds a flow record, which solves and keeps its occupancy for
+    the surrogate check.  Returns the accepted candidate, keeping its
+    record, or `policy` itself when no candidate qualifies, when delta = 0,
+    or when the gradient is negligible.  The old policy's occupancy serves
     the Fisher weights and every candidate's KL check.  The damping must be
     positive: it makes the Fisher invertible along each state's constant
     direction."""
@@ -196,10 +192,9 @@ def kl_constrained_step(mdp: TabularMdp, flow: FlowSystem,
         raise ValueError("damping must be > 0")
     g = report.gradient
     if delta == 0.0 or np.linalg.norm(g) < GRAD_NORM_FLOOR:
-        return flow
-    policy = flow.policy
+        return policy
     pi = policy.probs
-    d = occupancy_from_policy(mdp, policy, flow=flow).state_marginal()
+    d = occupancy_from_policy(mdp, policy).state_marginal()
     v = _natural_direction(d, pi, g, damping)
     quad = v @ g
     beta = math.sqrt(2.0 * delta / quad)
@@ -207,10 +202,8 @@ def kl_constrained_step(mdp: TabularMdp, flow: FlowSystem,
     step = v.reshape(pi.shape)
     for t in range(MAX_BACKTRACKS + 1):
         candidate = SoftmaxPolicy(policy.logits + (beta * BACKTRACK_COEF ** t) * step)
-        kl = weighted_kl(mdp, policy, candidate, flow=flow)
-        if kl > delta:
+        if weighted_kl(mdp, policy, candidate) > delta:
             continue
-        candidate_flow = FlowSystem(mdp, candidate)
-        if surrogate_value(mdp, candidate, report.cost, flow=candidate_flow) >= old_value:
-            return candidate_flow
-    return flow
+        if surrogate_value(mdp, candidate, report.cost) >= old_value:
+            return candidate
+    return policy

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import wail
-from wail import (DiscreteMeasurePair, DualRegularization, FlowSystem, GroundMetric,
+from wail import (DiscreteMeasurePair, DualRegularization, GroundMetric,
                   RunConfig, SoftmaxPolicy, StepSchedule, occupancy_from_policy,
                   reg_dual_gradient, reg_dual_objective, reg_ot_fit,
                   w1_dual_lp, w1_primal_lp)
@@ -267,7 +267,7 @@ def test_criterion_5_trust_region_and_schedule(rng):
         pol = SoftmaxPolicy(rng.normal(size=(S, A)))
         rep = entropy_reg_policy_gradient(mdp, pol, rng.normal(size=(S, A)),
                                           lam=float(rng.uniform(0, 0.3)))
-        new = kl_constrained_step(mdp, FlowSystem(mdp, pol), rep, 0.01).policy
+        new = kl_constrained_step(mdp, pol, rep, 0.01)
         kl_ok &= weighted_kl(mdp, pol, new) <= 0.01 * 1.001
 
     schedule = StepSchedule(0.1, 2.5)

@@ -234,27 +234,24 @@ class TestPca:
 
 class TestRewardSurface:
     def test_constant_reward_flagged(self, rng):
-        mdp = build_environment({"name": "gridworld", "n": 3})
         plane = pca_fit(rng.normal(size=(30, 6)))
         with pytest.warns(UserWarning, match="constant"):
-            surf = reward_surface(mdp, lambda pts: np.zeros(len(pts)), plane,
+            surf = reward_surface(lambda pts: np.zeros(len(pts)), plane,
                                   grid_n=5, bounds=(-1, 1, -1, 1))
         assert surf.degenerate
         assert np.all(surf.scores == 0.5)
 
     def test_linear_reward_monotone_along_first_axis(self, rng):
-        mdp = build_environment({"name": "gridworld", "n": 3})
         plane = pca_fit(rng.normal(size=(30, 6)))
         w = plane.axes[0]
-        surf = reward_surface(mdp, lambda pts: pts @ w, plane, grid_n=9,
+        surf = reward_surface(lambda pts: pts @ w, plane, grid_n=9,
                               bounds=(-1, 1, -1, 1))
         diffs = np.diff(surf.scores, axis=0)
         assert np.all(diffs > 0)
 
     def test_csv_round_trip_bit_exact(self, tmp_path, rng):
-        mdp = build_environment({"name": "gridworld", "n": 3})
         plane = pca_fit(rng.normal(size=(30, 6)))
-        surf = reward_surface(mdp, lambda pts: pts @ rng.normal(size=6), plane,
+        surf = reward_surface(lambda pts: pts @ rng.normal(size=6), plane,
                               grid_n=7, bounds=(-1.3, 0.7, -0.5, 2.1))
         path = tmp_path / "surface.csv"
         save_surface(path, surf)
@@ -275,11 +272,10 @@ class TestRewardSurface:
         # step between the same two levels have equal normalized total
         # variation; only the relative modulus tells them apart, the step's
         # being 1 / (grid spacing).
-        mdp = build_environment({"name": "gridworld", "n": 3})
         plane = PcaPlane(mean=np.zeros(2), axes=np.eye(2), eigenvalues=np.ones(2))
         ramp = lambda pts: pts[:, 0]
         step = lambda pts: (pts[:, 0] > 0.5).astype(float)
-        surf_ramp, surf_step = (reward_surface(mdp, fn, plane, grid_n=25, bounds=(0, 1, 0, 1))
+        surf_ramp, surf_step = (reward_surface(fn, plane, grid_n=25, bounds=(0, 1, 0, 1))
                                 for fn in (ramp, step))
         assert surface_total_variation(surf_ramp) == pytest.approx(
             surface_total_variation(surf_step), rel=1e-12)

@@ -4,7 +4,8 @@ by `from .mod import _name` or by `mod._name` on an imported module; only
 `training._maybe_checkpoint` writes files from the trainers; only
 `training.OtDualStep` builds an OT dual screen; only `mdp`
 solves or factors a linear system, so every flow solve goes through its
-FlowSystem; `trust_region` imports nothing from `rewards`, so the policy
+FlowSystem, and only `mdp` names that record (the package re-exports it),
+so the policy it is kept on is the only way to reach one; `trust_region` imports nothing from `rewards`, so the policy
 step reads only the reward matrix the reward step hands it; and importing
 the package leaves `scipy.optimize` unloaded."""
 
@@ -181,6 +182,33 @@ def test_only_mdp_solves_flow_systems():
     solvers = {path.stem for path in sorted(SRC.glob("*.py"))
                if linear_solvers(path.read_text())}
     assert solvers == {"mdp"}
+
+
+def names_used(source: str) -> set:
+    """Every name the source imports, reads or reads as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found |= {a.name for a in node.names}
+    return found
+
+
+def test_name_scanner_finds_every_form():
+    source = ("from .mdp import FlowSystem as F\nx = mdp.OccupancyMeasure\n"
+              "def f(a: TabularMdp):\n    pass\n")
+    assert {"FlowSystem", "OccupancyMeasure", "TabularMdp"} <= names_used(source)
+
+
+def test_only_mdp_names_the_flow_record():
+    # the oracles find a policy's record on the policy; a module that builds
+    # or threads one by hand fails here
+    users = {path.stem for path in sorted(SRC.glob("*.py"))
+             if "FlowSystem" in names_used(path.read_text())}
+    assert users == {"mdp", "__init__"}
 
 
 def sibling_imports(source: str) -> set:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import wail
-from wail import (FlowSystem, SoftmaxPolicy, StepSchedule, causal_entropy,
+from wail import (SoftmaxPolicy, StepSchedule, causal_entropy,
                   entropy_reg_policy_gradient, expected_reward,
                   kl_constrained_step, occupancy_from_policy, schedule_delta,
                   soft_value_iteration, surrogate_value, weighted_kl)
@@ -111,17 +111,13 @@ class TestKlConstrainedStep:
         mdp = random_mdp(4, 3, 0.9, seed=10)
         pol = SoftmaxPolicy(rng.normal(size=(4, 3)))
         rep = entropy_reg_policy_gradient(mdp, pol, rng.normal(size=(4, 3)))
-        flow = FlowSystem(mdp, pol)
-        out = kl_constrained_step(mdp, flow, rep, 0.0)
-        assert out is flow and out.policy is pol
+        assert kl_constrained_step(mdp, pol, rep, 0.0) is pol
 
     def test_zero_gradient_unchanged(self, rng):
         mdp = random_mdp(4, 3, 0.9, seed=11)
         pol = SoftmaxPolicy(rng.normal(size=(4, 3)))
         rep = entropy_reg_policy_gradient(mdp, pol, np.zeros((4, 3)))
-        flow = FlowSystem(mdp, pol)
-        out = kl_constrained_step(mdp, flow, rep, 0.05)
-        assert out is flow and out.policy is pol
+        assert kl_constrained_step(mdp, pol, rep, 0.05) is pol
 
     def test_kl_bound_and_surrogate_nondecrease_100_trials(self, rng):
         for t in range(100):
@@ -130,7 +126,7 @@ class TestKlConstrainedStep:
             pol = SoftmaxPolicy(rng.normal(size=(S, A)))
             R = rng.normal(size=(S, A))
             rep = entropy_reg_policy_gradient(mdp, pol, R, lam=float(rng.uniform(0, 0.3)))
-            new = kl_constrained_step(mdp, FlowSystem(mdp, pol), rep, 0.01).policy
+            new = kl_constrained_step(mdp, pol, rep, 0.01)
             kl = weighted_kl(mdp, pol, new)
             assert 0.0 <= kl <= 0.01 * 1.001
             assert surrogate_value(mdp, new, rep.cost) >= rep.surrogate_value - 1e-12
@@ -144,8 +140,8 @@ class TestKlConstrainedStep:
         p2 = SoftmaxPolicy(logits + shift)
         r1 = entropy_reg_policy_gradient(mdp, p1, R)
         r2 = entropy_reg_policy_gradient(mdp, p2, R)
-        n1 = kl_constrained_step(mdp, FlowSystem(mdp, p1), r1, 0.01).policy
-        n2 = kl_constrained_step(mdp, FlowSystem(mdp, p2), r2, 0.01).policy
+        n1 = kl_constrained_step(mdp, p1, r1, 0.01)
+        n2 = kl_constrained_step(mdp, p2, r2, 0.01)
         d1 = n1.logits - p1.logits
         d2 = n2.logits - p2.logits
         assert np.abs(d1 - d2).max() <= 1e-6 * (np.abs(d1).max() + 1e-12)
@@ -164,7 +160,7 @@ class TestKlConstrainedStep:
         pol = SoftmaxPolicy.uniform(4, 3)
         for k in range(1, 1501):
             rep = entropy_reg_policy_gradient(mdp, pol, R, lam=lam)
-            pol = kl_constrained_step(mdp, FlowSystem(mdp, pol), rep, 0.5 / k).policy
+            pol = kl_constrained_step(mdp, pol, rep, 0.5 / k)
         assert value(star) - value(pol) < 1e-3
 
 
@@ -198,9 +194,8 @@ class TestNaturalDirection:
         # softmax policy, up to each state's constant direction
         mdp = random_mdp(6, 4, 0.9, seed=31)
         pol = SoftmaxPolicy(rng.normal(size=(6, 4)))
-        flow = FlowSystem(mdp, pol)
-        rep = entropy_reg_policy_gradient(mdp, pol, rng.normal(size=(6, 4)), lam=0.1, flow=flow)
-        d = occupancy_from_policy(mdp, pol, flow=flow).state_marginal()
+        rep = entropy_reg_policy_gradient(mdp, pol, rng.normal(size=(6, 4)), lam=0.1)
+        d = occupancy_from_policy(mdp, pol).state_marginal()
         adv = rep.gradient.reshape(6, 4) / (d[:, None] * pol.probs)
         centred = (adv - adv.mean(axis=1, keepdims=True)).ravel()
         gaps = []
@@ -215,7 +210,7 @@ class TestNaturalDirection:
         pol = SoftmaxPolicy(rng.normal(size=(3, 2)))
         rep = entropy_reg_policy_gradient(mdp, pol, rng.normal(size=(3, 2)))
         with pytest.raises(ValueError):
-            kl_constrained_step(mdp, FlowSystem(mdp, pol), rep, 0.01, damping=0.0)
+            kl_constrained_step(mdp, pol, rep, 0.01, damping=0.0)
         for bad in (0.0, -1e-3):
             with pytest.raises(ValueError):
                 wail.RunConfig(cg_damping=bad).validate()

@@ -1,7 +1,7 @@
 """Exit codes of `tools/round_drift.py compare` on synthetic records: 0 when
-every case stays within the tolerance, 1 above it or on a non-finite drift,
-2 when the two files hold different cases or shapes.  No fingerprint case
-is run."""
+every case stays within the tolerance, 1 above it or on a non-finite drift
+of the logits or of the final parameters, 2 when the two files hold
+different cases or shapes.  No fingerprint case is run."""
 
 import importlib.util
 from pathlib import Path
@@ -46,6 +46,16 @@ def test_nan_in_a_later_case_is_not_dropped(tmp_path):
     a = {"first": np.zeros((3, 2, 2)), "second": np.zeros((3, 2, 2))}
     b = {"first": shifted(0.5 * round_drift.TOL), "second": shifted(np.nan)}
     assert compare(tmp_path, a, b) == 1
+
+
+@pytest.mark.parametrize("value,code", [(1.0, 0), (np.nan, 1)], ids=["finite", "nan"])
+def test_final_fit_drift_exit_code(tmp_path, capsys, value, code):
+    # a finite final-fit drift is information only; a non-finite one fails
+    final = round_drift.FINAL
+    a = {"case": np.zeros((3, 2, 2)), "case" + final: np.zeros(4)}
+    b = {"case": np.zeros((3, 2, 2)), "case" + final: np.array([0.0, value, 0.0, 0.0])}
+    assert compare(tmp_path, a, b) == code
+    assert ("non-finite" in capsys.readouterr().out) == (code == 1)
 
 
 @pytest.mark.parametrize("b", [{"other": np.zeros((3, 2, 2))},

@@ -228,6 +228,17 @@ class TestRollouts:
             with pytest.raises(ValueError):
                 Rollouts(**(ok | bad))
 
+    def test_fractional_or_boolean_entries_rejected(self):
+        # a float array used to be truncated: lengths [1.5, 1], states
+        # [0.9, 2.2] and actions [1.7, 0.2] were kept as [1, 1], [0, 2], [1, 0]
+        ok = dict(lengths=[1, 1], restarted=[True, False], states=[0, 2], actions=[1, 0])
+        Rollouts(**ok)
+        for name, bad in (("lengths", [1.5, 1]), ("states", [0.9, 2.2]),
+                          ("actions", [1.7, 0.2]), ("lengths", [True, True]),
+                          ("states", [0.0, 2.0]), ("actions", [True, False])):
+            with pytest.raises(ValueError, match=f"{name} must be integers"):
+                Rollouts(**(ok | {name: bad}))
+
     def test_views_agree(self):
         mdp = wail.make_gridworld(4)
         batch = sample_trajectories(mdp, random_policy(mdp, 1), 30, max_len=12, seed=2)
@@ -246,9 +257,12 @@ class TestRollouts:
                            for steps, restarted in zip(episodes(batch), batch.restarted))
         assert (tmp_path / "batch.jsonl").read_text() == expected
         assert_same_batch(wail.load_trajectories(tmp_path / "batch.jsonl"), batch)
-        for text in ("", '{"steps": [], "truncated": false}\n'):
+        # an empty file reads as lengths [], a float64 array, and still
+        # fails as empty
+        for text, message in (("", "need at least one episode"),
+                              ('{"steps": [], "truncated": false}\n', "non-empty")):
             (tmp_path / "bad.jsonl").write_text(text)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=message):
                 wail.load_trajectories(tmp_path / "bad.jsonl")
 
 

@@ -1,27 +1,30 @@
 """One occupancy solve and one flow factorization per policy.
 
 Each policy's flow system is assembled (factored, above
-DENSE_SOLVE_MAX_STATES states) once, in a FlowSystem that serves its value
-solve and keeps its occupancy: the first occupancy_from_policy call with
-the record solves it, and the batch, the gradient, the causal entropy, the
-Fisher weights, every KL check and the final reward fit read the kept
-measure through the same call.  The line search hands the accepted
-candidate's record, solved by its surrogate check, to the next round.  The
-count tests count the transposed (occupancy) solves, the reads and the
-factorizations of a run, so a consumer that starts solving or factoring
-again fails here instead of silently slowing the loop; the equivalence
-tests show that reading through a kept record changes no bit.
+DENSE_SOLVE_MAX_STATES states) once, in a FlowSystem that the policy keeps,
+which serves its value solve and keeps its occupancy: the first
+occupancy_from_policy call on the policy solves it, and the batch, the
+gradient, the causal entropy, the Fisher weights, every KL check and the
+final reward fit read the kept measure through the same call.  The line
+search returns the accepted candidate, whose record its surrogate check
+solved, to the next round.  The count tests count the transposed
+(occupancy) solves, the reads and the factorizations of a run, so a
+consumer that starts solving or factoring again fails here instead of
+silently slowing the loop; the equivalence tests show that reading through
+a kept record changes no bit.
 """
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 import wail
-from wail import (FlowSystem, RunConfig, SoftmaxPolicy, entropy_reg_policy_gradient,
+from wail import (RunConfig, SoftmaxPolicy, entropy_reg_policy_gradient,
                   kl_constrained_step, occupancy_from_policy, weighted_kl)
-from wail.mdp import action_values
+from wail.mdp import FlowSystem, action_values
 
 SOLVING_MODULES = (wail.mdp, wail.training, wail.trust_region, wail.baselines)
 
@@ -31,9 +34,9 @@ def solve_counter(monkeypatch):
     """Calls of occupancy_from_policy: reads of an occupancy, solved or kept."""
     calls = []
 
-    def counting(mdp, policy, flow=None):
+    def counting(mdp, policy):
         calls.append(policy)
-        return occupancy_from_policy(mdp, policy, flow=flow)
+        return occupancy_from_policy(mdp, policy)
 
     for module in SOLVING_MODULES:
         monkeypatch.setattr(module, "occupancy_from_policy", counting, raising=False)
@@ -63,13 +66,13 @@ def line_search_calls(monkeypatch):
     surrogates, kl_evals = [], []
     surrogate_value = wail.trust_region.surrogate_value
 
-    def counting_surrogate(mdp, policy, cost, flow=None):
+    def counting_surrogate(mdp, policy, cost):
         surrogates.append(policy)
-        return surrogate_value(mdp, policy, cost, flow=flow)
+        return surrogate_value(mdp, policy, cost)
 
-    def counting_kl(mdp, old, new, flow=None):
+    def counting_kl(mdp, old, new):
         kl_evals.append(old)
-        return weighted_kl(mdp, old, new, flow=flow)
+        return weighted_kl(mdp, old, new)
 
     monkeypatch.setattr(wail.trust_region, "surrogate_value", counting_surrogate)
     for module in (wail.trust_region, wail.training):
@@ -117,43 +120,49 @@ def random_policy(rng, mdp):
                          ids=["gridworld", "cliff"])
 @pytest.mark.parametrize("mode", ["exact", "sampled"])
 def test_passed_occupancy_is_bit_identical(env, mode):
+    # a policy whose record is kept against a fresh twin (equal logits,
+    # another policy object, no record yet)
     rng = np.random.default_rng(17)
     for _ in range(5):
         policy = random_policy(rng, env)
         other = random_policy(rng, env)
         reward = rng.normal(size=(env.n_states, env.n_actions))
-        flow = FlowSystem(env, policy)
-        occupancy = occupancy_from_policy(env, policy, flow=flow)
-        bare = entropy_reg_policy_gradient(env, policy, reward, lam=0.1, mode=mode,
+        occupancy = occupancy_from_policy(env, policy)
+        twin = SoftmaxPolicy(policy.logits)
+        assert twin._flow is None
+        fresh = entropy_reg_policy_gradient(env, twin, reward, lam=0.1, mode=mode,
+                                            n_traj=16, seed=2)
+        kept = entropy_reg_policy_gradient(env, policy, reward, lam=0.1, mode=mode,
                                            n_traj=16, seed=2)
-        given = entropy_reg_policy_gradient(env, policy, reward, lam=0.1, mode=mode,
-                                            n_traj=16, seed=2, flow=flow)
-        assert bare.gradient.tobytes() == given.gradient.tobytes()
-        assert bare.surrogate_value == given.surrogate_value
-        assert bare.entropy == given.entropy
-        assert bare.entropy == wail.causal_entropy(env, policy)
-        assert given.entropy == wail.causal_entropy(env, policy, flow=flow)
-        assert occupancy_from_policy(env, policy).rho.tobytes() == occupancy.rho.tobytes()
-        assert occupancy_from_policy(env, policy, flow=flow) is occupancy
-        assert weighted_kl(env, policy, other) == weighted_kl(env, policy, other, flow=flow)
+        assert fresh.gradient.tobytes() == kept.gradient.tobytes()
+        assert fresh.surrogate_value == kept.surrogate_value
+        assert fresh.entropy == kept.entropy
+        assert fresh.entropy == wail.causal_entropy(env, SoftmaxPolicy(policy.logits))
+        assert kept.entropy == wail.causal_entropy(env, policy)
+        assert occupancy_from_policy(env, twin).rho.tobytes() == occupancy.rho.tobytes()
+        assert occupancy_from_policy(env, policy) is occupancy
+        assert (weighted_kl(env, SoftmaxPolicy(policy.logits), other)
+                == weighted_kl(env, policy, other))
         for delta in (0.01, 0.5):
-            carried = kl_constrained_step(env, flow, given, delta)
-            solved = kl_constrained_step(env, FlowSystem(env, policy), bare, delta)
-            assert carried.policy.logits.tobytes() == solved.policy.logits.tobytes()
+            carried = kl_constrained_step(env, policy, kept, delta)
+            solved = kl_constrained_step(env, SoftmaxPolicy(policy.logits), fresh, delta)
+            assert carried.logits.tobytes() == solved.logits.tobytes()
 
 
-def test_rejected_step_returns_the_same_policy_object():
+def test_rejected_step_returns_the_same_policy_object(transposed_solves):
     mdp = wail.make_gridworld(4)
     policy = random_policy(np.random.default_rng(5), mdp)
     report = entropy_reg_policy_gradient(mdp, policy, np.zeros((mdp.n_states, mdp.n_actions)))
     report = dataclasses.replace(report, gradient=np.ones_like(report.gradient),
                                  surrogate_value=np.inf)
-    flow = FlowSystem(mdp, policy)
-    step = kl_constrained_step(mdp, flow, report, 0.01)
-    # the old policy's own record comes back, so the next round re-solves
-    # with the factor it already has
-    assert step is flow
-    assert step.policy is policy
+    flow = policy._flow
+    step = kl_constrained_step(mdp, policy, report, 0.01)
+    # the old policy comes back with its own record, so the next round
+    # reads the measure it already has
+    assert step is policy and step._flow is flow
+    transposed_solves.clear()
+    occupancy_from_policy(mdp, step)
+    assert transposed_solves == []
 
 
 @pytest.fixture
@@ -200,22 +209,18 @@ def test_record_keeps_its_occupancy(transposed_solves, n):
     mdp = wail.make_gridworld(n)
     rng = np.random.default_rng(31)
     policy = random_policy(rng, mdp)
-    flow = FlowSystem(mdp, policy)
-    first = occupancy_from_policy(mdp, policy, flow=flow)
+    first = occupancy_from_policy(mdp, policy)
+    flow = policy._flow
     assert transposed_solves == [flow]
-    # a second read with the same record returns the kept measure, unsolved
-    assert occupancy_from_policy(mdp, policy, flow=flow) is first
+    # a second read of the same policy returns the kept measure, unsolved
+    assert occupancy_from_policy(mdp, policy) is first
     assert transposed_solves == [flow]
-    # and its bytes are a fresh record's solve
-    fresh = occupancy_from_policy(mdp, policy)
-    assert fresh is not first and fresh.rho.tobytes() == first.rho.tobytes()
-    assert len(transposed_solves) == 2
-    # a twin record (equal logits, another policy object) solves on its own
+    # a twin (equal logits, another policy object) solves on its own
+    # record, to the same bytes
     twin = SoftmaxPolicy(policy.logits)
-    twin_flow = FlowSystem(mdp, twin)
-    kept = occupancy_from_policy(mdp, twin, flow=twin_flow)
-    assert transposed_solves[-1] is twin_flow and len(transposed_solves) == 3
-    assert kept is not first and kept.rho.tobytes() == first.rho.tobytes()
+    fresh = occupancy_from_policy(mdp, twin)
+    assert transposed_solves == [flow, twin._flow] and twin._flow is not flow
+    assert fresh is not first and fresh.rho.tobytes() == first.rho.tobytes()
 
 
 @pytest.mark.parametrize("n", [30, 5], ids=["splu-S900", "dense-S25"])
@@ -225,33 +230,35 @@ def test_one_record_serves_both_solves_bit_identically(n):
     for _ in range(3):
         policy = random_policy(rng, mdp)
         cost = rng.normal(size=(mdp.n_states, mdp.n_actions))
-        flow = FlowSystem(mdp, policy)
-        shared_rho = occupancy_from_policy(mdp, policy, flow=flow).rho
-        shared_Q, shared_V = action_values(mdp, policy, cost, flow=flow)
-        assert shared_rho.tobytes() == occupancy_from_policy(mdp, policy).rho.tobytes()
-        Q, V = action_values(mdp, policy, cost)
+        shared_rho = occupancy_from_policy(mdp, policy).rho
+        flow = policy._flow
+        shared_Q, shared_V = action_values(mdp, policy, cost)
+        assert policy._flow is flow
+        # each solve on its own record, through a twin policy each
+        assert shared_rho.tobytes() == occupancy_from_policy(
+            mdp, SoftmaxPolicy(policy.logits)).rho.tobytes()
+        Q, V = action_values(mdp, SoftmaxPolicy(policy.logits), cost)
         assert shared_Q.tobytes() == Q.tobytes()
         assert shared_V.tobytes() == V.tobytes()
-        # and a second read with the same record returns the kept measure
-        assert occupancy_from_policy(mdp, policy, flow=flow).rho.tobytes() == shared_rho.tobytes()
+        # and a second read of the same policy returns the kept measure
+        assert occupancy_from_policy(mdp, policy).rho.tobytes() == shared_rho.tobytes()
 
 
 @pytest.mark.parametrize("n", [30, 4], ids=["splu", "dense"])
-def test_record_of_another_policy_is_rejected(n):
+def test_record_of_another_mdp_is_not_reused(transposed_solves, n):
     mdp = wail.make_gridworld(n)
     rng = np.random.default_rng(29)
     policy = random_policy(rng, mdp)
-    cost = np.zeros((mdp.n_states, mdp.n_actions))
-    other = FlowSystem(mdp, random_policy(rng, mdp))
-    # equal logits are still another policy object: the record is checked
-    # by identity, never by comparing arrays
-    twin = FlowSystem(mdp, SoftmaxPolicy(policy.logits))
-    elsewhere = FlowSystem(wail.make_gridworld(n), policy)
-    for flow in (other, twin, elsewhere):
-        with pytest.raises(ValueError, match="another MDP or policy"):
-            occupancy_from_policy(mdp, policy, flow=flow)
-        with pytest.raises(ValueError, match="another MDP or policy"):
-            action_values(mdp, policy, cost, flow=flow)
+    first = occupancy_from_policy(mdp, policy)
+    flow = policy._flow
+    # an equal MDP is still another object: the record is matched by
+    # identity, never by comparing arrays, so the policy solves on that
+    # MDP's own record and keeps it
+    elsewhere = wail.make_gridworld(n)
+    kept = occupancy_from_policy(elsewhere, policy)
+    assert policy._flow is not flow and policy._flow.mdp is elsewhere
+    assert transposed_solves == [flow, policy._flow]
+    assert kept is not first and kept.rho.tobytes() == first.rho.tobytes()
     with pytest.raises(ValueError, match="does not match MDP"):
         FlowSystem(mdp, SoftmaxPolicy.uniform(mdp.n_states + 1, mdp.n_actions))
 
@@ -282,3 +289,29 @@ def test_wail_run_builds_only_its_cost_blocks(monkeypatch, sampling):
         assert shapes == [(100, support.size)]
     else:
         assert shapes == [(32, 16)] * 20
+
+
+def test_dropped_policy_frees_its_record_without_the_cycle_collector():
+    # the record does not refer back to its policy, so reference counting
+    # alone frees it (an LU factor above DENSE_SOLVE_MAX_STATES states)
+    mdp = wail.make_gridworld(4)
+    policy = random_policy(np.random.default_rng(3), mdp)
+    occupancy_from_policy(mdp, policy)
+    record = weakref.ref(policy._flow)
+    gc.disable()
+    try:
+        del policy
+        assert record() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("algorithm", ["wail", "gail"])
+def test_returned_policy_carries_no_record(algorithm):
+    # the loop's last record (an LU factor on large MDPs) is freed with the
+    # loop: the returned policy is a fresh copy, equal in every byte
+    mdp = wail.make_gridworld(4)
+    _, demos = wail.make_expert(mdp, 0.01, n_traj=1, traj_len=20, seed=3)
+    train = wail.train_wail if algorithm == "wail" else wail.train_gail
+    policy, _, _ = train(mdp, demos, RunConfig(algorithm=algorithm, k_max=3, seed=7))
+    assert policy._flow is None

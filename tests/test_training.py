@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import wail
-from wail import (DualRegularization, FlowSystem, RunConfig, SoftmaxPolicy,
+from wail import (DualRegularization, RunConfig, SoftmaxPolicy,
                   build_ground_metric, occupancy_from_policy, train_wail, wail_iteration)
 from wail.training import ExpertData, OtDualStep, RunLog, WailState
 
@@ -78,7 +78,7 @@ class TestWailIteration:
         config = RunConfig(k_max=1, delta0=0.01, model_form="tabular", metric_scale=1.0,
                            reg_kind="l2", epsilon=0.01)
         state = WailState(k=0, model=wail.create_model("tabular", (4,), 0),
-                          flow=FlowSystem(mdp, pol))
+                          policy=pol)
         _, row = wail_iteration(state, mdp, rho, config, OtDualStep(mdp, config))
         assert abs(row["objective"]) <= 1e-6
 
@@ -88,7 +88,7 @@ class TestWailIteration:
         config = RunConfig(k_max=5, delta0=0.0, model_form="tabular", metric_scale=1.0,
                            reg_kind="l2", epsilon=0.01)
         state = WailState(k=0, model=wail.create_model("tabular", (4,), 0),
-                          flow=FlowSystem(mdp, SoftmaxPolicy.uniform(2, 2)))
+                          policy=SoftmaxPolicy.uniform(2, 2))
         step = OtDualStep(mdp, config)
         for _ in range(5):
             state, _ = wail_iteration(state, mdp, expert, config, step)
@@ -222,7 +222,7 @@ def test_objective_trend_downward_when_initialized_far():
     warm, _, _ = wail.reg_ot_fit(pair, metric.restrict(np.arange(100), sup), reg,
                                  wail.create_model("tabular", (100,), 0),
                                  steps=4000, lr=0.3)
-    state = WailState(k=0, model=warm, flow=FlowSystem(mdp, pol))
+    state = WailState(k=0, model=warm, policy=pol)
     step = OtDualStep(mdp, config)   # the same scale 1.0 and l2 epsilon 0.01 as above
     trace = []
     for _ in range(config.k_max):
@@ -406,14 +406,14 @@ def test_every_wail_round_makes_one_ot_pass_per_inner_step(monkeypatch, sampling
                        ot_inner_steps=inner_steps)
     step = OtDualStep(mdp, config)
     state = WailState(k=0, model=wail.create_model("tabular", (36,), 0),
-                      flow=FlowSystem(mdp, SoftmaxPolicy.uniform(9, 4)))
+                      policy=SoftmaxPolicy.uniform(9, 4))
     for k in range(1, config.k_max + 1):
         state, _ = wail_iteration(state, mdp, ExpertData.from_any(demos, mdp), config, step)
         assert len(passes) == k * inner_steps
         if sampling == "exact":
             assert step.screen.passes == len(passes)
         else:
-            meta = step.finish(state, mdp)[1]     # sampled finish makes no pass
+            meta = step.finish(state)[1]     # sampled finish makes no pass
             assert meta["ot_passes"] == meta["ot_screen_rebuilds"] == len(passes)
 
 

@@ -15,9 +15,10 @@ every case in tests/test_fingerprint.py.  This tool measures that.
     compare A.npz B.npz
         Print, per case, the largest |logit difference| over all rounds and
         then the per-round values, and the largest |final parameter
-        difference| for information; the final fit is not gated.  Exit 1 if
-        any of the first 50 rounds' logits differ by more than 1e-8 or by a
-        non-finite amount (a NaN on either side), 2 if the files hold
+        difference| for information; a finite final-fit drift is not gated.
+        Exit 1 if any of the first 50 rounds' logits differ by more than
+        1e-8 or by a non-finite amount (a NaN on either side), or if any
+        final parameters differ by a non-finite amount, 2 if the files hold
         different cases or shapes.
 
 Record each side with its own source tree first on the path, e.g.
@@ -42,7 +43,6 @@ TESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tes
 ROUNDS = 50  # the contract's window, recorded and compared
 TOL = 1e-8   # the contract's largest per-round |logit difference|
 FINAL = ".final_params"
-ARTIFACTS = ("reward_final.json", "discriminator_final.json")
 
 
 def cmd_record(args) -> int:
@@ -59,7 +59,7 @@ def cmd_record(args) -> int:
             paths = sorted(glob.glob(os.path.join(tmp, "checkpoints", "iter_*_policy.json")))
             arrays[name] = (np.stack([wail.load_policy(p).logits for p in paths]) if paths
                             else art["policy"].logits[None])
-            for artifact in ARTIFACTS:
+            for artifact in wail.experiments.MODEL_FILES.values():
                 if os.path.exists(os.path.join(tmp, artifact)):
                     arrays[name + FINAL] = wail.load_model(os.path.join(tmp, artifact)).params
         print(f"{name}: {arrays[name].shape[0]} rounds", flush=True)
@@ -76,7 +76,7 @@ def cmd_compare(args) -> int:
         if a[name].shape != b[name].shape:
             print(f"{name}: shapes differ, {a[name].shape} vs {b[name].shape}")
             return 2
-    worst = 0.0
+    worst, final_finite = 0.0, True
     for name in sorted(n for n in a.files if not n.endswith(FINAL)):
         per_round = np.abs(a[name] - b[name]).reshape(a[name].shape[0], -1).max(axis=1)
         top = int(per_round.argmax())
@@ -84,13 +84,16 @@ def cmd_compare(args) -> int:
         print("   " + " ".join(f"{v:.1e}" for v in per_round))
         if name + FINAL in a.files:
             drift = float(np.abs(a[name + FINAL] - b[name + FINAL]).max())
+            final_finite &= bool(np.isfinite(drift))
             print(f"   final reward or discriminator parameters: max |dparam| {drift:.3e}"
-                  " (information, not gated)")
+                  + (" (information, not gated)" if np.isfinite(drift) else " (non-finite)"))
         # np.maximum keeps a NaN, which then fails `<= TOL`; Python's max would drop it
         worst = float(np.maximum(worst, per_round[:ROUNDS].max()))
     verdict = "within" if worst <= TOL else "exceeds"
     print(f"largest over the first {ROUNDS} rounds: {worst:.3e} ({verdict} {TOL:g})")
-    return 0 if worst <= TOL else 1
+    if not final_finite:
+        print("final parameters differ by a non-finite amount")
+    return 0 if worst <= TOL and final_finite else 1
 
 
 def main(argv=None) -> int:
