@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import (Rollouts, SoftmaxPolicy, TabularMdp, default_max_len,
+from .mdp import (Rollouts, SoftmaxPolicy, TabularMdp, check_count, default_max_len,
                   next_states, soft_value_iteration)
 
 _GRID_MOVES = np.array([(-1, 0), (1, 0), (0, -1), (0, 1)])   # up, down, left, right
@@ -207,6 +207,7 @@ def rollout_fixed(mdp: TabularMdp, policy: SoftmaxPolicy, n: int, length: int,
     the way demonstrations are collected, as one Rollouts batch.  Row i of
     one (n, 1 + 2 * length) uniform block drives rollout i: its start, then
     per step its action and its next state (the last of which goes unused)."""
+    n, length = check_count(n, "n"), check_count(length, "length")
     mdp.check_policy(policy)
     u = np.random.default_rng(seed).random((n, 1 + 2 * length))
     states = np.empty((n, length), dtype=np.int64)
@@ -251,8 +252,7 @@ def episode_returns(mdp: TabularMdp, policy: SoftmaxPolicy, n: int,
     the variance far below that of geometric-restart episodes."""
     if mdp.true_reward is None:
         raise ValueError("evaluation needs an MDP with a true reward")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = check_count(n, "n")
     mdp.check_policy(policy)
     horizon = default_max_len(mdp.gamma)
     rng = np.random.default_rng(seed)

@@ -11,14 +11,16 @@ record, built by the first exact oracle that reads it, so every later
 read of the same policy on the same MDP reuses it.  Policies and
 occupancies convert back and forth (a bijection on their supports), causal
 entropy and expected rewards are exact inner products, trajectories come
-from the geometric-restart chain as one flat Rollouts batch, and soft
-value iteration provides the entropy-regularized RL oracle.
+from the geometric-restart chain as one flat Rollouts batch, each
+episode's length drawn up front so the chain steps only the live episodes,
+and soft value iteration provides the entropy-regularized RL oracle.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
@@ -309,11 +311,12 @@ class Rollouts:
     actions: np.ndarray             # (lengths.sum(),) int
 
     def __post_init__(self):
-        lengths, states, actions = (np.asarray(x) for x in (self.lengths, self.states,
-                                                             self.actions))
-        restarted = np.asarray(self.restarted, dtype=bool)
+        lengths, restarted, states, actions = (np.asarray(x) for x in (
+            self.lengths, self.restarted, self.states, self.actions))
         if lengths.ndim != 1 or lengths.size == 0 or restarted.shape != lengths.shape:
             raise ValueError("need at least one episode, with one restart flag each")
+        if restarted.dtype != bool:
+            raise ValueError(f"restarted must be booleans, got {restarted.dtype}")
         # an empty list reads as float64
         for name, arr in (("lengths", lengths), ("states", states), ("actions", actions)):
             if arr.size and arr.dtype.kind not in "iu":
@@ -342,6 +345,12 @@ class Rollouts:
     def pairs(self) -> np.ndarray:
         """(k, 2) array of every (state, action) entry, episode-major."""
         return np.stack([self.states, self.actions], axis=1)
+
+    def subset(self, lo: int, hi: int) -> "Rollouts":
+        """The batch of episodes lo..hi-1."""
+        a, b = np.concatenate([[0], np.cumsum(self.lengths)])[[lo, hi]]
+        return Rollouts(self.lengths[lo:hi], self.restarted[lo:hi],
+                        self.states[a:b], self.actions[a:b])
 
 
 @dataclass(frozen=True, eq=False)
@@ -491,84 +500,68 @@ def default_max_len(gamma: float) -> int:
     return max(1, math.ceil(math.log(1e-6) / math.log(gamma)))
 
 
-class _Uniforms:
-    """Consecutive slices of one generator's uniform stream, drawn in blocks.
-    Each default_rng double takes one generator output, so the slices equal
-    what drawing each slice by its own rng.random call would give."""
-
-    def __init__(self, rng: np.random.Generator, block: int):
-        self.rng, self.block = rng, block
-        self.buf, self.pos = rng.random(block), 0
-
-    def take(self, k: int) -> np.ndarray:
-        if self.pos + k > self.buf.size:
-            self.buf = np.concatenate([self.buf[self.pos:], self.rng.random(max(k, self.block))])
-            self.pos = 0
-        self.pos += k
-        return self.buf[self.pos - k:self.pos]
+def check_count(value, name: str) -> int:
+    """`value` as an int, for a count or length that must be an integer
+    >= 1; a ValueError names `name` for a boolean, a fraction or a value
+    below 1.  NumPy integers pass."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return int(value)
 
 
 def sample_trajectories(mdp: TabularMdp, policy: SoftmaxPolicy, n: int,
                         max_len: int | None = None, seed: int = 0) -> Rollouts:
     """Sample n episodes of the restart chain: after each recorded (s, a)
     the chain restarts with probability 1-gamma, otherwise transitions.
-    Episodes also truncate at max_len.  Deterministic given the seed.
+    Deterministic given the seed.
 
-    Episodes run in lockstep, in chunks of at most _SAMPLE_CHUNK.  A chunk
-    draws one start uniform per episode, then per step one action uniform
-    per live episode, one stop uniform per live episode and one next-state
-    uniform per continuing episode, in that order.  Action draws go through
-    the policy's draw_actions, next-state draws through the stored rows'
-    action-major tables as in next_states, and starts through the start
-    distribution's running sums."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    Each episode's length is drawn up front: G ~ Geometric(1-gamma) steps
+    to the restart, truncated at max_len, so restarted = (G <= max_len).
+    The stream holds one start uniform per episode, then one geometric
+    draw per episode, then each episode's own block of 2 * length uniforms
+    (an action uniform and a next-state uniform per step), in episode
+    order.  In chunks of at most _SAMPLE_CHUNK episodes, the chain runs
+    over the episodes sorted by length, longest first, so step t steps
+    only the prefix still live; the batch does not depend on the chunk
+    size.  Action draws go through the policy's draw_actions, next-state
+    draws through the stored rows' action-major tables as in next_states,
+    and starts through the start distribution's running sums.  Episodes
+    come back in draw order."""
+    n = check_count(n, "n")
     mdp.check_policy(policy)
-    if max_len is None:
-        max_len = default_max_len(mdp.gamma)
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    S, A = mdp.n_states, mdp.n_actions
-    rows = mdp._rows
-    start_cdf = mdp.start.cumsum()
-    keep_from = 1.0 - mdp.gamma         # a stop uniform below this restarts
-    # about 3 uniforms per recorded step plus one per episode
-    mean_len = (1.0 - mdp.gamma ** max_len) / (1.0 - mdp.gamma)
-    draws = _Uniforms(np.random.default_rng(seed),
-                      int(min(n, _SAMPLE_CHUNK) * (1.0 + 3.0 * mean_len)) + 64)
-    chunks = []
+    max_len = default_max_len(mdp.gamma) if max_len is None else check_count(max_len, "max_len")
+    A, rows = mdp.n_actions, mdp._rows
+    rng = np.random.default_rng(seed)
+    first = np.minimum(np.searchsorted(mdp.start.cumsum(), rng.random(n)), mdp.n_states - 1)
+    restart_at = rng.geometric(1.0 - mdp.gamma, size=n)    # steps up to the restart
+    lengths = np.clip(restart_at, 1, max_len)
+    flat = np.empty(lengths.sum(), dtype=np.int64)
+    offset = 0
     for lo in range(0, n, _SAMPLE_CHUNK):
-        m = min(_SAMPLE_CHUNK, n - lo)
-        alive = np.arange(m)
-        cur = np.minimum(np.searchsorted(start_cdf, draws.take(m)), S - 1)
-        ids, flat = [], []      # per step: live episodes and their s * A + a
-        truncated = alive[:0]
-        for t in range(max_len):
-            k = alive.size
-            u = draws.take(2 * k)
-            r = cur * A + policy.draw_actions(cur, u[:k])
-            ids.append(alive)
-            flat.append(r)
-            keep = u[k:] >= keep_from
-            if t + 1 == max_len:
-                truncated = alive[keep]
-                break
-            alive = alive[keep]
-            if not alive.size:
-                break
-            cur = _draw_next(rows, r[keep], draws.take(alive.size))
-        # step-major records to episode-major: entry t of episode i goes to
-        # starts[i] + t
-        ids = np.concatenate(ids)
-        lengths = np.bincount(ids, minlength=m)
-        step = np.repeat(np.arange(len(flat)), [f.size for f in flat])
-        order = np.empty(ids.size, dtype=np.int64)
-        order[(np.cumsum(lengths) - lengths)[ids] + step] = np.arange(ids.size)
-        restarted = np.ones(m, dtype=bool)
-        restarted[truncated] = False
-        chunks.append((lengths, restarted, np.concatenate(flat)[order]))
-    lengths, restarted, flat = (np.concatenate(c) for c in zip(*chunks))
-    return Rollouts(lengths=lengths, restarted=restarted,
+        chunk = lengths[lo:lo + _SAMPLE_CHUNK]
+        u = rng.random((chunk.sum(), 2))     # row i: entry i's action and next-state uniforms
+        order = np.argsort(-chunk, kind="stable")
+        # live[t]: episodes with more than t steps, a prefix of `order`
+        live = np.cumsum(np.bincount(chunk, minlength=chunk.max() + 1)[::-1])[::-1][1:]
+        bounds = np.cumsum(live) - live
+        # entry (t, j) of the step-major records is step t of episode order[j]
+        step = np.repeat(np.arange(live.size), live)
+        dest = (np.cumsum(chunk) - chunk)[order][np.arange(step.size) - bounds[step]] + step
+        u_act, u_next = u[dest, 0], u[dest, 1]
+        cur = first[lo:lo + _SAMPLE_CHUNK][order]
+        rec = np.empty(step.size, dtype=np.int64)
+        live = live.tolist() + [0]
+        for t, at in enumerate(bounds.tolist()):
+            k, k_next = live[t], live[t + 1]
+            r = cur[:k] * A + policy.draw_actions(cur[:k], u_act[at:at + k])
+            rec[at:at + k] = r
+            if k_next:
+                cur = _draw_next(rows, r[:k_next], u_next[at:at + k_next])
+        flat[offset + dest] = rec
+        offset += step.size
+    return Rollouts(lengths=lengths, restarted=restart_at <= max_len,
                     states=flat // A, actions=flat % A)
 
 

@@ -2,7 +2,8 @@
 
 Each round draws policy/expert batches (or exact measures), updates the
 reward with the algorithm's reward step, freezes it, and takes one
-KL-constrained natural-gradient policy step.  WAIL's step ascends the
+KL-constrained natural-gradient policy step, its sampled gradient read off
+episodes of the policy batch's one sampler call.  WAIL's step ascends the
 regularized OT dual through the reward parameters; after the last round,
 exact mode continues the same ascent against the returned policy, so the
 returned reward is the potential fitted to that policy.  GAIL's
@@ -29,6 +30,7 @@ from .trust_region import (StepSchedule, entropy_reg_policy_gradient,
                            kl_constrained_step, schedule_delta, weighted_kl)
 
 FINAL_FIT_STEPS = 200      # reward ascent steps against the returned policy
+PG_EPISODES = 256          # restart-chain episodes per sampled policy gradient
 
 LOG_COLUMNS = ("iteration", "objective", "policy_surrogate", "kl_step",
                "entropy", "scaled_perf_eval")
@@ -129,23 +131,32 @@ class WailState:
     policy: SoftmaxPolicy
 
 
-def _policy_batch(policy: SoftmaxPolicy, mdp: TabularMdp, config: RunConfig,
-                  rng: np.random.Generator):
-    """Policy-side support indices and weights: the policy's exact
-    occupancy, or l1 sampled pairs from the chain."""
-    if config.sampling == "exact":
+def _policy_side(policy: SoftmaxPolicy, mdp: TabularMdp, config: RunConfig,
+                 rng: np.random.Generator):
+    """The round's policy batch, (support indices, weights), and the
+    episodes of a sampled gradient (else None).  Sampled parts come from one
+    sample_trajectories call: its first max(1, l1 // 8) episodes give the
+    batch's l1 pairs, topped up by further calls (seed + 1, ...) in the rare
+    round they fall short, and the next PG_EPISODES, disjoint from the
+    batch, feed the gradient.  The policy's exact occupancy otherwise."""
+    n_batch = max(1, config.l1 // 8) if config.sampling == "sampled" else 0
+    n_grad = PG_EPISODES if config.pg_mode == "sampled" else 0
+    grad_batch = None
+    if n_batch + n_grad:
+        seed = int(rng.integers(0, 2 ** 63 - 1))
+        episodes = sample_trajectories(mdp, policy, n_batch + n_grad, seed=seed)
+        grad_batch = episodes.subset(n_batch, n_batch + n_grad) if n_grad else None
+    if not n_batch:
         w = occupancy_from_policy(mdp, policy).flat()
-        return np.arange(w.size), w / w.sum()
-    seed = int(rng.integers(0, 2 ** 63 - 1))
-    flat = []
-    need = config.l1
-    while need > 0:
-        batch = sample_trajectories(mdp, policy, max(1, need // 8), seed=seed)
+        return (np.arange(w.size), w / w.sum()), grad_batch
+    batch = episodes.subset(0, n_batch)
+    flat = [batch.states * mdp.n_actions + batch.actions]
+    while (need := config.l1 - sum(f.size for f in flat)) > 0:
         seed += 1
+        batch = sample_trajectories(mdp, policy, max(1, need // 8), seed=seed)
         flat.append(batch.states * mdp.n_actions + batch.actions)
-        need -= flat[-1].size
     flat = np.concatenate(flat)[:config.l1]
-    return flat, np.full(config.l1, 1.0 / config.l1)
+    return (flat, np.full(config.l1, 1.0 / config.l1)), grad_batch
 
 
 def _expert_batch(expert: ExpertData, mdp: TabularMdp, config: RunConfig,
@@ -241,21 +252,20 @@ def wail_iteration(state: WailState, mdp: TabularMdp, expert_data, config: RunCo
     the value solve's system; the line search returns the next policy,
     whose occupancy it solved, so each policy is solved once.
     The round's generator is seeded by (config.seed, round,
-    reward_step.salt); the reward step draws from it between the batches
-    and the gradient seed.
+    reward_step.salt): a sampling round draws its sampler seed first
+    (_policy_side), then the expert batch and the reward step draw.
     Returns the next state and the round's log row (every LOG_COLUMNS
     entry but scaled_perf_eval)."""
     expert = ExpertData.from_any(expert_data, mdp)
     rng = np.random.default_rng([config.seed, state.k, reward_step.salt])
-    policy_batch = _policy_batch(state.policy, mdp, config, rng)
+    policy_batch, grad_batch = _policy_side(state.policy, mdp, config, rng)
     expert_batch = _expert_batch(expert, mdp, config, rng)
     model, objective, reward = reward_step(state.model, policy_batch, expert_batch, rng)
     if not np.isfinite(objective):
         raise ot.DivergenceError(f"objective diverged at round {state.k}")
 
     report = entropy_reg_policy_gradient(mdp, state.policy, reward,
-                                         lam=config.lambda_entropy, mode=config.pg_mode,
-                                         seed=int(rng.integers(0, 2 ** 63 - 1)))
+                                         lam=config.lambda_entropy, batch=grad_batch)
     delta = schedule_delta(StepSchedule(config.delta0, config.delta_decay), state.k + 1)
     policy = kl_constrained_step(mdp, state.policy, report, delta, damping=config.cg_damping)
     row = {"iteration": state.k + 1, "objective": objective,

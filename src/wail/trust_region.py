@@ -3,8 +3,9 @@ gradient steps for softmax policies on tabular MDPs.
 
 The surrogate being ascended at each round is <c, rho_theta> with the frozen
 per-step payoff c = r_hat - lam * log pi_old; its gradient is computed
-exactly from the occupancy linear solves (default) or estimated from
-restart-chain rollouts.  Steps are natural-gradient directions, the
+exactly from the occupancy linear solves (default) or estimated from the
+restart-chain episodes the caller hands in (the training loop draws them
+with the round's policy batch).  Steps are natural-gradient directions, the
 closed-form solve of the damped occupancy-weighted softmax Fisher, with a
 backtracking line search that enforces the KL bound and surrogate
 non-decrease.
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import (Rollouts, SoftmaxPolicy, TabularMdp, action_values, causal_entropy,
-                  occupancy_from_policy, sample_trajectories)
+                  occupancy_from_policy)
 
 GRAD_NORM_FLOOR = 1e-10
 BACKTRACK_COEF = 0.5    # the line search scales the step by this per backtrack,
@@ -89,36 +90,38 @@ def weighted_kl(mdp: TabularMdp, old: SoftmaxPolicy, new: SoftmaxPolicy) -> floa
 
 
 def entropy_reg_policy_gradient(mdp: TabularMdp, policy: SoftmaxPolicy, reward: np.ndarray,
-                                lam: float = 0.0, mode: str = "exact",
-                                n_traj: int = 256, seed: int = 0) -> PolicyGradientReport:
+                                lam: float = 0.0,
+                                batch: Rollouts | None = None) -> PolicyGradientReport:
     """Gradient of <r_hat - lam*log pi_old, rho_theta> at theta = current.
 
-    `reward` is an (S, A) matrix treated as fixed.  Exact mode evaluates
-    the policy-gradient identity
+    `reward` is an (S, A) matrix treated as fixed.  With no batch, the
+    exact policy-gradient identity
         grad[s, a] = d(s) pi(a|s) (Q_c(s, a) - V_c(s))
-    with Q_c/V_c from policy-evaluation linear solves; sampled mode uses
-    restart-chain rollouts with score-function weighting.  The policy's flow
+    with Q_c/V_c from policy-evaluation linear solves; with a Rollouts
+    batch of the policy's restart-chain episodes, the score-function
+    estimate over them (see _score_function_sums).  The policy's flow
     record serves the value solve and keeps the occupancy that weights
     the gradient and the causal entropy, solved by the first read.
     """
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    if np.shape(reward) != (mdp.n_states, mdp.n_actions):
+    S, A = mdp.n_states, mdp.n_actions
+    if np.shape(reward) != (S, A):
         raise ValueError(f"reward must be an (S, A) matrix, got shape {np.shape(reward)}")
     cost = np.asarray(reward, dtype=np.float64) - lam * policy.log_probs
     pi = policy.probs
     rho = occupancy_from_policy(mdp, policy)
-    if mode == "exact":
+    if batch is None:
         Q, V = action_values(mdp, policy, cost)
         grad = rho.state_marginal()[:, None] * pi * (Q - V[:, None])
         value = float((rho.rho * cost).sum())
-    elif mode == "sampled":
-        batch = sample_trajectories(mdp, policy, n_traj, seed=seed)
+    else:
+        if batch.states.max() >= S or batch.actions.max() >= A:
+            raise ValueError(f"batch states and actions must lie inside the MDP's "
+                             f"{S} states and {A} actions")
         grad, total = _score_function_sums(batch, cost, pi)
         grad *= (1.0 - mdp.gamma) / len(batch)
         value = (1.0 - mdp.gamma) * total / len(batch)
-    else:
-        raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
     return PolicyGradientReport(gradient=grad.ravel(), surrogate_value=value,
                                 entropy=causal_entropy(mdp, policy), cost=cost)
 
@@ -128,30 +131,24 @@ def _score_function_sums(batch: Rollouts, cost: np.ndarray, pi: np.ndarray):
     softmax score function weighted by the payoff-to-go, and the sum of the
     episodes' full payoffs.
 
-    Reward-to-go is one cumsum down the reversed (T, n) step-by-episode
-    buffer, zero past each episode's end.  The gradient is one bincount over
-    entries laid out episode by episode, each episode's adds at (s_t, a_t)
-    before its pi-weighted subtracts at (s_t, .): every gradient entry then
-    sums its terms in the order of a per-episode add-then-subtract loop, so
-    the rounding is that loop's."""
+    Reward-to-go is one cumsum along the contiguous axis of an (n, T)
+    episode-by-step buffer holding each episode's payoffs last step first,
+    zero-padded in front.  The gradient is two bincounts, the payoff-to-go
+    summed at each (s_t, a_t) and at each s_t, the second times pi(.|s):
+    each entry sums its terms in batch order, as a per-episode np.add.at
+    does."""
     S, A = pi.shape
     s, a, lengths = batch.states, batch.actions, batch.lengths
+    starts = batch.starts
     episode = np.repeat(np.arange(len(batch)), lengths)
-    starts = np.repeat(batch.starts, lengths)
-    step = np.arange(s.size) - starts
-    buf = np.zeros((lengths.max(), len(batch)))
-    buf[step, episode] = cost[s, a]
-    togo = np.cumsum(buf[::-1], axis=0)[::-1][step, episode]
-    block = (1 + A) * starts            # episode's first entry in the layout
-    add_pos = block + step
-    sub_pos = (block + np.repeat(lengths, lengths) + A * step)[:, None] + np.arange(A)
-    index = np.empty((1 + A) * s.size, dtype=np.int64)
-    value = np.empty(index.size)
-    index[add_pos], value[add_pos] = s * A + a, togo
-    index[sub_pos], value[sub_pos] = (s * A)[:, None] + np.arange(A), -(togo[:, None] * pi[s])
-    grad = np.bincount(index, weights=value, minlength=S * A).reshape(S, A)
+    back = lengths.max() - 1 - (np.arange(s.size) - np.repeat(starts, lengths))
+    buf = np.zeros((len(batch), lengths.max()))
+    buf[episode, back] = cost[s, a]
+    togo = np.cumsum(buf, axis=1)[episode, back]
+    grad = (np.bincount(s * A + a, weights=togo, minlength=S * A).reshape(S, A)
+            - np.bincount(s, weights=togo, minlength=S)[:, None] * pi)
     # a sequential sum; starting it from 0.0, as a running total does, keeps a zero total +0.0
-    return grad, 0.0 + np.cumsum(togo[batch.starts])[-1]
+    return grad, 0.0 + np.cumsum(togo[starts])[-1]
 
 
 def _natural_direction(d: np.ndarray, pi: np.ndarray, g: np.ndarray,

@@ -5,7 +5,8 @@ by `from .mod import _name` or by `mod._name` on an imported module; only
 `training.OtDualStep` builds an OT dual screen; only `mdp`
 solves or factors a linear system, so every flow solve goes through its
 FlowSystem, and only `mdp` names that record (the package re-exports it),
-so the policy it is kept on is the only way to reach one; `trust_region` imports nothing from `rewards`, so the policy
+so the policy it is kept on is the only way to reach one; only `training`
+calls the restart-chain sampler; `trust_region` imports nothing from `rewards`, so the policy
 step reads only the reward matrix the reward step hands it; and importing
 the package leaves `scipy.optimize` unloaded."""
 
@@ -132,6 +133,14 @@ def test_owned_call_site_scanner_finds_every_form():
               "def fit(screen=None):\n    return screen or DualScreen\n")
     assert owned_call_sites(source, {"DualScreen"}) == [(None, None, "DualScreen"),
                                                         ("Step", "__init__", "DualScreen")]
+
+
+def test_only_training_samples_the_restart_chain():
+    # a round's episodes come from one sampler call in the loop, which
+    # hands the gradient its share; another caller would draw a second batch
+    callers = {path.stem for path in sorted(SRC.glob("*.py"))
+               if call_sites(path.read_text(), {"sample_trajectories"})}
+    assert callers == {"training"}
 
 
 def test_only_the_exact_reward_step_builds_a_dual_screen():

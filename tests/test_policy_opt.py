@@ -6,8 +6,8 @@ import pytest
 import wail
 from wail import (SoftmaxPolicy, StepSchedule, causal_entropy,
                   entropy_reg_policy_gradient, expected_reward,
-                  kl_constrained_step, occupancy_from_policy, schedule_delta,
-                  soft_value_iteration, surrogate_value, weighted_kl)
+                  kl_constrained_step, occupancy_from_policy, sample_trajectories,
+                  schedule_delta, soft_value_iteration, surrogate_value, weighted_kl)
 
 from wail.trust_region import _natural_direction
 
@@ -92,8 +92,8 @@ class TestPolicyGradient:
         pol = SoftmaxPolicy(rng.normal(size=(3, 2)) * 0.5)
         R = rng.normal(size=(3, 2))
         exact = entropy_reg_policy_gradient(mdp, pol, R, lam=0.0)
-        sampled = entropy_reg_policy_gradient(mdp, pol, R, lam=0.0,
-                                              mode="sampled", n_traj=60_000, seed=5)
+        sampled = entropy_reg_policy_gradient(
+            mdp, pol, R, lam=0.0, batch=sample_trajectories(mdp, pol, 60_000, seed=5))
         cos = (exact.gradient @ sampled.gradient /
                (np.linalg.norm(exact.gradient) * np.linalg.norm(sampled.gradient)))
         assert cos > 0.98

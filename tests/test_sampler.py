@@ -1,11 +1,12 @@
 """The restart-chain sampler, the demonstration rollouts and the sampled
-policy gradient work on flat Rollouts arrays; these tests hold them to the
-per-episode code they replaced, byte for byte.
+policy gradient work on flat Rollouts arrays; these tests hold them to
+per-episode references, byte for byte, and the sampler to its law.
 
-The references below live only here: the lockstep sampler that drew each
-categorical through a cumsum of dense probability rows, demonstrations drawn
-one uniform per call, and the per-episode np.add.at / np.subtract.at
-score-function gradient.
+The references below live only here: a per-episode restart-chain loop that
+reads each episode's own block of the stream and draws each categorical
+through a cumsum of dense probability rows, demonstrations drawn one
+uniform per call, and the per-episode np.add.at score-function gradient in
+factored form.
 """
 
 import json
@@ -33,6 +34,10 @@ CASES = {
 SEEDS = (0, 1, 2)
 
 
+def _categorical(prob_row, u):
+    return min(int((np.cumsum(prob_row) < u).sum()), prob_row.size - 1)
+
+
 def _row_categorical(prob_rows, rng):
     cs = np.cumsum(prob_rows, axis=1)
     u = rng.random(prob_rows.shape[0])
@@ -53,37 +58,29 @@ def episodes(batch):
     return [pairs[lo:lo + n] for lo, n in zip(batch.starts, batch.lengths)]
 
 
-def ref_sample(mdp, policy, n, max_len=None, seed=0, chunk=mdp_mod._SAMPLE_CHUNK):
+def ref_sample(mdp, policy, n, max_len=None, seed=0):
+    """Episode by episode: all n start uniforms, all n geometric lengths,
+    then each episode's block of 2 * length uniforms, an action uniform
+    and a next-state uniform per step (the last next state goes unused)."""
     if max_len is None:
         max_len = wail.default_max_len(mdp.gamma)
     rng = np.random.default_rng(seed)
     pi = policy.probs
     P = dense_transition(mdp)
+    start_u = rng.random(n)
+    restart_at = rng.geometric(1.0 - mdp.gamma, size=n)
     out, flags = [], []
-    for lo in range(0, n, chunk):
-        m = min(chunk, n - lo)
-        states_buf = np.zeros((max_len, m), dtype=np.int64)
-        actions_buf = np.zeros((max_len, m), dtype=np.int64)
-        lengths = np.zeros(m, dtype=np.int64)
-        restarted = np.zeros(m, dtype=bool)
-        alive = np.arange(m)
-        cur = _row_categorical(np.broadcast_to(mdp.start, (m, mdp.n_states)), rng)
-        for t in range(max_len):
-            acts = _row_categorical(pi[cur], rng)
-            states_buf[t, alive] = cur
-            actions_buf[t, alive] = acts
-            lengths[alive] = t + 1
-            stop = rng.random(alive.size) < (1.0 - mdp.gamma)
-            restarted[alive[stop]] = True
-            keep = ~stop
-            if t + 1 == max_len or not keep.any():
-                break
-            cur = _row_categorical(P[cur[keep], acts[keep]], rng)
-            alive = alive[keep]
-        for i in range(m):
-            T = lengths[i]
-            out.append(np.stack([states_buf[:T, i], actions_buf[:T, i]], axis=1))
-            flags.append(bool(restarted[i]))
+    for i in range(n):
+        T = int(min(max(restart_at[i], 1), max_len))
+        u = rng.random(2 * T)
+        steps = np.zeros((T, 2), dtype=np.int64)
+        s = _categorical(mdp.start, start_u[i])
+        for t in range(T):
+            a = _categorical(pi[s], u[2 * t])
+            steps[t] = (s, a)
+            s = _categorical(P[s, a], u[2 * t + 1])
+        out.append(steps)
+        flags.append(bool(restart_at[i] <= max_len))
     return from_episodes(out, flags)
 
 
@@ -104,16 +101,19 @@ def ref_rollout_fixed(mdp, policy, n, length, seed=0):
 
 
 def ref_gradient(mdp, policy, cost, trajs):
+    """G(s, a) and T(s) summed with np.add.at episode by episode, then
+    G - T pi."""
     pi = policy.probs
-    grad = np.zeros_like(pi)
+    G = np.zeros_like(pi)
+    T = np.zeros(pi.shape[0])
     total = 0.0
     for steps in episodes(trajs):
         s, a = steps[:, 0], steps[:, 1]
         togo = np.cumsum(cost[s, a][::-1])[::-1]
         total += togo[0]
-        np.add.at(grad, (s, a), togo)
-        np.subtract.at(grad, s, togo[:, None] * pi[s])
-    grad *= (1.0 - mdp.gamma) / len(trajs)
+        np.add.at(G, (s, a), togo)
+        np.add.at(T, s, togo)
+    grad = (G - T[:, None] * pi) * ((1.0 - mdp.gamma) / len(trajs))
     return grad.ravel(), (1.0 - mdp.gamma) * total / len(trajs)
 
 
@@ -148,8 +148,8 @@ def test_gradient_and_value_match_per_episode_loop(env, seed):
     policy = random_policy(env, seed)
     reward = np.random.default_rng(100 + seed).normal(size=(env.n_states, env.n_actions))
     lam = 0.1
-    report = entropy_reg_policy_gradient(env, policy, reward, lam=lam, mode="sampled",
-                                         n_traj=64, seed=seed)
+    batch = sample_trajectories(env, policy, 64, seed=seed)
+    report = entropy_reg_policy_gradient(env, policy, reward, lam=lam, batch=batch)
     grad, value = ref_gradient(env, policy, reward - lam * policy.log_probs,
                                ref_sample(env, policy, 64, seed=seed))
     assert report.gradient.tobytes() == grad.tobytes()
@@ -161,6 +161,59 @@ def test_rollout_fixed_matches_per_call_draws(env, seed):
     policy = random_policy(env, seed)
     assert_same_batch(rollout_fixed(env, policy, 5, 30, seed=seed),
                       ref_rollout_fixed(env, policy, 5, 30, seed=seed))
+
+
+def test_length_and_restart_shares_follow_the_truncated_geometric():
+    gamma, max_len, n = 0.9, 5, 200_000
+    mdp = random_mdp(3, 2, gamma, seed=23)
+    batch = sample_trajectories(mdp, random_policy(mdp, 0), n, max_len=max_len, seed=9)
+    expected = [(1 - gamma) * gamma ** (l - 1) for l in range(1, max_len)] + [gamma ** (max_len - 1)]
+    shares = np.bincount(batch.lengths, minlength=max_len + 1)[1:] / n
+    for p, share in zip(expected + [1 - gamma ** max_len],
+                        list(shares) + [batch.restarted.mean()]):
+        assert abs(share - p) <= 4 * np.sqrt(p * (1 - p) / n)
+    # only an episode of max_len steps can be truncated
+    assert batch.restarted[batch.lengths < max_len].all()
+
+
+def test_batch_does_not_depend_on_the_chunk_size(monkeypatch):
+    mdp = wail.make_gridworld(4)
+    policy = random_policy(mdp, 5)
+    whole = sample_trajectories(mdp, policy, 40, seed=6)
+    monkeypatch.setattr(mdp_mod, "_SAMPLE_CHUNK", 3)
+    assert_same_batch(sample_trajectories(mdp, policy, 40, seed=6), whole)
+
+
+def test_episodes_come_back_in_draw_order():
+    # the chain steps the episodes sorted by length; the batch must not be,
+    # since the policy batch reads its first episodes
+    mdp = wail.make_gridworld(5)
+    batch = sample_trajectories(mdp, random_policy(mdp, 2), 50, seed=11)
+    rng = np.random.default_rng(11)
+    rng.random(50)
+    drawn = np.minimum(rng.geometric(1.0 - mdp.gamma, size=50), wail.default_max_len(mdp.gamma))
+    assert np.array_equal(batch.lengths, drawn)
+    assert np.any(np.diff(batch.lengths) > 0) and np.any(np.diff(batch.lengths) < 0)
+
+
+@pytest.mark.parametrize("draw, name", [
+    (lambda mdp, policy, v: sample_trajectories(mdp, policy, v), "n"),
+    (lambda mdp, policy, v: sample_trajectories(mdp, policy, 2, max_len=v), "max_len"),
+    (lambda mdp, policy, v: rollout_fixed(mdp, policy, v, 5), "n"),
+    (lambda mdp, policy, v: rollout_fixed(mdp, policy, 2, v), "length"),
+    (lambda mdp, policy, v: wail.episode_returns(mdp, policy, v), "n"),
+], ids=["sample-n", "sample-max_len", "fixed-n", "fixed-length", "returns-n"])
+def test_sizes_must_be_positive_integers(draw, name):
+    # True used to draw one episode, 2.5 to fail with a bare TypeError
+    mdp = wail.make_gridworld(3)
+    policy = random_policy(mdp, 0)
+    for bad in (True, np.True_, 2.5, 4.0, "3"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            draw(mdp, policy, bad)
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            draw(mdp, policy, bad)
+    draw(mdp, policy, np.int64(2))
 
 
 def test_chunk_boundary():
@@ -188,34 +241,6 @@ def test_gamma_to_zero_gives_length_one_episodes():
     assert_same_batch(batch, ref_sample(mdp, policy, 200, seed=0))
 
 
-class CountingUniforms(mdp_mod._Uniforms):
-    """The sampler's uniform stream, counting refills; block=None keeps the
-    sampler's block size."""
-
-    block_override = None
-    refills = 0
-
-    def __init__(self, rng, block):
-        super().__init__(rng, self.block_override or block)
-
-    def take(self, k):
-        if self.pos + k > self.buf.size:
-            type(self).refills += 1
-        return super().take(k)
-
-
-@pytest.mark.parametrize("block", [None, 1, 5])
-def test_uniform_block_refilled_mid_call(monkeypatch, block):
-    counter = type("Counter", (CountingUniforms,), {"block_override": block})
-    monkeypatch.setattr(mdp_mod, "_Uniforms", counter)
-    mdp = two_state_chain(gamma=0.99)
-    policy = SoftmaxPolicy.uniform(2, 1)
-    for seed in range(20):
-        assert_same_batch(sample_trajectories(mdp, policy, 2, seed=seed),
-                          ref_sample(mdp, policy, 2, seed=seed))
-    assert counter.refills > 0
-
-
 class TestRollouts:
     def test_validation(self):
         ok = dict(lengths=[2, 1], restarted=[True, False], states=[0, 1, 2], actions=[1, 0, 0])
@@ -238,6 +263,16 @@ class TestRollouts:
                           ("states", [0.0, 2.0]), ("actions", [True, False])):
             with pytest.raises(ValueError, match=f"{name} must be integers"):
                 Rollouts(**(ok | {name: bad}))
+
+    def test_restart_flags_must_be_booleans(self):
+        # [0.5, "no"] used to be stored as [True, True]
+        ok = dict(lengths=[1, 1], restarted=[True, False], states=[0, 1], actions=[0, 0])
+        Rollouts(**ok)
+        for bad in ([0.5, "no"], [1, 0], [0.0, 1.0]):
+            with pytest.raises(ValueError, match="restarted must be booleans"):
+                Rollouts(**(ok | {"restarted": bad}))
+        with pytest.raises(ValueError, match="need at least one episode"):
+            Rollouts(lengths=[], restarted=[], states=[], actions=[])
 
     def test_views_agree(self):
         mdp = wail.make_gridworld(4)

@@ -23,7 +23,8 @@ import pytest
 
 import wail
 from wail import (RunConfig, SoftmaxPolicy, entropy_reg_policy_gradient,
-                  kl_constrained_step, occupancy_from_policy, weighted_kl)
+                  kl_constrained_step, occupancy_from_policy, sample_trajectories,
+                  weighted_kl)
 from wail.mdp import FlowSystem, action_values
 
 SOLVING_MODULES = (wail.mdp, wail.training, wail.trust_region, wail.baselines)
@@ -130,10 +131,9 @@ def test_passed_occupancy_is_bit_identical(env, mode):
         occupancy = occupancy_from_policy(env, policy)
         twin = SoftmaxPolicy(policy.logits)
         assert twin._flow is None
-        fresh = entropy_reg_policy_gradient(env, twin, reward, lam=0.1, mode=mode,
-                                            n_traj=16, seed=2)
-        kept = entropy_reg_policy_gradient(env, policy, reward, lam=0.1, mode=mode,
-                                           n_traj=16, seed=2)
+        batch = None if mode == "exact" else sample_trajectories(env, policy, 16, seed=2)
+        fresh = entropy_reg_policy_gradient(env, twin, reward, lam=0.1, batch=batch)
+        kept = entropy_reg_policy_gradient(env, policy, reward, lam=0.1, batch=batch)
         assert fresh.gradient.tobytes() == kept.gradient.tobytes()
         assert fresh.surrogate_value == kept.surrogate_value
         assert fresh.entropy == kept.entropy

@@ -138,6 +138,48 @@ class TestTrainWail:
         assert np.array_equal(p1.logits, p2.logits)
         assert log1.rows == log2.rows
 
+    @pytest.mark.parametrize("algorithm", ["wail", "gail"])
+    def test_one_sampler_call_per_round(self, monkeypatch, algorithm):
+        # each round draws l1 // 8 policy-batch episodes and PG_EPISODES
+        # gradient episodes in one call; only a first group short of l1
+        # pairs is topped up, each top-up sized to what is still missing
+        rounds = []
+        calls = []
+        original = wail.training.sample_trajectories
+        iteration = wail.training.wail_iteration
+
+        def sample(mdp, policy, n, **kwargs):
+            batch = original(mdp, policy, n, **kwargs)
+            calls.append((n, batch))
+            return batch
+
+        def counted_iteration(*args, **kwargs):
+            rounds.append(len(calls))
+            return iteration(*args, **kwargs)
+
+        monkeypatch.setattr(wail.training, "sample_trajectories", sample)
+        monkeypatch.setattr(wail.training, "wail_iteration", counted_iteration)
+        # at gamma = 0.9 the first group holds 160 pairs on average, so
+        # some rounds fall short of l1 = 128
+        mdp = wail.make_gridworld(4, gamma=0.9)
+        demos = wail.rollout_fixed(mdp, SoftmaxPolicy.uniform(16, 4), 2, 20, seed=0)
+        config = RunConfig(k_max=20, seed=3, algorithm=algorithm, sampling="sampled",
+                           pg_mode="sampled", early_stop_window=100)
+        TRAINERS[algorithm](mdp, demos, config)
+        assert len(rounds) == 20
+        first_group = config.l1 // 8
+        top_ups = 0
+        for lo, hi in zip(rounds, rounds[1:] + [len(calls)]):
+            (n, batch), extra = calls[lo], calls[lo + 1:hi]
+            assert n == first_group + wail.training.PG_EPISODES == 16 + 256
+            pairs = int(batch.lengths[:first_group].sum())
+            for n, batch in extra:
+                assert pairs < config.l1 and n == max(1, (config.l1 - pairs) // 8)
+                pairs += int(batch.lengths.sum())
+            assert pairs >= config.l1
+            top_ups += len(extra)
+        assert len(calls) == 20 + top_ups and top_ups > 0
+
     @pytest.mark.parametrize("algorithm,model_file", [("wail", "reward_final.json"),
                                                       ("gail", "discriminator_final.json")])
     def test_artifacts_written(self, tmp_path, algorithm, model_file):
