@@ -38,9 +38,9 @@ CASES = {
     "grid-bc": (dict(env=GRID, algorithm="bc"),
                 "bddcf2c6775e9c579c9349cceaaacc906cf0c96d90e47100dfd564d3fda7a00a"),
     "grid-wail-sampled": (dict(env=GRID, sampling="sampled", pg_mode="sampled", k_max=20),
-                          "a7a35b13294a49f159f3cfaee13e99e4213e7bdf5a6f8d175141394ce6f421a4"),
+                          "02dcdca817103286b0db3efd2e657295b88422ae915961b5bfd60b80f0af1b69"),
     "grid-wail-sampled-batch-exact-gradient": (dict(env=GRID, sampling="sampled", k_max=30),
-                                               "0834df1707825e6824b373d705d4e2174d1d50d73bf9c54d150f3b7e8dc141b2"),
+                                               "1d59ebfcfae558454a58b1ca462720d96649ba227f141a61f4032af07cacd39c"),
     "grid30-wail-exact": (AT_SCALE,
                           "a498637003d9a0c66552944f3389dfbef2496823a70011f99ced13453355d214"),
     "grid30-gail-exact": (dict(AT_SCALE, algorithm="gail"),
@@ -52,9 +52,9 @@ CASES = {
     "cliff-bc": (dict(env=CLIFF, algorithm="bc"),
                  "666b64e52d36ffc8a9452e4fa43842304c52818595db1da7559daf091aa5b5e7"),
     "cliff-wail-sampled": (dict(env=CLIFF, sampling="sampled", pg_mode="sampled", k_max=20),
-                           "a6066bc9a654c8b60142c1b224be1cf0695b29028656742adf81c638f629003c"),
+                           "e99111f02555884ef0ffc706013dcd39ebf1bfc86612c7fced2e9991bd4bc988"),
     "cliff-wail-sampled-batch-exact-gradient": (dict(env=CLIFF, sampling="sampled", k_max=30),
-                                                "0f21c38c56ff1150b1b0555aa0c29206a83defad1d40968ade414894fb9225b0"),
+                                                "db7748f69b5dcfdbfa901aa920e39612c50e20be879706765e022e55f3a8578e"),
 }
 
 ARTIFACT = {"wail": "reward_final.json", "gail": "discriminator_final.json"}
