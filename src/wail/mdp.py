@@ -504,7 +504,7 @@ def check_count(value, name: str) -> int:
     """`value` as an int, for a count or length that must be an integer
     >= 1; a ValueError names `name` for a boolean, a fraction or a value
     below 1.  NumPy integers pass."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")

@@ -156,6 +156,16 @@ def test_gradient_and_value_match_per_episode_loop(env, seed):
     assert np.float64(report.surrogate_value).tobytes() == np.float64(value).tobytes()
 
 
+def test_gradient_rejects_a_batch_outside_the_mdp():
+    # a state or action past the MDP's used to fail as an IndexError in cost[s, a]
+    mdp = wail.make_gridworld(3)
+    policy = SoftmaxPolicy.uniform(9, 4)
+    for states, actions in (([0, 9], [0, 0]), ([0, 1], [4, 0])):
+        batch = Rollouts(lengths=[2], restarted=[True], states=states, actions=actions)
+        with pytest.raises(ValueError, match="inside the MDP"):
+            entropy_reg_policy_gradient(mdp, policy, np.zeros((9, 4)), batch=batch)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_rollout_fixed_matches_per_call_draws(env, seed):
     policy = random_policy(env, seed)

@@ -142,16 +142,21 @@ class TestTrainWail:
     def test_one_sampler_call_per_round(self, monkeypatch, algorithm):
         # each round draws l1 // 8 policy-batch episodes and PG_EPISODES
         # gradient episodes in one call; only a first group short of l1
-        # pairs is topped up, each top-up sized to what is still missing
-        rounds = []
-        calls = []
+        # pairs is topped up, each top-up sized to what is still missing,
+        # and the gradient reads the call's last PG_EPISODES episodes
+        rounds, calls, gradient_batches = [], [], []
         original = wail.training.sample_trajectories
         iteration = wail.training.wail_iteration
+        gradient = wail.training.entropy_reg_policy_gradient
 
         def sample(mdp, policy, n, **kwargs):
             batch = original(mdp, policy, n, **kwargs)
             calls.append((n, batch))
             return batch
+
+        def recorded_gradient(*args, batch=None, **kwargs):
+            gradient_batches.append(batch)
+            return gradient(*args, batch=batch, **kwargs)
 
         def counted_iteration(*args, **kwargs):
             rounds.append(len(calls))
@@ -159,6 +164,7 @@ class TestTrainWail:
 
         monkeypatch.setattr(wail.training, "sample_trajectories", sample)
         monkeypatch.setattr(wail.training, "wail_iteration", counted_iteration)
+        monkeypatch.setattr(wail.training, "entropy_reg_policy_gradient", recorded_gradient)
         # at gamma = 0.9 the first group holds 160 pairs on average, so
         # some rounds fall short of l1 = 128
         mdp = wail.make_gridworld(4, gamma=0.9)
@@ -166,12 +172,15 @@ class TestTrainWail:
         config = RunConfig(k_max=20, seed=3, algorithm=algorithm, sampling="sampled",
                            pg_mode="sampled", early_stop_window=100)
         TRAINERS[algorithm](mdp, demos, config)
-        assert len(rounds) == 20
+        assert len(rounds) == len(gradient_batches) == 20
         first_group = config.l1 // 8
         top_ups = 0
-        for lo, hi in zip(rounds, rounds[1:] + [len(calls)]):
+        for lo, hi, used in zip(rounds, rounds[1:] + [len(calls)], gradient_batches):
             (n, batch), extra = calls[lo], calls[lo + 1:hi]
             assert n == first_group + wail.training.PG_EPISODES == 16 + 256
+            tail = batch.subset(first_group, n)
+            assert used.lengths.tobytes() == tail.lengths.tobytes()
+            assert used.states.tobytes() == tail.states.tobytes()
             pairs = int(batch.lengths[:first_group].sum())
             for n, batch in extra:
                 assert pairs < config.l1 and n == max(1, (config.l1 - pairs) // 8)
