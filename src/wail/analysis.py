@@ -1,5 +1,7 @@
 """Reward-surface inspection: PCA of expert state-action embeddings and
-reward scores over the spanned 2-D plane, exported as CSV."""
+reward scores over the spanned 2-D plane, exported as CSV.  The functions
+that measure distances (model_surface_fn for tabular models,
+relative_lipschitz) import SciPy's cdist and pdist when called."""
 
 from __future__ import annotations
 
@@ -8,7 +10,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 from . import rewards
 from .baselines import disc_probs
@@ -78,6 +79,7 @@ def model_surface_fn(model: rewards.PotentialModel, mdp: TabularMdp):
     state-action embedding, so their table must have one entry per
     state-action point of `mdp` (a ValueError names both sizes)."""
     if model.form == "tabular":
+        from scipy.spatial.distance import cdist
         table = rewards.reward_matrix(model, mdp).ravel()
         table_embed = state_action_embeddings(mdp)
 
@@ -153,6 +155,7 @@ def relative_lipschitz(reward_fn, points: np.ndarray) -> float:
     if span <= 1e-12 * (1.0 + abs(f.max())):
         warnings.warn("constant reward over the points; relative modulus undefined")
         return float("nan")
+    from scipy.spatial.distance import pdist
     i, j = np.triu_indices(X.shape[0], k=1)   # pdist's pair order
     return float((np.abs(f[i] - f[j]) / pdist(X)).max() / span)
 

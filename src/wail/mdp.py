@@ -14,6 +14,8 @@ entropy and expected rewards are exact inner products, trajectories come
 from the geometric-restart chain as one flat Rollouts batch, each
 episode's length drawn up front so the chain steps only the live episodes,
 and soft value iteration provides the entropy-regularized RL oracle.
+SciPy's sparse LU is imported by the first system above
+DENSE_SOLVE_MAX_STATES states, so runs on smaller MDPs never load SciPy.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
 
 # Finite stand-in for -inf logits.  exp(-35) ~ 6.3e-16 keeps every action
 # probability strictly positive in float64 while being negligible mass.
@@ -259,15 +259,6 @@ class SoftmaxPolicy:
     def uniform(cls, n_states: int, n_actions: int) -> "SoftmaxPolicy":
         return cls(np.zeros((n_states, n_actions)))
 
-    @classmethod
-    def deterministic(cls, actions, n_actions: int) -> "SoftmaxPolicy":
-        """Near-deterministic policy picking `actions[s]`, every other action
-        LOGIT_GAP below it."""
-        actions = np.asarray(actions, dtype=int)
-        logits = np.full((actions.size, n_actions), -LOGIT_GAP)
-        logits[np.arange(actions.size), actions] = 0.0
-        return cls(logits)
-
 
 @dataclass(frozen=True)
 class OccupancyMeasure:
@@ -382,6 +373,8 @@ class FlowSystem:
                                minlength=S * S).reshape(S, S)
             system = np.eye(S) - mdp.gamma * P_pi
         else:
+            from scipy.sparse import csc_matrix
+            from scipy.sparse.linalg import splu
             diag = np.arange(S)
             system = splu(csc_matrix(
                 (np.concatenate([np.ones(S), -mdp.gamma * weights]),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wail import TabularMdp, entries_from_dense
+from wail import LOGIT_GAP, SoftmaxPolicy, TabularMdp, entries_from_dense
 
 
 def random_mdp(n_states, n_actions, gamma, seed, with_reward=False):
@@ -22,6 +22,15 @@ def two_state_chain(gamma=0.5):
     eps = 1e-12
     return TabularMdp(transition=([0, 1], [1, 1], [1.0, 1.0]), start=[1.0 - eps, eps],
                       gamma=gamma, state_embed=[[0.0], [1.0]], action_embed=[[1.0]])
+
+
+def deterministic_policy(actions, n_actions):
+    """Near-deterministic policy picking `actions[s]`, every other action
+    LOGIT_GAP below it."""
+    actions = np.asarray(actions, dtype=int)
+    logits = np.full((actions.size, n_actions), -LOGIT_GAP)
+    logits[np.arange(actions.size), actions] = 0.0
+    return SoftmaxPolicy(logits)
 
 
 def dense_transition(mdp):

@@ -8,7 +8,7 @@ from wail.baselines import (disc_probs, gail_discriminator_step, gail_objective,
                             gail_reward_matrix, train_bc, train_gail)
 from wail.rewards import accumulate_param_grad, create_model, support_values
 
-from conftest import random_mdp
+from conftest import deterministic_policy, random_mdp
 
 
 def embed_table(n, dim, seed=0):
@@ -144,7 +144,7 @@ class TestTrainGail:
 
     def test_deterministic(self):
         mdp = random_mdp(3, 2, 0.9, seed=7)
-        demos = wail.rollout_fixed(mdp, SoftmaxPolicy.deterministic([0, 0, 1], 2), 4, 10, seed=1)
+        demos = wail.rollout_fixed(mdp, deterministic_policy([0, 0, 1], 2), 4, 10, seed=1)
         cfg = RunConfig(k_max=20, seed=9)
         p1, d1, log1 = train_gail(mdp, demos, cfg)
         p2, d2, log2 = train_gail(mdp, demos, cfg)
@@ -156,7 +156,7 @@ class TestTrainGail:
         rng = np.random.default_rng(0)
         to_action = ([0, 1, 2, 3], [0, 1, 0, 1], np.ones(4))   # action a moves to state a
         mdp = wail.TabularMdp(to_action, [0.6, 0.4], 0.9, rng.normal(size=(2, 2)), np.eye(2))
-        demos = wail.rollout_fixed(mdp, SoftmaxPolicy.deterministic([0, 0], 2), 5, 20, seed=2)
+        demos = wail.rollout_fixed(mdp, deterministic_policy([0, 0], 2), 5, 20, seed=2)
         policy, _, _ = train_gail(mdp, demos, RunConfig(k_max=300, seed=0))
         assert policy.probs[0, 0] >= 0.9 and policy.probs[1, 0] >= 0.9
 
@@ -194,7 +194,7 @@ class TestTrainBc:
 
     def test_accepts_trajectories_with_mdp(self):
         mdp = random_mdp(3, 2, 0.9, seed=9)
-        demos = wail.rollout_fixed(mdp, SoftmaxPolicy.deterministic([1, 1, 1], 2), 3, 10, seed=0)
+        demos = wail.rollout_fixed(mdp, deterministic_policy([1, 1, 1], 2), 3, 10, seed=0)
         pol = train_bc(mdp, demos, RunConfig())
         visited = np.unique(demos.states)
         assert all(pol.probs[s, 1] > 0.99 for s in visited)

@@ -7,10 +7,14 @@ solves or factors a linear system, so every flow solve goes through its
 FlowSystem, and only `mdp` names that record (the package re-exports it),
 so the policy it is kept on is the only way to reach one; only `training`
 calls the restart-chain sampler; `trust_region` imports nothing from `rewards`, so the policy
-step reads only the reward matrix the reward step hands it; and importing
-the package leaves `scipy.optimize` unloaded."""
+step reads only the reward matrix the reward step hands it; and no module
+imports SciPy at module level, so importing the package or the CLI and
+running desk cells (exact WAIL and GAIL, sampled WAIL) load no `scipy`
+module, while a cell above DENSE_SOLVE_MAX_STATES states loads
+`scipy.sparse` for its sparse LU."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -241,13 +245,78 @@ def test_policy_step_does_not_import_rewards():
     assert "rewards" not in sibling_imports((SRC / "trust_region.py").read_text())
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # only the exact W1 LP oracles use linprog; loading scipy.optimize with
-    # the package costs every run its import time and memory
+def module_level_imports(source: str, prefix: str) -> list:
+    """(line, module) for every import of `prefix` or one of its submodules
+    that runs when the source is imported: any outside a function body."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            names = []
+        found.extend((node.lineno, n) for n in names
+                     if n == prefix or n.startswith(prefix + "."))
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_module_level_import_scanner_finds_every_form():
+    source = ("import scipy\nimport numpy, scipy.sparse as sp\nfrom scipy.spatial import cdist\n"
+              "import scipyx\nfrom . import scipy_like\n"
+              "try:\n    from scipy.sparse.linalg import splu\nexcept ImportError:\n    pass\n"
+              "class Oracle:\n    from scipy.optimize import linprog\n"
+              "    def solve(self):\n        from scipy.optimize import linprog\n"
+              "def fit():\n    import scipy.optimize\n")
+    assert module_level_imports(source, "scipy") == [
+        (1, "scipy"), (2, "scipy.sparse"), (3, "scipy.spatial"), (7, "scipy.sparse.linalg"),
+        (11, "scipy.optimize")]
+
+
+def test_no_module_imports_scipy_at_module_level():
+    # SciPy serves the sparse LU above DENSE_SOLVE_MAX_STATES states, the
+    # LP oracles and the analysis helpers; each imports it where it runs,
+    # so a run that needs none of them never pays for its import
+    found = {(path.stem, *site) for path in sorted(SRC.glob("*.py"))
+             for site in module_level_imports(path.read_text(), "scipy")}
+    assert found == set()
+
+
+# Run in a fresh interpreter: the scipy modules loaded after importing the
+# package and the CLI, after each desk cell (the bench's desk-exact and
+# desk-sampled settings) and after one 30x30 cell, as one JSON object.
+SCIPY_PROBE = """
+import json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import wail, wail.cli
+seen = {"import": loaded()}
+for name, config in [("wail-exact", {"algorithm": "wail"}), ("gail-exact", {"algorithm": "gail"}),
+                     ("wail-sampled", {"algorithm": "wail", "sampling": "sampled",
+                                       "pg_mode": "sampled", "k_max": 50})]:
+    wail.run_single(wail.RunConfig(seed=1, **config))
+    seen[name] = loaded()
+wail.run_single(wail.RunConfig(env={"name": "gridworld", "n": 30}, k_max=2, seed=1))
+seen["grid30"] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_import_and_desk_runs_leave_scipy_unloaded():
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent)] + ([path] if path else [])))
-    done = subprocess.run([sys.executable, "-c",
-                           "import sys, wail; print('scipy.optimize' in sys.modules)"],
-                          env=env, capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", SCIPY_PROBE],
+                          env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    seen = json.loads(done.stdout)
+    grid30 = seen.pop("grid30")
+    assert seen == {"import": [], "wail-exact": [], "gail-exact": [], "wail-sampled": []}
+    # the 30x30 grid (S = 900) factors its flow systems: the lazy branch runs
+    assert "scipy.sparse" in grid30 and "scipy.sparse.linalg" in grid30

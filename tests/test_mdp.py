@@ -10,7 +10,7 @@ from wail import (OccupancyMeasure, SoftmaxPolicy, TabularMdp,
                   occupancy_from_policy, policy_from_occupancy,
                   sample_trajectories, soft_value_iteration)
 
-from conftest import dense_transition, random_mdp, two_state_chain
+from conftest import dense_transition, deterministic_policy, random_mdp, two_state_chain
 
 
 def pooled_frequencies(trajs, n_states, n_actions):
@@ -189,7 +189,7 @@ class TestPolicyOccupancyBijection:
 class TestCausalEntropy:
     def test_deterministic_policy_zero(self):
         mdp = random_mdp(4, 3, 0.9, seed=5)
-        pol = SoftmaxPolicy.deterministic([0, 1, 2, 0], 3)
+        pol = deterministic_policy([0, 1, 2, 0], 3)
         assert 0.0 <= causal_entropy(mdp, pol) <= 1e-6
 
     def test_uniform_policy_closed_form(self):

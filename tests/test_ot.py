@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import wail
 from wail import (DiscreteMeasurePair, DualRegularization, GroundMetric,
                   build_ground_metric, reg_dual_gradient, reg_dual_objective,
                   reg_ot_fit, w1_dual_lp, w1_primal_lp)
 from wail import ot
-from wail.ot import (CHUNK_BYTES, ENT_EXP_CLAMP, SCREEN_MARGIN, SCREEN_MIN_PAIRS, SCREEN_TAU,
-                     DivergenceError, DualScreen)
+from wail.ot import (CHUNK_BYTES, DIST_CHUNK_CELLS, ENT_EXP_CLAMP, SCREEN_MARGIN,
+                     SCREEN_MIN_PAIRS, SCREEN_TAU, DivergenceError, DualScreen,
+                     euclidean_distances)
 
 from conftest import random_mdp
 
@@ -99,6 +101,71 @@ class TestGroundMetric:
             assert block.src_index.tobytes() == cut.src_index.tobytes()
             assert block.tgt_index.tobytes() == cut.tgt_index.tobytes()
             assert block.embed.tobytes() == full.embed.tobytes()
+
+
+# Every builder, at its default size unless named
+BUILDERS = {
+    "grid5": lambda: wail.make_gridworld(5),
+    "grid14-slip": lambda: wail.make_gridworld(14, slip=0.2),
+    "cliff": wail.make_cliff,
+    "mountain-car": wail.make_mountain_car,
+    "chain": wail.make_chain,
+}
+
+
+class TestDistanceKernel:
+    """euclidean_distances must give cdist's bytes, so cost blocks are the
+    ones cdist built before it: every fixed-seed output depends on them."""
+
+    @staticmethod
+    def assert_cdist_bits(x, y):
+        got, want = euclidean_distances(x, y), cdist(x, y)
+        assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("scale", [1.0, 0.37])
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_every_builder_full_metric(self, name, scale):
+        mdp = BUILDERS[name]()
+        E = wail.state_action_embeddings(mdp)
+        self.assert_cdist_bits(E, E)
+        assert build_ground_metric(mdp, scale).dist.tobytes() == (scale * cdist(E, E)).tobytes()
+
+    def test_grid30_block_over_the_expert_support(self):
+        # the scale-exact block: every state-action point x the support of
+        # ten demonstrations
+        mdp = wail.make_gridworld(30)
+        _, demos = wail.make_expert(mdp, n_traj=10, traj_len=50, seed=3)
+        support = np.unique(demos.states * mdp.n_actions + demos.actions)
+        E = wail.state_action_embeddings(mdp)
+        self.assert_cdist_bits(E, E[support])
+        block = build_ground_metric(mdp, 1.0, np.arange(E.shape[0]), support)
+        assert block.dist.tobytes() == cdist(E, E[support]).tobytes()
+
+    def test_index_selections_with_duplicates(self, rng):
+        E = rng.normal(size=(30, 6))
+        src, tgt = rng.integers(0, 30, size=50), rng.integers(0, 30, size=40)
+        assert len(np.unique(src)) < src.size and len(np.unique(tgt)) < tgt.size
+        metric = GroundMetric.from_embeddings(E, 2.5, src, tgt)
+        assert metric.dist.tobytes() == (2.5 * cdist(E[src], E[tgt])).tobytes()
+
+    @pytest.mark.parametrize("m", [100, DIST_CHUNK_CELLS + 3], ids=["many-rows", "wide-rows"])
+    def test_block_of_several_chunks_with_a_ragged_last_one(self, rng, m):
+        # three whole chunks and a half one (one-row chunks when wide)
+        rows = max(1, DIST_CHUNK_CELLS // m)
+        n = 3 * rows + max(1, rows // 2)
+        self.assert_cdist_bits(rng.normal(size=(n, 5)), rng.normal(size=(m, 5)))
+
+    @pytest.mark.parametrize("n, m", [(0, 4), (4, 0), (0, 0)])
+    def test_empty_sides(self, rng, n, m):
+        self.assert_cdist_bits(rng.normal(size=(n, 3)), rng.normal(size=(m, 3)))
+
+    def test_random_widths(self, rng):
+        # the broadcast form sqrt(((x[:, None] - y) ** 2).sum(-1)) sums
+        # pairwise and loses these bits from width 8 up
+        for d in range(1, 33):
+            spread = rng.uniform(0.1, 10.0)
+            self.assert_cdist_bits(spread * rng.normal(size=(23, d)), rng.normal(size=(17, d)))
 
 
 class TestRegularizationType:

@@ -9,7 +9,7 @@ from wail import (DualRegularization, RunConfig, SoftmaxPolicy,
                   build_ground_metric, occupancy_from_policy, train_wail, wail_iteration)
 from wail.training import ExpertData, OtDualStep, RunLog, WailState
 
-from conftest import random_mdp
+from conftest import deterministic_policy, random_mdp
 
 
 TRAINERS = {"wail": train_wail, "gail": wail.train_gail}
@@ -84,7 +84,7 @@ class TestWailIteration:
 
     def test_zero_delta_decouples_policy(self):
         mdp = small_mdp_two_actions()
-        expert = wail.sample_trajectories(mdp, SoftmaxPolicy.deterministic([1, 1], 2), 5, seed=0)
+        expert = wail.sample_trajectories(mdp, deterministic_policy([1, 1], 2), 5, seed=0)
         config = RunConfig(k_max=5, delta0=0.0, model_form="tabular", metric_scale=1.0,
                            reg_kind="l2", epsilon=0.01)
         state = WailState(k=0, model=wail.create_model("tabular", (4,), 0),
@@ -109,7 +109,7 @@ class TestTrainWail:
     @pytest.mark.parametrize("algorithm", ["wail", "gail"])
     def test_deterministic_logs(self, algorithm):
         mdp = small_mdp_two_actions()
-        expert = wail.sample_trajectories(mdp, SoftmaxPolicy.deterministic([0, 0], 2), 5, seed=1)
+        expert = wail.sample_trajectories(mdp, deterministic_policy([0, 0], 2), 5, seed=1)
         config = RunConfig(k_max=25, seed=3)
         train = TRAINERS[algorithm]
         p1, m1, log1 = train(mdp, expert, config)
@@ -121,7 +121,7 @@ class TestTrainWail:
 
     def test_expert_always_action_zero_is_imitated(self):
         mdp = small_mdp_two_actions()
-        demos = wail.rollout_fixed(mdp, SoftmaxPolicy.deterministic([0, 0], 2), 5, 20, seed=2)
+        demos = wail.rollout_fixed(mdp, deterministic_policy([0, 0], 2), 5, 20, seed=2)
         config = RunConfig(k_max=300, seed=0)
         policy, _, _ = train_wail(mdp, demos, config)
         expert_weights = ExpertData.from_any(demos, mdp).weights.reshape(2, 2)
@@ -131,7 +131,7 @@ class TestTrainWail:
 
     def test_sampled_mode_runs_and_is_deterministic(self):
         mdp = small_mdp_two_actions()
-        demos = wail.rollout_fixed(mdp, SoftmaxPolicy.deterministic([0, 0], 2), 3, 15, seed=2)
+        demos = wail.rollout_fixed(mdp, deterministic_policy([0, 0], 2), 3, 15, seed=2)
         config = RunConfig(k_max=10, seed=5, sampling="sampled", l1=32, l2=32)
         p1, _, log1 = train_wail(mdp, demos, config)
         p2, _, log2 = train_wail(mdp, demos, config)
@@ -321,7 +321,7 @@ def test_returned_reward_is_near_stationary(monkeypatch):
 def test_final_fit_capped_by_loop_and_exact_only():
     # The fit runs at most k * ot_inner_steps steps, and none in sampled mode.
     mdp = small_mdp_two_actions()
-    demos = wail.rollout_fixed(mdp, SoftmaxPolicy.deterministic([0, 0], 2), 3, 15, seed=2)
+    demos = wail.rollout_fixed(mdp, deterministic_policy([0, 0], 2), 3, 15, seed=2)
     _, _, log = train_wail(mdp, demos, RunConfig(k_max=6, seed=0))
     assert log.meta["final_fit_steps"] == 6
     _, _, log = train_wail(mdp, demos, RunConfig(k_max=6, seed=0, ot_inner_steps=2))
