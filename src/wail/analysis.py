@@ -1,7 +1,7 @@
 """Reward-surface inspection: PCA of expert state-action embeddings and
-reward scores over the spanned 2-D plane, exported as CSV.  The functions
-that measure distances (model_surface_fn for tabular models,
-relative_lipschitz) import SciPy's cdist and pdist when called."""
+reward scores over the spanned 2-D plane, exported as CSV.  Distances
+(model_surface_fn for tabular models, relative_lipschitz) come from the
+cost blocks' kernel, ot.euclidean_distances."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ import numpy as np
 from . import rewards
 from .baselines import disc_probs
 from .mdp import TabularMdp, state_action_embeddings
+from .ot import euclidean_distances
 
 BOUNDS_EXPAND = 0.25       # share of the data's extent default_bounds adds per side
 
@@ -79,12 +80,11 @@ def model_surface_fn(model: rewards.PotentialModel, mdp: TabularMdp):
     state-action embedding, so their table must have one entry per
     state-action point of `mdp` (a ValueError names both sizes)."""
     if model.form == "tabular":
-        from scipy.spatial.distance import cdist
         table = rewards.reward_matrix(model, mdp).ravel()
         table_embed = state_action_embeddings(mdp)
 
         def fn(points):
-            return table[cdist(np.atleast_2d(points), table_embed).argmin(axis=1)]
+            return table[euclidean_distances(np.atleast_2d(points), table_embed).argmin(axis=1)]
         return fn
     return lambda points: rewards.support_values(model, None, np.atleast_2d(points))
 
@@ -139,9 +139,9 @@ def surface_total_variation(surface: SurfaceGrid) -> float:
 
 def relative_lipschitz(reward_fn, points: np.ndarray) -> float:
     """Lipschitz modulus of a reward over a point set against the ground
-    metric (Euclidean distance; a metric_scale divides out of any ratio of
-    two rewards), divided by the reward's range over the same points:
-    max |f(x) - f(y)| / d(x, y) over distinct pairs, over max f - min f.
+    metric (Euclidean distance), divided by the reward's range over the
+    same points: max |f(x) - f(y)| / d(x, y) over distinct pairs, over
+    max f - min f.
     Unlike the total variation of a normalized surface, which only counts
     level changes, this sees slope: a ramp scores about 1 / (its length), a
     step between neighbours 1 / (their distance).  Duplicate points are
@@ -155,9 +155,8 @@ def relative_lipschitz(reward_fn, points: np.ndarray) -> float:
     if span <= 1e-12 * (1.0 + abs(f.max())):
         warnings.warn("constant reward over the points; relative modulus undefined")
         return float("nan")
-    from scipy.spatial.distance import pdist
-    i, j = np.triu_indices(X.shape[0], k=1)   # pdist's pair order
-    return float((np.abs(f[i] - f[j]) / pdist(X)).max() / span)
+    i, j = np.triu_indices(X.shape[0], k=1)   # the distinct pairs
+    return float((np.abs(f[i] - f[j]) / euclidean_distances(X, X)[i, j]).max() / span)
 
 
 def save_surface(path, surface: SurfaceGrid) -> None:

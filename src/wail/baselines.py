@@ -17,6 +17,8 @@ from .mdp import SoftmaxPolicy, TabularMdp, state_action_embeddings
 from .training import ExpertData, adversarial_train
 
 PROB_CLAMP = 1e-6
+BC_STEPS = 4000            # behavior cloning's full-batch ascent steps
+BC_LR = 1.5                # and their step size
 
 
 def disc_probs(logits) -> np.ndarray:
@@ -63,11 +65,11 @@ def gail_reward_matrix(logit: rewards.PotentialModel, mdp: TabularMdp) -> np.nda
 
 
 class DiscriminatorStep:
-    """GAIL's reward step: disc_inner_steps ascent steps of the discriminator
-    objective on the round's batches; the policy step uses -log D.  The
-    reward model carried by the loop is the discriminator's logit, and the
-    logged objective is the one at the round's starting logit, which the
-    first step computes anyway (as WAIL logs its dual's)."""
+    """GAIL's reward step: one ascent step of the discriminator objective
+    on the round's batches; the policy step uses -log D.  The reward model
+    carried by the loop is the discriminator's logit, and the logged
+    objective is the one at the round's starting logit, which the step
+    computes anyway (as WAIL logs its dual's)."""
 
     algorithm = "gail"
     salt = 0x6A11
@@ -76,14 +78,11 @@ class DiscriminatorStep:
         self.mdp, self.config = mdp, config
         self.embed_table = state_action_embeddings(mdp)
 
-    def __call__(self, model, policy_batch, expert_batch, rng):
+    def __call__(self, model, policy_batch, expert_batch):
         # the objective's expectations take each batch's weights normalized
         policy_batch, expert_batch = [(idx, w / w.sum()) for idx, w in (policy_batch, expert_batch)]
         model, objective = gail_discriminator_step(model, expert_batch, policy_batch,
                                                    self.embed_table, self.config.disc_lr)
-        for _ in range(self.config.disc_inner_steps - 1):
-            model, _ = gail_discriminator_step(model, expert_batch, policy_batch,
-                                               self.embed_table, self.config.disc_lr)
         return model, objective, gail_reward_matrix(model, self.mdp)
 
     def finish(self, state):
@@ -98,20 +97,20 @@ def train_gail(mdp: TabularMdp, expert_data, config: RunConfig, score=None):
     return adversarial_train(mdp, expert_data, config, DiscriminatorStep(mdp, config), score)
 
 
-def train_bc(mdp: TabularMdp, expert_data, config: RunConfig) -> SoftmaxPolicy:
-    """Behavior cloning: full-batch gradient ascent on the demonstration
-    log-likelihood (per-state averaged), from zero logits so unvisited
-    states keep the uniform policy.  `expert_data` is anything
+def train_bc(mdp: TabularMdp, expert_data) -> SoftmaxPolicy:
+    """Behavior cloning: BC_STEPS full-batch gradient ascent steps on the
+    demonstration log-likelihood (per-state averaged), from zero logits so
+    unvisited states keep the uniform policy.  `expert_data` is anything
     ExpertData.from_any accepts."""
     counts = ExpertData.from_any(expert_data, mdp).weights.reshape(mdp.n_states, mdp.n_actions)
     visited = counts.sum(axis=1) > 0
     freq = counts[visited] / counts[visited].sum(axis=1, keepdims=True)
     theta = np.zeros(counts.shape)
     block = theta[visited]
-    for _ in range(config.bc_steps):
+    for _ in range(BC_STEPS):
         z = block - block.max(axis=1, keepdims=True)
         e = np.exp(z)
         pi = e / e.sum(axis=1, keepdims=True)
-        block = block + config.bc_lr * (freq - pi)
+        block = block + BC_LR * (freq - pi)
     theta[visited] = block - block.max(axis=1, keepdims=True)
     return SoftmaxPolicy(theta)

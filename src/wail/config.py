@@ -30,7 +30,6 @@ class RunConfig:
     epsilon: float = 0.01
     ot_lr: float = 0.5
     ot_inner_steps: int = 1
-    metric_scale: float = 1.0
     model_form: str = "tabular"
     mlp_hidden: tuple = (32, 32)
 
@@ -38,7 +37,6 @@ class RunConfig:
     lambda_entropy: float = 0.0
     delta0: float = 0.01
     delta_decay: float = 0.0
-    cg_damping: float = 1e-3
 
     # loop control
     k_max: int = 800
@@ -51,11 +49,6 @@ class RunConfig:
 
     # gail
     disc_lr: float = 0.5
-    disc_inner_steps: int = 1
-
-    # behavior cloning
-    bc_steps: int = 4000
-    bc_lr: float = 1.5
 
     # expert generation and evaluation
     expert_lambda: float = 0.01
@@ -70,13 +63,13 @@ class RunConfig:
         """Cross-check every field against its owning module's constraints
         before any work starts."""
         for name in ("seed", "dataset_size", "k_max", "l1", "l2", "ot_inner_steps",
-                     "disc_inner_steps", "early_stop_window", "bc_steps", "traj_len", "n_eval",
-                     "n_ref", "eval_every", "checkpoint_every"):
+                     "early_stop_window", "traj_len", "n_eval", "n_ref", "eval_every",
+                     "checkpoint_every"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("epsilon", "ot_lr", "metric_scale", "lambda_entropy", "delta0", "delta_decay",
-                     "cg_damping", "early_stop_tol", "disc_lr", "bc_lr", "expert_lambda"):
+        for name in ("epsilon", "ot_lr", "lambda_entropy", "delta0", "delta_decay",
+                     "early_stop_tol", "disc_lr", "expert_lambda"):
             value = getattr(self, name)
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
                     or not math.isfinite(value)):
@@ -97,12 +90,10 @@ class RunConfig:
             raise ValueError("reg_kind must be 'entropic' or 'l2'")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be > 0")
-        if self.ot_lr <= 0 or self.disc_lr <= 0 or self.bc_lr <= 0:
+        if self.ot_lr <= 0 or self.disc_lr <= 0:
             raise ValueError("learning rates must be > 0")
-        if self.ot_inner_steps < 1 or self.disc_inner_steps < 1:
-            raise ValueError("inner step counts must be >= 1")
-        if self.metric_scale <= 0:
-            raise ValueError("metric_scale must be > 0")
+        if self.ot_inner_steps < 1:
+            raise ValueError("ot_inner_steps must be >= 1")
         if self.model_form not in ("tabular", "linear", "mlp"):
             raise ValueError("model_form must be tabular, linear or mlp")
         hidden = self.mlp_hidden
@@ -114,8 +105,6 @@ class RunConfig:
             raise ValueError("lambda_entropy must be >= 0")
         if self.delta0 < 0 or self.delta_decay < 0:
             raise ValueError("delta0 must be >= 0 and delta_decay >= 0")
-        if self.cg_damping <= 0:
-            raise ValueError("cg_damping must be > 0")
         if self.k_max < 0:
             raise ValueError("k_max must be >= 0")
         if self.sampling not in SAMPLING_MODES or self.pg_mode not in SAMPLING_MODES:
@@ -124,8 +113,6 @@ class RunConfig:
             raise ValueError("batch sizes l1, l2 must be >= 1")
         if self.early_stop_window < 1 or self.early_stop_tol < 0:
             raise ValueError("early_stop_window must be >= 1 and early_stop_tol >= 0")
-        if self.bc_steps < 1:
-            raise ValueError("bc_steps must be >= 1")
         if self.expert_lambda <= 0:
             raise ValueError("expert_lambda must be > 0")
         if self.traj_len < 1:

@@ -78,7 +78,7 @@ def run_single(config: RunConfig, demos=None):
         os.makedirs(config.out_dir, exist_ok=True)    # fails on a file before training
     train_cfg = dataclasses.replace(config, seed=derived_seeds(config.seed)["train"])
     if config.algorithm == "bc":
-        policy, aux, log = baselines.train_bc(mdp, demos, train_cfg), None, None
+        policy, aux, log = baselines.train_bc(mdp, demos), None, None
     else:
         train = training.train_wail if config.algorithm == "wail" else baselines.train_gail
         try:

@@ -195,13 +195,12 @@ class OtDualStep:
         self.target = None     # the last round's expert-side weights
         self.clamps = 0        # entropic exponents clamped so far in the run
 
-    def __call__(self, model, policy_batch, expert_batch, rng):
+    def __call__(self, model, policy_batch, expert_batch):
         (src_idx, src_w), (tgt_idx, tgt_w) = policy_batch, expert_batch
         if self.block is None or self.config.sampling != "exact":
-            self.block = ot.build_ground_metric(self.mdp, self.config.metric_scale, src_idx, tgt_idx)
+            self.block = ot.build_ground_metric(self.mdp, src_index=src_idx, tgt_index=tgt_idx)
         pair = ot.DiscreteMeasurePair(src_w, tgt_w)
         self.target = pair.target
-        rng.integers(0, 2 ** 63 - 1)   # discarded; fixed-seed runs rely on the draws after it
         model, objective, clamps = ot.reg_ot_fit(pair, self.block, self.reg, model,
                                                  steps=self.config.ot_inner_steps,
                                                  lr=self.config.ot_lr, screen=self.screen)
@@ -253,21 +252,21 @@ def wail_iteration(state: WailState, mdp: TabularMdp, expert_data, config: RunCo
     whose occupancy it solved, so each policy is solved once.
     The round's generator is seeded by (config.seed, round,
     reward_step.salt): a sampling round draws its sampler seed first
-    (_policy_side), then the expert batch and the reward step draw.
+    (_policy_side), then the expert batch; the reward step draws nothing.
     Returns the next state and the round's log row (every LOG_COLUMNS
     entry but scaled_perf_eval)."""
     expert = ExpertData.from_any(expert_data, mdp)
     rng = np.random.default_rng([config.seed, state.k, reward_step.salt])
     policy_batch, grad_batch = _policy_side(state.policy, mdp, config, rng)
     expert_batch = _expert_batch(expert, mdp, config, rng)
-    model, objective, reward = reward_step(state.model, policy_batch, expert_batch, rng)
+    model, objective, reward = reward_step(state.model, policy_batch, expert_batch)
     if not np.isfinite(objective):
         raise ot.DivergenceError(f"objective diverged at round {state.k}")
 
     report = entropy_reg_policy_gradient(mdp, state.policy, reward,
                                          lam=config.lambda_entropy, batch=grad_batch)
     delta = schedule_delta(StepSchedule(config.delta0, config.delta_decay), state.k + 1)
-    policy = kl_constrained_step(mdp, state.policy, report, delta, damping=config.cg_damping)
+    policy = kl_constrained_step(mdp, state.policy, report, delta)
     row = {"iteration": state.k + 1, "objective": objective,
            "policy_surrogate": report.surrogate_value,
            "kl_step": weighted_kl(mdp, state.policy, policy),
@@ -302,7 +301,7 @@ def adversarial_train(mdp: TabularMdp, expert_data, config: RunConfig, reward_st
     step that leaves a non-finite parameter, aborts the run with
     ot.DivergenceError carrying the partial log as `log`.
 
-    A reward step is called as step(model, policy_batch, expert_batch, rng),
+    A reward step is called as step(model, policy_batch, expert_batch),
     each batch an (indices, weights) pair over the flat state-action set,
     and returns (model, objective, (S, A) reward matrix), the objective
     being the round's at the model it was given, on the round's batches,

@@ -170,16 +170,16 @@ class TestTrainGail:
 
 class TestTrainBc:
     def test_single_pair_mle(self):
-        pol = train_bc(random_mdp(2, 3, 0.9, seed=0), np.array([[0, 1]]), RunConfig())
+        pol = train_bc(random_mdp(2, 3, 0.9, seed=0), np.array([[0, 1]]))
         assert pol.probs[0, 1] >= 0.99
 
     def test_empirical_conditionals_recovered(self):
         pairs = np.array([[0, 0]] * 3 + [[0, 1]] * 1)
-        pol = train_bc(random_mdp(1, 2, 0.9, seed=0), pairs, RunConfig())
+        pol = train_bc(random_mdp(1, 2, 0.9, seed=0), pairs)
         assert np.abs(pol.probs[0] - [0.75, 0.25]).sum() / 2 < 1e-3
 
     def test_unvisited_states_stay_uniform(self):
-        pol = train_bc(random_mdp(3, 4, 0.9, seed=0), np.array([[0, 0]]), RunConfig())
+        pol = train_bc(random_mdp(3, 4, 0.9, seed=0), np.array([[0, 0]]))
         assert np.allclose(pol.probs[1], 0.25)
         assert np.allclose(pol.probs[2], 0.25)
 
@@ -187,7 +187,7 @@ class TestTrainBc:
         counts = rng.integers(1, 20, size=(4, 3))
         pairs = np.concatenate([np.full((counts[s, a], 2), (s, a))
                                 for s in range(4) for a in range(3)])
-        pol = train_bc(random_mdp(4, 3, 0.9, seed=0), pairs, RunConfig())
+        pol = train_bc(random_mdp(4, 3, 0.9, seed=0), pairs)
         freq = counts / counts.sum(axis=1, keepdims=True)
         tv = np.abs(pol.probs - freq).sum(axis=1).max() / 2
         assert tv < 1e-3
@@ -195,6 +195,6 @@ class TestTrainBc:
     def test_accepts_trajectories_with_mdp(self):
         mdp = random_mdp(3, 2, 0.9, seed=9)
         demos = wail.rollout_fixed(mdp, deterministic_policy([1, 1, 1], 2), 3, 10, seed=0)
-        pol = train_bc(mdp, demos, RunConfig())
+        pol = train_bc(mdp, demos)
         visited = np.unique(demos.states)
         assert all(pol.probs[s, 1] > 0.99 for s in visited)

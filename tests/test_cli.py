@@ -9,6 +9,8 @@ import wail
 from wail.cli import main
 from wail.experiments import derived_seeds
 
+from conftest import FOLDED_CONFIG_KEYS
+
 
 SURFACE_AS_DISCRIMINATOR_SHA256 = "5e3c7d04afa148129b3e71936dafd9a10221d4638bb70174a93cb395c8afb416"
 
@@ -87,7 +89,7 @@ class TestTrain:
         config = wail.load_config(config_file)
         config = dataclasses.replace(config, seed=derived_seeds(config.seed)["train"])
         if algo == "bc":
-            policy = wail.train_bc(mdp, demos, config)
+            policy = wail.train_bc(mdp, demos)
         else:
             train = wail.train_wail if algo == "wail" else wail.train_gail
             policy, _, _ = train(mdp, demos, config)
@@ -181,6 +183,11 @@ class TestTrain:
     def test_unknown_config_key_rejected(self, config_file, capsys):
         rc = main(["train", "--config", config_file, "--set", "nonsense=1"])
         assert rc == 1
+
+    @pytest.mark.parametrize("name", FOLDED_CONFIG_KEYS)
+    def test_folded_config_key_rejected(self, config_file, capsys, name):
+        assert main(["train", "--config", config_file, "--set", f"{name}=1"]) == 1
+        assert "unknown config keys" in capsys.readouterr().err
 
     @pytest.mark.parametrize("env", ['{"name":"gridworld","m":3}', '{"name":"gridworld","n":"3"}',
                                      '{"name":"gridworld","n":2.5}',

@@ -11,7 +11,8 @@ step reads only the reward matrix the reward step hands it; and no module
 imports SciPy at module level, so importing the package or the CLI and
 running desk cells (exact WAIL and GAIL, sampled WAIL) load no `scipy`
 module, while a cell above DENSE_SOLVE_MAX_STATES states loads
-`scipy.sparse` for its sparse LU."""
+`scipy.sparse` for its sparse LU; no module imports `scipy.spatial` at
+all, so every distance comes from `ot.euclidean_distances`."""
 
 import ast
 import json
@@ -281,11 +282,40 @@ def test_module_level_import_scanner_finds_every_form():
 
 
 def test_no_module_imports_scipy_at_module_level():
-    # SciPy serves the sparse LU above DENSE_SOLVE_MAX_STATES states, the
-    # LP oracles and the analysis helpers; each imports it where it runs,
+    # SciPy serves the sparse LU above DENSE_SOLVE_MAX_STATES states and
+    # the LP oracles; each imports it where it runs,
     # so a run that needs none of them never pays for its import
     found = {(path.stem, *site) for path in sorted(SRC.glob("*.py"))
              for site in module_level_imports(path.read_text(), "scipy")}
+    assert found == set()
+
+
+def imported_modules(source: str) -> set:
+    """Every module an import statement of the source names, at any depth;
+    `from pkg import name` names both pkg and pkg.name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module)
+            found.update(f"{node.module}.{a.name}" for a in node.names)
+    return found
+
+
+def test_import_scanner_finds_nested_and_from_forms():
+    source = ("def f():\n    from scipy import spatial\n"
+              "class C:\n    def g(self):\n        import scipy.spatial.distance as d\n"
+              "from . import ot\n")
+    assert imported_modules(source) == {"scipy", "scipy.spatial", "scipy.spatial.distance"}
+
+
+def test_no_module_imports_scipy_spatial():
+    # cost blocks and the analysis helpers' distances all come from one
+    # kernel, ot.euclidean_distances, with cdist's and pdist's bytes
+    found = {(path.stem, name) for path in sorted(SRC.glob("*.py"))
+             for name in imported_modules(path.read_text())
+             if name == "scipy.spatial" or name.startswith("scipy.spatial.")}
     assert found == set()
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 import wail
 from wail import (DiscreteMeasurePair, DualRegularization, GroundMetric,
@@ -115,13 +115,20 @@ BUILDERS = {
 
 class TestDistanceKernel:
     """euclidean_distances must give cdist's bytes, so cost blocks are the
-    ones cdist built before it: every fixed-seed output depends on them."""
+    ones cdist built before it: every fixed-seed output depends on them.
+    Its upper triangle over one point set must give pdist's bytes, which
+    relative_lipschitz (criterion 8) read before it."""
 
     @staticmethod
     def assert_cdist_bits(x, y):
         got, want = euclidean_distances(x, y), cdist(x, y)
         assert got.shape == want.shape and got.dtype == want.dtype == np.float64
         assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def assert_pdist_bits(x):
+        i, j = np.triu_indices(x.shape[0], k=1)
+        assert euclidean_distances(x, x)[i, j].tobytes() == pdist(x).tobytes()
 
     @pytest.mark.parametrize("scale", [1.0, 0.37])
     @pytest.mark.parametrize("name", sorted(BUILDERS))
@@ -130,6 +137,11 @@ class TestDistanceKernel:
         E = wail.state_action_embeddings(mdp)
         self.assert_cdist_bits(E, E)
         assert build_ground_metric(mdp, scale).dist.tobytes() == (scale * cdist(E, E)).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_every_builder_upper_triangle(self, name):
+        # relative_lipschitz's points: the unique embeddings
+        self.assert_pdist_bits(np.unique(wail.state_action_embeddings(BUILDERS[name]()), axis=0))
 
     def test_grid30_block_over_the_expert_support(self):
         # the scale-exact block: every state-action point x the support of
@@ -166,6 +178,7 @@ class TestDistanceKernel:
         for d in range(1, 33):
             spread = rng.uniform(0.1, 10.0)
             self.assert_cdist_bits(spread * rng.normal(size=(23, d)), rng.normal(size=(17, d)))
+            self.assert_pdist_bits(spread * rng.normal(size=(23, d)))
 
 
 class TestRegularizationType:

@@ -211,9 +211,6 @@ class TestNaturalDirection:
         rep = entropy_reg_policy_gradient(mdp, pol, rng.normal(size=(3, 2)))
         with pytest.raises(ValueError):
             kl_constrained_step(mdp, pol, rep, 0.01, damping=0.0)
-        for bad in (0.0, -1e-3):
-            with pytest.raises(ValueError):
-                wail.RunConfig(cg_damping=bad).validate()
 
 
 def test_weighted_kl_nonnegative_and_zero_on_self(rng):

@@ -9,7 +9,7 @@ from wail import (DualRegularization, RunConfig, SoftmaxPolicy,
                   build_ground_metric, occupancy_from_policy, train_wail, wail_iteration)
 from wail.training import ExpertData, OtDualStep, RunLog, WailState
 
-from conftest import deterministic_policy, random_mdp
+from conftest import FOLDED_CONFIG_KEYS, deterministic_policy, random_mdp
 
 
 TRAINERS = {"wail": train_wail, "gail": wail.train_gail}
@@ -54,7 +54,7 @@ class TestExpertData:
             with pytest.raises(ValueError, match="out of MDP bounds"):
                 ExpertData.from_any(np.array(pairs), mdp)
             with pytest.raises(ValueError, match="out of MDP bounds"):
-                wail.train_bc(mdp, np.array(pairs), wail.RunConfig())
+                wail.train_bc(mdp, np.array(pairs))
 
     def test_non_integer_pairs_rejected(self):
         # a float array used to be truncated: [[0.9, 1.7]] read as (0, 1)
@@ -63,7 +63,7 @@ class TestExpertData:
             with pytest.raises(ValueError, match="integer"):
                 ExpertData.from_any(np.array(pairs), mdp)
             with pytest.raises(ValueError, match="integer"):
-                wail.train_bc(mdp, np.array(pairs), wail.RunConfig())
+                wail.train_bc(mdp, np.array(pairs))
         assert ExpertData.from_any(np.array([[0, 1]], dtype=np.int32), mdp).pairs.tolist() == [[0, 1]]
 
 
@@ -75,7 +75,7 @@ class TestWailIteration:
         mdp = small_mdp_two_actions()
         pol = SoftmaxPolicy.uniform(2, 2)
         rho = occupancy_from_policy(mdp, pol)
-        config = RunConfig(k_max=1, delta0=0.01, model_form="tabular", metric_scale=1.0,
+        config = RunConfig(k_max=1, delta0=0.01, model_form="tabular",
                            reg_kind="l2", epsilon=0.01)
         state = WailState(k=0, model=wail.create_model("tabular", (4,), 0),
                           policy=pol)
@@ -85,7 +85,7 @@ class TestWailIteration:
     def test_zero_delta_decouples_policy(self):
         mdp = small_mdp_two_actions()
         expert = wail.sample_trajectories(mdp, deterministic_policy([1, 1], 2), 5, seed=0)
-        config = RunConfig(k_max=5, delta0=0.0, model_form="tabular", metric_scale=1.0,
+        config = RunConfig(k_max=5, delta0=0.0, model_form="tabular",
                            reg_kind="l2", epsilon=0.01)
         state = WailState(k=0, model=wail.create_model("tabular", (4,), 0),
                           policy=SoftmaxPolicy.uniform(2, 2))
@@ -219,8 +219,6 @@ class TestTrainWail:
         direct = tmp_path / "direct"
         TRAINERS[algorithm](mdp, demos, dataclasses.replace(config, out_dir=str(direct)))
         assert os.listdir(direct) == ["checkpoints"]
-        wail.train_bc(mdp, demos, dataclasses.replace(config, out_dir=str(tmp_path / "bc")))
-        assert not (tmp_path / "bc").exists()
 
     def test_clamp_events_counted_per_run(self):
         mdp = wail.make_gridworld(3)
@@ -360,8 +358,8 @@ def test_config_rejects_bad_loop_and_network_fields(updates):
 
 
 COUNT_FIELDS = ("seed", "dataset_size", "k_max", "l1", "l2", "ot_inner_steps",
-                "disc_inner_steps", "early_stop_window", "bc_steps", "traj_len", "n_eval",
-                "n_ref", "eval_every", "checkpoint_every")
+                "early_stop_window", "traj_len", "n_eval", "n_ref", "eval_every",
+                "checkpoint_every")
 
 
 @pytest.mark.parametrize("name", COUNT_FIELDS)
@@ -374,8 +372,8 @@ def test_config_requires_integral_counts(name):
     RunConfig(**{name: np.int64(2)}).validate()
 
 
-FLOAT_FIELDS = ("epsilon", "ot_lr", "metric_scale", "lambda_entropy", "delta0", "delta_decay",
-                "cg_damping", "early_stop_tol", "disc_lr", "bc_lr", "expert_lambda")
+FLOAT_FIELDS = ("epsilon", "ot_lr", "lambda_entropy", "delta0", "delta_decay",
+                "early_stop_tol", "disc_lr", "expert_lambda")
 
 
 @pytest.mark.parametrize("name", FLOAT_FIELDS)
@@ -388,6 +386,12 @@ def test_config_requires_finite_real_floats(name):
             RunConfig(**{name: bad}).validate()
     RunConfig(**{name: 1}).validate()
     RunConfig(**{name: np.float64(1.0)}).validate()
+
+
+@pytest.mark.parametrize("name", FOLDED_CONFIG_KEYS)
+def test_config_rejects_folded_keys(name):
+    with pytest.raises(ValueError, match="unknown config keys"):
+        RunConfig.from_dict({name: 1})
 
 
 def test_config_accepts_zero_tolerance_and_list_layers():
