@@ -32,29 +32,29 @@ BASE = wail.RunConfig(dataset_size=2, n_eval=100, n_ref=100)
 
 CASES = {
     "grid-wail-exact": (dict(env=GRID, k_max=50),
-                        "d6596a34deaf0130df5330ff821ed53a61c2b8cea6012a6778a479874514645f"),
+                        "ec1db56777e1b22b2173b299cd36d84178b5173f0b199215eeccfc8d386058d4"),
     "grid-gail-exact": (dict(env=GRID, algorithm="gail", k_max=50),
-                        "5c62ad07530ba94bbb2bffcc723a80eb8e1efc9266951b076db6c226e0a672a3"),
+                        "bc51cb65ebd837a4dcea349c75f8fd9385e777d66e6ddd317c3a9ca16134db43"),
     "grid-bc": (dict(env=GRID, algorithm="bc"),
                 "bddcf2c6775e9c579c9349cceaaacc906cf0c96d90e47100dfd564d3fda7a00a"),
     "grid-wail-sampled": (dict(env=GRID, sampling="sampled", pg_mode="sampled", k_max=20),
-                          "02dcdca817103286b0db3efd2e657295b88422ae915961b5bfd60b80f0af1b69"),
+                          "3d6c829fe837cb5a954d18c7c1aa31a0626557a6c460464b880eaef3eb8ccc73"),
     "grid-wail-sampled-batch-exact-gradient": (dict(env=GRID, sampling="sampled", k_max=30),
-                                               "1d59ebfcfae558454a58b1ca462720d96649ba227f141a61f4032af07cacd39c"),
+                                               "28ddecf0881598cb043ceadbf6c9b2c9287f71be60bb9e1926966472bf22b5da"),
     "grid30-wail-exact": (AT_SCALE,
-                          "a498637003d9a0c66552944f3389dfbef2496823a70011f99ced13453355d214"),
+                          "a5056211effda32feca262c994dc6b3daae669b99ca0e15c296c8ad0619940a2"),
     "grid30-gail-exact": (dict(AT_SCALE, algorithm="gail"),
-                          "ce6aece1cd7588816f9cb34a294955715d596f04b462d21d087eebc9a3b451af"),
+                          "eb9a78db65ebd30ceb977cc940e4cee4253b479f3449722d8fc389490b6f27e9"),
     "cliff-wail-exact": (dict(env=CLIFF, k_max=50),
-                         "42e7381200de81872e1813e51b752935a06dde02136727132a9cae53dc2c2152"),
+                         "ce6fe386f7b64b99d8703a62751f62cc4c6f4e1aa28e781cd01c97a1035a69b6"),
     "cliff-gail-exact": (dict(env=CLIFF, algorithm="gail", k_max=50),
-                         "d5b20a70ffb300ecf4d8aeb83585acac807cc6bfe9de561399ce7c30ef2e5b38"),
+                         "7981e75f7b84362bd4d1c9ffa0459661a3bbd99854d5e603f2c53449dd7930cd"),
     "cliff-bc": (dict(env=CLIFF, algorithm="bc"),
                  "666b64e52d36ffc8a9452e4fa43842304c52818595db1da7559daf091aa5b5e7"),
     "cliff-wail-sampled": (dict(env=CLIFF, sampling="sampled", pg_mode="sampled", k_max=20),
-                           "e99111f02555884ef0ffc706013dcd39ebf1bfc86612c7fced2e9991bd4bc988"),
+                           "5d2d57098a84f1be0fc705191f51c13bc32e9d219ccaaf715d0883a2b7f2456e"),
     "cliff-wail-sampled-batch-exact-gradient": (dict(env=CLIFF, sampling="sampled", k_max=30),
-                                                "db7748f69b5dcfdbfa901aa920e39612c50e20be879706765e022e55f3a8578e"),
+                                                "011011d5c71fef62179414edf87b993f1da8419a450d072c155c94a290297dc9"),
 }
 
 ARTIFACT = {"wail": "reward_final.json", "gail": "discriminator_final.json"}
