@@ -126,6 +126,8 @@ def euclidean_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     through in chunks of about DIST_CHUNK_CELLS cells, with one reused
     buffer for the differences, so the only block-sized array is the
     result."""
+    if x.shape[1] != y.shape[1]:
+        raise ValueError(f"points of width {x.shape[1]} and {y.shape[1]} have no distance")
     n, m = x.shape[0], y.shape[0]
     out = np.zeros((n, m))
     if n == 0 or m == 0:

@@ -172,6 +172,12 @@ class TestDistanceKernel:
     def test_empty_sides(self, rng, n, m):
         self.assert_cdist_bits(rng.normal(size=(n, 3)), rng.normal(size=(m, 3)))
 
+    def test_unequal_widths_rejected(self):
+        # as cdist did: a tabular surface reads points from outside the run
+        fn = wail.model_surface_fn(wail.create_model("tabular", (36,), 0), wail.make_gridworld(3))
+        with pytest.raises(ValueError, match="width 9 and 6"):
+            fn(np.zeros((2, 9)))
+
     def test_random_widths(self, rng):
         # the broadcast form sqrt(((x[:, None] - y) ** 2).sum(-1)) sums
         # pairwise and loses these bits from width 8 up
