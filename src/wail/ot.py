@@ -260,30 +260,46 @@ class DualScreen:
     """The l2 screen of the regularized-dual pass over one cost block, and
     counts of the passes made through it.
 
-    A full l2 pass keeps every pair whose computed slack
-    z = r(y) - r(x) - d(x, y) is above -SCREEN_TAU, with the potential
-    values r0_src, r0_tgt it was built at.  A later pass over the same
-    block may read only those pairs while
+    The screen keeps a reference potential value per row, r0_src(x), and
+    per column, r0_tgt(y), and every pair whose computed slack at them,
+    r0_tgt(y) - r0_src(x) - d(x, y), is above -SCREEN_TAU.  Its invariant
+    is per pair: each pair outside has slack <= -SCREEN_TAU at its
+    references.  A full l2 pass builds it with every reference at that
+    pass's values.  At a later pass over the same block, with the moves
+    dt = r_tgt - r0_tgt and ds = r0_src - r_src, a pair outside has slack
+    at most -SCREEN_TAU + dt(y) + ds(x).  So while
 
-        b = max(r_tgt - r0_tgt) + max(r0_src - r_src) < SCREEN_TAU - SCREEN_MARGIN:
+        b = max(dt) + max(ds) < lim = SCREEN_TAU - SCREEN_MARGIN
 
-    each pair outside then has slack below -SCREEN_MARGIN, far below any
-    rounding of z, so its l2 penalty and slope are exactly 0.  The bound
-    reads the potential values at the support points, so it holds for
-    every model form.  Once it fails, or on another block, the pass walks
-    the whole block again and rebuilds the screen.  Every entropic pass is
-    a full one, since that penalty is never exactly 0, and so is every pass
-    over a block of fewer than SCREEN_MIN_PAIRS pairs or whose screen
-    would hold more than SCREEN_MAX_SHARE of them.  A screen pays only
-    over a block that later fits pass over again; one instance serves one
-    caller's passes."""
+    each pair outside has slack below -SCREEN_MARGIN, far below any
+    rounding of z, its l2 penalty and slope are exactly 0, and the pass
+    reads only the screen's pairs.  Once b fails, a few points moved: the
+    pass picks the split a in [0, lim) that rescans the fewest pairs and
+    refreshes the columns with dt > a and the rows with ds >= lim - a.  It
+    moves their references to its values, recomputes their pairs' slack
+    at the references and replaces their pairs, then reads the screen.
+    Outside the refreshed rows and columns dt + ds < lim still holds; a
+    refreshed row meets the other columns with dt <= a < lim, and a
+    refreshed column the other rows with ds < lim - a <= lim.  The bound
+    and the moves read the potential values at the support points, so
+    they hold for every model form.
+
+    The pass walks the whole block and rebuilds the screen on another
+    block, on a non-finite move, and when the refresh would rescan, or
+    the refreshed screen would hold, more than SCREEN_MAX_SHARE of the
+    block.  Every entropic pass is a full one, since that penalty is never
+    exactly 0, and so is every pass over a block of fewer than
+    SCREEN_MIN_PAIRS pairs or whose screen would hold more than
+    SCREEN_MAX_SHARE of them.  A screen pays only over a block that later
+    fits pass over again; one instance serves one caller's passes."""
 
     def __init__(self):
         self.metric = None     # the block the pairs below index; None when there is no screen
-        self.rows = self.cols = self.dist = None
+        self.rows = self.cols = self.dist = None   # the pairs, as found
         self.r0_src = self.r0_tgt = None
         self.passes = 0        # passes made through this screen
         self.rebuilds = 0      # of them, passes that walked the whole block
+        self.refreshes = 0     # of them, passes served after refreshing rows or columns
 
     def _rebuild(self, metric, r_src, r_tgt, flat) -> None:
         """Keep the pairs at flat indices `flat` of metric.dist, found at
@@ -295,20 +311,64 @@ class DualScreen:
             self.dist = metric.dist[self.rows, self.cols]
             self.r0_src, self.r0_tgt = r_src.copy(), r_tgt.copy()
 
-    def holds(self, metric: GroundMetric, r_src, r_tgt) -> bool:
+    def serves(self, metric: GroundMetric, r_src, r_tgt) -> bool:
         """Whether the screen covers every pair the l2 penalty can reach at
-        these potential values on `metric`."""
+        these potential values on `metric`, refreshing the rows and columns
+        that moved when the global bound fails; False asks for a full pass."""
         if self.metric is not metric:
             return False
-        b = (r_tgt - self.r0_tgt).max() + (self.r0_src - r_src).max()
-        return bool(b < SCREEN_TAU - SCREEN_MARGIN)   # False for a NaN b
+        lim = SCREEN_TAU - SCREEN_MARGIN
+        d_tgt, d_src = r_tgt - self.r0_tgt, self.r0_src - r_src
+        b = d_tgt.max() + d_src.max()
+        if b < lim:
+            return True
+        if not np.isfinite(b):     # NaN or inf: no split bounds the moves
+            return False
+        (n, m), cap = metric.dist.shape, SCREEN_MAX_SHARE * metric.dist.size
+        # keeping the j columns that moved least allows the split
+        # a_j = max(0, their largest dt), and needs the rows with ds >= lim - a_j
+        order = np.argsort(d_tgt, kind="stable")
+        a = np.maximum(np.concatenate(([0.0], d_tgt[order])), 0.0)
+        n_rows = n - np.searchsorted(np.sort(d_src), lim - a)
+        n_cols = m - np.arange(m + 1)
+        rescan = np.where(a < lim, n_cols * n + n_rows * m - n_cols * n_rows, n * m)
+        j = int(rescan.argmin())
+        if rescan[j] > cap:
+            return False
+        cols, rows = order[j:], np.flatnonzero(d_src >= lim - a[j])
+        r0_src, r0_tgt = self.r0_src.copy(), self.r0_tgt.copy()
+        r0_src[rows], r0_tgt[cols] = r_src[rows], r_tgt[cols]
+        moved_src, moved_tgt = np.zeros(n, dtype=bool), np.zeros(m, dtype=bool)
+        moved_src[rows], moved_tgt[cols] = True, True
+        keep = ~(moved_src[self.rows] | moved_tgt[self.cols])
+        d_rows, d_cols = metric.dist[rows], metric.dist[:, cols]
+        z_rows = r0_tgt - r0_src[rows, None]      # the full pass's bits per pair
+        z_rows -= d_rows
+        z_cols = r0_tgt[cols] - r0_src[:, None]
+        z_cols -= d_cols
+        z_cols[rows] = -np.inf                    # found with the refreshed rows
+        ri, ci = np.nonzero(z_rows > -SCREEN_TAU)
+        rj, cj = np.nonzero(z_cols > -SCREEN_TAU)
+        if np.count_nonzero(keep) + ri.size + rj.size > cap:
+            return False
+        self.rows = np.concatenate((self.rows[keep], rows[ri], rj))
+        self.cols = np.concatenate((self.cols[keep], ci, cols[cj]))
+        self.dist = np.concatenate((self.dist[keep], d_rows[ri, ci], d_cols[rj, cj]))
+        self.r0_src, self.r0_tgt = r0_src, r0_tgt
+        self.refreshes += 1
+        return True
 
 
 def _objective_and_gradient(r_src, r_tgt, pair, metric, reg, screen=None):
     """The regularized dual's value, its gradients with respect to r_src
     and r_tgt, and the number of entropic exponents clamped at
     ENT_EXP_CLAMP, from one pass over the cost block, or over `screen`'s
-    pairs while it holds (see DualScreen).
+    pairs while it serves (see DualScreen): every pair outside the screen
+    has slack <= -SCREEN_TAU at its row's and column's reference values,
+    so while the moves since then stay under the global bound, or once
+    the split a refreshes the columns that rose by more than a and the
+    rows that fell by at least SCREEN_TAU - SCREEN_MARGIN - a, each pair
+    outside has exactly 0 penalty and slope.
 
     The penalty on the slack z = r(y) - r(x) - d(x, y) is -z+^2 / (4 eps)
     with slope -z+ / (2 eps) for l2, and -eps exp(z / eps) with slope
@@ -318,7 +378,9 @@ def _objective_and_gradient(r_src, r_tgt, pair, metric, reg, screen=None):
     through one buffer, forming each chunk's slack in place and keeping
     only the penalty mass and the row and column sums the gradients read,
     so it makes no block-sized temporary.  Given a screen, an l2 full pass
-    also rebuilds it."""
+    also rebuilds it; the full pass is made on another block and when a
+    refresh would rescan, or its screen hold, more than SCREEN_MAX_SHARE
+    of the block."""
     r_src = np.asarray(r_src, dtype=np.float64)
     r_tgt = np.asarray(r_tgt, dtype=np.float64)
     _check_sizes(pair, metric)
@@ -329,7 +391,7 @@ def _objective_and_gradient(r_src, r_tgt, pair, metric, reg, screen=None):
         screen.passes += 1
     screening = (screen is not None and reg.kind == "l2"
                  and metric.dist.size >= SCREEN_MIN_PAIRS)
-    if screening and screen.holds(metric, r_src, r_tgt):
+    if screening and screen.serves(metric, r_src, r_tgt):
         mass, row_sums, col_sums, clamps = _screened_sums(r_src, r_tgt, src, tgt, screen)
     else:
         if screen is not None:
@@ -422,7 +484,12 @@ def reg_ot_fit(pair: DiscreteMeasurePair, metric: GroundMetric, reg: DualRegular
     model's parameters, on the metric's supports with the pair's weights.
     Makes one pass per step (one, for the value, when steps = 0), each
     over the whole block, or through `screen` when given, which the caller
-    keeps for its later fits over the same block (see DualScreen).
+    keeps for its later fits over the same block (see DualScreen).  The
+    screen keeps every pair outside it at slack <= -SCREEN_TAU at its
+    rows' and columns' reference values; an l2 pass whose global bound
+    fails refreshes only the rows and columns of the split that rescans
+    the fewest pairs, and walks the whole block only when that rescan or
+    the refreshed screen is over SCREEN_MAX_SHARE of it.
     Returns the trained copy, the objective at the model it started from (the value
     its first step ascends from) and the number of entropic exponents
     clamped over all passes.  Raises DivergenceError when a step's

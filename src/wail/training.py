@@ -178,10 +178,14 @@ class OtDualStep:
     Exact-mode batches always pair every state-action point with the expert
     support, so the block is built in the first round and serves every round
     and the final fit, and so does its l2 screen (`ot.DualScreen`), which
-    also counts the run's passes over the block.  Sampled mode builds a new
-    block every round, which no later fit reads, so it keeps no screen and
-    every pass walks its round's whole block.  One instance serves one
-    run."""
+    also counts the run's passes over the block.  The screen keeps every
+    pair outside it at slack <= -SCREEN_TAU at its rows' and columns'
+    reference values, so a pass past its global bound refreshes only the
+    rows and columns that moved (the split that rescans the fewest pairs);
+    a 20-round S = 900 run walks the whole block once.  Sampled mode
+    builds a new block every round, which no later fit reads, so it keeps
+    no screen and every pass walks its round's whole block.  One instance
+    serves one run."""
 
     algorithm = "wail"
     salt = 0x57A1
@@ -218,8 +222,10 @@ class OtDualStep:
         model.  Sampled mode keeps the loop's model.  Returns (model,
         run_meta entries): the steps run, the objective after the fit (None
         when no step ran; one more pass computes it), the entropic clamp
-        events and the passes over the cost blocks of the run, and how many
-        of those walked the whole block (all of them in sampled mode)."""
+        events and the passes over the cost blocks of the run, how many of
+        those walked the whole block (all of them in sampled mode) and how
+        many were served after refreshing the screen (none in sampled
+        mode)."""
         steps = (min(FINAL_FIT_STEPS, state.k * self.config.ot_inner_steps)
                  if self.config.sampling == "exact" else 0)
         model, objective = state.model, None
@@ -235,11 +241,13 @@ class OtDualStep:
                 raise ot.DivergenceError("objective diverged in the final reward fit")
         if self.screen is None:
             passes = rebuilds = state.k * self.config.ot_inner_steps
+            refreshes = 0
         else:
             passes, rebuilds = self.screen.passes, self.screen.rebuilds
+            refreshes = self.screen.refreshes
         return model, {"final_fit_steps": steps, "final_fit_objective": objective,
                        "entropic_clamp_events": self.clamps, "ot_passes": passes,
-                       "ot_screen_rebuilds": rebuilds}
+                       "ot_screen_rebuilds": rebuilds, "ot_screen_refreshes": refreshes}
 
 
 def wail_iteration(state: WailState, mdp: TabularMdp, expert_data, config: RunConfig,

@@ -8,8 +8,8 @@ from wail import (DiscreteMeasurePair, DualRegularization, GroundMetric,
                   reg_ot_fit, w1_dual_lp, w1_primal_lp)
 from wail import ot
 from wail.ot import (CHUNK_BYTES, DIST_CHUNK_CELLS, ENT_EXP_CLAMP, SCREEN_MARGIN,
-                     SCREEN_MIN_PAIRS, SCREEN_TAU, DivergenceError, DualScreen,
-                     euclidean_distances)
+                     SCREEN_MAX_SHARE, SCREEN_MIN_PAIRS, SCREEN_TAU, DivergenceError,
+                     DualScreen, euclidean_distances)
 
 from conftest import random_mdp
 
@@ -501,6 +501,21 @@ class TestDualScreen:
         for g, w in zip(got[1:3], want[1:3]):
             assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
+    @staticmethod
+    def pair_set(screen, shape):
+        """The screen's pairs as a boolean block, checking that each is
+        held once and with its cost."""
+        inside = np.zeros(shape, dtype=bool)
+        inside[screen.rows, screen.cols] = True
+        assert np.count_nonzero(inside) == screen.rows.size
+        assert screen.dist.tobytes() == screen.metric.dist[screen.rows, screen.cols].tobytes()
+        return inside
+
+    @staticmethod
+    def near_set(metric, r0_src, r0_tgt):
+        """The pairs with slack above -SCREEN_TAU at these references."""
+        return r0_tgt[None, :] - r0_src[:, None] - metric.dist > -SCREEN_TAU
+
     @pytest.mark.parametrize("form, dims, lr", [("tabular", (N + M,), 0.5), ("linear", (2,), 0.01),
                                                 ("mlp", (2, 8, 8), 0.05)])
     def test_screened_pass_matches_the_full_pass(self, form, dims, lr):
@@ -512,28 +527,34 @@ class TestDualScreen:
             got = ot._objective_and_gradient(r_src, r_tgt, pair, metric, reg, screen)
             self.assert_same_pass(got, reg_dual_gradient_pass(r_src, r_tgt, pair, metric, reg))
             model, _, _ = reg_ot_fit(pair, metric, reg, model, steps=1, lr=lr, screen=screen)
-        # the ascent both read the screen and outgrew it
-        assert 1 < screen.rebuilds < screen.passes // 2
+        # the ascent read the screen, outgrew its global bound and had
+        # passes served by refreshes
+        assert 0 < screen.refreshes and screen.rebuilds < screen.passes // 2
 
     @pytest.mark.parametrize("side", ["target-up", "source-down"])
-    def test_rebuilds_at_the_threshold_and_never_drops_an_active_pair(self, side):
+    def test_refreshes_at_the_threshold_and_never_drops_an_active_pair(self, side):
         pair, metric, reg = self.instance()
         rng = np.random.default_rng(1)
         r_src, r_tgt = rng.normal(size=self.N) * 0.3, rng.normal(size=self.M) * 0.3
         slack = r_tgt[None, :] - r_src[:, None] - metric.dist
         built = DualScreen()
         ot._objective_and_gradient(r_src, r_tgt, pair, metric, reg, built)
-        inside = np.zeros(slack.shape, dtype=bool)
-        inside[built.rows, built.cols] = True
+        inside = self.pair_set(built, slack.shape)
         assert np.array_equal(inside, slack > -SCREEN_TAU) and 0 < inside.mean() < 0.05
         # push the outside pair closest to joining: while the push stays
-        # under the bound its slack stays below 0 and the screen is read;
-        # at the bound, and past it into the active set, the pass rebuilds
+        # under the bound its slack stays below 0 and the screen is read
+        # as built; at the bound, and past it into the active set, the pass
+        # refreshes the pushed column or row alone
         outside = np.where(inside, -np.inf, slack)
         x, y = np.unravel_index(outside.argmax(), slack.shape)
-        for push, rebuilds in ((SCREEN_TAU - 2 * SCREEN_MARGIN, False),
-                               (SCREEN_TAU - SCREEN_MARGIN, True),
-                               (0.01 - slack[x, y], True)):
+        line = np.zeros(slack.shape, dtype=bool)
+        if side == "target-up":
+            line[:, y] = True
+        else:
+            line[x] = True
+        for push, refreshes in ((SCREEN_TAU - 2 * SCREEN_MARGIN, False),
+                                (SCREEN_TAU - SCREEN_MARGIN, True),
+                                (0.01 - slack[x, y], True)):
             screen = DualScreen()
             ot._objective_and_gradient(r_src, r_tgt, pair, metric, reg, screen)
             src, tgt = r_src.copy(), r_tgt.copy()
@@ -542,12 +563,96 @@ class TestDualScreen:
             else:
                 src[x] -= push
             got = ot._objective_and_gradient(src, tgt, pair, metric, reg, screen)
-            assert screen.rebuilds == 1 + rebuilds
+            assert (screen.rebuilds, screen.refreshes) == (1, refreshes)
             self.assert_same_pass(got, reg_dual_gradient_pass(src, tgt, pair, metric, reg))
             active = tgt[None, :] - src[:, None] - metric.dist > 0
             assert active[x, y] == (push > -slack[x, y])
-            if not rebuilds:
-                assert not np.any(active & ~inside)
+            held = self.pair_set(screen, slack.shape)
+            assert not np.any(active & ~held)
+            if refreshes:
+                # the references moved with the push; the pairs off its line kept
+                assert screen.r0_src.tobytes() == src.tobytes()
+                assert screen.r0_tgt.tobytes() == tgt.tobytes()
+                assert np.array_equal(held & ~line, inside & ~line)
+                assert np.array_equal(held, self.near_set(metric, src, tgt))
+            else:
+                assert np.array_equal(held, inside)
+
+    @pytest.mark.parametrize("what", ["rescan", "held"])
+    def test_a_refresh_past_the_share_falls_back_to_a_full_pass(self, what):
+        pair, metric, reg = self.instance()
+        rng = np.random.default_rng(1)
+        r_src, r_tgt = rng.normal(size=self.N) * 0.3, rng.normal(size=self.M) * 0.3
+        screen = DualScreen()
+        ot._objective_and_gradient(r_src, r_tgt, pair, metric, reg, screen)
+        cap = SCREEN_MAX_SHARE * self.N * self.M
+        src, tgt = r_src.copy(), r_tgt.copy()
+        if what == "rescan":
+            # each pushed column rescans N pairs, and no split keeps one
+            k = int(cap // self.N) + 1
+            tgt[:k] += SCREEN_TAU
+        else:
+            # the pushed rows rescan under the share, but every pair of
+            # theirs joins the screen, which would then hold more than it
+            k = int(cap // self.M) - 1
+            src[:k] -= 10.0
+            assert k * self.M + screen.rows.size > cap
+        got = ot._objective_and_gradient(src, tgt, pair, metric, reg, screen)
+        assert (screen.passes, screen.rebuilds, screen.refreshes) == (2, 2, 0)
+        self.assert_same_pass(got, reg_dual_gradient_pass(src, tgt, pair, metric, reg))
+        if what == "rescan":
+            # the full pass rebuilt the screen at its values
+            assert screen.r0_tgt.tobytes() == tgt.tobytes()
+            assert np.array_equal(self.pair_set(screen, metric.dist.shape),
+                                  self.near_set(metric, src, tgt))
+        else:
+            assert screen.metric is None    # the full pass's screen is over the share too
+
+    def test_refreshed_screen_is_the_full_pass_screen_at_its_references(self):
+        # random moves: a few columns and rows jump either way, and every
+        # point drifts a little; after each pass the screen holds exactly
+        # the pairs a full pass at its references would keep
+        pair, metric, reg = self.instance()
+        rng = np.random.default_rng(3)
+        r_src, r_tgt = rng.normal(size=self.N) * 0.3, rng.normal(size=self.M) * 0.3
+        screen = DualScreen()
+        for _ in range(30):
+            r_src = r_src + rng.normal(size=self.N) * 0.005
+            r_tgt = r_tgt + rng.normal(size=self.M) * 0.005
+            r_src[rng.integers(self.N, size=3)] += rng.normal(size=3) * 0.1
+            r_tgt[rng.integers(self.M, size=2)] += rng.normal(size=2) * 0.1
+            got = ot._objective_and_gradient(r_src, r_tgt, pair, metric, reg, screen)
+            self.assert_same_pass(got, reg_dual_gradient_pass(r_src, r_tgt, pair, metric, reg))
+            fresh = DualScreen()
+            ot._objective_and_gradient(screen.r0_src, screen.r0_tgt, pair, metric, reg, fresh)
+            held = self.pair_set(screen, metric.dist.shape)
+            assert np.array_equal(held, self.pair_set(fresh, metric.dist.shape))
+            assert np.array_equal(held, self.near_set(metric, screen.r0_src, screen.r0_tgt))
+        assert screen.rebuilds == 1 and screen.refreshes > 20
+
+    def test_relabelled_instance_gives_the_relabelled_passes(self):
+        # permuting the source rows and the target columns permutes the
+        # value's terms and both gradients, on a full pass, a screened
+        # pass and a refreshed one
+        pair, metric, reg = self.instance()
+        rng = np.random.default_rng(4)
+        p, q = rng.permutation(self.N), rng.permutation(self.M)
+        relabelled = (DiscreteMeasurePair(pair.source[p], pair.target[q]),
+                      GroundMetric(metric.dist[np.ix_(p, q)], metric.src_index[p],
+                                   metric.tgt_index[q], metric.embed))
+        r_src, r_tgt = rng.normal(size=self.N) * 0.3, rng.normal(size=self.M) * 0.3
+        moves = [(np.zeros(self.N), np.zeros(self.M)),            # full: builds the screen
+                 (np.zeros(self.N), np.full(self.M, 0.02)),       # under the bound
+                 (-np.eye(self.N)[7] * 0.5, np.eye(self.M)[3] * 0.3)]   # a row and a column
+        screens = DualScreen(), DualScreen()
+        for k, (d_src, d_tgt) in enumerate(moves):
+            src, tgt = r_src + d_src, r_tgt + d_tgt
+            want = ot._objective_and_gradient(src, tgt, pair, metric, reg, screens[0])
+            got = ot._objective_and_gradient(src[p], tgt[q], *relabelled, reg, screens[1])
+            self.assert_same_pass(got, (want[0], want[1][p], want[2][q]))
+            for screen in screens:
+                assert (screen.rebuilds, screen.refreshes) == (1, k // 2)
+                assert screen.passes == k + 1
 
     @pytest.mark.parametrize("kind, n, m, r_scale", [
         ("entropic", N, M, 0.3),                # the entropic penalty is never exactly 0
@@ -564,7 +669,7 @@ class TestDualScreen:
         model.params = rng.normal(size=n + m) * r_scale
         screen = DualScreen()
         reg_ot_fit(pair, metric, reg, model, steps=5, lr=1e-9, screen=screen)
-        assert screen.passes == screen.rebuilds == 5
+        assert screen.passes == screen.rebuilds == 5 and screen.refreshes == 0
         assert screen.metric is None
 
 

@@ -11,7 +11,8 @@ solved, to the next round.  The count tests count the transposed
 (occupancy) solves, the reads and the factorizations of a run, so a
 consumer that starts solving or factoring again fails here instead of
 silently slowing the loop; the equivalence tests show that reading through
-a kept record changes no bit.
+a kept record changes no bit.  One more count test holds an exact S = 900
+WAIL run to at most two OT passes that walk the whole cost block.
 """
 
 import dataclasses
@@ -205,6 +206,20 @@ def test_sparse_run_factors_once_per_policy(factor_counter, solve_counter, trans
     # causal entropy and the Fisher weights each round, one per KL
     # evaluation and per surrogate check, one for the final fit
     assert len(solve_counter) == 4 * rounds + len(kl_evals) + len(surrogates) + 1
+
+
+def test_scale_exact_run_walks_its_cost_block_at_most_twice():
+    # the same settings: 20 rounds make 41 OT passes (one a round, 20
+    # final-fit steps and one for the fit's objective); the first builds
+    # the l2 screen, and the rest read it, refreshing the rows and columns
+    # that moved instead of walking the 3600-row cost block again
+    mdp = wail.build_environment({"name": "gridworld", "n": 30})
+    config = RunConfig(k_max=20, dataset_size=10, delta0=0.1, seed=7)
+    _, demos = wail.make_expert(mdp, config.expert_lambda, n_traj=config.dataset_size,
+                                traj_len=config.traj_len, seed=3)
+    _, _, log = wail.train_wail(mdp, demos, config)
+    assert log.meta["ot_passes"] == 41
+    assert log.meta["ot_screen_rebuilds"] <= 2 and log.meta["ot_screen_refreshes"] > 0
 
 
 @pytest.mark.parametrize("n", [30, 5], ids=["splu-S900", "dense-S25"])

@@ -470,6 +470,7 @@ def test_every_wail_round_makes_one_ot_pass_per_inner_step(monkeypatch, sampling
         else:
             meta = step.finish(state)[1]     # sampled finish makes no pass
             assert meta["ot_passes"] == meta["ot_screen_rebuilds"] == len(passes)
+            assert meta["ot_screen_refreshes"] == 0
 
 
 @pytest.mark.parametrize("inner_steps", [1, 3])
@@ -488,6 +489,7 @@ def test_sampled_rounds_build_no_screen(monkeypatch, inner_steps):
     assert built == []
     assert (log.meta["ot_passes"] == log.meta["ot_screen_rebuilds"]
             == config.k_max * inner_steps)
+    assert log.meta["ot_screen_refreshes"] == 0
 
 
 def test_ot_pass_counts_belong_to_the_run_and_repeat():
@@ -497,9 +499,10 @@ def test_ot_pass_counts_belong_to_the_run_and_repeat():
     config = RunConfig(env={"name": "gridworld", "n": 30}, dataset_size=10, delta0=0.1,
                        k_max=20, n_eval=100, n_ref=100)
     metas = [wail.run_single(config)[1]["log"].meta for _ in range(2)]
-    counts = [(meta["ot_passes"], meta["ot_screen_rebuilds"]) for meta in metas]
+    counts = [(meta["ot_passes"], meta["ot_screen_rebuilds"], meta["ot_screen_refreshes"])
+              for meta in metas]
     assert counts[0] == counts[1]
-    passes, rebuilds = counts[0]
+    passes, rebuilds, refreshes = counts[0]
     # one pass a round, one a final-fit step and one for the fit's objective
     assert passes == config.k_max + metas[0]["final_fit_steps"] + 1
-    assert rebuilds < passes / 2
+    assert rebuilds + refreshes <= passes and rebuilds < passes / 2
