@@ -32,29 +32,29 @@ BASE = wail.RunConfig(dataset_size=2, n_eval=100, n_ref=100)
 
 CASES = {
     "grid-wail-exact": (dict(env=GRID, k_max=50),
-                        "ec1db56777e1b22b2173b299cd36d84178b5173f0b199215eeccfc8d386058d4"),
+                        "a7c3d2d92d0d46a170e2b56e7cd6ecf2bb05ec2d3be9041154fb72f8d2d88bec"),
     "grid-gail-exact": (dict(env=GRID, algorithm="gail", k_max=50),
                         "bc51cb65ebd837a4dcea349c75f8fd9385e777d66e6ddd317c3a9ca16134db43"),
     "grid-bc": (dict(env=GRID, algorithm="bc"),
                 "bddcf2c6775e9c579c9349cceaaacc906cf0c96d90e47100dfd564d3fda7a00a"),
     "grid-wail-sampled": (dict(env=GRID, sampling="sampled", pg_mode="sampled", k_max=20),
-                          "3d6c829fe837cb5a954d18c7c1aa31a0626557a6c460464b880eaef3eb8ccc73"),
+                          "0299bd466b7e9060877625b18bbf675a85bba8463ff97546953c837fa369f028"),
     "grid-wail-sampled-batch-exact-gradient": (dict(env=GRID, sampling="sampled", k_max=30),
-                                               "28ddecf0881598cb043ceadbf6c9b2c9287f71be60bb9e1926966472bf22b5da"),
+                                               "4ee69a54dc133bacb8bcba14eb3cf480921f28afbf866815f806096d4a74be57"),
     "grid30-wail-exact": (AT_SCALE,
-                          "a5056211effda32feca262c994dc6b3daae669b99ca0e15c296c8ad0619940a2"),
+                          "ede69322bc65716ff93319d0df1253f396084c30f3e455d8e88cf325317a4f79"),
     "grid30-gail-exact": (dict(AT_SCALE, algorithm="gail"),
                           "eb9a78db65ebd30ceb977cc940e4cee4253b479f3449722d8fc389490b6f27e9"),
     "cliff-wail-exact": (dict(env=CLIFF, k_max=50),
-                         "ce6fe386f7b64b99d8703a62751f62cc4c6f4e1aa28e781cd01c97a1035a69b6"),
+                         "508f68d13880f2e286aca163e8df61ea9899acb32b3693b2a9daf7de0f3d3b17"),
     "cliff-gail-exact": (dict(env=CLIFF, algorithm="gail", k_max=50),
                          "7981e75f7b84362bd4d1c9ffa0459661a3bbd99854d5e603f2c53449dd7930cd"),
     "cliff-bc": (dict(env=CLIFF, algorithm="bc"),
                  "666b64e52d36ffc8a9452e4fa43842304c52818595db1da7559daf091aa5b5e7"),
     "cliff-wail-sampled": (dict(env=CLIFF, sampling="sampled", pg_mode="sampled", k_max=20),
-                           "5d2d57098a84f1be0fc705191f51c13bc32e9d219ccaaf715d0883a2b7f2456e"),
+                           "06555d8e6c4b45030cb95b0adc838769d14db403645a0971b74661cdcfba88f5"),
     "cliff-wail-sampled-batch-exact-gradient": (dict(env=CLIFF, sampling="sampled", k_max=30),
-                                                "011011d5c71fef62179414edf87b993f1da8419a450d072c155c94a290297dc9"),
+                                                "d090b869373526e5ac622a365b67db9af718e05516bf240359bf812d00b87fb2"),
 }
 
 ARTIFACT = {"wail": "reward_final.json", "gail": "discriminator_final.json"}
