@@ -35,6 +35,6 @@ from .training import (ExpertData, OtDualStep, RunLog, WailState, adversarial_tr
                        train_wail, wail_iteration)
 from .trust_region import (PolicyGradientReport, StepSchedule,
                            entropy_reg_policy_gradient, kl_constrained_step,
-                           schedule_delta, surrogate_value, weighted_kl)
+                           surrogate_value, weighted_kl)
 
 __version__ = "0.1.0"

@@ -12,20 +12,26 @@ run_single; train, with --demos too, is run_single.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 
 from . import analysis, rewards
-from .config import RunConfig, load_config
+from .config import ALGORITHMS, RunConfig
 from .experiments import run_experiment_grid, run_single, scorer, setup
 from .mdp import (load_policy, load_trajectories, save_mdp, save_policy,
                   save_trajectories, state_action_embeddings)
 from .ot import DivergenceError
 
 
-def _apply_overrides(config: RunConfig, args) -> RunConfig:
+def _load(args) -> RunConfig:
+    """The --config file's JSON object, then --seed, --out, each --set and
+    --algo, in that order, merged into one RunConfig, which checks itself
+    once."""
+    doc = {}
+    if args.config:
+        with open(args.config) as fh:
+            doc = json.load(fh)
     updates = {}
     if args.seed is not None:
         updates["seed"] = args.seed
@@ -41,14 +47,8 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
             updates[key] = raw
     if getattr(args, "algo", None):
         updates["algorithm"] = args.algo
-    return RunConfig.from_dict(dataclasses.asdict(config) | updates)
-
-
-def _load(args) -> RunConfig:
-    config = load_config(args.config) if args.config else RunConfig()
-    config = _apply_overrides(config, args)
-    config.validate()
-    return config
+    # from_dict rejects a file that holds no JSON object
+    return RunConfig.from_dict(doc | updates if isinstance(doc, dict) else doc)
 
 
 def cmd_expert(args) -> int:
@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="run one imitation training")
     _add_common(p)
-    p.add_argument("--algo", choices=["wail", "gail", "bc"], default=None)
+    p.add_argument("--algo", choices=ALGORITHMS, default=None)
     p.add_argument("--demos", default=None, help="trajectories JSONL (else generated)")
     p.set_defaults(fn=cmd_train)
 

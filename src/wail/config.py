@@ -5,15 +5,25 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+
+from .ot import REG_KINDS
+from .rewards import FORMS
 
 ALGORITHMS = ("wail", "gail", "bc")
 SAMPLING_MODES = ("exact", "sampled")
+CHOICES = {"algorithm": ALGORITHMS, "reg_kind": REG_KINDS, "model_form": FORMS,
+           "sampling": SAMPLING_MODES, "pg_mode": SAMPLING_MODES}
+# The number fields that may be 0; every other int or float field must be > 0.
+MAY_BE_ZERO = ("seed", "k_max", "eval_every", "checkpoint_every", "lambda_entropy",
+               "delta0", "delta_decay", "early_stop_tol")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Everything one imitation run needs.
+    """Everything one imitation run needs.  Frozen, and checked by
+    `validate` whenever one is made: built directly, by `from_dict` or by
+    `dataclasses.replace`.
 
     Defaults follow the experiment setup at desk scale: l2-regularized OT
     with epsilon 0.01, Euclidean ground cost, tabular reward/discriminator,
@@ -59,68 +69,41 @@ class RunConfig:
     checkpoint_every: int = 0
     out_dir: str | None = None
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
-        """Cross-check every field against its owning module's constraints
-        before any work starts."""
-        for name in ("seed", "dataset_size", "k_max", "l1", "l2", "ot_inner_steps",
-                     "early_stop_window", "traj_len", "n_eval", "n_ref", "eval_every",
-                     "checkpoint_every"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("epsilon", "ot_lr", "lambda_entropy", "delta0", "delta_decay",
-                     "early_stop_tol", "disc_lr", "expert_lambda"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        """Raise ValueError, naming the field, for the first field outside
+        its owning module's constraints; every RunConfig is checked so when
+        it is made."""
+        for f in fields(self):
+            if f.type not in ("int", "float"):
+                continue
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool)
+                                    or not isinstance(value, numbers.Integral)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                                      or not math.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+            if f.name in MAY_BE_ZERO and value < 0:
+                raise ValueError(f"{f.name} must be >= 0, got {value!r}")
+            if f.name not in MAY_BE_ZERO and value <= 0:
+                raise ValueError(f"{f.name} must be > 0, got {value!r}")
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         if not isinstance(self.env, dict) or "name" not in self.env:
             raise ValueError("env must be a dict with a 'name' key")
         if not isinstance(self.env["name"], str):
             raise ValueError(f"env.name must be a string, got {self.env['name']!r}")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
         if self.out_dir is not None and not isinstance(self.out_dir, str):
             raise ValueError(f"out_dir must be a string or null, got {self.out_dir!r}")
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"algorithm must be one of {ALGORITHMS}")
-        if self.dataset_size < 1:
-            raise ValueError("dataset_size must be >= 1")
-        if self.reg_kind not in ("entropic", "l2"):
-            raise ValueError("reg_kind must be 'entropic' or 'l2'")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
-        if self.ot_lr <= 0 or self.disc_lr <= 0:
-            raise ValueError("learning rates must be > 0")
-        if self.ot_inner_steps < 1:
-            raise ValueError("ot_inner_steps must be >= 1")
-        if self.model_form not in ("tabular", "linear", "mlp"):
-            raise ValueError("model_form must be tabular, linear or mlp")
         hidden = self.mlp_hidden
         if (not isinstance(hidden, (tuple, list)) or len(hidden) != 2
                 or not all(isinstance(h, int) and not isinstance(h, bool) and h >= 1
                            for h in hidden)):
             raise ValueError("mlp_hidden must be two ints >= 1")
-        if self.lambda_entropy < 0:
-            raise ValueError("lambda_entropy must be >= 0")
-        if self.delta0 < 0 or self.delta_decay < 0:
-            raise ValueError("delta0 must be >= 0 and delta_decay >= 0")
-        if self.k_max < 0:
-            raise ValueError("k_max must be >= 0")
-        if self.sampling not in SAMPLING_MODES or self.pg_mode not in SAMPLING_MODES:
-            raise ValueError(f"sampling/pg_mode must be one of {SAMPLING_MODES}")
-        if self.l1 < 1 or self.l2 < 1:
-            raise ValueError("batch sizes l1, l2 must be >= 1")
-        if self.early_stop_window < 1 or self.early_stop_tol < 0:
-            raise ValueError("early_stop_window must be >= 1 and early_stop_tol >= 0")
-        if self.expert_lambda <= 0:
-            raise ValueError("expert_lambda must be > 0")
-        if self.traj_len < 1:
-            raise ValueError("traj_len must be >= 1")
-        if self.n_eval < 1 or self.n_ref < 1:
-            raise ValueError("n_eval and n_ref must be >= 1")
-        if self.eval_every < 0 or self.checkpoint_every < 0:
-            raise ValueError("eval_every and checkpoint_every must be >= 0")
 
     def to_dict(self) -> dict:
         doc = asdict(self)

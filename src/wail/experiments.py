@@ -71,7 +71,6 @@ def run_single(config: RunConfig, demos=None):
     logit; None for bc), the log (None for bc) and the expert context.
     With config.out_dir set, it alone writes the run's final files (the
     loop writes checkpoints); a diverged run writes its partial log."""
-    config.validate()
     mdp, expert_policy, demos = setup(config, demos)
     score, expert_ref, random_ref = scorer(config, mdp, expert_policy)
     if config.out_dir:
@@ -143,10 +142,11 @@ def run_experiment_grid(base: RunConfig, algorithms=None, dataset_sizes=None,
             for seed in seeds:
                 cell_out = (os.path.join(out_dir, f"{algo}_n{size}_s{seed}")
                             if out_dir else None)
-                cfg = dataclasses.replace(base, algorithm=algo, dataset_size=size,
-                                          seed=seed, out_dir=cell_out)
                 try:
-                    row, _ = run_single(cfg)
+                    # inside the try: a cell whose config fails its check fails alone
+                    row, _ = run_single(dataclasses.replace(base, algorithm=algo,
+                                                            dataset_size=size, seed=seed,
+                                                            out_dir=cell_out))
                     rows.append(row)
                 except Exception as err:   # noqa: BLE001 - cell isolation is the contract
                     failures.append({"algorithm": algo, "dataset_size": size,

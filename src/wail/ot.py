@@ -21,8 +21,9 @@ from .mdp import TabularMdp, state_action_embeddings
 SUPPORT_CAP = 300          # exact LP oracles reject larger supports
 ENT_EXP_CLAMP = 30.0       # clamp on the entropic exponent before exp()
 PAIR_SUM_TOL = 1e-10
-CHUNK_BYTES = 512 * 1024   # cost-block rows the dual pass holds at once
-DIST_CHUNK_CELLS = 32 * 1024   # cost-block cells euclidean_distances squares at once
+METRIC_TOL = 1e-9          # rounding require_metric forgives in the metric axioms
+CHUNK_BYTES = 512 * 1024   # cost-block rows the dual pass and the distance kernel hold at once
+REG_KINDS = ("entropic", "l2")   # the dual regularizers
 SCREEN_TAU = 0.1           # l2 pairs with slack above -SCREEN_TAU join a DualScreen
 SCREEN_MARGIN = 1e-9       # rounding headroom in the screen's validity bound
 # A screened pass costs ~40 us plus ~30 ns a pair against ~2.7 ns a pair
@@ -82,14 +83,12 @@ class GroundMetric:
         return self.dist.shape[1]
 
     @classmethod
-    def from_embeddings(cls, embed: np.ndarray, scale: float = 1.0,
-                        src_index=None, tgt_index=None) -> "GroundMetric":
+    def from_embeddings(cls, embed: np.ndarray, src_index=None,
+                        tgt_index=None) -> "GroundMetric":
         embed = np.asarray(embed, dtype=np.float64)
         si = np.arange(embed.shape[0]) if src_index is None else np.asarray(src_index, dtype=np.int64)
         ti = np.arange(embed.shape[0]) if tgt_index is None else np.asarray(tgt_index, dtype=np.int64)
-        D = euclidean_distances(embed[si], embed[ti])
-        D *= scale
-        return cls(D, si, ti, embed)
+        return cls(euclidean_distances(embed[si], embed[ti]), si, ti, embed)
 
     def restrict(self, src_sel, tgt_sel) -> "GroundMetric":
         """Sub-metric over positional selections of the current supports
@@ -100,18 +99,19 @@ class GroundMetric:
                             self.src_index[src_sel], self.tgt_index[tgt_sel],
                             self.embed)
 
-    def require_metric(self, tol: float = 1e-9) -> None:
+    def require_metric(self) -> None:
         """Validate shared support, symmetry, zero diagonal and the triangle
-        inequality (needed for the single-potential dual)."""
+        inequality (needed for the single-potential dual), each up to
+        METRIC_TOL."""
         if self.n_src != self.n_tgt or not np.array_equal(self.src_index, self.tgt_index):
             raise ValueError("dual LP needs one common support on both sides")
         D = self.dist
-        if np.abs(np.diag(D)).max() > tol:
+        if np.abs(np.diag(D)).max() > METRIC_TOL:
             raise ValueError("ground cost has a nonzero diagonal")
-        if np.abs(D - D.T).max() > tol:
+        if np.abs(D - D.T).max() > METRIC_TOL:
             raise ValueError("ground cost is not symmetric")
         for k in range(D.shape[0]):
-            if (D - (D[:, k:k + 1] + D[k:k + 1, :])).max() > tol:
+            if (D - (D[:, k:k + 1] + D[k:k + 1, :])).max() > METRIC_TOL:
                 raise ValueError("ground cost violates the triangle inequality")
 
 
@@ -123,9 +123,8 @@ def euclidean_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     at a time, in order j = 0 ... d - 1, and the sum's square root is
     taken.  (The broadcast form sqrt(((x[:, None] - y) ** 2).sum(-1))
     rounds otherwise from d = 8 up: its sum is pairwise.)  The rows go
-    through in chunks of about DIST_CHUNK_CELLS cells, with one reused
-    buffer for the differences, so the only block-sized array is the
-    result."""
+    through in chunks of about CHUNK_BYTES, with one reused buffer for the
+    differences, so the only block-sized array is the result."""
     if x.shape[1] != y.shape[1]:
         raise ValueError(f"points of width {x.shape[1]} and {y.shape[1]} have no distance")
     n, m = x.shape[0], y.shape[0]
@@ -133,7 +132,7 @@ def euclidean_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if n == 0 or m == 0:
         return out
     xt, yt = np.ascontiguousarray(x.T), np.ascontiguousarray(y.T)
-    rows = max(1, DIST_CHUNK_CELLS // m)
+    rows = max(1, CHUNK_BYTES // (8 * m))
     buf = np.empty((min(rows, n), m))
     for i in range(0, n, rows):
         j = min(i + rows, n)
@@ -146,13 +145,10 @@ def euclidean_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_ground_metric(mdp: TabularMdp, scale: float = 1.0, src_index=None,
-                        tgt_index=None) -> GroundMetric:
-    """Scaled Euclidean distances between state-action embeddings, from source
-    to target flat indices (duplicates allowed; None is the full S x A set)."""
-    if scale <= 0:
-        raise ValueError("scale must be > 0")
-    return GroundMetric.from_embeddings(state_action_embeddings(mdp), scale, src_index, tgt_index)
+def build_ground_metric(mdp: TabularMdp, src_index=None, tgt_index=None) -> GroundMetric:
+    """Euclidean distances between state-action embeddings, from source to
+    target flat indices (duplicates allowed; None is the full S x A set)."""
+    return GroundMetric.from_embeddings(state_action_embeddings(mdp), src_index, tgt_index)
 
 
 @dataclass(frozen=True)
@@ -164,8 +160,8 @@ class DualRegularization:
     epsilon: float
 
     def __post_init__(self):
-        if self.kind not in ("entropic", "l2"):
-            raise ValueError(f"kind must be 'entropic' or 'l2', got {self.kind!r}")
+        if self.kind not in REG_KINDS:
+            raise ValueError(f"kind must be one of {REG_KINDS}, got {self.kind!r}")
         if not (np.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError("epsilon must be finite and strictly positive")
 
@@ -363,12 +359,8 @@ def _objective_and_gradient(r_src, r_tgt, pair, metric, reg, screen=None):
     """The regularized dual's value, its gradients with respect to r_src
     and r_tgt, and the number of entropic exponents clamped at
     ENT_EXP_CLAMP, from one pass over the cost block, or over `screen`'s
-    pairs while it serves (see DualScreen): every pair outside the screen
-    has slack <= -SCREEN_TAU at its row's and column's reference values,
-    so while the moves since then stay under the global bound, or once
-    the split a refreshes the columns that rose by more than a and the
-    rows that fell by at least SCREEN_TAU - SCREEN_MARGIN - a, each pair
-    outside has exactly 0 penalty and slope.
+    pairs while it serves (DualScreen states when, and why the pairs
+    outside then have exactly 0 penalty and slope).
 
     The penalty on the slack z = r(y) - r(x) - d(x, y) is -z+^2 / (4 eps)
     with slope -z+ / (2 eps) for l2, and -eps exp(z / eps) with slope
@@ -378,9 +370,7 @@ def _objective_and_gradient(r_src, r_tgt, pair, metric, reg, screen=None):
     through one buffer, forming each chunk's slack in place and keeping
     only the penalty mass and the row and column sums the gradients read,
     so it makes no block-sized temporary.  Given a screen, an l2 full pass
-    also rebuilds it; the full pass is made on another block and when a
-    refresh would rescan, or its screen hold, more than SCREEN_MAX_SHARE
-    of the block."""
+    also rebuilds it."""
     r_src = np.asarray(r_src, dtype=np.float64)
     r_tgt = np.asarray(r_tgt, dtype=np.float64)
     _check_sizes(pair, metric)
@@ -484,18 +474,13 @@ def reg_ot_fit(pair: DiscreteMeasurePair, metric: GroundMetric, reg: DualRegular
     model's parameters, on the metric's supports with the pair's weights.
     Makes one pass per step (one, for the value, when steps = 0), each
     over the whole block, or through `screen` when given, which the caller
-    keeps for its later fits over the same block (see DualScreen).  The
-    screen keeps every pair outside it at slack <= -SCREEN_TAU at its
-    rows' and columns' reference values; an l2 pass whose global bound
-    fails refreshes only the rows and columns of the split that rescans
-    the fewest pairs, and walks the whole block only when that rescan or
-    the refreshed screen is over SCREEN_MAX_SHARE of it.
-    Returns the trained copy, the objective at the model it started from (the value
-    its first step ascends from) and the number of entropic exponents
-    clamped over all passes.  Raises DivergenceError when a step's
-    starting objective is non-finite or a step leaves a non-finite
-    parameter; with steps = 0 the returned objective is the caller's to
-    check.
+    keeps for its later fits over the same block (see DualScreen for which
+    passes it serves).  Returns the trained copy, the objective at the
+    model it started from (the value its first step ascends from) and the
+    number of entropic exponents clamped over all passes.  Raises
+    DivergenceError when a step's starting objective is non-finite or a
+    step leaves a non-finite parameter; with steps = 0 the returned
+    objective is the caller's to check.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")

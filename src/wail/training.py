@@ -26,8 +26,8 @@ from . import ot, rewards
 from .config import RunConfig
 from .mdp import (OccupancyMeasure, Rollouts, SoftmaxPolicy, TabularMdp,
                   occupancy_from_policy, sample_trajectories, save_policy)
-from .trust_region import (StepSchedule, entropy_reg_policy_gradient,
-                           kl_constrained_step, schedule_delta, weighted_kl)
+from .trust_region import (StepSchedule, entropy_reg_policy_gradient, kl_constrained_step,
+                           weighted_kl)
 
 FINAL_FIT_STEPS = 200      # reward ascent steps against the returned policy
 PG_EPISODES = 256          # restart-chain episodes per sampled policy gradient
@@ -177,15 +177,12 @@ class OtDualStep:
     The cost block covers only the round's batch points, never S*A x S*A.
     Exact-mode batches always pair every state-action point with the expert
     support, so the block is built in the first round and serves every round
-    and the final fit, and so does its l2 screen (`ot.DualScreen`), which
-    also counts the run's passes over the block.  The screen keeps every
-    pair outside it at slack <= -SCREEN_TAU at its rows' and columns'
-    reference values, so a pass past its global bound refreshes only the
-    rows and columns that moved (the split that rescans the fewest pairs);
-    a 20-round S = 900 run walks the whole block once.  Sampled mode
-    builds a new block every round, which no later fit reads, so it keeps
-    no screen and every pass walks its round's whole block.  One instance
-    serves one run."""
+    and the final fit, and so does its l2 screen (`ot.DualScreen`, which
+    states the pairs a pass may skip), which also counts the run's passes
+    over the block; a 20-round S = 900 run walks the whole block once.
+    Sampled mode builds a new block every round, which no later fit reads,
+    so it keeps no screen and every pass walks its round's whole block.
+    One instance serves one run."""
 
     algorithm = "wail"
     salt = 0x57A1
@@ -273,7 +270,7 @@ def wail_iteration(state: WailState, mdp: TabularMdp, expert_data, config: RunCo
 
     report = entropy_reg_policy_gradient(mdp, state.policy, reward,
                                          lam=config.lambda_entropy, batch=grad_batch)
-    delta = schedule_delta(StepSchedule(config.delta0, config.delta_decay), state.k + 1)
+    delta = StepSchedule(config.delta0, config.delta_decay).delta(state.k + 1)
     policy = kl_constrained_step(mdp, state.policy, report, delta)
     row = {"iteration": state.k + 1, "objective": objective,
            "policy_surrogate": report.surrogate_value,
@@ -323,7 +320,6 @@ def adversarial_train(mdp: TabularMdp, expert_data, config: RunConfig, reward_st
     a fresh copy: the last flow record (an LU factor on large MDPs) is
     freed with the loop.
     Deterministic given config.seed."""
-    config.validate()
     expert = ExpertData.from_any(expert_data, mdp)
     S, A = mdp.n_states, mdp.n_actions
     width = mdp.state_embed.shape[1] + mdp.action_embed.shape[1]

@@ -30,6 +30,7 @@ from .mdp import (Rollouts, SoftmaxPolicy, TabularMdp, action_values, causal_ent
                   occupancy_from_policy)
 
 GRAD_NORM_FLOOR = 1e-10
+FISHER_DAMPING = 1e-3   # makes the Fisher invertible along each state's constant direction
 BACKTRACK_COEF = 0.5    # the line search scales the step by this per backtrack,
 MAX_BACKTRACKS = 10     # at most this many times
 
@@ -52,17 +53,16 @@ class StepSchedule:
         if self.decay < 0:
             raise ValueError("decay must be >= 0")
 
+    def delta(self, k: int) -> float:
+        """KL bound for round k (1-based)."""
+        if k < 1:
+            raise ValueError("round index must be >= 1")
+        return self.delta0 / k ** self.decay
+
     def sqrt_sum(self, horizon: int) -> float:
         """Direct partial sum of sqrt(delta_k) up to the horizon."""
         k = np.arange(1, horizon + 1, dtype=np.float64)
         return float(np.sqrt(self.delta0 / k ** self.decay).sum())
-
-
-def schedule_delta(schedule: StepSchedule, k: int) -> float:
-    """KL bound for round k (1-based)."""
-    if k < 1:
-        raise ValueError("round index must be >= 1")
-    return schedule.delta0 / k ** schedule.decay
 
 
 @dataclass
@@ -170,8 +170,7 @@ def _natural_direction(d: np.ndarray, pi: np.ndarray, g: np.ndarray,
 
 
 def kl_constrained_step(mdp: TabularMdp, policy: SoftmaxPolicy,
-                        report: PolicyGradientReport, delta: float,
-                        damping: float = 1e-3) -> SoftmaxPolicy:
+                        report: PolicyGradientReport, delta: float) -> SoftmaxPolicy:
     """One trust-region update of `policy`: natural-gradient direction
     scaled to the KL budget, then backtracking until the measured
     occupancy-weighted KL(new || old) is within delta and the surrogate has
@@ -180,19 +179,16 @@ def kl_constrained_step(mdp: TabularMdp, policy: SoftmaxPolicy,
     the surrogate check.  Returns the accepted candidate, keeping its
     record, or `policy` itself when no candidate qualifies, when delta = 0,
     or when the gradient is negligible.  The old policy's occupancy serves
-    the Fisher weights and every candidate's KL check.  The damping must be
-    positive: it makes the Fisher invertible along each state's constant
-    direction."""
+    the Fisher weights and every candidate's KL check; the Fisher is damped
+    by FISHER_DAMPING."""
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    if damping <= 0:
-        raise ValueError("damping must be > 0")
     g = report.gradient
     if delta == 0.0 or np.linalg.norm(g) < GRAD_NORM_FLOOR:
         return policy
     pi = policy.probs
     d = occupancy_from_policy(mdp, policy).state_marginal()
-    v = _natural_direction(d, pi, g, damping)
+    v = _natural_direction(d, pi, g, FISHER_DAMPING)
     quad = v @ g
     beta = math.sqrt(2.0 * delta / quad)
     old_value = report.surrogate_value

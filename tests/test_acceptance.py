@@ -134,7 +134,7 @@ def test_criterion_3_gradient_correctness(rng):
     for t in range(100):   # regularized dual gradient
         n, m = int(rng.integers(2, 7)), int(rng.integers(2, 7))
         E = rng.normal(size=(n + m, 3))
-        metric = GroundMetric.from_embeddings(E, 1.0, np.arange(n), n + np.arange(m))
+        metric = GroundMetric.from_embeddings(E, np.arange(n), n + np.arange(m))
         pair = DiscreteMeasurePair(rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m)))
         reg = DualRegularization("entropic" if t % 2 else "l2", float(rng.uniform(0.05, 1.0)))
         r_src, r_tgt = rng.normal(size=n), rng.normal(size=m)

@@ -180,6 +180,16 @@ class TestTrain:
         assert rc == 1
         assert "must be an integer" in capsys.readouterr().err
 
+    def test_overrides_complete_a_config_file_before_its_check(self, tmp_path, capsys):
+        # the file and --set are merged first, and the merged config checked once
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps({"env": {"name": "gridworld", "n": 3}, "k_max": -1,
+                                    "n_eval": 50, "n_ref": 50}))
+        assert main(["train", "--config", str(path), "--algo", "bc"]) == 1
+        assert "k_max must be >= 0" in capsys.readouterr().err
+        assert main(["train", "--config", str(path), "--set", "k_max=3"]) == 0
+        assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["algorithm"] == "wail"
+
     def test_unknown_config_key_rejected(self, config_file, capsys):
         rc = main(["train", "--config", config_file, "--set", "nonsense=1"])
         assert rc == 1
@@ -377,3 +387,15 @@ class TestGrid:
         assert (tmp_path / "g" / "failures.json").exists()
         rows = wail.load_summary(tmp_path / "g" / "summary.csv")
         assert [r["algorithm"] for r in rows] == ["bc"]
+
+    def test_invalid_cell_fails_alone(self, config_file, tmp_path, capsys):
+        # a size-0 cell's config fails its check inside the cell, so the
+        # grid records it and runs the others
+        rc = main(["grid", "--config", config_file, "--algos", "bc",
+                   "--sizes", "0,1", "--seeds", "0", "--out", str(tmp_path / "g")])
+        assert rc == 3
+        failures = json.loads((tmp_path / "g" / "failures.json").read_text())
+        assert [(f["dataset_size"], f["error"]) for f in failures] == [
+            (0, "ValueError: dataset_size must be > 0, got 0")]
+        rows = wail.load_summary(tmp_path / "g" / "summary.csv")
+        assert [r["dataset_size"] for r in rows] == [1]

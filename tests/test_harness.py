@@ -55,7 +55,7 @@ class TestEnvironments:
         with pytest.raises(ValueError, match=r"env\.name"):
             build_environment({"name": name, "n": 3})
         with pytest.raises(ValueError, match=r"env\.name"):
-            RunConfig(env={"name": name, "n": 3}).validate()
+            RunConfig(env={"name": name, "n": 3})
 
     @pytest.mark.parametrize("spec,match", [
         ({"name": "gridworld", "m": 3}, "takes no parameter 'm'"),

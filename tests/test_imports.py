@@ -2,7 +2,8 @@
 by `from .mod import _name` or by `mod._name` on an imported module; only
 `experiments` decides which seed feeds which stage of a run, and only
 `training._maybe_checkpoint` writes files from the trainers; only
-`training.OtDualStep` builds an OT dual screen; only `mdp`
+`config` calls `validate`, since a RunConfig checks itself when it is
+made; only `training.OtDualStep` builds an OT dual screen; only `mdp`
 solves or factors a linear system, so every flow solve goes through its
 FlowSystem, and only `mdp` names that record (the package re-exports it),
 so the policy it is kept on is the only way to reach one; only `training`
@@ -15,11 +16,16 @@ module, while a cell above DENSE_SOLVE_MAX_STATES states loads
 all, so every distance comes from `ot.euclidean_distances`."""
 
 import ast
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from wail import RunConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "wail"
 
@@ -98,6 +104,18 @@ def test_only_experiments_derives_stage_seeds():
     callers = {path.stem for path in sorted(SRC.glob("*.py"))
                if derived_seeds_calls(path.read_text())}
     assert callers == {"experiments"}
+
+
+def test_only_config_validates_a_run_config():
+    # every RunConfig is checked when it is made, so an entry point that
+    # checks one again holds a second copy of the rule
+    callers = {path.stem for path in sorted(SRC.glob("*.py"))
+               if call_sites(path.read_text(), {"validate"})}
+    assert callers == {"config"}
+    with pytest.raises(ValueError, match="l1"):
+        dataclasses.replace(RunConfig(), l1=0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        RunConfig().k_max = 3
 
 
 # The writers a trainer could call, and the only (module, function, writer)

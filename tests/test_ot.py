@@ -7,16 +7,16 @@ from wail import (DiscreteMeasurePair, DualRegularization, GroundMetric,
                   build_ground_metric, reg_dual_gradient, reg_dual_objective,
                   reg_ot_fit, w1_dual_lp, w1_primal_lp)
 from wail import ot
-from wail.ot import (CHUNK_BYTES, DIST_CHUNK_CELLS, ENT_EXP_CLAMP, SCREEN_MARGIN,
+from wail.ot import (CHUNK_BYTES, ENT_EXP_CLAMP, SCREEN_MARGIN,
                      SCREEN_MAX_SHARE, SCREEN_MIN_PAIRS, SCREEN_TAU, DivergenceError,
                      DualScreen, euclidean_distances)
 
 from conftest import random_mdp
 
 
-def random_instance(rng, n, dim=3, scale=1.0):
+def random_instance(rng, n, dim=3):
     E = rng.normal(size=(n, dim))
-    metric = GroundMetric.from_embeddings(E, scale)
+    metric = GroundMetric.from_embeddings(E)
     a = rng.dirichlet(np.ones(n))
     b = rng.dirichlet(np.ones(n))
     return DiscreteMeasurePair(a, b), metric
@@ -39,7 +39,7 @@ class TestGroundMetric:
 
     def test_metric_axioms_on_random_triples(self, rng):
         E = rng.normal(size=(40, 4))
-        m = GroundMetric.from_embeddings(E, scale=2.0)
+        m = GroundMetric.from_embeddings(2.0 * E)
         D = m.dist
         idx = rng.integers(0, 40, size=(1000, 3))
         i, j, k = idx[:, 0], idx[:, 1], idx[:, 2]
@@ -48,7 +48,7 @@ class TestGroundMetric:
 
     def test_build_from_mdp_full_index_set(self):
         mdp = random_mdp(3, 2, 0.9, seed=0)
-        m = build_ground_metric(mdp, scale=1.0)
+        m = build_ground_metric(mdp)
         assert m.dist.shape == (6, 6)
         E = wail.state_action_embeddings(mdp)
         assert abs(m.dist[0, 5] - np.linalg.norm(E[0] - E[5])) < 1e-12
@@ -86,15 +86,19 @@ class TestGroundMetric:
                              ids=["grid5", "grid30", "cliff", "chain", "mountain_car"])
     def test_block_equals_the_restricted_full_metric(self, env, scale):
         # training builds only the cost block it reads; it must hold the same
-        # bytes as that block cut out of the full (S*A)^2 metric
+        # bytes as that block cut out of the full (S*A)^2 metric, also over
+        # scaled embeddings (scale 1.0 is build_ground_metric's)
         mdp = wail.build_environment(env)
-        full = build_ground_metric(mdp, scale)
+        E = scale * wail.state_action_embeddings(mdp)
+        full = GroundMetric.from_embeddings(E)
         n = full.n_src
         rng = np.random.default_rng(n)
         support = np.unique(rng.integers(0, n, size=max(2, n // 15)))
         batches = rng.integers(0, n, size=(2, 128))    # with duplicates, as sampled
         for src, tgt in [(np.arange(n), support), (batches[0], batches[1])]:
-            block = build_ground_metric(mdp, scale, src, tgt)
+            block = GroundMetric.from_embeddings(E, src, tgt)
+            if scale == 1.0:
+                assert build_ground_metric(mdp, src, tgt).dist.tobytes() == block.dist.tobytes()
             cut = full.restrict(src, tgt)
             assert block.dist.tobytes() == cut.dist.tobytes()
             assert block.dist.flags.c_contiguous and cut.dist.flags.c_contiguous
@@ -135,8 +139,8 @@ class TestDistanceKernel:
     def test_every_builder_full_metric(self, name, scale):
         mdp = BUILDERS[name]()
         E = wail.state_action_embeddings(mdp)
-        self.assert_cdist_bits(E, E)
-        assert build_ground_metric(mdp, scale).dist.tobytes() == (scale * cdist(E, E)).tobytes()
+        self.assert_cdist_bits(scale * E, scale * E)
+        assert build_ground_metric(mdp).dist.tobytes() == cdist(E, E).tobytes()
 
     @pytest.mark.parametrize("name", sorted(BUILDERS))
     def test_every_builder_upper_triangle(self, name):
@@ -151,20 +155,20 @@ class TestDistanceKernel:
         support = np.unique(demos.states * mdp.n_actions + demos.actions)
         E = wail.state_action_embeddings(mdp)
         self.assert_cdist_bits(E, E[support])
-        block = build_ground_metric(mdp, 1.0, np.arange(E.shape[0]), support)
+        block = build_ground_metric(mdp, np.arange(E.shape[0]), support)
         assert block.dist.tobytes() == cdist(E, E[support]).tobytes()
 
     def test_index_selections_with_duplicates(self, rng):
         E = rng.normal(size=(30, 6))
         src, tgt = rng.integers(0, 30, size=50), rng.integers(0, 30, size=40)
         assert len(np.unique(src)) < src.size and len(np.unique(tgt)) < tgt.size
-        metric = GroundMetric.from_embeddings(E, 2.5, src, tgt)
-        assert metric.dist.tobytes() == (2.5 * cdist(E[src], E[tgt])).tobytes()
+        metric = GroundMetric.from_embeddings(E, src, tgt)
+        assert metric.dist.tobytes() == cdist(E[src], E[tgt]).tobytes()
 
-    @pytest.mark.parametrize("m", [100, DIST_CHUNK_CELLS + 3], ids=["many-rows", "wide-rows"])
+    @pytest.mark.parametrize("m", [100, CHUNK_BYTES // 8 + 3], ids=["many-rows", "wide-rows"])
     def test_block_of_several_chunks_with_a_ragged_last_one(self, rng, m):
         # three whole chunks and a half one (one-row chunks when wide)
-        rows = max(1, DIST_CHUNK_CELLS // m)
+        rows = max(1, CHUNK_BYTES // (8 * m))
         n = 3 * rows + max(1, rows // 2)
         self.assert_cdist_bits(rng.normal(size=(n, 5)), rng.normal(size=(m, 5)))
 
@@ -299,7 +303,7 @@ class TestDualLp:
 
     def test_rejects_distinct_supports(self, rng):
         E = rng.normal(size=(6, 2))
-        metric = GroundMetric.from_embeddings(E, 1.0, [0, 1, 2], [3, 4, 5])
+        metric = GroundMetric.from_embeddings(E, [0, 1, 2], [3, 4, 5])
         pair = DiscreteMeasurePair(np.full(3, 1 / 3), np.full(3, 1 / 3))
         with pytest.raises(ValueError, match="common support"):
             w1_dual_lp(pair, metric)
@@ -380,7 +384,7 @@ class TestRegularizedGradient:
         for t in range(100):
             n, m = int(rng.integers(2, 8)), int(rng.integers(2, 8))
             E = rng.normal(size=(n + m, 3))
-            metric = GroundMetric.from_embeddings(E, 1.0, np.arange(n), n + np.arange(m))
+            metric = GroundMetric.from_embeddings(E, np.arange(n), n + np.arange(m))
             pair = DiscreteMeasurePair(rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m)))
             kind = "entropic" if t % 2 == 0 else "l2"
             reg = DualRegularization(kind, float(rng.uniform(0.05, 1.0)))
@@ -428,8 +432,8 @@ class TestChunkedDualPass:
 
     def instance(self, n, m, r_scale, seed):
         rng = np.random.default_rng(seed)
-        metric = GroundMetric.from_embeddings(rng.normal(size=(n + m, 2)), 1.0,
-                                              np.arange(n), n + np.arange(m))
+        metric = GroundMetric.from_embeddings(rng.normal(size=(n + m, 2)), np.arange(n),
+                                              n + np.arange(m))
         pair = DiscreteMeasurePair(rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m)))
         return rng.normal(size=n + m) * r_scale, pair, metric
 
@@ -485,7 +489,7 @@ class TestDualScreen:
 
     def instance(self, seed=0):
         rng = np.random.default_rng(seed)
-        metric = GroundMetric.from_embeddings(rng.normal(size=(self.N + self.M, 2)) * 2.0, 1.0,
+        metric = GroundMetric.from_embeddings(rng.normal(size=(self.N + self.M, 2)) * 2.0,
                                               np.arange(self.N), self.N + np.arange(self.M))
         pair = DiscreteMeasurePair(rng.dirichlet(np.ones(self.N)), rng.dirichlet(np.ones(self.M)))
         return pair, metric, DualRegularization("l2", 0.05)
@@ -661,8 +665,8 @@ class TestDualScreen:
     ], ids=["entropic", "small-block", "wide-screen"])
     def test_full_pass_every_time(self, kind, n, m, r_scale):
         rng = np.random.default_rng(2)
-        metric = GroundMetric.from_embeddings(rng.normal(size=(n + m, 2)), 1.0,
-                                              np.arange(n), n + np.arange(m))
+        metric = GroundMetric.from_embeddings(rng.normal(size=(n + m, 2)), np.arange(n),
+                                              n + np.arange(m))
         pair = DiscreteMeasurePair(rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m)))
         reg = DualRegularization(kind, 0.05)
         model = wail.create_model("tabular", (n + m,), seed=0)

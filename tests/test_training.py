@@ -261,7 +261,7 @@ def test_objective_trend_downward_when_initialized_far():
     expert, demos = wail.make_expert(mdp, 0.01, n_traj=1, traj_len=50, seed=0)
     # the annealed schedule makes the run converge instead of limit-cycling
     config = RunConfig(k_max=400, seed=0, ot_lr=0.5, delta0=0.1, delta_decay=1.0)
-    metric = build_ground_metric(mdp, 1.0)
+    metric = build_ground_metric(mdp)
     reg = DualRegularization("l2", 0.01)
     expert_data = ExpertData.from_any(demos, mdp)
     pol = SoftmaxPolicy.uniform(25, 4)
@@ -292,7 +292,7 @@ def test_returned_reward_is_near_stationary(monkeypatch):
     _, demos = wail.make_expert(mdp, 0.01, n_traj=1, traj_len=50, seed=0)
     expert = ExpertData.from_any(demos, mdp)
     sup = expert.support()
-    sub = build_ground_metric(mdp, 1.0).restrict(np.arange(100), sup)
+    sub = build_ground_metric(mdp).restrict(np.arange(100), sup)
     gains = {}
     config = RunConfig(k_max=400, seed=0)
     reg = DualRegularization(config.reg_kind, config.epsilon)
@@ -349,12 +349,11 @@ def test_early_stop_on_flat_objective():
 def test_config_rejects_bad_loop_and_network_fields(updates):
     # each of these used to pass validate and then stop WAIL after one
     # round, fail in a zero-size reduction, fail unpacking the layer sizes
-    # or build a 1-unit layer
+    # or build a 1-unit layer; now no RunConfig holding one can be made
     with pytest.raises(ValueError):
-        RunConfig(**updates).validate()
+        RunConfig(**updates)
     with pytest.raises(ValueError):
-        train_wail(small_mdp_two_actions(), np.array([[0, 0]]),
-                   RunConfig(k_max=3, model_form="mlp", **updates))
+        dataclasses.replace(RunConfig(k_max=3, model_form="mlp"), **updates)
 
 
 COUNT_FIELDS = ("seed", "dataset_size", "k_max", "l1", "l2", "ot_inner_steps",
@@ -368,8 +367,8 @@ def test_config_requires_integral_counts(name):
     # after set-up, and True read as 1
     for bad in (2.5, 2.0, True):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
-            RunConfig(**{name: bad}).validate()
-    RunConfig(**{name: np.int64(2)}).validate()
+            RunConfig(**{name: bad})
+    RunConfig(**{name: np.int64(2)})
 
 
 FLOAT_FIELDS = ("epsilon", "ot_lr", "lambda_entropy", "delta0", "delta_decay",
@@ -383,9 +382,9 @@ def test_config_requires_finite_real_floats(name):
     # early stopping silently off), and True read as 1.0
     for bad in (float("nan"), float("inf"), float("-inf"), True, "0.5"):
         with pytest.raises(ValueError, match=f"{name} must be a finite number"):
-            RunConfig(**{name: bad}).validate()
-    RunConfig(**{name: 1}).validate()
-    RunConfig(**{name: np.float64(1.0)}).validate()
+            RunConfig(**{name: bad})
+    RunConfig(**{name: 1})
+    RunConfig(**{name: np.float64(1.0)})
 
 
 @pytest.mark.parametrize("name", FOLDED_CONFIG_KEYS)
@@ -395,7 +394,7 @@ def test_config_rejects_folded_keys(name):
 
 
 def test_config_accepts_zero_tolerance_and_list_layers():
-    RunConfig(early_stop_tol=0.0, early_stop_window=1, mlp_hidden=[8, 1]).validate()
+    RunConfig(early_stop_tol=0.0, early_stop_window=1, mlp_hidden=[8, 1])
 
 
 def test_divergence_aborts_with_partial_log(tmp_path):
