@@ -2,9 +2,9 @@
 
 GAIL trains a discriminator D(s, a) by ascending
     E_expert[log(1 - D)] + E_policy[log D]
-and feeds the policy the surrogate reward -log D; behavior cloning fits the
-policy to demonstrated pairs by maximum likelihood with no environment
-interaction.
+and feeds the policy the surrogate reward -log D; behavior cloning takes
+the maximum-likelihood policy of the demonstrated pairs in closed form, with
+no environment interaction.
 """
 
 from __future__ import annotations
@@ -13,12 +13,10 @@ import numpy as np
 
 from . import rewards
 from .config import RunConfig
-from .mdp import SoftmaxPolicy, TabularMdp, state_action_embeddings
+from .mdp import SoftmaxPolicy, TabularMdp, policy_from_occupancy, state_action_embeddings
 from .training import ExpertData, adversarial_train
 
 PROB_CLAMP = 1e-6
-BC_STEPS = 4000            # behavior cloning's full-batch ascent steps
-BC_LR = 1.5                # and their step size
 
 
 def disc_probs(logits) -> np.ndarray:
@@ -98,19 +96,10 @@ def train_gail(mdp: TabularMdp, expert_data, config: RunConfig, score=None):
 
 
 def train_bc(mdp: TabularMdp, expert_data) -> SoftmaxPolicy:
-    """Behavior cloning: BC_STEPS full-batch gradient ascent steps on the
-    demonstration log-likelihood (per-state averaged), from zero logits so
-    unvisited states keep the uniform policy.  `expert_data` is anything
+    """Behavior cloning: the maximizer of the demonstration log-likelihood
+    in closed form, each visited state's empirical action frequencies,
+    floored and logged by policy_from_occupancy's row rule, and the uniform
+    policy at unvisited states.  `expert_data` is anything
     ExpertData.from_any accepts."""
-    counts = ExpertData.from_any(expert_data, mdp).weights.reshape(mdp.n_states, mdp.n_actions)
-    visited = counts.sum(axis=1) > 0
-    freq = counts[visited] / counts[visited].sum(axis=1, keepdims=True)
-    theta = np.zeros(counts.shape)
-    block = theta[visited]
-    for _ in range(BC_STEPS):
-        z = block - block.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        pi = e / e.sum(axis=1, keepdims=True)
-        block = block + BC_LR * (freq - pi)
-    theta[visited] = block - block.max(axis=1, keepdims=True)
-    return SoftmaxPolicy(theta)
+    weights = ExpertData.from_any(expert_data, mdp).weights
+    return policy_from_occupancy(weights.reshape(mdp.n_states, mdp.n_actions))

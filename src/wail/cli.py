@@ -19,7 +19,7 @@ import sys
 from . import analysis, rewards
 from .config import ALGORITHMS, RunConfig
 from .experiments import run_experiment_grid, run_single, scorer, setup
-from .mdp import (load_policy, load_trajectories, save_mdp, save_policy,
+from .mdp import (load_policy, load_trajectories, parse_json, save_mdp, save_policy,
                   save_trajectories, state_action_embeddings)
 from .ot import DivergenceError
 
@@ -31,7 +31,7 @@ def _load(args) -> RunConfig:
     doc = {}
     if args.config:
         with open(args.config) as fh:
-            doc = json.load(fh)
+            doc = parse_json(fh.read(), args.config)
     updates = {}
     if args.seed is not None:
         updates["seed"] = args.seed

@@ -7,6 +7,7 @@ import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields
 
+from .mdp import parse_json
 from .ot import REG_KINDS
 from .rewards import FORMS
 
@@ -131,4 +132,4 @@ def save_config(path, config: RunConfig) -> None:
 
 def load_config(path) -> RunConfig:
     with open(path) as fh:
-        return RunConfig.from_dict(json.load(fh))
+        return RunConfig.from_dict(parse_json(fh.read(), path))

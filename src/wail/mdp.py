@@ -458,10 +458,12 @@ def _draw_next(rows: _TransitionRows, flat_rows: np.ndarray, u: np.ndarray) -> n
     return rows.draw_col[_inverse_cdf(rows.draw_cum, flat_rows, u), flat_rows]
 
 
-def policy_from_occupancy(rho: OccupancyMeasure) -> SoftmaxPolicy:
-    """Normalize occupancy rows into a policy; states with zero row mass get
-    uniform logits (the max-entropy completion off the support)."""
-    r = rho.rho
+def policy_from_occupancy(rho: np.ndarray | OccupancyMeasure) -> SoftmaxPolicy:
+    """Normalize occupancy rows, or any nonnegative (S, A) weights, into a
+    policy, logits floored LOGIT_GAP below the row's largest; states with
+    zero row mass get uniform logits (the max-entropy completion off the
+    support)."""
+    r = rho.rho if isinstance(rho, OccupancyMeasure) else np.asarray(rho, dtype=np.float64)
     mass = r.sum(axis=1)
     if mass.sum() <= 0.0:
         raise ValueError("cannot derive a policy from an all-zero measure")
@@ -671,12 +673,22 @@ def save_mdp(path, mdp: TabularMdp) -> None:
 
 def load_mdp(path) -> TabularMdp:
     with open(path) as fh:
-        return mdp_from_json(json.load(fh))
+        return mdp_from_json(parse_json(fh.read(), path))
 
 
 def save_policy(path, policy: SoftmaxPolicy) -> None:
     with open(path, "w") as fh:
         json.dump({"logits": policy.logits.tolist()}, fh)
+
+
+def parse_json(text: str, path, line: int = 1):
+    """json.loads(text) for text from `path` starting at its line `line`; a
+    syntax error is a ValueError naming the path, line and column."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{path} line {line + err.lineno - 1} column {err.colno}: "
+                         f"invalid JSON ({err.msg})") from None
 
 
 def json_fields(doc, keys: tuple, what: str) -> list:
@@ -709,7 +721,7 @@ def json_array(value, what: str, integer: bool = False) -> np.ndarray:
 
 def load_policy(path) -> SoftmaxPolicy:
     with open(path) as fh:
-        logits, = json_fields(json.load(fh), ("logits",), f"policy file {path}")
+        logits, = json_fields(parse_json(fh.read(), path), ("logits",), f"policy file {path}")
     return SoftmaxPolicy(json_array(logits, f"policy file {path}: 'logits'"))
 
 
@@ -724,15 +736,16 @@ def save_trajectories(path, batch: Rollouts) -> None:
 
 
 def load_trajectories(path) -> Rollouts:
-    """The episodes save_trajectories wrote; a ValueError names the line
-    and key of a missing or mistyped field."""
+    """The episodes save_trajectories wrote; a ValueError names the line of
+    a syntax error, or the line and key of a missing or mistyped field."""
     steps, restarted = [], []
     with open(path) as fh:
         for i, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             what = f"{path} line {i}"
-            st, truncated = json_fields(json.loads(line), ("steps", "truncated"), what)
+            doc = parse_json(line.rstrip(), path, i)
+            st, truncated = json_fields(doc, ("steps", "truncated"), what)
             st = json_array(st, f"{what}: 'steps'", integer=True)
             if st.size and (st.ndim != 2 or st.shape[1] != 2):
                 raise ValueError(f"{what}: 'steps' must be a list of [state, action] pairs")

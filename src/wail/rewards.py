@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import TabularMdp, json_array, json_fields, state_action_embeddings
+from .mdp import TabularMdp, json_array, json_fields, parse_json, state_action_embeddings
 
 FORMS = ("tabular", "linear", "mlp")
 
@@ -200,4 +200,4 @@ def save_model(path, model: PotentialModel) -> None:
 
 def load_model(path) -> PotentialModel:
     with open(path) as fh:
-        return model_from_json(json.load(fh))
+        return model_from_json(parse_json(fh.read(), path))

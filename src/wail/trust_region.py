@@ -5,10 +5,10 @@ The surrogate being ascended at each round is <c, rho_theta> with the frozen
 per-step payoff c = r_hat - lam * log pi_old; its gradient is computed
 exactly from the occupancy linear solves (default) or estimated from the
 restart-chain episodes the caller hands in (the training loop draws them
-with the round's policy batch).  Steps are natural-gradient directions, the
-closed-form solve of the damped occupancy-weighted softmax Fisher, with a
-backtracking line search that enforces the KL bound and surrogate
-non-decrease.
+with the round's policy batch); its value is exact in both modes.  Steps
+are natural-gradient directions, the closed-form solve of the damped
+occupancy-weighted softmax Fisher, with a backtracking line search that
+enforces the KL bound and exact-surrogate non-decrease.
 
 Every exact solve goes through the flow record the policy keeps (see
 mdp.occupancy_from_policy), which keeps the occupancy it solved for every
@@ -67,8 +67,8 @@ class StepSchedule:
 
 @dataclass
 class PolicyGradientReport:
-    """Exact (or sampled) gradient of the frozen-payoff surrogate at the
-    current policy, with the diagnostics needed to take a trust-region step."""
+    """Gradient (exact or sampled) and exact value of the frozen-payoff
+    surrogate at the current policy, with the step's other diagnostics."""
 
     gradient: np.ndarray        # flat over logits, length S*A
     surrogate_value: float
@@ -99,9 +99,10 @@ def entropy_reg_policy_gradient(mdp: TabularMdp, policy: SoftmaxPolicy, reward: 
         grad[s, a] = d(s) pi(a|s) (Q_c(s, a) - V_c(s))
     with Q_c/V_c from policy-evaluation linear solves; with a Rollouts
     batch of the policy's restart-chain episodes, the score-function
-    estimate over them (see _score_function_sums).  The policy's flow
-    record serves the value solve and keeps the occupancy that weights
-    the gradient and the causal entropy, solved by the first read.
+    estimate over them (see _score_function_sums).  The value is exact in
+    both modes, <c, rho> as surrogate_value computes it.  The policy's flow
+    record serves the value solve and keeps rho, which also weights the
+    gradient and the causal entropy, solved by the first read.
     """
     if lam < 0:
         raise ValueError("lam must be >= 0")
@@ -111,25 +112,22 @@ def entropy_reg_policy_gradient(mdp: TabularMdp, policy: SoftmaxPolicy, reward: 
     cost = np.asarray(reward, dtype=np.float64) - lam * policy.log_probs
     pi = policy.probs
     rho = occupancy_from_policy(mdp, policy)
+    value = float((rho.rho * cost).sum())
     if batch is None:
         Q, V = action_values(mdp, policy, cost)
         grad = rho.state_marginal()[:, None] * pi * (Q - V[:, None])
-        value = float((rho.rho * cost).sum())
     else:
         if batch.states.max() >= S or batch.actions.max() >= A:
             raise ValueError(f"batch states and actions must lie inside the MDP's "
                              f"{S} states and {A} actions")
-        grad, total = _score_function_sums(batch, cost, pi)
-        grad *= (1.0 - mdp.gamma) / len(batch)
-        value = (1.0 - mdp.gamma) * total / len(batch)
+        grad = _score_function_sums(batch, cost, pi) * ((1.0 - mdp.gamma) / len(batch))
     return PolicyGradientReport(gradient=grad.ravel(), surrogate_value=value,
                                 entropy=causal_entropy(mdp, policy), cost=cost)
 
 
-def _score_function_sums(batch: Rollouts, cost: np.ndarray, pi: np.ndarray):
+def _score_function_sums(batch: Rollouts, cost: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """Sum over episodes of sum_t togo_t * (e_{s_t, a_t} - pi(.|s_t)), the
-    softmax score function weighted by the payoff-to-go, and the sum of the
-    episodes' full payoffs.
+    softmax score function weighted by the payoff-to-go.
 
     Reward-to-go is one cumsum along the contiguous axis of an (n, T)
     episode-by-step buffer holding each episode's payoffs last step first,
@@ -139,16 +137,13 @@ def _score_function_sums(batch: Rollouts, cost: np.ndarray, pi: np.ndarray):
     does."""
     S, A = pi.shape
     s, a, lengths = batch.states, batch.actions, batch.lengths
-    starts = batch.starts
     episode = np.repeat(np.arange(len(batch)), lengths)
-    back = lengths.max() - 1 - (np.arange(s.size) - np.repeat(starts, lengths))
+    back = lengths.max() - 1 - (np.arange(s.size) - np.repeat(batch.starts, lengths))
     buf = np.zeros((len(batch), lengths.max()))
     buf[episode, back] = cost[s, a]
     togo = np.cumsum(buf, axis=1)[episode, back]
-    grad = (np.bincount(s * A + a, weights=togo, minlength=S * A).reshape(S, A)
+    return (np.bincount(s * A + a, weights=togo, minlength=S * A).reshape(S, A)
             - np.bincount(s, weights=togo, minlength=S)[:, None] * pi)
-    # a sequential sum; starting it from 0.0, as a running total does, keeps a zero total +0.0
-    return grad, 0.0 + np.cumsum(togo[starts])[-1]
 
 
 def _natural_direction(d: np.ndarray, pi: np.ndarray, g: np.ndarray,
@@ -173,14 +168,14 @@ def kl_constrained_step(mdp: TabularMdp, policy: SoftmaxPolicy,
                         report: PolicyGradientReport, delta: float) -> SoftmaxPolicy:
     """One trust-region update of `policy`: natural-gradient direction
     scaled to the KL budget, then backtracking until the measured
-    occupancy-weighted KL(new || old) is within delta and the surrogate has
-    not decreased.  Only a candidate that passes the KL check is read, so
-    only it builds a flow record, which solves and keeps its occupancy for
-    the surrogate check.  Returns the accepted candidate, keeping its
-    record, or `policy` itself when no candidate qualifies, when delta = 0,
-    or when the gradient is negligible.  The old policy's occupancy serves
-    the Fisher weights and every candidate's KL check; the Fisher is damped
-    by FISHER_DAMPING."""
+    occupancy-weighted KL(new || old) is within delta and the exact
+    surrogate has not decreased.  Only a candidate that passes the KL check
+    is read, so only it builds a flow record, which solves and keeps its
+    occupancy for the surrogate check.  Returns the accepted candidate,
+    keeping its record, or `policy` itself when no candidate qualifies, when
+    delta = 0, or when the gradient is negligible.  The old policy's
+    occupancy serves the Fisher weights and every candidate's KL check; the
+    Fisher is damped by FISHER_DAMPING."""
     if delta < 0:
         raise ValueError("delta must be >= 0")
     g = report.gradient

@@ -309,6 +309,28 @@ class TestTrain:
         assert err.startswith("validation error:") and err.count("\n") == 1
         assert named in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command,text,where", [
+        (["train", "--config", "{f}"], '{"seed": 1,\n "k_max": }\n', "line 2 column 11"),
+        (["eval", "--policy", "{f}"], "{logits: [[0.0]]}", "line 1 column 2"),
+        (["train", "--algo", "bc", "--demos", "{f}"],
+         '{"steps": [[0, 1]], "truncated": false}\n{"steps": [[0, 1]],\n', "line 2 column 20"),
+        (["surface", "--reward", "{f}"], '{"form": "tabular" "dims": [36]}', "line 1 column 20"),
+    ], ids=["config", "policy", "demos", "reward"])
+    def test_json_syntax_error_names_the_file_and_line(self, config_file, tmp_path, capsys,
+                                                       command, text, where):
+        # a syntax error used to name neither the file nor, in a JSON-lines
+        # file, its line: "Expecting ...: line 1 column 2 (char 1)"
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        argv = [arg.format(f=path) for arg in command]
+        if "--config" not in argv:
+            argv += ["--config", config_file]
+        rc = main(argv + ["--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and err.count("\n") == 1
+        assert f"{path} {where}: invalid JSON" in err
+
 
 class TestEvalAndSurface:
     def test_eval_roundtrip(self, config_file, tmp_path, capsys):

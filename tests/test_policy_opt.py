@@ -97,7 +97,23 @@ class TestPolicyGradient:
         cos = (exact.gradient @ sampled.gradient /
                (np.linalg.norm(exact.gradient) * np.linalg.norm(sampled.gradient)))
         assert cos > 0.98
-        assert abs(sampled.surrogate_value - exact.surrogate_value) < 0.05
+        # only the gradient is sampled; the value is the exact surrogate
+        assert (np.float64(sampled.surrogate_value).tobytes()
+                == np.float64(exact.surrogate_value).tobytes())
+
+    @pytest.mark.parametrize("env", [lambda: wail.make_gridworld(5), wail.make_cliff],
+                             ids=["grid", "cliff"])
+    def test_sampled_value_is_the_exact_surrogate(self, env):
+        # the line search compares candidates' exact surrogate_value with
+        # this value, so both sides must be the same function
+        mdp = env()
+        rng = np.random.default_rng(7)
+        pol = SoftmaxPolicy(rng.normal(size=(mdp.n_states, mdp.n_actions)))
+        R = rng.normal(size=(mdp.n_states, mdp.n_actions))
+        report = entropy_reg_policy_gradient(mdp, pol, R, lam=0.1,
+                                             batch=sample_trajectories(mdp, pol, 32, seed=1))
+        assert (np.float64(report.surrogate_value).tobytes()
+                == np.float64(surrogate_value(mdp, pol, report.cost)).tobytes())
 
     def test_report_fields(self, rng):
         mdp = random_mdp(3, 2, 0.9, seed=4)
