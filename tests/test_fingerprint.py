@@ -36,9 +36,9 @@ CASES = {
     "grid-gail-exact": (dict(env=GRID, algorithm="gail", k_max=50),
                         "bc51cb65ebd837a4dcea349c75f8fd9385e777d66e6ddd317c3a9ca16134db43"),
     "grid-bc": (dict(env=GRID, algorithm="bc"),
-                "bddcf2c6775e9c579c9349cceaaacc906cf0c96d90e47100dfd564d3fda7a00a"),
+                "670275aff676d16627eb0788512d1c731c851d1be3db5c30d5e24c1ca7419ce1"),
     "grid-wail-sampled": (dict(env=GRID, sampling="sampled", pg_mode="sampled", k_max=20),
-                          "0299bd466b7e9060877625b18bbf675a85bba8463ff97546953c837fa369f028"),
+                          "caf75ce775056052705bdf0ad5a58a8c059e263a0f19c2942866633c37df0136"),
     "grid-wail-sampled-batch-exact-gradient": (dict(env=GRID, sampling="sampled", k_max=30),
                                                "4ee69a54dc133bacb8bcba14eb3cf480921f28afbf866815f806096d4a74be57"),
     "grid30-wail-exact": (AT_SCALE,
@@ -50,9 +50,9 @@ CASES = {
     "cliff-gail-exact": (dict(env=CLIFF, algorithm="gail", k_max=50),
                          "7981e75f7b84362bd4d1c9ffa0459661a3bbd99854d5e603f2c53449dd7930cd"),
     "cliff-bc": (dict(env=CLIFF, algorithm="bc"),
-                 "666b64e52d36ffc8a9452e4fa43842304c52818595db1da7559daf091aa5b5e7"),
+                 "8e0c3f82fa1d6d3c51542ebca693ef1dc74c1d0eae86d397935e60e14210fbd2"),
     "cliff-wail-sampled": (dict(env=CLIFF, sampling="sampled", pg_mode="sampled", k_max=20),
-                           "06555d8e6c4b45030cb95b0adc838769d14db403645a0971b74661cdcfba88f5"),
+                           "a177386c0695a104edcf6e7d658241caa07d1fe7c12a15e58bec71db50bcd834"),
     "cliff-wail-sampled-batch-exact-gradient": (dict(env=CLIFF, sampling="sampled", k_max=30),
                                                 "d090b869373526e5ac622a365b67db9af718e05516bf240359bf812d00b87fb2"),
 }
