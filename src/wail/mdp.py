@@ -46,11 +46,24 @@ _SAMPLE_CHUNK = 8192
 # at 900).
 DENSE_SOLVE_MAX_STATES = 150
 
+# Largest horizon default_max_len(gamma) of an MDP.  Set-up time grows
+# linearly with it (5x5 grid: soft VI and references took 1.55 s at 13 809
+# steps, 11.6 s at 138 149), so 10^5 admits 0.999 and every builder default.
+MAX_HORIZON = 100_000
+
 
 def _freeze(arr):
     arr = np.ascontiguousarray(arr, dtype=np.float64)
     arr.setflags(write=False)
     return arr
+
+
+def unchecked(cls, **fields):
+    """An instance of dataclass `cls` holding `fields` without its checks,
+    which are for outside values: for producers whose results hold them."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def _inverse_cdf(table: np.ndarray, index: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -134,8 +147,9 @@ def entries_from_dense(P) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class TabularMdp:
     """Finite MDP with transition model P, start distribution, discount in
-    (0, 1), state/action embeddings and an optional true reward used only for
-    evaluation.  S comes from `start` and A from `action_embed`.
+    (0, 1) whose default_max_len is at most MAX_HORIZON, state/action
+    embeddings and an optional true reward used only for evaluation.  S
+    comes from `start` and A from `action_embed`.
 
     P is given and kept only as its nonzero entries: `transition` is
     (row, col, prob) with flat row s * A + a and prob = P[s, a, col], checked
@@ -161,12 +175,12 @@ class TabularMdp:
                 raise ValueError(f"{name} must be finite")
         if mu0.ndim != 1:
             raise ValueError(f"start must be (S,), got {mu0.shape}")
-        if np.any(mu0 <= 0):
-            raise ValueError("start distribution must be strictly positive everywhere")
-        if abs(mu0.sum() - 1.0) > ROW_SUM_TOL:
-            raise ValueError("start distribution must sum to 1")
+        if np.any(mu0 <= 0) or abs(mu0.sum() - 1.0) > ROW_SUM_TOL:
+            raise ValueError("start distribution must be strictly positive and sum to 1")
         if not (0.0 < self.gamma < 1.0):
             raise ValueError(f"gamma must lie strictly inside (0, 1), got {self.gamma}")
+        if (horizon := default_max_len(self.gamma)) > MAX_HORIZON:
+            raise ValueError(f"gamma {self.gamma}: horizon {horizon} > MAX_HORIZON {MAX_HORIZON}")
         S = mu0.size
         if se.ndim != 2 or se.shape[0] != S:
             raise ValueError(f"state_embed must be (S, d_s), got {se.shape}")
@@ -204,36 +218,34 @@ class TabularMdp:
 class SoftmaxPolicy:
     """Stochastic policy pi(a|s) = softmax over per-state logits; every
     sampler draws its actions with draw_actions.  `_flow` is the FlowSystem
-    the exact oracles built for it on their last MDP (see _flow_of)."""
+    the exact oracles built for it on their last MDP (see _flow_of).  The
+    constructor checks the logits; line-search candidates skip it."""
 
     logits: np.ndarray              # (S, A)
-    _probs: np.ndarray = field(init=False, repr=False, compare=False)
-    _log_probs: np.ndarray = field(init=False, repr=False, compare=False)
     _flow: FlowSystem | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         theta = np.asarray(self.logits, dtype=np.float64)
-        if theta.ndim != 2:
-            raise ValueError(f"logits must be (S, A), got {theta.shape}")
-        if not np.all(np.isfinite(theta)):
-            raise ValueError("logits must be finite")
-        z = theta - theta.max(axis=1, keepdims=True)
+        if theta.ndim != 2 or not np.all(np.isfinite(theta)):
+            raise ValueError(f"logits must be a finite (S, A) array, got shape {theta.shape}")
+        object.__setattr__(self, "logits", _freeze(theta))
+        if np.any(self.probs <= 0.0):
+            raise ValueError("logit gaps too large: some action probability underflowed to 0")
+
+    @cached_property
+    def _softmax(self) -> tuple[np.ndarray, np.ndarray]:
+        z = self.logits - self.logits.max(axis=1, keepdims=True)
         e = np.exp(z)
         norm = e.sum(axis=1, keepdims=True)
-        p = e / norm
-        if np.any(p <= 0.0):
-            raise ValueError("logit gaps too large: some action probability underflowed to 0")
-        object.__setattr__(self, "logits", _freeze(theta))
-        object.__setattr__(self, "_probs", _freeze(p))
-        object.__setattr__(self, "_log_probs", _freeze(z - np.log(norm)))
+        return _freeze(e / norm), _freeze(z - np.log(norm))
 
     @property
     def probs(self) -> np.ndarray:
-        return self._probs
+        return self._softmax[0]
 
     @property
     def log_probs(self) -> np.ndarray:
-        return self._log_probs
+        return self._softmax[1]
 
     @property
     def n_states(self) -> int:
@@ -262,22 +274,16 @@ class SoftmaxPolicy:
 
 @dataclass(frozen=True)
 class OccupancyMeasure:
-    """Normalized discounted state-action visitation rho(s, a).
-
-    Valid instances additionally satisfy the Bellman flow equation for their
-    MDP; producers in this module enforce it (see bellman_flow_residual).
-    """
+    """Normalized discounted state-action visitation rho(s, a), checked by
+    the constructor; occupancy_from_policy checks its own measures against
+    the Bellman flow equation of their MDP instead."""
 
     rho: np.ndarray                 # (S, A)
 
     def __post_init__(self):
         rho = np.asarray(self.rho, dtype=np.float64)
-        if rho.ndim != 2:
-            raise ValueError(f"rho must be (S, A), got {rho.shape}")
-        if not np.all(np.isfinite(rho)):
-            raise ValueError("occupancy entries must be finite")
-        if np.any(rho < 0):
-            raise ValueError("occupancy entries must be non-negative")
+        if rho.ndim != 2 or not np.all(np.isfinite(rho) & (rho >= 0)):
+            raise ValueError(f"rho must be a finite, non-negative (S, A) array, got {rho.shape}")
         if abs(rho.sum() - 1.0) > MASS_TOL:
             raise ValueError(f"occupancy mass must be 1 (got {rho.sum():.12f})")
         object.__setattr__(self, "rho", _freeze(rho))
@@ -338,10 +344,10 @@ class Rollouts:
         return np.stack([self.states, self.actions], axis=1)
 
     def subset(self, lo: int, hi: int) -> "Rollouts":
-        """The batch of episodes lo..hi-1."""
+        """The batch of episodes lo..hi-1 (lo < hi), cut `unchecked`."""
         a, b = np.concatenate([[0], np.cumsum(self.lengths)])[[lo, hi]]
-        return Rollouts(self.lengths[lo:hi], self.restarted[lo:hi],
-                        self.states[a:b], self.actions[a:b])
+        return unchecked(Rollouts, lengths=self.lengths[lo:hi], restarted=self.restarted[lo:hi],
+                         states=self.states[a:b], actions=self.actions[a:b])
 
 
 @dataclass(frozen=True, eq=False)
@@ -406,8 +412,9 @@ def occupancy_from_policy(mdp: TabularMdp, policy: SoftmaxPolicy) -> OccupancyMe
         d = (1-gamma) mu0 + gamma P_pi^T d
     so d = (I - gamma P_pi^T)^{-1} (1-gamma) mu0, which is nonsingular for
     gamma < 1.  The solve goes through the policy's FlowSystem, which keeps
-    the first call's checked measure: later calls with the same policy and
-    MDP return it."""
+    the first call's measure: later calls with the same policy and MDP
+    return it.  It is checked here, for negative visitation and for its
+    Bellman-flow residual (which a NaN fails), and built `unchecked`."""
     flow = _flow_of(mdp, policy)
     if flow._occupancy is None:
         d = flow.solve((1.0 - mdp.gamma) * mdp.start, transpose=True)
@@ -417,9 +424,9 @@ def occupancy_from_policy(mdp: TabularMdp, policy: SoftmaxPolicy) -> OccupancyMe
         rho = d[:, None] * policy.probs
         rho /= rho.sum()
         resid = bellman_flow_residual(mdp, rho)
-        if resid > FLOW_TOL:
+        if not resid <= FLOW_TOL:
             raise ArithmeticError(f"Bellman flow residual {resid:.3e} exceeds {FLOW_TOL}")
-        object.__setattr__(flow, "_occupancy", OccupancyMeasure(rho))
+        object.__setattr__(flow, "_occupancy", unchecked(OccupancyMeasure, rho=_freeze(rho)))
     return flow._occupancy
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rewards
-from .mdp import TabularMdp, state_action_embeddings
+from .mdp import TabularMdp, state_action_embeddings, unchecked
 
 SUPPORT_CAP = 300          # exact LP oracles reject larger supports
 ENT_EXP_CLAMP = 30.0       # clamp on the entropic exponent before exp()
@@ -45,12 +45,11 @@ class DivergenceError(RuntimeError):
 @dataclass(frozen=True)
 class GroundMetric:
     """Pairwise ground cost between a source support (policy side) and a
-    target support (expert side).
-
-    `embed` is the embedding table of the full state-action index set;
-    src_index/tgt_index select the support points, so dist[u, v] is the cost
-    between full indices src_index[u] and tgt_index[v].
-    """
+    target support (expert side): dist[u, v] is the cost between flat
+    indices src_index[u] and tgt_index[v] of the full state-action set,
+    whose embedding table is `embed`.  The constructor checks a given
+    block; from_embeddings checks the embeddings instead and, like
+    restrict, builds its block `unchecked`."""
 
     dist: np.ndarray            # (n_src, n_tgt)
     src_index: np.ndarray       # (n_src,) flat state-action indices
@@ -59,12 +58,8 @@ class GroundMetric:
 
     def __post_init__(self):
         D = np.asarray(self.dist, dtype=np.float64)
-        if D.ndim != 2:
-            raise ValueError(f"dist must be 2-D, got {D.shape}")
-        if not np.all(np.isfinite(D)):
-            raise ValueError("ground costs must be finite")
-        if np.any(D < 0):
-            raise ValueError("ground costs must be non-negative")
+        if D.ndim != 2 or not np.all(np.isfinite(D) & (D >= 0)):
+            raise ValueError(f"ground costs must be finite, non-negative and 2-D, got {D.shape}")
         si = np.asarray(self.src_index, dtype=np.int64)
         ti = np.asarray(self.tgt_index, dtype=np.int64)
         if si.shape != (D.shape[0],) or ti.shape != (D.shape[1],):
@@ -88,16 +83,19 @@ class GroundMetric:
         embed = np.asarray(embed, dtype=np.float64)
         si = np.arange(embed.shape[0]) if src_index is None else np.asarray(src_index, dtype=np.int64)
         ti = np.arange(embed.shape[0]) if tgt_index is None else np.asarray(tgt_index, dtype=np.int64)
-        return cls(euclidean_distances(embed[si], embed[ti]), si, ti, embed)
+        if embed.ndim != 2 or si.ndim != 1 or ti.ndim != 1 or not np.all(np.isfinite(embed)):
+            raise ValueError("embed must be finite (n_points, d) and the indices 1-D")
+        return unchecked(cls, dist=euclidean_distances(embed[si], embed[ti]), src_index=si,
+                         tgt_index=ti, embed=embed)
 
     def restrict(self, src_sel, tgt_sel) -> "GroundMetric":
         """Sub-metric over positional selections of the current supports
         (duplicates allowed, for with-replacement batches)."""
         src_sel = np.asarray(src_sel, dtype=np.int64)
         tgt_sel = np.asarray(tgt_sel, dtype=np.int64)
-        return GroundMetric(self.dist[np.ix_(src_sel, tgt_sel)],
-                            self.src_index[src_sel], self.tgt_index[tgt_sel],
-                            self.embed)
+        return unchecked(GroundMetric, dist=self.dist[np.ix_(src_sel, tgt_sel)],
+                         src_index=self.src_index[src_sel], tgt_index=self.tgt_index[tgt_sel],
+                         embed=self.embed)
 
     def require_metric(self) -> None:
         """Validate shared support, symmetry, zero diagonal and the triangle
@@ -169,7 +167,8 @@ class DualRegularization:
 @dataclass(frozen=True)
 class DiscreteMeasurePair:
     """Weights of the policy-side (source) and expert-side (target) measures
-    over their respective supports."""
+    over their respective supports, checked by the constructor; the
+    training loop builds its pairs `unchecked` (see OtDualStep)."""
 
     source: np.ndarray
     target: np.ndarray
@@ -177,21 +176,19 @@ class DiscreteMeasurePair:
     def __post_init__(self):
         for name in ("source", "target"):
             w = np.asarray(getattr(self, name), dtype=np.float64)
-            if w.ndim != 1:
-                raise ValueError(f"{name} weights must be a vector")
-            if not np.all(np.isfinite(w)):
-                raise ValueError(f"{name} weights must be finite")
-            if np.any(w < 0):
-                raise ValueError(f"{name} weights must be non-negative")
+            if w.ndim != 1 or not np.all(np.isfinite(w) & (w >= 0)):
+                raise ValueError(f"{name} weights must be a finite, non-negative vector")
             if abs(w.sum() - 1.0) > PAIR_SUM_TOL:
                 raise ValueError(f"{name} weights must sum to 1 (got {w.sum():.12f})")
             object.__setattr__(self, name, w)
 
 
-def _check_sizes(pair: DiscreteMeasurePair, metric: GroundMetric) -> None:
+def _check_sizes(pair: DiscreteMeasurePair, metric: GroundMetric, *potentials) -> None:
     if pair.source.size != metric.n_src or pair.target.size != metric.n_tgt:
         raise ValueError(f"measure supports ({pair.source.size}, {pair.target.size}) "
                          f"do not match metric ({metric.n_src}, {metric.n_tgt})")
+    if any(np.shape(r) != (n,) for r, n in zip(potentials, (metric.n_src, metric.n_tgt))):
+        raise ValueError("potential value vectors must match support sizes")
 
 
 def w1_primal_lp(pair: DiscreteMeasurePair, metric: GroundMetric):
@@ -370,12 +367,9 @@ def _objective_and_gradient(r_src, r_tgt, pair, metric, reg, screen=None):
     through one buffer, forming each chunk's slack in place and keeping
     only the penalty mass and the row and column sums the gradients read,
     so it makes no block-sized temporary.  Given a screen, an l2 full pass
-    also rebuilds it."""
+    also rebuilds it.  Its callers check the sizes (see _check_sizes)."""
     r_src = np.asarray(r_src, dtype=np.float64)
     r_tgt = np.asarray(r_tgt, dtype=np.float64)
-    _check_sizes(pair, metric)
-    if r_src.shape != pair.source.shape or r_tgt.shape != pair.target.shape:
-        raise ValueError("potential value vectors must match support sizes")
     src, tgt = pair.source, pair.target
     if screen is not None:
         screen.passes += 1
@@ -456,6 +450,7 @@ def reg_dual_objective(r_src, r_tgt, pair: DiscreteMeasurePair,
                        metric: GroundMetric, reg: DualRegularization) -> float:
     """<r, target> - <r, source> plus the product-measure expectation of the
     penalty on constraint violations r(y) - r(x) > d(x, y)."""
+    _check_sizes(pair, metric, r_src, r_tgt)
     return _objective_and_gradient(r_src, r_tgt, pair, metric, reg)[0]
 
 
@@ -463,8 +458,8 @@ def reg_dual_gradient(r_src, r_tgt, pair: DiscreteMeasurePair,
                       metric: GroundMetric, reg: DualRegularization):
     """Analytic gradient of reg_dual_objective with respect to the potential
     values on the source and target supports."""
-    _, g_src, g_tgt, _ = _objective_and_gradient(r_src, r_tgt, pair, metric, reg)
-    return g_src, g_tgt
+    _check_sizes(pair, metric, r_src, r_tgt)
+    return _objective_and_gradient(r_src, r_tgt, pair, metric, reg)[1:3]
 
 
 def reg_ot_fit(pair: DiscreteMeasurePair, metric: GroundMetric, reg: DualRegularization,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import TabularMdp, json_array, json_fields, parse_json, state_action_embeddings
+from .mdp import TabularMdp, json_array, json_fields, parse_json, state_action_embeddings, unchecked
 
 FORMS = ("tabular", "linear", "mlp")
 
@@ -47,7 +47,9 @@ class PotentialModel:
                              f"{self.form}{self.dims}")
 
     def copy(self) -> "PotentialModel":
-        return PotentialModel(self.form, self.dims, self.params.copy(), self.seed)
+        """A copy of this checked model, built `unchecked`."""
+        return unchecked(PotentialModel, form=self.form, dims=self.dims,
+                         params=self.params.copy(), seed=self.seed)
 
 
 def param_count(form: str, dims: tuple) -> int:

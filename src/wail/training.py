@@ -25,7 +25,7 @@ import numpy as np
 from . import ot, rewards
 from .config import RunConfig
 from .mdp import (OccupancyMeasure, Rollouts, SoftmaxPolicy, TabularMdp,
-                  occupancy_from_policy, sample_trajectories, save_policy)
+                  occupancy_from_policy, sample_trajectories, save_policy, unchecked)
 from .trust_region import (StepSchedule, entropy_reg_policy_gradient, kl_constrained_step,
                            weighted_kl)
 
@@ -58,21 +58,16 @@ class RunLog:
             w = csv.writer(fh)
             w.writerow(LOG_COLUMNS)
             for r in self.rows:
-                w.writerow(["" if r[c] is None else repr(r[c]) if isinstance(r[c], float) else r[c]
-                            for c in LOG_COLUMNS])
+                w.writerow(["" if r[c] is None else repr(float(r[c])) if isinstance(r[c], float)
+                            else r[c] for c in LOG_COLUMNS])
 
     @classmethod
     def load(cls, out_dir: str) -> "RunLog":
         with open(os.path.join(out_dir, "run_meta.json")) as fh:
             meta = json.load(fh)
-        rows = []
         with open(os.path.join(out_dir, "metrics.csv"), newline="") as fh:
-            for rec in csv.DictReader(fh):
-                row = {}
-                for c in LOG_COLUMNS:
-                    v = rec[c]
-                    row[c] = None if v == "" else (int(v) if c == "iteration" else float(v))
-                rows.append(row)
+            rows = [{c: None if rec[c] == "" else (int if c == "iteration" else float)(rec[c])
+                     for c in LOG_COLUMNS} for rec in csv.DictReader(fh)]
         return cls(meta=meta, rows=rows)
 
 
@@ -182,7 +177,8 @@ class OtDualStep:
     over the block; a 20-round S = 900 run walks the whole block once.
     Sampled mode builds a new block every round, which no later fit reads,
     so it keeps no screen and every pass walks its round's whole block.
-    One instance serves one run."""
+    It builds its pairs of the loop's normalized weights `unchecked`.  One
+    instance serves one run."""
 
     algorithm = "wail"
     salt = 0x57A1
@@ -200,7 +196,7 @@ class OtDualStep:
         (src_idx, src_w), (tgt_idx, tgt_w) = policy_batch, expert_batch
         if self.block is None or self.config.sampling != "exact":
             self.block = ot.build_ground_metric(self.mdp, src_index=src_idx, tgt_index=tgt_idx)
-        pair = ot.DiscreteMeasurePair(src_w, tgt_w)
+        pair = unchecked(ot.DiscreteMeasurePair, source=src_w, target=tgt_w)
         self.target = pair.target
         model, objective, clamps = ot.reg_ot_fit(pair, self.block, self.reg, model,
                                                  steps=self.config.ot_inner_steps,
@@ -228,7 +224,7 @@ class OtDualStep:
         model, objective = state.model, None
         if steps:
             w = occupancy_from_policy(self.mdp, state.policy).flat()
-            pair = ot.DiscreteMeasurePair(w / w.sum(), self.target)
+            pair = unchecked(ot.DiscreteMeasurePair, source=w / w.sum(), target=self.target)
             model, _, fit_clamps = ot.reg_ot_fit(pair, self.block, self.reg, model, steps=steps,
                                                  lr=self.config.ot_lr, screen=self.screen)
             _, objective, value_clamps = ot.reg_ot_fit(pair, self.block, self.reg, model, steps=0,
@@ -258,8 +254,9 @@ def wail_iteration(state: WailState, mdp: TabularMdp, expert_data, config: RunCo
     The round's generator is seeded by (config.seed, round,
     reward_step.salt): a sampling round draws its sampler seed first
     (_policy_side), then the expert batch; the reward step draws nothing.
-    Returns the next state and the round's log row (every LOG_COLUMNS
-    entry but scaled_perf_eval)."""
+    A non-finite objective, policy gradient or surrogate (a non-finite
+    reward makes the surrogate so) raises ot.DivergenceError.  Returns
+    the next state and the round's log row (all LOG_COLUMNS but the last)."""
     expert = ExpertData.from_any(expert_data, mdp)
     rng = np.random.default_rng([config.seed, state.k, reward_step.salt])
     policy_batch, grad_batch = _policy_side(state.policy, mdp, config, rng)
@@ -270,6 +267,8 @@ def wail_iteration(state: WailState, mdp: TabularMdp, expert_data, config: RunCo
 
     report = entropy_reg_policy_gradient(mdp, state.policy, reward,
                                          lam=config.lambda_entropy, batch=grad_batch)
+    if not (np.isfinite(report.surrogate_value) and np.all(np.isfinite(report.gradient))):
+        raise ot.DivergenceError(f"non-finite reward or policy gradient at round {state.k}")
     delta = StepSchedule(config.delta0, config.delta_decay).delta(state.k + 1)
     policy = kl_constrained_step(mdp, state.policy, report, delta)
     row = {"iteration": state.k + 1, "objective": objective,
@@ -302,9 +301,9 @@ def adversarial_train(mdp: TabularMdp, expert_data, config: RunConfig, reward_st
     with `reward_step` for k_max rounds (stopping early once the trailing
     objective window is flat), then the step's end-of-run hook
     `reward_step.finish(state)`, which returns the final reward model
-    and its run_meta entries.  A non-finite objective, or an OT ascent
-    step that leaves a non-finite parameter, aborts the run with
-    ot.DivergenceError carrying the partial log as `log`.
+    and its run_meta entries.  A divergence (see wail_iteration and
+    ot.reg_ot_fit) aborts the run with ot.DivergenceError carrying the
+    partial log as `log`.
 
     A reward step is called as step(model, policy_batch, expert_batch),
     each batch an (indices, weights) pair over the flat state-action set,

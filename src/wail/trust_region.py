@@ -11,12 +11,9 @@ occupancy-weighted softmax Fisher, with a backtracking line search that
 enforces the KL bound and exact-surrogate non-decrease.
 
 Every exact solve goes through the flow record the policy keeps (see
-mdp.occupancy_from_policy), which keeps the occupancy it solved for every
-later read.  The line search reads only the candidates passing the KL
-check, so only those get a record, assembled (above
-DENSE_SOLVE_MAX_STATES states, factored) and solved once; the accepted
-candidate keeps its record into the next round, so each policy is solved
-once.
+mdp.occupancy_from_policy).  The line search gives one only to the
+candidates passing its KL check, and the accepted one keeps it into the
+next round, so each policy is solved once.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import (Rollouts, SoftmaxPolicy, TabularMdp, action_values, causal_entropy,
-                  occupancy_from_policy)
+                  occupancy_from_policy, unchecked)
 
 GRAD_NORM_FLOOR = 1e-10
 FISHER_DAMPING = 1e-3   # makes the Fisher invertible along each state's constant direction
@@ -169,13 +166,11 @@ def kl_constrained_step(mdp: TabularMdp, policy: SoftmaxPolicy,
     """One trust-region update of `policy`: natural-gradient direction
     scaled to the KL budget, then backtracking until the measured
     occupancy-weighted KL(new || old) is within delta and the exact
-    surrogate has not decreased.  Only a candidate that passes the KL check
-    is read, so only it builds a flow record, which solves and keeps its
-    occupancy for the surrogate check.  Returns the accepted candidate,
-    keeping its record, or `policy` itself when no candidate qualifies, when
-    delta = 0, or when the gradient is negligible.  The old policy's
-    occupancy serves the Fisher weights and every candidate's KL check; the
-    Fisher is damped by FISHER_DAMPING."""
+    surrogate has not decreased.  Returns the accepted candidate, or
+    `policy` itself when none qualifies, when delta = 0 or when the
+    gradient is negligible.  The old policy's occupancy serves the Fisher,
+    damped by FISHER_DAMPING, and every KL check.  Candidates are built
+    `unchecked`: the caller checks the gradient (see wail_iteration)."""
     if delta < 0:
         raise ValueError("delta must be >= 0")
     g = report.gradient
@@ -189,7 +184,8 @@ def kl_constrained_step(mdp: TabularMdp, policy: SoftmaxPolicy,
     old_value = report.surrogate_value
     step = v.reshape(pi.shape)
     for t in range(MAX_BACKTRACKS + 1):
-        candidate = SoftmaxPolicy(policy.logits + (beta * BACKTRACK_COEF ** t) * step)
+        logits = policy.logits + (beta * BACKTRACK_COEF ** t) * step
+        candidate = unchecked(SoftmaxPolicy, logits=logits)
         if weighted_kl(mdp, policy, candidate) > delta:
             continue
         if surrogate_value(mdp, candidate, report.cost) >= old_value:

@@ -215,6 +215,22 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("validation error: environment") and err.count("\n") == 1
 
+    def test_gamma_near_one_is_a_validation_error(self, config_file, tmp_path, capsys,
+                                                  monkeypatch):
+        # this gamma's horizon is 1.4e13 steps: the run used to hang in soft
+        # value iteration; the MDP's constructor now rejects it, and the
+        # test stops rather than run the expert should it get that far
+        def never(*args, **kwargs):
+            raise AssertionError("a near-1 gamma reached soft value iteration")
+
+        monkeypatch.setattr(wail.envs, "soft_value_iteration", never)
+        rc = main(["train", "--config", config_file, "--out", str(tmp_path / "v"),
+                   "--set", 'env={"name":"gridworld","n":5,"gamma":0.999999999999}'])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: gamma 0.999999999999: horizon")
+        assert "MAX_HORIZON" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("name", ["[]", "{}"], ids=["list", "dict"])
     def test_non_string_environment_name_is_a_validation_error(self, config_file, tmp_path,
                                                                capsys, name):

@@ -73,6 +73,21 @@ class TestValidation:
             with pytest.raises(ValueError):
                 TabularMdp(([0], [0], [1.0]), [1.0], g, [[0.0]], [[1.0]])
 
+    def test_gamma_horizon_capped(self):
+        # gamma = 0.999999999999 (a horizon of 1.4e13 steps) used to leave
+        # soft value iteration running for hours; each case here is only
+        # constructed, never run
+        cap = wail.mdp.MAX_HORIZON
+        just_in, just_out = (math.exp(math.log(1e-6) / (cap + d)) for d in (-0.5, 0.5))
+        assert wail.default_max_len(just_in) == cap
+        for g in (0.999, just_in):
+            TabularMdp(([0], [0], [1.0]), [1.0], g, [[0.0]], [[1.0]])
+        for g in (just_out, 1 - 1e-5, 0.999999999999):
+            with pytest.raises(ValueError, match=f"gamma {g}: horizon .* > MAX_HORIZON {cap}"):
+                TabularMdp(([0], [0], [1.0]), [1.0], g, [[0.0]], [[1.0]])
+        with pytest.raises(ValueError, match="MAX_HORIZON"):
+            wail.make_gridworld(5, gamma=0.999999999999)
+
     def test_occupancy_mass_checked(self):
         with pytest.raises(ValueError):
             OccupancyMeasure(np.full((2, 2), 0.3))

@@ -242,6 +242,16 @@ class TestRunLog:
         assert back.rows == log.rows
         assert back.meta == log.meta
 
+    def test_csv_round_trip_with_numpy_scalars(self, tmp_path):
+        # a NumPy scalar is a float whose repr reads np.float64(0.5), which
+        # load could not parse back
+        floats = wail.training.LOG_COLUMNS[1:]
+        log = RunLog()
+        log.append(iteration=np.int64(1), **{c: np.float64(0.5) for c in floats})
+        log.save(str(tmp_path))
+        assert "np." not in (tmp_path / "metrics.csv").read_text()
+        assert RunLog.load(str(tmp_path)).rows == [{"iteration": 1} | {c: 0.5 for c in floats}]
+
     def test_column_extraction(self):
         log = RunLog()
         log.append(iteration=1, objective=1.0, policy_surrogate=0.0,
@@ -418,6 +428,65 @@ def test_divergence_aborts_with_partial_log(tmp_path):
     with pytest.raises(wail.DivergenceError):
         train_wail(mdp, demos, dataclasses.replace(config, out_dir=str(direct)))
     assert not direct.exists()
+
+
+class NanRewardStep(OtDualStep):
+    """WAIL's reward step, but from round `bad` on its reward matrix holds a
+    NaN while its objective stays finite."""
+
+    def __init__(self, mdp, config, bad):
+        super().__init__(mdp, config)
+        self.rounds, self.bad = 0, bad
+
+    def __call__(self, model, policy_batch, expert_batch):
+        model, objective, reward = super().__call__(model, policy_batch, expert_batch)
+        self.rounds += 1
+        if self.rounds > self.bad:
+            reward = reward.copy()
+            reward[-1, -1] = np.nan
+        return model, objective, reward
+
+
+def assert_diverged_at_round_2(run):
+    # the line search builds its candidates unchecked, so the loop's own
+    # check of the round's gradient is what stops a NaN step: a
+    # DivergenceError naming the round, carrying the rounds before it
+    with pytest.raises(wail.DivergenceError, match="at round 2$") as exc:
+        run()
+    log = exc.value.log
+    assert log.meta["diverged"] == str(exc.value)
+    assert [row["iteration"] for row in log.rows] == [1, 2]
+    assert all(np.isfinite(row["objective"]) for row in log.rows)
+
+
+@pytest.mark.parametrize("sampling", ["exact", "sampled"])
+def test_nan_reward_aborts_with_partial_log(sampling):
+    mdp = wail.make_gridworld(3)
+    demos = wail.rollout_fixed(mdp, SoftmaxPolicy.uniform(9, 4), 2, 10, seed=0)
+    config = RunConfig(env={"name": "gridworld", "n": 3}, k_max=5, seed=0,
+                       sampling=sampling, pg_mode=sampling)
+    assert_diverged_at_round_2(lambda: wail.adversarial_train(
+        mdp, demos, config, NanRewardStep(mdp, config, bad=2)))
+
+
+@pytest.mark.parametrize("trainer", ["wail", "gail"])
+def test_nan_gradient_aborts_with_partial_log(monkeypatch, trainer):
+    real = wail.training.entropy_reg_policy_gradient
+
+    def nan_from_round_2(mdp, policy, reward, lam, batch):
+        report = real(mdp, policy, reward, lam=lam, batch=batch)
+        calls.append(1)
+        if len(calls) > 2:
+            report.gradient = report.gradient.copy()
+            report.gradient[0] = np.nan
+        return report
+
+    calls = []
+    monkeypatch.setattr(wail.training, "entropy_reg_policy_gradient", nan_from_round_2)
+    mdp = wail.make_gridworld(3)
+    demos = wail.rollout_fixed(mdp, SoftmaxPolicy.uniform(9, 4), 2, 10, seed=0)
+    config = RunConfig(env={"name": "gridworld", "n": 3}, k_max=5, seed=0)
+    assert_diverged_at_round_2(lambda: TRAINERS[trainer](mdp, demos, config))
 
 
 def test_metrics_rows_are_the_rows_each_round_returned(tmp_path, monkeypatch):
