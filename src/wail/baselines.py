@@ -24,8 +24,9 @@ def disc_probs(logits) -> np.ndarray:
     return np.clip(1.0 / (1.0 + np.exp(-logits)), PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
-def _batch_probs(logit: rewards.PotentialModel, indices, embed_table) -> np.ndarray:
-    return disc_probs(rewards.support_values(logit, indices, embed_table[indices]))
+def _batch_probs(logit: rewards.PotentialModel, indices, embed_table):
+    embeds = rewards.support_embeds(logit, embed_table, indices)
+    return disc_probs(rewards.support_values(logit, indices, embeds)), embeds
 
 
 def gail_objective(logit: rewards.PotentialModel, expert_batch, policy_batch,
@@ -34,8 +35,8 @@ def gail_objective(logit: rewards.PotentialModel, expert_batch, policy_batch,
     Each batch is an (indices, weights) pair over the flat state-action
     set; `embed_table` holds the embeddings of that set."""
     (e_idx, e_w), (p_idx, p_w) = expert_batch, policy_batch
-    return float(e_w @ np.log(1.0 - _batch_probs(logit, e_idx, embed_table))
-                 + p_w @ np.log(_batch_probs(logit, p_idx, embed_table)))
+    (d_e, _), (d_p, _) = (_batch_probs(logit, idx, embed_table) for idx in (e_idx, p_idx))
+    return float(e_w @ np.log(1.0 - d_e) + p_w @ np.log(d_p))
 
 
 def gail_discriminator_step(logit: rewards.PotentialModel, expert_batch, policy_batch,
@@ -48,10 +49,9 @@ def gail_discriminator_step(logit: rewards.PotentialModel, expert_batch, policy_
     if lr <= 0:
         raise ValueError("lr must be > 0")
     (e_idx, e_w), (p_idx, p_w) = expert_batch, policy_batch
-    d_e = _batch_probs(logit, e_idx, embed_table)
-    d_p = _batch_probs(logit, p_idx, embed_table)
-    grad = (rewards.accumulate_param_grad(logit, e_idx, embed_table[e_idx], -e_w * d_e)
-            + rewards.accumulate_param_grad(logit, p_idx, embed_table[p_idx], p_w * (1.0 - d_p)))
+    (d_e, e_x), (d_p, p_x) = (_batch_probs(logit, idx, embed_table) for idx in (e_idx, p_idx))
+    grad = (rewards.accumulate_param_grad(logit, e_idx, e_x, -e_w * d_e)
+            + rewards.accumulate_param_grad(logit, p_idx, p_x, p_w * (1.0 - d_p)))
     new = logit.copy()
     new.params = new.params + lr * grad
     return new, float(e_w @ np.log(1.0 - d_e) + p_w @ np.log(d_p))

@@ -91,6 +91,8 @@ class RunConfig:
                 raise ValueError(f"{f.name} must be >= 0, got {value!r}")
             if f.name not in MAY_BE_ZERO and value <= 0:
                 raise ValueError(f"{f.name} must be > 0, got {value!r}")
+        if self.early_stop_window < 2:      # a window of one objective is always flat
+            raise ValueError(f"early_stop_window must be >= 2, got {self.early_stop_window}")
         for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")

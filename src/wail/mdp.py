@@ -84,6 +84,7 @@ class _TransitionRows:
     _inverse_cdf).  K is the most nonzeros in a row."""
 
     row: np.ndarray         # (nnz,) flat row of each nonzero
+    state: np.ndarray       # (nnz,) its state, row // A
     col: np.ndarray         # (nnz,) its next state
     prob: np.ndarray        # (nnz,) its probability
     draw_cum: np.ndarray    # (K+1, S*A) [0, cumulative sums..., inf padding]
@@ -130,9 +131,10 @@ class _TransitionRows:
         draw_col = np.full((K + 2, S * A), S - 1, dtype=np.int64)
         draw_col[0] = 0
         draw_col[pos, row] = col
-        for arr in (row, col, prob):
+        state = row // A
+        for arr in (row, state, col, prob):
             arr.setflags(write=False)
-        return cls(row=row, col=col, prob=prob, draw_cum=draw_cum.cumsum(axis=0),
+        return cls(row=row, state=state, col=col, prob=prob, draw_cum=draw_cum.cumsum(axis=0),
                    draw_col=draw_col)
 
 
@@ -165,6 +167,7 @@ class TabularMdp:
     action_embed: np.ndarray        # (A, d_a)
     true_reward: np.ndarray | None = None   # (S, A)
     _rows: _TransitionRows = field(init=False, repr=False, compare=False)
+    _flow_source = cached_property(lambda self: _freeze((1.0 - self.gamma) * self.start))
 
     def __post_init__(self):
         mu0, se, ae = (np.asarray(x, dtype=np.float64)
@@ -279,6 +282,7 @@ class OccupancyMeasure:
     the Bellman flow equation of their MDP instead."""
 
     rho: np.ndarray                 # (S, A)
+    _marginal = cached_property(lambda self: _freeze(self.rho.sum(axis=1)))
 
     def __post_init__(self):
         rho = np.asarray(self.rho, dtype=np.float64)
@@ -289,7 +293,8 @@ class OccupancyMeasure:
         object.__setattr__(self, "rho", _freeze(rho))
 
     def state_marginal(self) -> np.ndarray:
-        return self.rho.sum(axis=1)
+        """d(s) = sum_a rho(s, a), summed once and kept read-only."""
+        return self._marginal
 
     def flat(self) -> np.ndarray:
         return self.rho.ravel()
@@ -372,10 +377,9 @@ class FlowSystem:
         mdp = self.mdp
         mdp.check_policy(policy)
         rows, S = mdp._rows, mdp.n_states
-        state = rows.row // mdp.n_actions
         weights = policy.probs.ravel()[rows.row] * rows.prob
         if S <= DENSE_SOLVE_MAX_STATES:
-            P_pi = np.bincount(state * S + rows.col, weights=weights,
+            P_pi = np.bincount(rows.state * S + rows.col, weights=weights,
                                minlength=S * S).reshape(S, S)
             system = np.eye(S) - mdp.gamma * P_pi
         else:
@@ -384,7 +388,7 @@ class FlowSystem:
             diag = np.arange(S)
             system = splu(csc_matrix(
                 (np.concatenate([np.ones(S), -mdp.gamma * weights]),
-                 (np.concatenate([diag, state]), np.concatenate([diag, rows.col]))),
+                 (np.concatenate([diag, rows.state]), np.concatenate([diag, rows.col]))),
                 shape=(S, S)))
         object.__setattr__(self, "_system", system)
 
@@ -417,7 +421,7 @@ def occupancy_from_policy(mdp: TabularMdp, policy: SoftmaxPolicy) -> OccupancyMe
     Bellman-flow residual (which a NaN fails), and built `unchecked`."""
     flow = _flow_of(mdp, policy)
     if flow._occupancy is None:
-        d = flow.solve((1.0 - mdp.gamma) * mdp.start, transpose=True)
+        d = flow.solve(mdp._flow_source, transpose=True)
         if d.min() < -1e-12:
             raise ArithmeticError(f"flow solve produced negative visitation {d.min():.3e}")
         d = np.maximum(d, 0.0)
@@ -448,7 +452,7 @@ def bellman_flow_residual(mdp: TabularMdp, rho: np.ndarray | OccupancyMeasure) -
     rows = mdp._rows
     inflow = np.bincount(rows.col, weights=rows.prob * r.ravel()[rows.row],
                          minlength=mdp.n_states)
-    rhs = (1.0 - mdp.gamma) * mdp.start + mdp.gamma * inflow
+    rhs = mdp._flow_source + mdp.gamma * inflow
     return float(np.abs(r.sum(axis=1) - rhs).max())
 
 
@@ -596,7 +600,7 @@ def soft_value_iteration(mdp: TabularMdp, reward: np.ndarray, lam: float,
     if R.shape != (S, A):
         raise ValueError(f"reward must be (S, A), got {R.shape}")
     rows = mdp._rows
-    a_major = rows.row % A * S + rows.row // A
+    a_major = rows.row % A * S + rows.state
     R_t = np.ascontiguousarray(R.T)
 
     def q_values(V):

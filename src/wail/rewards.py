@@ -133,12 +133,12 @@ def support_values(model: PotentialModel, indices: np.ndarray,
 
 def accumulate_param_grad(model: PotentialModel, indices: np.ndarray,
                           embeds: np.ndarray | None, coeffs: np.ndarray) -> np.ndarray:
-    """Return sum_k coeffs[k] * d r_w(x_k) / d w as one flat vector."""
+    """Return sum_k coeffs[k] * d r_w(x_k) / d w as one flat vector; tabular: a float64
+    bincount over indices in [0, n), adding in batch order from 0.0 as np.add.at does."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if model.form == "tabular":
-        out = np.zeros_like(model.params)
-        np.add.at(out, np.asarray(indices, dtype=np.int64), coeffs)
-        return out
+        return np.bincount(np.asarray(indices, dtype=np.int64), weights=coeffs,
+                           minlength=model.params.size).astype(np.float64, copy=False)
     X = np.atleast_2d(np.asarray(embeds, dtype=np.float64))
     if model.form == "linear":
         return coeffs @ X

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +28,7 @@ from . import ot, rewards
 from .config import RunConfig
 from .mdp import (OccupancyMeasure, Rollouts, SoftmaxPolicy, TabularMdp,
                   occupancy_from_policy, sample_trajectories, save_policy, unchecked)
-from .trust_region import (StepSchedule, entropy_reg_policy_gradient, kl_constrained_step,
-                           weighted_kl)
+from .trust_region import entropy_reg_policy_gradient, kl_constrained_step, weighted_kl
 
 FINAL_FIT_STEPS = 200      # reward ascent steps against the returned policy
 PG_EPISODES = 256          # restart-chain episodes per sampled policy gradient
@@ -110,12 +111,6 @@ class ExpertData:
     def support(self) -> np.ndarray:
         return np.nonzero(self.weights > 0)[0]
 
-    def sample_flat(self, rng: np.random.Generator, size: int, n_actions: int) -> np.ndarray:
-        if self.pairs is not None:
-            rows = rng.integers(0, self.pairs.shape[0], size=size)
-            return self.pairs[rows, 0] * n_actions + self.pairs[rows, 1]
-        return rng.choice(self.weights.size, size=size, p=self.weights)
-
 
 @dataclass
 class WailState:
@@ -154,12 +149,15 @@ def _policy_side(policy: SoftmaxPolicy, mdp: TabularMdp, config: RunConfig,
     return (flat, np.full(config.l1, 1.0 / config.l1)), grad_batch
 
 
-def _expert_batch(expert: ExpertData, mdp: TabularMdp, config: RunConfig,
-                  rng: np.random.Generator):
+def _expert_batch(expert: ExpertData, mdp: TabularMdp, config: RunConfig, rng=None):
     if config.sampling == "exact":
         sup = expert.support()
         return sup, expert.weights[sup] / expert.weights[sup].sum()
-    flat = expert.sample_flat(rng, config.l2, mdp.n_actions)
+    if expert.pairs is None:
+        flat = rng.choice(expert.weights.size, size=config.l2, p=expert.weights)
+    else:
+        rows = rng.integers(0, expert.pairs.shape[0], size=config.l2)
+        flat = expert.pairs[rows, 0] * mdp.n_actions + expert.pairs[rows, 1]
     return flat, np.full(config.l2, 1.0 / config.l2)
 
 
@@ -230,7 +228,7 @@ class OtDualStep:
             _, objective, value_clamps = ot.reg_ot_fit(pair, self.block, self.reg, model, steps=0,
                                                        lr=self.config.ot_lr, screen=self.screen)
             self.clamps += fit_clamps + value_clamps
-            if not np.isfinite(objective):
+            if not math.isfinite(objective):
                 raise ot.DivergenceError("objective diverged in the final reward fit")
         if self.screen is None:
             passes = rebuilds = state.k * self.config.ot_inner_steps
@@ -244,46 +242,39 @@ class OtDualStep:
 
 
 def wail_iteration(state: WailState, mdp: TabularMdp, expert_data, config: RunConfig,
-                   reward_step) -> tuple[WailState, dict]:
+                   reward_step, expert_batch=None) -> tuple[WailState, dict]:
     """One adversarial round: draw both batches, update the reward with
     `reward_step`, then take the KL-constrained policy step against the
     reward it returns.  The batch, the gradient, the step and the logged
     KL read the current policy's occupancy, kept on its flow record with
     the value solve's system; the line search returns the next policy,
     whose occupancy it solved, so each policy is solved once.
-    The round's generator is seeded by (config.seed, round,
-    reward_step.salt): a sampling round draws its sampler seed first
-    (_policy_side), then the expert batch; the reward step draws nothing.
+    Only a round that samples seeds a generator, by (config.seed, round,
+    reward_step.salt), and draws the sampler seed, then the expert batch;
+    an exact round draws nothing and uses the run's `expert_batch` if given.
     A non-finite objective, policy gradient or surrogate (a non-finite
     reward makes the surrogate so) raises ot.DivergenceError.  Returns
     the next state and the round's log row (all LOG_COLUMNS but the last)."""
-    expert = ExpertData.from_any(expert_data, mdp)
-    rng = np.random.default_rng([config.seed, state.k, reward_step.salt])
+    rng = (np.random.default_rng([config.seed, state.k, reward_step.salt])
+           if "sampled" in (config.sampling, config.pg_mode) else None)
     policy_batch, grad_batch = _policy_side(state.policy, mdp, config, rng)
-    expert_batch = _expert_batch(expert, mdp, config, rng)
+    if expert_batch is None:
+        expert_batch = _expert_batch(ExpertData.from_any(expert_data, mdp), mdp, config, rng)
     model, objective, reward = reward_step(state.model, policy_batch, expert_batch)
-    if not np.isfinite(objective):
+    if not math.isfinite(objective):
         raise ot.DivergenceError(f"objective diverged at round {state.k}")
 
     report = entropy_reg_policy_gradient(mdp, state.policy, reward,
                                          lam=config.lambda_entropy, batch=grad_batch)
-    if not (np.isfinite(report.surrogate_value) and np.all(np.isfinite(report.gradient))):
+    if not (math.isfinite(report.surrogate_value) and np.isfinite(report.gradient).all()):
         raise ot.DivergenceError(f"non-finite reward or policy gradient at round {state.k}")
-    delta = StepSchedule(config.delta0, config.delta_decay).delta(state.k + 1)
+    delta = config.delta0 / (state.k + 1) ** config.delta_decay
     policy = kl_constrained_step(mdp, state.policy, report, delta)
     row = {"iteration": state.k + 1, "objective": objective,
            "policy_surrogate": report.surrogate_value,
            "kl_step": weighted_kl(mdp, state.policy, policy),
            "entropy": report.entropy}
     return WailState(state.k + 1, model, policy), row
-
-
-def _should_stop(rows: list, window: int, tol: float) -> bool:
-    """Whether the objective over the last `window` log rows is flat."""
-    if len(rows) < window:
-        return False
-    tail = np.asarray([r["objective"] for r in rows[-window:]])
-    return float(tail.max() - tail.min()) <= tol * (1.0 + abs(tail[-1]))
 
 
 def _maybe_checkpoint(state: WailState, config: RunConfig) -> None:
@@ -298,8 +289,8 @@ def _maybe_checkpoint(state: WailState, config: RunConfig) -> None:
 def adversarial_train(mdp: TabularMdp, expert_data, config: RunConfig, reward_step,
                       score=None):
     """The adversarial loop shared by WAIL and GAIL.  Runs `wail_iteration`
-    with `reward_step` for k_max rounds (stopping early once the trailing
-    objective window is flat), then the step's end-of-run hook
+    with `reward_step` for k_max rounds (or until the last early_stop_window
+    objectives span <= early_stop_tol * (1 + |last|)), then the end-of-run hook
     `reward_step.finish(state)`, which returns the final reward model
     and its run_meta entries.  A divergence (see wail_iteration and
     ot.reg_ot_fit) aborts the run with ot.DivergenceError carrying the
@@ -328,13 +319,17 @@ def adversarial_train(mdp: TabularMdp, expert_data, config: RunConfig, reward_st
                       policy=SoftmaxPolicy.uniform(S, A))
     log = RunLog(meta={"algorithm": reward_step.algorithm, "config": config.to_dict(),
                        "n_states": S, "n_actions": A})
+    expert_batch = _expert_batch(expert, mdp, config) if config.sampling == "exact" else None
+    window = deque(maxlen=config.early_stop_window)
     try:
         for _ in range(config.k_max):
-            state, row = wail_iteration(state, mdp, expert, config, reward_step)
+            state, row = wail_iteration(state, mdp, expert, config, reward_step, expert_batch)
             evaluated = score is not None and config.eval_every > 0 and state.k % config.eval_every == 0
             log.append(**row, scaled_perf_eval=score(state.policy).scaled if evaluated else None)
             _maybe_checkpoint(state, config)
-            if _should_stop(log.rows, config.early_stop_window, config.early_stop_tol):
+            window.append(row["objective"])
+            if len(window) == window.maxlen and (max(window) - min(window) <= config.early_stop_tol
+                                                 * (1.0 + abs(row["objective"]))):
                 log.meta["early_stop_iteration"] = state.k
                 break
         model, final_meta = reward_step.finish(state)

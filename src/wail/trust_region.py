@@ -181,13 +181,12 @@ def kl_constrained_step(mdp: TabularMdp, policy: SoftmaxPolicy,
     v = _natural_direction(d, pi, g, FISHER_DAMPING)
     quad = v @ g
     beta = math.sqrt(2.0 * delta / quad)
-    old_value = report.surrogate_value
     step = v.reshape(pi.shape)
     for t in range(MAX_BACKTRACKS + 1):
         logits = policy.logits + (beta * BACKTRACK_COEF ** t) * step
         candidate = unchecked(SoftmaxPolicy, logits=logits)
         if weighted_kl(mdp, policy, candidate) > delta:
             continue
-        if surrogate_value(mdp, candidate, report.cost) >= old_value:
+        if surrogate_value(mdp, candidate, report.cost) >= report.surrogate_value:
             return candidate
     return policy

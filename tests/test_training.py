@@ -355,14 +355,18 @@ def test_early_stop_on_flat_objective():
     {"early_stop_window": 0}, {"early_stop_window": -3}, {"early_stop_tol": -1e-4},
     {"mlp_hidden": (8,)}, {"mlp_hidden": (8, 8, 8)}, {"mlp_hidden": (8, 0)},
     {"mlp_hidden": (8, 2.5)}, {"mlp_hidden": 8}, {"mlp_hidden": (True, 8)},
+    {"early_stop_window": 1},
 ])
 def test_config_rejects_bad_loop_and_network_fields(updates):
     # each of these used to pass validate and then stop WAIL after one
-    # round, fail in a zero-size reduction, fail unpacking the layer sizes
-    # or build a 1-unit layer; now no RunConfig holding one can be made
-    with pytest.raises(ValueError):
+    # round (a window of one objective is always flat, whatever the
+    # tolerance), fail in a zero-size reduction, fail unpacking the layer
+    # sizes or build a 1-unit layer; now no RunConfig holding one can be
+    # made, and the error names the field
+    name = next(iter(updates))
+    with pytest.raises(ValueError, match=name):
         RunConfig(**updates)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=name):
         dataclasses.replace(RunConfig(k_max=3, model_form="mlp"), **updates)
 
 
@@ -404,7 +408,7 @@ def test_config_rejects_folded_keys(name):
 
 
 def test_config_accepts_zero_tolerance_and_list_layers():
-    RunConfig(early_stop_tol=0.0, early_stop_window=1, mlp_hidden=[8, 1])
+    RunConfig(early_stop_tol=0.0, early_stop_window=2, mlp_hidden=[8, 1])
 
 
 def test_divergence_aborts_with_partial_log(tmp_path):
