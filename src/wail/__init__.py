@@ -31,7 +31,7 @@ from .ot import (DiscreteMeasurePair, DivergenceError, DualRegularization,
 from .rewards import (PotentialModel, clone_frozen, create_model, load_model,
                       model_from_json, model_to_json, reward_matrix, save_model,
                       support_values)
-from .training import (ExpertData, OtDualStep, RunLog, WailState, adversarial_train,
+from .training import (OtDualStep, RunLog, WailState, adversarial_train, expert_occupancy,
                        train_wail, wail_iteration)
 from .trust_region import (PolicyGradientReport, StepSchedule,
                            entropy_reg_policy_gradient, kl_constrained_step,

@@ -14,7 +14,7 @@ import numpy as np
 from . import rewards
 from .config import RunConfig
 from .mdp import SoftmaxPolicy, TabularMdp, policy_from_occupancy, state_action_embeddings
-from .training import ExpertData, adversarial_train
+from .training import adversarial_train, expert_occupancy
 
 PROB_CLAMP = 1e-6
 
@@ -96,10 +96,8 @@ def train_gail(mdp: TabularMdp, expert_data, config: RunConfig, score=None):
 
 
 def train_bc(mdp: TabularMdp, expert_data) -> SoftmaxPolicy:
-    """Behavior cloning: the maximizer of the demonstration log-likelihood
-    in closed form, each visited state's empirical action frequencies,
-    floored and logged by policy_from_occupancy's row rule, and the uniform
-    policy at unvisited states.  `expert_data` is anything
-    ExpertData.from_any accepts."""
-    weights = ExpertData.from_any(expert_data, mdp).weights
-    return policy_from_occupancy(weights.reshape(mdp.n_states, mdp.n_actions))
+    """Behavior cloning: the demonstration log-likelihood's maximizer in closed
+    form, policy_from_occupancy of the expert's empirical measure (each visited
+    state's action frequencies, floored; uniform at unvisited states).
+    `expert_data` is anything expert_occupancy accepts."""
+    return policy_from_occupancy(expert_occupancy(expert_data, mdp))

@@ -33,14 +33,14 @@ def derived_seeds(seed: int) -> dict:
 def setup(config: RunConfig, demos=None):
     """Build a run's environment and soft-VI expert.  Draws dataset_size
     demonstrations with the expert seed, unless `demos` are given; those are
-    checked against the MDP instead.  Returns (mdp, expert_policy, demos)."""
+    checked by training.expert_occupancy.  Returns (mdp, expert_policy, demos)."""
     mdp = build_environment(config.env)
     expert_policy, drawn = make_expert(mdp, config.expert_lambda, n_traj=config.dataset_size,
                                        traj_len=config.traj_len,
                                        seed=derived_seeds(config.seed)["expert"])
     if demos is None:
         return mdp, expert_policy, drawn
-    training.ExpertData.from_any(demos, mdp)
+    training.expert_occupancy(demos, mdp)
     return mdp, expert_policy, demos
 
 

@@ -277,9 +277,10 @@ class SoftmaxPolicy:
 
 @dataclass(frozen=True)
 class OccupancyMeasure:
-    """Normalized discounted state-action visitation rho(s, a), checked by
-    the constructor; occupancy_from_policy checks its own measures against
-    the Bellman flow equation of their MDP instead."""
+    """A normalized state-action measure rho(s, a): a policy's discounted
+    occupancy, which occupancy_from_policy checks against the Bellman flow
+    equation of its MDP instead of the constructor's checks, or the
+    expert's empirical measure (training.expert_occupancy)."""
 
     rho: np.ndarray                 # (S, A)
     _marginal = cached_property(lambda self: _freeze(self.rho.sum(axis=1)))
@@ -427,10 +428,11 @@ def occupancy_from_policy(mdp: TabularMdp, policy: SoftmaxPolicy) -> OccupancyMe
         d = np.maximum(d, 0.0)
         rho = d[:, None] * policy.probs
         rho /= rho.sum()
-        resid = bellman_flow_residual(mdp, rho)
+        occupancy = unchecked(OccupancyMeasure, rho=_freeze(rho))
+        resid = bellman_flow_residual(mdp, occupancy)
         if not resid <= FLOW_TOL:
             raise ArithmeticError(f"Bellman flow residual {resid:.3e} exceeds {FLOW_TOL}")
-        object.__setattr__(flow, "_occupancy", unchecked(OccupancyMeasure, rho=_freeze(rho)))
+        object.__setattr__(flow, "_occupancy", occupancy)
     return flow._occupancy
 
 
@@ -447,13 +449,14 @@ def action_values(mdp: TabularMdp, policy: SoftmaxPolicy,
 
 
 def bellman_flow_residual(mdp: TabularMdp, rho: np.ndarray | OccupancyMeasure) -> float:
-    """Max-norm residual of the Bellman flow equation for a candidate measure."""
-    r = rho.rho if isinstance(rho, OccupancyMeasure) else np.asarray(rho, dtype=np.float64)
+    """Max-norm residual of the Bellman flow equation; a measure's outflow is its marginal."""
+    if not isinstance(rho, OccupancyMeasure):
+        rho = unchecked(OccupancyMeasure, rho=np.asarray(rho, dtype=np.float64))
     rows = mdp._rows
-    inflow = np.bincount(rows.col, weights=rows.prob * r.ravel()[rows.row],
+    inflow = np.bincount(rows.col, weights=rows.prob * rho.rho.ravel()[rows.row],
                          minlength=mdp.n_states)
     rhs = mdp._flow_source + mdp.gamma * inflow
-    return float(np.abs(r.sum(axis=1) - rhs).max())
+    return float(np.abs(rho.state_marginal() - rhs).max())
 
 
 def next_states(mdp: TabularMdp, states: np.ndarray, actions: np.ndarray,
@@ -469,15 +472,11 @@ def _draw_next(rows: _TransitionRows, flat_rows: np.ndarray, u: np.ndarray) -> n
     return rows.draw_col[_inverse_cdf(rows.draw_cum, flat_rows, u), flat_rows]
 
 
-def policy_from_occupancy(rho: np.ndarray | OccupancyMeasure) -> SoftmaxPolicy:
-    """Normalize occupancy rows, or any nonnegative (S, A) weights, into a
-    policy, logits floored LOGIT_GAP below the row's largest; states with
-    zero row mass get uniform logits (the max-entropy completion off the
-    support)."""
-    r = rho.rho if isinstance(rho, OccupancyMeasure) else np.asarray(rho, dtype=np.float64)
-    mass = r.sum(axis=1)
-    if mass.sum() <= 0.0:
-        raise ValueError("cannot derive a policy from an all-zero measure")
+def policy_from_occupancy(rho: OccupancyMeasure) -> SoftmaxPolicy:
+    """The policy of a measure (a policy's occupancy or the expert's): each row
+    normalized, logits floored LOGIT_GAP below the row's largest; states with
+    zero mass get uniform logits (the max-entropy completion off the support)."""
+    r, mass = rho.rho, rho.state_marginal()
     logits = np.zeros_like(r)
     pos = mass > 0.0
     p = r[pos] / mass[pos, None]

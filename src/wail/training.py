@@ -72,44 +72,26 @@ class RunLog:
         return cls(meta=meta, rows=rows)
 
 
-@dataclass
-class ExpertData:
-    """Expert demonstrations in either form: raw state-action pairs from a
-    Rollouts batch or a (k, 2) array (sampled mode), or an exact occupancy
-    measure (oracle mode).
-    Both reduce to weights over the flat state-action index set."""
-
-    weights: np.ndarray                 # (S*A,), sums to 1
-    pairs: np.ndarray | None = None     # (k, 2) when built from trajectories
-
-    @classmethod
-    def from_any(cls, expert_data, mdp: TabularMdp) -> "ExpertData":
-        S, A = mdp.n_states, mdp.n_actions
-        if isinstance(expert_data, cls):
-            return expert_data
-        if isinstance(expert_data, OccupancyMeasure):
-            if expert_data.rho.shape != (S, A):
-                raise ValueError("expert occupancy shape does not match MDP")
-            w = expert_data.flat().copy()
-            return cls(weights=w / w.sum())
-        if isinstance(expert_data, Rollouts):
-            pairs = expert_data.pairs()
-        elif isinstance(expert_data, np.ndarray) and expert_data.ndim == 2 and expert_data.shape[1] == 2:
-            if not np.issubdtype(expert_data.dtype, np.integer):
-                raise ValueError("expert pairs must be an integer array")
-            pairs = expert_data.astype(np.int64)
-        else:
-            raise ValueError("expert data must be an occupancy, a Rollouts batch or a (k, 2) array")
-        if pairs.shape[0] == 0:
-            raise ValueError("expert data must be non-empty")
-        if pairs.min() < 0 or pairs[:, 0].max() >= S or pairs[:, 1].max() >= A:
-            raise ValueError("expert pairs out of MDP bounds")
-        flat = pairs[:, 0] * A + pairs[:, 1]
-        w = np.bincount(flat, minlength=S * A).astype(np.float64)
-        return cls(weights=w / w.sum(), pairs=pairs)
-
-    def support(self) -> np.ndarray:
-        return np.nonzero(self.weights > 0)[0]
+def expert_occupancy(expert_data, mdp: TabularMdp) -> OccupancyMeasure:
+    """The expert's empirical measure: the normalized counts of the pairs
+    of a Rollouts batch or an integer (k, 2) array, or a given (oracle)
+    occupancy renormalized."""
+    S, A = mdp.n_states, mdp.n_actions
+    if isinstance(expert_data, OccupancyMeasure):
+        if expert_data.rho.shape != (S, A):
+            raise ValueError("expert occupancy shape does not match MDP")
+        return OccupancyMeasure(expert_data.rho / expert_data.rho.sum())
+    pairs = expert_data.pairs() if isinstance(expert_data, Rollouts) else expert_data
+    if not (isinstance(pairs, np.ndarray) and pairs.ndim == 2 and pairs.shape[1] == 2):
+        raise ValueError("expert data must be an occupancy, a Rollouts batch or a (k, 2) array")
+    if not np.issubdtype(pairs.dtype, np.integer):
+        raise ValueError("expert pairs must be an integer array")
+    if pairs.shape[0] == 0:
+        raise ValueError("expert data must be non-empty")
+    if pairs.min() < 0 or pairs[:, 0].max() >= S or pairs[:, 1].max() >= A:
+        raise ValueError("expert pairs out of MDP bounds")
+    w = np.bincount(pairs[:, 0].astype(np.int64) * A + pairs[:, 1], minlength=S * A)
+    return OccupancyMeasure((w / w.sum()).reshape(S, A))
 
 
 @dataclass
@@ -149,16 +131,14 @@ def _policy_side(policy: SoftmaxPolicy, mdp: TabularMdp, config: RunConfig,
     return (flat, np.full(config.l1, 1.0 / config.l1)), grad_batch
 
 
-def _expert_batch(expert: ExpertData, mdp: TabularMdp, config: RunConfig, rng=None):
+def _expert_batch(expert: OccupancyMeasure, config: RunConfig, rng=None):
+    """The round's expert batch, (indices, weights): the measure's support and
+    its weights there renormalized, or l2 equal-weight draws from it (sampled)."""
+    w = expert.flat()
     if config.sampling == "exact":
-        sup = expert.support()
-        return sup, expert.weights[sup] / expert.weights[sup].sum()
-    if expert.pairs is None:
-        flat = rng.choice(expert.weights.size, size=config.l2, p=expert.weights)
-    else:
-        rows = rng.integers(0, expert.pairs.shape[0], size=config.l2)
-        flat = expert.pairs[rows, 0] * mdp.n_actions + expert.pairs[rows, 1]
-    return flat, np.full(config.l2, 1.0 / config.l2)
+        sup = np.flatnonzero(w)
+        return sup, w[sup] / w[sup].sum()
+    return rng.choice(w.size, size=config.l2, p=w), np.full(config.l2, 1.0 / config.l2)
 
 
 class OtDualStep:
@@ -248,26 +228,29 @@ def wail_iteration(state: WailState, mdp: TabularMdp, expert_data, config: RunCo
     reward it returns.  The batch, the gradient, the step and the logged
     KL read the current policy's occupancy, kept on its flow record with
     the value solve's system; the line search returns the next policy,
-    whose occupancy it solved, so each policy is solved once.
+    whose occupancy it solved, so each policy is solved once.  A measure
+    is the expert as given; other `expert_data` goes through expert_occupancy.
     Only a round that samples seeds a generator, by (config.seed, round,
     reward_step.salt), and draws the sampler seed, then the expert batch;
     an exact round draws nothing and uses the run's `expert_batch` if given.
     A non-finite objective, policy gradient or surrogate (a non-finite
-    reward makes the surrogate so) raises ot.DivergenceError.  Returns
-    the next state and the round's log row (all LOG_COLUMNS but the last)."""
+    reward makes the surrogate so) raises ot.DivergenceError naming the
+    round's iteration.  Returns the next state and its log row."""
     rng = (np.random.default_rng([config.seed, state.k, reward_step.salt])
            if "sampled" in (config.sampling, config.pg_mode) else None)
     policy_batch, grad_batch = _policy_side(state.policy, mdp, config, rng)
     if expert_batch is None:
-        expert_batch = _expert_batch(ExpertData.from_any(expert_data, mdp), mdp, config, rng)
+        expert = (expert_data if isinstance(expert_data, OccupancyMeasure)
+                  else expert_occupancy(expert_data, mdp))
+        expert_batch = _expert_batch(expert, config, rng)
     model, objective, reward = reward_step(state.model, policy_batch, expert_batch)
     if not math.isfinite(objective):
-        raise ot.DivergenceError(f"objective diverged at round {state.k}")
+        raise ot.DivergenceError(f"objective diverged at round {state.k + 1}")
 
     report = entropy_reg_policy_gradient(mdp, state.policy, reward,
                                          lam=config.lambda_entropy, batch=grad_batch)
     if not (math.isfinite(report.surrogate_value) and np.isfinite(report.gradient).all()):
-        raise ot.DivergenceError(f"non-finite reward or policy gradient at round {state.k}")
+        raise ot.DivergenceError(f"non-finite reward or policy gradient at round {state.k + 1}")
     delta = config.delta0 / (state.k + 1) ** config.delta_decay
     policy = kl_constrained_step(mdp, state.policy, report, delta)
     row = {"iteration": state.k + 1, "objective": objective,
@@ -294,7 +277,7 @@ def adversarial_train(mdp: TabularMdp, expert_data, config: RunConfig, reward_st
     `reward_step.finish(state)`, which returns the final reward model
     and its run_meta entries.  A divergence (see wail_iteration and
     ot.reg_ot_fit) aborts the run with ot.DivergenceError carrying the
-    partial log as `log`.
+    partial log as `log`.  The expert is expert_occupancy(expert_data).
 
     A reward step is called as step(model, policy_batch, expert_batch),
     each batch an (indices, weights) pair over the flat state-action set,
@@ -310,7 +293,7 @@ def adversarial_train(mdp: TabularMdp, expert_data, config: RunConfig, reward_st
     a fresh copy: the last flow record (an LU factor on large MDPs) is
     freed with the loop.
     Deterministic given config.seed."""
-    expert = ExpertData.from_any(expert_data, mdp)
+    expert = expert_occupancy(expert_data, mdp)
     S, A = mdp.n_states, mdp.n_actions
     width = mdp.state_embed.shape[1] + mdp.action_embed.shape[1]
     dims = {"tabular": (S * A,), "linear": (width,),
@@ -319,7 +302,7 @@ def adversarial_train(mdp: TabularMdp, expert_data, config: RunConfig, reward_st
                       policy=SoftmaxPolicy.uniform(S, A))
     log = RunLog(meta={"algorithm": reward_step.algorithm, "config": config.to_dict(),
                        "n_states": S, "n_actions": A})
-    expert_batch = _expert_batch(expert, mdp, config) if config.sampling == "exact" else None
+    expert_batch = _expert_batch(expert, config) if config.sampling == "exact" else None
     window = deque(maxlen=config.early_stop_window)
     try:
         for _ in range(config.k_max):

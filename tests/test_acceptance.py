@@ -374,8 +374,8 @@ def test_criterion_8_surface_smoothness(grid_runs):
         ratios.append(wail.relative_lipschitz(wail.model_surface_fn(art_w["model"], mdp),
                                               points) / gail_mod)
         rho = occupancy_from_policy(mdp, art_w["policy"]).flat()
-        expert = wail.ExpertData.from_any(art_w["demos"], mdp)
-        _, f = w1_dual_lp(DiscreteMeasurePair(rho / rho.sum(), expert.weights),
+        expert = wail.expert_occupancy(art_w["demos"], mdp)
+        _, f = w1_dual_lp(DiscreteMeasurePair(rho / rho.sum(), expert.flat()),
                           wail.build_ground_metric(mdp))
         exact = wail.PotentialModel("tabular", (f.size,), f)
         calibration.append(wail.relative_lipschitz(wail.model_surface_fn(exact, mdp),

@@ -14,17 +14,19 @@ _spec.loader.exec_module(bench_pairs)
 PARENT = [100.0, 102.0, 98.0, 101.0, 99.0, 103.0, 97.0, 100.0, 101.0, 99.0]
 
 
-def test_quartiles_interpolate_inclusively():
-    assert bench_pairs.quartiles([4.0, 1.0, 3.0, 2.0, 5.0]) == (2.0, 3.0, 4.0)
+def test_quartiles_interpolate_exclusively():
+    # the default method of statistics.quantiles, as bench/repeat.py's
+    # spread; the inclusive one would read PARENT's spread as 99 .. 101
+    assert bench_pairs.quartiles([4.0, 1.0, 3.0, 2.0, 5.0]) == (1.5, 3.0, 4.5)
     assert bench_pairs.quartiles([7.0]) == (7.0, 7.0, 7.0)
     q1, q2, q3 = bench_pairs.quartiles(PARENT)
-    assert (q1, q2, q3) == (99.0, 100.0, 101.0)
+    assert (q1, q2, q3) == (98.75, 100.0, 101.25)
 
 
 def test_clear_gain_passes():
     v = bench_pairs.verdict(PARENT, [p + 10.0 for p in PARENT], "higher")
     assert (v["wins"], v["losses"], v["ties"]) == (10, 0, 0)
-    assert v["median_gain"] == 10.0 and v["parent_iqr"] == 2.0
+    assert v["median_gain"] == 10.0 and v["parent_iqr"] == 2.5
     assert v["gain"]
 
 
@@ -53,7 +55,7 @@ def test_every_pair_won_inside_the_parent_spread_is_no_gain():
     # than the parent's interquartile range
     v = bench_pairs.verdict(PARENT, [p + 1.0 for p in PARENT], "higher")
     assert v["wins"] == 10
-    assert v["median_gain"] == 1.0 < v["parent_iqr"] == 2.0
+    assert v["median_gain"] == 1.0 < v["parent_iqr"] == 2.5
     assert not v["gain"]
 
 

@@ -295,6 +295,19 @@ class TestRewardSurface:
         with pytest.raises(ValueError):
             relative_lipschitz(lambda p: p[:, 0], np.ones((4, 3)))   # one distinct point
 
+    @pytest.mark.parametrize("form, hidden", [("linear", ()), ("mlp", (8, 4))])
+    def test_model_surface_of_an_embedding_model_is_its_values(self, form, hidden):
+        # linear and mlp models score a point by evaluating it: at the
+        # state-action embeddings, the values the training loop reads
+        mdp = wail.make_gridworld(3)
+        embeds = wail.state_action_embeddings(mdp)
+        model = wail.create_model(form, (embeds.shape[1], *hidden), seed=1)
+        fn = wail.model_surface_fn(model, mdp)
+        want = wail.support_values(model, np.arange(len(embeds)), embeds)
+        assert fn(embeds).tobytes() == want.tobytes()
+        one = wail.support_values(model, [5], embeds[5:6])   # BLAS rounds one row its own way
+        assert fn(embeds[5]).tobytes() == one.tobytes()
+
     def test_default_bounds_expand(self, rng):
         data = rng.normal(size=(40, 6))
         plane = pca_fit(data)

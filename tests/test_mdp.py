@@ -142,6 +142,20 @@ class TestOccupancy:
             assert bellman_flow_residual(mdp, rho) <= 1e-8
             assert abs(rho.rho.sum() - 1.0) <= 1e-8
 
+    def test_solve_keeps_the_marginal_its_residual_check_summed(self, rng):
+        # the flow check reads the measure's marginal, so the first
+        # state_marginal() read finds it kept, with rho.sum(axis=1)'s bits
+        mdp = random_mdp(6, 3, 0.9, seed=3)
+        rho = occupancy_from_policy(mdp, SoftmaxPolicy(rng.normal(size=(6, 3))))
+        assert "_marginal" in vars(rho)
+        assert rho.state_marginal().tobytes() == rho.rho.sum(axis=1).tobytes()
+
+    def test_residual_of_a_measure_is_the_residual_of_its_array(self, rng):
+        for t in range(5):
+            mdp = random_mdp(6, 3, 0.9, seed=20 + t)
+            rho = OccupancyMeasure(rng.dirichlet(np.ones(18)).reshape(6, 3))
+            assert bellman_flow_residual(mdp, rho) == bellman_flow_residual(mdp, np.array(rho.rho))
+
     def test_matches_monte_carlo_restart_chain(self):
         # Independent oracle: simulate the restart chain directly and compare
         # pooled frequencies across replicate chains, within 3 standard errors.

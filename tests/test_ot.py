@@ -612,6 +612,23 @@ class TestDualScreen:
         else:
             assert screen.metric is None    # the full pass's screen is over the share too
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_move_walks_the_whole_block(self, bad):
+        # no split bounds a NaN or infinite move: the screen does not serve,
+        # and the pass walks the whole block
+        pair, metric, reg = self.instance()
+        rng = np.random.default_rng(1)
+        r_src, r_tgt = rng.normal(size=self.N) * 0.3, rng.normal(size=self.M) * 0.3
+        screen = DualScreen()
+        ot._objective_and_gradient(r_src, r_tgt, pair, metric, reg, screen)
+        assert screen.metric is metric and screen.rebuilds == 1
+        tgt = r_tgt.copy()
+        tgt[3] = bad
+        assert not screen.serves(metric, r_src, tgt)
+        with np.errstate(all="ignore"):
+            ot._objective_and_gradient(r_src, tgt, pair, metric, reg, screen)
+        assert (screen.passes, screen.rebuilds, screen.refreshes) == (2, 2, 0)
+
     def test_refreshed_screen_is_the_full_pass_screen_at_its_references(self):
         # random moves: a few columns and rows jump either way, and every
         # point drifts a little; after each pass the screen holds exactly

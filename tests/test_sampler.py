@@ -18,7 +18,7 @@ import wail
 from wail import (Rollouts, SoftmaxPolicy, entropy_reg_policy_gradient,
                   rollout_fixed, sample_trajectories)
 from wail import mdp as mdp_mod
-from wail.training import ExpertData
+from wail.training import expert_occupancy
 
 from conftest import dense_transition, random_mdp, two_state_chain
 
@@ -288,8 +288,8 @@ class TestRollouts:
         per_episode = [np.stack([batch.states[lo:lo + n], batch.actions[lo:lo + n]], axis=1)
                        for lo, n in zip(batch.starts, batch.lengths)]
         assert np.array_equal(batch.pairs(), np.concatenate(per_episode))
-        assert np.array_equal(ExpertData.from_any(batch, mdp).weights,
-                              ExpertData.from_any(batch.pairs(), mdp).weights)
+        assert np.array_equal(expert_occupancy(batch, mdp).rho,
+                              expert_occupancy(batch.pairs(), mdp).rho)
 
     def test_jsonl_matches_per_trajectory_writer(self, tmp_path):
         mdp = wail.make_gridworld(4)

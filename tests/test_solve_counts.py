@@ -303,7 +303,7 @@ def test_wail_run_builds_only_its_cost_blocks(monkeypatch, sampling):
     assert log.meta["iterations_run"] == 20
     if sampling == "exact":
         assert log.meta["final_fit_steps"] > 0
-        support = wail.ExpertData.from_any(demos, mdp).support()
+        support = np.flatnonzero(wail.expert_occupancy(demos, mdp).flat())
         assert shapes == [(100, support.size)]
     else:
         assert shapes == [(32, 16)] * 20

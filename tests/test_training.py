@@ -7,7 +7,7 @@ import pytest
 import wail
 from wail import (DualRegularization, RunConfig, SoftmaxPolicy,
                   build_ground_metric, occupancy_from_policy, train_wail, wail_iteration)
-from wail.training import ExpertData, OtDualStep, RunLog, WailState
+from wail.training import OtDualStep, RunLog, WailState, expert_occupancy
 
 from conftest import FOLDED_CONFIG_KEYS, deterministic_policy, random_mdp
 
@@ -22,37 +22,46 @@ def small_mdp_two_actions(seed=0):
     return wail.TabularMdp(to_action, mu, 0.9, rng.normal(size=(2, 2)), np.eye(2))
 
 
-class TestExpertData:
+class TestExpertOccupancy:
     def test_from_occupancy(self):
+        # an oracle expert is renormalized, as the run's expert
         mdp = random_mdp(3, 2, 0.9, seed=1)
         rho = occupancy_from_policy(mdp, SoftmaxPolicy.uniform(3, 2))
-        data = ExpertData.from_any(rho, mdp)
-        assert abs(data.weights.sum() - 1.0) < 1e-12
-        assert data.pairs is None
+        expert = expert_occupancy(rho, mdp)
+        assert isinstance(expert, wail.OccupancyMeasure)
+        assert expert.rho.tobytes() == (rho.rho / rho.rho.sum()).tobytes()
+        with pytest.raises(ValueError, match="shape"):
+            expert_occupancy(rho, random_mdp(3, 3, 0.9, seed=1))
 
     def test_from_trajectories(self):
+        # the normalized counts of the demonstrated pairs, read-only
         mdp = random_mdp(3, 2, 0.9, seed=2)
         trajs = wail.sample_trajectories(mdp, SoftmaxPolicy.uniform(3, 2), 20, seed=0)
-        data = ExpertData.from_any(trajs, mdp)
-        assert abs(data.weights.sum() - 1.0) < 1e-12
-        assert data.pairs is not None
+        expert = expert_occupancy(trajs, mdp)
+        pairs = trajs.pairs()
+        counts = np.zeros((3, 2))
+        np.add.at(counts, (pairs[:, 0], pairs[:, 1]), 1.0)
+        assert np.array_equal(expert.rho, counts / len(pairs))
+        assert not expert.rho.flags.writeable
 
     def test_empty_rejected(self):
         mdp = random_mdp(3, 2, 0.9, seed=3)
         with pytest.raises(ValueError):
-            ExpertData.from_any([], mdp)
+            expert_occupancy([], mdp)
+        with pytest.raises(ValueError, match="non-empty"):
+            expert_occupancy(np.zeros((0, 2), dtype=np.int64), mdp)
 
     def test_out_of_bounds_rejected(self):
         mdp = random_mdp(3, 2, 0.9, seed=4)
         with pytest.raises(ValueError):
-            ExpertData.from_any(np.array([[5, 0]]), mdp)
+            expert_occupancy(np.array([[5, 0]]), mdp)
 
     def test_negative_index_rejected(self):
         # flat index 1 * 4 - 1 would wrap to (state 0, action 3)
         mdp = wail.build_environment({"name": "gridworld", "n": 3})
         for pairs in ([[1, -1]], [[-1, 0]]):
             with pytest.raises(ValueError, match="out of MDP bounds"):
-                ExpertData.from_any(np.array(pairs), mdp)
+                expert_occupancy(np.array(pairs), mdp)
             with pytest.raises(ValueError, match="out of MDP bounds"):
                 wail.train_bc(mdp, np.array(pairs))
 
@@ -61,10 +70,28 @@ class TestExpertData:
         mdp = wail.build_environment({"name": "gridworld", "n": 3})
         for pairs in ([[0.9, 1.7]], [[1.0, 2.0]]):
             with pytest.raises(ValueError, match="integer"):
-                ExpertData.from_any(np.array(pairs), mdp)
+                expert_occupancy(np.array(pairs), mdp)
             with pytest.raises(ValueError, match="integer"):
                 wail.train_bc(mdp, np.array(pairs))
-        assert ExpertData.from_any(np.array([[0, 1]], dtype=np.int32), mdp).pairs.tolist() == [[0, 1]]
+        one = expert_occupancy(np.array([[0, 1]], dtype=np.int32), mdp)
+        assert np.flatnonzero(one.flat()).tolist() == [1] and one.flat()[1] == 1.0
+
+
+def test_sampled_expert_batch_follows_the_measure():
+    # a sampled round's l2 expert indices are drawn from the expert's
+    # measure: index i with probability count_i / k, never off the support
+    mdp = wail.make_gridworld(4)
+    demos = wail.rollout_fixed(mdp, SoftmaxPolicy.uniform(16, 4), 3, 12, seed=1)
+    expert = expert_occupancy(demos, mdp)
+    w = expert.flat()
+    config = RunConfig(sampling="sampled", l2=20_000)
+    flat, weights = wail.training._expert_batch(expert, config, np.random.default_rng(7))
+    assert flat.size == config.l2 and np.all(weights == 1.0 / config.l2)
+    freq = np.bincount(flat, minlength=w.size) / flat.size
+    assert np.all(freq[w == 0] == 0)
+    se = np.sqrt(w * (1.0 - w) / flat.size)
+    assert np.all(np.abs(freq - w) <= 4.0 * se)
+    assert 10 <= np.count_nonzero(w) < w.size
 
 
 class TestWailIteration:
@@ -124,7 +151,7 @@ class TestTrainWail:
         demos = wail.rollout_fixed(mdp, deterministic_policy([0, 0], 2), 5, 20, seed=2)
         config = RunConfig(k_max=300, seed=0)
         policy, _, _ = train_wail(mdp, demos, config)
-        expert_weights = ExpertData.from_any(demos, mdp).weights.reshape(2, 2)
+        expert_weights = expert_occupancy(demos, mdp).rho
         for s in range(2):
             if expert_weights[s].sum() > 0:
                 assert policy.probs[s, 0] >= 0.95
@@ -273,11 +300,12 @@ def test_objective_trend_downward_when_initialized_far():
     config = RunConfig(k_max=400, seed=0, ot_lr=0.5, delta0=0.1, delta_decay=1.0)
     metric = build_ground_metric(mdp)
     reg = DualRegularization("l2", 0.01)
-    expert_data = ExpertData.from_any(demos, mdp)
+    expert_data = expert_occupancy(demos, mdp)
     pol = SoftmaxPolicy.uniform(25, 4)
-    sup = expert_data.support()
+    w = expert_data.flat()
+    sup = np.flatnonzero(w)
     pair = wail.DiscreteMeasurePair(occupancy_from_policy(mdp, pol).flat(),
-                                    expert_data.weights[sup] / expert_data.weights[sup].sum())
+                                    w[sup] / w[sup].sum())
     warm, _, _ = wail.reg_ot_fit(pair, metric.restrict(np.arange(100), sup), reg,
                                  wail.create_model("tabular", (100,), 0),
                                  steps=4000, lr=0.3)
@@ -300,8 +328,8 @@ def test_returned_reward_is_near_stationary(monkeypatch):
     # and gains several times that.
     mdp = wail.build_environment({"name": "gridworld", "n": 5})
     _, demos = wail.make_expert(mdp, 0.01, n_traj=1, traj_len=50, seed=0)
-    expert = ExpertData.from_any(demos, mdp)
-    sup = expert.support()
+    expert = expert_occupancy(demos, mdp).flat()
+    sup = np.flatnonzero(expert)
     sub = build_ground_metric(mdp).restrict(np.arange(100), sup)
     gains = {}
     config = RunConfig(k_max=400, seed=0)
@@ -310,7 +338,7 @@ def test_returned_reward_is_near_stationary(monkeypatch):
         monkeypatch.setattr(wail.training, "FINAL_FIT_STEPS", final_steps)
         policy, model, log = train_wail(mdp, demos, config)
         rho = occupancy_from_policy(mdp, policy).flat()
-        pair = wail.DiscreteMeasurePair(rho / rho.sum(), expert.weights[sup])
+        pair = wail.DiscreteMeasurePair(rho / rho.sum(), expert[sup])
 
         def objective(m):
             return wail.reg_dual_objective(wail.support_values(m, sub.src_index, None),
@@ -434,6 +462,29 @@ def test_divergence_aborts_with_partial_log(tmp_path):
     assert not direct.exists()
 
 
+def test_non_finite_final_fit_aborts_with_partial_log(monkeypatch):
+    # finish's last pass reads a NaN objective: the run stops with every
+    # round's row kept
+    real = wail.ot.reg_ot_fit
+
+    def nan_value(pair, metric, reg, model, steps, lr, screen=None):
+        model, objective, clamps = real(pair, metric, reg, model, steps=steps, lr=lr,
+                                        screen=screen)
+        return model, (np.nan if steps == 0 else objective), clamps
+
+    monkeypatch.setattr(wail.ot, "reg_ot_fit", nan_value)
+    mdp = wail.make_gridworld(3)
+    demos = wail.rollout_fixed(mdp, SoftmaxPolicy.uniform(9, 4), 2, 10, seed=0)
+    config = RunConfig(env={"name": "gridworld", "n": 3}, k_max=4, seed=0)
+    with pytest.raises(wail.DivergenceError,
+                       match="^objective diverged in the final reward fit$") as exc:
+        train_wail(mdp, demos, config)
+    log = exc.value.log
+    assert log.meta["diverged"] == str(exc.value)
+    assert [row["iteration"] for row in log.rows] == [1, 2, 3, 4]
+    assert all(np.isfinite(row["objective"]) for row in log.rows)
+
+
 class NanRewardStep(OtDualStep):
     """WAIL's reward step, but from round `bad` on its reward matrix holds a
     NaN while its objective stays finite."""
@@ -451,16 +502,18 @@ class NanRewardStep(OtDualStep):
         return model, objective, reward
 
 
-def assert_diverged_at_round_2(run):
+def assert_diverged_at_round_3(run):
     # the line search builds its candidates unchecked, so the loop's own
-    # check of the round's gradient is what stops a NaN step: a
-    # DivergenceError naming the round, carrying the rounds before it
-    with pytest.raises(wail.DivergenceError, match="at round 2$") as exc:
+    # check of the round is what stops a NaN step: a DivergenceError naming
+    # the round by the iteration its log row would have had, carrying the
+    # rounds before it
+    with pytest.raises(wail.DivergenceError, match="at round 3$") as exc:
         run()
     log = exc.value.log
     assert log.meta["diverged"] == str(exc.value)
     assert [row["iteration"] for row in log.rows] == [1, 2]
     assert all(np.isfinite(row["objective"]) for row in log.rows)
+    return exc.value
 
 
 @pytest.mark.parametrize("sampling", ["exact", "sampled"])
@@ -469,8 +522,30 @@ def test_nan_reward_aborts_with_partial_log(sampling):
     demos = wail.rollout_fixed(mdp, SoftmaxPolicy.uniform(9, 4), 2, 10, seed=0)
     config = RunConfig(env={"name": "gridworld", "n": 3}, k_max=5, seed=0,
                        sampling=sampling, pg_mode=sampling)
-    assert_diverged_at_round_2(lambda: wail.adversarial_train(
+    assert_diverged_at_round_3(lambda: wail.adversarial_train(
         mdp, demos, config, NanRewardStep(mdp, config, bad=2)))
+
+
+class NanObjectiveStep(OtDualStep):
+    """WAIL's reward step, but from round `bad` + 1 on its objective is NaN."""
+
+    def __init__(self, mdp, config, bad):
+        super().__init__(mdp, config)
+        self.rounds, self.bad = 0, bad
+
+    def __call__(self, model, policy_batch, expert_batch):
+        model, objective, reward = super().__call__(model, policy_batch, expert_batch)
+        self.rounds += 1
+        return model, (np.nan if self.rounds > self.bad else objective), reward
+
+
+def test_nan_objective_aborts_with_partial_log():
+    mdp = wail.make_gridworld(3)
+    demos = wail.rollout_fixed(mdp, SoftmaxPolicy.uniform(9, 4), 2, 10, seed=0)
+    config = RunConfig(env={"name": "gridworld", "n": 3}, k_max=5, seed=0)
+    err = assert_diverged_at_round_3(lambda: wail.adversarial_train(
+        mdp, demos, config, NanObjectiveStep(mdp, config, bad=2)))
+    assert str(err) == "objective diverged at round 3"
 
 
 @pytest.mark.parametrize("trainer", ["wail", "gail"])
@@ -490,7 +565,7 @@ def test_nan_gradient_aborts_with_partial_log(monkeypatch, trainer):
     mdp = wail.make_gridworld(3)
     demos = wail.rollout_fixed(mdp, SoftmaxPolicy.uniform(9, 4), 2, 10, seed=0)
     config = RunConfig(env={"name": "gridworld", "n": 3}, k_max=5, seed=0)
-    assert_diverged_at_round_2(lambda: TRAINERS[trainer](mdp, demos, config))
+    assert_diverged_at_round_3(lambda: TRAINERS[trainer](mdp, demos, config))
 
 
 def test_metrics_rows_are_the_rows_each_round_returned(tmp_path, monkeypatch):
@@ -535,7 +610,7 @@ def test_every_wail_round_makes_one_ot_pass_per_inner_step(monkeypatch, sampling
     state = WailState(k=0, model=wail.create_model("tabular", (36,), 0),
                       policy=SoftmaxPolicy.uniform(9, 4))
     for k in range(1, config.k_max + 1):
-        state, _ = wail_iteration(state, mdp, ExpertData.from_any(demos, mdp), config, step)
+        state, _ = wail_iteration(state, mdp, expert_occupancy(demos, mdp), config, step)
         assert len(passes) == k * inner_steps
         if sampling == "exact":
             assert step.screen.passes == len(passes)

@@ -33,11 +33,12 @@ WIN_SHARE = 0.9   # share of pairs the change must win for a gain
 
 
 def quartiles(values) -> tuple[float, float, float]:
-    """(first quartile, median, third quartile), inclusive interpolation."""
+    """(first quartile, median, third quartile) by statistics.quantiles'
+    default (exclusive) method, the one bench/repeat.py's spread uses."""
     values = sorted(values)
     if len(values) == 1:
         return values[0], values[0], values[0]
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, q2, q3 = statistics.quantiles(values, n=4)
     return q1, q2, q3
 
 
