@@ -38,9 +38,9 @@ CASES = {
     "grid-bc": (dict(env=GRID, algorithm="bc"),
                 "670275aff676d16627eb0788512d1c731c851d1be3db5c30d5e24c1ca7419ce1"),
     "grid-wail-sampled": (dict(env=GRID, sampling="sampled", pg_mode="sampled", k_max=20),
-                          "caf75ce775056052705bdf0ad5a58a8c059e263a0f19c2942866633c37df0136"),
+                          "5c832900791b8c25b275cdf4722793a0cbe41eaad0722be296f48e567e9bd57b"),
     "grid-wail-sampled-batch-exact-gradient": (dict(env=GRID, sampling="sampled", k_max=30),
-                                               "4ee69a54dc133bacb8bcba14eb3cf480921f28afbf866815f806096d4a74be57"),
+                                               "7b0a3f5cd21d542b3c9cb86bb26d37bec1ec2c17e66e3fe1b7814f9a3d241542"),
     "grid30-wail-exact": (AT_SCALE,
                           "ede69322bc65716ff93319d0df1253f396084c30f3e455d8e88cf325317a4f79"),
     "grid30-gail-exact": (dict(AT_SCALE, algorithm="gail"),
@@ -52,9 +52,9 @@ CASES = {
     "cliff-bc": (dict(env=CLIFF, algorithm="bc"),
                  "8e0c3f82fa1d6d3c51542ebca693ef1dc74c1d0eae86d397935e60e14210fbd2"),
     "cliff-wail-sampled": (dict(env=CLIFF, sampling="sampled", pg_mode="sampled", k_max=20),
-                           "a177386c0695a104edcf6e7d658241caa07d1fe7c12a15e58bec71db50bcd834"),
+                           "a7d2fde9d9042722a47e525349a99d92efab02d079d7711c89015e7026a812b0"),
     "cliff-wail-sampled-batch-exact-gradient": (dict(env=CLIFF, sampling="sampled", k_max=30),
-                                                "d090b869373526e5ac622a365b67db9af718e05516bf240359bf812d00b87fb2"),
+                                                "b41e78f093a473b610a6ec549414bf0ce0ea10833594a672c5f41567d4e1f902"),
 }
 
 ARTIFACT = {"wail": "reward_final.json", "gail": "discriminator_final.json"}
