@@ -228,21 +228,20 @@ def wail_iteration(state: WailState, mdp: TabularMdp, expert_data, config: RunCo
     reward it returns.  The batch, the gradient, the step and the logged
     KL read the current policy's occupancy, kept on its flow record with
     the value solve's system; the line search returns the next policy,
-    whose occupancy it solved, so each policy is solved once.  A measure
-    is the expert as given; other `expert_data` goes through expert_occupancy.
+    whose occupancy it solved, so each policy is solved once.  The expert
+    is expert_occupancy(expert_data).
     Only a round that samples seeds a generator, by (config.seed, round,
     reward_step.salt), and draws the sampler seed, then the expert batch;
     an exact round draws nothing and uses the run's `expert_batch` if given.
     A non-finite objective, policy gradient or surrogate (a non-finite
     reward makes the surrogate so) raises ot.DivergenceError naming the
-    round's iteration.  Returns the next state and its log row."""
+    round's iteration.  Returns the next state and the round's log row
+    (all LOG_COLUMNS but the last)."""
     rng = (np.random.default_rng([config.seed, state.k, reward_step.salt])
            if "sampled" in (config.sampling, config.pg_mode) else None)
     policy_batch, grad_batch = _policy_side(state.policy, mdp, config, rng)
     if expert_batch is None:
-        expert = (expert_data if isinstance(expert_data, OccupancyMeasure)
-                  else expert_occupancy(expert_data, mdp))
-        expert_batch = _expert_batch(expert, config, rng)
+        expert_batch = _expert_batch(expert_occupancy(expert_data, mdp), config, rng)
     model, objective, reward = reward_step(state.model, policy_batch, expert_batch)
     if not math.isfinite(objective):
         raise ot.DivergenceError(f"objective diverged at round {state.k + 1}")
