@@ -322,7 +322,10 @@ class DualScreen:
         # a_j = max(0, their largest dt), and needs the rows with ds >= lim - a_j
         order = np.argsort(d_tgt, kind="stable")
         a = np.maximum(np.concatenate(([0.0], d_tgt[order])), 0.0)
-        n_rows = n - np.searchsorted(np.sort(d_src), lim - a)
+        # a split with a < lim needs only rows with ds >= lim - max(a[a < lim]),
+        # so only those are sorted; splits with a >= lim are masked below
+        reach = np.sort(d_src[d_src >= lim - a[a < lim].max()])
+        n_rows = reach.size - np.searchsorted(reach, lim - a)
         n_cols = m - np.arange(m + 1)
         rescan = np.where(a < lim, n_cols * n + n_rows * m - n_cols * n_rows, n * m)
         j = int(rescan.argmin())
