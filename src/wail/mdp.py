@@ -16,6 +16,19 @@ episode's length drawn up front so the chain steps only the live episodes,
 and soft value iteration provides the entropy-regularized RL oracle.
 SciPy's sparse LU is imported by the first system above
 DENSE_SOLVE_MAX_STATES states, so runs on smaller MDPs never load SciPy.
+
+Above that size the nonzero pattern of I - gamma P_pi (the diagonal and
+the stored rows' entries) is the same for every policy, so the MDP keeps
+one CSC layout of it and each policy's values are placed with one bincount;
+they are the bits of the dense branch's np.eye(S) - gamma P_pi at every
+stored entry.  SuperLU factors it with the symmetric MMD ordering of
+A^T + A, on diagonal pivots and without supernode relaxation.  Pivoting is
+not needed: I - gamma P_pi is strictly diagonally dominant by rows for
+every policy (diagonal 1 - gamma P_ss, off-diagonal row sum
+gamma (1 - P_ss), and gamma < 1), a symmetric permutation keeps that, and
+such a matrix has an LU factorization without pivoting whose growth factor
+is at most 2 (Higham 2002, Accuracy and Stability of Numerical Algorithms,
+Thm 9.9).
 """
 
 from __future__ import annotations
@@ -39,11 +52,15 @@ FLOW_TOL = 1e-8
 _SAMPLE_CHUNK = 8192
 
 # Flow systems with at most this many states are solved dense by LAPACK,
-# larger ones by a sparse LU.  Measured per assembled gridworld solve with
-# 1 BLAS thread, the crossover moves between S ~ 150 and 250 with machine
-# load.  The low end is kept: between S = 150 and 250 splu costs at most
-# 1.3x dense, while above it dense falls behind fast (2x at S = 400, 11x
-# at 900).
+# larger ones by a sparse LU.  Measured as one system's build, occupancy
+# solve and value solve (median over 200 random policies, 1 BLAS thread),
+# dense against sparse read 0.03 / 0.08 ms at S = 25 (5x5 grid), 0.17 /
+# 0.13 ms at 100 (10x10 grid), 0.20 / 0.20-0.22 ms at 109 (mountain car),
+# 0.33 / 0.20 ms at 144 (12x12 grid) and 1.2 / 0.33 ms at 256: the sparse
+# factor now wins from about S = 100.  The value stays at 150, where the
+# previous factor settings crossed over, because moving it changes the
+# rounding of every MDP between the old and the new value, and with it
+# whether those artifacts depend on the BLAS thread count.
 DENSE_SOLVE_MAX_STATES = 150
 
 # Largest horizon default_max_len(gamma) of an MDP.  Set-up time grows
@@ -168,6 +185,20 @@ class TabularMdp:
     true_reward: np.ndarray | None = None   # (S, A)
     _rows: _TransitionRows = field(init=False, repr=False, compare=False)
     _flow_source = cached_property(lambda self: _freeze((1.0 - self.gamma) * self.start))
+
+    @cached_property
+    def _flow_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The CSC layout of I - gamma P_pi, which no policy changes: the
+        diagonal and each stored row's (state, next state) entry, merged and
+        sorted by column, then row.  Returns (the slot of each stored row's
+        entry, the slot of each diagonal entry, the row indices, the column
+        pointers); FlowSystem places one policy's values with one bincount."""
+        rows, S = self._rows, self.n_states
+        diag = np.arange(S)
+        keys, slot = np.unique(np.concatenate([diag * (S + 1), rows.col * S + rows.state]),
+                               return_inverse=True)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // S, minlength=S))])
+        return slot[S:], slot[:S], (keys % S).astype(np.intc), indptr.astype(np.intc)
 
     def __post_init__(self):
         mu0, se, ae = (np.asarray(x, dtype=np.float64)
@@ -363,7 +394,14 @@ class FlowSystem:
 
     Up to DENSE_SOLVE_MAX_STATES states it keeps the dense matrix and every
     solve is a dense LAPACK solve; above that it keeps the matrix's sparse
-    LU factor, so every solve with it reuses one factorization.  The same
+    LU factor, so every solve with it reuses one factorization.  The sparse
+    matrix is the MDP's CSC pattern (TabularMdp._flow_pattern) filled with
+    this policy's values, factored with a symmetric fill-reducing ordering
+    (MMD on A^T + A) on diagonal pivots, which the matrix's strict row
+    diagonal dominance makes safe (see the module docstring), and with
+    supernode relaxation and panels of one column, which factor these
+    small-fronted local graphs fastest.  These are constants, not
+    settings.  The same
     record serves its policy's value solve and occupancy solve (transposed),
     whose result it keeps.  The policy holds the record (see _flow_of) and
     the record does not hold the policy, so dropping a policy frees both
@@ -386,11 +424,12 @@ class FlowSystem:
         else:
             from scipy.sparse import csc_matrix
             from scipy.sparse.linalg import splu
-            diag = np.arange(S)
-            system = splu(csc_matrix(
-                (np.concatenate([np.ones(S), -mdp.gamma * weights]),
-                 (np.concatenate([diag, rows.state]), np.concatenate([diag, rows.col]))),
-                shape=(S, S)))
+            slot, diag, indices, indptr = mdp._flow_pattern
+            data = -mdp.gamma * np.bincount(slot, weights=weights, minlength=indices.size)
+            data[diag] += 1.0
+            system = splu(csc_matrix((data, indices, indptr), shape=(S, S)),
+                          permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                          options={"SymmetricMode": True}, relax=1, panel_size=1)
         object.__setattr__(self, "_system", system)
 
     def solve(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:

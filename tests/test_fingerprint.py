@@ -16,6 +16,9 @@ import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,3 +118,31 @@ def test_builder_rows_unchanged(name):
         assert arr.dtype == (np.float64 if arr is rows.prob else np.int64)
         digest.update(arr.tobytes())
     assert digest.hexdigest() == expected
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# A 5-round 30x30 WAIL cell, run in a fresh interpreter so the BLAS thread
+# count holds before numpy loads; prints its final logits' digest.
+GRID30_PROBE = """
+import hashlib, wail
+config = wail.RunConfig(env={"name": "gridworld", "n": 30}, dataset_size=10, delta0=0.1,
+                        k_max=5, seed=3)
+_, art = wail.run_single(config)
+print(hashlib.sha256(art["policy"].logits.tobytes()).hexdigest())
+"""
+
+
+def test_sparse_side_does_not_depend_on_the_blas_thread_count():
+    # S = 900 solves every flow system with the sparse LU; the dense side
+    # (mountain car, S = 109) still rounds by the thread count
+    path = os.environ.get("PYTHONPATH")
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([str(SRC)] + ([path] if path else [])))
+        done = subprocess.run([sys.executable, "-c", GRID30_PROBE],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        digests.add(done.stdout.strip())
+    assert len(digests) == 1

@@ -24,7 +24,7 @@ import wail
 from wail import SoftmaxPolicy, TabularMdp, entropy_reg_policy_gradient
 from wail import mdp as mdp_mod
 
-from conftest import dense_transition, random_mdp
+from conftest import dense_transition, deterministic_policy, random_mdp
 
 REL_TOL = 1e-12
 
@@ -40,6 +40,27 @@ CASES = {
 
 
 DRAW_CASES = {**CASES, "grid30": lambda: wail.make_gridworld(30)}
+
+
+def local_random_mdp(n_states, seed, n_actions=3, reach=2):
+    """Random probabilities over 2 * reach + 1 draws of next states within
+    `reach` of each state (on a ring, self-loops included): a local graph,
+    as every builder's, with random values."""
+    rng = np.random.default_rng(seed)
+    row = np.repeat(np.arange(n_states * n_actions), 2 * reach + 1)
+    col = (row // n_actions + rng.integers(-reach, reach + 1, size=row.size)) % n_states
+    prob = rng.dirichlet(np.ones(2 * reach + 1), size=n_states * n_actions).ravel()
+    return TabularMdp(transition=(row, col, prob), start=np.full(n_states, 1.0 / n_states),
+                      gamma=0.95, state_embed=rng.normal(size=(n_states, 2)),
+                      action_embed=np.eye(n_actions))
+
+
+# systems above DENSE_SOLVE_MAX_STATES, factored by the sparse LU
+SPARSE_CASES = {
+    "grid14-slip": CASES["grid14-slip"],
+    "grid20": CASES["grid20"],
+    "random-local": lambda: local_random_mdp(200, seed=19),
+}
 
 
 @pytest.fixture(scope="module", params=sorted(CASES))
@@ -180,6 +201,48 @@ def test_size_selection_straddles_the_cases():
     assert sizes["grid14-slip"] > limit and sizes["grid20"] > limit
     # the desk gridworld and the 30x30 benchmark cell sit on either side
     assert 25 <= limit < 900
+
+
+@pytest.fixture
+def factored(monkeypatch):
+    """(matrix, factor) of each sparse system FlowSystem factors; its branch
+    imports splu when it runs, so this patches the name that import reads."""
+    import scipy.sparse.linalg
+    seen = []
+    splu = scipy.sparse.linalg.splu
+
+    def recording(system, **options):
+        seen.append((system, splu(system, **options)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(SPARSE_CASES))
+def test_sparse_system_is_the_dense_system_on_diagonal_pivots(name, factored):
+    mdp = SPARSE_CASES[name]()
+    rows, S = mdp._rows, mdp.n_states
+    assert S > mdp_mod.DENSE_SOLVE_MAX_STATES
+    # the last policy's probabilities span LOGIT_GAP: action 0 sits that far
+    # above the others in every state
+    for policy in random_policies(mdp, 8) + [deterministic_policy(np.zeros(S), mdp.n_actions)]:
+        mdp_mod.FlowSystem(mdp, policy)
+        (system, lu), = factored
+        factored.clear()
+        # the matrix the dense branch builds for the same policy
+        weights = policy.probs.ravel()[rows.row] * rows.prob
+        P_pi = np.bincount(rows.state * S + rows.col, weights=weights,
+                           minlength=S * S).reshape(S, S)
+        dense = np.eye(S) - mdp.gamma * P_pi
+        assert system.has_canonical_format
+        r, c = system.indices, np.repeat(np.arange(S), np.diff(system.indptr))
+        assert system.data.tobytes() == dense[r, c].tobytes()
+        stored = np.zeros((S, S), dtype=bool)
+        stored[r, c] = True
+        assert not np.any(dense[~stored])
+        # the factor pivoted on the diagonal: rows permuted as the columns
+        assert np.array_equal(lu.perm_r, lu.perm_c)
 
 
 def test_occupancy_and_flow_residual(env, solver):
