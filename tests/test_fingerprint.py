@@ -45,9 +45,9 @@ CASES = {
     "grid-wail-sampled-batch-exact-gradient": (dict(env=GRID, sampling="sampled", k_max=30),
                                                "7b0a3f5cd21d542b3c9cb86bb26d37bec1ec2c17e66e3fe1b7814f9a3d241542"),
     "grid30-wail-exact": (AT_SCALE,
-                          "ede69322bc65716ff93319d0df1253f396084c30f3e455d8e88cf325317a4f79"),
+                          "e52b7415be277a14ceed5c5d98c79312d546221d4895c9786e7f0197db362dc1"),
     "grid30-gail-exact": (dict(AT_SCALE, algorithm="gail"),
-                          "eb9a78db65ebd30ceb977cc940e4cee4253b479f3449722d8fc389490b6f27e9"),
+                          "05bd1f35e9515e36bb0d6d1684f70dc855e9cee3c0c892e110b5538dad76fec0"),
     "cliff-wail-exact": (dict(env=CLIFF, k_max=50),
                          "508f68d13880f2e286aca163e8df61ea9899acb32b3693b2a9daf7de0f3d3b17"),
     "cliff-gail-exact": (dict(env=CLIFF, algorithm="gail", k_max=50),
