@@ -198,7 +198,7 @@ class TabularMdp:
         keys, slot = np.unique(np.concatenate([diag * (S + 1), rows.col * S + rows.state]),
                                return_inverse=True)
         indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // S, minlength=S))])
-        return slot[S:], slot[:S], (keys % S).astype(np.intc), indptr.astype(np.intc)
+        return slot[S:], slot[:S], keys % S, indptr
 
     def __post_init__(self):
         mu0, se, ae = (np.asarray(x, dtype=np.float64)
@@ -398,11 +398,10 @@ class FlowSystem:
     matrix is the MDP's CSC pattern (TabularMdp._flow_pattern) filled with
     this policy's values, factored with a symmetric fill-reducing ordering
     (MMD on A^T + A) on diagonal pivots, which the matrix's strict row
-    diagonal dominance makes safe (see the module docstring), and with
-    supernode relaxation and panels of one column, which factor these
-    small-fronted local graphs fastest.  These are constants, not
-    settings.  The same
-    record serves its policy's value solve and occupancy solve (transposed),
+    diagonal dominance makes safe (see the module docstring), with no
+    supernode relaxation and panels of one column (relax=1, panel_size=1:
+    the fastest settings measured on the 30x30 grid).  The same record
+    serves its policy's value solve and occupancy solve (transposed),
     whose result it keeps.  The policy holds the record (see _flow_of) and
     the record does not hold the policy, so dropping a policy frees both
     without waiting for the cyclic garbage collector."""
@@ -425,6 +424,8 @@ class FlowSystem:
             from scipy.sparse import csc_matrix
             from scipy.sparse.linalg import splu
             slot, diag, indices, indptr = mdp._flow_pattern
+            # negation is exact and -x + 1.0 rounds as 1.0 - x, so these are
+            # the dense branch's bits at every stored entry
             data = -mdp.gamma * np.bincount(slot, weights=weights, minlength=indices.size)
             data[diag] += 1.0
             system = splu(csc_matrix((data, indices, indptr), shape=(S, S)),

@@ -7,7 +7,9 @@ dense_transition) lives only here.  On random policies the occupancy, the
 value solve, the exact gradient, the flow residual and the soft-VI policy
 agree with it to 1e-12 (relative), on both sides of
 DENSE_SOLVE_MAX_STATES, and the evaluation sampler's next-state draws are
-bit-identical to the dense inverse CDF.
+bit-identical to the dense inverse CDF.  Above DENSE_SOLVE_MAX_STATES the
+sparse system holds the dense branch's matrix bit for bit, and its LU
+factor pivots on the diagonal.
 
 The samplers and soft value iteration read action-major (A, S) tables; the
 row-major forms they replaced live here too, as references the draws and
@@ -220,9 +222,9 @@ def factored(monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(SPARSE_CASES))
-def test_sparse_system_is_the_dense_system_on_diagonal_pivots(name, factored):
+def test_sparse_system_is_the_dense_system_on_diagonal_pivots(name, factored, monkeypatch):
     mdp = SPARSE_CASES[name]()
-    rows, S = mdp._rows, mdp.n_states
+    S = mdp.n_states
     assert S > mdp_mod.DENSE_SOLVE_MAX_STATES
     # the last policy's probabilities span LOGIT_GAP: action 0 sits that far
     # above the others in every state
@@ -230,11 +232,9 @@ def test_sparse_system_is_the_dense_system_on_diagonal_pivots(name, factored):
         mdp_mod.FlowSystem(mdp, policy)
         (system, lu), = factored
         factored.clear()
-        # the matrix the dense branch builds for the same policy
-        weights = policy.probs.ravel()[rows.row] * rows.prob
-        P_pi = np.bincount(rows.state * S + rows.col, weights=weights,
-                           minlength=S * S).reshape(S, S)
-        dense = np.eye(S) - mdp.gamma * P_pi
+        with monkeypatch.context() as forced:
+            forced.setattr(mdp_mod, "DENSE_SOLVE_MAX_STATES", S)
+            dense = mdp_mod.FlowSystem(mdp, policy)._system
         assert system.has_canonical_format
         r, c = system.indices, np.repeat(np.arange(S), np.diff(system.indptr))
         assert system.data.tobytes() == dense[r, c].tobytes()
