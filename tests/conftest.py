@@ -50,3 +50,20 @@ def dense_transition(mdp):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def factored(monkeypatch):
+    """(matrix, factor) of each system FlowSystem's sparse branch factors, in
+    order; the branch imports splu when it runs, so this patches the name
+    that import reads."""
+    import scipy.sparse.linalg
+    seen = []
+    splu = scipy.sparse.linalg.splu
+
+    def recording(system, **options):
+        seen.append((system, splu(system, **options)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording)
+    return seen

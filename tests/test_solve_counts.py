@@ -166,23 +166,7 @@ def test_rejected_step_returns_the_same_policy_object(transposed_solves):
     assert transposed_solves == []
 
 
-@pytest.fixture
-def factor_counter(monkeypatch):
-    # FlowSystem's sparse branch imports splu when it runs, so the count
-    # patches the name where that import reads it
-    import scipy.sparse.linalg
-    factors = []
-    splu = scipy.sparse.linalg.splu
-
-    def counting(system, **options):
-        factors.append(system.shape)
-        return splu(system, **options)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
-    return factors
-
-
-def test_sparse_run_factors_once_per_policy(factor_counter, solve_counter, transposed_solves,
+def test_sparse_run_factors_once_per_policy(factored, solve_counter, transposed_solves,
                                             line_search_calls):
     # the scale-exact settings: 30x30 gridworld (S = 900, the splu side),
     # ten demonstrations, a 0.1 KL budget, 20 rounds
@@ -191,7 +175,7 @@ def test_sparse_run_factors_once_per_policy(factor_counter, solve_counter, trans
     config = RunConfig(k_max=20, dataset_size=10, delta0=0.1, seed=7)
     _, demos = wail.make_expert(mdp, config.expert_lambda, n_traj=config.dataset_size,
                                 traj_len=config.traj_len, seed=3)
-    factor_counter.clear()
+    factored.clear()
     solve_counter.clear()
     transposed_solves.clear()
     _, _, log = wail.train_wail(mdp, demos, config)
@@ -200,7 +184,7 @@ def test_sparse_run_factors_once_per_policy(factor_counter, solve_counter, trans
     # the uniform start policy, then each candidate passing the KL check
     # once: the accepted one's factor serves the next round's value solve,
     # and its kept occupancy the next round's reads and the final reward fit
-    assert factor_counter == [(900, 900)] * (1 + len(surrogates))
+    assert [system.shape for system, _ in factored] == [(900, 900)] * (1 + len(surrogates))
     assert_one_solve_per_record(transposed_solves, surrogates)
     # the reads are more than the solves: the batch, the gradient, the
     # causal entropy and the Fisher weights each round, one per KL

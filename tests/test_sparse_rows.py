@@ -205,22 +205,6 @@ def test_size_selection_straddles_the_cases():
     assert 25 <= limit < 900
 
 
-@pytest.fixture
-def factored(monkeypatch):
-    """(matrix, factor) of each sparse system FlowSystem factors; its branch
-    imports splu when it runs, so this patches the name that import reads."""
-    import scipy.sparse.linalg
-    seen = []
-    splu = scipy.sparse.linalg.splu
-
-    def recording(system, **options):
-        seen.append((system, splu(system, **options)))
-        return seen[-1][1]
-
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording)
-    return seen
-
-
 @pytest.mark.parametrize("name", sorted(SPARSE_CASES))
 def test_sparse_system_is_the_dense_system_on_diagonal_pivots(name, factored, monkeypatch):
     mdp = SPARSE_CASES[name]()
