@@ -87,12 +87,13 @@ class DiscriminatorStep:
         return state.model, {}
 
 
-def train_gail(mdp: TabularMdp, expert_data, config: RunConfig, score=None):
+def train_gail(mdp: TabularMdp, expert_data, config: RunConfig):
     """GAIL: the adversarial loop with the discriminator step in place of the
     OT reward ascent; the policy maximizes -log D under the same
     KL-constrained natural-gradient updates.  The discriminator is its logit
-    model, D = sigmoid(logit).  Returns (policy, logit model, log)."""
-    return adversarial_train(mdp, expert_data, config, DiscriminatorStep(mdp, config), score)
+    model, D = sigmoid(logit).  Returns (policy, logit model, log), whose rows
+    carry each round's true_return (see training.wail_iteration)."""
+    return adversarial_train(mdp, expert_data, config, DiscriminatorStep(mdp, config))
 
 
 def train_bc(mdp: TabularMdp, expert_data) -> SoftmaxPolicy:

@@ -16,8 +16,8 @@ SAMPLING_MODES = ("exact", "sampled")
 CHOICES = {"algorithm": ALGORITHMS, "reg_kind": REG_KINDS, "model_form": FORMS,
            "sampling": SAMPLING_MODES, "pg_mode": SAMPLING_MODES}
 # The number fields that may be 0; every other int or float field must be > 0.
-MAY_BE_ZERO = ("seed", "k_max", "eval_every", "checkpoint_every", "lambda_entropy",
-               "delta0", "delta_decay", "early_stop_tol")
+MAY_BE_ZERO = ("seed", "k_max", "checkpoint_every", "lambda_entropy", "delta0",
+               "delta_decay", "early_stop_tol")
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,6 @@ class RunConfig:
     traj_len: int = 50
     n_eval: int = 500
     n_ref: int = 500
-    eval_every: int = 0
     checkpoint_every: int = 0
     out_dir: str | None = None
 

@@ -81,7 +81,7 @@ def run_single(config: RunConfig, demos=None):
     else:
         train = training.train_wail if config.algorithm == "wail" else baselines.train_gail
         try:
-            policy, aux, log = train(mdp, demos, train_cfg, score=score)
+            policy, aux, log = train(mdp, demos, train_cfg)
         except ot.DivergenceError as err:
             if config.out_dir:
                 err.log.save(config.out_dir)

@@ -9,8 +9,9 @@ exact mode continues the same ascent against the returned policy, so the
 returned reward is the potential fitted to that policy.  GAIL's
 discriminator step lives in `baselines`.  Both reward steps hand the
 policy step an (S, A) reward matrix.  Each round returns its log row, the
-run's only per-round record.  The loop state holds the policy, which
-keeps its own flow record and solved occupancy (see mdp).
+run's only per-round record, ending with the exact true return of the
+policy it returns.  The loop state holds the policy, which keeps its own
+flow record and solved occupancy (see mdp).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import ot, rewards
 from .config import RunConfig
-from .mdp import (OccupancyMeasure, Rollouts, SoftmaxPolicy, TabularMdp,
+from .mdp import (OccupancyMeasure, Rollouts, SoftmaxPolicy, TabularMdp, expected_reward,
                   occupancy_from_policy, sample_trajectories, save_policy, unchecked)
 from .trust_region import entropy_reg_policy_gradient, kl_constrained_step, weighted_kl
 
@@ -34,7 +35,7 @@ FINAL_FIT_STEPS = 200      # reward ascent steps against the returned policy
 PG_EPISODES = 256          # restart-chain episodes per sampled policy gradient
 
 LOG_COLUMNS = ("iteration", "objective", "policy_surrogate", "kl_step",
-               "entropy", "scaled_perf_eval")
+               "entropy", "true_return")
 
 
 @dataclass
@@ -235,8 +236,10 @@ def wail_iteration(state: WailState, mdp: TabularMdp, expert_data, config: RunCo
     an exact round draws nothing and uses the run's `expert_batch` if given.
     A non-finite objective, policy gradient or surrogate (a non-finite
     reward makes the surrogate so) raises ot.DivergenceError naming the
-    round's iteration.  Returns the next state and the round's log row
-    (all LOG_COLUMNS but the last)."""
+    round's iteration.  Returns the next state and the round's log row, one
+    entry per LOG_COLUMNS: its true_return, the next policy's exact return
+    <R, rho> / (1 - gamma) under mdp.true_reward (None without one), reads
+    the occupancy the round already solved, for the log only."""
     rng = (np.random.default_rng([config.seed, state.k, reward_step.salt])
            if "sampled" in (config.sampling, config.pg_mode) else None)
     policy_batch, grad_batch = _policy_side(state.policy, mdp, config, rng)
@@ -255,7 +258,10 @@ def wail_iteration(state: WailState, mdp: TabularMdp, expert_data, config: RunCo
     row = {"iteration": state.k + 1, "objective": objective,
            "policy_surrogate": report.surrogate_value,
            "kl_step": weighted_kl(mdp, state.policy, policy),
-           "entropy": report.entropy}
+           "entropy": report.entropy,
+           "true_return": None if mdp.true_reward is None else
+           expected_reward(occupancy_from_policy(mdp, policy), mdp.true_reward)
+           / (1.0 - mdp.gamma)}
     return WailState(state.k + 1, model, policy), row
 
 
@@ -268,8 +274,7 @@ def _maybe_checkpoint(state: WailState, config: RunConfig) -> None:
     rewards.save_model(os.path.join(ck, f"iter_{state.k:06d}_reward.json"), state.model)
 
 
-def adversarial_train(mdp: TabularMdp, expert_data, config: RunConfig, reward_step,
-                      score=None):
+def adversarial_train(mdp: TabularMdp, expert_data, config: RunConfig, reward_step):
     """The adversarial loop shared by WAIL and GAIL.  Runs `wail_iteration`
     with `reward_step` for k_max rounds (or until the last early_stop_window
     objectives span <= early_stop_tol * (1 + |last|)), then the end-of-run hook
@@ -284,8 +289,6 @@ def adversarial_train(mdp: TabularMdp, expert_data, config: RunConfig, reward_st
     being the round's at the model it was given, on the round's batches,
     the value its first ascent step starts from; it names its
     `algorithm` and its round-generator `salt`.
-    With `score` given and eval_every > 0, every eval_every-th round's
-    policy is scored, score(policy).scaled, into scaled_perf_eval.
 
     With config.out_dir set, writes only the checkpoints; run_single
     writes the final files.  Returns (policy, reward model, log), the policy
@@ -306,8 +309,7 @@ def adversarial_train(mdp: TabularMdp, expert_data, config: RunConfig, reward_st
     try:
         for _ in range(config.k_max):
             state, row = wail_iteration(state, mdp, expert, config, reward_step, expert_batch)
-            evaluated = score is not None and config.eval_every > 0 and state.k % config.eval_every == 0
-            log.append(**row, scaled_perf_eval=score(state.policy).scaled if evaluated else None)
+            log.append(**row)
             _maybe_checkpoint(state, config)
             window.append(row["objective"])
             if len(window) == window.maxlen and (max(window) - min(window) <= config.early_stop_tol
@@ -324,8 +326,9 @@ def adversarial_train(mdp: TabularMdp, expert_data, config: RunConfig, reward_st
     return SoftmaxPolicy(state.policy.logits), model, log
 
 
-def train_wail(mdp: TabularMdp, expert_data, config: RunConfig, score=None):
+def train_wail(mdp: TabularMdp, expert_data, config: RunConfig):
     """WAIL: the adversarial loop with the OT-dual reward step, whose
     returned reward is the potential fitted to the final policy
-    (`OtDualStep.finish`).  Returns (policy, reward model, log)."""
-    return adversarial_train(mdp, expert_data, config, OtDualStep(mdp, config), score)
+    (`OtDualStep.finish`).  Returns (policy, reward model, log), whose rows
+    carry each round's true_return (see wail_iteration)."""
+    return adversarial_train(mdp, expert_data, config, OtDualStep(mdp, config))

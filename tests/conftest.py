@@ -4,8 +4,10 @@ import pytest
 from wail import LOGIT_GAP, SoftmaxPolicy, TabularMdp, entries_from_dense
 
 # former RunConfig fields that every run left at one value, now constants
-# of their modules; a config that names one is rejected
-FOLDED_CONFIG_KEYS = ("cg_damping", "disc_inner_steps", "metric_scale", "bc_steps", "bc_lr")
+# of their modules, and eval_every, whose per-round Monte Carlo score the
+# logged true return replaced; a config that names one is rejected
+FOLDED_CONFIG_KEYS = ("cg_damping", "disc_inner_steps", "metric_scale", "bc_steps", "bc_lr",
+                      "eval_every")
 
 
 def random_mdp(n_states, n_actions, gamma, seed, with_reward=False):

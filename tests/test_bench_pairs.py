@@ -1,5 +1,5 @@
-"""The gain verdict of `tools/bench_pairs.py` on synthetic paired runs: no
-benchmark process is started."""
+"""The gain verdict and the no-regression rule of `tools/bench_pairs.py` on
+synthetic paired runs: no benchmark process is started."""
 
 import importlib.util
 from pathlib import Path
@@ -75,3 +75,26 @@ def test_rejects_unpaired_runs_and_unknown_direction():
         bench_pairs.verdict([], [], "higher")
     with pytest.raises(ValueError):
         bench_pairs.verdict(PARENT, PARENT, "faster")
+
+
+def test_setup_time_a_third_slower_regresses():
+    # desk-exact set-up time read 0.1305 -> 0.1755 s, 34% worse than a 25% bound
+    r = bench_pairs.regression([0.12, 0.1305, 0.14], [0.17, 0.1755, 0.19], "lower", 0.25)
+    assert r["worse_share"] == pytest.approx(0.345, abs=1e-3)
+    assert r["regressed"]
+
+
+def test_faster_rounds_do_not_regress():
+    # desk-sampled rounds per second read 264 -> 353: better, not worse
+    r = bench_pairs.regression([250.0, 264.0, 270.0], [340.0, 353.0, 360.0], "higher", 0.25)
+    assert r["worse_share"] < 0
+    assert not r["regressed"]
+
+
+@pytest.mark.parametrize("better, change", [("lower", 125.0), ("higher", 75.0)])
+def test_worse_by_exactly_the_bound_holds(better, change):
+    r = bench_pairs.regression(PARENT, [change] * len(PARENT), better, 0.25)
+    assert r["worse_share"] == 0.25
+    assert not r["regressed"]
+    assert bench_pairs.regression(PARENT, [change + (1.0 if better == "lower" else -1.0)]
+                                  * len(PARENT), better, 0.25)["regressed"]

@@ -4,8 +4,9 @@ Each policy's flow system is assembled (factored, above
 DENSE_SOLVE_MAX_STATES states) once, in a FlowSystem that the policy keeps,
 which serves its value solve and keeps its occupancy: the first
 occupancy_from_policy call on the policy solves it, and the batch, the
-gradient, the causal entropy, the Fisher weights, every KL check and the
-final reward fit read the kept measure through the same call.  The line
+gradient, the causal entropy, the Fisher weights, every KL check, the
+logged true return and the final reward fit read the kept measure through
+the same call.  The line
 search returns the accepted candidate, whose record its surrogate check
 solved, to the next round.  The count tests count the transposed
 (occupancy) solves, the reads and the factorizations of a run, so a
@@ -107,11 +108,11 @@ def test_exact_round_solves_at_most_twice(solve_counter, transposed_solves, line
     assert_one_solve_per_record(transposed_solves, surrogates)
     per_round = len(transposed_solves) / rounds
     assert per_round <= 2.1, f"{per_round:.2f} occupancy solves per round"
-    # reads: the batch, the gradient, the causal entropy and the Fisher
-    # weights each round, one per KL evaluation and per surrogate check,
-    # and (wail) one for the final reward fit
+    # reads: the batch, the gradient, the causal entropy, the Fisher
+    # weights and the logged true return each round, one per KL evaluation
+    # and per surrogate check, and (wail) one for the final reward fit
     final_fit = 1 if algorithm == "wail" else 0
-    assert len(solve_counter) == 4 * rounds + len(kl_evals) + len(surrogates) + final_fit
+    assert len(solve_counter) == 5 * rounds + len(kl_evals) + len(surrogates) + final_fit
 
 
 def random_policy(rng, mdp):
@@ -187,9 +188,10 @@ def test_sparse_run_factors_once_per_policy(factored, solve_counter, transposed_
     assert [system.shape for system, _ in factored] == [(900, 900)] * (1 + len(surrogates))
     assert_one_solve_per_record(transposed_solves, surrogates)
     # the reads are more than the solves: the batch, the gradient, the
-    # causal entropy and the Fisher weights each round, one per KL
-    # evaluation and per surrogate check, one for the final fit
-    assert len(solve_counter) == 4 * rounds + len(kl_evals) + len(surrogates) + 1
+    # causal entropy, the Fisher weights and the logged true return each
+    # round, one per KL evaluation and per surrogate check, one for the
+    # final fit
+    assert len(solve_counter) == 5 * rounds + len(kl_evals) + len(surrogates) + 1
 
 
 def test_scale_exact_run_walks_its_cost_block_at_most_twice():

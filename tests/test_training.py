@@ -261,9 +261,9 @@ class TestRunLog:
     def test_csv_round_trip_with_missing_eval(self, tmp_path):
         log = RunLog(meta={"algorithm": "wail"})
         log.append(iteration=1, objective=0.5, policy_surrogate=0.1,
-                   kl_step=0.01, entropy=2.0, scaled_perf_eval=None)
+                   kl_step=0.01, entropy=2.0, true_return=None)
         log.append(iteration=2, objective=0.25, policy_surrogate=0.2,
-                   kl_step=0.009, entropy=1.9, scaled_perf_eval=0.75)
+                   kl_step=0.009, entropy=1.9, true_return=0.75)
         log.save(str(tmp_path))
         back = RunLog.load(str(tmp_path))
         assert back.rows == log.rows
@@ -282,11 +282,11 @@ class TestRunLog:
     def test_column_extraction(self):
         log = RunLog()
         log.append(iteration=1, objective=1.0, policy_surrogate=0.0,
-                   kl_step=0.0, entropy=0.0, scaled_perf_eval=None)
+                   kl_step=0.0, entropy=0.0, true_return=None)
         log.append(iteration=2, objective=2.0, policy_surrogate=0.0,
-                   kl_step=0.0, entropy=0.0, scaled_perf_eval=0.5)
+                   kl_step=0.0, entropy=0.0, true_return=0.5)
         assert np.array_equal(log.column("objective"), [1.0, 2.0])
-        assert np.array_equal(log.column("scaled_perf_eval"), [0.5])
+        assert np.array_equal(log.column("true_return"), [0.5])
 
 
 def test_objective_trend_downward_when_initialized_far():
@@ -399,8 +399,7 @@ def test_config_rejects_bad_loop_and_network_fields(updates):
 
 
 COUNT_FIELDS = ("seed", "dataset_size", "k_max", "l1", "l2", "ot_inner_steps",
-                "early_stop_window", "traj_len", "n_eval", "n_ref", "eval_every",
-                "checkpoint_every")
+                "early_stop_window", "traj_len", "n_eval", "n_ref", "checkpoint_every")
 
 
 @pytest.mark.parametrize("name", COUNT_FIELDS)
@@ -570,7 +569,7 @@ def test_nan_gradient_aborts_with_partial_log(monkeypatch, trainer):
 
 def test_metrics_rows_are_the_rows_each_round_returned(tmp_path, monkeypatch):
     # the log row wail_iteration returns is the round's only record: the
-    # saved metrics.csv holds exactly those rows, plus scaled_perf_eval
+    # saved metrics.csv holds exactly those rows
     returned = []
 
     def recording(*args):
@@ -584,9 +583,29 @@ def test_metrics_rows_are_the_rows_each_round_returned(tmp_path, monkeypatch):
     wail.run_single(RunConfig(env={"name": "gridworld", "n": 3}, k_max=7, seed=2, n_eval=50,
                               n_ref=50, out_dir=str(tmp_path)), demos)
     assert len(returned) == 7
-    assert all(list(row) == list(wail.training.LOG_COLUMNS[:-1]) for row in returned)
-    assert RunLog.load(str(tmp_path)).rows == [row | {"scaled_perf_eval": None}
-                                               for row in returned]
+    assert all(list(row) == list(wail.training.LOG_COLUMNS) for row in returned)
+    assert RunLog.load(str(tmp_path)).rows == returned
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+@pytest.mark.parametrize("algorithm", ["wail", "gail"])
+def test_training_never_reads_the_true_reward(algorithm, mode):
+    # the true reward is read for the log only: the same entries without it
+    # train to the same bytes, and every round then logs no true return
+    mdp = wail.make_gridworld(4)
+    blind = wail.TabularMdp(mdp.transition, mdp.start, mdp.gamma, mdp.state_embed,
+                            mdp.action_embed)
+    _, demos = wail.make_expert(mdp, 0.01, n_traj=2, traj_len=30, seed=0)
+    config = RunConfig(algorithm=algorithm, k_max=20, seed=5, sampling=mode, pg_mode=mode)
+    (policy, model, log), (b_policy, b_model, b_log) = (TRAINERS[algorithm](m, demos, config)
+                                                        for m in (mdp, blind))
+    assert policy.logits.tobytes() == b_policy.logits.tobytes()
+    assert model.params.tobytes() == b_model.params.tobytes()
+    for name in ("objective", "policy_surrogate", "kl_step", "entropy"):
+        assert log.column(name).tobytes() == b_log.column(name).tobytes()
+    assert log.meta == b_log.meta and len(b_log.rows) == 20
+    assert all(r["true_return"] is not None for r in log.rows)
+    assert all(r["true_return"] is None for r in b_log.rows)
 
 
 @pytest.mark.parametrize("sampling, inner_steps", [("exact", 1), ("sampled", 1), ("exact", 3)])

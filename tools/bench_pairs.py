@@ -10,10 +10,13 @@ tool prints both sides' median and quartiles and how many pairs the change
 won, then the gain verdict of a sandboxed benchmark: the change wins at
 least nine tenths of the pairs (ties count for neither side) and the
 medians differ, in the better direction, by more than the parent's
-interquartile range.  It also compares the final-policy digest of every
-cell both runs of a pair made.  Nothing is written under either tree's
-`bench/`; bench/run.py itself writes its records to `.bench_out/`.  Each
-metric's better direction comes from the parent tree's BENCHMARK.json.
+interquartile range.  Next to it stands the no-regression rule: the
+change regresses a metric when its median is worse than the parent's by
+more than the metric's bound, a share of the parent's median.  It also
+compares the final-policy digest of every cell both runs of a pair made.
+Nothing is written under either tree's `bench/`; bench/run.py itself
+writes its records to `.bench_out/`.  Each metric's better direction and
+bound come from the parent tree's BENCHMARK.json.
 
 Exit status 0 when every run succeeded and every common cell digest
 matched, 1 otherwise; a verdict that does not pass is not an error.
@@ -65,10 +68,20 @@ def verdict(parent, change, better: str) -> dict:
             "gain": wins >= math.ceil(WIN_SHARE * len(parent)) and gain > iqr}
 
 
-def better_of(tree: Path) -> dict:
-    """Metric -> "lower" or "higher", from the tree's BENCHMARK.json."""
+def regression(parent, change, better: str, bound: float) -> dict:
+    """The no-regression rule for one metric: the share by which the
+    change's median is worse than the parent's (negative when better), and
+    whether it exceeds `bound`; a change worse by exactly the bound holds."""
+    sign = 1.0 if better == "higher" else -1.0
+    p_med, c_med = quartiles(parent)[1], quartiles(change)[1]
+    worse = sign * (p_med - c_med) / abs(p_med)
+    return {"worse_share": worse, "bound": bound, "regressed": worse > bound}
+
+
+def rules_of(tree: Path) -> dict:
+    """Metric -> ("lower" or "higher", bound), from the tree's BENCHMARK.json."""
     spec = json.loads((tree / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -126,15 +139,17 @@ def main(argv=None) -> int:
             for m in pair["parent"]["metrics"]), flush=True)
     good = [i for i in range(args.pairs) if runs["parent"][i]["ok"] and runs["change"][i]["ok"]]
     if good:
-        better = better_of(trees["parent"])
+        rules = rules_of(trees["parent"])
         print(f"\n{args.workload}: {len(good)} complete pairs; median [q1, q3]")
         for m in runs["parent"][good[0]]["metrics"]:
-            v = verdict([runs["parent"][i]["metrics"][m] for i in good],
-                        [runs["change"][i]["metrics"][m] for i in good], better[m])
+            sides = [[runs[side][i]["metrics"][m] for i in good] for side in ("parent", "change")]
+            v, r = verdict(*sides, rules[m][0]), regression(*sides, *rules[m])
             print(f"  {m:<14} parent {fmt(v['parent'])}  change {fmt(v['change'])}  "
                   f"wins {v['wins']}/{v['pairs']} (ties {v['ties']})  "
                   f"median gain {v['median_gain']:.6g} vs parent IQR {v['parent_iqr']:.6g}: "
-                  f"{'GAIN' if v['gain'] else 'no gain'}")
+                  f"{'GAIN' if v['gain'] else 'no gain'}; "
+                  f"worse by {r['worse_share']:+.1%} vs bound {r['bound']:.0%}: "
+                  f"{'REGRESSED' if r['regressed'] else 'no regression'}")
     print(f"cell digests: {digests_equal} equal, {digests_differ} differ")
     return 0 if ok and good and digests_differ == 0 else 1
 
