@@ -35,29 +35,29 @@ BASE = wail.RunConfig(dataset_size=2, n_eval=100, n_ref=100)
 
 CASES = {
     "grid-wail-exact": (dict(env=GRID, k_max=50),
-                        "a7c3d2d92d0d46a170e2b56e7cd6ecf2bb05ec2d3be9041154fb72f8d2d88bec"),
+                        "1a94a090a4307998effadf2e78f8433ed4487943f2a695a27c9eb1f9df9bf1d3"),
     "grid-gail-exact": (dict(env=GRID, algorithm="gail", k_max=50),
-                        "bc51cb65ebd837a4dcea349c75f8fd9385e777d66e6ddd317c3a9ca16134db43"),
+                        "d81321dac51657d5d5c942b64ad5c2c1d52492fae384687ef0e8c71e2ccfd5cc"),
     "grid-bc": (dict(env=GRID, algorithm="bc"),
                 "670275aff676d16627eb0788512d1c731c851d1be3db5c30d5e24c1ca7419ce1"),
     "grid-wail-sampled": (dict(env=GRID, sampling="sampled", pg_mode="sampled", k_max=20),
-                          "5c832900791b8c25b275cdf4722793a0cbe41eaad0722be296f48e567e9bd57b"),
+                          "327b3b0152e2293e1b318dca863cea272fce13e0d88c88469dde8852f91f0172"),
     "grid-wail-sampled-batch-exact-gradient": (dict(env=GRID, sampling="sampled", k_max=30),
-                                               "7b0a3f5cd21d542b3c9cb86bb26d37bec1ec2c17e66e3fe1b7814f9a3d241542"),
+                                               "5d973f136f09fd724b03901e959bfd13c1e707f5182a1724e3aa9189d2ccad04"),
     "grid30-wail-exact": (AT_SCALE,
-                          "e52b7415be277a14ceed5c5d98c79312d546221d4895c9786e7f0197db362dc1"),
+                          "d788d5c3a256327359c28d339daf85bf2a4694d4cc3fb0fef790072dfc8de6eb"),
     "grid30-gail-exact": (dict(AT_SCALE, algorithm="gail"),
-                          "05bd1f35e9515e36bb0d6d1684f70dc855e9cee3c0c892e110b5538dad76fec0"),
+                          "0ddb138d132c6538aa6ab7fa705a209eb9df8638af2f0a99db77b966b5244c1e"),
     "cliff-wail-exact": (dict(env=CLIFF, k_max=50),
-                         "508f68d13880f2e286aca163e8df61ea9899acb32b3693b2a9daf7de0f3d3b17"),
+                         "afbc92776e9870962312460e74d9a3fc3548df53dff175bac2263ce8ac0f2539"),
     "cliff-gail-exact": (dict(env=CLIFF, algorithm="gail", k_max=50),
-                         "7981e75f7b84362bd4d1c9ffa0459661a3bbd99854d5e603f2c53449dd7930cd"),
+                         "de547222ccbe5e680e8bfe088512c4a7f632bac4702c251b59993a602769d3e5"),
     "cliff-bc": (dict(env=CLIFF, algorithm="bc"),
                  "8e0c3f82fa1d6d3c51542ebca693ef1dc74c1d0eae86d397935e60e14210fbd2"),
     "cliff-wail-sampled": (dict(env=CLIFF, sampling="sampled", pg_mode="sampled", k_max=20),
-                           "a7d2fde9d9042722a47e525349a99d92efab02d079d7711c89015e7026a812b0"),
+                           "16e42a742436c888aa2e1b6bc30dce4d40cba0e2776e1fa6f35b692cfa2009a3"),
     "cliff-wail-sampled-batch-exact-gradient": (dict(env=CLIFF, sampling="sampled", k_max=30),
-                                                "b41e78f093a473b610a6ec549414bf0ce0ea10833594a672c5f41567d4e1f902"),
+                                                "d9f873d660085dcf58344de8fb31c297e6d9fe506fb72317658f694e3f7de525"),
 }
 
 ARTIFACT = {"wail": "reward_final.json", "gail": "discriminator_final.json"}
