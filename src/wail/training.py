@@ -259,9 +259,9 @@ def wail_iteration(state: WailState, mdp: TabularMdp, expert_data, config: RunCo
            "policy_surrogate": report.surrogate_value,
            "kl_step": weighted_kl(mdp, state.policy, policy),
            "entropy": report.entropy,
-           "true_return": None if mdp.true_reward is None else
-           expected_reward(occupancy_from_policy(mdp, policy), mdp.true_reward)
-           / (1.0 - mdp.gamma)}
+           "true_return": (None if mdp.true_reward is None else
+                           expected_reward(occupancy_from_policy(mdp, policy), mdp.true_reward)
+                           / (1.0 - mdp.gamma))}
     return WailState(state.k + 1, model, policy), row
 
 
