@@ -250,10 +250,12 @@ class TabularMdp:
 
 @dataclass(frozen=True)
 class SoftmaxPolicy:
-    """Stochastic policy pi(a|s) = softmax over per-state logits; every
-    sampler draws its actions with draw_actions.  `_flow` is the FlowSystem
-    the exact oracles built for it on their last MDP (see _flow_of).  The
-    constructor checks the logits; line-search candidates skip it."""
+    """Stochastic policy pi(a|s) = softmax over per-state logits; the
+    fixed-length rollouts draw its actions with draw_actions, the restart
+    chain together with the next state (see _joint_rows).  `_flow` is the
+    FlowSystem the exact oracles built for it on their last MDP (see
+    _flow_of).  The constructor checks the logits; line-search candidates
+    skip it."""
 
     logits: np.ndarray              # (S, A)
     _flow: FlowSystem | None = field(init=False, default=None, repr=False, compare=False)
@@ -505,10 +507,12 @@ def next_states(mdp: TabularMdp, states: np.ndarray, actions: np.ndarray,
     whose cumulative P[s, a, :s'+1] reaches u, and S-1 when rounding leaves
     the row's total below u.  Reads only each row's nonzeros, from the
     action-major draw tables of the stored rows."""
-    return _draw_next(mdp._rows, states * mdp.n_actions + actions, u)
+    return draw_next_states(mdp, states * mdp.n_actions + actions, u)
 
 
-def _draw_next(rows: _TransitionRows, flat_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+def draw_next_states(mdp: TabularMdp, flat_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """next_states for the flat state-action rows s * A + a."""
+    rows = mdp._rows
     return rows.draw_col[_inverse_cdf(rows.draw_cum, flat_rows, u), flat_rows]
 
 
@@ -556,6 +560,30 @@ def check_count(value, name: str) -> int:
     return int(value)
 
 
+def _joint_rows(mdp: TabularMdp, policy: SoftmaxPolicy) -> tuple[np.ndarray, np.ndarray]:
+    """Each state's joint row pi(a|s) P(s'|s,a) over the stored nonzeros,
+    a-major with s' ascending (the stored rows' order), as action-major
+    inverse-CDF tables: column s of `cum` holds state s's running sums
+    behind a leading 0 (inf padding), and the same column of `code` what
+    each count of sums below u draws, as (s * A + a) * S + s'.  The sums
+    are sequential, so they are bit-equal to a dense cumsum of the
+    (A * S)-long row at its nonzeros.  As under that dense inverse CDF, a
+    draw u = 0 gives (0, 0) and a draw past the row's total (A-1, S-1)."""
+    rows, S, A = mdp._rows, mdp.n_states, mdp.n_actions
+    counts = np.bincount(rows.state, minlength=S)
+    pos = 1 + np.arange(rows.row.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    K = int(counts.max())
+    cum = np.full((K + 1, S), np.inf)
+    cum[0] = 0.0
+    cum[pos, rows.state] = policy.probs.ravel()[rows.row] * rows.prob
+    first = np.arange(S) * (A * S)
+    code = np.empty((K + 2, S), dtype=np.int64)
+    code[0] = first
+    code[1:] = first + (A * S - 1)
+    code[pos, rows.state] = rows.row * S + rows.col
+    return cum.cumsum(axis=0), code
+
+
 def sample_trajectories(mdp: TabularMdp, policy: SoftmaxPolicy, n: int,
                         max_len: int | None = None, seed: int = 0) -> Rollouts:
     """Sample n episodes of the restart chain: after each recorded (s, a)
@@ -565,28 +593,29 @@ def sample_trajectories(mdp: TabularMdp, policy: SoftmaxPolicy, n: int,
     Each episode's length is drawn up front: G ~ Geometric(1-gamma) steps
     to the restart, truncated at max_len, so restarted = (G <= max_len).
     The stream holds one start uniform per episode, then one geometric
-    draw per episode, then each episode's own block of 2 * length uniforms
-    (an action uniform and a next-state uniform per step), in episode
-    order.  In chunks of at most _SAMPLE_CHUNK episodes, the chain runs
-    over the episodes sorted by length, longest first, so step t steps
-    only the prefix still live; the batch does not depend on the chunk
-    size.  Action draws go through the policy's draw_actions, next-state
-    draws through the stored rows' action-major tables as in next_states,
-    and starts through the start distribution's running sums.  Episodes
-    come back in draw order."""
+    draw per episode, then each episode's own block of `length` uniforms,
+    in episode order.  Each step's uniform draws the action and the next
+    state together, by inverse CDF over the state's joint row
+    pi(a|s) P(s'|s,a) (see _joint_rows, built once per call); the last
+    step's next state goes unused.  In chunks of at most _SAMPLE_CHUNK
+    episodes, the chain runs over the episodes sorted by length, longest
+    first, so step t steps only the prefix still live; the batch does not
+    depend on the chunk size.  Starts are drawn through the start
+    distribution's running sums.  Episodes come back in draw order."""
     n = check_count(n, "n")
     mdp.check_policy(policy)
     max_len = default_max_len(mdp.gamma) if max_len is None else check_count(max_len, "max_len")
-    A, rows = mdp.n_actions, mdp._rows
+    S = mdp.n_states
     rng = np.random.default_rng(seed)
-    first = np.minimum(np.searchsorted(mdp.start.cumsum(), rng.random(n)), mdp.n_states - 1)
+    first = np.minimum(np.searchsorted(mdp.start.cumsum(), rng.random(n)), S - 1)
     restart_at = rng.geometric(1.0 - mdp.gamma, size=n)    # steps up to the restart
     lengths = np.clip(restart_at, 1, max_len)
-    flat = np.empty(lengths.sum(), dtype=np.int64)
+    cum, code = _joint_rows(mdp, policy)
+    drawn = np.empty(lengths.sum(), dtype=np.int64)
     offset = 0
     for lo in range(0, n, _SAMPLE_CHUNK):
         chunk = lengths[lo:lo + _SAMPLE_CHUNK]
-        u = rng.random((chunk.sum(), 2))     # row i: entry i's action and next-state uniforms
+        u = rng.random(chunk.sum())          # entry i's uniform
         order = np.argsort(-chunk, kind="stable")
         # live[t]: episodes with more than t steps, a prefix of `order`
         live = np.cumsum(np.bincount(chunk, minlength=chunk.max() + 1)[::-1])[::-1][1:]
@@ -594,20 +623,22 @@ def sample_trajectories(mdp: TabularMdp, policy: SoftmaxPolicy, n: int,
         # entry (t, j) of the step-major records is step t of episode order[j]
         step = np.repeat(np.arange(live.size), live)
         dest = (np.cumsum(chunk) - chunk)[order][np.arange(step.size) - bounds[step]] + step
-        u_act, u_next = u[dest, 0], u[dest, 1]
+        u = u[dest]
         cur = first[lo:lo + _SAMPLE_CHUNK][order]
         rec = np.empty(step.size, dtype=np.int64)
         live = live.tolist() + [0]
         for t, at in enumerate(bounds.tolist()):
             k, k_next = live[t], live[t + 1]
-            r = cur[:k] * A + policy.draw_actions(cur[:k], u_act[at:at + k])
-            rec[at:at + k] = r
+            s = cur[:k]
+            c = code[_inverse_cdf(cum, s, u[at:at + k]), s]
+            rec[at:at + k] = c
             if k_next:
-                cur = _draw_next(rows, r[:k_next], u_next[at:at + k_next])
-        flat[offset + dest] = rec
+                cur = c[:k_next] % S
+        drawn[offset + dest] = rec
         offset += step.size
+    flat = drawn // S
     return Rollouts(lengths=lengths, restarted=restart_at <= max_len,
-                    states=flat // A, actions=flat % A)
+                    states=flat // mdp.n_actions, actions=flat % mdp.n_actions)
 
 
 def soft_value_iteration(mdp: TabularMdp, reward: np.ndarray, lam: float,

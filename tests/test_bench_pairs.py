@@ -98,3 +98,44 @@ def test_worse_by_exactly_the_bound_holds(better, change):
     assert not r["regressed"]
     assert bench_pairs.regression(PARENT, [change + (1.0 if better == "lower" else -1.0)]
                                   * len(PARENT), better, 0.25)["regressed"]
+
+
+def test_several_workloads_get_a_report_each(tmp_path, monkeypatch, capsys):
+    # a gain claimed on one workload and a set-up regression on another
+    # that the change did not claim: both must show in one command's output
+    root = Path(__file__).resolve().parent.parent
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text((root / "BENCHMARK.json").read_text())
+    calls = []
+
+    def fake_run(tree, workload, seed, seconds):
+        calls.append((tree.name, workload, seed))
+        i, change = seed - 1000, tree.name == "change"
+        metrics = {"rounds_per_s": 600.0 + i + (150.0 if change and workload == "desk-sampled"
+                                                else 0.0),
+                   "setup_s": 0.160 + 0.001 * i + (0.05 if change and workload == "scale-exact"
+                                                   else 0.0)}
+        return {"ok": True, "metrics": metrics, "digests": {0: workload, 1: workload}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    status = bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                               "--workload", "desk-sampled", "--workload", "scale-exact",
+                               "--pairs", "10"])
+    out = capsys.readouterr().out
+    assert status == 0
+    # pairs outermost, workloads in the order given, the first side alternating
+    assert calls[:8] == [("parent", "desk-sampled", 1000), ("change", "desk-sampled", 1000),
+                         ("parent", "scale-exact", 1000), ("change", "scale-exact", 1000),
+                         ("change", "desk-sampled", 1001), ("parent", "desk-sampled", 1001),
+                         ("change", "scale-exact", 1001), ("parent", "scale-exact", 1001)]
+    assert len(calls) == 40
+    sampled, scale = out.split("\ndesk-sampled: ")[1], out.split("\nscale-exact: ")[1]
+    rows = {name: {line.split()[0]: line for line in text.splitlines()[1:3]}
+            for name, text in (("desk-sampled", sampled), ("scale-exact", scale))}
+    assert "GAIN" in rows["desk-sampled"]["rounds_per_s"]
+    assert "no regression" in rows["desk-sampled"]["setup_s"]
+    assert "no gain" in rows["scale-exact"]["rounds_per_s"]
+    assert "REGRESSED" in rows["scale-exact"]["setup_s"]
+    assert "desk-sampled cell digests: 20 equal, 0 differ" in out
+    assert "scale-exact cell digests: 20 equal, 0 differ" in out

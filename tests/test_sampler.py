@@ -1,12 +1,14 @@
-"""The restart-chain sampler, the demonstration rollouts and the sampled
-policy gradient work on flat Rollouts arrays; these tests hold them to
-per-episode references, byte for byte, and the sampler to its law.
+"""The restart-chain sampler, the demonstration rollouts, the scoring
+rollouts and the sampled policy gradient work on flat arrays; these tests
+hold them to per-episode or per-step references, byte for byte, and the
+sampler to its law.
 
 The references below live only here: a per-episode restart-chain loop that
-reads each episode's own block of the stream and draws each categorical
-through a cumsum of dense probability rows, demonstrations drawn one
-uniform per call, and the per-episode np.add.at score-function gradient in
-factored form.
+reads each episode's own block of the stream and draws each step's (a, s')
+through a cumsum of the dense joint row pi(a|s) P(s'|s,a), demonstrations
+drawn one uniform per call, the per-step scoring loop that drew two
+uniform vectors a step, and the per-episode np.add.at score-function
+gradient in factored form.
 """
 
 import json
@@ -17,10 +19,11 @@ import pytest
 import wail
 from wail import (Rollouts, SoftmaxPolicy, entropy_reg_policy_gradient,
                   rollout_fixed, sample_trajectories)
+from wail import envs as envs_mod
 from wail import mdp as mdp_mod
 from wail.training import expert_occupancy
 
-from conftest import dense_transition, random_mdp, two_state_chain
+from conftest import dense_transition, random_mdp
 
 CASES = {
     "grid5": lambda: wail.make_gridworld(5),
@@ -58,27 +61,34 @@ def episodes(batch):
     return [pairs[lo:lo + n] for lo, n in zip(batch.starts, batch.lengths)]
 
 
+def joint_rows(mdp, policy):
+    """The dense joint rows pi(a|s) P(s'|s,a), (S, A * S), a-major."""
+    S, A = mdp.n_states, mdp.n_actions
+    return (policy.probs[:, :, None] * dense_transition(mdp)).reshape(S, A * S)
+
+
 def ref_sample(mdp, policy, n, max_len=None, seed=0):
     """Episode by episode: all n start uniforms, all n geometric lengths,
-    then each episode's block of 2 * length uniforms, an action uniform
-    and a next-state uniform per step (the last next state goes unused)."""
+    then each episode's block of `length` uniforms, one per step, each
+    drawing (a, s') = divmod(j, S) from the dense joint row of s (the last
+    next state goes unused)."""
     if max_len is None:
         max_len = wail.default_max_len(mdp.gamma)
     rng = np.random.default_rng(seed)
-    pi = policy.probs
-    P = dense_transition(mdp)
+    joint = joint_rows(mdp, policy)
+    S = mdp.n_states
     start_u = rng.random(n)
     restart_at = rng.geometric(1.0 - mdp.gamma, size=n)
     out, flags = [], []
     for i in range(n):
         T = int(min(max(restart_at[i], 1), max_len))
-        u = rng.random(2 * T)
+        u = rng.random(T)
         steps = np.zeros((T, 2), dtype=np.int64)
         s = _categorical(mdp.start, start_u[i])
         for t in range(T):
-            a = _categorical(pi[s], u[2 * t])
+            a, s_next = divmod(_categorical(joint[s], u[t]), S)
             steps[t] = (s, a)
-            s = _categorical(P[s, a], u[2 * t + 1])
+            s = s_next
         out.append(steps)
         flags.append(bool(restart_at[i] <= max_len))
     return from_episodes(out, flags)
@@ -153,6 +163,36 @@ def test_gradient_and_value_match_per_episode_loop(env, seed):
     assert report.gradient.tobytes() == grad.tobytes()
 
 
+def test_joint_draws_at_the_edges():
+    # rows whose total falls short of 1 by rounding, several nonzeros a row:
+    # u = 0 draws (0, 0), a draw past the joint total (A-1, S-1), and draws
+    # at the running sums or at random the dense joint inverse CDF's
+    rng = np.random.default_rng(8)
+    S, A = 7, 3
+    P = np.zeros((S, A, S))
+    for s in range(S):
+        for a in range(A):
+            cols = rng.choice(S, size=int(rng.integers(1, 4)), replace=False)
+            P[s, a, cols] = rng.dirichlet(np.ones(cols.size)) * (1.0 - 5e-11)
+    env = wail.TabularMdp(wail.entries_from_dense(P), np.full(S, 1.0 / S), 0.9,
+                          np.zeros((S, 1)), np.eye(A))
+    states, past = np.arange(S), np.full(S, 1.0 - 1e-12)
+    for policy in (random_policy(env, 3), SoftmaxPolicy.uniform(S, A)):
+        cum, code = mdp_mod._joint_rows(env, policy)
+        joint = joint_rows(env, policy).cumsum(axis=1)
+        assert np.all(joint[:, -1] < past)
+        for u in (np.zeros(S), past, joint[:, 0], joint[:, S + 2], joint.max(axis=1),
+                  rng.random(S)):
+            flat, s_next = np.divmod(code[mdp_mod._inverse_cdf(cum, states, u), states], S)
+            ref = np.minimum((joint < u[:, None]).sum(axis=1), A * S - 1)
+            assert np.array_equal(flat, states * A + ref // S)
+            assert np.array_equal(s_next, ref % S)
+            if u is past:
+                assert np.all(flat == states * A + A - 1) and np.all(s_next == S - 1)
+            elif not u.any():
+                assert np.all(flat == states * A) and np.all(s_next == 0)
+
+
 def test_gradient_rejects_a_batch_outside_the_mdp():
     # a state or action past the MDP's used to fail as an IndexError in cost[s, a]
     mdp = wail.make_gridworld(3)
@@ -181,6 +221,78 @@ def test_length_and_restart_shares_follow_the_truncated_geometric():
         assert abs(share - p) <= 4 * np.sqrt(p * (1 - p) / n)
     # only an episode of max_len steps can be truncated
     assert batch.restarted[batch.lengths < max_len].all()
+
+
+LAW_CASES = ("grid14-slip", "cliff", "random-dense")
+
+
+def visit_frequencies(mdp, policy, seed, replicates=100, n=400):
+    """Pooled (S * A) visit frequencies of `replicates` sampler calls, the
+    spread of the calls' own frequencies as a standard error, and the number
+    of pairs pooled."""
+    S, A = mdp.n_states, mdp.n_actions
+    batches = [sample_trajectories(mdp, policy, n, seed=seed + r) for r in range(replicates)]
+    freq = np.array([np.bincount(b.states * A + b.actions, minlength=S * A) / len(b.states)
+                     for b in batches])
+    return (freq.mean(axis=0), freq.std(axis=0, ddof=1) / np.sqrt(replicates),
+            sum(len(b.states) for b in batches))
+
+
+def standard_error(spread, freq, pairs):
+    """The spread floored at a cell's Poisson error sqrt(freq / pairs), so
+    that a cell no call visits has one."""
+    return np.maximum(spread, np.sqrt(freq / pairs))
+
+
+@pytest.mark.parametrize("case", LAW_CASES)
+def test_visit_frequencies_follow_the_occupancy(case):
+    # the restart chain's pairs are distributed as rho: each episode holds
+    # rho / (1 - gamma) of each pair in expectation, 1 / (1 - gamma) in all
+    mdp = CASES[case]()
+    policy = random_policy(mdp, 0)
+    rho = wail.occupancy_from_policy(mdp, policy).rho.ravel()
+    mean, spread, pairs = visit_frequencies(mdp, policy, seed=40)
+    assert np.all(np.abs(mean - rho) <= 4 * standard_error(spread, rho, pairs))
+
+
+def relabel_states(mdp, policy, perm):
+    """New state i is old state perm[i]."""
+    P = dense_transition(mdp)[perm][:, :, perm]
+    return (wail.TabularMdp(wail.entries_from_dense(P), mdp.start[perm], mdp.gamma,
+                            mdp.state_embed[perm], mdp.action_embed),
+            SoftmaxPolicy(policy.logits[perm]))
+
+
+def relabel_actions(mdp, policy, perm):
+    """New action b is old action perm[b]."""
+    P = dense_transition(mdp)[:, perm]
+    return (wail.TabularMdp(wail.entries_from_dense(P), mdp.start, mdp.gamma,
+                            mdp.state_embed, mdp.action_embed[perm]),
+            SoftmaxPolicy(policy.logits[:, perm]))
+
+
+@pytest.mark.parametrize("case", LAW_CASES)
+@pytest.mark.parametrize("relabel", ["states", "actions"])
+def test_visit_frequencies_do_not_depend_on_the_labels(case, relabel):
+    # the joint rows are laid out a-major with s' ascending; relabelling
+    # reorders them, which changes the draws but not their law
+    mdp = CASES[case]()
+    policy = random_policy(mdp, 1)
+    S, A = mdp.n_states, mdp.n_actions
+    perm = np.random.default_rng(5).permutation(S if relabel == "states" else A)
+    moved_mdp, moved_policy = (relabel_states if relabel == "states" else relabel_actions)(
+        mdp, policy, perm)
+    mean, spread, pairs = visit_frequencies(mdp, policy, seed=60)
+    se = standard_error(spread, mean, pairs)
+    moved, spread, pairs = visit_frequencies(moved_mdp, moved_policy, seed=60)
+    moved_se = standard_error(spread, moved, pairs).reshape(S, A)
+    moved = moved.reshape(S, A)
+    back, back_se = np.empty_like(moved), np.empty_like(moved_se)
+    if relabel == "states":
+        back[perm], back_se[perm] = moved, moved_se
+    else:
+        back[:, perm], back_se[:, perm] = moved, moved_se
+    assert np.all(np.abs(back.ravel() - mean) <= 4 * np.hypot(se, back_se.ravel()))
 
 
 def test_batch_does_not_depend_on_the_chunk_size(monkeypatch):
@@ -246,6 +358,60 @@ def test_gamma_to_zero_gives_length_one_episodes():
     batch = sample_trajectories(mdp, policy, 200, seed=0)
     assert np.all(batch.lengths == 1) and batch.restarted.all()
     assert_same_batch(batch, ref_sample(mdp, policy, 200, seed=0))
+
+
+def ref_step_loop_returns(mdp, policy, n, seed):
+    """episode_returns as its per-step loop was written: two uniform
+    vectors a step from the generator, the flat row computed twice."""
+    rng = np.random.default_rng(seed)
+    reward = mdp.true_reward.ravel()
+    s = np.minimum(np.searchsorted(mdp.start.cumsum(), rng.random(n)), mdp.n_states - 1)
+    returns = np.zeros(n)
+    disc = 1.0
+    for _ in range(wail.default_max_len(mdp.gamma)):
+        a = policy.draw_actions(s, rng.random(n))
+        returns += disc * reward[s * mdp.n_actions + a]
+        disc *= mdp.gamma
+        s = mdp_mod.next_states(mdp, s, a, rng.random(n))
+    return returns
+
+
+@pytest.fixture(scope="module", params=sorted(envs_mod._BUILDERS))
+def scored(request):
+    mdp = wail.build_environment({"name": request.param})
+    return mdp, wail.make_expert(mdp)[0]
+
+
+@pytest.mark.parametrize("n", [1, 500])
+def test_scoring_is_the_per_step_loop(scored, n):
+    mdp, expert = scored
+    policy = random_policy(mdp, 4)
+    returns = ref_step_loop_returns(mdp, policy, n, seed=9)
+    assert wail.episode_returns(mdp, policy, n, seed=9).tobytes() == returns.tobytes()
+    got = wail.evaluate(mdp, policy, n, seed=9, expert_ref=1.5, random_ref=-0.5)
+    mean = float(returns.mean())
+    assert got == wail.EvalResult(mean=mean, std=float(returns.std(ddof=1)) if n > 1 else 0.0,
+                                  scaled=(mean - -0.5) / (1.5 - -0.5))
+    uniform = SoftmaxPolicy.uniform(mdp.n_states, mdp.n_actions)
+    assert wail.reference_returns(mdp, expert, n, seed=3) == (
+        float(ref_step_loop_returns(mdp, expert, n, 3).mean()),
+        float(ref_step_loop_returns(mdp, uniform, n, 4).mean()))
+
+
+def test_mountain_car_scoring_crosses_a_uniform_block():
+    mdp = wail.make_mountain_car()
+    assert mdp.gamma == 0.99 and wail.default_max_len(mdp.gamma) == 1375
+    assert envs_mod._UNIFORM_BLOCK // (2 * 500) < 1375 <= envs_mod._UNIFORM_BLOCK // 2
+
+
+def test_scoring_does_not_depend_on_the_block_size(monkeypatch):
+    mdp = wail.make_cliff()
+    policy = random_policy(mdp, 2)
+    whole = wail.episode_returns(mdp, policy, 40, seed=1)
+    refs = wail.reference_returns(mdp, policy, 40, seed=1)
+    monkeypatch.setattr(envs_mod, "_UNIFORM_BLOCK", 3 * 2 * 40 + 1)
+    assert wail.episode_returns(mdp, policy, 40, seed=1).tobytes() == whole.tobytes()
+    assert wail.reference_returns(mdp, policy, 40, seed=1) == refs
 
 
 class TestRollouts:

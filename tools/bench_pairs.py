@@ -1,13 +1,17 @@
 """Interleaved benchmark pairs of two source trees, and the gain verdict.
 
     python tools/bench_pairs.py PARENT_TREE CHANGE_TREE --workload desk-exact --pairs 10
+    python tools/bench_pairs.py PARENT_TREE CHANGE_TREE --workload desk-sampled \
+        --workload scale-exact --workload desk-exact
 
 Each pair runs both trees' own `bench/run.py` on one fresh seed (seeds
 --first-seed, --first-seed + 1, ...), the parent first in even pairs and
 the change first in odd ones, each for --seconds of cells with tracing off.
-Each run's last stdout line is its result.  For every end-to-end metric the
-tool prints both sides' median and quartiles and how many pairs the change
-won, then the gain verdict of a sandboxed benchmark: the change wins at
+With several --workload options, each pair runs every workload in the
+order given, on the pair's seed.  Each run's last stdout line is its
+result.  For every workload and end-to-end metric the tool prints both
+sides' median and quartiles and how many pairs the change won, then the
+gain verdict of a sandboxed benchmark: the change wins at
 least nine tenths of the pairs (ties count for neither side) and the
 medians differ, in the better direction, by more than the parent's
 interquartile range.  Next to it stands the no-regression rule: the
@@ -19,7 +23,8 @@ writes its records to `.bench_out/`.  Each metric's better direction and
 bound come from the parent tree's BENCHMARK.json.
 
 Exit status 0 when every run succeeded and every common cell digest
-matched, 1 otherwise; a verdict that does not pass is not an error.
+matched on every workload, 1 otherwise; a verdict that does not pass is
+not an error.
 """
 
 from __future__ import annotations
@@ -104,54 +109,69 @@ def fmt(q) -> str:
     return f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]"
 
 
+def report(workload: str, runs: dict, rules: dict) -> list[str]:
+    """The summary lines of one workload: per end-to-end metric, both sides'
+    quartiles, the gain verdict and the no-regression rule, over the pairs
+    whose two runs both succeeded.  `runs` maps "parent" and "change" to
+    their run_once results in pair order."""
+    good = [i for i, (p, c) in enumerate(zip(runs["parent"], runs["change"]))
+            if p["ok"] and c["ok"]]
+    if not good:
+        return [f"\n{workload}: no complete pairs"]
+    lines = [f"\n{workload}: {len(good)} complete pairs; median [q1, q3]"]
+    for m in runs["parent"][good[0]]["metrics"]:
+        sides = [[runs[side][i]["metrics"][m] for i in good] for side in ("parent", "change")]
+        v, r = verdict(*sides, rules[m][0]), regression(*sides, *rules[m])
+        lines.append(f"  {m:<14} parent {fmt(v['parent'])}  change {fmt(v['change'])}  "
+                     f"wins {v['wins']}/{v['pairs']} (ties {v['ties']})  "
+                     f"median gain {v['median_gain']:.6g} vs parent IQR {v['parent_iqr']:.6g}: "
+                     f"{'GAIN' if v['gain'] else 'no gain'}; "
+                     f"worse by {r['worse_share']:+.1%} vs bound {r['bound']:.0%}: "
+                     f"{'REGRESSED' if r['regressed'] else 'no regression'}")
+    return lines
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("parent", type=Path, help="source tree of the parent commit")
     p.add_argument("change", type=Path, help="source tree of the change")
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", required=True, action="append",
+                   help="workload to run; repeat for several")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=25.0)
     p.add_argument("--first-seed", type=int, default=1000)
     args = p.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0:
         p.error("--pairs must be >= 1 and --seconds > 0")
+    workloads = list(dict.fromkeys(args.workload))
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    runs = {"parent": [], "change": []}
-    digests_equal = digests_differ = 0
+    runs = {w: {"parent": [], "change": []} for w in workloads}
+    digests = {w: [0, 0] for w in workloads}     # equal, differ
     ok = True
     for i in range(args.pairs):
         seed = args.first_seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        pair = {side: run_once(trees[side], args.workload, seed, args.seconds) for side in order}
-        for side in order:
-            runs[side].append(pair[side])
-        if not (pair["parent"]["ok"] and pair["change"]["ok"]):
-            ok = False
-            print(f"pair {i} (seed {seed}): a run failed: "
-                  f"{[pair[s].get('error', 'cells failed') for s in order if not pair[s]['ok']]}")
-            continue
-        common = pair["parent"]["digests"].keys() & pair["change"]["digests"].keys()
-        same = sum(pair["parent"]["digests"][c] == pair["change"]["digests"][c] for c in common)
-        digests_equal += same
-        digests_differ += len(common) - same
-        print(f"pair {i} (seed {seed}, {order[0]} first): " + "  ".join(
-            f"{m} {pair['parent']['metrics'][m]:.6g} -> {pair['change']['metrics'][m]:.6g}"
-            for m in pair["parent"]["metrics"]), flush=True)
-    good = [i for i in range(args.pairs) if runs["parent"][i]["ok"] and runs["change"][i]["ok"]]
-    if good:
-        rules = rules_of(trees["parent"])
-        print(f"\n{args.workload}: {len(good)} complete pairs; median [q1, q3]")
-        for m in runs["parent"][good[0]]["metrics"]:
-            sides = [[runs[side][i]["metrics"][m] for i in good] for side in ("parent", "change")]
-            v, r = verdict(*sides, rules[m][0]), regression(*sides, *rules[m])
-            print(f"  {m:<14} parent {fmt(v['parent'])}  change {fmt(v['change'])}  "
-                  f"wins {v['wins']}/{v['pairs']} (ties {v['ties']})  "
-                  f"median gain {v['median_gain']:.6g} vs parent IQR {v['parent_iqr']:.6g}: "
-                  f"{'GAIN' if v['gain'] else 'no gain'}; "
-                  f"worse by {r['worse_share']:+.1%} vs bound {r['bound']:.0%}: "
-                  f"{'REGRESSED' if r['regressed'] else 'no regression'}")
-    print(f"cell digests: {digests_equal} equal, {digests_differ} differ")
-    return 0 if ok and good and digests_differ == 0 else 1
+        for w in workloads:
+            pair = {side: run_once(trees[side], w, seed, args.seconds) for side in order}
+            for side in order:
+                runs[w][side].append(pair[side])
+            if not (pair["parent"]["ok"] and pair["change"]["ok"]):
+                ok = False
+                print(f"{w} pair {i} (seed {seed}): a run failed: "
+                      f"{[pair[s].get('error', 'cells failed') for s in order if not pair[s]['ok']]}")
+                continue
+            common = pair["parent"]["digests"].keys() & pair["change"]["digests"].keys()
+            same = sum(pair["parent"]["digests"][c] == pair["change"]["digests"][c] for c in common)
+            digests[w][0] += same
+            digests[w][1] += len(common) - same
+            print(f"{w} pair {i} (seed {seed}, {order[0]} first): " + "  ".join(
+                f"{m} {pair['parent']['metrics'][m]:.6g} -> {pair['change']['metrics'][m]:.6g}"
+                for m in pair["parent"]["metrics"]), flush=True)
+    rules = rules_of(trees["parent"])
+    for w in workloads:
+        print("\n".join(report(w, runs[w], rules)))
+        print(f"{w} cell digests: {digests[w][0]} equal, {digests[w][1]} differ")
+    return 0 if ok and not any(d[1] for d in digests.values()) else 1
 
 
 if __name__ == "__main__":
