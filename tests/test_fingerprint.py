@@ -41,9 +41,9 @@ CASES = {
     "grid-bc": (dict(env=GRID, algorithm="bc"),
                 "670275aff676d16627eb0788512d1c731c851d1be3db5c30d5e24c1ca7419ce1"),
     "grid-wail-sampled": (dict(env=GRID, sampling="sampled", pg_mode="sampled", k_max=20),
-                          "327b3b0152e2293e1b318dca863cea272fce13e0d88c88469dde8852f91f0172"),
+                          "d3433324832ae0f8936df8bdd60896d14709d1b4e2ce85dbec438f7fca395c32"),
     "grid-wail-sampled-batch-exact-gradient": (dict(env=GRID, sampling="sampled", k_max=30),
-                                               "5d973f136f09fd724b03901e959bfd13c1e707f5182a1724e3aa9189d2ccad04"),
+                                               "b1f3887acd90d82d447151a788af956ff20378986ecc51eb0ac78a35ebb0c15e"),
     "grid30-wail-exact": (AT_SCALE,
                           "d788d5c3a256327359c28d339daf85bf2a4694d4cc3fb0fef790072dfc8de6eb"),
     "grid30-gail-exact": (dict(AT_SCALE, algorithm="gail"),
@@ -55,9 +55,9 @@ CASES = {
     "cliff-bc": (dict(env=CLIFF, algorithm="bc"),
                  "8e0c3f82fa1d6d3c51542ebca693ef1dc74c1d0eae86d397935e60e14210fbd2"),
     "cliff-wail-sampled": (dict(env=CLIFF, sampling="sampled", pg_mode="sampled", k_max=20),
-                           "16e42a742436c888aa2e1b6bc30dce4d40cba0e2776e1fa6f35b692cfa2009a3"),
+                           "1ba5c52dc47fb7919ece8bc132f4ff39617c9dd35492d53a856a2b5989da887d"),
     "cliff-wail-sampled-batch-exact-gradient": (dict(env=CLIFF, sampling="sampled", k_max=30),
-                                                "d9f873d660085dcf58344de8fb31c297e6d9fe506fb72317658f694e3f7de525"),
+                                                "9f14e960f9c78c7f6ece75f441f1b60b37e40ba9c9d1219b81ebf84b7d75ed9a"),
 }
 
 ARTIFACT = {"wail": "reward_final.json", "gail": "discriminator_final.json"}
